@@ -10,7 +10,6 @@ DC phase as the auxiliary observable, and discrete noise surrogates for
 the channel.
 """
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,8 +25,8 @@ from .errors import (
     ZeroArgument,
     ZeroDC,
 )
-from .roots import conj_reciprocal  # noqa: F401  (re-exported for experiment scripts)
-from .signals import TrigPoly, autocorrelation
+from .roots import conj_reciprocal
+from .signals import TrigPoly, autocorrelation_rows
 
 
 @dataclass(frozen=True, eq=False)
@@ -57,7 +56,7 @@ class PhaseGrid:
 def _quantize_raw(grid, theta):
     # floor((theta + pi/m) / step) * step; ties resolve counterclockwise
     half = np.pi / grid.m
-    return math.floor((theta + half) / grid.step) * grid.step
+    return np.floor((theta + half) / grid.step) * grid.step
 
 
 def quantize_phase(grid, theta):
@@ -86,10 +85,14 @@ def theta_m(grid, w):
     w = complex(w)
     if w == 0:
         raise ZeroArgument("zero has no argument to rotate")
-    theta = float(np.angle(w))
-    if theta == np.pi:
-        theta = -np.pi
-    return float(_quantize_raw(grid, theta) - theta)
+    return float(_rotation_angles(grid, w))
+
+
+def _rotation_angles(grid, w):
+    # theta_m over an array of nonzero values; +pi folds to -pi first
+    theta = np.angle(w)
+    theta = np.where(theta == np.pi, -np.pi, theta)
+    return _quantize_raw(grid, theta) - theta
 
 
 def auxiliary_rotate(y, grid=None, strict=False):
@@ -159,55 +162,112 @@ def entropy_bits(probs):
     return float(-(p * np.log2(p)).sum()) + 0.0
 
 
-def _round_key(vec, scale, digits):
-    v = np.asarray(vec) / scale
-    re = np.round(v.real, digits) + 0.0
-    im = np.round(v.imag, digits) + 0.0
-    return re.tobytes() + im.tobytes()
+def _coeff_matrix(signals):
+    return np.stack([s.coeffs for s in signals])
+
+
+def _row_keys(rows, digits):
+    """Bin key per row of a 2-D complex array, rounded on one shared scale.
+
+    The scale is the largest modulus in the whole array, so the binning is
+    invariant under rescaling the batch but still separates genuinely
+    different levels.
+    """
+    v = rows / (float(np.abs(rows).max(initial=0.0)) or 1.0)
+    flat = np.concatenate([np.round(v.real, digits), np.round(v.imag, digits)], axis=1)
+    return [row.tobytes() for row in flat + 0.0]
 
 
 def sld_keys(signals, digits=7):
     """Measurement bin key per signal: autocorrelation rounded on a common scale.
 
-    The scale is the largest energy in the batch, so the binning is
-    invariant under rescaling the whole ensemble but still separates
-    genuinely different intensity levels.
+    The scale is the largest measurement coefficient in the batch, so the
+    binning is invariant under rescaling the whole ensemble but still
+    separates genuinely different intensity levels. The signals must share
+    one order.
     """
-    seqs = [autocorrelation(s).coeffs for s in signals]
-    scale = max((float(np.abs(c).max()) for c in seqs), default=1.0) or 1.0
-    return [_round_key(c, scale, digits) for c in seqs]
+    signals = tuple(signals)
+    if not signals:
+        return []
+    return _row_keys(autocorrelation_rows(_coeff_matrix(signals)), digits)
 
 
-def _vector_keys(vectors, digits=9):
-    scale = max((float(np.abs(np.asarray(v)).max()) for v in vectors), default=1.0) or 1.0
-    return [_round_key(v, scale, digits) for v in vectors]
+def _groups(keys):
+    """Group index per key, numbered by first appearance, and the group count."""
+    flat = np.frombuffer(b"".join(keys), dtype=np.dtype((np.void, len(keys[0]))))
+    _, first, inverse = np.unique(flat, return_index=True, return_inverse=True)
+    rank = np.empty(len(first), dtype=np.intp)
+    rank[np.argsort(first)] = np.arange(len(first))
+    return rank[inverse], len(first)
 
 
 def _partition_entropy(keys, probs):
-    mass = {}
-    for key, p in zip(keys, probs):
-        mass[key] = mass.get(key, 0.0) + p
-    return entropy_bits(list(mass.values()))
+    ids, count = _groups(keys)
+    mass = np.zeros(count)
+    np.add.at(mass, ids, probs)
+    return entropy_bits(mass)
 
 
-def _check_distinct(c):
-    # same comparison ae_equal makes, batched: members share one order, so
-    # the pairwise max coefficient gap against the energy-scaled band can
-    # run in blocks instead of n^2 python calls
-    mat = np.stack([np.asarray(s.coeffs, dtype=complex) for s in c.signals])
+def _check_distinct(mat):
+    """Raise DuplicateSignals for the first pair of coinciding rows.
+
+    Rows i < j coincide when max_k |a_ik - a_jk| <= 1e-12 * sqrt(max(E_i, E_j)),
+    E being the row energy, and the pair named is the smallest (i, j).
+    Only pairs close in the projection p = sum_k (Re a_k + Im a_k) are
+    compared: |p_i - p_j| <= sqrt(2) * w * max_k |a_ik - a_jk| over w
+    coefficients, so coinciding rows lie within 2w * 1e-12 * sqrt(max E)
+    of each other in p. The slack up from sqrt(2), and 8w ulps of the
+    largest l1 norm, absorb the rounding in p. A row whose energy is not
+    finite is compared with every row.
+    """
+    n, width = mat.shape
     energy = np.sum(np.abs(mat) ** 2, axis=1)
-    n = len(c.signals)
-    step = max(1, 4_000_000 // (mat.shape[1] * n))
-    for lo in range(0, n, step):
-        hi = min(n, lo + step)
-        gap = np.abs(mat[lo:hi, None, :] - mat[None, :, :]).max(axis=2)
-        band = 1e-12 * np.sqrt(np.maximum(energy[lo:hi, None], energy[None, :]))
-        for row, col in zip(*np.nonzero(gap <= band)):
-            i, j = lo + int(row), int(col)
-            if i < j:
-                raise DuplicateSignals(
-                    "constellation points %d and %d coincide" % (i, j)
-                )
+    proj = (mat.real + mat.imag).sum(axis=1)
+    l1 = (np.abs(mat.real) + np.abs(mat.imag)).sum(axis=1)
+    wild = ~np.isfinite(energy)
+    tame = ~wild
+    reach = (2 * width * 1e-12 * np.sqrt(energy[tame].max(initial=0.0))
+             + 8 * width * np.finfo(float).eps * l1[tame].max(initial=0.0))
+
+    # sorted positions: wild rows first, then the rest by p. Row i is
+    # compared with the positions [0, n_wild) and [lo_i, hi_i), minus its own
+    n_wild = int(np.count_nonzero(wild))
+    order = np.lexsort((proj, tame))
+    pos = np.empty(n, dtype=np.intp)
+    pos[order] = np.arange(n)
+    swept = proj[order[n_wild:]]
+    lo = n_wild + np.searchsorted(swept, proj - reach, side="left")
+    hi = n_wild + np.searchsorted(swept, proj + reach, side="right")
+    lo[wild], hi[wild] = n_wild, n
+    own = np.where(wild, pos, n_wild + pos - lo)
+    count = n_wild + hi - lo - 1
+    end = np.cumsum(count)
+
+    # expand the candidates row by row, 1M coefficient pairs per block so
+    # the comparison arrays stay near 4M elements; rows go in index order,
+    # and the scan stops once every pair of the first colliding row is in
+    best = None
+    step = max(1, 1_000_000 // width)
+    for t0 in range(0, int(end[-1]), step):
+        t = np.arange(t0, min(int(end[-1]), t0 + step))
+        i = np.searchsorted(end, t, side="right")
+        if best is not None and i[0] > best // n:
+            break
+        slot = t - (end[i] - count[i])
+        slot += slot >= own[i]
+        j = order[np.where(slot < n_wild, slot, lo[i] + slot - n_wild)]
+        later = j > i
+        i, j = i[later], j[later]
+        gap = np.abs(mat[i] - mat[j]).max(axis=1)
+        band = 1e-12 * np.sqrt(np.maximum(energy[i], energy[j]))
+        hit = gap <= band
+        if hit.any():
+            first = int((i[hit] * n + j[hit]).min())
+            best = first if best is None else min(best, first)
+    if best is not None:
+        raise DuplicateSignals(
+            "constellation points %d and %d coincide" % divmod(best, n)
+        )
 
 
 def mi_noiseless(c, digits=7):
@@ -217,7 +277,7 @@ def mi_noiseless(c, digits=7):
     Square-law detection resolves only the measurement bins, so I_xs is
     the entropy of the induced partition.
     """
-    _check_distinct(c)
+    _check_distinct(_coeff_matrix(c.signals))
     i_xy = entropy_bits(c.probs)
     i_xs = _partition_entropy(sld_keys(c.signals, digits), c.probs)
     return i_xy, i_xs
@@ -286,54 +346,45 @@ def mi_dmc(c, noise, digits=7):
     square-law side. Binning is deterministic post-processing, so
     I_xs <= I_xy holds by construction.
     """
-    _check_distinct(c)
-    width = 2 * c.m + 1
+    mat = _coeff_matrix(c.signals)
+    _check_distinct(mat)
+    K, width = mat.shape
 
     if noise.kind == "transition":
-        K = len(c.signals)
         if noise.matrix.shape != (K, K):
             raise InvalidNoiseSpec(
                 "transition matrix is %s but the constellation has %d points"
                 % (noise.matrix.shape, K)
             )
         joint = c.probs[:, None] * noise.matrix
-        out_vectors = [s.coeffs for s in c.signals]
+        out = mat
     elif noise.kind == "additive":
         if noise.offsets.shape[1] != width:
             raise InvalidNoiseSpec(
                 "offsets have %d coefficients, signals have %d"
                 % (noise.offsets.shape[1], width)
             )
-        out_vectors = []
-        cells = []
-        for i, s in enumerate(c.signals):
-            for k, off in enumerate(noise.offsets):
-                out_vectors.append(s.coeffs + off)
-                cells.append((i, c.probs[i] * noise.offset_probs[k]))
-        joint = np.zeros((len(c.signals), len(out_vectors)))
-        for col, (i, mass) in enumerate(cells):
-            joint[i, col] = mass
+        # output column i * n_off + k is input i plus offset k
+        n_off = len(noise.offsets)
+        out = (mat[:, None, :] + noise.offsets[None, :, :]).reshape(K * n_off, width)
+        joint = np.zeros((K, K * n_off))
+        joint[np.repeat(np.arange(K), n_off), np.arange(K * n_off)] = (
+            c.probs[:, None] * noise.offset_probs[None, :]
+        ).ravel()
     else:
         raise InvalidNoiseSpec("unknown noise kind %r" % noise.kind)
 
     # coherent side: merge outputs that are the same waveform
-    coh_keys = _vector_keys(out_vectors)
-    i_xy = _mi_from_joint(_merge_columns(joint, coh_keys))
-
-    sld = sld_keys(
-        [TrigPoly(m=c.m, coeffs=v, period=c.period) for v in out_vectors], digits
-    )
+    i_xy = _mi_from_joint(_merge_columns(joint, _row_keys(out, 9)))
+    sld = _row_keys(autocorrelation_rows(out), digits)
     i_xs = _mi_from_joint(_merge_columns(joint, sld))
     return i_xy, i_xs
 
 
 def _merge_columns(joint, keys):
-    order = {}
-    for key in keys:
-        order.setdefault(key, len(order))
-    merged = np.zeros((joint.shape[0], len(order)))
-    for col, key in enumerate(keys):
-        merged[:, order[key]] += joint[:, col]
+    ids, count = _groups(keys)
+    merged = np.zeros((joint.shape[0], count))
+    np.add.at(merged, (slice(None), ids), joint)
     return merged
 
 
@@ -361,6 +412,18 @@ class GapReport:
     zero_dc: int
 
 
+def _z_keys(mat, m, digits):
+    """Bin key per row after auxiliary_rotate, all rows in one pass.
+
+    Rows with a zero DC coefficient pass through unrotated.
+    """
+    live = mat[:, m] != 0
+    turn = np.exp(1j * _rotation_angles(PhaseGrid(m), mat[live, m]))
+    rotated = mat.copy()
+    rotated[live] = mat[live] * turn[:, None]
+    return _row_keys(rotated, digits)
+
+
 def gap_experiment(c, digits=7):
     """Measure the square-law information loss of a constellation.
 
@@ -371,23 +434,21 @@ def gap_experiment(c, digits=7):
     m = c.m
     if m < 1:
         raise UnsupportedOrder("the gap bound needs m >= 1")
-    i_xy, i_xs = mi_noiseless(c, digits)
-
-    grid = PhaseGrid(m)
-    rotated = []
-    zero_dc = 0
-    for s in c.signals:
-        if complex(s.coeffs[m]) == 0:
-            zero_dc += 1
-        rotated.append(auxiliary_rotate(s, grid))
-    z_keys = _vector_keys([r.coeffs for r in rotated], digits)
+    mat = _coeff_matrix(c.signals)
+    _check_distinct(mat)
+    # the measurement keys serve both I_xs and the chain identity below
     s_keys = sld_keys(c.signals, digits)
+    i_xy = entropy_bits(c.probs)
+    i_xs = _partition_entropy(s_keys, c.probs)
+
+    z_keys = _z_keys(mat, m, digits)
+    zero_dc = int(np.count_nonzero(mat[:, m] == 0))
 
     i_xz = _partition_entropy(z_keys, c.probs)
     h_zs = _partition_entropy(
         [zk + sk for zk, sk in zip(z_keys, s_keys)], c.probs
     )
-    h_z_given_s = h_zs - _partition_entropy(s_keys, c.probs)
+    h_z_given_s = h_zs - i_xs
     chain_residual = abs((i_xy - i_xs) - h_z_given_s)
 
     per_dim_gap = (i_xy - i_xs) / (2 * m + 1)

@@ -19,7 +19,6 @@ import io
 import logging
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,7 +73,6 @@ class RunConfig:
     tol_root: float = 1e-8
     round_digits: int = 7
     seed: int = 12345
-    workers: int = 1
     sweep: str = None
     map_name: str = "identity"
     scale: float = 1.0
@@ -87,8 +85,6 @@ class RunConfig:
             raise DomainError("--tol-circle must lie in (0, 1e-3]")
         if not (1 <= self.round_digits <= 15):
             raise DomainError("--round must lie in [1, 15]")
-        if self.workers < 1:
-            raise DomainError("--workers must be >= 1")
 
     def fingerprint(self):
         out = {
@@ -97,7 +93,6 @@ class RunConfig:
             "tol_circle": self.tol_circle,
             "tol_root": self.tol_root,
             "round": self.round_digits,
-            "workers": self.workers,
         }
         if self.command == "gap" and self.sweep:
             out["sweep"] = self.sweep
@@ -134,24 +129,18 @@ def _write_csv(cfg, header, rows):
         sys.stdout.write(text)
 
 
-def _class_samples(cs, workers):
+def _class_samples(cs):
     """Circle samples per representative, for plotting."""
     N = 64
-
-    def one(item):
-        idx, rep = item
+    rows = []
+    for idx, rep in enumerate(cs.representatives):
         values = sample_grid(rep, N)
         t = np.arange(N) * (rep.period / N)
-        return [
+        rows.extend(
             (idx, j, float(t[j]), float(values[j].real), float(values[j].imag),
              float(abs(values[j]) ** 2))
             for j in range(N)
-        ]
-
-    rows = []
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        for chunk in pool.map(one, enumerate(cs.representatives)):
-            rows.extend(chunk)
+        )
     return rows
 
 
@@ -219,7 +208,7 @@ def _cmd_enumerate(cfg):
     _emit(cfg, {"classes": classset_dict(cs, report)})
     if cfg.csv:
         _write_csv(cfg, ("class", "sample", "t", "re", "im", "intensity"),
-                   _class_samples(cs, cfg.workers))
+                   _class_samples(cs))
     return 0 if report.passed else 2
 
 
@@ -236,7 +225,7 @@ def _cmd_factor(cfg):
     _emit(cfg, {"classes": classset_dict(cs, report)})
     if cfg.csv:
         _write_csv(cfg, ("class", "sample", "t", "re", "im", "intensity"),
-                   _class_samples(cs, cfg.workers))
+                   _class_samples(cs))
     return 0 if report.passed else 2
 
 
@@ -254,12 +243,10 @@ def _parse_sweep(text):
 def _cmd_gap(cfg):
     if cfg.sweep:
         lo, hi = _parse_sweep(cfg.sweep)
-        orders = list(range(lo, hi + 1))
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            reports = list(pool.map(
-                lambda m: gap_experiment(bundled_constellation(m), cfg.round_digits),
-                orders,
-            ))
+        reports = [
+            gap_experiment(bundled_constellation(m), cfg.round_digits)
+            for m in range(lo, hi + 1)
+        ]
         rows = [
             (r.m, r.i_xy, r.i_xs, r.per_dim_gap, r.bound) for r in reports
         ]
@@ -367,8 +354,6 @@ def _build_parser():
                         help="decimal digits for deduplication keys (default 7)")
     common.add_argument("--seed", type=int, default=12345,
                         help="seed for the root-finder start points")
-    common.add_argument("--workers", type=int, default=1,
-                        help="worker threads for independent items")
 
     sub = parser.add_subparsers(dest="command", required=True)
     for name, nargs, desc in (

@@ -57,10 +57,6 @@ class RootMultiset:
     def by_label(self, label):
         return tuple(r for r in self.roots if r.label == label)
 
-    @property
-    def origin_multiplicity(self):
-        return self.origin_mult
-
 
 def _horner(coeffs, z):
     out = np.zeros_like(z)

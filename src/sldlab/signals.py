@@ -247,6 +247,28 @@ def autocorrelation(p):
     return AutocorrSeq(m=m, coeffs=c, period=p.period)
 
 
+def autocorrelation_rows(b):
+    """Square-law measurement coefficients of a batch of signals.
+
+    b is a (K, 2m+1) array of coefficient rows; row i of the (K, 4m+1)
+    result is the sequence autocorrelation() gives for row i, ordered
+    k = -2m..2m. Each lag is one stacked dot product over all rows, which
+    reproduces the per-signal value bit for bit.
+    """
+    b = np.asarray(b, dtype=complex)
+    if b.ndim != 2 or b.shape[1] % 2 == 0:
+        raise DomainError("expected a (K, 2m+1) array of coefficient rows")
+    width = b.shape[1]
+    top = width - 1
+    c = np.empty((len(b), 2 * width - 1), dtype=complex)
+    conj = np.conj(b)
+    for k in range(width):
+        c[:, top + k] = np.matmul(b[:, None, k:], conj[:, : width - k, None])[:, 0, 0]
+    c[:, :top] = np.conj(c[:, : top : -1])
+    c[:, top] = np.maximum(c[:, top].real, 0.0)
+    return c
+
+
 def lift(p):
     """Polynomial with coefficient of z^{k+m} equal to b_k (degree bound 2m)."""
     return CoeffPoly(coeffs=p.coeffs, n=2 * p.m)

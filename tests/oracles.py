@@ -153,3 +153,72 @@ def same_class_sets(reps_a, reps_b, tol=1e-6):
 
 def binary_entropy(eps):
     return entropy_loop([eps, 1.0 - eps])
+
+
+def first_duplicate_scan(rows):
+    """First pair (i, j), i < j in row-major order, of coinciding rows, or None.
+
+    The pairwise block scan: rows coincide when their largest coefficient
+    gap is within 1e-12 * sqrt(E) for the larger of their two energies.
+    """
+    mat = np.asarray(rows, dtype=complex)
+    energy = np.sum(np.abs(mat) ** 2, axis=1)
+    n = len(mat)
+    step = max(1, 4_000_000 // (mat.shape[1] * n))
+    for lo in range(0, n, step):
+        hi = min(n, lo + step)
+        gap = np.abs(mat[lo:hi, None, :] - mat[None, :, :]).max(axis=2)
+        band = 1e-12 * np.sqrt(np.maximum(energy[lo:hi, None], energy[None, :]))
+        for row, col in zip(*np.nonzero(gap <= band)):
+            i, j = lo + int(row), int(col)
+            if i < j:
+                return i, j
+    return None
+
+
+def _autocorr_dot(b):
+    # one dot product per lag, mirrored, then the Hermitian clean-up the
+    # measurement sequence applies on construction
+    width = len(b)
+    c = np.zeros(2 * width - 1, dtype=complex)
+    for k in range(width):
+        overlap = b[k:] @ np.conj(b[: width - k])
+        c[width - 1 + k] = overlap
+        c[width - 1 - k] = np.conj(overlap)
+    c = 0.5 * (c + np.conj(c[::-1]))
+    c[width - 1] = max(c[width - 1].real, 0.0)
+    return c
+
+
+def round_keys_loop(vectors, digits):
+    """Per-vector bin keys on the largest modulus of the whole batch."""
+    scale = max((float(np.abs(v).max()) for v in vectors), default=1.0) or 1.0
+    keys = []
+    for vec in vectors:
+        v = np.asarray(vec) / scale
+        keys.append((np.round(v.real, digits) + 0.0).tobytes()
+                    + (np.round(v.imag, digits) + 0.0).tobytes())
+    return keys
+
+
+def sld_keys_loop(rows, digits=7):
+    """Measurement bin keys, one autocorrelation per signal."""
+    return round_keys_loop([_autocorr_dot(np.asarray(b, dtype=complex)) for b in rows],
+                           digits)
+
+
+def z_keys_loop(rows, m, digits=7):
+    """Bin keys of each signal after rotating its DC argument onto the m-grid."""
+    step = float(2 * np.pi / m)
+    rotated = []
+    for b in rows:
+        b = np.asarray(b, dtype=complex)
+        if complex(b[m]) == 0:
+            rotated.append(b)
+            continue
+        theta = float(np.angle(complex(b[m])))
+        if theta == np.pi:
+            theta = -np.pi
+        turn = math.floor((theta + np.pi / m) / step) * step - theta
+        rotated.append(b * np.exp(1j * turn))
+    return round_keys_loop(rotated, digits)

@@ -22,8 +22,15 @@ from sldlab import (
     single_class_constellation,
     theta_m,
 )
+from sldlab.capacity import _z_keys, sld_keys
 
-from oracles import binary_entropy, entropy_loop
+from oracles import (
+    binary_entropy,
+    entropy_loop,
+    first_duplicate_scan,
+    sld_keys_loop,
+    z_keys_loop,
+)
 
 
 def test_grid_levels():
@@ -175,6 +182,71 @@ def test_mi_noiseless_rejects_duplicates():
         mi_noiseless(twice)
 
 
+def _duplicate_battery(rng):
+    """Constellations with near-copies at 0.5x to 2x the coincidence band.
+
+    The copy moves one real or imaginary part, or every coefficient along
+    1 + i, which moves sum(Re + Im) the most a coinciding pair can. The
+    first copy is of the highest-energy row, whose band is the widest.
+    """
+    aligned = "aligned"
+    for m in range(4):
+        w = 2 * m + 1
+        for factor in (0.5, 0.999, 1.0, 1.001, 2.0):
+            for part in (1.0, 1j, aligned):
+                rows = rng.standard_normal((12, w)) + 1j * rng.standard_normal((12, w))
+                rows *= 10.0 ** rng.uniform(-3, 3, (12, 1))
+                for copy in range(3):
+                    i, j = rng.choice(12, 2, replace=False)
+                    if copy == 0:
+                        i = int(np.argmax(np.sum(np.abs(rows) ** 2, axis=1)))
+                        j = (i + 1 + rng.integers(11)) % 12
+                    band = 1e-12 * np.sqrt(np.sum(np.abs(rows[i]) ** 2))
+                    rows[j] = rows[i]
+                    if part is aligned:
+                        rows[j] += factor * band * (1 + 1j) / np.sqrt(2)
+                    else:
+                        rows[j, rng.integers(w)] += factor * band * part
+                yield m, rows
+        yield m, np.tile(rows[5], (6, 1))
+        rows[[2, 7]] = 0
+        yield m, rows
+        # a row whose energy overflows falls inside every band
+        huge = rows.copy()
+        huge[0] = 1e200
+        yield m, huge
+        huge[9, 0] = np.nan
+        yield m, huge
+
+
+def test_duplicate_check_matches_pairwise_scan():
+    verdicts = []
+    for m, rows in _duplicate_battery(np.random.default_rng(2718)):
+        with np.errstate(over="ignore", invalid="ignore"):
+            pair = first_duplicate_scan(rows)
+        want = pair and "constellation points %d and %d coincide" % pair
+        c = Constellation.uniform([TrigPoly(m=m, coeffs=r) for r in rows])
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                mi_noiseless(c)
+            got = None
+        except errors.DuplicateSignals as exc:
+            got = str(exc)
+        assert got == want, (m, rows)
+        verdicts.append(got is None)
+    # the battery holds both verdicts
+    assert 0 < sum(verdicts) < len(verdicts)
+
+
+def test_batched_keys_match_per_signal_formula():
+    cases = [bundled_constellation(m) for m in range(1, 7)]
+    cases.append(single_class_constellation(3, 6))
+    for c in cases:
+        rows = np.stack([s.coeffs for s in c.signals])
+        assert sld_keys(c.signals) == sld_keys_loop(rows)
+        assert _z_keys(rows, c.m, 7) == z_keys_loop(rows, c.m)
+
+
 def test_mi_distinguishes_intensity_scales():
     # tones of different power are different measurements even though
     # both are "flat"; binning must not normalize them into collision
@@ -283,6 +355,15 @@ def test_gap_bundled_entropy_forms():
     assert r.i_xs == pytest.approx(
         entropy_loop([2**4 / n, 1 / n, 1 / n]), abs=1e-12
     )
+
+
+def test_gap_bundled_order_seven():
+    r = gap_experiment(bundled_constellation(7))
+    n = 4**7 + 2
+    assert r.i_xy == pytest.approx(np.log2(n), abs=1e-9)
+    assert r.i_xs == pytest.approx(entropy_loop([4**7 / n, 1 / n, 1 / n]), abs=1e-9)
+    assert r.chain_residual <= 1e-9
+    assert r.passed
 
 
 def test_gap_rejects_m_zero():

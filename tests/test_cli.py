@@ -169,11 +169,15 @@ def test_json_output_deterministic(sig_shift, tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_workers_do_not_change_output(tmp_path):
-    a, b = tmp_path / "w1.csv", tmp_path / "w2.csv"
-    assert main(["gap", "--sweep", "m=1..3", "--csv", str(a), "--workers", "1"]) == 0
-    assert main(["gap", "--sweep", "m=1..3", "--csv", str(b), "--workers", "2"]) == 0
+def test_gap_sweep_csv_repeatable_and_no_workers_flag(tmp_path, capsys):
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    assert main(["gap", "--sweep", "m=1..3", "--csv", str(a)]) == 0
+    assert main(["gap", "--sweep", "m=1..3", "--csv", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+    with pytest.raises(SystemExit) as exc:
+        main(["gap", "--sweep", "m=1..3", "--workers", "2"])
+    assert exc.value.code == 2
+    assert "--workers" in capsys.readouterr().err
 
 
 def test_enumerate_csv_samples(sig_shift, tmp_path, capsys):
