@@ -8,17 +8,17 @@ family from a signal, recovers it from a measured sequence, and certifies
 the counting bound 2^(2m+1).
 """
 
-import itertools
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import (
     AsymmetricSpectrum,
     CombinatorialBlowup,
+    DegreeTooLarge,
     DomainError,
     InvalidSpec,
-    NegativeIntensity,
     NotAnAutocorrelation,
     ZeroSignal,
 )
@@ -29,10 +29,14 @@ from .signals import (
     TrigPoly,
     autocorr_lift,
     autocorrelation,
-    intensity_samples,
+    autocorrelation_rows,
     lift,
-    unlift,
+    round_rows,
+    screen_intensity,
 )
+
+# candidate rows assembled, canonicalized and keyed at a time
+_BLOCK_ROWS = 8192
 
 
 @dataclass(frozen=True)
@@ -54,7 +58,12 @@ class FlipSpec:
 
 @dataclass(frozen=True, eq=False)
 class ClassSet:
-    """Canonical representatives of the ambiguity classes of one measurement."""
+    """Canonical representatives of the ambiguity classes of one measurement.
+
+    residuals holds, per representative, the largest deviation of its
+    autocorrelation from the source sequence relative to c_0 (all 0.0
+    when c_0 is 0), computed once on construction.
+    """
 
     representatives: tuple
     source_m: int
@@ -62,6 +71,7 @@ class ClassSet:
     exact_count: int
     autocorr: AutocorrSeq
     residual_gate: float = 1e-6
+    residuals: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.exact_count != len(self.representatives):
@@ -70,46 +80,61 @@ class ClassSet:
         # when root clusters were coarse, and tests pin the tight 1e-8
         # bound for well-separated roots
         c0 = self.autocorr.c0
+        residuals = np.zeros(len(self.representatives))
         if c0 > 0:
-            for rep in self.representatives:
-                dev = np.abs(
-                    autocorrelation(rep).coeffs - self.autocorr.coeffs
-                ).max()
-                if dev > self.residual_gate * c0:
-                    raise DomainError(
-                        "representative misses the source measurement by %.3g" % dev
-                    )
+            dev = _deviations([rep.coeffs for rep in self.representatives],
+                              self.autocorr.coeffs)
+            miss = np.flatnonzero(dev > self.residual_gate * c0)
+            if len(miss):
+                raise DomainError(
+                    "representative misses the source measurement by %.3g" % dev[miss[0]]
+                )
+            residuals = dev / c0
+        object.__setattr__(self, "residuals", tuple(residuals.tolist()))
+
+
+def _deviations(rows, target):
+    """max_k |autocorrelation(row)_k - target_k| for each coefficient row.
+
+    rows is a 2-D array or a sequence of 1-D rows; the batched
+    autocorrelation takes _BLOCK_ROWS of them at a time.
+    """
+    out = np.empty(len(rows))
+    for lo in range(0, len(rows), _BLOCK_ROWS):
+        block = np.asarray(rows[lo : lo + _BLOCK_ROWS], dtype=complex)
+        out[lo : lo + len(block)] = np.abs(autocorrelation_rows(block) - target).max(axis=1)
+    return out
 
 
 def canonicalize(p):
     """Phase-normalize a signal so its lowest nonzero coefficient is positive real.
 
-    Idempotent: a vector already in canonical form is returned unchanged,
-    bit for bit.
+    The pivot is the first coefficient above 1e-12 of the largest modulus.
+    The vector turns by minus the pivot's angle unless that angle is within
+    1e-12, and the pivot is then pinned to its modulus unless it is already
+    positive real. Idempotent: a vector already in canonical form comes
+    back unchanged, bit for bit.
     """
-    mags = np.abs(p.coeffs)
-    top = mags.max()
-    if top == 0:
+    return TrigPoly(m=p.m, coeffs=_canonical_rows(p.coeffs[None, :])[0], period=p.period)
+
+
+def _canonical_rows(rows):
+    """canonicalize() applied to every row of a 2-D complex array at once."""
+    mags = np.abs(rows)
+    top = mags.max(axis=1)
+    if not np.all(top > 0):
         raise ZeroSignal("cannot canonicalize the zero signal")
-    j = int(np.nonzero(mags > 1e-12 * top)[0][0])
-    pivot = complex(p.coeffs[j])
-    phi = float(np.angle(pivot))
-    if abs(phi) <= 1e-12:
-        if pivot.imag == 0.0 and pivot.real > 0.0:
-            return p
-        rotated = p.coeffs.copy()  # rotation is the identity at this scale
-    else:
-        rotated = p.coeffs * np.exp(-1j * phi)
-    rotated[j] = abs(pivot)  # pin the pivot exactly onto the real axis
-    return TrigPoly(m=p.m, coeffs=rotated, period=p.period)
-
-
-def _dedupe_key(p, digits):
-    scale = np.sqrt(p.energy)
-    b = p.coeffs / scale
-    re = np.round(b.real, digits) + 0.0
-    im = np.round(b.imag, digits) + 0.0
-    return re.tobytes() + im.tobytes()
+    idx = np.arange(len(rows))
+    j = np.argmax(mags > 1e-12 * top[:, None], axis=1)
+    pivot = rows[idx, j]
+    phi = np.angle(pivot)
+    turn = np.abs(phi) > 1e-12
+    out = np.where(turn[:, None], rows * np.exp(-1j * phi)[:, None], rows)
+    pin = turn | (pivot.imag != 0.0) | ~(pivot.real > 0.0)
+    # Python's abs of each pivot: np.abs on an array can differ from it
+    # in the last bit
+    out[idx[pin], j[pin]] = [abs(z) for z in pivot[pin].tolist()]
+    return out
 
 
 def _poly_power(base, k):
@@ -123,19 +148,31 @@ def _linear(root):
     return np.array([-root, 1.0 + 0.0j])
 
 
-def _splits_scale_table(orbits):
-    """Per orbit, all (j, coeffs, scale) choices of splitting its total."""
+def _orbit_table(orbits, measured):
+    """Per orbit, the (parts, scales) of every split of its roots.
+
+    Row j of parts is the ascending polynomial with j roots at the inner
+    location of the orbit and the rest at the outer one. A signal's orbit
+    splits all of its roots, and moving one outside multiplies by |inner|
+    so the magnitude on the circle is kept. An orbit of a measured
+    sequence holds each root of the signal twice, so the candidate splits
+    mult_inner roots, and its scale is fixed later by c_0.
+    """
     table = []
     for orbit in orbits:
-        choices = []
-        for j in range(orbit.total + 1):
-            coeffs = np.convolve(
+        total = orbit.mult_inner if measured else orbit.total
+        parts = np.stack([
+            np.convolve(
                 _poly_power(_linear(orbit.inner), j),
-                _poly_power(_linear(orbit.outer), orbit.total - j),
+                _poly_power(_linear(orbit.outer), total - j),
             )
-            scale = abs(orbit.inner) ** (orbit.mult_inner - j)
-            choices.append((j, coeffs, scale))
-        table.append(choices)
+            for j in range(total + 1)
+        ])
+        scales = np.array([
+            1.0 if measured else abs(orbit.inner) ** (orbit.mult_inner - j)
+            for j in range(total + 1)
+        ])
+        table.append((parts, scales))
     return table
 
 
@@ -185,44 +222,98 @@ def flip(f, spec, root_tol=1e-8, circle_band=1e-9, cluster_radius=1e-6):
     return CoeffPoly(coeffs=coeffs, n=f.n)
 
 
-def _assemble_classes(
-    leading_mag,
-    orbit_table,
-    circle_coeffs,
-    shift_hi,
-    m,
-    period,
-    cap,
-    round_digits,
-):
-    total_specs = (shift_hi + 1) * int(np.prod([len(t) for t in orbit_table]) or 1)
+def _class_keys(rows, digits):
+    """Bin key of each canonical row, its unit-energy parts rounded, as np.void."""
+    energy = np.sum(np.abs(rows) ** 2, axis=1)
+    keys = round_rows(rows, digits, np.sqrt(energy)[:, None])
+    return keys.view(np.dtype((np.void, keys.shape[1] * keys.itemsize))).ravel()
+
+
+def _expand(rows, scales, parts, part_scales):
+    """Every row times every part, in itertools.product order.
+
+    rows (K, L) and parts (n, d+1) are ascending polynomials; row i * n + j
+    of the (K n, L + d) result is rows[i] convolved with parts[j], built by
+    shifted adds, and its scale is scales[i] * part_scales[j].
+    """
+    K, L = rows.shape
+    n, d1 = parts.shape
+    out = np.zeros((K, n, L + d1 - 1), dtype=complex)
+    for k in range(d1):
+        out[:, :, k : k + L] += rows[:, None, :] * parts[None, :, k, None]
+    return out.reshape(K * n, -1), (scales[:, None] * part_scales[None, :]).ravel()
+
+
+def _first_per_key(polys, scales, shift_hi, width, round_digits):
+    """Canonical rows of one block of candidates at every origin shift,
+    the first of each key only, in candidate order."""
+    polys *= scales[:, None]
+    shifted = np.zeros((len(polys), shift_hi + 1, width), dtype=complex)
+    for shift in range(shift_hi + 1):
+        shifted[:, shift, shift : shift + polys.shape[1]] = polys
+    canon = _canonical_rows(shifted.reshape(-1, width))
+    _, first = np.unique(_class_keys(canon, round_digits), return_index=True)
+    return canon[np.sort(first)]
+
+
+def _assemble_classes(leading, orbit_table, circle_coeffs, shift_hi, m, cap, round_digits):
+    """Canonical rows of the distinct candidates over all splits and shifts.
+
+    A candidate is leading * circle_coeffs * one part per orbit, times the
+    product of the part scales, placed at each origin shift 0..shift_hi and
+    canonicalized; its key is the unit-energy row rounded to round_digits.
+    The first candidate in itertools.product order, then shift order,
+    keeps each key, and the rows come back sorted by key bytes. Candidates
+    are processed _BLOCK_ROWS at a time, one block per choice of the
+    leading orbits, so memory follows the classes kept, not cap.
+    """
+    counts = [len(parts) for parts, _ in orbit_table]
+    total_specs = (shift_hi + 1) * math.prod(counts)
     if total_specs > cap:
         raise CombinatorialBlowup(
             "%d candidate specs exceed the cap of %d" % (total_specs, cap)
         )
-    seen = {}
-    for picks in itertools.product(*orbit_table) if orbit_table else [()]:
-        coeffs = np.array([leading_mag], dtype=complex)
-        scale = 1.0
-        for _, part, s in picks:
-            coeffs = np.convolve(coeffs, part)
-            scale *= s
-        coeffs = np.convolve(coeffs, circle_coeffs) * scale
-        for shift in range(shift_hi + 1):
-            shifted = (
-                np.concatenate([np.zeros(shift, dtype=complex), coeffs])
-                if shift
-                else coeffs
-            )
-            candidate = canonicalize(
-                unlift(CoeffPoly(coeffs=shifted, n=2 * m), m)
-            )
-            candidate = TrigPoly(m=m, coeffs=candidate.coeffs, period=period)
-            key = _dedupe_key(candidate, round_digits)
-            if key not in seen:
-                seen[key] = candidate
-    reps = tuple(seen[k] for k in sorted(seen))
-    return reps
+    width = 2 * m + 1
+    degree = len(circle_coeffs) - 1 + sum(len(parts[0]) - 1 for parts, _ in orbit_table)
+    if degree + shift_hi > 2 * m:
+        raise DegreeTooLarge(
+            "degree %d does not fit harmonic order m=%d" % (degree + shift_hi, m)
+        )
+
+    # the trailing orbits whose splits fit in one block form the block;
+    # the leading ones are expanded once and walked choice by choice
+    split, size = len(orbit_table), 1
+    per_block = max(1, _BLOCK_ROWS // (shift_hi + 1))
+    while split and size * counts[split - 1] <= per_block:
+        split -= 1
+        size *= counts[split]
+    head = (np.asarray(leading * circle_coeffs, dtype=complex)[None, :], np.ones(1))
+    for parts, scales in orbit_table[:split]:
+        head = _expand(*head, parts, scales)
+    tail = (np.ones((1, 1), dtype=complex), np.ones(1))
+    for parts, scales in orbit_table[split:]:
+        tail = _expand(*tail, parts, scales)
+
+    # each block keeps its first candidate per key, in candidate order; a
+    # stable sort by key over the kept rows then leaves the first one of
+    # each key across blocks at the head of its run
+    kept = [
+        _first_per_key(*_expand(*tail, row[None, :], np.array([scale])), shift_hi, width,
+                       round_digits)
+        for row, scale in zip(*head)
+    ]
+    rows = np.concatenate(kept)
+    del kept
+    keys = np.empty(len(rows), dtype=np.dtype((np.void, 16 * width)))
+    for lo in range(0, len(rows), _BLOCK_ROWS):
+        keys[lo : lo + _BLOCK_ROWS] = _class_keys(rows[lo : lo + _BLOCK_ROWS], round_digits)
+    order = np.argsort(keys, kind="stable")
+    fresh = np.ones(len(order), dtype=bool)
+    for lo in range(1, len(order), _BLOCK_ROWS):
+        hi = min(len(order), lo + _BLOCK_ROWS)
+        fresh[lo:hi] = keys[order[lo:hi]] != keys[order[lo - 1 : hi - 1]]
+    del keys
+    return rows[order[fresh]]
 
 
 def enumerate_classes(
@@ -257,15 +348,17 @@ def enumerate_classes(
             circle_coeffs,
             _poly_power(_linear(root.location / abs(root.location)), root.multiplicity),
         )
-    reps = _assemble_classes(
-        r.leading_coeff,
-        _splits_scale_table(orbits),
-        circle_coeffs,
-        shift_hi,
-        p.m,
-        p.period,
-        cap,
-        round_digits,
+    reps = tuple(
+        TrigPoly(m=p.m, coeffs=row, period=p.period)
+        for row in _assemble_classes(
+            r.leading_coeff,
+            _orbit_table(orbits, measured=False),
+            circle_coeffs,
+            shift_hi,
+            p.m,
+            cap,
+            round_digits,
+        )
     )
     return ClassSet(
         representatives=reps,
@@ -299,13 +392,7 @@ def factor_sld(
     whose synthesized intensity dips negative.
     """
     if check_intensity:
-        grid = max(64, 16 * (2 * s.m + 1))
-        samples = intensity_samples(s, grid)
-        floor = -1e-9 * (1.0 + s.c0)
-        if samples.min() < floor:
-            raise NegativeIntensity(
-                "synthesized intensity reaches %.6g" % samples.min()
-            )
+        screen_intensity(s)
     # a circle root of the signal appears in the lift with multiplicity
     # 2k and splits numerically on a ring of width eps^(1/2k); when the
     # requested radius under-clusters, verification below rejects a valid
@@ -349,29 +436,16 @@ def _factor_at(s, cap, round_digits, root_tol, circle_band, cluster_radius, tol,
             "origin multiplicity %d inconsistent with root budget %d" % (origin, budget)
         )
 
-    # synthetic orbit table: each orbit of the lift carries (e, e), the
-    # candidate inherits total e split freely between the two sides
-    table = []
-    for orbit in orbits:
-        choices = []
-        for j in range(orbit.mult_inner + 1):
-            coeffs = np.convolve(
-                _poly_power(_linear(orbit.inner), j),
-                _poly_power(_linear(orbit.outer), orbit.mult_inner - j),
-            )
-            choices.append((j, coeffs, 1.0))
-        table.append(choices)
     circle_coeffs = np.array([1.0 + 0.0j])
     for loc, v in halved:
         circle_coeffs = np.convolve(circle_coeffs, _poly_power(_linear(loc), v))
 
-    raw = _assemble_classes(
+    rows = _assemble_classes(
         1.0,
-        table,
+        _orbit_table(orbits, measured=True),
         circle_coeffs,
         shift_hi,
         s.m,
-        s.period,
         cap,
         round_digits,
     )
@@ -381,23 +455,18 @@ def _factor_at(s, cap, round_digits, root_tol, circle_band, cluster_radius, tol,
     # observed cluster spread to reflect that conditioning
     rough = max((root.diameter for root in rq.roots), default=0.0)
     gate = max(tol, 1e-7, min(1e-3, 2.0 * rough))
-    reps = []
-    for candidate in raw:
-        energy = candidate.energy
-        scaled = TrigPoly(
-            m=s.m,
-            coeffs=candidate.coeffs * np.sqrt(s.c0 / energy),
-            period=s.period,
+    rows *= np.sqrt(s.c0 / np.sum(np.abs(rows) ** 2, axis=1))[:, None]
+    dev = _deviations(rows, s.coeffs)
+    miss = np.flatnonzero(dev > gate * s.c0)
+    if len(miss):
+        raise NotAnAutocorrelation(
+            "candidate misses the sequence by %.3g, not a square-law measurement"
+            % dev[miss[0]]
         )
-        dev = np.abs(autocorrelation(scaled).coeffs - s.coeffs).max()
-        if dev > gate * s.c0:
-            raise NotAnAutocorrelation(
-                "candidate misses the sequence by %.3g, not a square-law measurement"
-                % dev
-            )
-        reps.append(scaled)
+    reps = tuple(TrigPoly(m=s.m, coeffs=row, period=s.period) for row in rows)
+    del rows  # each representative holds a copy; free the block before the residual pass
     return ClassSet(
-        representatives=tuple(reps),
+        representatives=reps,
         source_m=s.m,
         bound=2 ** (2 * s.m + 1),
         exact_count=len(reps),
@@ -417,17 +486,10 @@ class BoundReport:
 
 def certify_bound(cs):
     """Check a class set against the counting bound and its source sequence."""
-    c0 = cs.autocorr.c0
-    residuals = tuple(
-        float(np.abs(autocorrelation(rep).coeffs - cs.autocorr.coeffs).max() / c0)
-        if c0 > 0
-        else 0.0
-        for rep in cs.representatives
-    )
     return BoundReport(
         exact_count=cs.exact_count,
         bound=cs.bound,
         passed=cs.exact_count <= cs.bound,
-        residuals=residuals,
-        max_residual=max(residuals) if residuals else 0.0,
+        residuals=cs.residuals,
+        max_residual=max(cs.residuals, default=0.0),
     )

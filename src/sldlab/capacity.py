@@ -26,7 +26,7 @@ from .errors import (
     ZeroDC,
 )
 from .roots import conj_reciprocal
-from .signals import TrigPoly, autocorrelation_rows
+from .signals import TrigPoly, autocorrelation_rows, round_rows
 
 
 @dataclass(frozen=True, eq=False)
@@ -173,9 +173,8 @@ def _row_keys(rows, digits):
     invariant under rescaling the batch but still separates genuinely
     different levels.
     """
-    v = rows / (float(np.abs(rows).max(initial=0.0)) or 1.0)
-    flat = np.concatenate([np.round(v.real, digits), np.round(v.imag, digits)], axis=1)
-    return [row.tobytes() for row in flat + 0.0]
+    scale = float(np.abs(rows).max(initial=0.0)) or 1.0
+    return [row.tobytes() for row in round_rows(rows, digits, scale)]
 
 
 def sld_keys(signals, digits=7):
@@ -218,29 +217,30 @@ def _check_distinct(mat):
     coefficients, so coinciding rows lie within 2w * 1e-12 * sqrt(max E)
     of each other in p. The slack up from sqrt(2), and 8w ulps of the
     largest l1 norm, absorb the rounding in p. A row whose energy is not
-    finite is compared with every row.
+    finite has no band to compare within, so it is rejected with
+    DomainError before any pair is compared.
     """
     n, width = mat.shape
     energy = np.sum(np.abs(mat) ** 2, axis=1)
+    wild = np.flatnonzero(~np.isfinite(energy))
+    if len(wild):
+        raise DomainError(
+            "constellation point %d has non-finite energy" % wild[0]
+        )
     proj = (mat.real + mat.imag).sum(axis=1)
     l1 = (np.abs(mat.real) + np.abs(mat.imag)).sum(axis=1)
-    wild = ~np.isfinite(energy)
-    tame = ~wild
-    reach = (2 * width * 1e-12 * np.sqrt(energy[tame].max(initial=0.0))
-             + 8 * width * np.finfo(float).eps * l1[tame].max(initial=0.0))
+    reach = (2 * width * 1e-12 * np.sqrt(energy.max())
+             + 8 * width * np.finfo(float).eps * l1.max())
 
-    # sorted positions: wild rows first, then the rest by p. Row i is
-    # compared with the positions [0, n_wild) and [lo_i, hi_i), minus its own
-    n_wild = int(np.count_nonzero(wild))
-    order = np.lexsort((proj, tame))
+    # row i is compared with the sorted positions [lo_i, hi_i), minus its own
+    order = np.argsort(proj, kind="stable")
     pos = np.empty(n, dtype=np.intp)
     pos[order] = np.arange(n)
-    swept = proj[order[n_wild:]]
-    lo = n_wild + np.searchsorted(swept, proj - reach, side="left")
-    hi = n_wild + np.searchsorted(swept, proj + reach, side="right")
-    lo[wild], hi[wild] = n_wild, n
-    own = np.where(wild, pos, n_wild + pos - lo)
-    count = n_wild + hi - lo - 1
+    swept = proj[order]
+    lo = np.searchsorted(swept, proj - reach, side="left")
+    hi = np.searchsorted(swept, proj + reach, side="right")
+    own = pos - lo
+    count = hi - lo - 1
     end = np.cumsum(count)
 
     # expand the candidates row by row, 1M coefficient pairs per block so
@@ -255,7 +255,7 @@ def _check_distinct(mat):
             break
         slot = t - (end[i] - count[i])
         slot += slot >= own[i]
-        j = order[np.where(slot < n_wild, slot, lo[i] + slot - n_wild)]
+        j = order[lo[i] + slot]
         later = j > i
         i, j = i[later], j[later]
         gap = np.abs(mat[i] - mat[j]).max(axis=1)

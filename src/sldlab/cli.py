@@ -14,8 +14,6 @@ the files live.
 """
 
 import argparse
-import csv
-import io
 import logging
 import os
 import sys
@@ -47,13 +45,7 @@ from .serialize import (
     signal_dict,
     verdict_dict,
 )
-from .signals import (
-    autocorr_from_samples,
-    autocorrelation,
-    intensity_samples,
-    lift,
-    sample_grid,
-)
+from .signals import autocorr_from_samples, autocorrelation, lift, screen_intensity
 
 log = logging.getLogger("sldlab")
 
@@ -115,33 +107,43 @@ def _emit(cfg, payload):
         sys.stdout.write(text)
 
 
-def _write_csv(cfg, header, rows):
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
-    text = buffer.getvalue()
+def _write_csv(cfg, chunks):
+    """Write CSV text, chunk by chunk, to the --csv path or to stdout."""
     if cfg.csv:
         with open(cfg.csv, "w", encoding="utf-8") as handle:
-            handle.write(text)
+            handle.writelines(chunks)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
 
 
-def _class_samples(cs):
-    """Circle samples per representative, for plotting."""
-    N = 64
-    rows = []
-    for idx, rep in enumerate(cs.representatives):
-        values = sample_grid(rep, N)
-        t = np.arange(N) * (rep.period / N)
-        rows.extend(
-            (idx, j, float(t[j]), float(values[j].real), float(values[j].imag),
-             float(abs(values[j]) ** 2))
-            for j in range(N)
-        )
-    return rows
+_SAMPLES = 64  # circle samples per representative in the class CSV
+_CSV_CLASSES = 128  # representatives formatted per chunk
+
+
+def _class_csv(cs):
+    """Class CSV text in chunks: 64 circle samples per representative.
+
+    Each representative's samples are the product sample_grid takes, with
+    the phase matrix built once; the intensity is abs(z) ** 2 on Python
+    complex values, so every cell matches sample_grid to the last digit.
+    """
+    yield "class,sample,t,re,im,intensity\n"
+    reps = cs.representatives
+    if not reps:
+        return
+    period = reps[0].period
+    t = np.arange(_SAMPLES) * (period / _SAMPLES)
+    k = np.arange(-cs.source_m, cs.source_m + 1)
+    phases = np.exp(2j * np.pi * np.multiply.outer(t, k) / period)
+    lead = ["%d,%r" % (j, tj) for j, tj in enumerate(t.tolist())]
+    for lo in range(0, len(reps), _CSV_CLASSES):
+        block = reps[lo : lo + _CSV_CLASSES]
+        values = np.stack([phases @ rep.coeffs for rep in block]).ravel()
+        heads = ["%d,%s" % (idx, head) for idx in range(lo, lo + len(block)) for head in lead]
+        intensity = [abs(z) ** 2 for z in values.tolist()]
+        rows = zip(heads, map(repr, values.real.tolist()), map(repr, values.imag.tolist()),
+                   map(repr, intensity))
+        yield "\n".join(map(",".join, rows)) + "\n"
 
 
 def _cmd_analyze(cfg):
@@ -207,8 +209,7 @@ def _cmd_enumerate(cfg):
     report = certify_bound(cs)
     _emit(cfg, {"classes": classset_dict(cs, report)})
     if cfg.csv:
-        _write_csv(cfg, ("class", "sample", "t", "re", "im", "intensity"),
-                   _class_samples(cs))
+        _write_csv(cfg, _class_csv(cs))
     return 0 if report.passed else 2
 
 
@@ -224,8 +225,7 @@ def _cmd_factor(cfg):
     report = certify_bound(cs)
     _emit(cfg, {"classes": classset_dict(cs, report)})
     if cfg.csv:
-        _write_csv(cfg, ("class", "sample", "t", "re", "im", "intensity"),
-                   _class_samples(cs))
+        _write_csv(cfg, _class_csv(cs))
     return 0 if report.passed else 2
 
 
@@ -250,7 +250,8 @@ def _cmd_gap(cfg):
         rows = [
             (r.m, r.i_xy, r.i_xs, r.per_dim_gap, r.bound) for r in reports
         ]
-        _write_csv(cfg, ("m", "i_xy", "i_xs", "per_dim_gap", "bound"), rows)
+        _write_csv(cfg, ["m,i_xy,i_xs,per_dim_gap,bound\n"]
+                   + [",".join(map(repr, row)) + "\n" for row in rows])
         if cfg.output:
             _emit(cfg, {"reports": [gap_dict(r) for r in reports]})
         return 0 if all(r.passed for r in reports) else 2
@@ -269,12 +270,7 @@ def _cmd_transform(cfg):
         inv = lambda y: (y - cfg.offset) / cfg.scale  # noqa: E731
     else:
         phi, inv = _MAPS[cfg.map_name]
-    grid = max(64, 16 * (2 * s.m + 1))
-    samples = intensity_samples(s, grid)
-    floor = -1e-9 * (1.0 + s.c0)
-    if samples.min() < floor:
-        raise NegativeIntensity("synthesized intensity reaches %.6g" % samples.min())
-    samples = np.maximum(samples, 0.0)
+    samples = np.maximum(screen_intensity(s), 0.0)
 
     transformed = measurement_transform(samples, phi, inv)
     recovered = autocorr_from_samples(np.asarray(inv(transformed), dtype=float), s.m,

@@ -15,7 +15,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegreeTooLarge, DegenerateSampling, DomainError, ZeroInput
+from .errors import (
+    DegreeTooLarge,
+    DegenerateSampling,
+    DomainError,
+    NegativeIntensity,
+    ZeroInput,
+)
 
 
 def _as_complex_vector(values, name):
@@ -236,15 +242,8 @@ def autocorrelation(p):
     indices are filled by mirroring conj(c_k), which keeps the Hermitian
     symmetry exact rather than merely within rounding.
     """
-    b = p.coeffs
-    m = p.m
-    width = 2 * m + 1
-    c = np.zeros(4 * m + 1, dtype=complex)
-    for k in range(width):
-        overlap = b[k:] @ np.conj(b[: width - k])
-        c[2 * m + k] = overlap
-        c[2 * m - k] = np.conj(overlap)
-    return AutocorrSeq(m=m, coeffs=c, period=p.period)
+    c = autocorrelation_rows(p.coeffs[None, :])[0]
+    return AutocorrSeq(m=p.m, coeffs=c, period=p.period)
 
 
 def autocorrelation_rows(b):
@@ -252,8 +251,9 @@ def autocorrelation_rows(b):
 
     b is a (K, 2m+1) array of coefficient rows; row i of the (K, 4m+1)
     result is the sequence autocorrelation() gives for row i, ordered
-    k = -2m..2m. Each lag is one stacked dot product over all rows, which
-    reproduces the per-signal value bit for bit.
+    k = -2m..2m, bit for bit. Each lag is one stacked dot product over all
+    rows; the mirrored lags then get the Hermitian clean-up AutocorrSeq
+    applies on construction, which also fixes the signs of zero parts.
     """
     b = np.asarray(b, dtype=complex)
     if b.ndim != 2 or b.shape[1] % 2 == 0:
@@ -265,8 +265,22 @@ def autocorrelation_rows(b):
     for k in range(width):
         c[:, top + k] = np.matmul(b[:, None, k:], conj[:, : width - k, None])[:, 0, 0]
     c[:, :top] = np.conj(c[:, : top : -1])
+    c += np.conj(c[:, ::-1])
+    c *= 0.5
     c[:, top] = np.maximum(c[:, top].real, 0.0)
     return c
+
+
+def round_rows(rows, digits, scale):
+    """Bin keys of the rows of a 2-D complex array, as a real array.
+
+    Row i of the (K, 2W) result holds the real then the imaginary parts
+    of rows[i] / scale rounded to `digits` decimals, with -0.0 folded into
+    0.0; its bytes are the key. scale is one number for the whole batch
+    or a (K, 1) column with one per row.
+    """
+    v = rows / scale
+    return np.concatenate([np.round(v.real, digits), np.round(v.imag, digits)], axis=1) + 0.0
 
 
 def lift(p):
@@ -317,6 +331,19 @@ def intensity_samples(s, N):
     t = np.arange(N) / N
     vals = np.exp(2j * np.pi * np.outer(t, k)) @ s.coeffs
     return vals.real.copy()
+
+
+def screen_intensity(s):
+    """Intensity samples of a measurement, rejected when they dip negative.
+
+    Synthesizes s(t) on max(64, 16(2m+1)) points and raises
+    NegativeIntensity when a sample falls below -1e-9 (1 + c_0), which no
+    square-law measurement reaches beyond rounding. Returns the samples.
+    """
+    samples = intensity_samples(s, max(64, 16 * (2 * s.m + 1)))
+    if samples.min() < -1e-9 * (1.0 + s.c0):
+        raise NegativeIntensity("synthesized intensity reaches %.6g" % samples.min())
+    return samples
 
 
 def autocorr_from_samples(samples, m, period=1.0):

@@ -5,6 +5,8 @@ exhaustive search. Slow is fine; independent is the point. None of
 these call into sldlab.
 """
 
+import csv
+import io
 import itertools
 import math
 
@@ -176,7 +178,7 @@ def first_duplicate_scan(rows):
     return None
 
 
-def _autocorr_dot(b):
+def autocorr_dot(b):
     # one dot product per lag, mirrored, then the Hermitian clean-up the
     # measurement sequence applies on construction
     width = len(b)
@@ -203,7 +205,7 @@ def round_keys_loop(vectors, digits):
 
 def sld_keys_loop(rows, digits=7):
     """Measurement bin keys, one autocorrelation per signal."""
-    return round_keys_loop([_autocorr_dot(np.asarray(b, dtype=complex)) for b in rows],
+    return round_keys_loop([autocorr_dot(np.asarray(b, dtype=complex)) for b in rows],
                            digits)
 
 
@@ -222,3 +224,88 @@ def z_keys_loop(rows, m, digits=7):
         turn = math.floor((theta + np.pi / m) / step) * step - theta
         rotated.append(b * np.exp(1j * turn))
     return round_keys_loop(rotated, digits)
+
+
+def canonical_phase(coeffs):
+    """Rotate so the first coefficient above 1e-12 of the top is positive real.
+
+    The per-vector rule: no rotation when the pivot angle is within 1e-12,
+    and the pivot pinned to its modulus unless it is already positive real.
+    """
+    coeffs = np.asarray(coeffs, dtype=complex)
+    mags = np.abs(coeffs)
+    top = mags.max()
+    if top == 0:
+        raise ValueError("zero vector has no phase")
+    j = int(np.nonzero(mags > 1e-12 * top)[0][0])
+    pivot = complex(coeffs[j])
+    phi = float(np.angle(pivot))
+    if abs(phi) <= 1e-12:
+        if pivot.imag == 0.0 and pivot.real > 0.0:
+            return coeffs
+        rotated = coeffs.copy()
+    else:
+        rotated = coeffs * np.exp(-1j * phi)
+    rotated[j] = abs(pivot)
+    return rotated
+
+
+def unit_energy_key(coeffs, digits):
+    """Bin key of one vector: its unit-energy parts rounded to `digits`."""
+    b = coeffs / np.sqrt(float(np.sum(np.abs(coeffs) ** 2)))
+    return (np.round(b.real, digits) + 0.0).tobytes() + (np.round(b.imag, digits) + 0.0).tobytes()
+
+
+def assemble_classes_loop(leading, orbit_table, circle_coeffs, shift_hi, m, cap, digits):
+    """Class assembly one candidate at a time, over itertools.product.
+
+    orbit_table holds one (parts, scales) pair per orbit. Each candidate
+    convolves leading with one part per orbit and with circle_coeffs,
+    multiplies by the product of the part scales, and is placed at every
+    origin shift; the first candidate of each unit-energy key wins.
+    Returns (keys, rows) sorted by key bytes. Raises ValueError past cap
+    or past degree 2m.
+    """
+    choices = [list(zip(parts, scales)) for parts, scales in orbit_table]
+    total = (shift_hi + 1) * math.prod(len(c) for c in choices)
+    if total > cap:
+        raise ValueError("%d candidate specs exceed the cap of %d" % (total, cap))
+    width = 2 * m + 1
+    seen = {}
+    for picks in itertools.product(*choices):
+        coeffs = np.array([leading], dtype=complex)
+        scale = 1.0
+        for part, s in picks:
+            coeffs = np.convolve(coeffs, part)
+            scale *= s
+        coeffs = np.convolve(coeffs, circle_coeffs) * scale
+        for shift in range(shift_hi + 1):
+            if shift + len(coeffs) > width:
+                raise ValueError("candidate degree exceeds 2m = %d" % (2 * m))
+            row = np.zeros(width, dtype=complex)
+            row[shift : shift + len(coeffs)] = coeffs
+            row = canonical_phase(row)
+            seen.setdefault(unit_energy_key(row, digits), row)
+    keys = sorted(seen)
+    return keys, [seen[k] for k in keys]
+
+
+def class_csv_text(reps, m, period, samples=64):
+    """The class CSV written row by row with csv.writer.
+
+    Each representative is synthesized on `samples` uniform times by one
+    product with the phase matrix, and its intensity is abs() ** 2 of each
+    numpy sample.
+    """
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(("class", "sample", "t", "re", "im", "intensity"))
+    k = np.arange(-m, m + 1)
+    for idx, coeffs in enumerate(reps):
+        t = np.arange(samples) * (period / samples)
+        values = np.exp(2j * np.pi * np.multiply.outer(t, k) / period) @ coeffs
+        for j in range(samples):
+            row = (idx, j, float(t[j]), float(values[j].real), float(values[j].imag),
+                   float(abs(values[j]) ** 2))
+            writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
+    return buffer.getvalue()

@@ -1,9 +1,13 @@
 """Class enumeration, measurement factorization, and their duality."""
 
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
+import sldlab
+from sldlab import ambiguity
 from sldlab import (
     AutocorrSeq,
     FlipSpec,
@@ -22,7 +26,14 @@ from sldlab import (
 )
 
 from conftest import poly_from_roots, trig_polys
-from oracles import lattice_ambiguity, phase_match, same_class_sets
+from oracles import (
+    assemble_classes_loop,
+    canonical_phase,
+    lattice_ambiguity,
+    phase_match,
+    same_class_sets,
+    unit_energy_key,
+)
 
 INT_LATTICE = [a + 1j * b for a in (-2, -1, 0, 1, 2) for b in (-1, 0, 1)]
 
@@ -238,3 +249,133 @@ def test_lattice_completeness_small():
         for row in survivors:
             assert any(phase_match(row, rep, tol=1e-6) for rep in reps)
         assert len(survivors) == len(reps)
+
+
+def _normalized(roots, m):
+    coeffs = poly_from_roots(roots)
+    coeffs = np.concatenate([coeffs, np.zeros(2 * m + 1 - len(coeffs))])
+    return TrigPoly(m=m, coeffs=coeffs / np.linalg.norm(coeffs))
+
+
+def _assembly_signals():
+    rng = np.random.default_rng(9090)
+    for m in range(1, 7):  # generic: one root per angular slot, none reflected
+        slot = 2 * np.pi / (2 * m)
+        angles = slot * (np.arange(2 * m) + rng.uniform(0.2, 0.8, 2 * m))
+        radii = rng.uniform(0.4, 0.8, 2 * m) ** rng.choice([-1, 1], 2 * m)
+        yield _normalized(radii * np.exp(1j * angles), m)
+    yield _normalized([np.exp(0.3j), 0.5 * np.exp(1.1j), 2 * np.exp(-2j), np.exp(2.5j)], 2)
+    yield _normalized([1j, 1j, 0.5, 2.0], 2)  # a double circle root
+    yield _normalized([0.5j, 0.5j, 1.7, -0.4 + 0.2j], 2)  # a double inner root
+    yield _normalized([0.6, 0.6, 0.6, 1.5 + 1j, -2.0, 0.3j], 3)  # a triple root
+    yield TrigPoly(m=1, coeffs=[0, 1, 1])  # origin shifts, shift_hi = 1
+    yield TrigPoly(m=2, coeffs=[0.5, -1, 2, 0, 0])  # degree 2 of 4: shift_hi = 2
+    yield TrigPoly(m=2, coeffs=[0, 0, 1, 0.5j, -0.25])
+    for squeeze in (0.9, 0.99, 0.999):  # roots pushed toward the circle
+        for _ in range(3):
+            angles = rng.uniform(0.0, 2 * np.pi, 8)
+            radii = np.exp(rng.uniform(-0.7, 0.7, 8)) ** (1.0 - squeeze)
+            yield _normalized(radii * np.exp(1j * angles), 4)
+
+
+def _check_against_loop(args, got):
+    keys, want = assemble_classes_loop(*args)
+    assert [unit_energy_key(row, args[-1]) for row in got] == keys
+    for row, ref in zip(got, want):
+        assert np.abs(row - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("block_rows", [ambiguity._BLOCK_ROWS, 8])
+def test_batched_assembly_matches_per_candidate_loop(monkeypatch, block_rows):
+    monkeypatch.setattr(ambiguity, "_BLOCK_ROWS", block_rows)
+    calls = []
+    batched = ambiguity._assemble_classes
+
+    def spy(*args):
+        got = batched(*args)
+        calls.append((args, got.copy()))  # factor_sld rescales its rows in place
+        return got
+
+    monkeypatch.setattr(ambiguity, "_assemble_classes", spy)
+    shifted = 0
+    for p in _assembly_signals():
+        del calls[:]
+        enumerate_classes(p)
+        try:
+            factor_sld(autocorrelation(p))
+        except errors.NotAnAutocorrelation:
+            pass
+        assert len(calls) >= 2
+        for args, got in calls:
+            shifted += args[3] > 0
+            _check_against_loop(args, got)
+    assert shifted >= 6
+
+
+def test_batched_assembly_cap_and_degree_paths():
+    table = [(np.array([[-0.5, 1.0], [-2.0, 1.0]], dtype=complex), np.array([1.0, 0.5]))]
+    circle = np.array([1.0 + 0j])
+    ok = (1.0, table, circle, 1, 1, 2**20, 7)
+    _check_against_loop(ok, ambiguity._assemble_classes(*ok))
+    too_many = (1.0, table, circle, 1, 1, 3, 7)
+    with pytest.raises(errors.CombinatorialBlowup):
+        ambiguity._assemble_classes(*too_many)
+    with pytest.raises(ValueError, match="cap"):
+        assemble_classes_loop(*too_many)
+    too_long = (1.0, table, circle, 2, 1, 2**20, 7)
+    with pytest.raises(errors.DegreeTooLarge):
+        ambiguity._assemble_classes(*too_long)
+    with pytest.raises(ValueError, match="degree"):
+        assemble_classes_loop(*too_long)
+
+
+def test_batched_assembly_keeps_first_duplicate_across_blocks(monkeypatch):
+    # the two splits of the first orbit differ far below the key rounding,
+    # so every class is built twice, in blocks that share no candidate
+    monkeypatch.setattr(ambiguity, "_BLOCK_ROWS", 2)
+    near = np.array([[-0.5, 1.0], [-0.5 - 1e-10, 1.0]], dtype=complex)
+    table = [
+        (near, np.array([1.0, 1.0])),
+        (np.array([[-2j, 1.0], [0.5j, 1.0]]), np.array([1.0, 2.0])),
+        (np.array([[0.25 + 0.25j, 1.0], [4 - 4j, 1.0]]), np.array([1.0, 1 / 0.125])),
+    ]
+    args = (1.0, table, np.array([1.0 + 0j]), 0, 2, 2**20, 7)
+    got = ambiguity._assemble_classes(*args)
+    assert len(got) == 4
+    _check_against_loop(args, got)
+
+
+def test_canonical_rows_match_per_vector_rule_bitwise():
+    rng = np.random.default_rng(31)
+    rows = rng.standard_normal((40, 5)) + 1j * rng.standard_normal((40, 5))
+    rows[:8, :2] = 0  # leading zeros move the pivot
+    rows[8:12, 0] = 1e-14  # below 1e-12 of the top: not a pivot
+    rows[12:16, 0] = np.abs(rows[12:16, 0]) * np.exp(1j * np.array([1e-13, -1e-13, 0, 3e-12]))
+    rows[16:20, 0] = -np.abs(rows[16:20, 0])  # negative real pivot
+    rows[20:24, 0] = np.abs(rows[20:24, 0])
+    rows[20:24:2, 0].imag = -0.0  # positive real pivots, imaginary part -0.0
+    got = ambiguity._canonical_rows(rows)
+    for row, out in zip(rows, got):
+        assert out.tobytes() == canonical_phase(row).tobytes()
+        assert out.tobytes() == canonicalize(TrigPoly(m=2, coeffs=row)).coeffs.tobytes()
+
+
+def test_class_path_computes_autocorrelation_at_most_twice(monkeypatch):
+    original = sldlab.signals.autocorrelation
+    calls = []
+
+    def counted(p):
+        calls.append(p.m)
+        return original(p)
+
+    for name, module in list(sys.modules.items()):
+        if name == "sldlab" or name.startswith("sldlab."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counted)
+    p = next(s for s in _assembly_signals() if s.m == 4)
+    cs = enumerate_classes(p)
+    fs = factor_sld(cs.autocorr)
+    assert certify_bound(cs).passed and certify_bound(fs).passed
+    assert cs.exact_count == fs.exact_count == 256
+    assert len(calls) <= 2

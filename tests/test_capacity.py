@@ -211,7 +211,7 @@ def _duplicate_battery(rng):
         yield m, np.tile(rows[5], (6, 1))
         rows[[2, 7]] = 0
         yield m, rows
-        # a row whose energy overflows falls inside every band
+        # a row whose energy overflows, or is NaN, has no band: rejected
         huge = rows.copy()
         huge[0] = 1e200
         yield m, huge
@@ -221,21 +221,32 @@ def _duplicate_battery(rng):
 
 def test_duplicate_check_matches_pairwise_scan():
     verdicts = []
+    rejected = 0
     for m, rows in _duplicate_battery(np.random.default_rng(2718)):
         with np.errstate(over="ignore", invalid="ignore"):
-            pair = first_duplicate_scan(rows)
-        want = pair and "constellation points %d and %d coincide" % pair
+            wild = np.flatnonzero(~np.isfinite(np.sum(np.abs(rows) ** 2, axis=1)))
         c = Constellation.uniform([TrigPoly(m=m, coeffs=r) for r in rows])
-        try:
-            with np.errstate(over="ignore", invalid="ignore"):
+        if len(wild):
+            with pytest.raises(errors.DomainError) as info, np.errstate(over="ignore"):
                 mi_noiseless(c)
+            assert not isinstance(info.value, errors.DuplicateSignals)
+            assert str(info.value) == (
+                "constellation point %d has non-finite energy" % wild[0]
+            )
+            rejected += 1
+            continue
+        pair = first_duplicate_scan(rows)
+        want = pair and "constellation points %d and %d coincide" % pair
+        try:
+            mi_noiseless(c)
             got = None
         except errors.DuplicateSignals as exc:
             got = str(exc)
         assert got == want, (m, rows)
         verdicts.append(got is None)
-    # the battery holds both verdicts
+    # the battery holds both verdicts, and an overflow and a NaN case per m
     assert 0 < sum(verdicts) < len(verdicts)
+    assert rejected == 8
 
 
 def test_batched_keys_match_per_signal_formula():

@@ -2,9 +2,14 @@
 
 import json
 
+import numpy as np
 import pytest
 
+from sldlab import enumerate_classes
 from sldlab.cli import main
+from sldlab.serialize import load_json, parse_signal
+
+from oracles import class_csv_text
 
 
 def write_json(tmp_path, name, obj):
@@ -188,6 +193,21 @@ def test_enumerate_csv_samples(sig_shift, tmp_path, capsys):
     # two classes, 64 samples each
     assert len(lines) == 1 + 2 * 64
     capsys.readouterr()
+
+
+def test_enumerate_csv_matches_row_by_row_writer(tmp_path):
+    rng = np.random.default_rng(777)
+    for m in range(1, 6):
+        coeffs = rng.standard_normal((2 * m + 1, 2)).tolist()
+        period = 0.75 if m % 2 else 1.0
+        sig = write_json(tmp_path, "sig%d.json" % m,
+                         {"m": m, "coeffs": coeffs, "period": period})
+        out = tmp_path / ("classes%d.csv" % m)
+        report = str(tmp_path / ("classes%d.json" % m))
+        assert main(["enumerate", sig, "--csv", str(out), "--json", report]) == 0
+        cs = enumerate_classes(parse_signal(load_json(sig)))
+        want = class_csv_text([rep.coeffs for rep in cs.representatives], m, period)
+        assert out.read_bytes() == want.encode("utf-8")
 
 
 def test_wrong_arity(sig_shift, capsys):

@@ -11,6 +11,7 @@ from sldlab import (
     autocorr_from_samples,
     autocorr_lift,
     autocorrelation,
+    bundled_constellation,
     errors,
     eval_intensity,
     eval_time,
@@ -22,8 +23,10 @@ from sldlab import (
     unlift,
 )
 
+from sldlab.signals import autocorrelation_rows, screen_intensity
+
 from conftest import complex_vectors, trig_polys
-from oracles import autocorr_loops, eval_series, intensity_series
+from oracles import autocorr_dot, autocorr_loops, eval_series, intensity_series
 
 
 def test_trigpoly_basics():
@@ -80,6 +83,22 @@ def test_autocorr_matches_loop_oracle(p):
     got = autocorrelation(p).coeffs
     want = autocorr_loops(p.coeffs)
     assert np.abs(got - want).max() <= 1e-10 * (1 + np.abs(want).max())
+
+
+def test_autocorrelation_rows_match_per_signal_bitwise():
+    rng = np.random.default_rng(4242)
+    batches = []
+    for m in range(9):
+        rows = rng.standard_normal((20, 2 * m + 1)) + 1j * rng.standard_normal((20, 2 * m + 1))
+        batches.append(rows * 10.0 ** rng.uniform(-3, 3, (20, 1)))
+    batches += [np.stack([s.coeffs for s in bundled_constellation(m).signals])
+                for m in range(1, 7)]
+    for rows in batches:
+        got = autocorrelation_rows(rows)
+        m = (rows.shape[1] - 1) // 2
+        for row, c in zip(rows, got):
+            assert c.tobytes() == autocorrelation(TrigPoly(m=m, coeffs=row)).coeffs.tobytes()
+            assert c.tobytes() == autocorr_dot(row).tobytes()
 
 
 @given(trig_polys())
@@ -172,6 +191,15 @@ def test_intensity_samples_and_inversion():
     assert np.abs(back.coeffs - c.coeffs).max() <= 1e-10 * c.c0
     with pytest.raises(errors.DegenerateSampling):
         autocorr_from_samples(s[: 4 * 2], m=2, period=c.period)
+
+
+def test_screen_intensity():
+    c = autocorrelation(TrigPoly(m=2, coeffs=[0.3, 1j, 0.7, -0.2, 1]))
+    assert np.array_equal(screen_intensity(c), intensity_samples(c, 80))
+    tone = AutocorrSeq(m=5, coeffs=np.eye(1, 21, 10)[0])
+    assert np.array_equal(screen_intensity(tone), intensity_samples(tone, 176))
+    with pytest.raises(errors.NegativeIntensity):
+        screen_intensity(AutocorrSeq(m=1, coeffs=[0, 1, 1, 1, 0]))
 
 
 @given(trig_polys(max_m=2), st.integers(0, 40))
