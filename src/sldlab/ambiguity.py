@@ -148,6 +148,13 @@ def _linear(root):
     return np.array([-root, 1.0 + 0.0j])
 
 
+def _times_circle(coeffs, roots):
+    """coeffs times (z - loc)^k for each (loc, k) of roots, in turn."""
+    for loc, k in roots:
+        coeffs = np.convolve(coeffs, _poly_power(_linear(loc), k))
+    return coeffs
+
+
 def _orbit_table(orbits, measured):
     """Per orbit, the (parts, scales) of every split of its roots.
 
@@ -195,22 +202,16 @@ def flip(f, spec, root_tol=1e-8, circle_band=1e-9, cluster_radius=1e-6):
 
     coeffs = np.array([r.leading_coeff], dtype=complex)
     scale = 1.0
-    for orbit, split in zip(orbits, spec.orbit_splits):
+    table = _orbit_table(orbits, measured=False)
+    for orbit, split, (parts, scales) in zip(orbits, spec.orbit_splits, table):
         inner_t, outer_t = int(split[0]), int(split[1])
         if inner_t < 0 or outer_t < 0 or inner_t + outer_t != orbit.total:
             raise InvalidSpec(
                 "split %s does not preserve the orbit total %d" % (split, orbit.total)
             )
-        coeffs = np.convolve(
-            coeffs,
-            np.convolve(
-                _poly_power(_linear(orbit.inner), inner_t),
-                _poly_power(_linear(orbit.outer), outer_t),
-            ),
-        )
-        scale *= abs(orbit.inner) ** (orbit.mult_inner - inner_t)
-    for root in on_circle:
-        coeffs = np.convolve(coeffs, _poly_power(_linear(root.location), root.multiplicity))
+        coeffs = np.convolve(coeffs, parts[inner_t])
+        scale *= scales[inner_t]
+    coeffs = _times_circle(coeffs, ((root.location, root.multiplicity) for root in on_circle))
     if spec.scale is not None and abs(spec.scale - scale) > 1e-9 * max(scale, 1.0):
         raise InvalidSpec(
             "declared scale %.12g conflicts with the forced value %.12g"
@@ -342,12 +343,10 @@ def enumerate_classes(
     orbits, on_circle, origin = pair_reciprocal(r)
     shift_hi = 2 * p.m - r.degree + origin
 
-    circle_coeffs = np.array([1.0 + 0.0j])
-    for root in on_circle:
-        circle_coeffs = np.convolve(
-            circle_coeffs,
-            _poly_power(_linear(root.location / abs(root.location)), root.multiplicity),
-        )
+    circle_coeffs = _times_circle(
+        np.array([1.0 + 0.0j]),
+        ((root.location / abs(root.location), root.multiplicity) for root in on_circle),
+    )
     reps = tuple(
         TrigPoly(m=p.m, coeffs=row, period=p.period)
         for row in _assemble_classes(
@@ -436,14 +435,10 @@ def _factor_at(s, cap, round_digits, root_tol, circle_band, cluster_radius, tol,
             "origin multiplicity %d inconsistent with root budget %d" % (origin, budget)
         )
 
-    circle_coeffs = np.array([1.0 + 0.0j])
-    for loc, v in halved:
-        circle_coeffs = np.convolve(circle_coeffs, _poly_power(_linear(loc), v))
-
     rows = _assemble_classes(
         1.0,
         _orbit_table(orbits, measured=True),
-        circle_coeffs,
+        _times_circle(np.array([1.0 + 0.0j]), halved),
         shift_hi,
         s.m,
         cap,

@@ -81,28 +81,38 @@ def _classify(radius, band):
     return "on_circle"
 
 
-def _cluster(points, radius):
-    """Greedy union of points closer than the (size-scaled) cluster radius."""
-    n = len(points)
-    parent = list(range(n))
+def _modulus(z):
+    # Python's abs of each entry; np.abs on a complex array can differ from
+    # it in the last bit
+    return np.hypot(z.real, z.imag)
 
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
 
-    for i in range(n):
-        for j in range(i + 1, n):
-            gap = abs(points[i] - points[j])
-            scale = 1.0 + 0.5 * (abs(points[i]) + abs(points[j]))
-            if gap <= radius * scale:
-                parent[find(i)] = find(j)
+def _groups(points, tol):
+    """Index groups of the points chained by |a - b| <= tol * (1 + (|a| + |b|) / 2).
 
-    groups = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(points[i])
-    return list(groups.values())
+    The connected components of that pairwise rule, found on one adjacency
+    matrix by min-label propagation with pointer jumping. Groups come
+    ordered by their smallest member, members in index order. A NaN,
+    infinite or negative tol raises DomainError.
+    """
+    if not 0.0 <= tol < np.inf:
+        raise DomainError("clustering tolerance must be finite and nonnegative, got %r" % tol)
+    z = np.asarray(points, dtype=complex)
+    mag = _modulus(z)
+    near = _modulus(z[:, None] - z[None, :]) <= tol * (1.0 + 0.5 * (mag[:, None] + mag[None, :]))
+    np.fill_diagonal(near, True)  # a NaN point is its own group, as in a pairwise scan
+    label = np.arange(len(z))
+    while True:
+        new = np.where(near, label, len(z)).min(axis=1, initial=len(z))
+        new = new[new]
+        if np.array_equal(new, label):
+            break
+        label = new
+    # each component is labelled by its smallest member, so a stable sort
+    # by label lists the components in that order, each in index order
+    order = np.argsort(label, kind="stable")
+    starts = np.flatnonzero(np.diff(label[order], prepend=-1)).tolist()
+    return [order[i:j] for i, j in zip(starts, starts[1:] + [len(z)])]
 
 
 def find_roots(
@@ -125,9 +135,10 @@ def find_roots(
     circle_band : float
         Half-width of the on-circle classification band.
     cluster_radius : float
-        Roots closer than cluster_radius * (1 + |location|) merge into one
-        root of higher multiplicity. Widen it when hunting multiplicities
-        of three or more; the default suits exact doubles.
+        Approximations a, b with |a - b| <= cluster_radius * (1 + (|a| + |b|) / 2),
+        and chains of them, merge into one root of higher multiplicity.
+        Widen it when hunting multiplicities of three or more; the default
+        suits exact doubles. NaN, infinite or negative raises DomainError.
     max_iter : int
         Simultaneous-iteration budget before giving up.
     seed : int
@@ -203,20 +214,16 @@ def find_roots(
         )
 
     roots = []
-    for group in _cluster(list(z), cluster_radius):
-        loc = complex(np.mean(group))
-        diam = 0.0
-        if len(group) > 1:
-            pts = np.asarray(group)
-            diam = float(
-                max(abs(pts[i] - pts[j]) for i in range(len(pts)) for j in range(i))
-            )
+    for idx in _groups(z, cluster_radius):
+        pts = z[idx]
+        loc = complex(np.mean(pts))
+        diam = float(_modulus(pts[:, None] - pts[None, :]).max())
         # a merged cluster locates its root only to about half its own
         # spread, so the circle test must not be sharper than that
         roots.append(
             ClassifiedRoot(
                 location=loc,
-                multiplicity=len(group),
+                multiplicity=len(idx),
                 label=_classify(abs(loc), max(circle_band, 0.5 * diam)),
                 diameter=diam,
             )
@@ -278,27 +285,31 @@ def _orbit_key(location):
     return location if abs(location) < 1.0 else conj_reciprocal(location)
 
 
-def _match_clusters(tagged, match_tol):
-    """Cluster (key_location, payload) pairs whose keys agree within tolerance."""
-    n = len(tagged)
-    parent = list(range(n))
+def _orbit_groups(multisets, match_tol):
+    """Reflection orbits of the off-circle roots of one or more multisets.
 
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            scale = 1.0 + 0.5 * (abs(tagged[i][0]) + abs(tagged[j][0]))
-            if abs(tagged[i][0] - tagged[j][0]) <= match_tol * scale:
-                parent[find(i)] = find(j)
-
-    groups = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(tagged[i])
-    return list(groups.values())
+    Roots whose orbit keys group under match_tol form one orbit. Returns a
+    list of (inner, outer, counts) sorted by inner, where counts holds one
+    [inner multiplicity, outer multiplicity] pair per multiset.
+    """
+    off = [(k, root) for k, r in enumerate(multisets)
+           for root in r.roots if root.label != "on_circle"]
+    orbits = []
+    for idx in _groups([_orbit_key(root.location) for _, root in off], match_tol):
+        counts = [[0, 0] for _ in multisets]
+        locs = ([], [])
+        for i in idx:
+            k, root = off[i]
+            side = 0 if root.label == "inside" else 1
+            counts[k][side] += root.multiplicity
+            locs[side].append(root.location)
+        inner = complex(np.mean(locs[0])) if locs[0] else conj_reciprocal(
+            complex(np.mean(locs[1]))
+        )
+        outer = complex(np.mean(locs[1])) if locs[1] else conj_reciprocal(inner)
+        orbits.append((inner, outer, counts))
+    orbits.sort(key=lambda o: (o[0].real, o[0].imag))
+    return orbits
 
 
 def pair_reciprocal(r, assert_symmetric=False, match_tol=1e-6):
@@ -306,40 +317,18 @@ def pair_reciprocal(r, assert_symmetric=False, match_tol=1e-6):
 
     Returns (orbits, on_circle, origin_mult) where orbits is a tuple of
     ReciprocalOrbit sorted by representative and on_circle is the tuple of
-    on-circle ClassifiedRoots.
+    on-circle ClassifiedRoots. Roots join one orbit when their inside-disk
+    representatives group under match_tol by the cluster rule of find_roots.
 
     With assert_symmetric=True the caller states that r came from a valid
     measurement lift, which forces equal multiplicities on both sides of
     every orbit and even multiplicities on the circle; violations raise
     AsymmetricSpectrum.
     """
-    off = [root for root in r.roots if root.label != "on_circle"]
-    tagged = [(_orbit_key(root.location), root) for root in off]
-
-    orbits = []
-    for group in _match_clusters(tagged, match_tol):
-        inner_locs, inner_mult = [], 0
-        outer_locs, outer_mult = [], 0
-        for _, root in group:
-            if root.label == "inside":
-                inner_locs.append(root.location)
-                inner_mult += root.multiplicity
-            else:
-                outer_locs.append(root.location)
-                outer_mult += root.multiplicity
-        inner = complex(np.mean(inner_locs)) if inner_locs else conj_reciprocal(
-            complex(np.mean(outer_locs))
-        )
-        outer = complex(np.mean(outer_locs)) if outer_locs else conj_reciprocal(inner)
-        orbits.append(
-            ReciprocalOrbit(
-                inner=inner,
-                outer=outer,
-                mult_inner=inner_mult,
-                mult_outer=outer_mult,
-            )
-        )
-    orbits.sort(key=lambda o: (o.inner.real, o.inner.imag))
+    orbits = [
+        ReciprocalOrbit(inner=inner, outer=outer, mult_inner=f[0], mult_outer=f[1])
+        for inner, outer, (f,) in _orbit_groups((r,), match_tol)
+    ]
 
     on_circle = r.by_label("on_circle")
     if assert_symmetric:
@@ -383,49 +372,24 @@ def joint_orbits(rf, rg, match_tol=1e-6):
 
     Returns (orbits, circle_pairs) where circle_pairs is a tuple of
     (location, f_mult, g_mult) for matched on-circle roots. Roots of the
-    two polynomials are matched by nearest location within match_tol, the
-    polynomials themselves are never compared coefficient-wise here.
+    two polynomials are matched as in pair_reciprocal, on-circle roots by
+    their locations, under match_tol; the polynomials themselves are never
+    compared coefficient-wise here.
     """
-    tagged = []
-    for which, r in (("f", rf), ("g", rg)):
-        for root in r.roots:
-            if root.label != "on_circle":
-                tagged.append((_orbit_key(root.location), (which, root)))
+    orbits = [
+        JointOrbit(inner=inner, outer=outer,
+                   f_inner=f[0], f_outer=f[1], g_inner=g[0], g_outer=g[1])
+        for inner, outer, (f, g) in _orbit_groups((rf, rg), match_tol)
+    ]
 
-    orbits = []
-    for group in _match_clusters(tagged, match_tol):
-        counts = {"f": [0, 0], "g": [0, 0]}  # [inner, outer]
-        inner_locs, outer_locs = [], []
-        for _, (which, root) in group:
-            side = 0 if root.label == "inside" else 1
-            counts[which][side] += root.multiplicity
-            (inner_locs if side == 0 else outer_locs).append(root.location)
-        inner = complex(np.mean(inner_locs)) if inner_locs else conj_reciprocal(
-            complex(np.mean(outer_locs))
-        )
-        outer = complex(np.mean(outer_locs)) if outer_locs else conj_reciprocal(inner)
-        orbits.append(
-            JointOrbit(
-                inner=inner,
-                outer=outer,
-                f_inner=counts["f"][0],
-                f_outer=counts["f"][1],
-                g_inner=counts["g"][0],
-                g_outer=counts["g"][1],
-            )
-        )
-    orbits.sort(key=lambda o: (o.inner.real, o.inner.imag))
-
-    tagged_circle = []
-    for which, r in (("f", rf), ("g", rg)):
-        for root in r.by_label("on_circle"):
-            tagged_circle.append((root.location, (which, root)))
+    circle = [(k, root) for k, r in enumerate((rf, rg)) for root in r.by_label("on_circle")]
+    locs = [root.location for _, root in circle]
     circle_pairs = []
-    for group in _match_clusters(tagged_circle, match_tol):
-        loc = complex(np.mean([g[0] for g in group]))
-        fm = sum(root.multiplicity for _, (w, root) in group if w == "f")
-        gm = sum(root.multiplicity for _, (w, root) in group if w == "g")
-        circle_pairs.append((loc, fm, gm))
+    for idx in _groups(locs, match_tol):
+        mults = [0, 0]
+        for i in idx:
+            mults[circle[i][0]] += circle[i][1].multiplicity
+        circle_pairs.append((complex(np.mean([locs[i] for i in idx])), *mults))
     circle_pairs.sort(key=lambda item: (item[0].real, item[0].imag))
 
     return tuple(orbits), tuple(circle_pairs)

@@ -309,3 +309,31 @@ def class_csv_text(reps, m, period, samples=64):
                    float(abs(values[j]) ** 2))
             writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
     return buffer.getvalue()
+
+
+def union_find_groups(points, tol):
+    """Index groups of points chained by |a - b| <= tol * (1 + (|a| + |b|) / 2).
+
+    The pairwise union-find over every pair i < j. Groups come in order of
+    their smallest member, members in index order.
+    """
+    n = len(points)
+    parent = list(range(n))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i in range(n):
+        for j in range(i + 1, n):
+            gap = abs(points[i] - points[j])
+            scale = 1.0 + 0.5 * (abs(points[i]) + abs(points[j]))
+            if gap <= tol * scale:
+                parent[find(i)] = find(j)
+
+    groups = {}
+    for i in range(n):
+        groups.setdefault(find(i), []).append(i)
+    return list(groups.values())

@@ -379,3 +379,10 @@ def test_class_path_computes_autocorrelation_at_most_twice(monkeypatch):
     assert certify_bound(cs).passed and certify_bound(fs).passed
     assert cs.exact_count == fs.exact_count == 256
     assert len(calls) <= 2
+
+
+@pytest.mark.parametrize("bad", (float("nan"), float("inf"), -1e-6))
+def test_enumerate_rejects_bad_cluster_radius(bad):
+    p = TrigPoly(m=1, coeffs=[6.0, -5.0, 1.0])
+    with pytest.raises(errors.DomainError, match="tolerance"):
+        enumerate_classes(p, cluster_radius=bad)

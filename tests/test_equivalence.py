@@ -172,3 +172,10 @@ def test_self_equivalence(coeffs):
     f = as_poly(coeffs)
     v = struct_magnitude_equiv(f, f)
     assert v.related and v.kappa == pytest.approx(1.0, rel=1e-9)
+
+
+@pytest.mark.parametrize("bad", (float("nan"), float("inf"), -1e-6))
+def test_struct_rejects_bad_match_tol(bad):
+    f = CoeffPoly(coeffs=poly_from_roots([2.0, 0.4j, -0.5]), n=3)
+    with pytest.raises(errors.DomainError, match="tolerance"):
+        struct_magnitude_equiv(f, f, match_tol=bad)

@@ -17,8 +17,12 @@ from sldlab import (
     pair_reciprocal,
     reconstruct,
 )
+from sldlab.roots import RootMultiset, _groups, _orbit_key
 
 from conftest import poly_from_roots, separated_roots
+from oracles import union_find_groups
+
+BAD_TOLERANCES = (float("nan"), float("inf"), -1e-6)
 
 
 def sorted_locs(r):
@@ -162,3 +166,156 @@ def test_joint_orbits_alignment():
     assert (flip_orbit.f_inner, flip_orbit.f_outer) == (0, 1)
     assert (flip_orbit.g_inner, flip_orbit.g_outer) == (1, 0)
     assert flip_orbit.f_total == flip_orbit.g_total == 1
+
+
+@pytest.mark.parametrize("bad", BAD_TOLERANCES)
+def test_find_roots_rejects_bad_cluster_radius(bad):
+    f = CoeffPoly(coeffs=poly_from_roots([2.0, 2.0, -1.0]), n=3)
+    with pytest.raises(errors.DomainError, match="tolerance"):
+        find_roots(f, cluster_radius=bad)
+
+
+def _balanced_pair_roots():
+    return find_roots(autocorr_lift(autocorrelation(TrigPoly(m=1, coeffs=[6, -5, 1]))))
+
+
+@pytest.mark.parametrize("bad", BAD_TOLERANCES)
+def test_pair_reciprocal_rejects_bad_match_tol(bad):
+    with pytest.raises(errors.DomainError, match="tolerance"):
+        pair_reciprocal(_balanced_pair_roots(), match_tol=bad)
+
+
+@pytest.mark.parametrize("bad", BAD_TOLERANCES)
+def test_joint_orbits_rejects_bad_match_tol(bad):
+    r = _balanced_pair_roots()
+    with pytest.raises(errors.DomainError, match="tolerance"):
+        joint_orbits(r, r, match_tol=bad)
+
+
+def _chained(a, b, tol):
+    return abs(a - b) <= tol * (1.0 + 0.5 * (abs(a) + abs(b)))
+
+
+def _edge_offsets(a, u, tol):
+    """Adjacent floats d_in < d_out: a + d_in u is chained to a, a + d_out u is not.
+
+    Bisection on the bit patterns of nonnegative doubles, whose order is
+    the order of the values.
+    """
+    lo = np.float64(0.0).view(np.int64)
+    hi = np.float64(4.0 * tol * (1.0 + abs(a))).view(np.int64)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if _chained(a, a + float(np.int64(mid).view(np.float64)) * u, tol):
+            lo = mid
+        else:
+            hi = mid
+    return float(np.int64(lo).view(np.float64)), float(np.int64(hi).view(np.float64))
+
+
+def _exact_edge_pair(center, u, tol):
+    """center -+ (x/2) u with |a - b| == tol * (1 + (|a| + |b|) / 2) exactly, or None."""
+    x = tol
+    for _ in range(50):
+        a, b = center - 0.5 * x * u, center + 0.5 * x * u
+        gap, bound = abs(a - b), tol * (1.0 + 0.5 * (abs(a) + abs(b)))
+        if gap == bound:
+            return a, b
+        x *= bound / gap
+    return None
+
+
+def _point_sets(tol, rng):
+    yield []
+    yield [complex(rng.normal(), rng.normal())]
+    # transitive chains: neighbours are chained, points two apart are not
+    for _ in range(4):
+        start = complex(*rng.normal(size=2))
+        u = np.exp(2j * np.pi * rng.random())
+        chain = [start]
+        for _ in range(6):
+            chain.append(chain[-1] + 0.7 * tol * (1.0 + abs(chain[-1])) * u)
+        assert not _chained(chain[0], chain[2], tol)
+        others = [complex(*rng.normal(size=2)) for _ in range(5)]
+        mixed = chain + others
+        yield [mixed[i] for i in rng.permutation(len(mixed))]
+    # pairs exactly at the tolerance edge
+    exact = 0
+    for _ in range(6):
+        for center, u in ((complex(rng.normal()), 1j), (0j, np.exp(2j * np.pi * rng.random()))):
+            pair = _exact_edge_pair(center, u, tol)
+            if pair is not None:
+                exact += 1
+                yield list(pair)
+                yield [pair[1], complex(*rng.normal(size=2)), pair[0]]
+    assert exact >= 6
+    # pairs one float inside the edge and one float beyond it
+    for _ in range(6):
+        a = complex(*(3.0 * rng.normal(size=2)))
+        u = np.exp(2j * np.pi * rng.random())
+        d_in, d_out = _edge_offsets(a, u, tol)
+        assert _chained(a, a + d_in * u, tol) and not _chained(a, a + d_out * u, tol)
+        yield [a, a + d_in * u]
+        yield [a + d_out * u, a]
+        yield [a + d_in * u, complex(*rng.normal(size=2)), a, a + d_out * u]
+    # jittered clusters with exact duplicates
+    for _ in range(8):
+        centers = [complex(*(2.0 * rng.normal(size=2))) for _ in range(4)]
+        pts = []
+        for c in centers:
+            for _ in range(int(rng.integers(1, 5))):
+                step = 1.5 * tol * (1.0 + abs(c)) * rng.random()
+                pts.append(c + step * np.exp(2j * np.pi * rng.random()))
+        pts += pts[:2]
+        yield [pts[i] for i in rng.permutation(len(pts))]
+    # orbit keys of the squared-magnitude lift of roots squeezed to 0.999
+    for _ in range(4):
+        angles = np.sort(2 * np.pi * rng.random(4))
+        zs = 0.999 * np.exp(1j * angles)
+        p = TrigPoly(m=2, coeffs=poly_from_roots(zs))
+        r = find_roots(autocorr_lift(autocorrelation(p)))
+        keys = [_orbit_key(root.location) for root in r.roots
+                if root.label != "on_circle"]
+        assert len(keys) == 8
+        yield keys
+
+
+@pytest.mark.parametrize("tol", [1e-6, 1e-4, 5e-3])
+def test_groups_match_union_find(tol):
+    rng = np.random.default_rng(20261018)
+    sizes = set()
+    for pts in _point_sets(tol, rng):
+        got = [g.tolist() for g in _groups(pts, tol)]
+        want = union_find_groups(pts, tol)
+        assert got == want, pts
+        sizes.update(len(g) for g in want)
+    assert {1, 2} <= sizes and max(sizes) >= 7
+
+
+def _multiset(rng):
+    inner = [(0.2 + 0.6 * rng.random()) * np.exp(2j * np.pi * rng.random()) for _ in range(3)]
+    zs = [inner[0], conj_reciprocal(inner[0])]  # balanced orbit
+    zs += [inner[1]]  # one-sided, inside
+    zs += [conj_reciprocal(inner[2])] * 2  # one-sided double root, outside
+    zs += [np.exp(2j * np.pi * rng.random())] * int(rng.integers(1, 3))  # circle root
+    zs += [0.0] * int(rng.integers(0, 2))
+    rng.shuffle(zs)
+    return find_roots(CoeffPoly(coeffs=poly_from_roots(zs, lead=1.5), n=len(zs)))
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_pair_reciprocal_is_joint_orbits_against_nothing(seed):
+    r = _multiset(np.random.default_rng(seed))
+    empty = RootMultiset(
+        roots=(), origin_mult=0, degree=0, leading_coeff=1.0, circle_band=r.circle_band
+    )
+    orbits, on_circle, origin = pair_reciprocal(r)
+    joint, circle_pairs = joint_orbits(r, empty)
+    assert [(o.inner, o.outer, o.mult_inner, o.mult_outer) for o in orbits] == [
+        (j.inner, j.outer, j.f_inner, j.f_outer) for j in joint
+    ]
+    assert all(j.g_inner == j.g_outer == 0 for j in joint)
+    assert [(c.location, c.multiplicity, 0) for c in on_circle] == list(circle_pairs)
+    assert origin == r.origin_mult
+    assert {(o.mult_inner, o.mult_outer) for o in orbits} == {(1, 1), (1, 0), (0, 2)}
+    assert len(on_circle) == 1
