@@ -192,7 +192,7 @@ def _cmd_equiv(cfg):
         "agree": bool(agree),
     })
     if not agree:
-        log.error("structural and sampled verdicts disagree")
+        log.error("structural and lag-oracle verdicts disagree")
         return 2
     return 0
 

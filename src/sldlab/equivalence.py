@@ -6,8 +6,8 @@ Three relations, in increasing coarseness:
     coefficient equality;
   * equality up to a global phase offset;
   * constant magnitude ratio on the unit circle, decided structurally
-    from reflection orbits of the roots, with an independent sampling
-    oracle as a cross-check.
+    from reflection orbits of the roots, with a root-free check on the
+    autocorrelation lags as an independent cross-check.
 """
 
 from dataclasses import dataclass
@@ -17,14 +17,12 @@ import numpy as np
 from .blaschke import kappa_ratio
 from .errors import (
     ConditionViolated,
-    DegenerateSampling,
-    DomainError,
     NotEquivalent,
     PeriodMismatch,
     ZeroPolynomial,
 )
 from .roots import find_roots, joint_orbits
-from .signals import TrigPoly
+from .signals import TrigPoly, autocorrelation_rows
 
 
 @dataclass(frozen=True)
@@ -129,43 +127,33 @@ def struct_magnitude_equiv(
     return EquivalenceVerdict(related=True, kappa=kappa)
 
 
-def numeric_magnitude_equiv(f, g, N=None, tol=1e-8):
-    """Sampling oracle for the constant magnitude ratio.
+def numeric_magnitude_equiv(f, g, tol=1e-12):
+    """Root-free lag oracle for the constant magnitude ratio.
 
-    Estimates kappa as the median of |f|/|g| over N equispaced circle
-    points, skipping samples that land near zeros of g, and accepts when
-    the worst relative deviation from the median stays below tol. Fully
-    independent of any root computation.
+    On the unit circle |f|^2 is the Fourier sum of the autocorrelation lags
+    c_f of f's coefficients, so |f| = kappa |g| exactly when c_f =
+    kappa^2 c_g. Fits lambda = Re<c_g, c_f> / ||c_g||^2 and accepts when
+    lambda > 0 and ||c_f - lambda c_g|| <= tol ||c_f||, with kappa =
+    sqrt(lambda). The witness of a rejection gives that relative residual
+    and lambda. Origin factors z^k leave the lags alone; each row is scaled
+    by a power of two first, so any coefficient scale is exact.
     """
     if f.is_zero() or g.is_zero():
         raise ZeroPolynomial("magnitude equivalence needs nonzero polynomials")
-    floor = 4 * (max(f.effective_degree(), 0) + max(g.effective_degree(), 0)) + 1
-    if N is None:
-        N = max(floor, 256)
-    elif N < floor:
-        raise DomainError("N=%d undersamples the pair, need >= %d" % (N, floor))
-    z = np.exp(2j * np.pi * np.arange(N) / N)
-    fmag = np.abs(f(z))
-    gmag = np.abs(g(z))
-    keep = gmag > 1e-9 * gmag.max()
-    if keep.sum() <= N // 2:
-        raise DegenerateSampling(
-            "%d of %d circle samples sit on near-zeros of g" % (N - keep.sum(), N)
-        )
-    ratio = fmag[keep] / gmag[keep]
-    kappa = float(np.median(ratio))
-    if kappa == 0:
-        return EquivalenceVerdict(related=False, witness="f vanishes where g does not")
-    dev = np.abs(ratio / kappa - 1.0)
-    worst = int(np.argmax(dev))
-    if dev[worst] > tol:
-        idx = np.nonzero(keep)[0][worst]
+    rows = np.zeros((2, max(len(f.coeffs), len(g.coeffs)) | 1), dtype=complex)
+    rows[0, : len(f.coeffs)] = f.coeffs
+    rows[1, : len(g.coeffs)] = g.coeffs
+    scale = np.exp2(-np.frexp(np.abs(rows).max(axis=1))[1])
+    c_f, c_g = autocorrelation_rows(rows * scale[:, None])
+    lam = np.vdot(c_g, c_f).real / np.vdot(c_g, c_g).real
+    resid = np.linalg.norm(c_f - lam * c_g) / np.linalg.norm(c_f)
+    ratio = scale[1] / scale[0]
+    if not (lam > 0 and resid <= tol):
         return EquivalenceVerdict(
             related=False,
-            witness="ratio at exp(2i pi %d/%d) is %.6g against median %.6g"
-            % (idx, N, ratio[worst], kappa),
+            witness="lag residual %.3g of ||c_f|| at lambda %.6g" % (resid, lam * ratio**2),
         )
-    return EquivalenceVerdict(related=True, kappa=kappa)
+    return EquivalenceVerdict(related=True, kappa=float(np.sqrt(lam) * ratio))
 
 
 def degree_match(f, g, root_tol=1e-8, circle_band=1e-9):

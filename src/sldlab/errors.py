@@ -70,7 +70,7 @@ class NotEquivalent(DomainError):
 
 
 class DegenerateSampling(DomainError):
-    """Too many circle samples fell on near-zeros of the denominator."""
+    """Too few intensity samples to recover the measurement lags of an order."""
 
 
 # ambiguity enumeration

@@ -87,6 +87,11 @@ def _modulus(z):
     return np.hypot(z.real, z.imag)
 
 
+def _check_tol(tol):
+    if not 0.0 <= tol < np.inf:
+        raise DomainError("clustering tolerance must be finite and nonnegative, got %r" % tol)
+
+
 def _groups(points, tol):
     """Index groups of the points chained by |a - b| <= tol * (1 + (|a| + |b|) / 2).
 
@@ -95,8 +100,7 @@ def _groups(points, tol):
     ordered by their smallest member, members in index order. A NaN,
     infinite or negative tol raises DomainError.
     """
-    if not 0.0 <= tol < np.inf:
-        raise DomainError("clustering tolerance must be finite and nonnegative, got %r" % tol)
+    _check_tol(tol)
     z = np.asarray(points, dtype=complex)
     mag = _modulus(z)
     near = _modulus(z[:, None] - z[None, :]) <= tol * (1.0 + 0.5 * (mag[:, None] + mag[None, :]))
@@ -147,6 +151,7 @@ def find_roots(
     """
     if not (0 < tol <= 1e-4):
         raise DomainError("tol must lie in (0, 1e-4]")
+    _check_tol(cluster_radius)
     coeffs = np.array(f.coeffs, dtype=complex)
     if np.all(coeffs == 0):
         raise ZeroPolynomial("cannot factor the zero polynomial")

@@ -9,6 +9,7 @@ import csv
 import io
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -72,6 +73,67 @@ def ratio_is_flat(f_coeffs, g_coeffs, n=4096, rel=1e-6):
     r = fv[keep] / gv[keep]
     mid = np.median(r)
     return bool(np.all(np.abs(r - mid) <= rel * max(mid, 1e-30)))
+
+
+def _gauss_mul(a, b):
+    return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
+
+
+def _gauss_product(factors):
+    """Exact lowest-first coefficients of prod (u z + v), Gaussian-integer u, v."""
+    coeffs = [(1, 0)]
+    for u, v in factors:
+        up = [(0, 0)] + [_gauss_mul(u, c) for c in coeffs]
+        vp = [_gauss_mul(v, c) for c in coeffs] + [(0, 0)]
+        coeffs = [(a[0] + b[0], a[1] + b[1]) for a, b in zip(up, vp)]
+    return coeffs
+
+
+def gaussian_integer_pair(rng, degree, related, bits=30):
+    """(f, g, kappa): two exactly built polynomials of the given degree.
+
+    Roots have uniform angles and log-radii in [-0.7, 0.7], snapped to the
+    grid 2^-bits (Z + iZ), so each linear factor has Gaussian-integer
+    coefficients and the products are exact integers, rounded to floats
+    once per coefficient. A related g reflects a random subset of the roots
+    of f (the factor conj(a) z - 1 has the circle magnitude of z - a), is
+    scaled by a rational c in [1/2, 2] and turned by a power of i, so
+    |f| = kappa |g| with kappa = 1/c exactly. An independent g has roots
+    of its own and kappa None.
+    """
+    one = 1 << bits
+
+    def draw():
+        z = np.exp(rng.uniform(-0.7, 0.7, degree) + 2j * np.pi * rng.random(degree))
+        return [(int(round(w.real * one)), int(round(w.imag * one))) for w in z]
+
+    def to_float(coeffs, scale):
+        return np.array([complex(float(scale * a), float(scale * b)) for a, b in coeffs])
+
+    roots = draw()
+    f = _gauss_product([((one, 0), (-p, -q)) for p, q in roots])
+    unit = Fraction(1, 1 << max(max(abs(a), abs(b)) for a, b in f).bit_length())
+    if not related:
+        g = _gauss_product([((one, 0), (-p, -q)) for p, q in draw()])
+        return to_float(f, unit), to_float(g, unit), None
+    flips = rng.random(degree) < 0.5
+    g = _gauss_product([
+        ((p, -q), (-one, 0)) if flip else ((one, 0), (-p, -q))
+        for (p, q), flip in zip(roots, flips)
+    ])
+    for _ in range(int(rng.integers(4))):
+        g = [(-b, a) for a, b in g]
+    c = Fraction(int(rng.integers(64, 257)), 128)
+    return to_float(f, unit), to_float(g, unit * c), float(1 / c)
+
+
+def equiv_battery(seed=1, count=16):
+    """Seeded pairs of even degree 20-80, alternately related and independent."""
+    rng = np.random.default_rng(seed)
+    return [
+        gaussian_integer_pair(rng, 2 * int(rng.integers(10, 41)), i % 2 == 0)
+        for i in range(count)
+    ]
 
 
 def entropy_loop(probs):

@@ -9,7 +9,7 @@ from sldlab import enumerate_classes
 from sldlab.cli import main
 from sldlab.serialize import load_json, parse_signal
 
-from oracles import class_csv_text
+from oracles import class_csv_text, equiv_battery
 
 
 def write_json(tmp_path, name, obj):
@@ -70,6 +70,29 @@ def test_equiv_unrelated(sig_shift, tmp_path, capsys):
     assert out["verdict"]["related"] is False
     assert out["verdict"]["witness"] is not None
     assert out["agree"] is True
+
+
+def test_equiv_high_degree_related_pair_agrees(tmp_path):
+    # pair 12 of the battery (degree 56), which a sampled |f|/|g| check at
+    # 1e-8 rejects although |f| = kappa |g| holds by construction
+    f, g, kappa = equiv_battery()[12]
+    paths = [
+        write_json(tmp_path, name, {
+            "m": (len(b) - 1) // 2,
+            "coeffs": [[z.real, z.imag] for z in b.tolist()],
+        })
+        for name, b in (("f.json", f), ("g.json", g))
+    ]
+    blobs = []
+    for run in range(2):
+        out = tmp_path / ("report%d.json" % run)
+        assert main(["equiv", *paths, "--json", str(out)]) == 0
+        blobs.append(out.read_bytes())
+    assert blobs[0] == blobs[1]
+    report = json.loads(blobs[0])
+    assert report["agree"] is True
+    assert report["verdict"]["related"] is True and report["oracle"]["related"] is True
+    assert report["oracle"]["kappa"] == pytest.approx(kappa, rel=1e-9)
 
 
 def test_enumerate(sig_shift, capsys):

@@ -170,9 +170,12 @@ def test_joint_orbits_alignment():
 
 @pytest.mark.parametrize("bad", BAD_TOLERANCES)
 def test_find_roots_rejects_bad_cluster_radius(bad):
-    f = CoeffPoly(coeffs=poly_from_roots([2.0, 2.0, -1.0]), n=3)
-    with pytest.raises(errors.DomainError, match="tolerance"):
-        find_roots(f, cluster_radius=bad)
+    for f in (
+        CoeffPoly(coeffs=poly_from_roots([2.0, 2.0, -1.0]), n=3),
+        CoeffPoly(coeffs=[0, 3.0], n=1),  # no root off the origin: nothing to cluster
+    ):
+        with pytest.raises(errors.DomainError, match="tolerance"):
+            find_roots(f, cluster_radius=bad)
 
 
 def _balanced_pair_roots():
