@@ -1,33 +1,25 @@
-"""JSON input parsing, schema validation, and report rendering.
+"""JSON input parsing, validation, and report rendering.
 
-Complex numbers travel as [re, im] pairs. Inputs are validated against
-the shipped schema before any numerics run, so malformed files fail with
-a field path instead of a stack trace. Report rendering is deterministic:
-sorted keys, fixed indentation, one trailing newline.
+Complex numbers travel as [re, im] pairs. Inputs are checked before any
+numerics run, so malformed files fail with a field path instead of a stack
+trace. The check is a small hand-written validator whose spec is the
+shipped schema.json (the signal, autocorrelation and constellation
+formats): it accepts and rejects what that schema does and names the field
+that jsonschema's best_match names. It also rejects every number that is
+not finite as a float (NaN, Infinity, integers beyond the float range),
+which the schema lets through. Report rendering is deterministic: sorted
+keys, fixed indentation, one trailing newline.
 """
 
 import json
-from importlib import resources
+import math
+import numbers
 
-import jsonschema
 import numpy as np
 
 from .errors import ParseError, SchemaMismatch
 from .signals import AutocorrSeq, TrigPoly
 from .capacity import Constellation
-
-_SCHEMA = json.loads(
-    resources.files(__package__).joinpath("schema.json").read_text(encoding="utf-8")
-)
-_VALIDATORS = {}
-
-
-def _validator(kind):
-    if kind not in _VALIDATORS:
-        doc = dict(_SCHEMA["$defs"][kind])
-        doc["$defs"] = _SCHEMA["$defs"]
-        _VALIDATORS[kind] = jsonschema.Draft202012Validator(doc)
-    return _VALIDATORS[kind]
 
 
 def load_json(path):
@@ -41,18 +33,103 @@ def load_json(path):
             "%s is not valid JSON (line %d, column %d): %s"
             % (path, exc.lineno, exc.colno, exc.msg)
         ) from exc
+    except ValueError as exc:  # not UTF-8, or an integer beyond Python's digit limit
+        raise ParseError("%s is not valid JSON: %s" % (path, exc)) from exc
+
+
+def _number(x, path, errors, positive=False):
+    """A JSON number, finite as a float, and above 0 if positive."""
+    if isinstance(x, bool) or not isinstance(x, numbers.Number):
+        errors.append((path, "%r is not of type 'number'" % (x,)))
+        return
+    try:
+        finite = math.isfinite(x)
+    except (TypeError, OverflowError):
+        finite = False
+    if not finite:
+        spelled = json.dumps(x) if type(x) in (int, float) else repr(x)
+        errors.append((path, "%s is not a finite number" % spelled))
+    elif positive and x <= 0:
+        errors.append((path, "%r is less than or equal to the minimum of 0" % (x,)))
+
+
+def _object(obj, path, required, errors, optional=()):
+    """Whether obj is a JSON object; records its missing or unexpected keys."""
+    if not isinstance(obj, dict):
+        errors.append((path, "%r is not of type 'object'" % (obj,)))
+        return False
+    missing = [key for key in required if key not in obj]
+    extra = sorted((key for key in obj if key not in required and key not in optional), key=str)
+    if missing:
+        errors.append((path, "%r is a required property" % missing[0]))
+    elif extra:
+        errors.append((path, "Additional properties are not allowed (%s %s unexpected)"
+                       % (", ".join(map(repr, extra)), "was" if len(extra) == 1 else "were")))
+    return True
+
+
+def _list(items, path, errors):
+    """The items of a non-empty JSON array, or () after recording why not."""
+    if not isinstance(items, list):
+        errors.append((path, "%r is not of type 'array'" % (items,)))
+        return ()
+    if not items:
+        errors.append((path, "[] should be non-empty"))
+    return items
+
+
+def _pairs(items, path, errors):
+    """A non-empty JSON array of [re, im] number pairs."""
+    for i, pair in enumerate(_list(items, path, errors)):
+        if not isinstance(pair, list):
+            errors.append((path + (i,), "%r is not of type 'array'" % (pair,)))
+        elif len(pair) != 2:
+            errors.append((path + (i,), "%r is too %s" % (pair, "short" if len(pair) < 2 else "long")))
+        else:
+            _number(pair[0], path + (i, 0), errors)
+            _number(pair[1], path + (i, 1), errors)
+
+
+def _errors(obj, kind):
+    """(path, message) of what breaks format `kind` of schema.json, one per field."""
+    errors = []
+    items = "points" if kind == "constellation" else "coeffs"
+    if not _object(obj, (), ("m", items), errors, optional=("period",)):
+        return errors
+    if "m" in obj:
+        m = obj["m"]
+        if isinstance(m, bool) or not (isinstance(m, int) or isinstance(m, float) and m.is_integer()):
+            errors.append((("m",), "%r is not of type 'integer'" % (m,)))
+        elif m < 0:
+            errors.append((("m",), "%r is less than the minimum of 0" % (m,)))
+    if "period" in obj:
+        _number(obj["period"], ("period",), errors, positive=True)
+    if items == "coeffs":
+        if "coeffs" in obj:
+            _pairs(obj["coeffs"], ("coeffs",), errors)
+    elif "points" in obj:
+        for i, point in enumerate(_list(obj["points"], ("points",), errors)):
+            at = ("points", i)
+            if _object(point, at, ("coeffs", "probability"), errors):
+                if "coeffs" in point:
+                    _pairs(point["coeffs"], at + ("coeffs",), errors)
+                if "probability" in point:
+                    _number(point["probability"], at + ("probability",), errors, positive=True)
+    return errors
 
 
 def validate(obj, kind):
-    errors = sorted(_validator(kind).iter_errors(obj), key=lambda e: list(e.absolute_path))
+    """Raise SchemaMismatch unless obj is a valid `kind` document."""
+    errors = _errors(obj, kind)
     if errors:
-        err = jsonschema.exceptions.best_match(errors)
-        path = ".".join(str(part) for part in err.absolute_path) or "(root)"
-        raise SchemaMismatch("%s: field %s: %s" % (kind, path, err.message))
+        # the field jsonschema's best_match names: the shallowest, then the last in path order
+        path, message = max(errors, key=lambda err: (-len(err[0]), err[0]))
+        path = ".".join(str(part) for part in path) or "(root)"
+        raise SchemaMismatch("%s: field %s: %s" % (kind, path, message))
 
 
 def _complex_vector(pairs):
-    return np.array([complex(re, im) for re, im in pairs], dtype=complex)
+    return np.array(pairs, dtype=np.float64).view(np.complex128).reshape(-1)
 
 
 def parse_signal(obj):
@@ -94,6 +171,11 @@ def parse_constellation(obj):
         signals.append(TrigPoly(m=m, coeffs=_complex_vector(coeffs), period=period))
         probs.append(point["probability"])
     total = sum(probs)
+    if total == math.inf:
+        # the plain sum overflowed: rescale by the largest probability first
+        top = max(probs)
+        probs = [p / top for p in probs]
+        total = sum(probs)
     return Constellation(signals=tuple(signals), probs=[p / total for p in probs])
 
 

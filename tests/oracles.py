@@ -399,3 +399,8 @@ def union_find_groups(points, tol):
     for i in range(n):
         groups.setdefault(find(i), []).append(i)
     return list(groups.values())
+
+
+def complex_vector_loop(pairs):
+    """Coefficient vector of [re, im] pairs, one complex() per pair."""
+    return np.array([complex(re, im) for re, im in pairs], dtype=complex)
