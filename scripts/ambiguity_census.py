@@ -53,7 +53,7 @@ def main(argv=None):
         p = draw_signal(rng, args.m, args.near_circle)
         cs = enumerate_classes(p)
         counts[cs.exact_count] += 1
-        worst = max(worst, certify_bound(cs).max_residual / cs.autocorr.c0)
+        worst = max(worst, certify_bound(cs).max_residual)
 
     bound = 2 ** (2 * args.m + 1)
     generic = 2 ** (2 * args.m)

@@ -10,6 +10,7 @@ the counting bound 2^(2m+1).
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -60,48 +61,64 @@ class FlipSpec:
 class ClassSet:
     """Canonical representatives of the ambiguity classes of one measurement.
 
-    residuals holds, per representative, the largest deviation of its
-    autocorrelation from the source sequence relative to c_0 (all 0.0
-    when c_0 is 0), computed once on construction.
+    coeffs, the only stored form, is a read-only (K, 2m+1) array with one
+    class per row; autocorr is the measurement they share. residuals holds
+    each row's largest autocorrelation deviation from autocorr over c_0
+    (0.0 when c_0 is 0), computed on construction; representatives is the
+    rows as a tuple of TrigPoly, built on first access.
     """
 
-    representatives: tuple
-    source_m: int
-    bound: int
-    exact_count: int
+    coeffs: np.ndarray
     autocorr: AutocorrSeq
-    residual_gate: float = 1e-6
     residuals: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.exact_count != len(self.representatives):
-            raise DomainError("exact_count disagrees with the representative list")
-        # guard against construction bugs; the builder may widen the gate
-        # when root clusters were coarse, and tests pin the tight 1e-8
-        # bound for well-separated roots
+        rows = np.array(self.coeffs, dtype=complex)
+        if rows.ndim != 2 or rows.shape[1] != 2 * self.autocorr.m + 1:
+            raise DomainError("expected a (K, 2m+1) array of rows, m = %d" % self.autocorr.m)
+        rows.setflags(write=False)
         c0 = self.autocorr.c0
-        residuals = np.zeros(len(self.representatives))
+        residuals = np.zeros(len(rows))
         if c0 > 0:
-            dev = _deviations([rep.coeffs for rep in self.representatives],
-                              self.autocorr.coeffs)
-            miss = np.flatnonzero(dev > self.residual_gate * c0)
-            if len(miss):
-                raise DomainError(
-                    "representative misses the source measurement by %.3g" % dev[miss[0]]
-                )
-            residuals = dev / c0
+            residuals = _deviations(rows, self.autocorr.coeffs) / c0
+        object.__setattr__(self, "coeffs", rows)
         object.__setattr__(self, "residuals", tuple(residuals.tolist()))
+
+    @property
+    def source_m(self):
+        return self.autocorr.m
+
+    @property
+    def bound(self):
+        return 2 ** (2 * self.source_m + 1)
+
+    @property
+    def exact_count(self):
+        return len(self.coeffs)
+
+    @cached_property
+    def representatives(self):
+        period = self.autocorr.period
+        return tuple(TrigPoly(m=self.source_m, coeffs=row, period=period) for row in self.coeffs)
+
+
+def _gated(cs, gate, error, message):
+    """cs, unless a row's residual exceeds gate: then error(message % its deviation)."""
+    residuals = np.array(cs.residuals)
+    miss = np.flatnonzero(residuals > gate)
+    if len(miss):
+        raise error(message % (residuals[miss[0]] * cs.autocorr.c0))
+    return cs
 
 
 def _deviations(rows, target):
-    """max_k |autocorrelation(row)_k - target_k| for each coefficient row.
+    """max_k |autocorrelation(row)_k - target_k| for each row of a 2-D array.
 
-    rows is a 2-D array or a sequence of 1-D rows; the batched
-    autocorrelation takes _BLOCK_ROWS of them at a time.
+    The batched autocorrelation takes _BLOCK_ROWS rows at a time.
     """
     out = np.empty(len(rows))
     for lo in range(0, len(rows), _BLOCK_ROWS):
-        block = np.asarray(rows[lo : lo + _BLOCK_ROWS], dtype=complex)
+        block = rows[lo : lo + _BLOCK_ROWS]
         out[lo : lo + len(block)] = np.abs(autocorrelation_rows(block) - target).max(axis=1)
     return out
 
@@ -347,25 +364,18 @@ def enumerate_classes(
         np.array([1.0 + 0.0j]),
         ((root.location / abs(root.location), root.multiplicity) for root in on_circle),
     )
-    reps = tuple(
-        TrigPoly(m=p.m, coeffs=row, period=p.period)
-        for row in _assemble_classes(
-            r.leading_coeff,
-            _orbit_table(orbits, measured=False),
-            circle_coeffs,
-            shift_hi,
-            p.m,
-            cap,
-            round_digits,
-        )
+    rows = _assemble_classes(
+        r.leading_coeff,
+        _orbit_table(orbits, measured=False),
+        circle_coeffs,
+        shift_hi,
+        p.m,
+        cap,
+        round_digits,
     )
-    return ClassSet(
-        representatives=reps,
-        source_m=p.m,
-        bound=2 ** (2 * p.m + 1),
-        exact_count=len(reps),
-        autocorr=autocorrelation(p),
-    )
+    # a guard against construction bugs
+    return _gated(ClassSet(coeffs=rows, autocorr=autocorrelation(p)), 1e-6, DomainError,
+                  "representative misses the source measurement by %.3g")
 
 
 def factor_sld(
@@ -451,23 +461,8 @@ def _factor_at(s, cap, round_digits, root_tol, circle_band, cluster_radius, tol,
     rough = max((root.diameter for root in rq.roots), default=0.0)
     gate = max(tol, 1e-7, min(1e-3, 2.0 * rough))
     rows *= np.sqrt(s.c0 / np.sum(np.abs(rows) ** 2, axis=1))[:, None]
-    dev = _deviations(rows, s.coeffs)
-    miss = np.flatnonzero(dev > gate * s.c0)
-    if len(miss):
-        raise NotAnAutocorrelation(
-            "candidate misses the sequence by %.3g, not a square-law measurement"
-            % dev[miss[0]]
-        )
-    reps = tuple(TrigPoly(m=s.m, coeffs=row, period=s.period) for row in rows)
-    del rows  # each representative holds a copy; free the block before the residual pass
-    return ClassSet(
-        representatives=reps,
-        source_m=s.m,
-        bound=2 ** (2 * s.m + 1),
-        exact_count=len(reps),
-        autocorr=s,
-        residual_gate=gate,
-    )
+    return _gated(ClassSet(coeffs=rows, autocorr=s), gate, NotAnAutocorrelation,
+                  "candidate misses the sequence by %.3g, not a square-law measurement")
 
 
 @dataclass(frozen=True)

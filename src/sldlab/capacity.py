@@ -11,6 +11,7 @@ the channel.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -116,43 +117,57 @@ def auxiliary_rotate(y, grid=None, strict=False):
 
 @dataclass(frozen=True, eq=False)
 class Constellation:
-    """A finite input ensemble: signals with probabilities."""
+    """A finite input ensemble: coefficient rows with probabilities.
 
-    signals: tuple
+    coeffs, the only stored form of the points, is a read-only (K, 2m+1)
+    array with one point per row, all of one period. signals is the rows
+    as a tuple of TrigPoly, built on first access.
+    """
+
+    coeffs: np.ndarray
     probs: np.ndarray
+    period: float = 1.0
 
     def __post_init__(self):
-        signals = tuple(self.signals)
-        if not signals:
-            raise DomainError("constellation needs at least one point")
-        m = signals[0].m
-        period = signals[0].period
-        for s in signals:
-            if s.m != m or s.period != period:
-                raise DomainError("all constellation points must share m and period")
+        coeffs = np.array(self.coeffs, dtype=complex)
+        if coeffs.ndim != 2 or not len(coeffs) or coeffs.shape[1] % 2 == 0:
+            raise DomainError("constellation needs a (K, 2m+1) array of rows, K >= 1")
+        period = float(self.period)
+        if not period > 0:
+            raise DomainError("period must be positive")
         probs = np.array(self.probs, dtype=float)
-        if probs.shape != (len(signals),):
+        if probs.shape != (len(coeffs),):
             raise DomainError("need one probability per signal")
         if np.any(probs <= 0):
             raise DomainError("probabilities must be positive")
         if abs(probs.sum() - 1.0) > 1e-12:
             raise DomainError("probabilities must sum to one")
+        coeffs.setflags(write=False)
         probs.setflags(write=False)
-        object.__setattr__(self, "signals", signals)
+        object.__setattr__(self, "coeffs", coeffs)
         object.__setattr__(self, "probs", probs)
+        object.__setattr__(self, "period", period)
 
     @property
     def m(self):
-        return self.signals[0].m
+        return self.coeffs.shape[1] // 2
 
-    @property
-    def period(self):
-        return self.signals[0].period
+    @cached_property
+    def signals(self):
+        return tuple(TrigPoly(m=self.m, coeffs=row, period=self.period) for row in self.coeffs)
 
     @classmethod
     def uniform(cls, signals):
+        """Equally likely signals, which must share m and period."""
         signals = tuple(signals)
-        return cls(signals=signals, probs=np.full(len(signals), 1.0 / len(signals)))
+        if len({(s.m, s.period) for s in signals}) != 1:
+            raise DomainError("constellation needs points, all of one m and period")
+        return _uniform(np.stack([s.coeffs for s in signals]), signals[0].period)
+
+
+def _uniform(coeffs, period):
+    return Constellation(coeffs=coeffs, probs=np.full(len(coeffs), 1.0 / len(coeffs)),
+                         period=period)
 
 
 def entropy_bits(probs):
@@ -160,10 +175,6 @@ def entropy_bits(probs):
     p = np.asarray(probs, dtype=float)
     p = p[p > 0]
     return float(-(p * np.log2(p)).sum()) + 0.0
-
-
-def _coeff_matrix(signals):
-    return np.stack([s.coeffs for s in signals])
 
 
 def _row_keys(rows, digits):
@@ -188,7 +199,7 @@ def sld_keys(signals, digits=7):
     signals = tuple(signals)
     if not signals:
         return []
-    return _row_keys(autocorrelation_rows(_coeff_matrix(signals)), digits)
+    return _row_keys(autocorrelation_rows(np.stack([s.coeffs for s in signals])), digits)
 
 
 def _groups(keys):
@@ -277,9 +288,9 @@ def mi_noiseless(c, digits=7):
     Square-law detection resolves only the measurement bins, so I_xs is
     the entropy of the induced partition.
     """
-    _check_distinct(_coeff_matrix(c.signals))
+    _check_distinct(c.coeffs)
     i_xy = entropy_bits(c.probs)
-    i_xs = _partition_entropy(sld_keys(c.signals, digits), c.probs)
+    i_xs = _partition_entropy(_row_keys(autocorrelation_rows(c.coeffs), digits), c.probs)
     return i_xy, i_xs
 
 
@@ -346,7 +357,7 @@ def mi_dmc(c, noise, digits=7):
     square-law side. Binning is deterministic post-processing, so
     I_xs <= I_xy holds by construction.
     """
-    mat = _coeff_matrix(c.signals)
+    mat = c.coeffs
     _check_distinct(mat)
     K, width = mat.shape
 
@@ -434,10 +445,10 @@ def gap_experiment(c, digits=7):
     m = c.m
     if m < 1:
         raise UnsupportedOrder("the gap bound needs m >= 1")
-    mat = _coeff_matrix(c.signals)
+    mat = c.coeffs
     _check_distinct(mat)
     # the measurement keys serve both I_xs and the chain identity below
-    s_keys = sld_keys(c.signals, digits)
+    s_keys = _row_keys(autocorrelation_rows(mat), digits)
     i_xy = entropy_bits(c.probs)
     i_xs = _partition_entropy(s_keys, c.probs)
 
@@ -529,7 +540,7 @@ def single_class_constellation(m, q, period=1.0):
         raise DomainError("need 1 <= q <= 2m")
     source = _signal_from_roots(m, _deterministic_roots(m, q), period)
     cs = enumerate_classes(source, cluster_radius=1e-4)
-    return Constellation.uniform(cs.representatives)
+    return _uniform(cs.coeffs, period)
 
 
 def bundled_constellation(m, period=1.0):
@@ -544,9 +555,6 @@ def bundled_constellation(m, period=1.0):
         raise UnsupportedOrder("bundled constellations start at m = 1")
     source = _signal_from_roots(m, _deterministic_roots(m, 2 * m), period)
     cs = enumerate_classes(source, cluster_radius=1e-4)
-    tones = []
-    for level, amp in enumerate((2.0, 3.0)):
-        coeffs = np.zeros(2 * m + 1, dtype=complex)
-        coeffs[m] = amp
-        tones.append(TrigPoly(m=m, coeffs=coeffs, period=period))
-    return Constellation.uniform(tuple(cs.representatives) + tuple(tones))
+    tones = np.zeros((2, 2 * m + 1), dtype=complex)
+    tones[:, m] = (2.0, 3.0)
+    return _uniform(np.concatenate([cs.coeffs, tones]), period)

@@ -128,17 +128,14 @@ def _class_csv(cs):
     complex values, so every cell matches sample_grid to the last digit.
     """
     yield "class,sample,t,re,im,intensity\n"
-    reps = cs.representatives
-    if not reps:
-        return
-    period = reps[0].period
+    period = cs.autocorr.period
     t = np.arange(_SAMPLES) * (period / _SAMPLES)
     k = np.arange(-cs.source_m, cs.source_m + 1)
     phases = np.exp(2j * np.pi * np.multiply.outer(t, k) / period)
     lead = ["%d,%r" % (j, tj) for j, tj in enumerate(t.tolist())]
-    for lo in range(0, len(reps), _CSV_CLASSES):
-        block = reps[lo : lo + _CSV_CLASSES]
-        values = np.stack([phases @ rep.coeffs for rep in block]).ravel()
+    for lo in range(0, cs.exact_count, _CSV_CLASSES):
+        block = cs.coeffs[lo : lo + _CSV_CLASSES]
+        values = np.stack([phases @ row for row in block]).ravel()
         heads = ["%d,%s" % (idx, head) for idx in range(lo, lo + len(block)) for head in lead]
         intensity = [abs(z) ** 2 for z in values.tolist()]
         rows = zip(heads, map(repr, values.real.tolist()), map(repr, values.imag.tolist()),
@@ -317,8 +314,12 @@ def run(cfg):
                 "%s expects %d input file(s), got %d"
                 % (cfg.command, arity, len(cfg.inputs))
             )
+        if cfg.command == "gap" and cfg.sweep and cfg.inputs:
+            raise DomainError("gap takes a constellation file or --sweep, not both")
         if cfg.command == "gap" and not cfg.sweep and len(cfg.inputs) != 1:
             raise DomainError("gap needs a constellation file or --sweep")
+        if cfg.command == "gap" and not cfg.sweep and cfg.csv:
+            raise DomainError("gap writes --csv only with --sweep")
         return handler(cfg)
     except (NotAnAutocorrelation, NegativeIntensity) as exc:
         log.error("%s", exc)
@@ -337,40 +338,43 @@ def _build_parser():
         "information-loss experiments for square-law detection.",
     )
     parser.add_argument("--version", action="version", version=__version__)
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--json", dest="output", metavar="PATH",
-                        help="write the JSON report here instead of stdout")
-    common.add_argument("--csv", metavar="PATH",
-                        help="write CSV artifacts here (sweep table or class samples)")
-    common.add_argument("--tol-circle", type=float, default=1e-9,
-                        help="on-circle classification band (default 1e-9)")
-    common.add_argument("--tol-root", type=float, default=1e-8,
-                        help="root reconstruction tolerance (default 1e-8)")
-    common.add_argument("--round", dest="round_digits", type=int, default=7,
+    # flag groups: each subcommand takes only the flags it reads
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--json", dest="output", metavar="PATH",
+                     help="write the JSON report here instead of stdout")
+    csv = argparse.ArgumentParser(add_help=False)
+    csv.add_argument("--csv", metavar="PATH",
+                     help="write CSV artifacts here (sweep table or class samples)")
+    digits = argparse.ArgumentParser(add_help=False)
+    digits.add_argument("--round", dest="round_digits", type=int, default=7,
                         help="decimal digits for deduplication keys (default 7)")
-    common.add_argument("--seed", type=int, default=12345,
-                        help="seed for the root-finder start points")
+    roots = argparse.ArgumentParser(add_help=False)
+    roots.add_argument("--tol-circle", type=float, default=1e-9,
+                       help="on-circle classification band (default 1e-9)")
+    roots.add_argument("--tol-root", type=float, default=1e-8,
+                       help="root reconstruction tolerance (default 1e-8)")
+    roots.add_argument("--seed", type=int, default=12345,
+                       help="seed for the root-finder start points")
 
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, nargs, desc in (
-        ("analyze", 1, "roots, orbits and measurement of a signal"),
-        ("equiv", 2, "magnitude equivalence of two signals"),
-        ("enumerate", 1, "ambiguity classes of a signal"),
-        ("factor", 1, "signal classes of a measured sequence"),
-        ("transform", 1, "invertible readout-map round trip"),
+    for name, nargs, parents, desc in (
+        ("analyze", 1, [out, roots], "roots, orbits and measurement of a signal"),
+        ("equiv", 2, [out, roots], "magnitude equivalence of two signals"),
+        ("enumerate", 1, [out, csv, roots, digits], "ambiguity classes of a signal"),
+        ("factor", 1, [out, csv, roots, digits], "signal classes of a measured sequence"),
+        ("transform", 1, [out, roots, digits], "invertible readout-map round trip"),
+        ("gap", "*", [out, csv, digits], "information-loss report for a constellation"),
     ):
-        p = sub.add_parser(name, parents=[common], help=desc)
+        p = sub.add_parser(name, parents=parents, help=desc)
         p.add_argument("inputs", nargs=nargs, metavar="FILE")
         if name == "transform":
             p.add_argument("--map", dest="map_name", default="identity",
                            choices=("identity", "sqrt", "affine"))
             p.add_argument("--scale", type=float, default=1.0)
             p.add_argument("--offset", type=float, default=0.0)
-    g = sub.add_parser("gap", parents=[common],
-                       help="information-loss report for a constellation")
-    g.add_argument("inputs", nargs="*", metavar="FILE")
-    g.add_argument("--sweep", metavar="m=LO..HI",
-                   help="run the bundled constellations instead of a file")
+        if name == "gap":
+            p.add_argument("--sweep", metavar="m=LO..HI",
+                           help="run the bundled constellations instead of a file")
     return parser
 
 

@@ -160,7 +160,7 @@ def parse_constellation(obj):
     validate(obj, "constellation")
     m = obj["m"]
     period = obj.get("period", 1.0)
-    signals, probs = [], []
+    rows, probs = [], []
     for idx, point in enumerate(obj["points"]):
         coeffs = point["coeffs"]
         if len(coeffs) != 2 * m + 1:
@@ -168,7 +168,7 @@ def parse_constellation(obj):
                 "constellation: field points.%d.coeffs: expected %d entries, got %d"
                 % (idx, 2 * m + 1, len(coeffs))
             )
-        signals.append(TrigPoly(m=m, coeffs=_complex_vector(coeffs), period=period))
+        rows.append(_complex_vector(coeffs))
         probs.append(point["probability"])
     total = sum(probs)
     if total == math.inf:
@@ -176,7 +176,7 @@ def parse_constellation(obj):
         top = max(probs)
         probs = [p / top for p in probs]
         total = sum(probs)
-    return Constellation(signals=tuple(signals), probs=[p / total for p in probs])
+    return Constellation(coeffs=np.stack(rows), probs=[p / total for p in probs], period=period)
 
 
 def complex_pair(z):
@@ -223,20 +223,18 @@ def verdict_dict(v):
     }
 
 
-def classset_dict(cs, report=None):
-    out = {
+def classset_dict(cs, report):
+    return {
         "m": cs.source_m,
         "period": cs.autocorr.period,
         "bound": cs.bound,
         "exact_count": cs.exact_count,
         "autocorrelation": complex_pairs(cs.autocorr.coeffs),
-        "representatives": [complex_pairs(rep.coeffs) for rep in cs.representatives],
+        "representatives": [complex_pairs(row) for row in cs.coeffs],
+        "within_bound": report.passed,
+        "max_residual": report.max_residual,
+        "residuals": list(report.residuals),
     }
-    if report is not None:
-        out["within_bound"] = report.passed
-        out["max_residual"] = report.max_residual
-        out["residuals"] = list(report.residuals)
-    return out
 
 
 def gap_dict(report):

@@ -10,9 +10,11 @@ import sldlab
 from sldlab import ambiguity
 from sldlab import (
     AutocorrSeq,
+    ClassSet,
     FlipSpec,
     TrigPoly,
     autocorrelation,
+    bundled_constellation,
     canonicalize,
     certify_bound,
     enumerate_classes,
@@ -379,6 +381,59 @@ def test_class_path_computes_autocorrelation_at_most_twice(monkeypatch):
     assert certify_bound(cs).passed and certify_bound(fs).passed
     assert cs.exact_count == fs.exact_count == 256
     assert len(calls) <= 2
+
+
+def test_factor_makes_one_residual_pass(monkeypatch):
+    original = ambiguity._deviations
+    passes = []
+
+    def counted(rows, target):
+        passes.append(len(rows))
+        return original(rows, target)
+
+    monkeypatch.setattr(ambiguity, "_deviations", counted)
+    p = next(s for s in _assembly_signals() if s.m == 4)
+    cs = enumerate_classes(p)
+    assert passes == [256]
+    passes.clear()
+    fs = factor_sld(cs.autocorr)
+    assert fs.exact_count == 256
+    assert passes == [256]
+
+
+def _ensembles():
+    p = next(s for s in _assembly_signals() if s.m == 4)
+    p = TrigPoly(m=p.m, coeffs=p.coeffs, period=0.75)
+    cs = enumerate_classes(p)
+    yield "enumerate", cs, "representatives", 0.75
+    yield "factor", factor_sld(cs.autocorr), "representatives", 0.75
+    for m in range(1, 5):
+        yield "bundled m=%d" % m, bundled_constellation(m, period=2.5), "signals", 2.5
+
+
+def test_ensemble_views_are_the_array_rows():
+    for name, ensemble, attr, period in _ensembles():
+        rows = ensemble.coeffs
+        assert rows.ndim == 2 and rows.shape[1] % 2 == 1, name
+        assert not rows.flags.writeable, name
+        with pytest.raises(ValueError):
+            rows[0, 0] = 1.0
+        views = getattr(ensemble, attr)
+        assert getattr(ensemble, attr) is views, name
+        assert isinstance(views, tuple) and len(views) == len(rows), name
+        for row, view in zip(rows, views):
+            assert view.coeffs.tobytes() == row.tobytes(), name
+            assert view.m == rows.shape[1] // 2 and view.period == period, name
+        owner = ensemble if attr == "signals" else ensemble.autocorr
+        assert owner.period == period, name
+
+
+def test_class_set_rejects_rows_of_another_shape():
+    s = autocorrelation(TrigPoly(m=1, coeffs=[6.0, -5.0, 1.0]))
+    for rows in ([6.0, -5.0, 1.0], np.zeros((2, 5)), np.zeros((2, 4)), np.zeros((1, 1, 3))):
+        with pytest.raises(errors.DomainError, match="2m\\+1"):
+            ClassSet(coeffs=rows, autocorr=s)
+    assert ClassSet(coeffs=[[6.0, -5.0, 1.0]], autocorr=s).residuals == (0.0,)
 
 
 @pytest.mark.parametrize("bad", (float("nan"), float("inf"), -1e-6))

@@ -140,14 +140,14 @@ def test_entropy_bits():
 def test_constellation_validation():
     sig = TrigPoly(m=1, coeffs=[0, 1, 1])
     with pytest.raises(errors.DomainError):
-        Constellation(signals=(), probs=np.array([]))
+        Constellation(coeffs=np.zeros((0, 3)), probs=np.array([]))
     with pytest.raises(errors.DomainError):
-        Constellation(signals=(sig,), probs=np.array([0.5]))
+        Constellation(coeffs=sig.coeffs[None, :], probs=np.array([0.5]))
     with pytest.raises(errors.DomainError):
-        Constellation(
-            signals=(sig, TrigPoly(m=2, coeffs=[0, 0, 1, 1, 0])),
-            probs=np.array([0.5, 0.5]),
-        )
+        Constellation.uniform((sig, TrigPoly(m=2, coeffs=[0, 0, 1, 1, 0])))
+    for rows in (sig.coeffs, np.zeros((2, 2)), np.zeros((1, 1, 3))):
+        with pytest.raises(errors.DomainError, match="2m\\+1"):
+            Constellation(coeffs=rows, probs=np.full(len(rows), 1.0 / len(rows)))
     c = Constellation.uniform([sig, TrigPoly(m=1, coeffs=[1, 1, 0])])
     assert c.probs.sum() == pytest.approx(1.0)
 

@@ -5,9 +5,9 @@ import json
 import numpy as np
 import pytest
 
-from sldlab import enumerate_classes
+from sldlab import TrigPoly, autocorrelation, enumerate_classes
 from sldlab.cli import main
-from sldlab.serialize import load_json, parse_signal
+from sldlab.serialize import autocorr_dict, load_json, parse_signal, signal_dict
 
 from oracles import class_csv_text, equiv_battery
 
@@ -231,6 +231,84 @@ def test_enumerate_csv_matches_row_by_row_writer(tmp_path):
         cs = enumerate_classes(parse_signal(load_json(sig)))
         want = class_csv_text([rep.coeffs for rep in cs.representatives], m, period)
         assert out.read_bytes() == want.encode("utf-8")
+
+
+def test_class_and_gap_commands_build_no_object_per_class(tmp_path, monkeypatch, capsys):
+    built = []
+    original = TrigPoly.__post_init__
+
+    def counted(self):
+        built.append(self)
+        original(self)
+
+    monkeypatch.setattr(TrigPoly, "__post_init__", counted)
+    counts = {}
+    rng = np.random.default_rng(4242)
+    for m in range(1, 5):
+        p = TrigPoly(m=m, coeffs=rng.standard_normal(2 * m + 1) + 1j * rng.standard_normal(2 * m + 1))
+        sig = write_json(tmp_path, "sig%d.json" % m, signal_dict(p))
+        meas = write_json(tmp_path, "meas%d.json" % m, autocorr_dict(autocorrelation(p)))
+        for name, argv in (
+            ("enumerate", ["enumerate", sig, "--csv", str(tmp_path / "c.csv")]),
+            ("factor", ["factor", meas]),
+            ("gap", ["gap", "--sweep", "m=%d..%d" % (m, m)]),
+        ):
+            built.clear()
+            assert main(argv) == 0
+            counts.setdefault(name, []).append(len(built))
+    capsys.readouterr()
+    # classes per order: 4, 16, 64, 256 (gap: two more points each)
+    assert counts == {"enumerate": [1] * 4, "factor": [0] * 4, "gap": [2] * 4}
+    built.clear()
+    assert main(["gap", "--sweep", "m=1..4"]) == 0
+    assert len(built) == 8
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    (
+        (["analyze", "{sig}", "--csv", "{tmp}/a.csv"], "--csv"),
+        (["analyze", "{sig}", "--round", "3"], "--round"),
+        (["equiv", "{sig}", "{sig}", "--round", "3"], "--round"),
+        (["equiv", "{sig}", "{sig}", "--csv", "{tmp}/a.csv"], "--csv"),
+        (["transform", "{ac}", "--csv", "{tmp}/a.csv"], "--csv"),
+        (["gap", "--sweep", "m=1..1", "--seed", "7"], "--seed"),
+        (["gap", "--sweep", "m=1..1", "--tol-root", "1e-9"], "--tol-root"),
+        (["gap", "--sweep", "m=1..1", "--tol-circle", "1e-9"], "--tol-circle"),
+    ),
+    ids=("analyze-csv", "analyze-round", "equiv-round", "equiv-csv", "transform-csv",
+         "gap-seed", "gap-tol-root", "gap-tol-circle"),
+)
+def test_subcommand_rejects_flags_it_does_not_read(argv, flag, sig_shift, ac_shift,
+                                                   tmp_path, capsys):
+    argv = [a.format(sig=sig_shift, ac=ac_shift, tmp=tmp_path) for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert flag in capsys.readouterr().err
+    assert not (tmp_path / "a.csv").exists()
+
+
+def test_gap_rejects_sweep_with_a_file(sig_shift, capsys):
+    assert main(["gap", "--sweep", "m=1..1", sig_shift]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "not both" in captured.err
+
+
+def test_gap_rejects_csv_without_sweep(tmp_path, capsys):
+    cfile = write_json(tmp_path, "cons.json", {
+        "m": 1,
+        "points": [
+            {"coeffs": [[0, 0], [2, 0], [0, 0]], "probability": 0.5},
+            {"coeffs": [[0, 0], [3, 0], [0, 0]], "probability": 0.5},
+        ],
+    })
+    assert main(["gap", cfile, "--csv", str(tmp_path / "g.csv")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--csv only with --sweep" in captured.err
+    assert not (tmp_path / "g.csv").exists()
 
 
 def test_wrong_arity(sig_shift, capsys):
