@@ -31,8 +31,9 @@ from .signals import (
     autocorr_lift,
     autocorrelation,
     autocorrelation_rows,
+    bin_keys,
+    first_ids,
     lift,
-    round_rows,
     screen_intensity,
 )
 
@@ -241,10 +242,8 @@ def flip(f, spec, root_tol=1e-8, circle_band=1e-9, cluster_radius=1e-6):
 
 
 def _class_keys(rows, digits):
-    """Bin key of each canonical row, its unit-energy parts rounded, as np.void."""
-    energy = np.sum(np.abs(rows) ** 2, axis=1)
-    keys = round_rows(rows, digits, np.sqrt(energy)[:, None])
-    return keys.view(np.dtype((np.void, keys.shape[1] * keys.itemsize))).ravel()
+    """Bin key of each canonical row: its unit-energy parts rounded."""
+    return bin_keys(rows, digits, np.sqrt(np.sum(np.abs(rows) ** 2, axis=1))[:, None])
 
 
 def _expand(rows, scales, parts, part_scales):
@@ -270,8 +269,7 @@ def _first_per_key(polys, scales, shift_hi, width, round_digits):
     for shift in range(shift_hi + 1):
         shifted[:, shift, shift : shift + polys.shape[1]] = polys
     canon = _canonical_rows(shifted.reshape(-1, width))
-    _, first = np.unique(_class_keys(canon, round_digits), return_index=True)
-    return canon[np.sort(first)]
+    return canon[first_ids(_class_keys(canon, round_digits))[1]]
 
 
 def _assemble_classes(leading, orbit_table, circle_coeffs, shift_hi, m, cap, round_digits):

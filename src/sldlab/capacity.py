@@ -27,7 +27,7 @@ from .errors import (
     ZeroDC,
 )
 from .roots import conj_reciprocal
-from .signals import TrigPoly, autocorrelation_rows, round_rows
+from .signals import TrigPoly, autocorrelation_rows, bin_keys, first_ids
 
 
 @dataclass(frozen=True, eq=False)
@@ -177,45 +177,19 @@ def entropy_bits(probs):
     return float(-(p * np.log2(p)).sum()) + 0.0
 
 
-def _row_keys(rows, digits):
-    """Bin key per row of a 2-D complex array, rounded on one shared scale.
+def _bins(rows, digits):
+    """Bin id per row of a 2-D complex array, numbered by first appearance.
 
-    The scale is the largest modulus in the whole array, so the binning is
-    invariant under rescaling the batch but still separates genuinely
-    different levels.
+    Rows are rounded on one shared scale, the largest modulus in the
+    batch, so the binning is invariant under rescaling the batch but
+    still separates genuinely different levels.
     """
     scale = float(np.abs(rows).max(initial=0.0)) or 1.0
-    return [row.tobytes() for row in round_rows(rows, digits, scale)]
+    return first_ids(bin_keys(rows, digits, scale))[0]
 
 
-def sld_keys(signals, digits=7):
-    """Measurement bin key per signal: autocorrelation rounded on a common scale.
-
-    The scale is the largest measurement coefficient in the batch, so the
-    binning is invariant under rescaling the whole ensemble but still
-    separates genuinely different intensity levels. The signals must share
-    one order.
-    """
-    signals = tuple(signals)
-    if not signals:
-        return []
-    return _row_keys(autocorrelation_rows(np.stack([s.coeffs for s in signals])), digits)
-
-
-def _groups(keys):
-    """Group index per key, numbered by first appearance, and the group count."""
-    flat = np.frombuffer(b"".join(keys), dtype=np.dtype((np.void, len(keys[0]))))
-    _, first, inverse = np.unique(flat, return_index=True, return_inverse=True)
-    rank = np.empty(len(first), dtype=np.intp)
-    rank[np.argsort(first)] = np.arange(len(first))
-    return rank[inverse], len(first)
-
-
-def _partition_entropy(keys, probs):
-    ids, count = _groups(keys)
-    mass = np.zeros(count)
-    np.add.at(mass, ids, probs)
-    return entropy_bits(mass)
+def _partition_entropy(ids, probs):
+    return entropy_bits(np.bincount(ids, weights=probs))
 
 
 def _check_distinct(mat):
@@ -290,7 +264,7 @@ def mi_noiseless(c, digits=7):
     """
     _check_distinct(c.coeffs)
     i_xy = entropy_bits(c.probs)
-    i_xs = _partition_entropy(_row_keys(autocorrelation_rows(c.coeffs), digits), c.probs)
+    i_xs = _partition_entropy(_bins(autocorrelation_rows(c.coeffs), digits), c.probs)
     return i_xy, i_xs
 
 
@@ -386,15 +360,13 @@ def mi_dmc(c, noise, digits=7):
         raise InvalidNoiseSpec("unknown noise kind %r" % noise.kind)
 
     # coherent side: merge outputs that are the same waveform
-    i_xy = _mi_from_joint(_merge_columns(joint, _row_keys(out, 9)))
-    sld = _row_keys(autocorrelation_rows(out), digits)
-    i_xs = _mi_from_joint(_merge_columns(joint, sld))
+    i_xy = _mi_from_joint(_merge_columns(joint, _bins(out, 9)))
+    i_xs = _mi_from_joint(_merge_columns(joint, _bins(autocorrelation_rows(out), digits)))
     return i_xy, i_xs
 
 
-def _merge_columns(joint, keys):
-    ids, count = _groups(keys)
-    merged = np.zeros((joint.shape[0], count))
+def _merge_columns(joint, ids):
+    merged = np.zeros((joint.shape[0], ids.max() + 1))
     np.add.at(merged, (slice(None), ids), joint)
     return merged
 
@@ -423,8 +395,8 @@ class GapReport:
     zero_dc: int
 
 
-def _z_keys(mat, m, digits):
-    """Bin key per row after auxiliary_rotate, all rows in one pass.
+def _z_rows(mat, m):
+    """auxiliary_rotate applied to every row at once.
 
     Rows with a zero DC coefficient pass through unrotated.
     """
@@ -432,7 +404,7 @@ def _z_keys(mat, m, digits):
     turn = np.exp(1j * _rotation_angles(PhaseGrid(m), mat[live, m]))
     rotated = mat.copy()
     rotated[live] = mat[live] * turn[:, None]
-    return _row_keys(rotated, digits)
+    return rotated
 
 
 def gap_experiment(c, digits=7):
@@ -447,18 +419,16 @@ def gap_experiment(c, digits=7):
         raise UnsupportedOrder("the gap bound needs m >= 1")
     mat = c.coeffs
     _check_distinct(mat)
-    # the measurement keys serve both I_xs and the chain identity below
-    s_keys = _row_keys(autocorrelation_rows(mat), digits)
+    # the measurement bins serve both I_xs and the chain identity below
+    s_ids = _bins(autocorrelation_rows(mat), digits)
     i_xy = entropy_bits(c.probs)
-    i_xs = _partition_entropy(s_keys, c.probs)
+    i_xs = _partition_entropy(s_ids, c.probs)
 
-    z_keys = _z_keys(mat, m, digits)
+    z_ids = _bins(_z_rows(mat, m), digits)
     zero_dc = int(np.count_nonzero(mat[:, m] == 0))
 
-    i_xz = _partition_entropy(z_keys, c.probs)
-    h_zs = _partition_entropy(
-        [zk + sk for zk, sk in zip(z_keys, s_keys)], c.probs
-    )
+    i_xz = _partition_entropy(z_ids, c.probs)
+    h_zs = _partition_entropy(first_ids(z_ids * len(mat) + s_ids)[0], c.probs)
     h_z_given_s = h_zs - i_xs
     chain_residual = abs((i_xy - i_xs) - h_z_given_s)
 

@@ -14,6 +14,7 @@ the files live.
 """
 
 import argparse
+import functools
 import logging
 import os
 import sys
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .ambiguity import canonicalize, certify_bound, enumerate_classes, factor_sld
+from .ambiguity import _canonical_rows, certify_bound, enumerate_classes, factor_sld
 from .capacity import bundled_constellation, gap_experiment, measurement_transform
 from .equivalence import numeric_magnitude_equiv, phase_equiv, struct_magnitude_equiv
 from .errors import (
@@ -280,11 +281,11 @@ def _cmd_transform(cfg):
     rebuilt = factor_sld(recovered, **kw)
     match = original.exact_count == rebuilt.exact_count
     if match:
-        for a, b in zip(original.representatives, rebuilt.representatives):
-            ca, cb = canonicalize(a), canonicalize(b)
-            if np.abs(ca.coeffs - cb.coeffs).max() > 1e-6 * np.sqrt(max(ca.energy, 1e-300)):
-                match = False
-                break
+        ca, cb = _canonical_rows(original.coeffs), _canonical_rows(rebuilt.coeffs)
+        energy = np.sum(np.abs(ca) ** 2, axis=1)
+        match = not np.any(
+            np.abs(ca - cb).max(axis=1) > 1e-6 * np.sqrt(np.maximum(energy, 1e-300))
+        )
     _emit(cfg, {
         "map": cfg.map_name,
         "roundtrip_residual": roundtrip,
@@ -331,6 +332,7 @@ def run(cfg):
         return 1
 
 
+@functools.cache
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="sldlab",

@@ -146,11 +146,13 @@ def find_roots(
     max_iter : int
         Simultaneous-iteration budget before giving up.
     seed : int
-        Seed for the perturbed-circle initial guesses. Fixed by default so
-        runs are reproducible.
+        Seed for the perturbed-circle initial guesses, >= 0. Fixed by
+        default so runs are reproducible; a negative seed raises DomainError.
     """
     if not (0 < tol <= 1e-4):
         raise DomainError("tol must lie in (0, 1e-4]")
+    if seed < 0:
+        raise DomainError("seed must be >= 0, got %d" % seed)
     _check_tol(cluster_radius)
     coeffs = np.array(f.coeffs, dtype=complex)
     if np.all(coeffs == 0):

@@ -184,8 +184,10 @@ def complex_pair(z):
     return [float(z.real), float(z.imag)]
 
 
-def complex_pairs(vec):
-    return [complex_pair(z) for z in np.asarray(vec)]
+def complex_pairs(arr):
+    """[re, im] float pairs of a complex array, nested as the array is."""
+    arr = np.ascontiguousarray(arr, dtype=complex)
+    return arr.view(np.float64).reshape(arr.shape + (2,)).tolist()
 
 
 def signal_dict(p):
@@ -230,7 +232,7 @@ def classset_dict(cs, report):
         "bound": cs.bound,
         "exact_count": cs.exact_count,
         "autocorrelation": complex_pairs(cs.autocorr.coeffs),
-        "representatives": [complex_pairs(row) for row in cs.coeffs],
+        "representatives": complex_pairs(cs.coeffs),
         "within_bound": report.passed,
         "max_residual": report.max_residual,
         "residuals": list(report.residuals),

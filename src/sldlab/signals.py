@@ -271,16 +271,27 @@ def autocorrelation_rows(b):
     return c
 
 
-def round_rows(rows, digits, scale):
-    """Bin keys of the rows of a 2-D complex array, as a real array.
+def bin_keys(rows, digits, scale):
+    """Bin key of each row of a 2-D complex array, one np.void per row.
 
-    Row i of the (K, 2W) result holds the real then the imaginary parts
-    of rows[i] / scale rounded to `digits` decimals, with -0.0 folded into
-    0.0; its bytes are the key. scale is one number for the whole batch
-    or a (K, 1) column with one per row.
+    The bytes of key i are the real then the imaginary parts of
+    rows[i] / scale rounded to `digits` decimals, with -0.0 folded into
+    0.0. scale is one number for the whole batch or a (K, 1) column with
+    one per row.
     """
     v = rows / scale
-    return np.concatenate([np.round(v.real, digits), np.round(v.imag, digits)], axis=1) + 0.0
+    parts = np.concatenate([np.round(v.real, digits), np.round(v.imag, digits)], axis=1) + 0.0
+    return parts.view(np.dtype((np.void, parts.shape[1] * parts.itemsize))).ravel()
+
+
+def first_ids(keys):
+    """Group id of each key, numbered by first appearance, and the index
+    of each group's first key, in group order."""
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty(len(first), dtype=np.intp)
+    rank[order] = np.arange(len(first))
+    return rank[inverse], first[order]
 
 
 def lift(p):

@@ -404,3 +404,37 @@ def union_find_groups(points, tol):
 def complex_vector_loop(pairs):
     """Coefficient vector of [re, im] pairs, one complex() per pair."""
     return np.array([complex(re, im) for re, im in pairs], dtype=complex)
+
+
+def first_ids_loop(keys):
+    """Group id per key, numbered by first appearance, and each group's
+    first index, by one dict lookup per key."""
+    seen, ids, first = {}, [], []
+    for i, key in enumerate(keys):
+        if key not in seen:
+            seen[key] = len(first)
+            first.append(i)
+        ids.append(seen[key])
+    return ids, first
+
+
+def merge_columns_loop(joint, keys):
+    """Columns of joint summed per key, one column at a time.
+
+    Groups come in first-appearance order of their keys, and each group's
+    columns are added in index order.
+    """
+    ids, first = first_ids_loop(keys)
+    merged = np.zeros((joint.shape[0], len(first)))
+    for col, group in enumerate(ids):
+        merged[:, group] += joint[:, col]
+    return merged
+
+
+def complex_pairs_loop(vec):
+    """[re, im] pairs of a complex vector, one complex() per element."""
+    out = []
+    for z in np.asarray(vec):
+        z = complex(z)
+        out.append([float(z.real), float(z.imag)])
+    return out

@@ -22,12 +22,15 @@ from sldlab import (
     single_class_constellation,
     theta_m,
 )
-from sldlab.capacity import _z_keys, sld_keys
+from sldlab.capacity import _mi_from_joint, _z_rows
+from sldlab.signals import autocorrelation_rows, bin_keys
 
 from oracles import (
     binary_entropy,
     entropy_loop,
     first_duplicate_scan,
+    merge_columns_loop,
+    round_keys_loop,
     sld_keys_loop,
     z_keys_loop,
 )
@@ -249,13 +252,55 @@ def test_duplicate_check_matches_pairwise_scan():
     assert rejected == 8
 
 
+def _key_cases(orders):
+    return [bundled_constellation(m) for m in orders] + [single_class_constellation(3, 6)]
+
+
 def test_batched_keys_match_per_signal_formula():
-    cases = [bundled_constellation(m) for m in range(1, 7)]
-    cases.append(single_class_constellation(3, 6))
-    for c in cases:
-        rows = np.stack([s.coeffs for s in c.signals])
-        assert sld_keys(c.signals) == sld_keys_loop(rows)
-        assert _z_keys(rows, c.m, 7) == z_keys_loop(rows, c.m)
+    for c in _key_cases(range(1, 7)):
+        for batch, want in ((autocorrelation_rows(c.coeffs), sld_keys_loop(c.coeffs)),
+                            (_z_rows(c.coeffs, c.m), z_keys_loop(c.coeffs, c.m))):
+            keys = bin_keys(batch, 7, np.abs(batch).max())
+            assert [k.tobytes() for k in keys] == want
+
+
+def _entropy_by_bytes_keys(probs, keys):
+    return entropy_bits(merge_columns_loop(probs[None, :], keys)[0])
+
+
+def test_gap_bins_match_bytes_key_grouping_bitwise():
+    for c in _key_cases(range(1, 7)):
+        s_keys, z_keys = sld_keys_loop(c.coeffs), z_keys_loop(c.coeffs, c.m)
+        i_xs = _entropy_by_bytes_keys(c.probs, s_keys)
+        h_zs = _entropy_by_bytes_keys(c.probs, [z + s for z, s in zip(z_keys, s_keys)])
+        h_z_given_s = h_zs - i_xs
+        want = (i_xs, _entropy_by_bytes_keys(c.probs, z_keys), h_z_given_s,
+                abs((entropy_bits(c.probs) - i_xs) - h_z_given_s))
+        r = gap_experiment(c)
+        assert repr((r.i_xs, r.i_xz, r.h_z_given_s, r.chain_residual)) == repr(want), c.m
+
+
+def test_mi_dmc_bins_match_bytes_key_grouping_bitwise():
+    # m = 6 is left out: its dense joint alone would take 400 MB
+    rng = np.random.default_rng(5)
+    for c in _key_cases(range(1, 6)):
+        K, width = c.coeffs.shape
+        offsets = np.zeros((3, width), dtype=complex)
+        offsets[1, c.m] = 1e-3
+        additive = DiscreteNoise.additive(offsets, [0.5, 0.3, 0.2])
+        matrix = rng.random((K, K))
+        transition = DiscreteNoise.transition(matrix / matrix.sum(axis=1, keepdims=True))
+        for noise in (additive, transition):
+            if noise.kind == "transition":
+                joint, out = c.probs[:, None] * noise.matrix, c.coeffs
+            else:
+                out = np.array([row + off for row in c.coeffs for off in offsets])
+                joint = np.zeros((K, 3 * K))
+                for i in range(K):
+                    joint[i, 3 * i : 3 * i + 3] = c.probs[i] * noise.offset_probs
+            want = tuple(_mi_from_joint(merge_columns_loop(joint, keys))
+                         for keys in (round_keys_loop(out, 9), sld_keys_loop(out)))
+            assert repr(mi_dmc(c, noise)) == repr(want), (c.m, noise.kind)
 
 
 def test_mi_distinguishes_intensity_scales():

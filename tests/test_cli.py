@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from sldlab import TrigPoly, autocorrelation, enumerate_classes
-from sldlab.cli import main
+from sldlab.cli import _build_parser, main
 from sldlab.serialize import autocorr_dict, load_json, parse_signal, signal_dict
 
 from oracles import class_csv_text, equiv_battery
@@ -134,6 +134,22 @@ def test_bad_tolerance_rejected(sig_shift, capsys):
     assert "--tol-root" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, seed", (("analyze", "-1"), ("enumerate", "-5")))
+def test_negative_seed_is_operational_error(command, seed, sig_shift, capsys):
+    assert main([command, sig_shift, "--seed", seed]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: seed must be >= 0, got %s" % seed in captured.err
+
+
+def test_main_builds_the_parser_once(sig_shift, capsys):
+    _build_parser.cache_clear()
+    assert main(["analyze", sig_shift]) == 0
+    assert main(["analyze", sig_shift]) == 0
+    assert _build_parser.cache_info().misses == 1
+    capsys.readouterr()
+
+
 def test_gap_from_file(tmp_path, capsys):
     cfile = write_json(tmp_path, "cons.json", {
         "m": 1,
@@ -252,13 +268,15 @@ def test_class_and_gap_commands_build_no_object_per_class(tmp_path, monkeypatch,
             ("enumerate", ["enumerate", sig, "--csv", str(tmp_path / "c.csv")]),
             ("factor", ["factor", meas]),
             ("gap", ["gap", "--sweep", "m=%d..%d" % (m, m)]),
+            ("transform", ["transform", meas]),
         ):
             built.clear()
             assert main(argv) == 0
             counts.setdefault(name, []).append(len(built))
     capsys.readouterr()
     # classes per order: 4, 16, 64, 256 (gap: two more points each)
-    assert counts == {"enumerate": [1] * 4, "factor": [0] * 4, "gap": [2] * 4}
+    assert counts == {"enumerate": [1] * 4, "factor": [0] * 4, "gap": [2] * 4,
+                      "transform": [0] * 4}
     built.clear()
     assert main(["gap", "--sweep", "m=1..4"]) == 0
     assert len(built) == 8

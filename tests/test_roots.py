@@ -117,6 +117,14 @@ def test_degenerate_inputs():
     assert r.degree == 0 and not r.roots and r.leading_coeff == 3.0
 
 
+def test_find_roots_rejects_negative_seed():
+    quadratic = CoeffPoly(coeffs=poly_from_roots([0.5, 2.0]), n=2)
+    for f in (quadratic, CoeffPoly(coeffs=[3.0], n=0)):
+        with pytest.raises(errors.DomainError, match="seed must be >= 0"):
+            find_roots(f, seed=-1)
+    assert find_roots(quadratic, seed=0).degree == 2
+
+
 def test_conj_reciprocal():
     assert conj_reciprocal(2.0) == pytest.approx(0.5)
     assert conj_reciprocal(2j) == pytest.approx(0.5j)

@@ -30,7 +30,7 @@ from sldlab.serialize import (
     validate,
 )
 
-from oracles import complex_vector_loop
+from oracles import complex_pairs_loop, complex_vector_loop
 
 
 def _write(tmp_path, name, obj):
@@ -123,6 +123,20 @@ def test_parse_constellation_point_length():
 def test_complex_pair_encoding():
     assert complex_pair(1.5 - 2j) == [1.5, -2.0]
     assert complex_pairs(np.array([1j, 2.0])) == [[0.0, 1.0], [2.0, 0.0]]
+
+
+def test_complex_pairs_match_per_element_loop_bitwise():
+    tiny = np.nextafter(0.0, 1.0)
+    edge = np.array([complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0),
+                     complex(tiny, -tiny), complex(5e-310, -2.2e-308),
+                     complex(1.797e308, -1.797e308), complex(-1.797e308, 1.797e308)])
+    rng = np.random.default_rng(11)
+    rows = rng.standard_normal((6, 7)) + 1j * rng.standard_normal((6, 7))
+    # repr tells -0.0 from 0.0, prints every float exactly and names
+    # anything that is not a Python float
+    for vec in (edge, *rows):
+        assert repr(complex_pairs(vec)) == repr(complex_pairs_loop(vec))
+    assert repr(complex_pairs(rows)) == repr([complex_pairs_loop(row) for row in rows])
 
 
 def test_render_report_deterministic():
