@@ -96,6 +96,20 @@ def _rotation_angles(grid, w):
     return _quantize_raw(grid, theta) - theta
 
 
+def _z_rows(mat, grid):
+    """Rotate each coefficient row so its DC argument sits on `grid`.
+
+    The batched form of auxiliary_rotate; rows with a zero DC coefficient
+    pass through unrotated.
+    """
+    dc = mat[:, mat.shape[1] // 2]
+    live = dc != 0
+    turn = np.exp(1j * _rotation_angles(grid, dc[live]))
+    rotated = mat.copy()
+    rotated[live] = mat[live] * turn[:, None]
+    return rotated
+
+
 def auxiliary_rotate(y, grid=None, strict=False):
     """Rotate a signal so the argument of its DC coefficient sits on the grid.
 
@@ -104,15 +118,13 @@ def auxiliary_rotate(y, grid=None, strict=False):
     angle to align; the signal passes through unchanged unless
     strict=True, in which case ZeroDC is raised.
     """
-    b0 = complex(y.coeffs[y.m])
-    if b0 == 0:
+    if y.coeffs[y.m] == 0:
         if strict:
             raise ZeroDC("DC coefficient is zero, rotation undefined")
         return y
     if grid is None:
         grid = PhaseGrid(y.m)
-    w = np.exp(1j * theta_m(grid, b0))
-    return TrigPoly(m=y.m, coeffs=y.coeffs * w, period=y.period)
+    return TrigPoly(m=y.m, coeffs=_z_rows(y.coeffs[None, :], grid)[0], period=y.period)
 
 
 @dataclass(frozen=True, eq=False)
@@ -395,18 +407,6 @@ class GapReport:
     zero_dc: int
 
 
-def _z_rows(mat, m):
-    """auxiliary_rotate applied to every row at once.
-
-    Rows with a zero DC coefficient pass through unrotated.
-    """
-    live = mat[:, m] != 0
-    turn = np.exp(1j * _rotation_angles(PhaseGrid(m), mat[live, m]))
-    rotated = mat.copy()
-    rotated[live] = mat[live] * turn[:, None]
-    return rotated
-
-
 def gap_experiment(c, digits=7):
     """Measure the square-law information loss of a constellation.
 
@@ -424,7 +424,7 @@ def gap_experiment(c, digits=7):
     i_xy = entropy_bits(c.probs)
     i_xs = _partition_entropy(s_ids, c.probs)
 
-    z_ids = _bins(_z_rows(mat, m), digits)
+    z_ids = _bins(_z_rows(mat, PhaseGrid(m)), digits)
     zero_dc = int(np.count_nonzero(mat[:, m] == 0))
 
     i_xz = _partition_entropy(z_ids, c.probs)

@@ -6,7 +6,10 @@ enumerate (ambiguity classes of a signal), factor (classes from a
 measured sequence), gap (information-loss experiment), transform
 (invertible readout map round-trip). Exit status 0 means every check
 passed, 2 means a theory bound or input-validation check failed, 1 means
-an operational error such as unreadable input.
+an operational error such as unreadable input or an unwritable output.
+Each error prints exactly one line on stderr: "error: ..." with exit 1,
+"validation failure: ..." with exit 2 (a failed bound check prints
+nothing there; its verdict is in the report).
 
 Reports embed the tolerance configuration and the library version but no
 file paths, so identical inputs and flags give identical bytes wherever
@@ -15,10 +18,7 @@ the files live.
 
 import argparse
 import functools
-import logging
-import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,73 +48,51 @@ from .serialize import (
 )
 from .signals import autocorr_from_samples, autocorrelation, lift, screen_intensity
 
-log = logging.getLogger("sldlab")
-
 _MAPS = {
     "identity": (lambda x: x, lambda x: x),
     "sqrt": (np.sqrt, np.square),
 }
 
-
-@dataclass
-class RunConfig:
-    command: str
-    inputs: tuple = ()
-    output: str = None
-    csv: str = None
-    tol_circle: float = 1e-9
-    tol_root: float = 1e-8
-    round_digits: int = 7
-    seed: int = 12345
-    sweep: str = None
-    map_name: str = "identity"
-    scale: float = 1.0
-    offset: float = 0.0
-
-    def __post_init__(self):
-        if not (0 < self.tol_root <= 1e-4):
-            raise DomainError("--tol-root must lie in (0, 1e-4]")
-        if not (0 < self.tol_circle <= 1e-3):
-            raise DomainError("--tol-circle must lie in (0, 1e-3]")
-        if not (1 <= self.round_digits <= 15):
-            raise DomainError("--round must lie in [1, 15]")
-
-    def fingerprint(self):
-        out = {
-            "command": self.command,
-            "seed": self.seed,
-            "tol_circle": self.tol_circle,
-            "tol_root": self.tol_root,
-            "round": self.round_digits,
-        }
-        if self.command == "gap" and self.sweep:
-            out["sweep"] = self.sweep
-        if self.command == "transform":
-            out["map"] = self.map_name
-            if self.map_name == "affine":
-                out["scale"] = self.scale
-                out["offset"] = self.offset
-        return out
+# the root-finding and dedupe settings every report records, gap included
+_DEFAULTS = {"tol_circle": 1e-9, "tol_root": 1e-8, "round_digits": 7, "seed": 12345}
 
 
-def _emit(cfg, payload):
-    text = render_report(
-        {"config": cfg.fingerprint(), "version": __version__, **payload}
-    )
-    if cfg.output:
-        with open(cfg.output, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
+def _fingerprint(args):
+    out = {
+        "command": args.command,
+        "seed": args.seed,
+        "tol_circle": args.tol_circle,
+        "tol_root": args.tol_root,
+        "round": args.round_digits,
+    }
+    if args.command == "gap" and args.sweep:
+        out["sweep"] = args.sweep
+    if args.command == "transform":
+        out["map"] = args.map_name
+        if args.map_name == "affine":
+            out["scale"] = args.scale
+            out["offset"] = args.offset
+    return out
 
 
-def _write_csv(cfg, chunks):
-    """Write CSV text, chunk by chunk, to the --csv path or to stdout."""
-    if cfg.csv:
-        with open(cfg.csv, "w", encoding="utf-8") as handle:
-            handle.writelines(chunks)
-    else:
+def _write(path, chunks):
+    """Write text chunks to path, or to stdout when no path is given."""
+    if not path:
         sys.stdout.writelines(chunks)
+        return
+    try:
+        handle = open(path, "w", encoding="utf-8")
+    except OSError as exc:
+        raise SldLabError("cannot write %s: %s" % (path, exc)) from exc
+    with handle:
+        handle.writelines(chunks)
+
+
+def _emit(args, payload):
+    text = render_report(
+        {"config": _fingerprint(args), "version": __version__, **payload}
+    )
+    _write(args.output, [text])
 
 
 _SAMPLES = 64  # circle samples per representative in the class CSV
@@ -144,14 +122,17 @@ def _class_csv(cs):
         yield "\n".join(map(",".join, rows)) + "\n"
 
 
-def _cmd_analyze(cfg):
-    p = parse_signal(load_json(cfg.inputs[0]))
+def _solver_kw(args):
+    return dict(round_digits=args.round_digits, root_tol=args.tol_root,
+                circle_band=args.tol_circle, seed=args.seed)
+
+
+def _cmd_analyze(args):
+    p = parse_signal(load_json(args.inputs[0]))
     f = lift(p)
-    r = find_roots(f, tol=cfg.tol_root, circle_band=cfg.tol_circle, seed=cfg.seed)
+    r = find_roots(f, tol=args.tol_root, circle_band=args.tol_circle, seed=args.seed)
     orbits, on_circle, origin = pair_reciprocal(r)
-    log.info("analyze: degree %d, %d orbits, %d circle roots",
-             r.degree, len(orbits), len(on_circle))
-    _emit(cfg, {
+    _emit(args, {
         "signal": signal_dict(p),
         "autocorrelation": autocorr_dict(autocorrelation(p)),
         "roots": rootset_dict(r),
@@ -169,12 +150,12 @@ def _cmd_analyze(cfg):
     return 0
 
 
-def _cmd_equiv(cfg):
-    p = parse_signal(load_json(cfg.inputs[0]))
-    q = parse_signal(load_json(cfg.inputs[1]))
+def _cmd_equiv(args):
+    p = parse_signal(load_json(args.inputs[0]))
+    q = parse_signal(load_json(args.inputs[1]))
     f, g = lift(p), lift(q)
     structural = struct_magnitude_equiv(
-        f, g, root_tol=cfg.tol_root, circle_band=cfg.tol_circle, seed=cfg.seed
+        f, g, root_tol=args.tol_root, circle_band=args.tol_circle, seed=args.seed
     )
     oracle = numeric_magnitude_equiv(f, g)
     phase = phase_equiv(p, q)
@@ -184,46 +165,29 @@ def _cmd_equiv(cfg):
     verdict = verdict_dict(structural)
     if phase.related:
         verdict["phase"] = phase.phase
-    _emit(cfg, {
+    _emit(args, {
         "verdict": verdict,
         "oracle": verdict_dict(oracle),
         "agree": bool(agree),
     })
     if not agree:
-        log.error("structural and lag-oracle verdicts disagree")
+        print("validation failure: structural and lag-oracle verdicts disagree",
+              file=sys.stderr)
         return 2
     return 0
 
 
-def _cmd_enumerate(cfg):
-    p = parse_signal(load_json(cfg.inputs[0]))
-    cs = enumerate_classes(
-        p,
-        round_digits=cfg.round_digits,
-        root_tol=cfg.tol_root,
-        circle_band=cfg.tol_circle,
-        seed=cfg.seed,
-    )
+def _cmd_classes(args):
+    """enumerate (classes of a signal) and factor (classes of measured lags)."""
+    doc = load_json(args.inputs[0])
+    if args.command == "enumerate":
+        cs = enumerate_classes(parse_signal(doc), **_solver_kw(args))
+    else:
+        cs = factor_sld(parse_autocorr(doc), **_solver_kw(args))
     report = certify_bound(cs)
-    _emit(cfg, {"classes": classset_dict(cs, report)})
-    if cfg.csv:
-        _write_csv(cfg, _class_csv(cs))
-    return 0 if report.passed else 2
-
-
-def _cmd_factor(cfg):
-    s = parse_autocorr(load_json(cfg.inputs[0]))
-    cs = factor_sld(
-        s,
-        round_digits=cfg.round_digits,
-        root_tol=cfg.tol_root,
-        circle_band=cfg.tol_circle,
-        seed=cfg.seed,
-    )
-    report = certify_bound(cs)
-    _emit(cfg, {"classes": classset_dict(cs, report)})
-    if cfg.csv:
-        _write_csv(cfg, _class_csv(cs))
+    _emit(args, {"classes": classset_dict(cs, report)})
+    if args.csv:
+        _write(args.csv, _class_csv(cs))
     return 0 if report.passed else 2
 
 
@@ -238,36 +202,36 @@ def _parse_sweep(text):
     return lo, hi
 
 
-def _cmd_gap(cfg):
-    if cfg.sweep:
-        lo, hi = _parse_sweep(cfg.sweep)
+def _cmd_gap(args):
+    if args.sweep:
+        lo, hi = _parse_sweep(args.sweep)
         reports = [
-            gap_experiment(bundled_constellation(m), cfg.round_digits)
+            gap_experiment(bundled_constellation(m), args.round_digits)
             for m in range(lo, hi + 1)
         ]
         rows = [
             (r.m, r.i_xy, r.i_xs, r.per_dim_gap, r.bound) for r in reports
         ]
-        _write_csv(cfg, ["m,i_xy,i_xs,per_dim_gap,bound\n"]
-                   + [",".join(map(repr, row)) + "\n" for row in rows])
-        if cfg.output:
-            _emit(cfg, {"reports": [gap_dict(r) for r in reports]})
+        _write(args.csv, ["m,i_xy,i_xs,per_dim_gap,bound\n"]
+               + [",".join(map(repr, row)) + "\n" for row in rows])
+        if args.output:
+            _emit(args, {"reports": [gap_dict(r) for r in reports]})
         return 0 if all(r.passed for r in reports) else 2
-    c = parse_constellation(load_json(cfg.inputs[0]))
-    report = gap_experiment(c, cfg.round_digits)
-    _emit(cfg, {"gap": gap_dict(report)})
+    c = parse_constellation(load_json(args.inputs[0]))
+    report = gap_experiment(c, args.round_digits)
+    _emit(args, {"gap": gap_dict(report)})
     return 0 if report.passed else 2
 
 
-def _cmd_transform(cfg):
-    s = parse_autocorr(load_json(cfg.inputs[0]))
-    if cfg.map_name == "affine":
-        if cfg.scale == 0:
+def _cmd_transform(args):
+    s = parse_autocorr(load_json(args.inputs[0]))
+    if args.map_name == "affine":
+        if args.scale == 0:
             raise DomainError("affine map needs a nonzero --scale")
-        phi = lambda x: cfg.scale * x + cfg.offset  # noqa: E731
-        inv = lambda y: (y - cfg.offset) / cfg.scale  # noqa: E731
+        phi = lambda x: args.scale * x + args.offset  # noqa: E731
+        inv = lambda y: (y - args.offset) / args.scale  # noqa: E731
     else:
-        phi, inv = _MAPS[cfg.map_name]
+        phi, inv = _MAPS[args.map_name]
     samples = np.maximum(screen_intensity(s), 0.0)
 
     transformed = measurement_transform(samples, phi, inv)
@@ -275,10 +239,8 @@ def _cmd_transform(cfg):
                                       period=s.period)
     roundtrip = float(np.abs(recovered.coeffs - s.coeffs).max())
 
-    kw = dict(round_digits=cfg.round_digits, root_tol=cfg.tol_root,
-              circle_band=cfg.tol_circle, seed=cfg.seed)
-    original = factor_sld(s, **kw)
-    rebuilt = factor_sld(recovered, **kw)
+    original = factor_sld(s, **_solver_kw(args))
+    rebuilt = factor_sld(recovered, **_solver_kw(args))
     match = original.exact_count == rebuilt.exact_count
     if match:
         ca, cb = _canonical_rows(original.coeffs), _canonical_rows(rebuilt.coeffs)
@@ -286,8 +248,8 @@ def _cmd_transform(cfg):
         match = not np.any(
             np.abs(ca - cb).max(axis=1) > 1e-6 * np.sqrt(np.maximum(energy, 1e-300))
         )
-    _emit(cfg, {
-        "map": cfg.map_name,
+    _emit(args, {
+        "map": args.map_name,
         "roundtrip_residual": roundtrip,
         "classes_original": original.exact_count,
         "classes_recovered": rebuilt.exact_count,
@@ -297,39 +259,30 @@ def _cmd_transform(cfg):
 
 
 _COMMANDS = {
-    "analyze": (_cmd_analyze, 1),
-    "equiv": (_cmd_equiv, 2),
-    "enumerate": (_cmd_enumerate, 1),
-    "factor": (_cmd_factor, 1),
-    "gap": (_cmd_gap, None),  # input optional when sweeping
-    "transform": (_cmd_transform, 1),
+    "analyze": _cmd_analyze,
+    "equiv": _cmd_equiv,
+    "enumerate": _cmd_classes,
+    "factor": _cmd_classes,
+    "gap": _cmd_gap,
+    "transform": _cmd_transform,
 }
 
 
-def run(cfg):
-    """Execute one configured command; returns the process exit status."""
-    handler, arity = _COMMANDS[cfg.command]
-    try:
-        if arity is not None and len(cfg.inputs) != arity:
-            raise DomainError(
-                "%s expects %d input file(s), got %d"
-                % (cfg.command, arity, len(cfg.inputs))
-            )
-        if cfg.command == "gap" and cfg.sweep and cfg.inputs:
+def _check(args):
+    """Reject flag values and flag combinations argparse cannot."""
+    if not (0 < args.tol_root <= 1e-4):
+        raise DomainError("--tol-root must lie in (0, 1e-4]")
+    if not (0 < args.tol_circle <= 1e-3):
+        raise DomainError("--tol-circle must lie in (0, 1e-3]")
+    if not (1 <= args.round_digits <= 15):
+        raise DomainError("--round must lie in [1, 15]")
+    if args.command == "gap":
+        if args.sweep and args.inputs:
             raise DomainError("gap takes a constellation file or --sweep, not both")
-        if cfg.command == "gap" and not cfg.sweep and len(cfg.inputs) != 1:
+        if not args.sweep and len(args.inputs) != 1:
             raise DomainError("gap needs a constellation file or --sweep")
-        if cfg.command == "gap" and not cfg.sweep and cfg.csv:
+        if not args.sweep and args.csv:
             raise DomainError("gap writes --csv only with --sweep")
-        return handler(cfg)
-    except (NotAnAutocorrelation, NegativeIntensity) as exc:
-        log.error("%s", exc)
-        print("validation failure: %s" % exc, file=sys.stderr)
-        return 2
-    except SldLabError as exc:
-        log.error("%s", exc)
-        print("error: %s" % exc, file=sys.stderr)
-        return 1
 
 
 @functools.cache
@@ -340,6 +293,8 @@ def _build_parser():
         "information-loss experiments for square-law detection.",
     )
     parser.add_argument("--version", action="version", version=__version__)
+    # commands without a flag below still record its default in the report
+    parser.set_defaults(**_DEFAULTS)
     # flag groups: each subcommand takes only the flags it reads
     out = argparse.ArgumentParser(add_help=False)
     out.add_argument("--json", dest="output", metavar="PATH",
@@ -348,15 +303,16 @@ def _build_parser():
     csv.add_argument("--csv", metavar="PATH",
                      help="write CSV artifacts here (sweep table or class samples)")
     digits = argparse.ArgumentParser(add_help=False)
-    digits.add_argument("--round", dest="round_digits", type=int, default=7,
-                        help="decimal digits for deduplication keys (default 7)")
+    digits.add_argument("--round", dest="round_digits", type=int,
+                        default=_DEFAULTS["round_digits"],
+                        help="decimal digits for deduplication keys (default %(default)s)")
     roots = argparse.ArgumentParser(add_help=False)
-    roots.add_argument("--tol-circle", type=float, default=1e-9,
-                       help="on-circle classification band (default 1e-9)")
-    roots.add_argument("--tol-root", type=float, default=1e-8,
-                       help="root reconstruction tolerance (default 1e-8)")
-    roots.add_argument("--seed", type=int, default=12345,
-                       help="seed for the root-finder start points")
+    roots.add_argument("--tol-circle", type=float, default=_DEFAULTS["tol_circle"],
+                       help="on-circle classification band (default %(default)s)")
+    roots.add_argument("--tol-root", type=float, default=_DEFAULTS["tol_root"],
+                       help="root reconstruction tolerance (default %(default)s)")
+    roots.add_argument("--seed", type=int, default=_DEFAULTS["seed"],
+                       help="seed for the root-finder start points (default %(default)s)")
 
     sub = parser.add_subparsers(dest="command", required=True)
     for name, nargs, parents, desc in (
@@ -381,22 +337,17 @@ def _build_parser():
 
 
 def main(argv=None):
-    level = os.environ.get("SLD_LAB_LOG", "WARNING").upper()
-    logging.basicConfig(
-        level=getattr(logging, level, logging.WARNING),
-        stream=sys.stderr,
-        format="%(levelname)s %(name)s: %(message)s",
-    )
+    """Run one sldlab command; returns the process exit status."""
     args = _build_parser().parse_args(argv)
-    fields = vars(args)
-    fields.pop("version", None)
-    inputs = tuple(fields.pop("inputs", ()) or ())
     try:
-        cfg = RunConfig(inputs=inputs, **fields)
+        _check(args)
+        return _COMMANDS[args.command](args)
+    except (NotAnAutocorrelation, NegativeIntensity) as exc:
+        print("validation failure: %s" % exc, file=sys.stderr)
+        return 2
     except SldLabError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
-    return run(cfg)
 
 
 if __name__ == "__main__":

@@ -14,6 +14,7 @@ keys, fixed indentation, one trailing newline.
 import json
 import math
 import numbers
+from dataclasses import asdict
 
 import numpy as np
 
@@ -191,11 +192,12 @@ def complex_pairs(arr):
 
 
 def signal_dict(p):
+    """The JSON document of a TrigPoly or an AutocorrSeq."""
     return {"m": p.m, "period": p.period, "coeffs": complex_pairs(p.coeffs)}
 
 
-def autocorr_dict(s):
-    return {"m": s.m, "period": s.period, "coeffs": complex_pairs(s.coeffs)}
+autocorr_dict = signal_dict
+verdict_dict = asdict
 
 
 def rootset_dict(r):
@@ -216,15 +218,6 @@ def rootset_dict(r):
     }
 
 
-def verdict_dict(v):
-    return {
-        "related": v.related,
-        "kappa": v.kappa,
-        "phase": v.phase,
-        "witness": v.witness,
-    }
-
-
 def classset_dict(cs, report):
     return {
         "m": cs.source_m,
@@ -240,18 +233,9 @@ def classset_dict(cs, report):
 
 
 def gap_dict(report):
-    return {
-        "m": report.m,
-        "i_xy": report.i_xy,
-        "i_xs": report.i_xs,
-        "i_xz": report.i_xz,
-        "h_z_given_s": report.h_z_given_s,
-        "chain_residual": report.chain_residual,
-        "per_dim_gap": report.per_dim_gap,
-        "bound": report.bound,
-        "pass": report.passed,
-        "zero_dc": report.zero_dc,
-    }
+    out = asdict(report)
+    out["pass"] = out.pop("passed")
+    return out
 
 
 def render_report(payload):

@@ -271,21 +271,29 @@ def sld_keys_loop(rows, digits=7):
                            digits)
 
 
+def rotate_dc_loop(b, grid_m):
+    """One signal rotated so its DC argument sits on the grid_m-point grid.
+
+    The angle is the floor quantizer's, on Python scalars: theta is the
+    DC argument with +pi folded to -pi, the turn is
+    floor((theta + pi/grid_m) / step) * step - theta. A zero DC
+    coefficient passes through.
+    """
+    b = np.asarray(b, dtype=complex)
+    dc = complex(b[len(b) // 2])
+    if dc == 0:
+        return b
+    step = float(2 * np.pi / grid_m)
+    theta = float(np.angle(dc))
+    if theta == np.pi:
+        theta = -np.pi
+    turn = math.floor((theta + np.pi / grid_m) / step) * step - theta
+    return b * np.exp(1j * turn)
+
+
 def z_keys_loop(rows, m, digits=7):
     """Bin keys of each signal after rotating its DC argument onto the m-grid."""
-    step = float(2 * np.pi / m)
-    rotated = []
-    for b in rows:
-        b = np.asarray(b, dtype=complex)
-        if complex(b[m]) == 0:
-            rotated.append(b)
-            continue
-        theta = float(np.angle(complex(b[m])))
-        if theta == np.pi:
-            theta = -np.pi
-        turn = math.floor((theta + np.pi / m) / step) * step - theta
-        rotated.append(b * np.exp(1j * turn))
-    return round_keys_loop(rotated, digits)
+    return round_keys_loop([rotate_dc_loop(b, m) for b in rows], digits)
 
 
 def canonical_phase(coeffs):

@@ -31,6 +31,7 @@ from oracles import (
     first_duplicate_scan,
     merge_columns_loop,
     round_keys_loop,
+    rotate_dc_loop,
     sld_keys_loop,
     z_keys_loop,
 )
@@ -130,6 +131,29 @@ def test_rotate_zero_dc():
     assert auxiliary_rotate(y) is y
     with pytest.raises(errors.ZeroDC):
         auxiliary_rotate(y, strict=True)
+    # m=0 has no default grid, so only a zero DC passes through
+    y = TrigPoly(m=0, coeffs=[0j])
+    assert auxiliary_rotate(y) is y
+    with pytest.raises(errors.UnsupportedOrder):
+        auxiliary_rotate(TrigPoly(m=0, coeffs=[1.0]))
+
+
+def test_rotation_matches_per_signal_scalar_rotation_bitwise():
+    rng = np.random.default_rng(99)
+    for m in range(7):
+        rows = rng.standard_normal((24, 2 * m + 1)) + 1j * rng.standard_normal((24, 2 * m + 1))
+        rows[::6, m] = 0  # zero DC passes through
+        rows[1::6, m] = -np.abs(rows[1::6, m])  # DC argument +pi folds to -pi
+        rows[2::6, m] = np.abs(rows[2::6, m])  # DC argument 0
+        for scale in (1e-5, 1.0, 1e5):
+            batch = rows * scale
+            for grid_m in range(1, 9):
+                grid = PhaseGrid(grid_m)
+                want = np.stack([rotate_dc_loop(b, grid_m) for b in batch])
+                assert _z_rows(batch, grid).tobytes() == want.tobytes()
+                for b, w in zip(batch, want):
+                    got = auxiliary_rotate(TrigPoly(m=m, coeffs=b), grid=grid)
+                    assert got.coeffs.tobytes() == w.tobytes()
 
 
 def test_entropy_bits():
@@ -259,7 +283,7 @@ def _key_cases(orders):
 def test_batched_keys_match_per_signal_formula():
     for c in _key_cases(range(1, 7)):
         for batch, want in ((autocorrelation_rows(c.coeffs), sld_keys_loop(c.coeffs)),
-                            (_z_rows(c.coeffs, c.m), z_keys_loop(c.coeffs, c.m))):
+                            (_z_rows(c.coeffs, PhaseGrid(c.m)), z_keys_loop(c.coeffs, c.m))):
             keys = bin_keys(batch, 7, np.abs(batch).max())
             assert [k.tobytes() for k in keys] == want
 

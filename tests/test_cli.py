@@ -1,12 +1,17 @@
 """Command-line driver: exit codes, report shapes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from sldlab import TrigPoly, autocorrelation, enumerate_classes
+from sldlab import TrigPoly, autocorrelation, cli, enumerate_classes
 from sldlab.cli import _build_parser, main
+from sldlab.equivalence import EquivalenceVerdict
 from sldlab.serialize import autocorr_dict, load_json, parse_signal, signal_dict
 
 from oracles import class_csv_text, equiv_battery
@@ -343,7 +348,102 @@ def test_version_flag(capsys):
     capsys.readouterr()
 
 
-def test_log_env_smoke(sig_shift, monkeypatch, capsys):
-    monkeypatch.setenv("SLD_LAB_LOG", "DEBUG")
-    assert main(["analyze", sig_shift]) == 0
-    capsys.readouterr()
+_CONFIG = {"seed": 12345, "tol_circle": 1e-9, "tol_root": 1e-8, "round": 7}
+
+
+@pytest.mark.parametrize(
+    "argv, extra",
+    (
+        (["analyze", "{sig}"], {}),
+        (["analyze", "{sig}", "--seed", "3", "--tol-root", "1e-6", "--tol-circle", "1e-7"],
+         {"seed": 3, "tol_root": 1e-6, "tol_circle": 1e-7}),
+        (["equiv", "{sig}", "{sig}"], {}),
+        (["enumerate", "{sig}", "--round", "5"], {"round": 5}),
+        (["factor", "{ac}", "--seed", "0"], {"seed": 0}),
+        (["transform", "{ac}"], {"map": "identity"}),
+        (["transform", "{ac}", "--map", "affine", "--scale", "-3", "--offset", "2.5"],
+         {"map": "affine", "scale": -3.0, "offset": 2.5}),
+        (["transform", "{ac}", "--map", "affine"],
+         {"map": "affine", "scale": 1.0, "offset": 0.0}),
+        (["gap", "{cons}"], {}),
+        (["gap", "--sweep", "m=1..2", "--round", "6"], {"sweep": "m=1..2", "round": 6}),
+    ),
+    ids=("analyze", "analyze-flags", "equiv", "enumerate", "factor", "transform",
+         "transform-affine", "transform-affine-defaults", "gap-file", "gap-sweep"),
+)
+def test_report_config_block(argv, extra, sig_shift, ac_shift, tmp_path):
+    cons = write_json(tmp_path, "cons.json", {
+        "m": 1,
+        "points": [
+            {"coeffs": [[0, 0], [2, 0], [0, 0]], "probability": 0.5},
+            {"coeffs": [[0, 0], [3, 0], [0, 0]], "probability": 0.5},
+        ],
+    })
+    argv = [a.format(sig=sig_shift, ac=ac_shift, cons=cons) for a in argv]
+    report = tmp_path / "report.json"
+    assert main(argv + ["--json", str(report)]) == 0
+    config = json.loads(report.read_text(encoding="utf-8"))["config"]
+    assert config == {"command": argv[0], **_CONFIG, **extra}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    (
+        ["analyze", "{sig}", "--json", "{missing}/r.json"],
+        ["analyze", "{sig}", "--json", "{tmp}"],
+        ["enumerate", "{sig}", "--csv", "{missing}/c.csv"],
+        ["enumerate", "{sig}", "--csv", "{tmp}"],
+        ["gap", "--sweep", "m=1..1", "--json", "{missing}/g.json"],
+        ["gap", "--sweep", "m=1..1", "--csv", "{tmp}"],
+    ),
+    ids=("json-missing-dir", "json-onto-dir", "csv-missing-dir", "csv-onto-dir",
+         "gap-json-missing-dir", "gap-csv-onto-dir"),
+)
+def test_unwritable_output_is_operational_error(argv, sig_shift, tmp_path, capsys):
+    missing = tmp_path / "missing"
+    argv = [a.format(sig=sig_shift, missing=missing, tmp=tmp_path) for a in argv]
+    path = argv[-1]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write %s: " % path)
+    assert err.count("\n") == 1
+    assert not missing.exists()
+
+
+def test_equiv_disagreement_is_a_validation_failure(sig_shift, sig_flipped, monkeypatch,
+                                                    capsys):
+    monkeypatch.setattr(cli, "numeric_magnitude_equiv",
+                        lambda f, g: EquivalenceVerdict(related=False, witness="forced"))
+    assert main(["equiv", sig_shift, sig_flipped]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "validation failure: structural and lag-oracle verdicts disagree\n"
+    report = json.loads(captured.out)
+    assert report["agree"] is False
+    assert report["oracle"] == {"related": False, "kappa": None, "phase": None,
+                                "witness": "forced"}
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    (
+        (["analyze", "{sig}", "--seed", "-1"], 1),
+        (["factor", "{tmp}/missing.json"], 1),
+        (["factor", "{bad}"], 2),
+    ),
+    ids=("negative-seed", "missing-file", "bad-lags"),
+)
+def test_failure_prints_one_stderr_line(argv, code, sig_shift, tmp_path):
+    # in a fresh interpreter: under pytest the root logger already has
+    # handlers, so an in-process run cannot see a logging layer's extra line
+    bad = write_json(tmp_path, "bad.json",
+                     {"m": 1, "coeffs": [[0, 0], [1, 0], [1, 0], [1, 0], [0, 0]]})
+    argv = [a.format(sig=sig_shift, tmp=tmp_path, bad=bad) for a in argv]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-m", "sldlab", *argv], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert done.returncode == code
+    assert done.stdout == ""
+    assert len(done.stderr.splitlines()) == 1
+    assert done.stderr.startswith("error: " if code == 1 else "validation failure: ")
