@@ -9,7 +9,8 @@ passed, 2 means a theory bound or input-validation check failed, 1 means
 an operational error such as unreadable input or an unwritable output.
 Each error prints exactly one line on stderr: "error: ..." with exit 1,
 "validation failure: ..." with exit 2 (a failed bound check prints
-nothing there; its verdict is in the report).
+nothing there; its verdict is in the report). Every output path is opened
+before anything is written, so an unwritable one leaves no other output.
 
 Reports embed the tolerance configuration and the library version but no
 file paths, so identical inputs and flags give identical bytes wherever
@@ -18,6 +19,8 @@ the files live.
 
 import argparse
 import functools
+import os
+import stat
 import sys
 
 import numpy as np
@@ -75,24 +78,50 @@ def _fingerprint(args):
     return out
 
 
-def _write(path, chunks):
-    """Write text chunks to path, or to stdout when no path is given."""
-    if not path:
-        sys.stdout.writelines(chunks)
-        return
+def _write(*outputs):
+    """Write (path, chunks) pairs, to stdout where the path is None.
+
+    Every path is opened, in append mode, before the first chunk is made.
+    So a path that cannot be opened leaves nothing behind: no text on
+    stdout, no new file, and the files that were there as they were.
+    """
+    opened = []  # (handle, whether this call made the file)
     try:
-        handle = open(path, "w", encoding="utf-8")
+        for path, _ in outputs:
+            if path:
+                new = not os.path.exists(path)
+                opened.append((open(path, "a", encoding="utf-8"), new))
     except OSError as exc:
+        for handle, new in opened:
+            handle.close()
+            if new:
+                os.remove(handle.name)
         raise SldLabError("cannot write %s: %s" % (path, exc)) from exc
-    with handle:
-        handle.writelines(chunks)
+    files = (handle for handle, _ in opened)
+    try:
+        for path, chunks in outputs:
+            if not path:
+                sys.stdout.writelines(chunks)
+                continue
+            with next(files) as handle:
+                # /dev/null or a pipe cannot be truncated, and on ext4 even
+                # truncating an empty file made each write about 20x slower
+                info = os.fstat(handle.fileno())
+                if stat.S_ISREG(info.st_mode) and info.st_size:
+                    handle.truncate(0)
+                handle.writelines(chunks)
+    finally:
+        for handle, _ in opened:
+            handle.close()
+
+
+def _report(args, payload):
+    """The report's text, rendered when it is first read."""
+    yield render_report({"config": _fingerprint(args), "version": __version__, **payload})
 
 
 def _emit(args, payload):
-    text = render_report(
-        {"config": _fingerprint(args), "version": __version__, **payload}
-    )
-    _write(args.output, [text])
+    _write((args.output, _report(args, payload)))
 
 
 _SAMPLES = 64  # circle samples per representative in the class CSV
@@ -185,10 +214,17 @@ def _cmd_classes(args):
     else:
         cs = factor_sld(parse_autocorr(doc), **_solver_kw(args))
     report = certify_bound(cs)
-    _emit(args, {"classes": classset_dict(cs, report)})
+    outputs = [(args.output, _report(args, {"classes": classset_dict(cs, report)}))]
     if args.csv:
-        _write(args.csv, _class_csv(cs))
+        outputs.append((args.csv, _class_csv(cs)))
+    _write(*outputs)
     return 0 if report.passed else 2
+
+
+def _gap_csv(reports):
+    yield "m,i_xy,i_xs,per_dim_gap,bound\n"
+    for r in reports:
+        yield ",".join(map(repr, (r.m, r.i_xy, r.i_xs, r.per_dim_gap, r.bound))) + "\n"
 
 
 def _parse_sweep(text):
@@ -209,13 +245,11 @@ def _cmd_gap(args):
             gap_experiment(bundled_constellation(m), args.round_digits)
             for m in range(lo, hi + 1)
         ]
-        rows = [
-            (r.m, r.i_xy, r.i_xs, r.per_dim_gap, r.bound) for r in reports
-        ]
-        _write(args.csv, ["m,i_xy,i_xs,per_dim_gap,bound\n"]
-               + [",".join(map(repr, row)) + "\n" for row in rows])
+        outputs = [(args.csv, _gap_csv(reports))]
         if args.output:
-            _emit(args, {"reports": [gap_dict(r) for r in reports]})
+            payload = {"reports": [gap_dict(r) for r in reports]}
+            outputs.append((args.output, _report(args, payload)))
+        _write(*outputs)
         return 0 if all(r.passed for r in reports) else 2
     c = parse_constellation(load_json(args.inputs[0]))
     report = gap_experiment(c, args.round_digits)

@@ -8,7 +8,9 @@ formats): it accepts and rejects what that schema does and names the field
 that jsonschema's best_match names. It also rejects every number that is
 not finite as a float (NaN, Infinity, integers beyond the float range),
 which the schema lets through. Report rendering is deterministic: sorted
-keys, fixed indentation, one trailing newline.
+keys, an indent of 2 and one trailing newline, except that each row of an
+array (a list or tuple inside a list, such as one class representative or
+one [re, im] lag) is written on one line by json's C encoder.
 """
 
 import json
@@ -238,6 +240,24 @@ def gap_dict(report):
     return out
 
 
+# json takes its C encoder only when indent is None
+_encode = json.JSONEncoder(sort_keys=True).encode
+
+
+def _render(obj, pad):
+    """indent=2 layout, except that a list or tuple inside a list is one line."""
+    inner = pad + "  "
+    if isinstance(obj, dict) and obj:
+        items = (_encode(key) + ": " + _render(obj[key], inner) for key in sorted(obj))
+    elif isinstance(obj, (list, tuple)) and obj:
+        items = (_encode(item) if isinstance(item, (list, tuple)) else _render(item, inner)
+                 for item in obj)
+    else:
+        return _encode(obj)
+    brackets = "{}" if isinstance(obj, dict) else "[]"
+    return brackets[0] + "\n" + inner + (",\n" + inner).join(items) + "\n" + pad + brackets[1]
+
+
 def render_report(payload):
-    """Deterministic JSON text for a report object."""
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    """Deterministic JSON text for a report object whose keys are strings."""
+    return _render(payload, "") + "\n"

@@ -20,6 +20,7 @@ from .errors import (
     DegenerateSampling,
     DomainError,
     NegativeIntensity,
+    NotAnAutocorrelation,
     ZeroInput,
 )
 
@@ -154,6 +155,7 @@ class AutocorrSeq:
     coeffs holds c_k for k = -2m..2m. Construction checks c_{-k} = conj(c_k)
     to a small tolerance, then symmetrizes exactly so the stored sequence
     satisfies the identity bit for bit, and requires c_0 real and >= 0.
+    A sequence that fails either check raises NotAnAutocorrelation.
     """
 
     m: int
@@ -176,11 +178,11 @@ class AutocorrSeq:
         scale = np.abs(coeffs).max()
         mirror = np.conj(coeffs[::-1])
         if np.abs(coeffs - mirror).max() > 1e-8 * (1.0 + scale):
-            raise DomainError("sequence is not Hermitian-symmetric")
+            raise NotAnAutocorrelation("sequence is not Hermitian-symmetric")
         coeffs = 0.5 * (coeffs + mirror)
         center = coeffs[2 * m].real
         if center < -1e-12 * (1.0 + scale):
-            raise DomainError("c_0 must be nonnegative")
+            raise NotAnAutocorrelation("c_0 must be nonnegative")
         coeffs[2 * m] = max(center, 0.0)
         coeffs.setflags(write=False)
         object.__setattr__(self, "m", m)

@@ -410,6 +410,70 @@ def test_unwritable_output_is_operational_error(argv, sig_shift, tmp_path, capsy
     assert not missing.exists()
 
 
+_ENUMERATE_TO_FILE = ["enumerate", "{sig}", "--json", "{other}", "--csv", "{missing}/c.csv"]
+_SWEEP_TO_FILE = ["gap", "--sweep", "m=1..2", "--csv", "{other}", "--json", "{missing}/g.json"]
+
+
+@pytest.mark.parametrize(
+    "argv, existing",
+    (
+        (["enumerate", "{sig}", "--csv", "{missing}/c.csv"], False),
+        (_ENUMERATE_TO_FILE, False),
+        (_ENUMERATE_TO_FILE, True),
+        (["gap", "--sweep", "m=1..2", "--json", "{missing}/g.json"], False),
+        (_SWEEP_TO_FILE, False),
+        (_SWEEP_TO_FILE, True),
+    ),
+    ids=("enumerate-stdout", "enumerate-new-file", "enumerate-existing-file",
+         "gap-sweep-stdout", "gap-sweep-new-file", "gap-sweep-existing-file"),
+)
+def test_unwritable_output_leaves_no_other_output(argv, existing, sig_shift, tmp_path,
+                                                  capsys):
+    missing, other = tmp_path / "missing", tmp_path / "other.txt"
+    if existing:
+        other.write_text("kept\n", encoding="utf-8")
+    argv = [a.format(sig=sig_shift, missing=missing, other=other) for a in argv]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot write %s: " % argv[-1])
+    assert captured.err.count("\n") == 1
+    if existing:
+        assert other.read_text(encoding="utf-8") == "kept\n"
+    else:
+        assert not other.exists()
+    assert not missing.exists()
+
+
+def test_output_replaces_a_longer_file_or_goes_to_a_device(sig_shift, tmp_path, capsys):
+    report, csv = tmp_path / "report.json", tmp_path / "classes.csv"
+    assert main(["enumerate", sig_shift, "--json", str(report), "--csv", str(csv)]) == 0
+    want = report.read_bytes(), csv.read_bytes()
+    for path in (report, csv):
+        path.write_bytes(b"x" * 100_000)
+    assert main(["enumerate", sig_shift, "--json", str(report), "--csv", str(csv)]) == 0
+    assert (report.read_bytes(), csv.read_bytes()) == want
+    assert main(["enumerate", sig_shift, "--json", os.devnull, "--csv", os.devnull]) == 0
+    assert capsys.readouterr() == ("", "")
+
+
+@pytest.mark.parametrize("command", ("factor", "transform"))
+@pytest.mark.parametrize(
+    "coeffs, message",
+    (
+        ([[0, 0], [0, 1], [2, 0], [0, 1], [0, 0]], "sequence is not Hermitian-symmetric"),
+        ([[0, 0], [0, 0], [-1, 0], [0, 0], [0, 0]], "c_0 must be nonnegative"),
+    ),
+    ids=("not-hermitian", "negative-c0"),
+)
+def test_invalid_lags_are_a_validation_failure(command, coeffs, message, tmp_path, capsys):
+    lags = write_json(tmp_path, "lags.json", {"m": 1, "coeffs": coeffs})
+    assert main([command, lags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "validation failure: %s\n" % message
+
+
 def test_equiv_disagreement_is_a_validation_failure(sig_shift, sig_flipped, monkeypatch,
                                                     capsys):
     monkeypatch.setattr(cli, "numeric_magnitude_equiv",

@@ -148,6 +148,57 @@ def test_render_report_deterministic():
     assert json.loads(text) == payload
 
 
+# JSON-like trees: floats include NaN and both infinities, text is not ASCII-only
+_json_trees = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=5),
+    lambda inner: (st.lists(inner, max_size=4) | st.tuples(inner, inner)
+                   | st.dictionaries(st.text(max_size=5), inner, max_size=4)),
+    max_leaves=40,
+)
+
+
+def _holds_row(tree):
+    """Whether a list or tuple sits directly inside a list or tuple somewhere in tree."""
+    if isinstance(tree, dict):
+        return any(map(_holds_row, tree.values()))
+    if isinstance(tree, (list, tuple)):
+        return any(isinstance(item, (list, tuple)) or _holds_row(item) for item in tree)
+    return False
+
+
+@settings(max_examples=300)
+@given(_json_trees)
+@example({})
+@example([])
+@example({"a": [[], {}], "b": ({"c": [float("nan"), -0.0, float("-inf")]},), "\u00e9": "\u2603"})
+def test_render_report_keeps_values_and_layout(tree):
+    text = render_report(tree)
+    assert json.dumps(json.loads(text), sort_keys=True) == json.dumps(tree, sort_keys=True)
+    assert text.endswith("\n") and not text.endswith("\n\n")
+    assert text.isascii()
+    if not _holds_row(tree):
+        # without a row there is nothing to put on one line
+        assert text == json.dumps(tree, sort_keys=True, indent=2) + "\n"
+
+
+def test_enumerate_report_has_one_line_per_representative(tmp_path):
+    m = 3
+    coeffs = np.random.default_rng(5).standard_normal((2 * m + 1, 2)).tolist()
+    sig = _write(tmp_path, "sig.json", {"m": m, "coeffs": coeffs})
+    out = tmp_path / "report.json"
+    assert main(["enumerate", sig, "--json", str(out)]) == 0
+    text = out.read_text(encoding="utf-8")
+    lines = text.splitlines()
+    classes = json.loads(text)["classes"]
+    for key, rows in (("representatives", 4 ** m), ("autocorrelation", 4 * m + 1)):
+        assert len(classes[key]) == rows
+        start = lines.index('    "%s": [' % key)
+        assert lines[start + 1 + rows] in ("    ]", "    ],")
+        # each row is whole on its own line, so no line holds a bare float of a row
+        block = lines[start + 1 : start + 1 + rows]
+        assert [json.loads(line.strip().rstrip(",")) for line in block] == classes[key]
+
+
 @given(
     st.integers(0, 3),
     st.lists(
