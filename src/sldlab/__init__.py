@@ -24,6 +24,7 @@ from .roots import (
     RootMultiset,
     conj_reciprocal,
     find_roots,
+    find_roots_batch,
     joint_orbits,
     pair_reciprocal,
     reconstruct,

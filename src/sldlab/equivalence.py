@@ -21,7 +21,7 @@ from .errors import (
     PeriodMismatch,
     ZeroPolynomial,
 )
-from .roots import find_roots, joint_orbits
+from .roots import find_roots_batch, joint_orbits
 from .signals import TrigPoly, autocorrelation_rows
 
 
@@ -117,8 +117,7 @@ def struct_magnitude_equiv(
     """
     if f.is_zero() or g.is_zero():
         raise ZeroPolynomial("magnitude equivalence needs nonzero polynomials")
-    rf = find_roots(f, tol=root_tol, circle_band=circle_band, seed=seed)
-    rg = find_roots(g, tol=root_tol, circle_band=circle_band, seed=seed)
+    rf, rg = find_roots_batch((f, g), tol=root_tol, circle_band=circle_band, seed=seed)
     orbits, circle_pairs = joint_orbits(rf, rg, match_tol=match_tol)
     try:
         kappa = kappa_ratio(rf, rg, orbits, circle_pairs)

@@ -1,8 +1,13 @@
 """Root finding and unit-circle classification for complex polynomials.
 
-The solver iterates on all roots simultaneously from a randomly perturbed
-unit-circle start, polishes each root with one Newton step, then clusters
-nearby approximations into multiple roots. Every root is tagged by its
+The solver is the Aberth-Ehrlich simultaneous iteration from a randomly
+perturbed unit-circle start. It solves a batch of polynomials at once
+(find_roots is the batch of one), sharing each numpy call of the Horner
+passes while every polynomial's roots step only against each other, so
+each result is bit for bit the one found alone. A root whose residual
+reaches rounding level is frozen and drops out of the passes. Each root is
+then polished with one Newton step, and nearby approximations are
+clustered into multiple roots. Every root is tagged by its
 position relative to the unit circle, since the whole downstream theory
 (magnitude equivalence, zero flipping, spectral factorization) branches on
 inside / on-circle / outside.
@@ -22,6 +27,9 @@ from .errors import (
 
 # coefficients at or below this relative size count as structural zeros
 _ZERO_REL = 1e-13
+_TINY = np.finfo(float).tiny
+# a root whose residual is below this multiple of its bound has settled
+_EPS_STOP = 8 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -56,21 +64,6 @@ class RootMultiset:
 
     def by_label(self, label):
         return tuple(r for r in self.roots if r.label == label)
-
-
-def _horner(coeffs, z):
-    out = np.zeros_like(z)
-    for c in coeffs[::-1]:
-        out = out * z + c
-    return out
-
-
-def _horner_scale(coeffs, az):
-    # running bound sum |a_i| |z|^i, used as a backward-error yardstick
-    out = np.zeros_like(az)
-    for c in np.abs(coeffs)[::-1]:
-        out = out * az + c
-    return out
 
 
 def _classify(radius, band):
@@ -119,6 +112,198 @@ def _groups(points, tol):
     return [order[i:j] for i, j in zip(starts, starts[1:] + [len(z)])]
 
 
+def _centroid(points):
+    """complex(np.mean(points)) by the same reduction, without np.mean's overhead."""
+    return complex(np.add.reduce(points) / len(points))
+
+
+def _horner(coef, z):
+    """Horner's rule for p(z), the bound sum |a_i| |z|^i and p'(z) at once.
+
+    coef has shape (rows, 3, len(z)): one row per power, highest first,
+    holding a_i, |a_i| and the p' coefficient of each root's own
+    polynomial. A leading zero row leaves an exact +0, so a column padded
+    to a higher degree gets the bits of its own degree. The bound rides in
+    the complex pass as |z| + 0j, which is exact until a product
+    overflows; then 0 * inf turns its inf into NaN, so those columns are
+    redone in real arithmetic.
+    """
+    az = np.abs(z)
+    zs = np.empty((3, len(z)), dtype=complex)
+    zs[0] = zs[2] = z
+    zs[1] = az
+    out = np.zeros(zs.shape, dtype=complex)
+    for c in coef:
+        np.multiply(out, zs, out=out)
+        np.add(out, c, out=out)
+    pz, bound, dpz = out
+    bound = bound.real
+    if not np.isfinite(bound).all():
+        over = ~np.isfinite(bound)
+        real = np.zeros(int(over.sum()))
+        for c in coef[:, 1, over].real:
+            real = real * az[over] + c
+        bound[over] = real
+    return pz, bound + _TINY, dpz
+
+
+def _aberth_sums(z, rows):
+    """The sum over j != i of 1 / (z_i - z_j) for each i in rows.
+
+    Each row is summed over the whole of z on its own, so its bits do not
+    depend on which other rows are asked for.
+    """
+    diff = z[rows, None] - z[None, :]
+    diag = (np.arange(len(rows)), rows)
+    diff[diag] = 1.0
+    inv = 1.0 / diff
+    inv[diag] = 0.0
+    return inv.sum(axis=1)
+
+
+def _solve(monics, seed, max_iter):
+    """Aberth-Ehrlich iteration over a batch of monic polynomials.
+
+    Each polynomial starts from its own seeded perturbed circle and its
+    roots step only against each other, so they come out bit for bit as
+    if it were solved alone: the batch shares the numpy calls of each
+    Horner pass and nothing else. A root whose residual reaches rounding
+    level is frozen, since its step would be exactly zero from then on,
+    and a polynomial stops when all its roots are frozen. Returns every
+    root after one polishing Newton pass, in batch order, and the relative
+    residual of each.
+    """
+    degs = [len(a) - 1 for a in monics]
+    starts = np.cumsum([0] + degs).tolist()
+    top = max(degs)
+    coef = np.zeros((top + 1, 3, starts[-1]), dtype=complex)
+    z = np.empty(starts[-1], dtype=complex)
+    for a, lo, d in zip(monics, starts, degs):
+        cols = slice(lo, lo + d)
+        coef[top - d :, 0, cols] = a[::-1, None]
+        coef[top - d :, 1, cols] = np.abs(a)[::-1, None]
+        coef[top - d + 1 :, 2, cols] = (a[1:] * np.arange(1, d + 1))[::-1, None]
+        rng = np.random.default_rng(seed)
+        angles = 2 * np.pi * (np.arange(d) + 0.25 * rng.random(d)) / d
+        radii = 1.0 + 0.2 * (rng.random(d) - 0.5)
+        z[cols] = radii * np.exp(1j * angles)
+
+    # ev: the roots each Horner pass evaluates; live: the roots still moving;
+    # blocks: (a polynomial's roots, its entries in live), per moving polynomial
+    ev = live = np.arange(starts[-1])
+    sub = coef
+    blocks = [(lo, hi, lo, hi) for lo, hi in zip(starts, starts[1:])]
+    for _ in range(max_iter):
+        pz, bound, dpz = _horner(sub, z[ev])
+        # a frozen root that is still evaluated settles again, its z unchanged
+        moving = ~(np.abs(pz) <= _EPS_STOP * bound)
+        if not moving.all():
+            live, pz, dpz = ev[moving], pz[moving], dpz[moving]
+            if not live.size:
+                break
+            cuts = np.searchsorted(live, starts).tolist()
+            blocks = [(lo, hi, i, j) for lo, hi, i, j
+                      in zip(starts, starts[1:], cuts, cuts[1:]) if i < j]
+            # a gather of the columns costs about one pass, so it waits
+            # until half the evaluated roots are frozen
+            if 2 * live.size <= ev.size:
+                ev = live
+                sub = coef[top - max(hi - lo for lo, hi, _, _ in blocks) :, :, ev]
+        s = np.concatenate([_aberth_sums(z[lo:hi], live[i:j] - lo) for lo, hi, i, j in blocks])
+        dpz = np.where(dpz == 0, _TINY, dpz)
+        w = pz / dpz
+        denom = 1.0 - w * s
+        denom = np.where(denom == 0, _TINY, denom)
+        z[live] -= w / denom
+
+    # one polishing Newton pass per root
+    pz, _, dpz = _horner(coef, z)
+    safe = np.abs(dpz) > 0
+    z = np.where(safe, z - pz / np.where(safe, dpz, 1.0), z)
+    pz, bound, _ = _horner(coef, z)
+    return z, np.abs(pz) / bound
+
+
+def _cluster(z, cluster_radius, circle_band):
+    """Merged, classified roots of one polynomial, sorted by location."""
+    roots = []
+    for idx in _groups(z, cluster_radius):
+        pts = z[idx]
+        loc = _centroid(pts)
+        radius = abs(loc)
+        if len(idx) == 1 and radius < np.inf:
+            diam = 0.0  # the spread of one finite point
+        else:
+            diam = float(_modulus(pts[:, None] - pts[None, :]).max())
+        # a merged cluster locates its root only to about half its own
+        # spread, so the circle test must not be sharper than that
+        roots.append(
+            ClassifiedRoot(
+                location=loc,
+                multiplicity=len(idx),
+                label=_classify(radius, max(circle_band, 0.5 * diam)),
+                diameter=diam,
+            )
+        )
+    roots.sort(key=lambda r: (r.location.real, r.location.imag))
+    return tuple(roots)
+
+
+def find_roots_batch(
+    polys,
+    tol=1e-8,
+    circle_band=1e-9,
+    cluster_radius=1e-6,
+    max_iter=200,
+    seed=12345,
+):
+    """find_roots for every polynomial of a sequence, in one iteration.
+
+    Returns a tuple with one RootMultiset per polynomial, each the one
+    find_roots gives for that polynomial alone; the parameters are
+    find_roots's and apply to every member. Errors come in the order
+    find_roots raises them: DomainError for tol, seed or cluster_radius,
+    then ZeroPolynomial for the first zero member, then NoConvergence for
+    the first member whose roots did not settle.
+    """
+    if not (0 < tol <= 1e-4):
+        raise DomainError("tol must lie in (0, 1e-4]")
+    if seed < 0:
+        raise DomainError("seed must be >= 0, got %d" % seed)
+    _check_tol(cluster_radius)
+    members = []
+    for f in polys:
+        coeffs = np.array(f.coeffs, dtype=complex)
+        if np.all(coeffs == 0):
+            raise ZeroPolynomial("cannot factor the zero polynomial")
+        mags = np.abs(coeffs)
+        keep = np.flatnonzero(mags > _ZERO_REL * mags.max())
+        members.append((int(keep[0]), int(keep[-1]), coeffs[keep[0] : keep[-1] + 1]))
+
+    monics = [core / core[-1] for _, _, core in members if len(core) > 1]
+    z, rel = _solve(monics, seed, max_iter) if monics else (None, None)
+    out = []
+    lo = 0
+    for origin, deg, core in members:
+        hi = lo + len(core) - 1
+        if hi > lo and rel[lo:hi].max() > tol:
+            raise NoConvergence(
+                "simultaneous iteration did not settle within %d steps" % max_iter,
+                residual=float(rel[lo:hi].max()),
+            )
+        out.append(
+            RootMultiset(
+                roots=_cluster(z[lo:hi], cluster_radius, circle_band) if hi > lo else (),
+                origin_mult=origin,
+                degree=deg,
+                leading_coeff=complex(core[-1]),
+                circle_band=circle_band,
+            )
+        )
+        lo = hi
+    return tuple(out)
+
+
 def find_roots(
     f,
     tol=1e-8,
@@ -149,101 +334,7 @@ def find_roots(
         Seed for the perturbed-circle initial guesses, >= 0. Fixed by
         default so runs are reproducible; a negative seed raises DomainError.
     """
-    if not (0 < tol <= 1e-4):
-        raise DomainError("tol must lie in (0, 1e-4]")
-    if seed < 0:
-        raise DomainError("seed must be >= 0, got %d" % seed)
-    _check_tol(cluster_radius)
-    coeffs = np.array(f.coeffs, dtype=complex)
-    if np.all(coeffs == 0):
-        raise ZeroPolynomial("cannot factor the zero polynomial")
-
-    top = np.abs(coeffs).max()
-    keep = np.abs(coeffs) > _ZERO_REL * top
-    deg = int(np.nonzero(keep)[0][-1])
-    origin = int(np.nonzero(keep)[0][0])
-    core = coeffs[origin : deg + 1]
-    core_deg = len(core) - 1
-    leading = complex(core[-1])
-
-    if core_deg == 0:
-        return RootMultiset(
-            roots=(),
-            origin_mult=origin,
-            degree=origin,
-            leading_coeff=leading,
-            circle_band=circle_band,
-        )
-
-    a = core / core[-1]
-    d = core_deg
-    rng = np.random.default_rng(seed)
-    angles = 2 * np.pi * (np.arange(d) + 0.25 * rng.random(d)) / d
-    radii = 1.0 + 0.2 * (rng.random(d) - 0.5)
-    z = radii * np.exp(1j * angles)
-
-    da = a[1:] * np.arange(1, d + 1)
-    eps_stop = 8 * np.finfo(float).eps
-    converged = np.zeros(d, dtype=bool)
-
-    for _ in range(max_iter):
-        pz = _horner(a, z)
-        sz = _horner_scale(a, np.abs(z)) + np.finfo(float).tiny
-        converged = np.abs(pz) <= eps_stop * sz
-        if converged.all():
-            break
-        dpz = _horner(da, z)
-        dpz = np.where(dpz == 0, np.finfo(float).tiny, dpz)
-        w = pz / dpz
-        diff = z[:, None] - z[None, :]
-        np.fill_diagonal(diff, 1.0)
-        inv = 1.0 / diff
-        np.fill_diagonal(inv, 0.0)
-        s = inv.sum(axis=1)
-        denom = 1.0 - w * s
-        denom = np.where(denom == 0, np.finfo(float).tiny, denom)
-        step = np.where(converged, 0.0, w / denom)
-        z = z - step
-
-    # one polishing Newton pass per root
-    pz = _horner(a, z)
-    dpz = _horner(da, z)
-    safe = np.abs(dpz) > 0
-    z = np.where(safe, z - pz / np.where(safe, dpz, 1.0), z)
-
-    pz = _horner(a, z)
-    sz = _horner_scale(a, np.abs(z)) + np.finfo(float).tiny
-    rel = np.abs(pz) / sz
-    if rel.max() > tol:
-        raise NoConvergence(
-            "simultaneous iteration did not settle within %d steps" % max_iter,
-            residual=float(rel.max()),
-        )
-
-    roots = []
-    for idx in _groups(z, cluster_radius):
-        pts = z[idx]
-        loc = complex(np.mean(pts))
-        diam = float(_modulus(pts[:, None] - pts[None, :]).max())
-        # a merged cluster locates its root only to about half its own
-        # spread, so the circle test must not be sharper than that
-        roots.append(
-            ClassifiedRoot(
-                location=loc,
-                multiplicity=len(idx),
-                label=_classify(abs(loc), max(circle_band, 0.5 * diam)),
-                diameter=diam,
-            )
-        )
-    roots.sort(key=lambda r: (r.location.real, r.location.imag))
-
-    return RootMultiset(
-        roots=tuple(roots),
-        origin_mult=origin,
-        degree=deg,
-        leading_coeff=leading,
-        circle_band=circle_band,
-    )
+    return find_roots_batch((f,), tol, circle_band, cluster_radius, max_iter, seed)[0]
 
 
 def reconstruct(r):
@@ -310,10 +401,8 @@ def _orbit_groups(multisets, match_tol):
             side = 0 if root.label == "inside" else 1
             counts[k][side] += root.multiplicity
             locs[side].append(root.location)
-        inner = complex(np.mean(locs[0])) if locs[0] else conj_reciprocal(
-            complex(np.mean(locs[1]))
-        )
-        outer = complex(np.mean(locs[1])) if locs[1] else conj_reciprocal(inner)
+        inner = _centroid(locs[0]) if locs[0] else conj_reciprocal(_centroid(locs[1]))
+        outer = _centroid(locs[1]) if locs[1] else conj_reciprocal(inner)
         orbits.append((inner, outer, counts))
     orbits.sort(key=lambda o: (o[0].real, o[0].imag))
     return orbits
@@ -396,7 +485,7 @@ def joint_orbits(rf, rg, match_tol=1e-6):
         mults = [0, 0]
         for i in idx:
             mults[circle[i][0]] += circle[i][1].multiplicity
-        circle_pairs.append((complex(np.mean([locs[i] for i in idx])), *mults))
+        circle_pairs.append((_centroid([locs[i] for i in idx]), *mults))
     circle_pairs.sort(key=lambda item: (item[0].real, item[0].imag))
 
     return tuple(orbits), tuple(circle_pairs)

@@ -247,15 +247,23 @@ _encode = json.JSONEncoder(sort_keys=True).encode
 def _render(obj, pad):
     """indent=2 layout, except that a list or tuple inside a list is one line."""
     inner = pad + "  "
-    if isinstance(obj, dict) and obj:
-        items = (_encode(key) + ": " + _render(obj[key], inner) for key in sorted(obj))
-    elif isinstance(obj, (list, tuple)) and obj:
-        items = (_encode(item) if isinstance(item, (list, tuple)) else _render(item, inner)
-                 for item in obj)
-    else:
+    if not (isinstance(obj, (dict, list, tuple)) and obj):
         return _encode(obj)
+    values = obj.values() if isinstance(obj, dict) else obj
+    if not any(isinstance(item, (dict, list, tuple)) for item in values):
+        # only scalars: one C-encoder call, its item separator breaks the lines
+        body = json.dumps(obj, sort_keys=True, separators=(",\n" + inner, ": "))[1:-1]
+    elif isinstance(obj, dict):
+        body = (",\n" + inner).join(
+            _encode(key) + ": " + _render(obj[key], inner) for key in sorted(obj)
+        )
+    else:
+        body = (",\n" + inner).join(
+            _encode(item) if isinstance(item, (list, tuple)) else _render(item, inner)
+            for item in obj
+        )
     brackets = "{}" if isinstance(obj, dict) else "[]"
-    return brackets[0] + "\n" + inner + (",\n" + inner).join(items) + "\n" + pad + brackets[1]
+    return brackets[0] + "\n" + inner + body + "\n" + pad + brackets[1]
 
 
 def render_report(payload):

@@ -8,6 +8,7 @@ these call into sldlab.
 import csv
 import io
 import itertools
+import json
 import math
 from fractions import Fraction
 
@@ -446,3 +447,156 @@ def complex_pairs_loop(vec):
         z = complex(z)
         out.append([float(z.real), float(z.imag)])
     return out
+
+
+class Unsettled(Exception):
+    """find_roots_loop's budget ran out; carries the final relative residual."""
+
+    def __init__(self, message, residual):
+        super().__init__(message)
+        self.residual = residual
+
+
+def _horner_loop(coeffs, z):
+    out = np.zeros_like(z)
+    for c in coeffs[::-1]:
+        out = out * z + c
+    return out
+
+
+def _horner_scale_loop(coeffs, az):
+    out = np.zeros_like(az)
+    for c in np.abs(coeffs)[::-1]:
+        out = out * az + c
+    return out
+
+
+def find_roots_loop(coeffs, tol=1e-8, circle_band=1e-9, cluster_radius=1e-6,
+                    max_iter=200, seed=12345):
+    """One polynomial's roots by the simultaneous iteration on its own.
+
+    Ascending coefficients in; (roots, origin_mult, degree, leading_coeff)
+    out, where roots is a sorted list of (location, multiplicity, label,
+    diameter). Horner passes one coefficient at a time, the full Aberth
+    step with a zero step for settled roots, one Newton polish, and
+    clusters merged by union_find_groups with numpy's mean. Raises
+    Unsettled when the relative residual exceeds tol.
+    """
+    coeffs = np.array(coeffs, dtype=complex)
+    top = np.abs(coeffs).max()
+    keep = np.abs(coeffs) > 1e-13 * top
+    deg = int(np.nonzero(keep)[0][-1])
+    origin = int(np.nonzero(keep)[0][0])
+    core = coeffs[origin : deg + 1]
+    d = len(core) - 1
+    leading = complex(core[-1])
+    if d == 0:
+        return [], origin, origin, leading
+
+    a = core / core[-1]
+    rng = np.random.default_rng(seed)
+    angles = 2 * np.pi * (np.arange(d) + 0.25 * rng.random(d)) / d
+    radii = 1.0 + 0.2 * (rng.random(d) - 0.5)
+    z = radii * np.exp(1j * angles)
+    da = a[1:] * np.arange(1, d + 1)
+    eps_stop = 8 * np.finfo(float).eps
+    for _ in range(max_iter):
+        pz = _horner_loop(a, z)
+        sz = _horner_scale_loop(a, np.abs(z)) + np.finfo(float).tiny
+        converged = np.abs(pz) <= eps_stop * sz
+        if converged.all():
+            break
+        dpz = _horner_loop(da, z)
+        dpz = np.where(dpz == 0, np.finfo(float).tiny, dpz)
+        w = pz / dpz
+        diff = z[:, None] - z[None, :]
+        np.fill_diagonal(diff, 1.0)
+        inv = 1.0 / diff
+        np.fill_diagonal(inv, 0.0)
+        s = inv.sum(axis=1)
+        denom = 1.0 - w * s
+        denom = np.where(denom == 0, np.finfo(float).tiny, denom)
+        step = np.where(converged, 0.0, w / denom)
+        z = z - step
+
+    pz = _horner_loop(a, z)
+    dpz = _horner_loop(da, z)
+    safe = np.abs(dpz) > 0
+    z = np.where(safe, z - pz / np.where(safe, dpz, 1.0), z)
+    pz = _horner_loop(a, z)
+    sz = _horner_scale_loop(a, np.abs(z)) + np.finfo(float).tiny
+    rel = np.abs(pz) / sz
+    if rel.max() > tol:
+        raise Unsettled("simultaneous iteration did not settle within %d steps" % max_iter,
+                        float(rel.max()))
+
+    roots = []
+    for idx in union_find_groups([complex(x) for x in z], cluster_radius):
+        pts = z[idx]
+        loc = complex(np.mean(pts))
+        gaps = pts[:, None] - pts[None, :]
+        diam = float(np.hypot(gaps.real, gaps.imag).max())
+        band = max(circle_band, 0.5 * diam)
+        label = ("inside" if abs(loc) < 1.0 - band
+                 else "outside" if abs(loc) > 1.0 + band else "on_circle")
+        roots.append((loc, len(idx), label, diam))
+    roots.sort(key=lambda r: (r[0].real, r[0].imag))
+    return roots, origin, deg, leading
+
+
+def _reflect(alpha):
+    return 1.0 / np.conj(complex(alpha))
+
+
+def orbit_groups_loop(multisets, match_tol):
+    """Reflection orbits of the off-circle roots of root multisets.
+
+    Each multiset needs .roots of items with .location, .multiplicity and
+    .label. Orbit keys (the inside-disk point of each reflection pair) are
+    grouped by union_find_groups and averaged with numpy's mean. Returns
+    (inner, outer, counts) sorted by inner, counts holding one [inside,
+    outside] multiplicity pair per multiset.
+    """
+    off = [(k, root) for k, r in enumerate(multisets)
+           for root in r.roots if root.label != "on_circle"]
+    keys = [complex(root.location if abs(root.location) < 1.0 else _reflect(root.location))
+            for _, root in off]
+    orbits = []
+    for idx in union_find_groups(keys, match_tol):
+        counts = [[0, 0] for _ in multisets]
+        locs = ([], [])
+        for i in idx:
+            k, root = off[i]
+            side = 0 if root.label == "inside" else 1
+            counts[k][side] += root.multiplicity
+            locs[side].append(root.location)
+        inner = complex(np.mean(locs[0])) if locs[0] else _reflect(complex(np.mean(locs[1])))
+        outer = complex(np.mean(locs[1])) if locs[1] else _reflect(inner)
+        orbits.append((inner, outer, counts))
+    orbits.sort(key=lambda o: (o[0].real, o[0].imag))
+    return orbits
+
+
+_encode_one = json.JSONEncoder(sort_keys=True).encode
+
+
+def _render_rows(obj, pad):
+    inner = pad + "  "
+    if isinstance(obj, dict) and obj:
+        items = (_encode_one(key) + ": " + _render_rows(obj[key], inner) for key in sorted(obj))
+    elif isinstance(obj, (list, tuple)) and obj:
+        items = (_encode_one(item) if isinstance(item, (list, tuple))
+                 else _render_rows(item, inner) for item in obj)
+    else:
+        return _encode_one(obj)
+    brackets = "{}" if isinstance(obj, dict) else "[]"
+    return brackets[0] + "\n" + inner + (",\n" + inner).join(items) + "\n" + pad + brackets[1]
+
+
+def render_report_loop(payload):
+    """Report text with one C-encoder call per scalar and per row.
+
+    Sorted keys and an indent of 2, except that a list or tuple inside a
+    list is written on one line; one trailing newline.
+    """
+    return _render_rows(payload, "") + "\n"

@@ -5,18 +5,22 @@ import pytest
 from hypothesis import given, strategies as st
 
 from sldlab import (
+    ClassifiedRoot,
     CoeffPoly,
+    RootMultiset,
     TrigPoly,
     ae_equal,
     degree_match,
     errors,
+    joint_orbits,
+    kappa_ratio,
     numeric_magnitude_equiv,
     phase_equiv,
     struct_magnitude_equiv,
 )
 
 from conftest import complex_vectors, poly_from_roots, separated_roots, trig_polys
-from oracles import equiv_battery, kappa_grid, ratio_is_flat
+from oracles import equiv_battery, find_roots_loop, kappa_grid, ratio_is_flat
 
 
 def test_ae_equal_basics():
@@ -204,3 +208,35 @@ def test_struct_rejects_bad_match_tol(bad):
     f = CoeffPoly(coeffs=poly_from_roots([2.0, 0.4j, -0.5]), n=3)
     with pytest.raises(errors.DomainError, match="tolerance"):
         struct_magnitude_equiv(f, f, match_tol=bad)
+
+
+def _verdict_from_loops(f, g):
+    """The structural verdict on roots found one polynomial at a time."""
+    multisets = []
+    for coeffs in (f, g):
+        roots, origin, degree, leading = find_roots_loop(coeffs)
+        multisets.append(RootMultiset(
+            roots=tuple(ClassifiedRoot(*root) for root in roots),
+            origin_mult=origin, degree=degree, leading_coeff=leading, circle_band=1e-9,
+        ))
+    try:
+        kappa = kappa_ratio(*multisets, *joint_orbits(*multisets))
+    except errors.ConditionViolated as exc:
+        return False, None, str(exc)
+    return True, np.float64(kappa).tobytes(), None
+
+
+def test_struct_verdicts_match_one_polynomial_loops():
+    rng = np.random.default_rng(8)
+    pairs = [(f, g) for f, g, _ in equiv_battery(seed=8, count=8)]
+    for m in (2, 9, 25):
+        f = rng.normal(size=2 * m + 1) + 1j * rng.normal(size=2 * m + 1)
+        pairs.append((f, np.conj(f[::-1])))  # every root reflected: related
+        pairs.append((f, f[: m + 1]))  # unequal degree
+    verdicts = []
+    for f, g in pairs:
+        v = struct_magnitude_equiv(as_poly(f), as_poly(g))
+        got = (v.related, None if v.kappa is None else np.float64(v.kappa).tobytes(), v.witness)
+        assert got == _verdict_from_loops(f, g)
+        verdicts.append(v.related)
+    assert True in verdicts and False in verdicts

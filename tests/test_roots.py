@@ -1,5 +1,7 @@
 """Simultaneous root finding, clustering, and reciprocal pairing."""
 
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -12,15 +14,23 @@ from sldlab import (
     conj_reciprocal,
     errors,
     find_roots,
+    find_roots_batch,
     joint_orbits,
     lift,
     pair_reciprocal,
     reconstruct,
 )
-from sldlab.roots import RootMultiset, _groups, _orbit_key
+from sldlab import roots as roots_module
+from sldlab.roots import RootMultiset, _centroid, _groups, _orbit_key
 
 from conftest import poly_from_roots, separated_roots
-from oracles import union_find_groups
+from oracles import (
+    Unsettled,
+    equiv_battery,
+    find_roots_loop,
+    orbit_groups_loop,
+    union_find_groups,
+)
 
 BAD_TOLERANCES = (float("nan"), float("inf"), -1e-6)
 
@@ -330,3 +340,169 @@ def test_pair_reciprocal_is_joint_orbits_against_nothing(seed):
     assert origin == r.origin_mult
     assert {(o.mult_inner, o.mult_outer) for o in orbits} == {(1, 1), (1, 0), (0, 2)}
     assert len(on_circle) == 1
+
+
+def _bits(z):
+    z = complex(z)
+    return struct.pack("<dd", z.real, z.imag)
+
+
+def _root_bits(roots, origin, degree, leading):
+    return ([(_bits(loc), mult, label, struct.pack("<d", diam))
+             for loc, mult, label, diam in roots], origin, degree, _bits(leading))
+
+
+def _multiset_bits(r):
+    return _root_bits([(x.location, x.multiplicity, x.label, x.diameter) for x in r.roots],
+                      r.origin_mult, r.degree, r.leading_coeff)
+
+
+def _orbit_bits(orbits):
+    return [(_bits(inner), _bits(outer), counts) for inner, outer, counts in orbits]
+
+
+def _batch_cases():
+    """(coefficient vectors, cluster_radius) batches, one family at a time."""
+    rng = np.random.default_rng(20261018)
+    # related and independent pairs of order 10-40
+    for f, g, _ in equiv_battery(seed=5, count=6):
+        yield [f, g], 1e-6
+    # random lifts of order 1-40 with zeroed end coefficients: origin roots
+    # and a dropped degree
+    for m in (1, 2, 3, 7, 16, 40):
+        f, g = rng.normal(size=(2, 2 * m + 1)) + 1j * rng.normal(size=(2, 2 * m + 1))
+        f[: int(rng.integers(1, m + 1))] = 0
+        g[-int(rng.integers(1, m + 1)) :] = 0
+        yield [f, g], 1e-6
+    # double and quadruple roots
+    double = poly_from_roots([2.0, 2.0, -1.0, 0.3j])
+    quad = np.convolve(poly_from_roots([0.5j] * 4), poly_from_roots([1.0, -1.0]))
+    for radius in (1e-4, 1e-3):
+        yield [double, quad], radius
+        yield [quad, double], radius
+    # unequal degrees, both orders, and a member whose core is a constant
+    low, high = rng.normal(size=(2, 21)) + 1j * rng.normal(size=(2, 21))
+    yield [low[:5], high], 1e-6
+    yield [high, low[:5]], 1e-6
+    yield [np.array([0, 0, 2.5]), high[:9], np.array([3.0])], 1e-6
+    # roots on the axes, where the zero parts carry signs
+    axes = poly_from_roots([1j, -1j, -1.0])
+    yield [axes, poly_from_roots([-2.0, 0.5j, -0.5j, 1.0])], 1e-6
+    yield [axes, axes], 1e-4
+    # coefficients spread over twelve decades: some iterates fly out far
+    # enough that the bound sum |a_i| |z|^i overflows
+    wide = []
+    for seed in (161, 242):
+        draw = np.random.default_rng(seed)
+        parts = draw.normal(size=(2, 41))
+        wide.append((parts[0] + 1j * parts[1]) * 10.0 ** draw.uniform(-12, 0, size=41))
+    yield wide, 1e-6
+
+
+BATCH_CASES = list(_batch_cases())
+
+
+# the wide-range case overflows on purpose, in both solvers
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("case", range(len(BATCH_CASES)))
+def test_batch_matches_one_polynomial_loop_bitwise(case):
+    batch, radius = BATCH_CASES[case]
+    polys = [CoeffPoly(coeffs=c) for c in batch]
+    want = [_root_bits(*find_roots_loop(c, cluster_radius=radius)) for c in batch]
+    got = find_roots_batch(polys, cluster_radius=radius)
+    assert [_multiset_bits(r) for r in got] == want
+    assert [_multiset_bits(find_roots(f, cluster_radius=radius)) for f in polys] == want
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_batch_cases_cover_the_edge_shapes():
+    found = [find_roots_batch([CoeffPoly(coeffs=c) for c in batch], cluster_radius=radius)
+             for batch, radius in BATCH_CASES]
+    rs = [r for batch in found for r in batch]
+    assert any(r.origin_mult for r in rs) and any(not r.roots for r in rs)
+    assert {2, 4} <= {root.multiplicity for r in rs for root in r.roots}
+    assert any(len({r.degree for r in batch}) > 1 for batch in found)
+    assert any(root.location.real == 0 or root.location.imag == 0
+               for r in rs for root in r.roots)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_orbits_match_loop_bitwise(seed):
+    rng = np.random.default_rng(seed)
+    f, g, _ = equiv_battery(seed=seed + 11, count=1)[0]
+    rf, rg = find_roots_batch((CoeffPoly(coeffs=f), CoeffPoly(coeffs=g)))
+    rm = _multiset(rng)
+    for pair in ((rf, rg), (rm, rf), (rm, rm)):
+        joint, circle_pairs = joint_orbits(*pair)
+        assert _orbit_bits(
+            (o.inner, o.outer, [[o.f_inner, o.f_outer], [o.g_inner, o.g_outer]]) for o in joint
+        ) == _orbit_bits(orbit_groups_loop(pair, 1e-6))
+        for r in pair:
+            orbits, _, _ = pair_reciprocal(r)
+            assert _orbit_bits(
+                (o.inner, o.outer, [[o.mult_inner, o.mult_outer]]) for o in orbits
+            ) == _orbit_bits(orbit_groups_loop((r,), 1e-6))
+    # the circle roots of rm, matched against themselves
+    assert [(_bits(loc), a, b) for loc, a, b in joint_orbits(rm, rm)[1]] == [
+        (_bits(np.mean([c.location] * 2)), c.multiplicity, c.multiplicity)
+        for c in rm.by_label("on_circle")
+    ]
+
+
+def test_centroid_is_numpy_mean_bitwise():
+    rng = np.random.default_rng(3)
+    parts = [0.0, -0.0, 1.5, -2.0, 1e-320, float("inf"), float("nan")]
+    points = [complex(a, b) for a in parts for b in parts]
+    sets = [[p] for p in points] + [[p, q] for p in points[:12] for q in points]
+    sets += [list(rng.normal(size=k) + 1j * rng.normal(size=k)) for k in (3, 9, 130)]
+    with np.errstate(invalid="ignore"):
+        for pts in sets:
+            want = _bits(np.mean(pts))
+            assert _bits(_centroid(pts)) == want
+            assert _bits(_centroid(np.array(pts))) == want
+
+
+def test_batch_raises_the_first_unsettled_members_error():
+    quartic = CoeffPoly(coeffs=poly_from_roots([0.5, 2.0, 0.3j, -1.8]), n=4)
+    cubic = CoeffPoly(coeffs=poly_from_roots([1.5j, -0.4, 3.0]), n=3)
+    linear = CoeffPoly(coeffs=poly_from_roots([0.7 - 0.2j]), n=1)
+
+    def error(polys):
+        with pytest.raises(errors.NoConvergence) as info:
+            find_roots_batch(polys, max_iter=1)
+        return str(info.value), info.value.residual
+
+    for bad in (quartic, cubic):
+        alone = error([bad])
+        with pytest.raises(Unsettled) as info:
+            find_roots_loop(bad.coeffs, max_iter=1)
+        assert alone == (str(info.value), info.value.residual)
+        assert alone[1] > 1e-8
+        # the first member that fails decides, whatever comes after it
+        assert error([bad, linear]) == alone
+        assert error([bad, quartic if bad is cubic else cubic]) == alone
+        # a member that settles does not hide the one after it
+        assert error([linear, bad]) == alone
+    assert error([quartic]) != error([cubic])
+    (r,) = find_roots_batch([linear], max_iter=1)
+    assert _multiset_bits(r) == _root_bits(*find_roots_loop(linear.coeffs, max_iter=1))
+
+
+def test_batch_checks_arguments_before_iterating(monkeypatch):
+    def no_iteration(*args):
+        raise AssertionError("the iteration ran")
+
+    monkeypatch.setattr(roots_module, "_solve", no_iteration)
+    good = CoeffPoly(coeffs=poly_from_roots([0.5, 2.0]), n=2)
+    zero = CoeffPoly(coeffs=[0, 0, 0], n=2)
+    for kw, message in (({"tol": 0.5}, "tol must"), ({"tol": 0.0}, "tol must"),
+                        ({"seed": -1}, "seed must"), ({"cluster_radius": float("nan")}, "tolerance")):
+        for polys in ([good], [good, zero], [zero, good]):
+            with pytest.raises(errors.DomainError, match=message):
+                find_roots_batch(polys, **kw)
+    for polys in ([zero], [good, zero], [zero, good]):
+        with pytest.raises(errors.ZeroPolynomial):
+            find_roots_batch(polys, max_iter=1)
+    assert find_roots_batch([]) == ()
+    with pytest.raises(AssertionError, match="iteration ran"):
+        find_roots_batch([good])

@@ -30,7 +30,7 @@ from sldlab.serialize import (
     validate,
 )
 
-from oracles import complex_pairs_loop, complex_vector_loop
+from oracles import complex_pairs_loop, complex_vector_loop, render_report_loop
 
 
 def _write(tmp_path, name, obj):
@@ -179,6 +179,24 @@ def test_render_report_keeps_values_and_layout(tree):
     if not _holds_row(tree):
         # without a row there is nothing to put on one line
         assert text == json.dumps(tree, sort_keys=True, indent=2) + "\n"
+
+
+@settings(max_examples=300)
+@given(_json_trees)
+@example({"residuals": [0.5, float("nan"), -0.0], "within_bound": True, "rows": [[1.0, 2.0]]})
+@example([{"a": None}, [], {}, "x", ("y",)])
+def test_render_report_bytes_match_per_scalar_encoding(tree):
+    # containers of scalars are encoded in one call; the text is the same
+    assert render_report(tree) == render_report_loop(tree)
+
+
+def test_class_report_bytes_match_per_scalar_encoding():
+    p = TrigPoly(m=5, coeffs=np.random.default_rng(11).standard_normal((11, 2)) @ [1, 1j])
+    cs = sldlab.enumerate_classes(p)
+    payload = {"config": {"seed": 12345, "tol": 1e-08, "label": "m5"},
+               "classes": serialize.classset_dict(cs, sldlab.certify_bound(cs))}
+    assert len(payload["classes"]["residuals"]) == 1024
+    assert render_report(payload) == render_report_loop(payload)
 
 
 def test_enumerate_report_has_one_line_per_representative(tmp_path):
