@@ -59,7 +59,6 @@ from .capacity import (
     gap_experiment,
     measurement_transform,
     mi_dmc,
-    mi_noiseless,
     quantize_phase,
     single_class_constellation,
     theta_m,

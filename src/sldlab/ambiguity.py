@@ -31,13 +31,11 @@ from .signals import (
     autocorr_lift,
     autocorrelation,
     autocorrelation_rows,
-    bin_keys,
-    first_ids,
     lift,
     screen_intensity,
 )
 
-# candidate rows assembled, canonicalized and keyed at a time
+# candidate rows assembled and canonicalized at a time
 _BLOCK_ROWS = 8192
 
 
@@ -63,7 +61,10 @@ class ClassSet:
     """Canonical representatives of the ambiguity classes of one measurement.
 
     coeffs, the only stored form, is a read-only (K, 2m+1) array with one
-    class per row; autocorr is the measurement they share. residuals holds
+    class per row; autocorr is the measurement they share. From
+    enumerate_classes and factor_sld, row i is flip spec i (orbit splits in
+    itertools.product order, then origin shift), so K is the closed-form
+    count (shift_hi + 1) * prod(total_i + 1) over the orbits. residuals holds
     each row's largest autocorrelation deviation from autocorr over c_0
     (0.0 when c_0 is 0), computed on construction; representatives is the
     rows as a tuple of TrigPoly, built on first access.
@@ -241,11 +242,6 @@ def flip(f, spec, root_tol=1e-8, circle_band=1e-9, cluster_radius=1e-6):
     return CoeffPoly(coeffs=coeffs, n=f.n)
 
 
-def _class_keys(rows, digits):
-    """Bin key of each canonical row: its unit-energy parts rounded."""
-    return bin_keys(rows, digits, np.sqrt(np.sum(np.abs(rows) ** 2, axis=1))[:, None])
-
-
 def _expand(rows, scales, parts, part_scales):
     """Every row times every part, in itertools.product order.
 
@@ -261,27 +257,16 @@ def _expand(rows, scales, parts, part_scales):
     return out.reshape(K * n, -1), (scales[:, None] * part_scales[None, :]).ravel()
 
 
-def _first_per_key(polys, scales, shift_hi, width, round_digits):
-    """Canonical rows of one block of candidates at every origin shift,
-    the first of each key only, in candidate order."""
-    polys *= scales[:, None]
-    shifted = np.zeros((len(polys), shift_hi + 1, width), dtype=complex)
-    for shift in range(shift_hi + 1):
-        shifted[:, shift, shift : shift + polys.shape[1]] = polys
-    canon = _canonical_rows(shifted.reshape(-1, width))
-    return canon[first_ids(_class_keys(canon, round_digits))[1]]
+def _assemble_classes(leading, orbit_table, circle_coeffs, shift_hi, m, cap):
+    """Canonical rows of every flip spec, in spec order.
 
-
-def _assemble_classes(leading, orbit_table, circle_coeffs, shift_hi, m, cap, round_digits):
-    """Canonical rows of the distinct candidates over all splits and shifts.
-
-    A candidate is leading * circle_coeffs * one part per orbit, times the
-    product of the part scales, placed at each origin shift 0..shift_hi and
-    canonicalized; its key is the unit-energy row rounded to round_digits.
-    The first candidate in itertools.product order, then shift order,
-    keeps each key, and the rows come back sorted by key bytes. Candidates
-    are processed _BLOCK_ROWS at a time, one block per choice of the
-    leading orbits, so memory follows the classes kept, not cap.
+    A spec picks one part per orbit, in itertools.product order, and then
+    an origin shift 0..shift_hi. Its row is leading * circle_coeffs * the
+    picked parts, times the product of their scales, placed at the shift
+    and canonicalized. Row i belongs to spec i, so the row count is the
+    closed-form count (shift_hi + 1) * prod(total_i + 1). Candidates are
+    built _BLOCK_ROWS at a time, one block per choice of the leading
+    orbits, straight into the one result array.
     """
     counts = [len(parts) for parts, _ in orbit_table]
     total_specs = (shift_hi + 1) * math.prod(counts)
@@ -310,32 +295,22 @@ def _assemble_classes(leading, orbit_table, circle_coeffs, shift_hi, m, cap, rou
     for parts, scales in orbit_table[split:]:
         tail = _expand(*tail, parts, scales)
 
-    # each block keeps its first candidate per key, in candidate order; a
-    # stable sort by key over the kept rows then leaves the first one of
-    # each key across blocks at the head of its run
-    kept = [
-        _first_per_key(*_expand(*tail, row[None, :], np.array([scale])), shift_hi, width,
-                       round_digits)
-        for row, scale in zip(*head)
-    ]
-    rows = np.concatenate(kept)
-    del kept
-    keys = np.empty(len(rows), dtype=np.dtype((np.void, 16 * width)))
-    for lo in range(0, len(rows), _BLOCK_ROWS):
-        keys[lo : lo + _BLOCK_ROWS] = _class_keys(rows[lo : lo + _BLOCK_ROWS], round_digits)
-    order = np.argsort(keys, kind="stable")
-    fresh = np.ones(len(order), dtype=bool)
-    for lo in range(1, len(order), _BLOCK_ROWS):
-        hi = min(len(order), lo + _BLOCK_ROWS)
-        fresh[lo:hi] = keys[order[lo:hi]] != keys[order[lo - 1 : hi - 1]]
-    del keys
-    return rows[order[fresh]]
+    # row lo + i * (shift_hi + 1) + shift is candidate i of the block at that shift
+    rows = np.zeros((total_specs, width), dtype=complex)
+    step = size * (shift_hi + 1)
+    for lo, (row, scale) in zip(range(0, total_specs, step), zip(*head)):
+        polys, scales = _expand(*tail, row[None, :], np.array([scale]))
+        polys *= scales[:, None]
+        block = rows[lo : lo + step].reshape(size, shift_hi + 1, width)
+        for shift in range(shift_hi + 1):
+            block[:, shift, shift : shift + polys.shape[1]] = polys
+        rows[lo : lo + step] = _canonical_rows(rows[lo : lo + step])
+    return rows
 
 
 def enumerate_classes(
     p,
     cap=2**20,
-    round_digits=7,
     root_tol=1e-8,
     circle_band=1e-9,
     cluster_radius=1e-6,
@@ -343,11 +318,13 @@ def enumerate_classes(
 ):
     """All ambiguity classes of a signal under square-law detection.
 
-    Iterates every orbit split of the lift and every admissible origin
-    shift, phase-normalizes each candidate, and deduplicates. The class
-    count never exceeds 2^(2m+1); for a generic signal (simple off-circle
-    orbits, full degree, nonzero lowest coefficient) it equals 2^q with q
-    the number of orbits.
+    One phase-normalized row per flip spec, in spec order: every orbit
+    split of the lift in itertools.product order, then every admissible
+    origin shift. The class count is the closed-form
+    (shift_hi + 1) * prod(total_i + 1) over the reflection orbits, which
+    never exceeds 2^(2m+1); for a generic signal (simple off-circle orbits,
+    full degree, nonzero lowest coefficient) it equals 2^q with q the
+    number of orbits.
     """
     if np.all(p.coeffs == 0):
         raise ZeroSignal("the zero signal has no ambiguity classes")
@@ -369,7 +346,6 @@ def enumerate_classes(
         shift_hi,
         p.m,
         cap,
-        round_digits,
     )
     # a guard against construction bugs
     return _gated(ClassSet(coeffs=rows, autocorr=autocorrelation(p)), 1e-6, DomainError,
@@ -380,7 +356,6 @@ def factor_sld(
     s,
     check_intensity=True,
     cap=2**20,
-    round_digits=7,
     root_tol=1e-8,
     circle_band=1e-9,
     cluster_radius=1e-6,
@@ -393,6 +368,8 @@ def factor_sld(
     must balance exactly, this is what makes a Hermitian sequence an
     actual measurement), halves the on-circle multiplicities, and rebuilds
     one candidate per orbit split and origin shift, scaled to match c_0.
+    The rows come in spec order, as in enumerate_classes, so the count is
+    (shift_hi + 1) * prod(mult_inner_i + 1) over the lift's orbits.
 
     check_intensity=False skips the sampled nonnegativity screen, which is
     useful for exercising the structural pairing failure on sequences
@@ -411,16 +388,14 @@ def factor_sld(
     first_err = None
     for radius in radii:
         try:
-            return _factor_at(
-                s, cap, round_digits, root_tol, circle_band, radius, tol, seed
-            )
+            return _factor_at(s, cap, root_tol, circle_band, radius, tol, seed)
         except NotAnAutocorrelation as err:
             if first_err is None:
                 first_err = err
     raise first_err
 
 
-def _factor_at(s, cap, round_digits, root_tol, circle_band, cluster_radius, tol, seed):
+def _factor_at(s, cap, root_tol, circle_band, cluster_radius, tol, seed):
     q = autocorr_lift(s)
     rq = find_roots(
         q, tol=root_tol, circle_band=circle_band, cluster_radius=cluster_radius, seed=seed
@@ -450,7 +425,6 @@ def _factor_at(s, cap, round_digits, root_tol, circle_band, cluster_radius, tol,
         shift_hi,
         s.m,
         cap,
-        round_digits,
     )
     # once the orbits balance and circle multiplicities are even, the
     # sequence provably factors; a residual beyond the gate can only mean

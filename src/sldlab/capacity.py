@@ -27,7 +27,12 @@ from .errors import (
     ZeroDC,
 )
 from .roots import conj_reciprocal
-from .signals import TrigPoly, autocorrelation_rows, bin_keys, first_ids
+from .signals import TrigPoly, autocorrelation_rows
+
+# decimals of the measurement and rotated-signal bins, and of the coherent
+# merge of surrogate-channel outputs
+_BIN_DIGITS = 7
+_MERGE_DIGITS = 9
 
 
 @dataclass(frozen=True, eq=False)
@@ -189,6 +194,26 @@ def entropy_bits(probs):
     return float(-(p * np.log2(p)).sum()) + 0.0
 
 
+def _bin_keys(rows, digits, scale):
+    """Bin key of each row of a 2-D complex array, one np.void per row.
+
+    The bytes of key i are the real then the imaginary parts of
+    rows[i] / scale rounded to `digits` decimals, with -0.0 folded into
+    0.0.
+    """
+    v = rows / scale
+    parts = np.concatenate([np.round(v.real, digits), np.round(v.imag, digits)], axis=1) + 0.0
+    return parts.view(np.dtype((np.void, parts.shape[1] * parts.itemsize))).ravel()
+
+
+def _first_ids(keys):
+    """Group id of each key, numbered by first appearance."""
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    rank = np.empty(len(first), dtype=np.intp)
+    rank[np.argsort(first)] = np.arange(len(first))
+    return rank[inverse]
+
+
 def _bins(rows, digits):
     """Bin id per row of a 2-D complex array, numbered by first appearance.
 
@@ -197,7 +222,7 @@ def _bins(rows, digits):
     still separates genuinely different levels.
     """
     scale = float(np.abs(rows).max(initial=0.0)) or 1.0
-    return first_ids(bin_keys(rows, digits, scale))[0]
+    return _first_ids(_bin_keys(rows, digits, scale))
 
 
 def _partition_entropy(ids, probs):
@@ -267,19 +292,6 @@ def _check_distinct(mat):
         )
 
 
-def mi_noiseless(c, digits=7):
-    """(I_xy, I_xs) for the identity channel, in bits.
-
-    Coherent detection resolves every point, so I_xy is the input entropy.
-    Square-law detection resolves only the measurement bins, so I_xs is
-    the entropy of the induced partition.
-    """
-    _check_distinct(c.coeffs)
-    i_xy = entropy_bits(c.probs)
-    i_xs = _partition_entropy(_bins(autocorrelation_rows(c.coeffs), digits), c.probs)
-    return i_xy, i_xs
-
-
 @dataclass(frozen=True, eq=False)
 class DiscreteNoise:
     """Finite noise model for the surrogate channel.
@@ -335,7 +347,7 @@ def _mi_from_joint(joint):
     return float((joint[mask] * np.log2(joint[mask] / outer[mask])).sum())
 
 
-def mi_dmc(c, noise, digits=7):
+def mi_dmc(c, noise):
     """(I_xy, I_xs) over a discrete memoryless surrogate channel.
 
     Builds the exact joint distribution of input and coherent output,
@@ -372,8 +384,8 @@ def mi_dmc(c, noise, digits=7):
         raise InvalidNoiseSpec("unknown noise kind %r" % noise.kind)
 
     # coherent side: merge outputs that are the same waveform
-    i_xy = _mi_from_joint(_merge_columns(joint, _bins(out, 9)))
-    i_xs = _mi_from_joint(_merge_columns(joint, _bins(autocorrelation_rows(out), digits)))
+    i_xy = _mi_from_joint(_merge_columns(joint, _bins(out, _MERGE_DIGITS)))
+    i_xs = _mi_from_joint(_merge_columns(joint, _bins(autocorrelation_rows(out), _BIN_DIGITS)))
     return i_xy, i_xs
 
 
@@ -407,7 +419,7 @@ class GapReport:
     zero_dc: int
 
 
-def gap_experiment(c, digits=7):
+def gap_experiment(c):
     """Measure the square-law information loss of a constellation.
 
     Computes the noiseless mutual informations, the per-dimension gap
@@ -420,15 +432,15 @@ def gap_experiment(c, digits=7):
     mat = c.coeffs
     _check_distinct(mat)
     # the measurement bins serve both I_xs and the chain identity below
-    s_ids = _bins(autocorrelation_rows(mat), digits)
+    s_ids = _bins(autocorrelation_rows(mat), _BIN_DIGITS)
     i_xy = entropy_bits(c.probs)
     i_xs = _partition_entropy(s_ids, c.probs)
 
-    z_ids = _bins(_z_rows(mat, PhaseGrid(m)), digits)
+    z_ids = _bins(_z_rows(mat, PhaseGrid(m)), _BIN_DIGITS)
     zero_dc = int(np.count_nonzero(mat[:, m] == 0))
 
     i_xz = _partition_entropy(z_ids, c.probs)
-    h_zs = _partition_entropy(first_ids(z_ids * len(mat) + s_ids)[0], c.probs)
+    h_zs = _partition_entropy(_first_ids(z_ids * len(mat) + s_ids), c.probs)
     h_z_given_s = h_zs - i_xs
     chain_residual = abs((i_xy - i_xs) - h_z_given_s)
 

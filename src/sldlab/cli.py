@@ -26,7 +26,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .ambiguity import _canonical_rows, certify_bound, enumerate_classes, factor_sld
+from .ambiguity import certify_bound, enumerate_classes, factor_sld
 from .capacity import bundled_constellation, gap_experiment, measurement_transform
 from .equivalence import numeric_magnitude_equiv, phase_equiv, struct_magnitude_equiv
 from .errors import (
@@ -56,8 +56,8 @@ _MAPS = {
     "sqrt": (np.sqrt, np.square),
 }
 
-# the root-finding and dedupe settings every report records, gap included
-_DEFAULTS = {"tol_circle": 1e-9, "tol_root": 1e-8, "round_digits": 7, "seed": 12345}
+# the root-finding settings every report records, gap included
+_DEFAULTS = {"tol_circle": 1e-9, "tol_root": 1e-8, "seed": 12345}
 
 
 def _fingerprint(args):
@@ -66,7 +66,6 @@ def _fingerprint(args):
         "seed": args.seed,
         "tol_circle": args.tol_circle,
         "tol_root": args.tol_root,
-        "round": args.round_digits,
     }
     if args.command == "gap" and args.sweep:
         out["sweep"] = args.sweep
@@ -152,8 +151,7 @@ def _class_csv(cs):
 
 
 def _solver_kw(args):
-    return dict(round_digits=args.round_digits, root_tol=args.tol_root,
-                circle_band=args.tol_circle, seed=args.seed)
+    return dict(root_tol=args.tol_root, circle_band=args.tol_circle, seed=args.seed)
 
 
 def _cmd_analyze(args):
@@ -241,10 +239,7 @@ def _parse_sweep(text):
 def _cmd_gap(args):
     if args.sweep:
         lo, hi = _parse_sweep(args.sweep)
-        reports = [
-            gap_experiment(bundled_constellation(m), args.round_digits)
-            for m in range(lo, hi + 1)
-        ]
+        reports = [gap_experiment(bundled_constellation(m)) for m in range(lo, hi + 1)]
         outputs = [(args.csv, _gap_csv(reports))]
         if args.output:
             payload = {"reports": [gap_dict(r) for r in reports]}
@@ -252,7 +247,7 @@ def _cmd_gap(args):
         _write(*outputs)
         return 0 if all(r.passed for r in reports) else 2
     c = parse_constellation(load_json(args.inputs[0]))
-    report = gap_experiment(c, args.round_digits)
+    report = gap_experiment(c)
     _emit(args, {"gap": gap_dict(report)})
     return 0 if report.passed else 2
 
@@ -277,7 +272,8 @@ def _cmd_transform(args):
     rebuilt = factor_sld(recovered, **_solver_kw(args))
     match = original.exact_count == rebuilt.exact_count
     if match:
-        ca, cb = _canonical_rows(original.coeffs), _canonical_rows(rebuilt.coeffs)
+        # both sets are canonical rows in spec order
+        ca, cb = original.coeffs, rebuilt.coeffs
         energy = np.sum(np.abs(ca) ** 2, axis=1)
         match = not np.any(
             np.abs(ca - cb).max(axis=1) > 1e-6 * np.sqrt(np.maximum(energy, 1e-300))
@@ -308,8 +304,6 @@ def _check(args):
         raise DomainError("--tol-root must lie in (0, 1e-4]")
     if not (0 < args.tol_circle <= 1e-3):
         raise DomainError("--tol-circle must lie in (0, 1e-3]")
-    if not (1 <= args.round_digits <= 15):
-        raise DomainError("--round must lie in [1, 15]")
     if args.command == "gap":
         if args.sweep and args.inputs:
             raise DomainError("gap takes a constellation file or --sweep, not both")
@@ -336,10 +330,6 @@ def _build_parser():
     csv = argparse.ArgumentParser(add_help=False)
     csv.add_argument("--csv", metavar="PATH",
                      help="write CSV artifacts here (sweep table or class samples)")
-    digits = argparse.ArgumentParser(add_help=False)
-    digits.add_argument("--round", dest="round_digits", type=int,
-                        default=_DEFAULTS["round_digits"],
-                        help="decimal digits for deduplication keys (default %(default)s)")
     roots = argparse.ArgumentParser(add_help=False)
     roots.add_argument("--tol-circle", type=float, default=_DEFAULTS["tol_circle"],
                        help="on-circle classification band (default %(default)s)")
@@ -352,10 +342,10 @@ def _build_parser():
     for name, nargs, parents, desc in (
         ("analyze", 1, [out, roots], "roots, orbits and measurement of a signal"),
         ("equiv", 2, [out, roots], "magnitude equivalence of two signals"),
-        ("enumerate", 1, [out, csv, roots, digits], "ambiguity classes of a signal"),
-        ("factor", 1, [out, csv, roots, digits], "signal classes of a measured sequence"),
-        ("transform", 1, [out, roots, digits], "invertible readout-map round trip"),
-        ("gap", "*", [out, csv, digits], "information-loss report for a constellation"),
+        ("enumerate", 1, [out, csv, roots], "ambiguity classes of a signal"),
+        ("factor", 1, [out, csv, roots], "signal classes of a measured sequence"),
+        ("transform", 1, [out, roots], "invertible readout-map round trip"),
+        ("gap", "*", [out, csv], "information-loss report for a constellation"),
     ):
         p = sub.add_parser(name, parents=parents, help=desc)
         p.add_argument("inputs", nargs=nargs, metavar="FILE")

@@ -286,7 +286,8 @@ def find_roots_batch(
     lo = 0
     for origin, deg, core in members:
         hi = lo + len(core) - 1
-        if hi > lo and rel[lo:hi].max() > tol:
+        # a NaN residual (an iterate that overflowed) fails the test too
+        if hi > lo and not (rel[lo:hi].max() <= tol):
             raise NoConvergence(
                 "simultaneous iteration did not settle within %d steps" % max_iter,
                 residual=float(rel[lo:hi].max()),

@@ -273,29 +273,6 @@ def autocorrelation_rows(b):
     return c
 
 
-def bin_keys(rows, digits, scale):
-    """Bin key of each row of a 2-D complex array, one np.void per row.
-
-    The bytes of key i are the real then the imaginary parts of
-    rows[i] / scale rounded to `digits` decimals, with -0.0 folded into
-    0.0. scale is one number for the whole batch or a (K, 1) column with
-    one per row.
-    """
-    v = rows / scale
-    parts = np.concatenate([np.round(v.real, digits), np.round(v.imag, digits)], axis=1) + 0.0
-    return parts.view(np.dtype((np.void, parts.shape[1] * parts.itemsize))).ravel()
-
-
-def first_ids(keys):
-    """Group id of each key, numbered by first appearance, and the index
-    of each group's first key, in group order."""
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    rank = np.empty(len(first), dtype=np.intp)
-    rank[order] = np.arange(len(first))
-    return rank[inverse], first[order]
-
-
 def lift(p):
     """Polynomial with coefficient of z^{k+m} equal to b_k (degree bound 2m)."""
     return CoeffPoly(coeffs=p.coeffs, n=2 * p.m)

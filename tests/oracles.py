@@ -321,28 +321,21 @@ def canonical_phase(coeffs):
     return rotated
 
 
-def unit_energy_key(coeffs, digits):
-    """Bin key of one vector: its unit-energy parts rounded to `digits`."""
-    b = coeffs / np.sqrt(float(np.sum(np.abs(coeffs) ** 2)))
-    return (np.round(b.real, digits) + 0.0).tobytes() + (np.round(b.imag, digits) + 0.0).tobytes()
-
-
-def assemble_classes_loop(leading, orbit_table, circle_coeffs, shift_hi, m, cap, digits):
+def assemble_classes_loop(leading, orbit_table, circle_coeffs, shift_hi, m, cap):
     """Class assembly one candidate at a time, over itertools.product.
 
     orbit_table holds one (parts, scales) pair per orbit. Each candidate
     convolves leading with one part per orbit and with circle_coeffs,
     multiplies by the product of the part scales, and is placed at every
-    origin shift; the first candidate of each unit-energy key wins.
-    Returns (keys, rows) sorted by key bytes. Raises ValueError past cap
-    or past degree 2m.
+    origin shift. Returns the canonical rows in that order, product first,
+    then shift. Raises ValueError past cap or past degree 2m.
     """
     choices = [list(zip(parts, scales)) for parts, scales in orbit_table]
     total = (shift_hi + 1) * math.prod(len(c) for c in choices)
     if total > cap:
         raise ValueError("%d candidate specs exceed the cap of %d" % (total, cap))
     width = 2 * m + 1
-    seen = {}
+    rows = []
     for picks in itertools.product(*choices):
         coeffs = np.array([leading], dtype=complex)
         scale = 1.0
@@ -355,10 +348,8 @@ def assemble_classes_loop(leading, orbit_table, circle_coeffs, shift_hi, m, cap,
                 raise ValueError("candidate degree exceeds 2m = %d" % (2 * m))
             row = np.zeros(width, dtype=complex)
             row[shift : shift + len(coeffs)] = coeffs
-            row = canonical_phase(row)
-            seen.setdefault(unit_energy_key(row, digits), row)
-    keys = sorted(seen)
-    return keys, [seen[k] for k in keys]
+            rows.append(canonical_phase(row))
+    return rows
 
 
 def class_csv_text(reps, m, period, samples=64):
@@ -480,7 +471,7 @@ def find_roots_loop(coeffs, tol=1e-8, circle_band=1e-9, cluster_radius=1e-6,
     diameter). Horner passes one coefficient at a time, the full Aberth
     step with a zero step for settled roots, one Newton polish, and
     clusters merged by union_find_groups with numpy's mean. Raises
-    Unsettled when the relative residual exceeds tol.
+    Unsettled when the relative residual exceeds tol or is NaN.
     """
     coeffs = np.array(coeffs, dtype=complex)
     top = np.abs(coeffs).max()
@@ -526,7 +517,7 @@ def find_roots_loop(coeffs, tol=1e-8, circle_band=1e-9, cluster_radius=1e-6,
     pz = _horner_loop(a, z)
     sz = _horner_scale_loop(a, np.abs(z)) + np.finfo(float).tiny
     rel = np.abs(pz) / sz
-    if rel.max() > tol:
+    if not (rel.max() <= tol):
         raise Unsettled("simultaneous iteration did not settle within %d steps" % max_iter,
                         float(rel.max()))
 

@@ -1,5 +1,6 @@
 """Class enumeration, measurement factorization, and their duality."""
 
+import math
 import sys
 
 import numpy as np
@@ -24,6 +25,7 @@ from sldlab import (
     flip,
     lift,
     numeric_magnitude_equiv,
+    pair_reciprocal,
     phase_equiv,
 )
 
@@ -34,7 +36,6 @@ from oracles import (
     lattice_ambiguity,
     phase_match,
     same_class_sets,
-    unit_energy_key,
 )
 
 INT_LATTICE = [a + 1j * b for a in (-2, -1, 0, 1, 2) for b in (-1, 0, 1)]
@@ -75,9 +76,10 @@ def test_enumerate_shift_fixture():
     cs = enumerate_classes(TrigPoly(m=1, coeffs=[0, 1, 1]))
     assert cs.exact_count == 2
     assert cs.bound == 8
+    # spec order: the one split, at origin shift 0 and then 1
     rows = canon_rows(cs)
-    assert np.allclose(rows[0], [0, 1, 1], atol=1e-9)
-    assert np.allclose(rows[1], [1, 1, 0], atol=1e-9)
+    assert np.allclose(rows[0], [1, 1, 0], atol=1e-9)
+    assert np.allclose(rows[1], [0, 1, 1], atol=1e-9)
 
 
 def test_enumerate_shift_fixture_against_lattice():
@@ -281,8 +283,8 @@ def _assembly_signals():
 
 
 def _check_against_loop(args, got):
-    keys, want = assemble_classes_loop(*args)
-    assert [unit_energy_key(row, args[-1]) for row in got] == keys
+    want = assemble_classes_loop(*args)
+    assert len(got) == len(want)
     for row, ref in zip(got, want):
         assert np.abs(row - ref).max() <= 1e-12 * np.abs(ref).max()
 
@@ -317,23 +319,23 @@ def test_batched_assembly_matches_per_candidate_loop(monkeypatch, block_rows):
 def test_batched_assembly_cap_and_degree_paths():
     table = [(np.array([[-0.5, 1.0], [-2.0, 1.0]], dtype=complex), np.array([1.0, 0.5]))]
     circle = np.array([1.0 + 0j])
-    ok = (1.0, table, circle, 1, 1, 2**20, 7)
+    ok = (1.0, table, circle, 1, 1, 2**20)
     _check_against_loop(ok, ambiguity._assemble_classes(*ok))
-    too_many = (1.0, table, circle, 1, 1, 3, 7)
+    too_many = (1.0, table, circle, 1, 1, 3)
     with pytest.raises(errors.CombinatorialBlowup):
         ambiguity._assemble_classes(*too_many)
     with pytest.raises(ValueError, match="cap"):
         assemble_classes_loop(*too_many)
-    too_long = (1.0, table, circle, 2, 1, 2**20, 7)
+    too_long = (1.0, table, circle, 2, 1, 2**20)
     with pytest.raises(errors.DegreeTooLarge):
         ambiguity._assemble_classes(*too_long)
     with pytest.raises(ValueError, match="degree"):
         assemble_classes_loop(*too_long)
 
 
-def test_batched_assembly_keeps_first_duplicate_across_blocks(monkeypatch):
-    # the two splits of the first orbit differ far below the key rounding,
-    # so every class is built twice, in blocks that share no candidate
+def test_batched_assembly_keeps_both_near_copies_in_spec_order(monkeypatch):
+    # the two splits of the first orbit differ by 1e-10, so every class is
+    # built twice, in blocks that share no candidate; both copies stay
     monkeypatch.setattr(ambiguity, "_BLOCK_ROWS", 2)
     near = np.array([[-0.5, 1.0], [-0.5 - 1e-10, 1.0]], dtype=complex)
     table = [
@@ -341,10 +343,33 @@ def test_batched_assembly_keeps_first_duplicate_across_blocks(monkeypatch):
         (np.array([[-2j, 1.0], [0.5j, 1.0]]), np.array([1.0, 2.0])),
         (np.array([[0.25 + 0.25j, 1.0], [4 - 4j, 1.0]]), np.array([1.0, 1 / 0.125])),
     ]
-    args = (1.0, table, np.array([1.0 + 0j]), 0, 2, 2**20, 7)
+    args = (1.0, table, np.array([1.0 + 0j]), 0, 2, 2**20)
     got = ambiguity._assemble_classes(*args)
-    assert len(got) == 4
+    assert len(got) == 8
     _check_against_loop(args, got)
+    # the first orbit's split leads the product order: row i and row i + 4
+    # are the two copies of one class
+    gaps = np.abs(got[:4] - got[4:]).max(axis=1) / np.abs(got[:4]).max(axis=1)
+    assert np.all((0 < gaps) & (gaps <= 1e-9))
+
+
+def test_enumerate_keeps_a_root_just_off_the_circle():
+    # the root at radius 1 + 1e-8 and its reflection give classes that
+    # agree to about 1e-8: four orbits, 16 classes, none merged
+    roots = [(1 + 1e-8) * np.exp(0.7j), 0.5 * np.exp(2.1j), 1.8 * np.exp(-1.2j),
+             0.6 * np.exp(-2.6j)]
+    cs = enumerate_classes(_normalized(roots, 2))
+    assert cs.exact_count == 16
+    assert max(cs.residuals) <= 1e-12
+
+
+def test_class_count_is_the_closed_form_count():
+    for p in _assembly_signals():
+        r = find_roots(lift(p))
+        orbits, _, origin = pair_reciprocal(r)
+        shift_hi = 2 * p.m - r.degree + origin
+        want = (shift_hi + 1) * math.prod(o.total + 1 for o in orbits)
+        assert enumerate_classes(p).exact_count == want
 
 
 def test_canonical_rows_match_per_vector_rule_bitwise():

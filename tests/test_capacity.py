@@ -17,18 +17,18 @@ from sldlab import (
     gap_experiment,
     measurement_transform,
     mi_dmc,
-    mi_noiseless,
     quantize_phase,
     single_class_constellation,
     theta_m,
 )
-from sldlab.capacity import _mi_from_joint, _z_rows
-from sldlab.signals import autocorrelation_rows, bin_keys
+from sldlab.capacity import _bin_keys, _first_ids, _mi_from_joint, _z_rows
+from sldlab.signals import autocorrelation_rows
 
 from oracles import (
     binary_entropy,
     entropy_loop,
     first_duplicate_scan,
+    first_ids_loop,
     merge_columns_loop,
     round_keys_loop,
     rotate_dc_loop,
@@ -179,16 +179,17 @@ def test_constellation_validation():
     assert c.probs.sum() == pytest.approx(1.0)
 
 
-def test_mi_noiseless_examples():
+def test_noiseless_mi_examples():
+    # m = 0 has no gap bound, so the identity channel goes through mi_dmc
     plus_minus = Constellation.uniform(
         [TrigPoly(m=0, coeffs=[1.0]), TrigPoly(m=0, coeffs=[-1.0])]
     )
-    assert mi_noiseless(plus_minus) == (1.0, 0.0)
+    assert mi_dmc(plus_minus, DiscreteNoise.zero(0)) == (1.0, 0.0)
 
     distinct = Constellation.uniform(
         [TrigPoly(m=0, coeffs=[1.0]), TrigPoly(m=0, coeffs=[2.0])]
     )
-    assert mi_noiseless(distinct) == (1.0, 1.0)
+    assert mi_dmc(distinct, DiscreteNoise.zero(0)) == (1.0, 1.0)
 
     three = Constellation.uniform(
         [
@@ -197,16 +198,18 @@ def test_mi_noiseless_examples():
             TrigPoly(m=1, coeffs=[0, 2, 0]),
         ]
     )
-    i_xy, i_xs = mi_noiseless(three)
-    assert i_xy == pytest.approx(np.log2(3), abs=1e-12)
-    assert i_xs == pytest.approx(entropy_loop([2 / 3, 1 / 3]), abs=1e-12)
+    r = gap_experiment(three)
+    assert r.i_xy == pytest.approx(np.log2(3), abs=1e-12)
+    assert r.i_xs == pytest.approx(entropy_loop([2 / 3, 1 / 3]), abs=1e-12)
 
 
-def test_mi_noiseless_rejects_duplicates():
+def test_noiseless_mi_rejects_duplicates():
     sig = TrigPoly(m=1, coeffs=[0, 1, 1])
     twice = Constellation.uniform([sig, TrigPoly(m=1, coeffs=[0, 1, 1])])
     with pytest.raises(errors.DuplicateSignals):
-        mi_noiseless(twice)
+        gap_experiment(twice)
+    with pytest.raises(errors.DuplicateSignals):
+        mi_dmc(twice, DiscreteNoise.zero(1))
 
 
 def _duplicate_battery(rng):
@@ -255,7 +258,7 @@ def test_duplicate_check_matches_pairwise_scan():
         c = Constellation.uniform([TrigPoly(m=m, coeffs=r) for r in rows])
         if len(wild):
             with pytest.raises(errors.DomainError) as info, np.errstate(over="ignore"):
-                mi_noiseless(c)
+                mi_dmc(c, DiscreteNoise.zero(m))
             assert not isinstance(info.value, errors.DuplicateSignals)
             assert str(info.value) == (
                 "constellation point %d has non-finite energy" % wild[0]
@@ -265,7 +268,7 @@ def test_duplicate_check_matches_pairwise_scan():
         pair = first_duplicate_scan(rows)
         want = pair and "constellation points %d and %d coincide" % pair
         try:
-            mi_noiseless(c)
+            mi_dmc(c, DiscreteNoise.zero(m))
             got = None
         except errors.DuplicateSignals as exc:
             got = str(exc)
@@ -284,8 +287,33 @@ def test_batched_keys_match_per_signal_formula():
     for c in _key_cases(range(1, 7)):
         for batch, want in ((autocorrelation_rows(c.coeffs), sld_keys_loop(c.coeffs)),
                             (_z_rows(c.coeffs, PhaseGrid(c.m)), z_keys_loop(c.coeffs, c.m))):
-            keys = bin_keys(batch, 7, np.abs(batch).max())
+            keys = _bin_keys(batch, 7, np.abs(batch).max())
             assert [k.tobytes() for k in keys] == want
+
+
+def test_bin_keys_match_per_vector_keys():
+    rng = np.random.default_rng(21)
+    rows = rng.standard_normal((40, 5)) + 1j * rng.standard_normal((40, 5))
+    # signed zeros, and parts that round to -0.0, fold into +0.0
+    rows[0] = [-0.0, complex(0.0, -0.0), -1e-12, complex(-3e-9, -0.0), 1.0]
+    rows[1] = rows[2]
+    for digits in (3, 7, 12):
+        batch = _bin_keys(rows, digits, np.abs(rows).max())
+        assert [k.tobytes() for k in batch] == round_keys_loop(rows, digits)
+    assert batch.shape == (40,) and batch.dtype.itemsize == 16 * 5
+
+
+@pytest.mark.parametrize(
+    "keys",
+    ([b"a"], [b"x"] * 5, [b"c", b"a", b"d", b"b"], [b"b", b"a", b"b", b"c", b"a", b"a", b"d", b"c"]),
+    ids=("single", "all-equal", "all-distinct", "interleaved"),
+)
+def test_first_ids_match_first_appearance_loop(keys):
+    want, _ = first_ids_loop(keys)
+    void = np.frombuffer(b"".join(keys), dtype=np.dtype((np.void, 1)))
+    ints = np.array([ord(k) for k in keys])
+    for arr in (void, ints):
+        assert _first_ids(arr).tolist() == want
 
 
 def _entropy_by_bytes_keys(probs, keys):
@@ -333,10 +361,11 @@ def test_mi_distinguishes_intensity_scales():
     tones = Constellation.uniform(
         [TrigPoly(m=1, coeffs=[0, 2, 0]), TrigPoly(m=1, coeffs=[0, 3, 0])]
     )
-    assert mi_noiseless(tones) == (1.0, 1.0)
+    r = gap_experiment(tones)
+    assert (r.i_xy, r.i_xs) == (1.0, 1.0)
 
 
-def test_mi_dmc_zero_noise_matches_noiseless():
+def test_mi_dmc_zero_noise_matches_gap_experiment():
     three = Constellation.uniform(
         [
             TrigPoly(m=1, coeffs=[0, 1, 1]),
@@ -345,9 +374,9 @@ def test_mi_dmc_zero_noise_matches_noiseless():
         ]
     )
     a = mi_dmc(three, DiscreteNoise.zero(1))
-    b = mi_noiseless(three)
-    assert a[0] == pytest.approx(b[0], abs=1e-9)
-    assert a[1] == pytest.approx(b[1], abs=1e-9)
+    b = gap_experiment(three)
+    assert a[0] == pytest.approx(b.i_xy, abs=1e-9)
+    assert a[1] == pytest.approx(b.i_xs, abs=1e-9)
 
 
 def test_mi_dmc_binary_symmetric():

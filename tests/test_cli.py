@@ -293,13 +293,18 @@ def test_class_and_gap_commands_build_no_object_per_class(tmp_path, monkeypatch,
         (["analyze", "{sig}", "--csv", "{tmp}/a.csv"], "--csv"),
         (["analyze", "{sig}", "--round", "3"], "--round"),
         (["equiv", "{sig}", "{sig}", "--round", "3"], "--round"),
+        (["enumerate", "{sig}", "--round", "3"], "--round"),
+        (["factor", "{ac}", "--round", "3"], "--round"),
+        (["transform", "{ac}", "--round", "3"], "--round"),
+        (["gap", "--sweep", "m=1..1", "--round", "3"], "--round"),
         (["equiv", "{sig}", "{sig}", "--csv", "{tmp}/a.csv"], "--csv"),
         (["transform", "{ac}", "--csv", "{tmp}/a.csv"], "--csv"),
         (["gap", "--sweep", "m=1..1", "--seed", "7"], "--seed"),
         (["gap", "--sweep", "m=1..1", "--tol-root", "1e-9"], "--tol-root"),
         (["gap", "--sweep", "m=1..1", "--tol-circle", "1e-9"], "--tol-circle"),
     ),
-    ids=("analyze-csv", "analyze-round", "equiv-round", "equiv-csv", "transform-csv",
+    ids=("analyze-csv", "analyze-round", "equiv-round", "enumerate-round", "factor-round",
+         "transform-round", "gap-round", "equiv-csv", "transform-csv",
          "gap-seed", "gap-tol-root", "gap-tol-circle"),
 )
 def test_subcommand_rejects_flags_it_does_not_read(argv, flag, sig_shift, ac_shift,
@@ -348,7 +353,7 @@ def test_version_flag(capsys):
     capsys.readouterr()
 
 
-_CONFIG = {"seed": 12345, "tol_circle": 1e-9, "tol_root": 1e-8, "round": 7}
+_CONFIG = {"seed": 12345, "tol_circle": 1e-9, "tol_root": 1e-8}
 
 
 @pytest.mark.parametrize(
@@ -358,7 +363,7 @@ _CONFIG = {"seed": 12345, "tol_circle": 1e-9, "tol_root": 1e-8, "round": 7}
         (["analyze", "{sig}", "--seed", "3", "--tol-root", "1e-6", "--tol-circle", "1e-7"],
          {"seed": 3, "tol_root": 1e-6, "tol_circle": 1e-7}),
         (["equiv", "{sig}", "{sig}"], {}),
-        (["enumerate", "{sig}", "--round", "5"], {"round": 5}),
+        (["enumerate", "{sig}", "--tol-circle", "1e-8"], {"tol_circle": 1e-8}),
         (["factor", "{ac}", "--seed", "0"], {"seed": 0}),
         (["transform", "{ac}"], {"map": "identity"}),
         (["transform", "{ac}", "--map", "affine", "--scale", "-3", "--offset", "2.5"],
@@ -366,7 +371,7 @@ _CONFIG = {"seed": 12345, "tol_circle": 1e-9, "tol_root": 1e-8, "round": 7}
         (["transform", "{ac}", "--map", "affine"],
          {"map": "affine", "scale": 1.0, "offset": 0.0}),
         (["gap", "{cons}"], {}),
-        (["gap", "--sweep", "m=1..2", "--round", "6"], {"sweep": "m=1..2", "round": 6}),
+        (["gap", "--sweep", "m=1..2"], {"sweep": "m=1..2"}),
     ),
     ids=("analyze", "analyze-flags", "equiv", "enumerate", "factor", "transform",
          "transform-affine", "transform-affine-defaults", "gap-file", "gap-sweep"),

@@ -23,17 +23,14 @@ from sldlab import (
     unlift,
 )
 
-from sldlab.signals import autocorrelation_rows, bin_keys, first_ids, screen_intensity
+from sldlab.signals import autocorrelation_rows, screen_intensity
 
 from conftest import complex_vectors, trig_polys
 from oracles import (
     autocorr_dot,
     autocorr_loops,
     eval_series,
-    first_ids_loop,
     intensity_series,
-    round_keys_loop,
-    unit_energy_key,
 )
 
 
@@ -239,31 +236,3 @@ def test_coeffpoly_eval_matches_powersum(coeffs, z):
     f = CoeffPoly(coeffs=coeffs, n=3)
     want = poly_powersum(coeffs, z)
     assert abs(f(z) - want) <= 1e-9 * (1 + abs(want))
-
-
-def test_bin_keys_match_per_vector_keys():
-    rng = np.random.default_rng(21)
-    rows = rng.standard_normal((40, 5)) + 1j * rng.standard_normal((40, 5))
-    # signed zeros, and parts that round to -0.0, fold into +0.0
-    rows[0] = [-0.0, complex(0.0, -0.0), -1e-12, complex(-3e-9, -0.0), 1.0]
-    rows[1] = rows[2]
-    for digits in (3, 7, 12):
-        batch = bin_keys(rows, digits, np.abs(rows).max())
-        assert [k.tobytes() for k in batch] == round_keys_loop(rows, digits)
-        per_row = bin_keys(rows, digits, np.sqrt(np.sum(np.abs(rows) ** 2, axis=1))[:, None])
-        assert [k.tobytes() for k in per_row] == [unit_energy_key(r, digits) for r in rows]
-    assert batch.shape == (40,) and batch.dtype.itemsize == 16 * 5
-
-
-@pytest.mark.parametrize(
-    "keys",
-    ([b"a"], [b"x"] * 5, [b"c", b"a", b"d", b"b"], [b"b", b"a", b"b", b"c", b"a", b"a", b"d", b"c"]),
-    ids=("single", "all-equal", "all-distinct", "interleaved"),
-)
-def test_first_ids_match_first_appearance_loop(keys):
-    want = first_ids_loop(keys)
-    void = np.frombuffer(b"".join(keys), dtype=np.dtype((np.void, 1)))
-    ints = np.array([ord(k) for k in keys])
-    for arr in (void, ints):
-        ids, first = first_ids(arr)
-        assert (ids.tolist(), first.tolist()) == want
