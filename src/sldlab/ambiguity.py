@@ -61,10 +61,11 @@ class ClassSet:
     """Canonical representatives of the ambiguity classes of one measurement.
 
     coeffs, the only stored form, is a read-only (K, 2m+1) array with one
-    class per row; autocorr is the measurement they share. From
-    enumerate_classes and factor_sld, row i is flip spec i (orbit splits in
-    itertools.product order, then origin shift), so K is the closed-form
-    count (shift_hi + 1) * prod(total_i + 1) over the orbits. residuals holds
+    class per row (a read-only complex input is kept, any other copied);
+    autocorr is the measurement they share. From enumerate_classes and
+    factor_sld, row i is flip spec i (orbit splits in itertools.product
+    order, then origin shift), so K is the closed-form count
+    (shift_hi + 1) * prod(total_i + 1) over the orbits. residuals holds
     each row's largest autocorrelation deviation from autocorr over c_0
     (0.0 when c_0 is 0), computed on construction; representatives is the
     rows as a tuple of TrigPoly, built on first access.
@@ -75,10 +76,11 @@ class ClassSet:
     residuals: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
-        rows = np.array(self.coeffs, dtype=complex)
+        rows = np.asarray(self.coeffs, dtype=complex)
+        rows = rows.copy() if rows.flags.writeable else rows
+        rows.setflags(write=False)
         if rows.ndim != 2 or rows.shape[1] != 2 * self.autocorr.m + 1:
             raise DomainError("expected a (K, 2m+1) array of rows, m = %d" % self.autocorr.m)
-        rows.setflags(write=False)
         c0 = self.autocorr.c0
         residuals = np.zeros(len(rows))
         if c0 > 0:
@@ -347,6 +349,7 @@ def enumerate_classes(
         p.m,
         cap,
     )
+    rows.setflags(write=False)
     # a guard against construction bugs
     return _gated(ClassSet(coeffs=rows, autocorr=autocorrelation(p)), 1e-6, DomainError,
                   "representative misses the source measurement by %.3g")
@@ -433,6 +436,7 @@ def _factor_at(s, cap, root_tol, circle_band, cluster_radius, tol, seed):
     rough = max((root.diameter for root in rq.roots), default=0.0)
     gate = max(tol, 1e-7, min(1e-3, 2.0 * rough))
     rows *= np.sqrt(s.c0 / np.sum(np.abs(rows) ** 2, axis=1))[:, None]
+    rows.setflags(write=False)
     return _gated(ClassSet(coeffs=rows, autocorr=s), gate, NotAnAutocorrelation,
                   "candidate misses the sequence by %.3g, not a square-law measurement")
 

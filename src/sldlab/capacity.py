@@ -29,10 +29,10 @@ from .errors import (
 from .roots import conj_reciprocal
 from .signals import TrigPoly, autocorrelation_rows
 
-# decimals of the measurement and rotated-signal bins, and of the coherent
-# merge of surrogate-channel outputs
-_BIN_DIGITS = 7
-_MERGE_DIGITS = 9
+# radius of the measurement and rotated-signal bins, and of the coherent
+# merge of surrogate-channel outputs, per unit of the batch's largest modulus
+_BIN_RADIUS = 1e-7
+_MERGE_RADIUS = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -194,18 +194,6 @@ def entropy_bits(probs):
     return float(-(p * np.log2(p)).sum()) + 0.0
 
 
-def _bin_keys(rows, digits, scale):
-    """Bin key of each row of a 2-D complex array, one np.void per row.
-
-    The bytes of key i are the real then the imaginary parts of
-    rows[i] / scale rounded to `digits` decimals, with -0.0 folded into
-    0.0.
-    """
-    v = rows / scale
-    parts = np.concatenate([np.round(v.real, digits), np.round(v.imag, digits)], axis=1) + 0.0
-    return parts.view(np.dtype((np.void, parts.shape[1] * parts.itemsize))).ravel()
-
-
 def _first_ids(keys):
     """Group id of each key, numbered by first appearance."""
     _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
@@ -214,15 +202,54 @@ def _first_ids(keys):
     return rank[inverse]
 
 
-def _bins(rows, digits):
-    """Bin id per row of a 2-D complex array, numbered by first appearance.
+def _groups(rows, radii):
+    """Group id per row of a 2-D complex array, numbered by first appearance.
 
-    Rows are rounded on one shared scale, the largest modulus in the
-    batch, so the binning is invariant under rescaling the batch but
-    still separates genuinely different levels.
+    Rows i and j link when max_k |a_ik - a_jk| <= max(r_i, r_j) (radii: one
+    per row, or one for all), and linked rows chain into one group. Over w
+    coefficients |p_i - p_j| <= sqrt(2) * w * max_k |a_ik - a_jk| for the
+    projection p = sum_k (Re a_k + Im a_k). The reach in p is 2w * max r:
+    the slack up from sqrt(2), and 8w ulps of the largest l1 norm, absorb
+    the rounding in p. Consecutive rows in p order that link form chains,
+    and only pairs of different chains within that reach are compared, so
+    a bin of near-identical rows costs one pass.
     """
-    scale = float(np.abs(rows).max(initial=0.0)) or 1.0
-    return _first_ids(_bin_keys(rows, digits, scale))
+    n, width = rows.shape
+    radii = np.broadcast_to(radii, (n,))
+    proj = (rows.real + rows.imag).sum(axis=1)
+    l1 = (np.abs(rows.real) + np.abs(rows.imag)).sum(axis=1)
+    reach = 2 * width * radii.max() + 8 * width * np.finfo(float).eps * l1.max()
+
+    order = np.argsort(proj, kind="stable")
+    swept, rows, radii = proj[order], rows[order], radii[order]
+    linked = np.abs(rows[1:] - rows[:-1]).max(axis=1) <= np.maximum(radii[1:], radii[:-1])
+    chain = np.concatenate([[0], np.cumsum(~linked)])
+    chain_end = np.append(np.flatnonzero(~linked) + 1, n)[chain]
+
+    # sorted position s is compared with [chain_end_s, end of its reach),
+    # 1M coefficient pairs per block so the comparison arrays stay near 4M
+    count = np.maximum(np.searchsorted(swept, swept + reach, side="right") - chain_end, 0)
+    end = np.cumsum(count)
+    links = [np.empty((2, 0), dtype=np.intp)]
+    step = max(1, 1_000_000 // width)
+    for t0 in range(0, int(end[-1]), step):
+        t = np.arange(t0, min(int(end[-1]), t0 + step))
+        s = np.searchsorted(end, t, side="right")
+        u = chain_end[s] + t - (end[s] - count[s])
+        hit = np.abs(rows[s] - rows[u]).max(axis=1) <= np.maximum(radii[s], radii[u])
+        links.append(chain[np.stack([s[hit], u[hit]])])
+
+    # union the chains the cross links join: hook the larger root of each
+    # link under the smaller, then point every chain at its root
+    root = np.arange(chain[-1] + 1)
+    a, b = np.hstack(links)
+    while np.any(root[a] != root[b]):
+        np.minimum.at(root, np.maximum(root[a], root[b]), np.minimum(root[a], root[b]))
+        while np.any(root[root] != root):
+            root = root[root]
+    label = np.empty(n, dtype=np.intp)
+    label[order] = root[chain]
+    return _first_ids(label)
 
 
 def _partition_entropy(ids, probs):
@@ -233,63 +260,26 @@ def _check_distinct(mat):
     """Raise DuplicateSignals for the first pair of coinciding rows.
 
     Rows i < j coincide when max_k |a_ik - a_jk| <= 1e-12 * sqrt(max(E_i, E_j)),
-    E being the row energy, and the pair named is the smallest (i, j).
-    Only pairs close in the projection p = sum_k (Re a_k + Im a_k) are
-    compared: |p_i - p_j| <= sqrt(2) * w * max_k |a_ik - a_jk| over w
-    coefficients, so coinciding rows lie within 2w * 1e-12 * sqrt(max E)
-    of each other in p. The slack up from sqrt(2), and 8w ulps of the
-    largest l1 norm, absorb the rounding in p. A row whose energy is not
-    finite has no band to compare within, so it is rejected with
-    DomainError before any pair is compared.
+    E being the row energy: _groups with radii 1e-12 * sqrt(E_i), the same
+    band bit for bit. The pair named is the smallest (i, j): i the smallest
+    member of a group of two or more, j its smallest partner. A row whose
+    energy is not finite has no band, so it is rejected with DomainError
+    before any pair is compared.
     """
-    n, width = mat.shape
     energy = np.sum(np.abs(mat) ** 2, axis=1)
     wild = np.flatnonzero(~np.isfinite(energy))
     if len(wild):
         raise DomainError(
             "constellation point %d has non-finite energy" % wild[0]
         )
-    proj = (mat.real + mat.imag).sum(axis=1)
-    l1 = (np.abs(mat.real) + np.abs(mat.imag)).sum(axis=1)
-    reach = (2 * width * 1e-12 * np.sqrt(energy.max())
-             + 8 * width * np.finfo(float).eps * l1.max())
-
-    # row i is compared with the sorted positions [lo_i, hi_i), minus its own
-    order = np.argsort(proj, kind="stable")
-    pos = np.empty(n, dtype=np.intp)
-    pos[order] = np.arange(n)
-    swept = proj[order]
-    lo = np.searchsorted(swept, proj - reach, side="left")
-    hi = np.searchsorted(swept, proj + reach, side="right")
-    own = pos - lo
-    count = hi - lo - 1
-    end = np.cumsum(count)
-
-    # expand the candidates row by row, 1M coefficient pairs per block so
-    # the comparison arrays stay near 4M elements; rows go in index order,
-    # and the scan stops once every pair of the first colliding row is in
-    best = None
-    step = max(1, 1_000_000 // width)
-    for t0 in range(0, int(end[-1]), step):
-        t = np.arange(t0, min(int(end[-1]), t0 + step))
-        i = np.searchsorted(end, t, side="right")
-        if best is not None and i[0] > best // n:
-            break
-        slot = t - (end[i] - count[i])
-        slot += slot >= own[i]
-        j = order[lo[i] + slot]
-        later = j > i
-        i, j = i[later], j[later]
-        gap = np.abs(mat[i] - mat[j]).max(axis=1)
-        band = 1e-12 * np.sqrt(np.maximum(energy[i], energy[j]))
-        hit = gap <= band
-        if hit.any():
-            first = int((i[hit] * n + j[hit]).min())
-            best = first if best is None else min(best, first)
-    if best is not None:
-        raise DuplicateSignals(
-            "constellation points %d and %d coincide" % divmod(best, n)
-        )
+    radii = 1e-12 * np.sqrt(energy)
+    ids = _groups(mat, radii)
+    shared = np.flatnonzero(np.bincount(ids)[ids] > 1)
+    if len(shared):
+        i = shared[0]
+        near = np.abs(mat - mat[i]).max(axis=1) <= np.maximum(radii, radii[i])
+        j = np.flatnonzero(near[i + 1 :])[0] + i + 1
+        raise DuplicateSignals("constellation points %d and %d coincide" % (i, j))
 
 
 @dataclass(frozen=True, eq=False)
@@ -351,9 +341,10 @@ def mi_dmc(c, noise):
     """(I_xy, I_xs) over a discrete memoryless surrogate channel.
 
     Builds the exact joint distribution of input and coherent output,
-    then coarsens the output alphabet by measurement bin for the
-    square-law side. Binning is deterministic post-processing, so
-    I_xs <= I_xy holds by construction.
+    merging outputs that _groups links at 1e-9 of their largest modulus,
+    then coarsens the output alphabet by measurement bin, as in
+    gap_experiment, for the square-law side. Binning is deterministic
+    post-processing, so I_xs <= I_xy holds by construction.
     """
     mat = c.coeffs
     _check_distinct(mat)
@@ -384,9 +375,10 @@ def mi_dmc(c, noise):
         raise InvalidNoiseSpec("unknown noise kind %r" % noise.kind)
 
     # coherent side: merge outputs that are the same waveform
-    i_xy = _mi_from_joint(_merge_columns(joint, _bins(out, _MERGE_DIGITS)))
-    i_xs = _mi_from_joint(_merge_columns(joint, _bins(autocorrelation_rows(out), _BIN_DIGITS)))
-    return i_xy, i_xs
+    merged = _groups(out, _MERGE_RADIUS * np.abs(out).max())
+    lags = autocorrelation_rows(out)
+    binned = _groups(lags, _BIN_RADIUS * np.abs(lags).max())
+    return tuple(_mi_from_joint(_merge_columns(joint, ids)) for ids in (merged, binned))
 
 
 def _merge_columns(joint, ids):
@@ -424,19 +416,21 @@ def gap_experiment(c):
 
     Computes the noiseless mutual informations, the per-dimension gap
     (i_xy - i_xs) / (2m+1), and the finite-order ceiling
-    1 + log2(m)/(2m+1) it must respect.
+    1 + log2(m)/(2m+1) it must respect. Measurements, and signals rotated
+    onto the phase grid, are binned by _groups at 1e-7 of their largest modulus.
     """
     m = c.m
     if m < 1:
         raise UnsupportedOrder("the gap bound needs m >= 1")
     mat = c.coeffs
     _check_distinct(mat)
-    # the measurement bins serve both I_xs and the chain identity below
-    s_ids = _bins(autocorrelation_rows(mat), _BIN_DIGITS)
+    # measurement and rotated-signal bins; the first serve both I_xs and
+    # the chain identity below
+    s_ids, z_ids = (_groups(rows, _BIN_RADIUS * np.abs(rows).max())
+                    for rows in (autocorrelation_rows(mat), _z_rows(mat, PhaseGrid(m))))
     i_xy = entropy_bits(c.probs)
     i_xs = _partition_entropy(s_ids, c.probs)
 
-    z_ids = _bins(_z_rows(mat, PhaseGrid(m)), _BIN_DIGITS)
     zero_dc = int(np.count_nonzero(mat[:, m] == 0))
 
     i_xz = _partition_entropy(z_ids, c.probs)

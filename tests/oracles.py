@@ -431,6 +431,24 @@ def merge_columns_loop(joint, keys):
     return merged
 
 
+def pairwise_groups(rows, radii):
+    """Group id per row, numbered by first appearance, by a union-find over
+    every pair: rows i and j link when max_k |a_ik - a_jk| <= max(r_i, r_j).
+
+    Quick-find: label[x] names the group of row x, row i is compared with
+    every later row at once, and each union relabels a whole group.
+    """
+    rows = np.asarray(rows, dtype=complex)
+    radii = np.broadcast_to(np.asarray(radii, dtype=float), (len(rows),))
+    label = np.arange(len(rows))
+    for i in range(len(rows)):
+        gap = np.abs(rows[i + 1 :] - rows[i]).max(axis=1)
+        partners = np.flatnonzero(gap <= np.maximum(radii[i + 1 :], radii[i])) + i + 1
+        for group in np.unique(label[partners]):
+            label[label == group] = label[i]
+    return first_ids_loop(label.tolist())[0]
+
+
 def complex_pairs_loop(vec):
     """[re, im] pairs of a complex vector, one complex() per element."""
     out = []

@@ -2,6 +2,7 @@
 
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -459,6 +460,35 @@ def test_class_set_rejects_rows_of_another_shape():
         with pytest.raises(errors.DomainError, match="2m\\+1"):
             ClassSet(coeffs=rows, autocorr=s)
     assert ClassSet(coeffs=[[6.0, -5.0, 1.0]], autocorr=s).residuals == (0.0,)
+
+
+def test_class_set_copies_only_writable_rows():
+    s = autocorrelation(TrigPoly(m=1, coeffs=[6.0, -5.0, 1.0]))
+    rows = np.array([[6.0, -5.0, 1.0], [1.0, -5.0, 6.0]], dtype=complex)
+    cs = ClassSet(coeffs=rows, autocorr=s)
+    assert cs.coeffs is not rows and not cs.coeffs.flags.writeable
+    rows[0] = 0
+    assert cs.coeffs[0].tolist() == [6.0, -5.0, 1.0]
+    # a read-only complex array is the caller's to hand over
+    assert ClassSet(coeffs=cs.coeffs, autocorr=s).coeffs is cs.coeffs
+
+
+def test_enumerate_holds_its_rows_once_at_peak():
+    # a generic m=8 draw: 65,536 classes, 17.8 MB of rows
+    m = 8
+    rng = np.random.default_rng(7)
+    slot = 2 * np.pi / (2 * m)
+    angles = slot * (np.arange(2 * m) + rng.uniform(0.2, 0.8, 2 * m))
+    radii = rng.uniform(0.4, 0.8, 2 * m) ** rng.choice([-1, 1], 2 * m)
+    p = _normalized(radii * np.exp(1j * angles), m)
+    tracemalloc.start()
+    try:
+        cs = enumerate_classes(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cs.exact_count == 2 ** (2 * m)
+    assert peak < 2 * cs.coeffs.nbytes
 
 
 @pytest.mark.parametrize("bad", (float("nan"), float("inf"), -1e-6))

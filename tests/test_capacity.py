@@ -21,8 +21,7 @@ from sldlab import (
     single_class_constellation,
     theta_m,
 )
-from sldlab.capacity import _bin_keys, _first_ids, _mi_from_joint, _z_rows
-from sldlab.signals import autocorrelation_rows
+from sldlab.capacity import _first_ids, _groups, _mi_from_joint, _z_rows
 
 from oracles import (
     binary_entropy,
@@ -30,6 +29,7 @@ from oracles import (
     first_duplicate_scan,
     first_ids_loop,
     merge_columns_loop,
+    pairwise_groups,
     round_keys_loop,
     rotate_dc_loop,
     sld_keys_loop,
@@ -283,26 +283,6 @@ def _key_cases(orders):
     return [bundled_constellation(m) for m in orders] + [single_class_constellation(3, 6)]
 
 
-def test_batched_keys_match_per_signal_formula():
-    for c in _key_cases(range(1, 7)):
-        for batch, want in ((autocorrelation_rows(c.coeffs), sld_keys_loop(c.coeffs)),
-                            (_z_rows(c.coeffs, PhaseGrid(c.m)), z_keys_loop(c.coeffs, c.m))):
-            keys = _bin_keys(batch, 7, np.abs(batch).max())
-            assert [k.tobytes() for k in keys] == want
-
-
-def test_bin_keys_match_per_vector_keys():
-    rng = np.random.default_rng(21)
-    rows = rng.standard_normal((40, 5)) + 1j * rng.standard_normal((40, 5))
-    # signed zeros, and parts that round to -0.0, fold into +0.0
-    rows[0] = [-0.0, complex(0.0, -0.0), -1e-12, complex(-3e-9, -0.0), 1.0]
-    rows[1] = rows[2]
-    for digits in (3, 7, 12):
-        batch = _bin_keys(rows, digits, np.abs(rows).max())
-        assert [k.tobytes() for k in batch] == round_keys_loop(rows, digits)
-    assert batch.shape == (40,) and batch.dtype.itemsize == 16 * 5
-
-
 @pytest.mark.parametrize(
     "keys",
     ([b"a"], [b"x"] * 5, [b"c", b"a", b"d", b"b"], [b"b", b"a", b"b", b"c", b"a", b"a", b"d", b"c"]),
@@ -314,6 +294,70 @@ def test_first_ids_match_first_appearance_loop(keys):
     ints = np.array([ord(k) for k in keys])
     for arr in (void, ints):
         assert _first_ids(arr).tolist() == want
+
+
+def _integer_rows(rng, n, width):
+    """Distinct-or-equal integer rows whose projection sum(Re + Im) is 0.
+
+    Every pair is within reach of every other in the projection, and rows
+    that differ lie at least 1 apart.
+    """
+    rows = rng.integers(-3, 4, (n, width)) + 1j * rng.integers(-3, 4, (n, width))
+    rows[:, -1] -= (rows.real + rows.imag).sum(axis=1)
+    return rows
+
+
+def _grouping_cases():
+    rng = np.random.default_rng(404)
+    # 4,096 rows within 1e-12 of one row, plus eight far rows among them
+    dense = rng.standard_normal(9) + 1j * rng.standard_normal(9)
+    dense = dense + 1e-12 * (rng.standard_normal((4096, 9)) + 1j * rng.standard_normal((4096, 9)))
+    dense[::512] += rng.standard_normal((8, 9))
+    yield "dense", dense, 1e-9, 9
+
+    # chains stepping 0.6 r along one direction, so their ends lie far beyond
+    # r; a 1.5 r step splits the second chain in two
+    direction = np.exp(1j * rng.uniform(0, 2 * np.pi, 5))
+    steps = np.concatenate([np.full(30, 0.6), [50.0], np.full(19, 0.6), [1.5], np.full(20, 0.6)])
+    chains = rng.permutation(np.cumsum(steps)[:, None] * direction * 1e-3)
+    yield "chains", chains, 1e-3, 3
+
+    # rows of one projection, 1 or more apart, some of them repeated
+    flat = _integer_rows(rng, 60, 4)
+    flat[40:] = flat[rng.integers(0, 40, 20)]
+    yield "equal-projection", flat, 0.5, len(np.unique(flat, axis=0))
+
+    # pairs at a distance between their two radii link by the larger one
+    rows = rng.standard_normal((40, 3)) + 1j * rng.standard_normal((40, 3))
+    radii = 10.0 ** rng.uniform(-3, -1, 40)
+    for i in range(0, 40, 4):
+        rows[i + 1] = rows[i] + 0.5 * (radii[i] + radii[i + 1]) * np.exp(1j * rng.uniform(0, 6, 3))
+    yield "unequal-radii", rows, radii, 30
+
+    # exact copies merge even at radius 0
+    copies = rng.standard_normal((7, 3)) + 1j * rng.standard_normal((7, 3))
+    yield "duplicates", copies[rng.integers(0, 7, 50)], 0.0, 7
+
+    # 1,500 rows of one projection: 1.1M candidate pairs, more than three
+    # blocks of 1M // 3 pairs, with repeats spread across the blocks
+    yield "blocks", _integer_rows(rng, 1500, 3), 0.5, None
+
+
+@pytest.mark.parametrize("name,rows,radii,count",
+                         [pytest.param(*case, id=case[0]) for case in _grouping_cases()])
+def test_groups_match_pairwise_union_find(name, rows, radii, count):
+    got = _groups(rows, radii)
+    want = pairwise_groups(rows, radii)
+    assert got.tolist() == want
+    if count is not None:
+        assert got.max() + 1 == count
+    if name == "unequal-radii":
+        # each planted pair is farther apart than its smaller radius
+        gap = np.abs(rows[1::4] - rows[::4]).max(axis=1)
+        assert np.all(gap > np.minimum(radii[1::4], radii[::4]))
+    if name == "blocks":
+        assert len(rows) * (len(rows) - 1) // 2 > 3 * (1_000_000 // 3)
+        assert 0 < len(rows) - (got.max() + 1)
 
 
 def _entropy_by_bytes_keys(probs, keys):
@@ -363,6 +407,18 @@ def test_mi_distinguishes_intensity_scales():
     )
     r = gap_experiment(tones)
     assert (r.i_xy, r.i_xs) == (1.0, 1.0)
+
+
+@pytest.mark.parametrize("x", [0.50000001, 0.50000005])
+def test_tones_straddling_a_rounding_boundary_share_a_bin(x):
+    # the last two tones' lags differ by 2e-11 in both cases; at 0.50000005
+    # they lie either side of a 7-decimal rounding boundary
+    tones = Constellation.uniform(
+        [TrigPoly(m=1, coeffs=[0, dc, 0]) for dc in (1.0, np.sqrt(x - 1e-11), np.sqrt(x + 1e-11))]
+    )
+    r = gap_experiment(tones)
+    assert r.i_xy == pytest.approx(np.log2(3), abs=1e-12)
+    assert r.i_xs == pytest.approx(entropy_loop([1 / 3, 2 / 3]), abs=1e-12)
 
 
 def test_mi_dmc_zero_noise_matches_gap_experiment():
