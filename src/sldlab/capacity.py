@@ -203,7 +203,13 @@ def _first_ids(keys):
 
 
 def _groups(rows, radii):
-    """Group id per row of a 2-D complex array, numbered by first appearance.
+    """Group id per row of a 2-D complex array, numbered by first appearance."""
+    return _first_ids(_labels(rows, radii))
+
+
+def _labels(rows, radii):
+    """Group label per row of a 2-D complex array: each group's smallest
+    chain index, so every label is below the row count.
 
     Rows i and j link when max_k |a_ik - a_jk| <= max(r_i, r_j) (radii: one
     per row, or one for all), and linked rows chain into one group. Over w
@@ -249,7 +255,7 @@ def _groups(rows, radii):
             root = root[root]
     label = np.empty(n, dtype=np.intp)
     label[order] = root[chain]
-    return _first_ids(label)
+    return label
 
 
 def _partition_entropy(ids, probs):
@@ -260,7 +266,7 @@ def _check_distinct(mat):
     """Raise DuplicateSignals for the first pair of coinciding rows.
 
     Rows i < j coincide when max_k |a_ik - a_jk| <= 1e-12 * sqrt(max(E_i, E_j)),
-    E being the row energy: _groups with radii 1e-12 * sqrt(E_i), the same
+    E being the row energy: _labels with radii 1e-12 * sqrt(E_i), the same
     band bit for bit. The pair named is the smallest (i, j): i the smallest
     member of a group of two or more, j its smallest partner. A row whose
     energy is not finite has no band, so it is rejected with DomainError
@@ -273,8 +279,8 @@ def _check_distinct(mat):
             "constellation point %d has non-finite energy" % wild[0]
         )
     radii = 1e-12 * np.sqrt(energy)
-    ids = _groups(mat, radii)
-    shared = np.flatnonzero(np.bincount(ids)[ids] > 1)
+    labels = _labels(mat, radii)
+    shared = np.flatnonzero(np.bincount(labels)[labels] > 1)
     if len(shared):
         i = shared[0]
         near = np.abs(mat - mat[i]).max(axis=1) <= np.maximum(radii, radii[i])

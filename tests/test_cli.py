@@ -254,6 +254,41 @@ def test_enumerate_csv_matches_row_by_row_writer(tmp_path):
         assert out.read_bytes() == want.encode("utf-8")
 
 
+def _partial_block_signal():
+    """Order 4 with the top two coefficients zero: a degree-6 lift and two
+    origin shifts, so 3 * 2^6 = 192 classes, one full block and a half."""
+    rng = np.random.default_rng(5150)
+    coeffs = rng.standard_normal(9) + 1j * rng.standard_normal(9)
+    coeffs[-2:] = 0
+    return 4, coeffs
+
+
+def _shared_intensity_signal():
+    """Order 1 with b(z) = z^-1 (z - 2)(z + 3): every class row is real and
+    integer, so at t = 0 each class's sample is an exact integer of modulus
+    |f(1)| = 4, and every class writes the same intensity there."""
+    return 1, np.array([-6.0, 1.0, 1.0])
+
+
+@pytest.mark.parametrize("signal", (_partial_block_signal, _shared_intensity_signal),
+                         ids=("partial-block", "shared-intensity"))
+def test_class_csv_matches_row_by_row_writer_edge_cases(signal, tmp_path):
+    m, coeffs = signal()
+    sig = write_json(tmp_path, "sig.json", signal_dict(TrigPoly(m=m, coeffs=coeffs)))
+    out = tmp_path / "classes.csv"
+    assert main(["enumerate", sig, "--csv", str(out), "--json", os.devnull]) == 0
+    cs = enumerate_classes(parse_signal(load_json(sig)))
+    want = class_csv_text([rep.coeffs for rep in cs.representatives], m, 1.0)
+    assert out.read_bytes() == want.encode("utf-8")
+    if signal is _partial_block_signal:
+        assert cs.exact_count == 192
+        assert cs.exact_count % cli._CSV_CLASSES
+    else:
+        rows = [line.split(",") for line in want.splitlines()[1:]]
+        assert cs.exact_count == 4
+        assert {row[5] for row in rows if row[1] == "0"} == {"16.0"}
+
+
 def test_class_and_gap_commands_build_no_object_per_class(tmp_path, monkeypatch, capsys):
     built = []
     original = TrigPoly.__post_init__
@@ -448,6 +483,35 @@ def test_unwritable_output_leaves_no_other_output(argv, existing, sig_shift, tmp
     else:
         assert not other.exists()
     assert not missing.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    (
+        ["enumerate", "{sig}", "--json", "{out}", "--csv", "{out}"],
+        ["enumerate", "{sig}", "--json", "{out}", "--csv", "{link}"],
+        ["gap", "--sweep", "m=1..2", "--json", "{out}", "--csv", "{out}"],
+    ),
+    ids=("enumerate-same-path", "enumerate-symlink", "gap-sweep-same-path"),
+)
+@pytest.mark.parametrize("existing", (False, True), ids=("new-file", "existing-file"))
+def test_two_outputs_to_one_file_are_refused(argv, existing, sig_shift, tmp_path, capsys):
+    out, link = tmp_path / "out.txt", tmp_path / "link.txt"
+    if existing:
+        out.write_text("kept\n", encoding="utf-8")
+    if "{link}" in argv:
+        link.symlink_to(out)
+    argv = [a.format(sig=sig_shift, out=out, link=link) for a in argv]
+    # the path opened second is refused, and it is the last argument
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot write %s: " % argv[-1])
+    assert captured.err.count("\n") == 1
+    if existing:
+        assert out.read_text(encoding="utf-8") == "kept\n"
+    else:
+        assert not out.exists()
 
 
 def test_output_replaces_a_longer_file_or_goes_to_a_device(sig_shift, tmp_path, capsys):
