@@ -23,7 +23,7 @@ from .errors import (
     NotAnAutocorrelation,
     ZeroSignal,
 )
-from .roots import find_roots, pair_reciprocal
+from .roots import _modulus, find_roots, pair_reciprocal
 from .signals import (
     AutocorrSeq,
     CoeffPoly,
@@ -67,13 +67,13 @@ class ClassSet:
     order, then origin shift), so K is the closed-form count
     (shift_hi + 1) * prod(total_i + 1) over the orbits. residuals holds
     each row's largest autocorrelation deviation from autocorr over c_0
-    (0.0 when c_0 is 0), computed on construction; representatives is the
-    rows as a tuple of TrigPoly, built on first access.
+    (0.0 when c_0 is 0) in a read-only array, computed on construction;
+    representatives is the rows as a tuple of TrigPoly, built on first access.
     """
 
     coeffs: np.ndarray
     autocorr: AutocorrSeq
-    residuals: tuple = field(init=False, repr=False)
+    residuals: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         rows = np.asarray(self.coeffs, dtype=complex)
@@ -82,11 +82,10 @@ class ClassSet:
         if rows.ndim != 2 or rows.shape[1] != 2 * self.autocorr.m + 1:
             raise DomainError("expected a (K, 2m+1) array of rows, m = %d" % self.autocorr.m)
         c0 = self.autocorr.c0
-        residuals = np.zeros(len(rows))
-        if c0 > 0:
-            residuals = _deviations(rows, self.autocorr.coeffs) / c0
+        residuals = _deviations(rows, self.autocorr.coeffs) / c0 if c0 > 0 else np.zeros(len(rows))
+        residuals.setflags(write=False)
         object.__setattr__(self, "coeffs", rows)
-        object.__setattr__(self, "residuals", tuple(residuals.tolist()))
+        object.__setattr__(self, "residuals", residuals)
 
     @property
     def source_m(self):
@@ -108,10 +107,9 @@ class ClassSet:
 
 def _gated(cs, gate, error, message):
     """cs, unless a row's residual exceeds gate: then error(message % its deviation)."""
-    residuals = np.array(cs.residuals)
-    miss = np.flatnonzero(residuals > gate)
+    miss = np.flatnonzero(cs.residuals > gate)
     if len(miss):
-        raise error(message % (residuals[miss[0]] * cs.autocorr.c0))
+        raise error(message % (cs.residuals[miss[0]] * cs.autocorr.c0))
     return cs
 
 
@@ -152,9 +150,8 @@ def _canonical_rows(rows):
     turn = np.abs(phi) > 1e-12
     out = np.where(turn[:, None], rows * np.exp(-1j * phi)[:, None], rows)
     pin = turn | (pivot.imag != 0.0) | ~(pivot.real > 0.0)
-    # Python's abs of each pivot: np.abs on an array can differ from it
-    # in the last bit
-    out[idx[pin], j[pin]] = [abs(z) for z in pivot[pin].tolist()]
+    # Python's abs of each pivot, which np.abs can miss in the last bit
+    out[idx[pin], j[pin]] = _modulus(pivot[pin])
     return out
 
 
@@ -441,12 +438,12 @@ def _factor_at(s, cap, root_tol, circle_band, cluster_radius, tol, seed):
                   "candidate misses the sequence by %.3g, not a square-law measurement")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BoundReport:
     exact_count: int
     bound: int
     passed: bool
-    residuals: tuple
+    residuals: np.ndarray
     max_residual: float
 
 
@@ -457,5 +454,5 @@ def certify_bound(cs):
         bound=cs.bound,
         passed=cs.exact_count <= cs.bound,
         residuals=cs.residuals,
-        max_residual=max(cs.residuals, default=0.0),
+        max_residual=float(cs.residuals.max(initial=0.0)),
     )

@@ -26,7 +26,7 @@ from .errors import (
     ZeroArgument,
     ZeroDC,
 )
-from .roots import conj_reciprocal
+from .roots import _sweep, conj_reciprocal
 from .signals import TrigPoly, autocorrelation_rows
 
 # radius of the measurement and rotated-signal bins, and of the coherent
@@ -203,59 +203,11 @@ def _first_ids(keys):
 
 
 def _groups(rows, radii):
-    """Group id per row of a 2-D complex array, numbered by first appearance."""
-    return _first_ids(_labels(rows, radii))
-
-
-def _labels(rows, radii):
-    """Group label per row of a 2-D complex array: each group's smallest
-    chain index, so every label is below the row count.
-
-    Rows i and j link when max_k |a_ik - a_jk| <= max(r_i, r_j) (radii: one
-    per row, or one for all), and linked rows chain into one group. Over w
-    coefficients |p_i - p_j| <= sqrt(2) * w * max_k |a_ik - a_jk| for the
-    projection p = sum_k (Re a_k + Im a_k). The reach in p is 2w * max r:
-    the slack up from sqrt(2), and 8w ulps of the largest l1 norm, absorb
-    the rounding in p. Consecutive rows in p order that link form chains,
-    and only pairs of different chains within that reach are compared, so
-    a bin of near-identical rows costs one pass.
-    """
-    n, width = rows.shape
-    radii = np.broadcast_to(radii, (n,))
-    proj = (rows.real + rows.imag).sum(axis=1)
-    l1 = (np.abs(rows.real) + np.abs(rows.imag)).sum(axis=1)
-    reach = 2 * width * radii.max() + 8 * width * np.finfo(float).eps * l1.max()
-
-    order = np.argsort(proj, kind="stable")
-    swept, rows, radii = proj[order], rows[order], radii[order]
-    linked = np.abs(rows[1:] - rows[:-1]).max(axis=1) <= np.maximum(radii[1:], radii[:-1])
-    chain = np.concatenate([[0], np.cumsum(~linked)])
-    chain_end = np.append(np.flatnonzero(~linked) + 1, n)[chain]
-
-    # sorted position s is compared with [chain_end_s, end of its reach),
-    # 1M coefficient pairs per block so the comparison arrays stay near 4M
-    count = np.maximum(np.searchsorted(swept, swept + reach, side="right") - chain_end, 0)
-    end = np.cumsum(count)
-    links = [np.empty((2, 0), dtype=np.intp)]
-    step = max(1, 1_000_000 // width)
-    for t0 in range(0, int(end[-1]), step):
-        t = np.arange(t0, min(int(end[-1]), t0 + step))
-        s = np.searchsorted(end, t, side="right")
-        u = chain_end[s] + t - (end[s] - count[s])
-        hit = np.abs(rows[s] - rows[u]).max(axis=1) <= np.maximum(radii[s], radii[u])
-        links.append(chain[np.stack([s[hit], u[hit]])])
-
-    # union the chains the cross links join: hook the larger root of each
-    # link under the smaller, then point every chain at its root
-    root = np.arange(chain[-1] + 1)
-    a, b = np.hstack(links)
-    while np.any(root[a] != root[b]):
-        np.minimum.at(root, np.maximum(root[a], root[b]), np.minimum(root[a], root[b]))
-        while np.any(root[root] != root):
-            root = root[root]
-    label = np.empty(n, dtype=np.intp)
-    label[order] = root[chain]
-    return label
+    """_sweep's group ids of the rows of a 2-D complex array, where rows i and j
+    link when max_k |a_ik - a_jk| <= max(r_i, r_j) (radii: one per row, or one)."""
+    radii = np.broadcast_to(radii, (len(rows),))
+    return _sweep(rows, radii.max(), lambda i, j:
+                  np.abs(rows[i] - rows[j]).max(axis=1) <= np.maximum(radii[i], radii[j]))
 
 
 def _partition_entropy(ids, probs):
@@ -266,7 +218,7 @@ def _check_distinct(mat):
     """Raise DuplicateSignals for the first pair of coinciding rows.
 
     Rows i < j coincide when max_k |a_ik - a_jk| <= 1e-12 * sqrt(max(E_i, E_j)),
-    E being the row energy: _labels with radii 1e-12 * sqrt(E_i), the same
+    E being the row energy: _groups with radii 1e-12 * sqrt(E_i), the same
     band bit for bit. The pair named is the smallest (i, j): i the smallest
     member of a group of two or more, j its smallest partner. A row whose
     energy is not finite has no band, so it is rejected with DomainError
@@ -279,8 +231,8 @@ def _check_distinct(mat):
             "constellation point %d has non-finite energy" % wild[0]
         )
     radii = 1e-12 * np.sqrt(energy)
-    labels = _labels(mat, radii)
-    shared = np.flatnonzero(np.bincount(labels)[labels] > 1)
+    ids = _groups(mat, radii)
+    shared = np.flatnonzero(np.bincount(ids)[ids] > 1)
     if len(shared):
         i = shared[0]
         near = np.abs(mat - mat[i]).max(axis=1) <= np.maximum(radii, radii[i])
@@ -521,7 +473,7 @@ def single_class_constellation(m, q, period=1.0):
     if not (1 <= q <= 2 * m):
         raise DomainError("need 1 <= q <= 2m")
     source = _signal_from_roots(m, _deterministic_roots(m, q), period)
-    cs = enumerate_classes(source, cluster_radius=1e-4)
+    cs = enumerate_classes(source)
     return _uniform(cs.coeffs, period)
 
 
@@ -536,7 +488,7 @@ def bundled_constellation(m, period=1.0):
     if m < 1:
         raise UnsupportedOrder("bundled constellations start at m = 1")
     source = _signal_from_roots(m, _deterministic_roots(m, 2 * m), period)
-    cs = enumerate_classes(source, cluster_radius=1e-4)
+    cs = enumerate_classes(source)
     tones = np.zeros((2, 2 * m + 1), dtype=complex)
     tones[:, m] = (2.0, 3.0)
     return _uniform(np.concatenate([cs.coeffs, tones]), period)

@@ -85,27 +85,30 @@ def _write(*outputs):
     Every path is opened, in append mode, before the first chunk is made.
     So a path that cannot be opened leaves nothing behind: no text on
     stdout, no new file, and the files that were there as they were. Nor
-    does a path naming the same regular file as an earlier one, whose
-    second output would replace the first.
+    does a path naming the same regular file as stdout or an earlier path,
+    whose second output would replace the first.
     """
     opened = []  # (handle, whether this call made the file)
-    inodes = set()  # (st_dev, st_ino) of each regular file opened
+    inodes = set()  # (st_dev, st_ino) of each output with a descriptor
     try:
         for path, _ in outputs:
             if path:
                 new = not os.path.exists(path)
                 opened.append((open(path, "a", encoding="utf-8"), new))
-                info = os.fstat(opened[-1][0].fileno())
-                if stat.S_ISREG(info.st_mode):
-                    if (info.st_dev, info.st_ino) in inodes:
-                        raise OSError("it is the same file as another output")
-                    inodes.add((info.st_dev, info.st_ino))
+            try:
+                fd = (opened[-1][0] if path else sys.stdout).fileno()
+            except (AttributeError, OSError, ValueError):
+                continue  # a stdout swapped for an object with no descriptor
+            info = os.fstat(fd)
+            if stat.S_ISREG(info.st_mode) and (info.st_dev, info.st_ino) in inodes:
+                raise OSError("it is the same file as another output")
+            inodes.add((info.st_dev, info.st_ino))
     except OSError as exc:
         for handle, new in opened:
             handle.close()
             if new:
                 os.remove(handle.name)
-        raise SldLabError("cannot write %s: %s" % (path, exc)) from exc
+        raise SldLabError("cannot write %s: %s" % (path or "stdout", exc)) from exc
     files = (handle for handle, _ in opened)
     try:
         for path, chunks in outputs:

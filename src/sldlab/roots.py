@@ -85,31 +85,78 @@ def _check_tol(tol):
         raise DomainError("clustering tolerance must be finite and nonnegative, got %r" % tol)
 
 
+def _sweep(rows, radius, link):
+    """Group id per row of a 2-D complex array, numbered by first appearance.
+
+    link(i, j) says which pairs (i_k, j_k) of two index arrays link, and
+    linked rows chain into one group. Rows that link must differ by at
+    most radius in every coefficient, so over w coefficients the projection
+    p = sum_k (Re a_k + Im a_k) moves by at most sqrt(2) * w * radius,
+    so the reach in p is 2w * radius: the slack up from sqrt(2), and 8w
+    ulps of the largest l1 norm, absorb the rounding in p. Consecutive
+    rows in p order that link form chains, and only pairs of different
+    chains within reach are compared, so a bin of near-identical rows
+    costs one pass. A reach that is not finite compares every pair.
+    """
+    n, width = rows.shape
+    if n < 2:
+        return np.zeros(n, dtype=np.intp)
+    proj = (rows.real + rows.imag).sum(axis=1)
+    l1 = (np.abs(rows.real) + np.abs(rows.imag)).sum(axis=1)
+    reach = 2 * width * radius + 8 * width * np.finfo(float).eps * l1.max()
+
+    order = np.argsort(proj, kind="stable")
+    linked = link(order[1:], order[:-1])
+    chain = np.concatenate([[0], np.cumsum(~linked)])
+    chain_end = np.append(np.flatnonzero(~linked) + 1, n)[chain]
+
+    # sorted position s is compared with [chain_end_s, end of its reach),
+    # 1M coefficient pairs per block so the comparison arrays stay near 4M
+    swept = proj[order]
+    stop = np.searchsorted(swept, swept + reach, side="right") if np.isfinite(reach) else n
+    count = np.maximum(stop - chain_end, 0)
+    end = np.cumsum(count)
+    links = [np.empty((2, 0), dtype=np.intp)]
+    step = max(1, 1_000_000 // width)
+    for t0 in range(0, int(end[-1]), step):
+        t = np.arange(t0, min(int(end[-1]), t0 + step))
+        s = np.searchsorted(end, t, side="right")
+        u = chain_end[s] + t - (end[s] - count[s])
+        hit = link(order[s], order[u])
+        links.append(chain[np.stack([s[hit], u[hit]])])
+
+    # union the chains the cross links join: hook the larger root of each
+    # link under the smaller, then point every chain at its root
+    root = np.arange(chain[-1] + 1)
+    a, b = np.hstack(links)
+    while np.any(root[a] != root[b]):
+        np.minimum.at(root, np.maximum(root[a], root[b]), np.minimum(root[a], root[b]))
+        while np.any(root[root] != root):
+            root = root[root]
+    # a group first appears at its smallest row index
+    first = np.full(len(root), n)
+    np.minimum.at(first, root[chain], order)
+    label = np.empty(n, dtype=np.intp)
+    label[order] = first[root[chain]]
+    return (np.cumsum(label == np.arange(n)) - 1)[label]
+
+
 def _groups(points, tol):
     """Index groups of the points chained by |a - b| <= tol * (1 + (|a| + |b|) / 2).
 
-    The connected components of that pairwise rule, found on one adjacency
-    matrix by min-label propagation with pointer jumping. Groups come
-    ordered by their smallest member, members in index order. A NaN,
-    infinite or negative tol raises DomainError.
+    The connected components of that pairwise rule, found by _sweep: a
+    linked gap is at most tol * (1 + max |z|). Groups come ordered by
+    their smallest member, members in index order. A NaN, infinite or
+    negative tol raises DomainError.
     """
     _check_tol(tol)
     z = np.asarray(points, dtype=complex)
     mag = _modulus(z)
-    near = _modulus(z[:, None] - z[None, :]) <= tol * (1.0 + 0.5 * (mag[:, None] + mag[None, :]))
-    np.fill_diagonal(near, True)  # a NaN point is its own group, as in a pairwise scan
-    label = np.arange(len(z))
-    while True:
-        new = np.where(near, label, len(z)).min(axis=1, initial=len(z))
-        new = new[new]
-        if np.array_equal(new, label):
-            break
-        label = new
-    # each component is labelled by its smallest member, so a stable sort
-    # by label lists the components in that order, each in index order
-    order = np.argsort(label, kind="stable")
-    starts = np.flatnonzero(np.diff(label[order], prepend=-1)).tolist()
-    return [order[i:j] for i, j in zip(starts, starts[1:] + [len(z)])]
+    ids = _sweep(z[:, None], tol * (1.0 + mag.max(initial=0.0)),
+                 lambda i, j: _modulus(z[i] - z[j]) <= tol * (1.0 + 0.5 * (mag[i] + mag[j])))
+    order = np.argsort(ids, kind="stable")
+    ends = np.cumsum(np.bincount(ids)).tolist()
+    return [order[i:j] for i, j in zip([0] + ends, ends)]
 
 
 def _centroid(points):

@@ -230,7 +230,7 @@ def classset_dict(cs, report):
         "representatives": complex_pairs(cs.coeffs),
         "within_bound": report.passed,
         "max_residual": report.max_residual,
-        "residuals": list(report.residuals),
+        "residuals": report.residuals.tolist(),
     }
 
 

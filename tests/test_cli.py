@@ -514,6 +514,43 @@ def test_two_outputs_to_one_file_are_refused(argv, existing, sig_shift, tmp_path
         assert not out.exists()
 
 
+def _run_to_file(argv, stdout_path):
+    """Run the CLI in a fresh interpreter with stdout redirected to a file, as `> path` does."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    with open(stdout_path, "w", encoding="utf-8") as stdout:
+        return subprocess.run([sys.executable, "-m", "sldlab", *argv], stdout=stdout,
+                              stderr=subprocess.PIPE, text=True, env=env, timeout=120)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    (
+        ["enumerate", "{sig}", "--csv", "{out}"],
+        ["gap", "--sweep", "m=1..2", "--json", "{out}"],
+    ),
+    ids=("enumerate-report-to-stdout", "gap-sweep-csv-to-stdout"),
+)
+def test_stdout_and_an_output_path_to_one_file_are_refused(argv, sig_shift, tmp_path):
+    out = tmp_path / "out.txt"
+    argv = [a.format(sig=sig_shift, out=out) for a in argv]
+    done = _run_to_file(argv, out)
+    assert done.returncode == 1
+    assert done.stderr.splitlines() == [
+        "error: cannot write %s: it is the same file as another output" % out]
+    assert out.read_text(encoding="utf-8") == ""
+
+
+def test_stdout_to_a_file_beside_an_output_path(sig_shift, tmp_path):
+    report, csv = tmp_path / "report.json", tmp_path / "classes.csv"
+    done = _run_to_file(["enumerate", sig_shift, "--csv", str(csv)], report)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert main(["enumerate", sig_shift, "--json", str(tmp_path / "want.json")]) == 0
+    assert report.read_bytes() == (tmp_path / "want.json").read_bytes()
+    assert csv.read_text(encoding="utf-8").count("\n") > 1
+
+
 def test_output_replaces_a_longer_file_or_goes_to_a_device(sig_shift, tmp_path, capsys):
     report, csv = tmp_path / "report.json", tmp_path / "classes.csv"
     assert main(["enumerate", sig_shift, "--json", str(report), "--csv", str(csv)]) == 0

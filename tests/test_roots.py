@@ -21,7 +21,7 @@ from sldlab import (
     reconstruct,
 )
 from sldlab import roots as roots_module
-from sldlab.roots import RootMultiset, _centroid, _groups, _orbit_key
+from sldlab.roots import RootMultiset, _centroid, _groups, _orbit_key, _sweep
 
 from conftest import poly_from_roots, separated_roots
 from oracles import (
@@ -311,6 +311,53 @@ def test_groups_match_union_find(tol):
         assert got == want, pts
         sizes.update(len(g) for g in want)
     assert {1, 2} <= sizes and max(sizes) >= 7
+
+
+def _crowd(tol, rng):
+    """160 points in one small square: ten 12-point chains stepping 0.7 of the
+    link distance, exact copies of some chain points and random singles, so
+    chains interleave in the sweep's projection."""
+    pts = []
+    for _ in range(10):
+        z = complex(*(0.02 * rng.random(2)))
+        u = np.exp(2j * np.pi * rng.random())
+        chain = [z]
+        for _ in range(11):
+            chain.append(chain[-1] + 0.7 * tol * (1.0 + abs(chain[-1])) * u)
+        assert not _chained(chain[0], chain[2], tol)
+        pts += chain
+    pts += [pts[i] for i in rng.integers(0, len(pts), 15)]
+    pts += [complex(*(0.02 * rng.random(2))) for _ in range(160 - len(pts))]
+    return [pts[i] for i in rng.permutation(len(pts))]
+
+
+@pytest.mark.parametrize("tol", [1e-4, 5e-4])
+def test_groups_of_a_crowd_match_union_find(tol):
+    pts = _crowd(tol, np.random.default_rng(1016))
+    got = [g.tolist() for g in _groups(pts, tol)]
+    assert got == union_find_groups(pts, tol)
+    assert len(pts) == 160 and max(map(len, got)) >= 12
+
+
+def test_groups_of_no_points():
+    assert _groups([], 1e-6) == []
+    assert _sweep(np.empty((0, 1), dtype=complex), 1.0, None).tolist() == []
+    # every root on the circle leaves no orbit key to group
+    r = find_roots(CoeffPoly(coeffs=poly_from_roots([1j, -1j, -1.0]), n=3))
+    assert pair_reciprocal(r)[0] == ()
+    assert joint_orbits(r, r)[0] == ()
+
+
+def test_groups_with_points_that_are_not_finite():
+    # a NaN point links with nothing, an infinite one with every finite
+    # point, and their reach in the sweep is unbounded; inf - inf is NaN
+    inf, nan = float("inf"), float("nan")
+    for pts in ([nan, 1.0, complex(nan, 2.0), 1.0], [1.0, 5.0, complex(-inf, inf)],
+                [0.5j, inf, 3.0, complex(-inf, inf), complex(inf, nan), nan, 3.0]):
+        for tol in (0.0, 1e-6):
+            with np.errstate(invalid="ignore"):
+                got = [g.tolist() for g in _groups(pts, tol)]
+            assert got == union_find_groups(pts, tol)
 
 
 def _multiset(rng):
