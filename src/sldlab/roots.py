@@ -99,20 +99,20 @@ def _sweep(rows, radius, link):
     costs one pass. A reach that is not finite compares every pair.
     """
     n, width = rows.shape
-    if n < 2:
-        return np.zeros(n, dtype=np.intp)
     proj = (rows.real + rows.imag).sum(axis=1)
     l1 = (np.abs(rows.real) + np.abs(rows.imag)).sum(axis=1)
-    reach = 2 * width * radius + 8 * width * np.finfo(float).eps * l1.max()
+    reach = 2 * width * radius + 8 * width * np.finfo(float).eps * l1.max(initial=0.0)
 
     order = np.argsort(proj, kind="stable")
+    swept = proj[order]
+    if np.all(np.diff(swept) > reach):
+        return np.arange(n)  # no row is within reach of the next: nothing links
     linked = link(order[1:], order[:-1])
     chain = np.concatenate([[0], np.cumsum(~linked)])
     chain_end = np.append(np.flatnonzero(~linked) + 1, n)[chain]
 
     # sorted position s is compared with [chain_end_s, end of its reach),
     # 1M coefficient pairs per block so the comparison arrays stay near 4M
-    swept = proj[order]
     stop = np.searchsorted(swept, swept + reach, side="right") if np.isfinite(reach) else n
     count = np.maximum(stop - chain_end, 0)
     end = np.cumsum(count)
@@ -125,19 +125,24 @@ def _sweep(rows, radius, link):
         hit = link(order[s], order[u])
         links.append(chain[np.stack([s[hit], u[hit]])])
 
-    # union the chains the cross links join: hook the larger root of each
-    # link under the smaller, then point every chain at its root
-    root = np.arange(chain[-1] + 1)
     a, b = np.hstack(links)
-    while np.any(root[a] != root[b]):
-        np.minimum.at(root, np.maximum(root[a], root[b]), np.minimum(root[a], root[b]))
-        while np.any(root[root] != root):
-            root = root[root]
+    groups = chain[-1] + 1
+    if a.size:
+        # union the chains the cross links join: hook the larger root of each
+        # link under the smaller, then point every chain at its root
+        root = np.arange(groups)
+        while np.any(root[a] != root[b]):
+            np.minimum.at(root, np.maximum(root[a], root[b]), np.minimum(root[a], root[b]))
+            while np.any(root[root] != root):
+                root = root[root]
+        chain = root[chain]
+    elif groups == n:
+        return np.arange(n)  # nothing links: each row is a group of its own
     # a group first appears at its smallest row index
-    first = np.full(len(root), n)
-    np.minimum.at(first, root[chain], order)
+    first = np.full(groups, n)
+    np.minimum.at(first, chain, order)
     label = np.empty(n, dtype=np.intp)
-    label[order] = first[root[chain]]
+    label[order] = first[chain]
     return (np.cumsum(label == np.arange(n)) - 1)[label]
 
 

@@ -10,7 +10,9 @@ not finite as a float (NaN, Infinity, integers beyond the float range),
 which the schema lets through. Report rendering is deterministic: sorted
 keys, an indent of 2 and one trailing newline, except that each row of an
 array (a list or tuple inside a list, such as one class representative or
-one [re, im] lag) is written on one line by json's C encoder.
+one [re, im] lag) is written on one line by json's C encoder. One such
+encoder is built per report and reused for every row, instead of one
+per row.
 """
 
 import json
@@ -240,26 +242,38 @@ def gap_dict(report):
     return out
 
 
-# json takes its C encoder only when indent is None
-_encode = json.JSONEncoder(sort_keys=True).encode
+def _encoder():
+    """A function giving the one-line JSON text that JSONEncoder(sort_keys=True).encode gives.
+
+    That method builds a fresh C encoder on every call. This is the same C
+    encoder, built once with the arguments that method passes it, so the
+    bytes and the errors are the same. It gets a fresh circular-reference
+    dict, as each encode call does: the C encoder leaves entries in the
+    dict when it raises.
+    """
+    e = json.JSONEncoder(sort_keys=True)
+    encode = json.encoder.c_make_encoder(
+        {}, e.default, json.encoder.encode_basestring_ascii, e.indent,
+        e.key_separator, e.item_separator, e.sort_keys, e.skipkeys, e.allow_nan)
+    return lambda obj: "".join(encode(obj, 0))
 
 
-def _render(obj, pad):
+def _render(obj, pad, encode):
     """indent=2 layout, except that a list or tuple inside a list is one line."""
     inner = pad + "  "
     if not (isinstance(obj, (dict, list, tuple)) and obj):
-        return _encode(obj)
+        return encode(obj)
     values = obj.values() if isinstance(obj, dict) else obj
     if not any(isinstance(item, (dict, list, tuple)) for item in values):
         # only scalars: one C-encoder call, its item separator breaks the lines
         body = json.dumps(obj, sort_keys=True, separators=(",\n" + inner, ": "))[1:-1]
     elif isinstance(obj, dict):
         body = (",\n" + inner).join(
-            _encode(key) + ": " + _render(obj[key], inner) for key in sorted(obj)
+            encode(key) + ": " + _render(obj[key], inner, encode) for key in sorted(obj)
         )
     else:
         body = (",\n" + inner).join(
-            _encode(item) if isinstance(item, (list, tuple)) else _render(item, inner)
+            encode(item) if isinstance(item, (list, tuple)) else _render(item, inner, encode)
             for item in obj
         )
     brackets = "{}" if isinstance(obj, dict) else "[]"
@@ -268,4 +282,4 @@ def _render(obj, pad):
 
 def render_report(payload):
     """Deterministic JSON text for a report object whose keys are strings."""
-    return _render(payload, "") + "\n"
+    return _render(payload, "", _encoder()) + "\n"

@@ -342,6 +342,17 @@ def _grouping_cases():
     # blocks of 1M // 3 pairs, with repeats spread across the blocks
     yield "blocks", _integer_rows(rng, 1500, 3), 0.5, None
 
+    # nothing links: rows far apart in the projection, and distinct rows of
+    # one projection, each within reach of every other
+    yield "singletons", rng.standard_normal((30, 3)) + 1j * rng.standard_normal((30, 3)), 1e-6, 30
+    distinct = np.unique(_integer_rows(rng, 40, 3), axis=0)
+    yield "singletons-in-reach", rng.permutation(distinct), 0.5, len(distinct)
+
+    # one chain stepping 0.6 r: rows two steps apart are within reach of
+    # each other but do not link
+    one_chain = rng.permutation(np.arange(40)[:, None] * 0.6e-3 * direction)
+    yield "one-chain", one_chain, 1e-3, 1
+
 
 @pytest.mark.parametrize("name,rows,radii,count",
                          [pytest.param(*case, id=case[0]) for case in _grouping_cases()])

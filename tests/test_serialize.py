@@ -199,6 +199,54 @@ def test_class_report_bytes_match_per_scalar_encoding():
     assert render_report(payload) == render_report_loop(payload)
 
 
+def _raised(render, payload):
+    with pytest.raises((TypeError, ValueError)) as info:
+        render(payload)
+    return type(info.value), str(info.value)
+
+
+@pytest.mark.parametrize("bad", [1 + 2j, np.int64(3), np.float32(0.5), {1j: 0}, {"a": 1, 2: 3}],
+                         ids=["complex", "int64", "float32", "complex-key", "mixed-keys"])
+def test_a_row_json_cannot_encode_raises_as_the_oracle(bad):
+    payload = {"rows": [[0.5, -1.0], [1.5, bad]], "z": 1}
+    want = _raised(render_report_loop, payload)
+    assert want[0] in (TypeError, ValueError)
+    assert _raised(render_report, payload) == want
+    # a row that raised leaves no state behind: the same rows render again
+    del payload["rows"][1][1]
+    assert render_report(payload) == render_report_loop(payload)
+
+
+def test_a_circular_row_raises_as_the_oracle():
+    row = [1.0]
+    row.append(row)
+    payload = {"rows": [[0.0], row]}
+    assert _raised(render_report, payload) == _raised(render_report_loop, payload)
+    row.pop()
+    assert render_report(payload) == render_report_loop(payload)
+
+
+def test_a_dict_inside_a_row_keeps_sorted_keys():
+    payload = {"rows": [[{"b": 1.0, "a": [2, {"d": None, "c": True}]}, "x"], ({"z": 0, "y": 1},)]}
+    text = render_report(payload)
+    assert text == render_report_loop(payload)
+    assert '    [{"a": [2, {"c": true, "d": null}], "b": 1.0}, "x"],\n' in text
+    assert '    [{"y": 1, "z": 0}]\n' in text
+
+
+def test_representatives_with_non_finite_and_signed_zero_entries_match_the_oracle():
+    rng = np.random.default_rng(23)
+    reps = rng.standard_normal((1024, 11)) + 1j * rng.standard_normal((1024, 11))
+    special = [float("nan"), float("inf"), -float("inf"), -0.0, 0.0]
+    for i in range(0, 1024, 7):
+        reps[i, i % 11] = complex(special[i % 5], special[(i // 5) % 5])
+    payload = {"classes": {"representatives": serialize.complex_pairs(reps), "m": 5}}
+    text = render_report(payload)
+    assert text == render_report_loop(payload)
+    for word in ("NaN", "Infinity", "-Infinity", "-0.0"):
+        assert word in text
+
+
 def test_enumerate_report_has_one_line_per_representative(tmp_path):
     m = 3
     coeffs = np.random.default_rng(5).standard_normal((2 * m + 1, 2)).tolist()
