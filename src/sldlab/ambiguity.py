@@ -6,6 +6,13 @@ by shifting origin powers within the degree budget, or by a global phase
 produces the identical measurement. This module enumerates that whole
 family from a signal, recovers it from a measured sequence, and certifies
 the counting bound 2^(2m+1).
+
+Both directions build their classes through one table: an (inner, outer,
+k) triple per reflection orbit and the (unit location, multiplicity) of
+each circle root. A signal's orbit splits all of its roots; an orbit of a
+measured sequence holds each root of the signal twice, so a signal splits
+mult_inner of them. Every row is scaled to energy c_0, which all classes
+of one measurement share.
 """
 
 import math
@@ -64,11 +71,12 @@ class ClassSet:
     class per row (a read-only complex input is kept, any other copied);
     autocorr is the measurement they share. From enumerate_classes and
     factor_sld, row i is flip spec i (orbit splits in itertools.product
-    order, then origin shift), so K is the closed-form count
-    (shift_hi + 1) * prod(total_i + 1) over the orbits. residuals holds
-    each row's largest autocorrelation deviation from autocorr over c_0
-    (0.0 when c_0 is 0) in a read-only array, computed on construction;
-    representatives is the rows as a tuple of TrigPoly, built on first access.
+    order, then origin shift), scaled to energy c_0, so K is the
+    closed-form count (shift_hi + 1) * prod(k_i + 1) over the orbits of
+    the one table both build from. residuals holds each row's largest
+    autocorrelation deviation from autocorr over c_0 (0.0 when c_0 is 0)
+    in a read-only array, computed on construction; representatives is
+    the rows as a tuple of TrigPoly, built on first access.
     """
 
     coeffs: np.ndarray
@@ -106,8 +114,8 @@ class ClassSet:
 
 
 def _gated(cs, gate, error, message):
-    """cs, unless a row's residual exceeds gate: then error(message % its deviation)."""
-    miss = np.flatnonzero(cs.residuals > gate)
+    """cs, unless a row's residual exceeds gate or is NaN: then error(message % its deviation)."""
+    miss = np.flatnonzero(~(cs.residuals <= gate))
     if len(miss):
         raise error(message % (cs.residuals[miss[0]] * cs.autocorr.c0))
     return cs
@@ -155,60 +163,29 @@ def _canonical_rows(rows):
     return out
 
 
-def _poly_power(base, k):
-    out = np.array([1.0 + 0.0j])
-    for _ in range(k):
-        out = np.convolve(out, base)
-    return out
+def _monic(roots):
+    """Ascending coefficients of prod (z - loc)^k over the (loc, k) pairs of roots.
 
-
-def _linear(root):
-    return np.array([-root, 1.0 + 0.0j])
-
-
-def _times_circle(coeffs, roots):
-    """coeffs times (z - loc)^k for each (loc, k) of roots, in turn."""
-    for loc, k in roots:
-        coeffs = np.convolve(coeffs, _poly_power(_linear(loc), k))
-    return coeffs
-
-
-def _orbit_table(orbits, measured):
-    """Per orbit, the (parts, scales) of every split of its roots.
-
-    Row j of parts is the ascending polynomial with j roots at the inner
-    location of the orbit and the rest at the outer one. A signal's orbit
-    splits all of its roots, and moving one outside multiplies by |inner|
-    so the magnitude on the circle is kept. An orbit of a measured
-    sequence holds each root of the signal twice, so the candidate splits
-    mult_inner roots, and its scale is fixed later by c_0.
+    Each power is built one linear factor at a time, and the powers are
+    then multiplied in order; no pairs give the constant 1.
     """
-    table = []
-    for orbit in orbits:
-        total = orbit.mult_inner if measured else orbit.total
-        parts = np.stack([
-            np.convolve(
-                _poly_power(_linear(orbit.inner), j),
-                _poly_power(_linear(orbit.outer), total - j),
-            )
-            for j in range(total + 1)
-        ])
-        scales = np.array([
-            1.0 if measured else abs(orbit.inner) ** (orbit.mult_inner - j)
-            for j in range(total + 1)
-        ])
-        table.append((parts, scales))
-    return table
+    out = None
+    for loc, k in roots:
+        power = np.ones(1, dtype=complex)
+        for _ in range(k):
+            power = np.convolve(power, np.array([-loc, 1.0 + 0.0j]))
+        out = power if out is None else np.convolve(out, power)
+    return np.ones(1, dtype=complex) if out is None else out
 
 
-def flip(f, spec, root_tol=1e-8, circle_band=1e-9, cluster_radius=1e-6):
+def flip(f, spec, root_tol=1e-8, circle_band=1e-9):
     """Apply one flip specification to a polynomial.
 
     Moves roots across the unit circle orbit by orbit, re-seats the origin
     power, and rescales so the magnitude on the circle is untouched. The
     result is magnitude-equivalent to f with ratio exactly one.
     """
-    r = find_roots(f, tol=root_tol, circle_band=circle_band, cluster_radius=cluster_radius)
+    r = find_roots(f, tol=root_tol, circle_band=circle_band)
     orbits, on_circle, origin = pair_reciprocal(r)
     if len(spec.orbit_splits) != len(orbits):
         raise InvalidSpec(
@@ -220,16 +197,17 @@ def flip(f, spec, root_tol=1e-8, circle_band=1e-9, cluster_radius=1e-6):
 
     coeffs = np.array([r.leading_coeff], dtype=complex)
     scale = 1.0
-    table = _orbit_table(orbits, measured=False)
-    for orbit, split, (parts, scales) in zip(orbits, spec.orbit_splits, table):
+    for orbit, split in zip(orbits, spec.orbit_splits):
         inner_t, outer_t = int(split[0]), int(split[1])
         if inner_t < 0 or outer_t < 0 or inner_t + outer_t != orbit.total:
             raise InvalidSpec(
                 "split %s does not preserve the orbit total %d" % (split, orbit.total)
             )
-        coeffs = np.convolve(coeffs, parts[inner_t])
-        scale *= scales[inner_t]
-    coeffs = _times_circle(coeffs, ((root.location, root.multiplicity) for root in on_circle))
+        coeffs = np.convolve(coeffs, _monic(((orbit.inner, inner_t), (orbit.outer, outer_t))))
+        # each root moved outside multiplies by |inner|, keeping the circle magnitude
+        scale *= abs(orbit.inner) ** (orbit.mult_inner - inner_t)
+    for root in on_circle:
+        coeffs = np.convolve(coeffs, _monic(((root.location, root.multiplicity),)))
     if spec.scale is not None and abs(spec.scale - scale) > 1e-9 * max(scale, 1.0):
         raise InvalidSpec(
             "declared scale %.12g conflicts with the forced value %.12g"
@@ -241,40 +219,51 @@ def flip(f, spec, root_tol=1e-8, circle_band=1e-9, cluster_radius=1e-6):
     return CoeffPoly(coeffs=coeffs, n=f.n)
 
 
-def _expand(rows, scales, parts, part_scales):
+def _expand(rows, parts):
     """Every row times every part, in itertools.product order.
 
     rows (K, L) and parts (n, d+1) are ascending polynomials; row i * n + j
     of the (K n, L + d) result is rows[i] convolved with parts[j], built by
-    shifted adds, and its scale is scales[i] * part_scales[j].
+    shifted adds.
     """
     K, L = rows.shape
     n, d1 = parts.shape
     out = np.zeros((K, n, L + d1 - 1), dtype=complex)
     for k in range(d1):
         out[:, :, k : k + L] += rows[:, None, :] * parts[None, :, k, None]
-    return out.reshape(K * n, -1), (scales[:, None] * part_scales[None, :]).ravel()
+    return out.reshape(K * n, -1)
 
 
-def _assemble_classes(leading, orbit_table, circle_coeffs, shift_hi, m, cap):
-    """Canonical rows of every flip spec, in spec order.
+def _classes(orbits, circle, shift_hi, autocorr, cap):
+    """The ClassSet of every flip spec, one row per spec, in spec order.
 
-    A spec picks one part per orbit, in itertools.product order, and then
-    an origin shift 0..shift_hi. Its row is leading * circle_coeffs * the
-    picked parts, times the product of their scales, placed at the shift
-    and canonicalized. Row i belongs to spec i, so the row count is the
-    closed-form count (shift_hi + 1) * prod(total_i + 1). Candidates are
-    built _BLOCK_ROWS at a time, one block per choice of the leading
-    orbits, straight into the one result array.
+    orbits holds one (inner, outer, k) per reflection orbit: its split j
+    puts j of the k roots at inner and the rest at outer, so its part is
+    (z - inner)^j (z - outer)^(k - j), j = 0..k. circle holds the
+    (unit location, multiplicity) of the circle roots, which no spec
+    moves. A spec picks one split per orbit, in itertools.product order,
+    and then an origin shift 0..shift_hi. Its row is the circle roots'
+    polynomial times the picked parts, placed at the shift, canonicalized
+    and scaled to the energy c_0 of autocorr, which every class of one
+    measurement shares. The row count is the closed-form count
+    (shift_hi + 1) * prod(k_i + 1). Candidates are built _BLOCK_ROWS at a
+    time, one block per choice of the leading orbits, straight into the
+    one result array.
     """
-    counts = [len(parts) for parts, _ in orbit_table]
+    table = [
+        np.stack([_monic(((inner, j), (outer, k - j))) for j in range(k + 1)])
+        for inner, outer, k in orbits
+    ]
+    counts = [len(parts) for parts in table]
     total_specs = (shift_hi + 1) * math.prod(counts)
     if total_specs > cap:
         raise CombinatorialBlowup(
             "%d candidate specs exceed the cap of %d" % (total_specs, cap)
         )
+    m = autocorr.m
     width = 2 * m + 1
-    degree = len(circle_coeffs) - 1 + sum(len(parts[0]) - 1 for parts, _ in orbit_table)
+    circle_coeffs = _monic(circle)
+    degree = len(circle_coeffs) - 1 + sum(parts.shape[1] - 1 for parts in table)
     if degree + shift_hi > 2 * m:
         raise DegreeTooLarge(
             "degree %d does not fit harmonic order m=%d" % (degree + shift_hi, m)
@@ -282,29 +271,30 @@ def _assemble_classes(leading, orbit_table, circle_coeffs, shift_hi, m, cap):
 
     # the trailing orbits whose splits fit in one block form the block;
     # the leading ones are expanded once and walked choice by choice
-    split, size = len(orbit_table), 1
+    split, size = len(table), 1
     per_block = max(1, _BLOCK_ROWS // (shift_hi + 1))
     while split and size * counts[split - 1] <= per_block:
         split -= 1
         size *= counts[split]
-    head = (np.asarray(leading * circle_coeffs, dtype=complex)[None, :], np.ones(1))
-    for parts, scales in orbit_table[:split]:
-        head = _expand(*head, parts, scales)
-    tail = (np.ones((1, 1), dtype=complex), np.ones(1))
-    for parts, scales in orbit_table[split:]:
-        tail = _expand(*tail, parts, scales)
+    head = circle_coeffs[None, :]
+    for parts in table[:split]:
+        head = _expand(head, parts)
+    tail = np.ones((1, 1), dtype=complex)
+    for parts in table[split:]:
+        tail = _expand(tail, parts)
 
     # row lo + i * (shift_hi + 1) + shift is candidate i of the block at that shift
     rows = np.zeros((total_specs, width), dtype=complex)
     step = size * (shift_hi + 1)
-    for lo, (row, scale) in zip(range(0, total_specs, step), zip(*head)):
-        polys, scales = _expand(*tail, row[None, :], np.array([scale]))
-        polys *= scales[:, None]
+    for lo, row in zip(range(0, total_specs, step), head):
+        polys = _expand(tail, row[None, :])
         block = rows[lo : lo + step].reshape(size, shift_hi + 1, width)
         for shift in range(shift_hi + 1):
             block[:, shift, shift : shift + polys.shape[1]] = polys
         rows[lo : lo + step] = _canonical_rows(rows[lo : lo + step])
-    return rows
+    rows *= np.sqrt(autocorr.c0 / np.sum(np.abs(rows) ** 2, axis=1))[:, None]
+    rows.setflags(write=False)
+    return ClassSet(coeffs=rows, autocorr=autocorr)
 
 
 def enumerate_classes(
@@ -312,14 +302,13 @@ def enumerate_classes(
     cap=2**20,
     root_tol=1e-8,
     circle_band=1e-9,
-    cluster_radius=1e-6,
     seed=12345,
 ):
     """All ambiguity classes of a signal under square-law detection.
 
-    One phase-normalized row per flip spec, in spec order: every orbit
-    split of the lift in itertools.product order, then every admissible
-    origin shift. The class count is the closed-form
+    One phase-normalized row of energy c_0 per flip spec, in spec order:
+    every orbit split of the lift in itertools.product order, then every
+    admissible origin shift. The class count is the closed-form
     (shift_hi + 1) * prod(total_i + 1) over the reflection orbits, which
     never exceeds 2^(2m+1); for a generic signal (simple off-circle orbits,
     full degree, nonzero lowest coefficient) it equals 2^q with q the
@@ -327,29 +316,17 @@ def enumerate_classes(
     """
     if np.all(p.coeffs == 0):
         raise ZeroSignal("the zero signal has no ambiguity classes")
-    f = lift(p)
-    r = find_roots(
-        f, tol=root_tol, circle_band=circle_band, cluster_radius=cluster_radius, seed=seed
-    )
+    r = find_roots(lift(p), tol=root_tol, circle_band=circle_band, seed=seed)
     orbits, on_circle, origin = pair_reciprocal(r)
-    shift_hi = 2 * p.m - r.degree + origin
-
-    circle_coeffs = _times_circle(
-        np.array([1.0 + 0.0j]),
-        ((root.location / abs(root.location), root.multiplicity) for root in on_circle),
-    )
-    rows = _assemble_classes(
-        r.leading_coeff,
-        _orbit_table(orbits, measured=False),
-        circle_coeffs,
-        shift_hi,
-        p.m,
+    cs = _classes(
+        [(orbit.inner, orbit.outer, orbit.total) for orbit in orbits],
+        [(root.location / abs(root.location), root.multiplicity) for root in on_circle],
+        2 * p.m - r.degree + origin,
+        autocorrelation(p),
         cap,
     )
-    rows.setflags(write=False)
     # a guard against construction bugs
-    return _gated(ClassSet(coeffs=rows, autocorr=autocorrelation(p)), 1e-6, DomainError,
-                  "representative misses the source measurement by %.3g")
+    return _gated(cs, 1e-6, DomainError, "representative misses the source measurement by %.3g")
 
 
 def factor_sld(
@@ -358,7 +335,6 @@ def factor_sld(
     cap=2**20,
     root_tol=1e-8,
     circle_band=1e-9,
-    cluster_radius=1e-6,
     tol=1e-8,
     seed=12345,
 ):
@@ -378,15 +354,11 @@ def factor_sld(
     if check_intensity:
         screen_intensity(s)
     # a circle root of the signal appears in the lift with multiplicity
-    # 2k and splits numerically on a ring of width eps^(1/2k); when the
-    # requested radius under-clusters, verification below rejects a valid
+    # 2k and splits numerically on a ring of width eps^(1/2k); when a
+    # radius under-clusters, verification below rejects a valid
     # sequence, so widen and retry before believing the rejection
-    radii = [cluster_radius]
-    for widened in (1e-4, 8e-4, 5e-3):
-        if widened > radii[-1]:
-            radii.append(widened)
     first_err = None
-    for radius in radii:
+    for radius in (1e-6, 1e-4, 8e-4, 5e-3):
         try:
             return _factor_at(s, cap, root_tol, circle_band, radius, tol, seed)
         except NotAnAutocorrelation as err:
@@ -405,8 +377,10 @@ def _factor_at(s, cap, root_tol, circle_band, cluster_radius, tol, seed):
     except AsymmetricSpectrum as exc:
         raise NotAnAutocorrelation(str(exc)) from exc
 
-    # structure fixes the radius of an on-circle root at exactly one, so
-    # only the angle of the cluster mean carries information
+    # an orbit of the lift holds each root of the signal twice, so a
+    # signal splits mult_inner of them; structure fixes the radius of an
+    # on-circle root at exactly one, so only the angle of the cluster
+    # mean carries information
     halved = [
         (root.location / abs(root.location), root.multiplicity // 2)
         for root in on_circle
@@ -418,12 +392,11 @@ def _factor_at(s, cap, root_tol, circle_band, cluster_radius, tol, seed):
             "origin multiplicity %d inconsistent with root budget %d" % (origin, budget)
         )
 
-    rows = _assemble_classes(
-        1.0,
-        _orbit_table(orbits, measured=True),
-        _times_circle(np.array([1.0 + 0.0j]), halved),
+    cs = _classes(
+        [(orbit.inner, orbit.outer, orbit.mult_inner) for orbit in orbits],
+        halved,
         shift_hi,
-        s.m,
+        s,
         cap,
     )
     # once the orbits balance and circle multiplicities are even, the
@@ -432,9 +405,7 @@ def _factor_at(s, cap, root_tol, circle_band, cluster_radius, tol, seed):
     # observed cluster spread to reflect that conditioning
     rough = max((root.diameter for root in rq.roots), default=0.0)
     gate = max(tol, 1e-7, min(1e-3, 2.0 * rough))
-    rows *= np.sqrt(s.c0 / np.sum(np.abs(rows) ** 2, axis=1))[:, None]
-    rows.setflags(write=False)
-    return _gated(ClassSet(coeffs=rows, autocorr=s), gate, NotAnAutocorrelation,
+    return _gated(cs, gate, NotAnAutocorrelation,
                   "candidate misses the sequence by %.3g, not a square-law measurement")
 
 

@@ -424,7 +424,8 @@ def measurement_transform(samples, phi, inverse):
     out = np.asarray(phi(samples), dtype=float)
     back = np.asarray(inverse(out), dtype=float)
     span = 1.0 + np.abs(samples).max()
-    if np.abs(back - samples).max() > 1e-10 * span:
+    # written as not <= so a NaN inverse fails too
+    if not (np.abs(back - samples).max() <= 1e-10 * span):
         raise NonInvertibleOnRange("inverse does not undo the map on these samples")
     order = np.argsort(samples)
     s_sorted = samples[order]

@@ -315,22 +315,25 @@ def find_roots_batch(
     find_roots gives for that polynomial alone; the parameters are
     find_roots's and apply to every member. Errors come in the order
     find_roots raises them: DomainError for tol, seed or cluster_radius,
-    then ZeroPolynomial for the first zero member, then NoConvergence for
-    the first member whose roots did not settle.
+    then ZeroPolynomial for the first zero member, then DomainError for
+    the first member with a NaN or infinite coefficient, then
+    NoConvergence for the first member whose roots did not settle.
     """
     if not (0 < tol <= 1e-4):
         raise DomainError("tol must lie in (0, 1e-4]")
     if seed < 0:
         raise DomainError("seed must be >= 0, got %d" % seed)
     _check_tol(cluster_radius)
+    coeffs = [np.array(f.coeffs, dtype=complex) for f in polys]
+    if any(np.all(c == 0) for c in coeffs):
+        raise ZeroPolynomial("cannot factor the zero polynomial")
+    if not all(np.all(np.isfinite(c)) for c in coeffs):
+        raise DomainError("polynomial coefficients must be finite")
     members = []
-    for f in polys:
-        coeffs = np.array(f.coeffs, dtype=complex)
-        if np.all(coeffs == 0):
-            raise ZeroPolynomial("cannot factor the zero polynomial")
-        mags = np.abs(coeffs)
+    for c in coeffs:
+        mags = np.abs(c)
         keep = np.flatnonzero(mags > _ZERO_REL * mags.max())
-        members.append((int(keep[0]), int(keep[-1]), coeffs[keep[0] : keep[-1] + 1]))
+        members.append((int(keep[0]), int(keep[-1]), c[keep[0] : keep[-1] + 1]))
 
     monics = [core / core[-1] for _, _, core in members if len(core) > 1]
     z, rel = _solve(monics, seed, max_iter) if monics else (None, None)

@@ -1,5 +1,6 @@
 """Class enumeration, measurement factorization, and their duality."""
 
+import itertools
 import math
 import sys
 import tracemalloc
@@ -13,6 +14,7 @@ from sldlab import ambiguity
 from sldlab import (
     AutocorrSeq,
     ClassSet,
+    CoeffPoly,
     FlipSpec,
     TrigPoly,
     autocorrelation,
@@ -283,10 +285,29 @@ def _assembly_signals():
             yield _normalized(radii * np.exp(1j * angles), 4)
 
 
+def _loop_args(args):
+    """The per-candidate loop's arguments for _classes(*args).
+
+    The loop gets unit scales, a leading 1.0 and parts multiplied out
+    root by root.
+    """
+    orbits, circle, shift_hi, autocorr, cap = args
+    table = [
+        (np.array([poly_from_roots([inner] * j + [outer] * (k - j)) for j in range(k + 1)]),
+         np.ones(k + 1))
+        for inner, outer, k in orbits
+    ]
+    circle_coeffs = poly_from_roots([loc for loc, mult in circle for _ in range(mult)])
+    return 1.0, table, circle_coeffs, shift_hi, autocorr.m, cap
+
+
 def _check_against_loop(args, got):
-    want = assemble_classes_loop(*args)
-    assert len(got) == len(want)
-    for row, ref in zip(got, want):
+    """got, the ClassSet of _classes(*args), against the loop's rows scaled to c_0."""
+    c0 = args[3].c0
+    want = assemble_classes_loop(*_loop_args(args))
+    assert len(got.coeffs) == len(want)
+    for row, ref in zip(got.coeffs, want):
+        ref = ref * np.sqrt(c0 / np.sum(np.abs(ref) ** 2))
         assert np.abs(row - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
@@ -294,64 +315,110 @@ def _check_against_loop(args, got):
 def test_batched_assembly_matches_per_candidate_loop(monkeypatch, block_rows):
     monkeypatch.setattr(ambiguity, "_BLOCK_ROWS", block_rows)
     calls = []
-    batched = ambiguity._assemble_classes
+    batched = ambiguity._classes
 
     def spy(*args):
         got = batched(*args)
-        calls.append((args, got.copy()))  # factor_sld rescales its rows in place
+        calls.append((args, got))
         return got
 
-    monkeypatch.setattr(ambiguity, "_assemble_classes", spy)
+    monkeypatch.setattr(ambiguity, "_classes", spy)
     shifted = 0
     for p in _assembly_signals():
         del calls[:]
-        enumerate_classes(p)
+        sets = [enumerate_classes(p)]
         try:
-            factor_sld(autocorrelation(p))
+            sets.append(factor_sld(autocorrelation(p)))
         except errors.NotAnAutocorrelation:
             pass
+        # every class of one measurement has its energy c_0, to the
+        # rounding of a (2m+1)-term sum
+        for cs in sets:
+            energy = np.sum(np.abs(cs.coeffs) ** 2, axis=1)
+            ulps = cs.coeffs.shape[1] * np.finfo(float).eps * cs.autocorr.c0
+            assert np.abs(energy - cs.autocorr.c0).max() <= ulps
         assert len(calls) >= 2
         for args, got in calls:
-            shifted += args[3] > 0
+            shifted += args[2] > 0
             _check_against_loop(args, got)
     assert shifted >= 6
 
 
+def _unit_energy(m):
+    return autocorrelation(TrigPoly(m=m, coeffs=np.eye(2 * m + 1)[0]))
+
+
 def test_batched_assembly_cap_and_degree_paths():
-    table = [(np.array([[-0.5, 1.0], [-2.0, 1.0]], dtype=complex), np.array([1.0, 0.5]))]
-    circle = np.array([1.0 + 0j])
-    ok = (1.0, table, circle, 1, 1, 2**20)
-    _check_against_loop(ok, ambiguity._assemble_classes(*ok))
-    too_many = (1.0, table, circle, 1, 1, 3)
+    orbits = [(0.5, 2.0, 1)]
+    ok = (orbits, (), 1, _unit_energy(1), 2**20)
+    _check_against_loop(ok, ambiguity._classes(*ok))
+    too_many = (orbits, (), 1, _unit_energy(1), 3)
     with pytest.raises(errors.CombinatorialBlowup):
-        ambiguity._assemble_classes(*too_many)
+        ambiguity._classes(*too_many)
     with pytest.raises(ValueError, match="cap"):
-        assemble_classes_loop(*too_many)
-    too_long = (1.0, table, circle, 2, 1, 2**20)
+        assemble_classes_loop(*_loop_args(too_many))
+    too_long = (orbits, (), 2, _unit_energy(1), 2**20)
     with pytest.raises(errors.DegreeTooLarge):
-        ambiguity._assemble_classes(*too_long)
+        ambiguity._classes(*too_long)
     with pytest.raises(ValueError, match="degree"):
-        assemble_classes_loop(*too_long)
+        assemble_classes_loop(*_loop_args(too_long))
 
 
 def test_batched_assembly_keeps_both_near_copies_in_spec_order(monkeypatch):
     # the two splits of the first orbit differ by 1e-10, so every class is
     # built twice, in blocks that share no candidate; both copies stay
     monkeypatch.setattr(ambiguity, "_BLOCK_ROWS", 2)
-    near = np.array([[-0.5, 1.0], [-0.5 - 1e-10, 1.0]], dtype=complex)
-    table = [
-        (near, np.array([1.0, 1.0])),
-        (np.array([[-2j, 1.0], [0.5j, 1.0]]), np.array([1.0, 2.0])),
-        (np.array([[0.25 + 0.25j, 1.0], [4 - 4j, 1.0]]), np.array([1.0, 1 / 0.125])),
-    ]
-    args = (1.0, table, np.array([1.0 + 0j]), 0, 2, 2**20)
-    got = ambiguity._assemble_classes(*args)
+    orbits = [(0.5 + 1e-10, 0.5, 1), (-0.5j, 2j, 1), (-4 + 4j, -0.25 - 0.25j, 1)]
+    args = (orbits, (), 0, _unit_energy(2), 2**20)
+    cs = ambiguity._classes(*args)
+    got = cs.coeffs
     assert len(got) == 8
-    _check_against_loop(args, got)
+    _check_against_loop(args, cs)
     # the first orbit's split leads the product order: row i and row i + 4
     # are the two copies of one class
     gaps = np.abs(got[:4] - got[4:]).max(axis=1) / np.abs(got[:4]).max(axis=1)
     assert np.all((0 < gaps) & (gaps <= 1e-9))
+
+
+def test_flip_of_each_spec_is_its_enumerated_row():
+    signals = [s for s in _assembly_signals() if s.m <= 3][:3]
+    signals.append(_normalized([0.0, 0.5j, 1.7, -0.4 + 0.2j], 2))  # an origin root
+    shifted = 0
+    for p in signals:
+        f = lift(p)
+        r = find_roots(f)
+        orbits, _, origin = pair_reciprocal(r)
+        shift_hi = 2 * p.m - r.degree + origin
+        shifted += shift_hi > 0
+        splits = itertools.product(*[[(j, o.total - j) for j in range(o.total + 1)]
+                                     for o in orbits])
+        specs = [FlipSpec(orbit_splits=split, shift=shift)
+                 for split in splits for shift in range(shift_hi + 1)]
+        cs = enumerate_classes(p)
+        assert len(specs) == cs.exact_count
+        for spec, row in zip(specs, cs.coeffs):
+            g = flip(f, spec).coeffs
+            g = canonicalize(TrigPoly(m=p.m, coeffs=np.pad(g, (0, 2 * p.m + 1 - len(g))))).coeffs
+            g = g * np.sqrt(cs.autocorr.c0 / np.sum(np.abs(g) ** 2))
+            assert np.abs(g - row).max() <= 1e-13 * np.abs(row).max()
+    assert shifted == 1
+
+
+@pytest.mark.parametrize("solve", [
+    lambda: find_roots(CoeffPoly(coeffs=[1, np.inf, 1])),
+    lambda: enumerate_classes(TrigPoly(m=1, coeffs=[1, np.nan, 1])),
+    lambda: factor_sld(AutocorrSeq(m=1, coeffs=[0, np.nan, 2, np.nan, 0])),
+], ids=["find_roots", "enumerate_classes", "factor_sld"])
+def test_non_finite_coefficients_raise_domain_error(solve):
+    with pytest.raises(errors.DomainError, match="finite"):
+        solve()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_enumerate_refuses_a_signal_whose_energy_overflows():
+    # c_0 is infinite, so no residual can be measured: a NaN is a miss
+    with pytest.raises(errors.DomainError, match="misses the source measurement by nan"):
+        enumerate_classes(TrigPoly(m=1, coeffs=[1e300, 1e300, 1e300]))
 
 
 def test_enumerate_keeps_a_root_just_off_the_circle():
@@ -489,10 +556,3 @@ def test_enumerate_holds_its_rows_once_at_peak():
         tracemalloc.stop()
     assert cs.exact_count == 2 ** (2 * m)
     assert peak < 2 * cs.coeffs.nbytes
-
-
-@pytest.mark.parametrize("bad", (float("nan"), float("inf"), -1e-6))
-def test_enumerate_rejects_bad_cluster_radius(bad):
-    p = TrigPoly(m=1, coeffs=[6.0, -5.0, 1.0])
-    with pytest.raises(errors.DomainError, match="tolerance"):
-        enumerate_classes(p, cluster_radius=bad)

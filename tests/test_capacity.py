@@ -562,6 +562,8 @@ def test_transform_roundtrip_and_guard():
         )
     with pytest.raises(errors.NonInvertibleOnRange):
         measurement_transform(samples, np.sqrt, lambda y: y)  # wrong inverse
+    with pytest.raises(errors.NonInvertibleOnRange):
+        measurement_transform(samples, np.sqrt, lambda y: np.full_like(y, np.nan))
 
 
 def test_single_class_members_share_measurement():

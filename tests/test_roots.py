@@ -566,9 +566,13 @@ def test_batch_checks_arguments_before_iterating(monkeypatch):
         for polys in ([good], [good, zero], [zero, good]):
             with pytest.raises(errors.DomainError, match=message):
                 find_roots_batch(polys, **kw)
-    for polys in ([zero], [good, zero], [zero, good]):
+    nan = CoeffPoly(coeffs=[1.0, float("nan"), 1.0], n=2)
+    for polys in ([zero], [good, zero], [zero, good], [nan, zero], [zero, nan]):
         with pytest.raises(errors.ZeroPolynomial):
             find_roots_batch(polys, max_iter=1)
+    for polys in ([nan], [good, nan], [nan, good]):
+        with pytest.raises(errors.DomainError, match="finite"):
+            find_roots_batch(polys)
     assert find_roots_batch([]) == ()
     with pytest.raises(AssertionError, match="iteration ran"):
         find_roots_batch([good])
