@@ -16,6 +16,7 @@ of one measurement share.
 """
 
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -32,12 +33,12 @@ from .errors import (
 )
 from .roots import _modulus, find_roots, pair_reciprocal
 from .signals import (
+    _half_lags,
     AutocorrSeq,
     CoeffPoly,
     TrigPoly,
     autocorr_lift,
     autocorrelation,
-    autocorrelation_rows,
     lift,
     screen_intensity,
 )
@@ -53,9 +54,10 @@ class FlipSpec:
     orbit_splits assigns each reflection orbit (in the deterministic order
     returned by pair_reciprocal) a target pair (inner multiplicity, outer
     multiplicity) that preserves the orbit total. shift is the origin
-    power n_g of the result. scale, when given, must equal the magnitude
-    ratio |a_g| / |a_f| forced by keeping the circle magnitude fixed; left
-    as None it is derived.
+    power n_g of the result. Split counts and shift are integers (any
+    operator.index type); flip refuses anything else. scale, when given,
+    must equal the magnitude ratio |a_g| / |a_f| forced by keeping the
+    circle magnitude fixed; left as None it is derived.
     """
 
     orbit_splits: tuple
@@ -75,7 +77,8 @@ class ClassSet:
     closed-form count (shift_hi + 1) * prod(k_i + 1) over the orbits of
     the one table both build from. residuals holds each row's largest
     autocorrelation deviation from autocorr over c_0 (0.0 when c_0 is 0)
-    in a read-only array, computed on construction; representatives is
+    in a read-only array, computed on construction from the lags k >= 0
+    alone (the lags k < 0 are their conjugates); representatives is
     the rows as a tuple of TrigPoly, built on first access.
     """
 
@@ -124,12 +127,22 @@ def _gated(cs, gate, error, message):
 def _deviations(rows, target):
     """max_k |autocorrelation(row)_k - target_k| for each row of a 2-D array.
 
-    The batched autocorrelation takes _BLOCK_ROWS rows at a time.
+    target is a Hermitian sequence ordered k = -2m..2m, and so is every
+    row's, so only the lags k >= 0 are compared: |conj(a) - conj(b)| is
+    |a - b| bit for bit. The full row's clean-up doubles each part, which
+    overflows at 2^1023; a row with such a part deviates by inf, so every
+    gate refuses it. The half lags take _BLOCK_ROWS rows at a time.
     """
+    half = target[len(target) // 2 :]
     out = np.empty(len(rows))
     for lo in range(0, len(rows), _BLOCK_ROWS):
-        block = rows[lo : lo + _BLOCK_ROWS]
-        out[lo : lo + len(block)] = np.abs(autocorrelation_rows(block) - target).max(axis=1)
+        lags = _half_lags(rows[lo : lo + _BLOCK_ROWS])
+        dev = np.abs(lags - half).max(axis=1)
+        # Cauchy-Schwarz keeps every |c_k| within rounding of c_0, so only a
+        # block whose c_0 reaches 2^1022 (or is NaN) can hold such a part
+        if not lags[:, 0].real.max() < 2.0**1022:
+            dev[np.abs(lags.view(float)).max(axis=1) >= 2.0**1023] = np.inf
+        out[lo : lo + len(dev)] = dev
     return out
 
 
@@ -192,13 +205,14 @@ def flip(f, spec, root_tol=1e-8, circle_band=1e-9):
             "expected %d orbit splits, got %d" % (len(orbits), len(spec.orbit_splits))
         )
     shift_hi = f.n - r.degree + origin
-    if not (0 <= spec.shift <= shift_hi):
-        raise InvalidSpec("shift %d outside [0, %d]" % (spec.shift, shift_hi))
+    shift = _spec_int(spec.shift)
+    if not (0 <= shift <= shift_hi):
+        raise InvalidSpec("shift %d outside [0, %d]" % (shift, shift_hi))
 
     coeffs = np.array([r.leading_coeff], dtype=complex)
     scale = 1.0
     for orbit, split in zip(orbits, spec.orbit_splits):
-        inner_t, outer_t = int(split[0]), int(split[1])
+        inner_t, outer_t = _spec_int(split[0]), _spec_int(split[1])
         if inner_t < 0 or outer_t < 0 or inner_t + outer_t != orbit.total:
             raise InvalidSpec(
                 "split %s does not preserve the orbit total %d" % (split, orbit.total)
@@ -208,15 +222,24 @@ def flip(f, spec, root_tol=1e-8, circle_band=1e-9):
         scale *= abs(orbit.inner) ** (orbit.mult_inner - inner_t)
     for root in on_circle:
         coeffs = np.convolve(coeffs, _monic(((root.location, root.multiplicity),)))
-    if spec.scale is not None and abs(spec.scale - scale) > 1e-9 * max(scale, 1.0):
+    # written as not <= so a NaN declared scale conflicts too
+    if spec.scale is not None and not abs(spec.scale - scale) <= 1e-9 * max(scale, 1.0):
         raise InvalidSpec(
             "declared scale %.12g conflicts with the forced value %.12g"
             % (spec.scale, scale)
         )
     coeffs = coeffs * scale
-    if spec.shift:
-        coeffs = np.concatenate([np.zeros(spec.shift, dtype=complex), coeffs])
+    if shift:
+        coeffs = np.concatenate([np.zeros(shift, dtype=complex), coeffs])
     return CoeffPoly(coeffs=coeffs, n=f.n)
+
+
+def _spec_int(value):
+    """A shift or split count of a FlipSpec as an int; InvalidSpec unless integral."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise InvalidSpec("flip spec entry %r is not an integer" % (value,)) from None
 
 
 def _expand(rows, parts):

@@ -27,7 +27,7 @@ from .errors import (
     ZeroDC,
 )
 from .roots import _sweep, conj_reciprocal
-from .signals import TrigPoly, autocorrelation_rows
+from .signals import TrigPoly, _half_lags
 
 # radius of the measurement and rotated-signal bins, and of the coherent
 # merge of surrogate-channel outputs, per unit of the batch's largest modulus
@@ -334,7 +334,7 @@ def mi_dmc(c, noise):
 
     # coherent side: merge outputs that are the same waveform
     merged = _groups(out, _MERGE_RADIUS * np.abs(out).max())
-    lags = autocorrelation_rows(out)
+    lags = _half_lags(out)
     binned = _groups(lags, _BIN_RADIUS * np.abs(lags).max())
     return tuple(_mi_from_joint(_merge_columns(joint, ids)) for ids in (merged, binned))
 
@@ -375,7 +375,9 @@ def gap_experiment(c):
     Computes the noiseless mutual informations, the per-dimension gap
     (i_xy - i_xs) / (2m+1), and the finite-order ceiling
     1 + log2(m)/(2m+1) it must respect. Measurements, and signals rotated
-    onto the phase grid, are binned by _groups at 1e-7 of their largest modulus.
+    onto the phase grid, are binned by _groups at 1e-7 of their largest
+    modulus. A measurement is binned by its lags k >= 0: the lags k < 0
+    are their conjugates, which change neither a modulus nor a distance.
     """
     m = c.m
     if m < 1:
@@ -385,7 +387,7 @@ def gap_experiment(c):
     # measurement and rotated-signal bins; the first serve both I_xs and
     # the chain identity below
     s_ids, z_ids = (_groups(rows, _BIN_RADIUS * np.abs(rows).max())
-                    for rows in (autocorrelation_rows(mat), _z_rows(mat, PhaseGrid(m))))
+                    for rows in (_half_lags(mat), _z_rows(mat, PhaseGrid(m))))
     i_xy = entropy_bits(c.probs)
     i_xs = _partition_entropy(s_ids, c.probs)
 

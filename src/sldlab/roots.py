@@ -92,15 +92,20 @@ def _sweep(rows, radius, link):
     linked rows chain into one group. Rows that link must differ by at
     most radius in every coefficient, so over w coefficients the projection
     p = sum_k (Re a_k + Im a_k) moves by at most sqrt(2) * w * radius,
-    so the reach in p is 2w * radius: the slack up from sqrt(2), and 8w
-    ulps of the largest l1 norm, absorb the rounding in p. Consecutive
-    rows in p order that link form chains, and only pairs of different
-    chains within reach are compared, so a bin of near-identical rows
-    costs one pass. A reach that is not finite compares every pair.
+    so the reach in p is 2w * radius. p is one sum over the 2w real parts
+    of a row, in whatever order numpy adds them, so it is off by at most
+    (2w - 1) * eps/2 times the row's l1 norm; the rounding of two rows' p
+    together stays under 2w * eps times the largest l1 norm, which the
+    reach's slack of 8w * eps times that norm, and the slack up from
+    sqrt(2), absorb. Consecutive rows in p order that link form chains,
+    and only pairs of different chains within reach are compared, so a
+    bin of near-identical rows costs one pass. A reach that is not finite
+    compares every pair.
     """
     n, width = rows.shape
-    proj = (rows.real + rows.imag).sum(axis=1)
-    l1 = (np.abs(rows.real) + np.abs(rows.imag)).sum(axis=1)
+    parts = np.ascontiguousarray(rows).view(float)
+    proj = parts.sum(axis=1)
+    l1 = np.abs(parts).sum(axis=1)
     reach = 2 * width * radius + 8 * width * np.finfo(float).eps * l1.max(initial=0.0)
 
     order = np.argsort(proj, kind="stable")

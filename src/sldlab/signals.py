@@ -253,23 +253,46 @@ def autocorrelation_rows(b):
 
     b is a (K, 2m+1) array of coefficient rows; row i of the (K, 4m+1)
     result is the sequence autocorrelation() gives for row i, ordered
-    k = -2m..2m, bit for bit. Each lag is one stacked dot product over all
-    rows; the mirrored lags then get the Hermitian clean-up AutocorrSeq
-    applies on construction, which also fixes the signs of zero parts.
+    k = -2m..2m, bit for bit. The lags k >= 0 are _half_lags(b); the
+    negative ones are their conjugates, and the whole row then gets the
+    Hermitian clean-up AutocorrSeq applies on construction, which also
+    fixes the signs of zero parts.
+    """
+    half = _half_lags(b)
+    top = half.shape[1] - 1
+    c = np.empty((len(half), 2 * top + 1), dtype=complex)
+    c[:, top:] = half
+    c[:, :top] = np.conj(half[:, :0:-1])
+    c += np.conj(c[:, ::-1])
+    c *= 0.5
+    c[:, top] = np.maximum(c[:, top].real, 0.0)
+    return c
+
+
+def _half_lags(b):
+    """The lags k = 0..2m of a batch of signals: the non-negative half of
+    each Hermitian row of autocorrelation_rows.
+
+    b is a (K, 2m+1) array of coefficient rows; column k of the (K, 2m+1)
+    result is c_k = sum_l b_l conj(b_{l-k}), one stacked dot product over
+    all rows per lag, and c_0 is max(Re c_0, 0). Where rows are only
+    compared, this half carries all of the measurement, since
+    |conj(a) - conj(b)| == |a - b| bit for bit. It equals the half of the
+    full row up to the signs of zero parts, except that a part of 2^1023
+    or more in magnitude stays finite here, where the clean-up's doubling
+    there makes it inf.
     """
     b = np.asarray(b, dtype=complex)
     if b.ndim != 2 or b.shape[1] % 2 == 0:
         raise DomainError("expected a (K, 2m+1) array of coefficient rows")
     width = b.shape[1]
-    top = width - 1
-    c = np.empty((len(b), 2 * width - 1), dtype=complex)
+    c = np.empty((len(b), width), dtype=complex)
     conj = np.conj(b)
     for k in range(width):
-        c[:, top + k] = np.matmul(b[:, None, k:], conj[:, : width - k, None])[:, 0, 0]
-    c[:, :top] = np.conj(c[:, : top : -1])
-    c += np.conj(c[:, ::-1])
-    c *= 0.5
-    c[:, top] = np.maximum(c[:, top].real, 0.0)
+        c[:, k] = np.matmul(b[:, None, k:], conj[:, : width - k, None])[:, 0, 0]
+    # an Im c_0 that is not finite (only an overflowed row has one) makes
+    # c_0 NaN, as the clean-up of the full row does
+    c[:, 0] = np.maximum(c[:, 0].real + 0.0 * c[:, 0].imag, 0.0)
     return c
 
 

@@ -255,6 +255,14 @@ def autocorr_dot(b):
     return c
 
 
+def deviations_loop(rows, target):
+    """Largest |c_k - target_k| over all 4m+1 lags k = -2m..2m of each row,
+    its lags c taken from autocorr_dot one row at a time."""
+    target = np.asarray(target, dtype=complex)
+    return np.array([np.abs(autocorr_dot(b) - target).max()
+                     for b in np.asarray(rows, dtype=complex)])
+
+
 def round_keys_loop(vectors, digits):
     """Per-vector bin keys on the largest modulus of the whole batch."""
     scale = max((float(np.abs(v).max()) for v in vectors), default=1.0) or 1.0

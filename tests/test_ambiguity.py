@@ -36,6 +36,7 @@ from conftest import poly_from_roots, trig_polys
 from oracles import (
     assemble_classes_loop,
     canonical_phase,
+    deviations_loop,
     lattice_ambiguity,
     phase_match,
     same_class_sets,
@@ -143,6 +144,31 @@ def test_flip_invalid_specs():
         flip(P, FlipSpec(orbit_splits=((2, 0), (1, 0)), shift=0))
     with pytest.raises(errors.InvalidSpec):
         flip(P, FlipSpec(orbit_splits=((0, 1), (0, 1)), shift=3))
+
+
+def test_flip_refuses_a_nan_declared_scale():
+    P = lift(TrigPoly(m=1, coeffs=[6, -5, 1]))
+    with pytest.raises(errors.InvalidSpec, match="declared scale nan"):
+        flip(P, FlipSpec(orbit_splits=((0, 1), (1, 0)), shift=0, scale=float("nan")))
+
+
+@pytest.mark.parametrize("coeffs, spec", [
+    ([6, -5, 1], FlipSpec(orbit_splits=((1.7, -0.7), (1, 0)), shift=0)),
+    ([6, -5, 1], FlipSpec(orbit_splits=((0, 1.0), (1, 0)), shift=0)),
+    ([2, -1, 0], FlipSpec(orbit_splits=((0, 1),), shift=0.5)),
+    ([2, -1, 0], FlipSpec(orbit_splits=((0, 1),), shift=1.0)),
+], ids=["fractional-split", "float-split", "fractional-shift", "float-shift"])
+def test_flip_refuses_a_spec_entry_that_is_not_an_integer(coeffs, spec):
+    # [2, -1, 0] has one orbit and room for a shift of 1
+    with pytest.raises(errors.InvalidSpec, match="not an integer"):
+        flip(lift(TrigPoly(m=1, coeffs=coeffs)), spec)
+
+
+def test_flip_takes_numpy_integers_in_its_spec():
+    P = lift(TrigPoly(m=1, coeffs=[2, -1, 0]))
+    want = flip(P, FlipSpec(orbit_splits=((0, 1),), shift=1)).coeffs
+    got = flip(P, FlipSpec(orbit_splits=((np.int64(0), np.int64(1)),), shift=np.int64(1))).coeffs
+    assert got.tobytes() == want.tobytes()
 
 
 def test_flip_twice_returns():
@@ -474,6 +500,63 @@ def test_class_path_computes_autocorrelation_at_most_twice(monkeypatch):
     assert certify_bound(cs).passed and certify_bound(fs).passed
     assert cs.exact_count == fs.exact_count == 256
     assert len(calls) <= 2
+
+
+def _deviation_cases():
+    """(rows, target) pairs: random rows at scales 1e-150..1e150 with zero
+    rows and zero DC coefficients among them, and the bundled
+    constellations, whose tones have zero lags, against one of their own
+    measurements."""
+    rng = np.random.default_rng(19)
+    for m in range(9):
+        width = 2 * m + 1
+        for scale in (1e-150, 1e-75, 1.0, 1e75, 1e150):
+            rows = rng.standard_normal((12, width)) + 1j * rng.standard_normal((12, width))
+            rows *= scale * 10.0 ** rng.uniform(-1, 1, (12, 1))
+            rows[0] = 0
+            rows[1:4, m] = 0
+            rows[4] = rows[5] * np.exp(1.3j)
+            yield rows, autocorrelation(TrigPoly(m=m, coeffs=rows[5] * (1 + 1e-9))).coeffs
+    for m in range(1, 7):
+        c = bundled_constellation(m)
+        for j in (0, -1):
+            yield c.coeffs, autocorrelation(TrigPoly(m=m, coeffs=c.coeffs[j])).coeffs
+
+
+def test_deviations_match_the_full_lag_loop_bitwise():
+    for rows, target in _deviation_cases():
+        got = ambiguity._deviations(rows, target)
+        assert got.tobytes() == deviations_loop(rows, target).tobytes()
+
+
+# a generic order-2 signal whose energy c_0 is one ulp under 2^1023
+_NEAR_OVERFLOW = [
+    3.877994783451877e+153 - 4.914603566849608e+153j,
+    2.4329131038781793e+153 - 1.087152377335003e+153j,
+    1.962844178209247e+153 - 3.2173428534978575e+153j,
+    1.896710888212628e+152 + 3.996300359457246e+153j,
+    3.6483979673297024e+153 + 2.650788617481091e+152j,
+]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_rows_whose_full_lags_overflow_are_refused():
+    # a part of 2^1023 or more is finite in the lags k >= 0 but doubles to
+    # inf in the full row, so the row misses by inf, as the full row did
+    rows = np.array([[2.0**511, 2.0**511, 0], [0, 2.0**511, 2.0**510]], dtype=complex)
+    target = autocorrelation(TrigPoly(m=1, coeffs=rows[1])).coeffs
+    assert np.all(np.isfinite(sldlab.signals._half_lags(rows)))
+    got = ambiguity._deviations(rows, target)
+    assert got[0] == np.inf and np.isfinite(got[1])
+    assert got.tobytes() == deviations_loop(rows, target).tobytes()
+    # rescaling the classes to that c_0 rounds some of their c_0 up to 2^1023
+    p = TrigPoly(m=2, coeffs=_NEAR_OVERFLOW)
+    s = autocorrelation(p)
+    assert s.c0 < 2.0**1023
+    with pytest.raises(errors.DomainError, match="misses the source measurement by inf"):
+        enumerate_classes(p)
+    with pytest.raises(errors.NotAnAutocorrelation, match="misses the sequence by inf"):
+        factor_sld(s)
 
 
 def test_factor_makes_one_residual_pass(monkeypatch):

@@ -420,6 +420,15 @@ def test_mi_distinguishes_intensity_scales():
     assert (r.i_xy, r.i_xs) == (1.0, 1.0)
 
 
+def test_tones_whose_energy_reaches_2_to_1023_keep_their_own_bins():
+    # a tone of power 1e308 has a finite c_0; doubled to inf, it would make
+    # the bin radius inf and merge every measurement into one bin
+    tones = Constellation.uniform([TrigPoly(m=1, coeffs=[0, dc, 0]) for dc in (1e154, 0.5e154)])
+    r = gap_experiment(tones)
+    assert (r.i_xy, r.i_xs) == (1.0, 1.0)
+    assert mi_dmc(tones, DiscreteNoise.zero(1)) == (1.0, 1.0)
+
+
 @pytest.mark.parametrize("x", [0.50000001, 0.50000005])
 def test_tones_straddling_a_rounding_boundary_share_a_bin(x):
     # the last two tones' lags differ by 2e-11 in both cases; at 0.50000005
