@@ -341,14 +341,24 @@ def enumerate_classes(
         raise ZeroSignal("the zero signal has no ambiguity classes")
     r = find_roots(lift(p), tol=root_tol, circle_band=circle_band, seed=seed)
     orbits, on_circle, origin = pair_reciprocal(r)
-    cs = _classes(
+    return _signal_classes(
         [(orbit.inner, orbit.outer, orbit.total) for orbit in orbits],
         [(root.location / abs(root.location), root.multiplicity) for root in on_circle],
         2 * p.m - r.degree + origin,
         autocorrelation(p),
         cap,
     )
-    # a guard against construction bugs
+
+
+def _signal_classes(orbits, circle, shift_hi, autocorr, cap=2**20):
+    """_classes of a signal's table, whose orbits each hold all their k roots.
+
+    The rows come gated against autocorr, the signal's own measurement: a
+    row that misses it by more than 1e-6 of c_0 raises DomainError. That
+    guards against construction bugs, whether the table came from a root
+    solve (enumerate_classes) or from roots known by construction.
+    """
+    cs = _classes(orbits, circle, shift_hi, autocorr, cap)
     return _gated(cs, 1e-6, DomainError, "representative misses the source measurement by %.3g")
 
 

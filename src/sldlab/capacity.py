@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .ambiguity import enumerate_classes
+from .ambiguity import _signal_classes
 from .errors import (
     DomainError,
     DuplicateSignals,
@@ -27,11 +27,13 @@ from .errors import (
     ZeroDC,
 )
 from .roots import _sweep, conj_reciprocal
-from .signals import TrigPoly, _half_lags
+from .signals import TrigPoly, _half_lags, autocorrelation
 
-# radius of the measurement and rotated-signal bins, and of the coherent
-# merge of surrogate-channel outputs, per unit of the batch's largest modulus
+# radius of the measurement and rotated-signal bins, per unit of each row's
+# largest modulus in gap_experiment and of the batch's in mi_dmc
 _BIN_RADIUS = 1e-7
+# radius of mi_dmc's coherent merge of outputs, per unit of the batch's
+# largest modulus
 _MERGE_RADIUS = 1e-9
 
 
@@ -300,8 +302,8 @@ def mi_dmc(c, noise):
 
     Builds the exact joint distribution of input and coherent output,
     merging outputs that _groups links at 1e-9 of their largest modulus,
-    then coarsens the output alphabet by measurement bin, as in
-    gap_experiment, for the square-law side. Binning is deterministic
+    then coarsens the output alphabet by measurement bin, at 1e-7 of the
+    largest lag modulus, for the square-law side. Binning is deterministic
     post-processing, so I_xs <= I_xy holds by construction.
     """
     mat = c.coeffs
@@ -375,8 +377,9 @@ def gap_experiment(c):
     Computes the noiseless mutual informations, the per-dimension gap
     (i_xy - i_xs) / (2m+1), and the finite-order ceiling
     1 + log2(m)/(2m+1) it must respect. Measurements, and signals rotated
-    onto the phase grid, are binned by _groups at 1e-7 of their largest
-    modulus. A measurement is binned by its lags k >= 0: the lags k < 0
+    onto the phase grid, are binned by _groups with per-row radii, 1e-7 of
+    each row's largest modulus, so one large point does not merge the
+    small ones. A measurement is binned by its lags k >= 0: the lags k < 0
     are their conjugates, which change neither a modulus nor a distance.
     """
     m = c.m
@@ -386,7 +389,7 @@ def gap_experiment(c):
     _check_distinct(mat)
     # measurement and rotated-signal bins; the first serve both I_xs and
     # the chain identity below
-    s_ids, z_ids = (_groups(rows, _BIN_RADIUS * np.abs(rows).max())
+    s_ids, z_ids = (_groups(rows, _BIN_RADIUS * np.abs(rows).max(axis=1))
                     for rows in (_half_lags(mat), _z_rows(mat, PhaseGrid(m))))
     i_xy = entropy_bits(c.probs)
     i_xs = _partition_entropy(s_ids, c.probs)
@@ -442,18 +445,19 @@ def measurement_transform(samples, phi, inverse):
 
 
 def _deterministic_roots(m, q, spread=0.37):
-    """q well-separated off-circle roots plus 2m - q on-circle roots."""
-    locs = []
+    """q well-separated inside points and 2m - q unit locations.
+
+    The source signal's off-circle roots are the inside points, the
+    odd-numbered ones reflected outside the disk; its circle roots are the
+    unit locations.
+    """
+    inside = []
     for j in range(q):
         radius = 0.35 + 0.3 * (j / max(q - 1, 1))
         angle = 2 * np.pi * j / max(q, 1) + spread
-        loc = radius * np.exp(1j * angle)
-        if j % 2:
-            loc = conj_reciprocal(loc)
-        locs.append(loc)
-    for j in range(2 * m - q):
-        locs.append(np.exp(1j * (0.81 + 2 * np.pi * j / max(2 * m - q, 1))))
-    return locs
+        inside.append(radius * np.exp(1j * angle))
+    circle = [np.exp(1j * (0.81 + 2 * np.pi * j / max(2 * m - q, 1))) for j in range(2 * m - q)]
+    return inside, circle
 
 
 def _signal_from_roots(m, locs, period=1.0):
@@ -464,6 +468,30 @@ def _signal_from_roots(m, locs, period=1.0):
     return TrigPoly(m=m, coeffs=p.coeffs / np.sqrt(p.energy), period=period)
 
 
+def _source_classes(m, q, period):
+    """Class rows of the source with q off-circle roots, from its root table.
+
+    The roots are known by construction, so no root is solved for: each
+    inside point z gives the orbit (z, 1/conj(z), 1) and each unit location
+    u the circle root (u, 1), sorted by location as pair_reciprocal and
+    find_roots sort them, so row i is flip spec i as in enumerate_classes.
+    The source has full degree and a nonzero lowest coefficient, so there
+    is no origin shift; the rows pass the residual gate of
+    enumerate_classes.
+    """
+    inside, circle = _deterministic_roots(m, q)
+    outer = [conj_reciprocal(z) for z in inside]
+    source = _signal_from_roots(
+        m, [w if j % 2 else z for j, (z, w) in enumerate(zip(inside, outer))] + circle, period)
+
+    def by_location(item):
+        return item[0].real, item[0].imag
+
+    orbits = sorted(((z, w, 1) for z, w in zip(inside, outer)), key=by_location)
+    circle = sorted(((u, 1) for u in circle), key=by_location)
+    return _signal_classes(orbits, circle, 0, autocorrelation(source)).coeffs
+
+
 def single_class_constellation(m, q, period=1.0):
     """One whole ambiguity class as a uniform constellation.
 
@@ -471,13 +499,12 @@ def single_class_constellation(m, q, period=1.0):
     the class holds exactly 2^q members sharing one measurement. Coherent
     detection gets q bits, square-law detection gets none, and the
     per-dimension gap is q / (2m+1): stepping q up to 2m walks the gap
-    toward one bit.
+    toward one bit. The members are built from the source's roots, which
+    are known by construction, so no root is solved for.
     """
     if not (1 <= q <= 2 * m):
         raise DomainError("need 1 <= q <= 2m")
-    source = _signal_from_roots(m, _deterministic_roots(m, q), period)
-    cs = enumerate_classes(source)
-    return _uniform(cs.coeffs, period)
+    return _uniform(_source_classes(m, q, period), period)
 
 
 def bundled_constellation(m, period=1.0):
@@ -486,12 +513,11 @@ def bundled_constellation(m, period=1.0):
     A full ambiguity class of a generic signal (2m off-circle orbits, so
     2^(2m) members) plus two constant-envelope tones at distinct power
     levels. The tones add measurement diversity so neither information
-    quantity is degenerate.
+    quantity is degenerate. The class is built from the signal's roots,
+    which are known by construction, so no root is solved for.
     """
     if m < 1:
         raise UnsupportedOrder("bundled constellations start at m = 1")
-    source = _signal_from_roots(m, _deterministic_roots(m, 2 * m), period)
-    cs = enumerate_classes(source)
     tones = np.zeros((2, 2 * m + 1), dtype=complex)
     tones[:, m] = (2.0, 3.0)
-    return _uniform(np.concatenate([cs.coeffs, tones]), period)
+    return _uniform(np.concatenate([_source_classes(m, 2 * m, period), tones]), period)

@@ -97,10 +97,11 @@ def _sweep(rows, radius, link):
     (2w - 1) * eps/2 times the row's l1 norm; the rounding of two rows' p
     together stays under 2w * eps times the largest l1 norm, which the
     reach's slack of 8w * eps times that norm, and the slack up from
-    sqrt(2), absorb. Consecutive rows in p order that link form chains,
-    and only pairs of different chains within reach are compared, so a
-    bin of near-identical rows costs one pass. A reach that is not finite
-    compares every pair.
+    sqrt(2), absorb. So link only ever sees pairs within reach in p:
+    consecutive rows in p order that are within reach (or whose p is NaN)
+    are compared and, where they link, form chains, and then only pairs of
+    different chains within reach are compared, so a bin of near-identical
+    rows costs one pass. A reach that is not finite compares every pair.
     """
     n, width = rows.shape
     parts = np.ascontiguousarray(rows).view(float)
@@ -110,9 +111,12 @@ def _sweep(rows, radius, link):
 
     order = np.argsort(proj, kind="stable")
     swept = proj[order]
-    if np.all(np.diff(swept) > reach):
+    # written as not > so a NaN projection is still compared
+    near = np.flatnonzero(~(np.diff(swept) > reach))
+    if not near.size:
         return np.arange(n)  # no row is within reach of the next: nothing links
-    linked = link(order[1:], order[:-1])
+    linked = np.zeros(n - 1, dtype=bool)
+    linked[near] = link(order[near + 1], order[near])
     chain = np.concatenate([[0], np.cumsum(~linked)])
     chain_end = np.append(np.flatnonzero(~linked) + 1, n)[chain]
 

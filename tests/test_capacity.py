@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from sldlab import capacity, roots
 from sldlab import (
     Constellation,
     DiscreteNoise,
@@ -13,6 +14,7 @@ from sldlab import (
     auxiliary_rotate,
     bundled_constellation,
     entropy_bits,
+    enumerate_classes,
     errors,
     gap_experiment,
     measurement_transform,
@@ -21,7 +23,15 @@ from sldlab import (
     single_class_constellation,
     theta_m,
 )
-from sldlab.capacity import _first_ids, _groups, _mi_from_joint, _z_rows
+from sldlab.capacity import (
+    _deterministic_roots,
+    _first_ids,
+    _groups,
+    _mi_from_joint,
+    _signal_from_roots,
+    _uniform,
+    _z_rows,
+)
 
 from oracles import (
     binary_entropy,
@@ -371,6 +381,38 @@ def test_groups_match_pairwise_union_find(name, rows, radii, count):
         assert 0 < len(rows) - (got.max() + 1)
 
 
+@pytest.mark.parametrize("name,rows,radii", [
+    pytest.param(*case[:3], id=case[0]) for case in _grouping_cases()
+] + [
+    # a row with a NaN part has a NaN projection; it is compared and links nothing
+    pytest.param("nan", np.array([[np.nan, 1.0], [0.0, 1.0], [0.0, 1.0 + 1e-9]]), 1e-6,
+                 id="nan"),
+])
+def test_sweep_links_only_pairs_within_reach(monkeypatch, name, rows, radii):
+    rows = np.asarray(rows, dtype=complex)
+    parts = rows.view(float)
+    proj = parts.sum(axis=1)
+    width = rows.shape[1]
+    reach = (2 * width * np.max(radii)
+             + 8 * width * np.finfo(float).eps * np.abs(parts).sum(axis=1).max())
+    seen = []
+    sweep = capacity._sweep
+
+    def spy(rows, radius, link):
+        def spied(i, j):
+            seen.append((i, j))
+            return link(i, j)
+        return sweep(rows, radius, spied)
+
+    monkeypatch.setattr(capacity, "_sweep", spy)
+    got = _groups(rows, radii)
+    assert got.tolist() == pairwise_groups(rows, radii)
+    assert bool(seen) == (name != "singletons")
+    for i, j in seen:
+        # written as not > so that a NaN projection passes
+        assert not np.any(np.abs(proj[i] - proj[j]) > reach), name
+
+
 def _entropy_by_bytes_keys(probs, keys):
     return entropy_bits(merge_columns_loop(probs[None, :], keys)[0])
 
@@ -439,6 +481,14 @@ def test_tones_straddling_a_rounding_boundary_share_a_bin(x):
     r = gap_experiment(tones)
     assert r.i_xy == pytest.approx(np.log2(3), abs=1e-12)
     assert r.i_xs == pytest.approx(entropy_loop([1 / 3, 2 / 3]), abs=1e-12)
+
+
+def test_gap_bins_take_each_rows_own_radius():
+    # the batch radius of the 1e154 point would merge the two small ones
+    c = _uniform(np.array([[1, 2, 3], [3, 2, 1], [0, 1e154, 0]], dtype=complex), 1.0)
+    r = gap_experiment(c)
+    assert r.i_xz == np.log2(3)
+    assert r.chain_residual == 0.0
 
 
 def test_mi_dmc_zero_noise_matches_gap_experiment():
@@ -588,3 +638,41 @@ def test_single_class_bounds_q():
         single_class_constellation(1, 3)
     with pytest.raises(errors.DomainError):
         single_class_constellation(1, 0)
+
+
+def _source(m, q, period):
+    """The signal the builders' classes belong to: odd-numbered roots reflected."""
+    inside, circle = _deterministic_roots(m, q)
+    locs = [1 / np.conj(z) if j % 2 else z for j, z in enumerate(inside)]
+    return _signal_from_roots(m, locs + circle, period)
+
+
+def _assert_rows_match(got, want):
+    assert got.shape == want.shape
+    scale = np.abs(want).max(axis=1)
+    assert np.all(np.abs(got - want).max(axis=1) <= 1e-12 * scale)
+
+
+@pytest.mark.parametrize("period", [1.0, 2.5])
+@pytest.mark.parametrize("m", range(1, 8))
+def test_bundled_constellation_matches_enumerate_classes(m, period):
+    c = bundled_constellation(m, period)
+    assert c.period == period
+    _assert_rows_match(c.coeffs[:-2], enumerate_classes(_source(m, 2 * m, period)).coeffs)
+
+
+@pytest.mark.parametrize("m,q", [(m, q) for m in (1, 2, 3) for q in range(1, 2 * m + 1)])
+def test_single_class_constellation_matches_enumerate_classes(m, q):
+    c = single_class_constellation(m, q)
+    _assert_rows_match(c.coeffs, enumerate_classes(_source(m, q, 1.0)).coeffs)
+
+
+def test_constellation_builders_solve_no_roots(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("root solve")
+
+    monkeypatch.setattr(roots, "find_roots_batch", refuse)
+    with pytest.raises(AssertionError):
+        enumerate_classes(TrigPoly(m=1, coeffs=[6, -5, 1]))
+    assert len(bundled_constellation(3).coeffs) == 4**3 + 2
+    assert len(single_class_constellation(2, 3).coeffs) == 2**3
