@@ -10,12 +10,8 @@ from .signals import (
     autocorr_from_samples,
     autocorr_lift,
     autocorrelation,
-    eval_intensity,
-    eval_time,
     intensity_samples,
     lift,
-    sample_grid,
-    unlift,
 )
 from .roots import (
     ClassifiedRoot,
@@ -27,13 +23,10 @@ from .roots import (
     find_roots_batch,
     joint_orbits,
     pair_reciprocal,
-    reconstruct,
 )
 from .blaschke import BlaschkeProduct, factor_eval, from_inside_zeros, kappa_ratio, product_eval
 from .equivalence import (
     EquivalenceVerdict,
-    ae_equal,
-    degree_match,
     numeric_magnitude_equiv,
     phase_equiv,
     struct_magnitude_equiv,
@@ -41,27 +34,20 @@ from .equivalence import (
 from .ambiguity import (
     BoundReport,
     ClassSet,
-    FlipSpec,
-    canonicalize,
     certify_bound,
     enumerate_classes,
     factor_sld,
-    flip,
 )
 from .capacity import (
     Constellation,
     DiscreteNoise,
     GapReport,
-    PhaseGrid,
-    auxiliary_rotate,
     bundled_constellation,
     entropy_bits,
     gap_experiment,
     measurement_transform,
     mi_dmc,
-    quantize_phase,
     single_class_constellation,
-    theta_m,
 )
 from . import errors
 

@@ -16,7 +16,6 @@ of one measurement share.
 """
 
 import math
-import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -27,7 +26,6 @@ from .errors import (
     CombinatorialBlowup,
     DegreeTooLarge,
     DomainError,
-    InvalidSpec,
     NotAnAutocorrelation,
     ZeroSignal,
 )
@@ -35,7 +33,6 @@ from .roots import _modulus, find_roots, pair_reciprocal
 from .signals import (
     _half_lags,
     AutocorrSeq,
-    CoeffPoly,
     TrigPoly,
     autocorr_lift,
     autocorrelation,
@@ -45,24 +42,6 @@ from .signals import (
 
 # candidate rows assembled and canonicalized at a time
 _BLOCK_ROWS = 8192
-
-
-@dataclass(frozen=True)
-class FlipSpec:
-    """One member of the ambiguity family of a polynomial.
-
-    orbit_splits assigns each reflection orbit (in the deterministic order
-    returned by pair_reciprocal) a target pair (inner multiplicity, outer
-    multiplicity) that preserves the orbit total. shift is the origin
-    power n_g of the result. Split counts and shift are integers (any
-    operator.index type); flip refuses anything else. scale, when given,
-    must equal the magnitude ratio |a_g| / |a_f| forced by keeping the
-    circle magnitude fixed; left as None it is derived.
-    """
-
-    orbit_splits: tuple
-    shift: int
-    scale: float = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -146,20 +125,16 @@ def _deviations(rows, target):
     return out
 
 
-def canonicalize(p):
-    """Phase-normalize a signal so its lowest nonzero coefficient is positive real.
-
-    The pivot is the first coefficient above 1e-12 of the largest modulus.
-    The vector turns by minus the pivot's angle unless that angle is within
-    1e-12, and the pivot is then pinned to its modulus unless it is already
-    positive real. Idempotent: a vector already in canonical form comes
-    back unchanged, bit for bit.
-    """
-    return TrigPoly(m=p.m, coeffs=_canonical_rows(p.coeffs[None, :])[0], period=p.period)
-
-
 def _canonical_rows(rows):
-    """canonicalize() applied to every row of a 2-D complex array at once."""
+    """Phase-normalize each row of a 2-D complex array: its lowest nonzero
+    coefficient becomes positive real.
+
+    The pivot is the first coefficient above 1e-12 of the row's largest
+    modulus. The row turns by minus the pivot's angle unless that angle is
+    within 1e-12, and the pivot is then pinned to its modulus unless it is
+    already positive real. Idempotent: a row already in canonical form
+    comes back unchanged, bit for bit. A zero row raises ZeroSignal.
+    """
     mags = np.abs(rows)
     top = mags.max(axis=1)
     if not np.all(top > 0):
@@ -189,57 +164,6 @@ def _monic(roots):
             power = np.convolve(power, np.array([-loc, 1.0 + 0.0j]))
         out = power if out is None else np.convolve(out, power)
     return np.ones(1, dtype=complex) if out is None else out
-
-
-def flip(f, spec, root_tol=1e-8, circle_band=1e-9):
-    """Apply one flip specification to a polynomial.
-
-    Moves roots across the unit circle orbit by orbit, re-seats the origin
-    power, and rescales so the magnitude on the circle is untouched. The
-    result is magnitude-equivalent to f with ratio exactly one.
-    """
-    r = find_roots(f, tol=root_tol, circle_band=circle_band)
-    orbits, on_circle, origin = pair_reciprocal(r)
-    if len(spec.orbit_splits) != len(orbits):
-        raise InvalidSpec(
-            "expected %d orbit splits, got %d" % (len(orbits), len(spec.orbit_splits))
-        )
-    shift_hi = f.n - r.degree + origin
-    shift = _spec_int(spec.shift)
-    if not (0 <= shift <= shift_hi):
-        raise InvalidSpec("shift %d outside [0, %d]" % (shift, shift_hi))
-
-    coeffs = np.array([r.leading_coeff], dtype=complex)
-    scale = 1.0
-    for orbit, split in zip(orbits, spec.orbit_splits):
-        inner_t, outer_t = _spec_int(split[0]), _spec_int(split[1])
-        if inner_t < 0 or outer_t < 0 or inner_t + outer_t != orbit.total:
-            raise InvalidSpec(
-                "split %s does not preserve the orbit total %d" % (split, orbit.total)
-            )
-        coeffs = np.convolve(coeffs, _monic(((orbit.inner, inner_t), (orbit.outer, outer_t))))
-        # each root moved outside multiplies by |inner|, keeping the circle magnitude
-        scale *= abs(orbit.inner) ** (orbit.mult_inner - inner_t)
-    for root in on_circle:
-        coeffs = np.convolve(coeffs, _monic(((root.location, root.multiplicity),)))
-    # written as not <= so a NaN declared scale conflicts too
-    if spec.scale is not None and not abs(spec.scale - scale) <= 1e-9 * max(scale, 1.0):
-        raise InvalidSpec(
-            "declared scale %.12g conflicts with the forced value %.12g"
-            % (spec.scale, scale)
-        )
-    coeffs = coeffs * scale
-    if shift:
-        coeffs = np.concatenate([np.zeros(shift, dtype=complex), coeffs])
-    return CoeffPoly(coeffs=coeffs, n=f.n)
-
-
-def _spec_int(value):
-    """A shift or split count of a FlipSpec as an int; InvalidSpec unless integral."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise InvalidSpec("flip spec entry %r is not an integer" % (value,)) from None
 
 
 def _expand(rows, parts):
@@ -314,8 +238,10 @@ def _classes(orbits, circle, shift_hi, autocorr, cap):
         block = rows[lo : lo + step].reshape(size, shift_hi + 1, width)
         for shift in range(shift_hi + 1):
             block[:, shift, shift : shift + polys.shape[1]] = polys
-        rows[lo : lo + step] = _canonical_rows(rows[lo : lo + step])
-    rows *= np.sqrt(autocorr.c0 / np.sum(np.abs(rows) ** 2, axis=1))[:, None]
+        # scaled block by block, so no temporary spans all the rows
+        canon = _canonical_rows(rows[lo : lo + step])
+        canon *= np.sqrt(autocorr.c0 / np.sum(np.abs(canon) ** 2, axis=1))[:, None]
+        rows[lo : lo + step] = canon
     rows.setflags(write=False)
     return ClassSet(coeffs=rows, autocorr=autocorr)
 
@@ -364,7 +290,6 @@ def _signal_classes(orbits, circle, shift_hi, autocorr, cap=2**20):
 
 def factor_sld(
     s,
-    check_intensity=True,
     cap=2**20,
     root_tol=1e-8,
     circle_band=1e-9,
@@ -380,12 +305,11 @@ def factor_sld(
     The rows come in spec order, as in enumerate_classes, so the count is
     (shift_hi + 1) * prod(mult_inner_i + 1) over the lift's orbits.
 
-    check_intensity=False skips the sampled nonnegativity screen, which is
-    useful for exercising the structural pairing failure on sequences
-    whose synthesized intensity dips negative.
+    The sampled intensity screen runs first: a sequence whose synthesized
+    intensity dips negative raises NegativeIntensity before any root is
+    solved for.
     """
-    if check_intensity:
-        screen_intensity(s)
+    screen_intensity(s)
     # a circle root of the signal appears in the lift with multiplicity
     # 2k and splits numerically on a ring of width eps^(1/2k); when a
     # radius under-clusters, verification below rejects a valid

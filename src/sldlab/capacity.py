@@ -5,12 +5,13 @@ receiver lose by seeing only |y(t)|^2 instead of y(t)? Ambiguity classes
 are finite (at most 2^(2m+1) members), so conditioning on the measurement
 leaves at most 2m+1 + log2(m) bits of residual uncertainty, i.e. a loss of
 at most 1 + log2(m)/(2m+1) bits per dimension. The experiments here make
-that concrete on finite constellations: exact entropies, a grid-quantized
-DC phase as the auxiliary observable, and discrete noise surrogates for
-the channel.
+that concrete on finite constellations: exact entropies, each signal
+turned so its DC argument sits on the m-point grid (the auxiliary
+observable z of gap_experiment's chain identity), and a discrete noise
+surrogate for the channel (mi_dmc).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -21,10 +22,7 @@ from .errors import (
     DuplicateSignals,
     InvalidNoiseSpec,
     NonInvertibleOnRange,
-    OutOfRange,
     UnsupportedOrder,
-    ZeroArgument,
-    ZeroDC,
 )
 from .roots import _sweep, conj_reciprocal
 from .signals import TrigPoly, _half_lags, autocorrelation
@@ -37,101 +35,32 @@ _BIN_RADIUS = 1e-7
 _MERGE_RADIUS = 1e-9
 
 
-@dataclass(frozen=True, eq=False)
-class PhaseGrid:
-    """The m-point angular grid {0, +-2pi/m, ...} folded into [-pi, pi)."""
+def _rotation_angles(w, m):
+    """The turn that carries each nonzero w's argument onto the m-point grid.
 
-    m: int
-    step: float = field(init=False)
-    levels: tuple = field(init=False)
-
-    def __post_init__(self):
-        m = int(self.m)
-        if m < 1:
-            raise UnsupportedOrder("phase grid needs m >= 1")
-        step = 2 * np.pi / m
-        levels = set()
-        for j in range(-(m // 2), m // 2 + 1):
-            angle = j * step
-            if angle >= np.pi:
-                angle -= 2 * np.pi
-            levels.add(float(angle))
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "step", float(step))
-        object.__setattr__(self, "levels", tuple(sorted(levels)))
-
-
-def _quantize_raw(grid, theta):
-    # floor((theta + pi/m) / step) * step; ties resolve counterclockwise
-    half = np.pi / grid.m
-    return np.floor((theta + half) / grid.step) * grid.step
-
-
-def quantize_phase(grid, theta):
-    """Snap an angle in [-pi, pi) to the nearest grid level.
-
-    The raw floor formula can emit +pi for angles near the top of the
-    range; that value is folded back to -pi so the result always lies in
-    the level set.
+    The grid is the multiples of 2 pi/m. With theta the argument (+pi
+    folded to -pi first), the turn is floor((theta + pi/m) / step) * step
+    - theta, step = 2 pi/m: ties go counterclockwise, and every turn lies
+    in (-pi/m, pi/m].
     """
-    theta = float(theta)
-    if not (-np.pi <= theta < np.pi):
-        raise OutOfRange("angle %r outside [-pi, pi)" % theta)
-    value = _quantize_raw(grid, theta)
-    if value >= np.pi:
-        value -= 2 * np.pi
-    return float(value)
-
-
-def theta_m(grid, w):
-    """Rotation angle that carries arg(w) onto the grid.
-
-    Defined by the unfolded quantizer, so the value lies in
-    (-pi/m, pi/m]; rotating w by it lands the argument on a level modulo
-    a full turn.
-    """
-    w = complex(w)
-    if w == 0:
-        raise ZeroArgument("zero has no argument to rotate")
-    return float(_rotation_angles(grid, w))
-
-
-def _rotation_angles(grid, w):
-    # theta_m over an array of nonzero values; +pi folds to -pi first
+    step = 2 * np.pi / m
     theta = np.angle(w)
     theta = np.where(theta == np.pi, -np.pi, theta)
-    return _quantize_raw(grid, theta) - theta
+    return np.floor((theta + np.pi / m) / step) * step - theta
 
 
-def _z_rows(mat, grid):
-    """Rotate each coefficient row so its DC argument sits on `grid`.
+def _z_rows(mat, m):
+    """Rotate each coefficient row so its DC argument sits on the m-point grid.
 
-    The batched form of auxiliary_rotate; rows with a zero DC coefficient
-    pass through unrotated.
+    The rotation is global, so each row's measurement is untouched; rows
+    with a zero DC coefficient pass through unrotated.
     """
     dc = mat[:, mat.shape[1] // 2]
     live = dc != 0
-    turn = np.exp(1j * _rotation_angles(grid, dc[live]))
+    turn = np.exp(1j * _rotation_angles(dc[live], m))
     rotated = mat.copy()
     rotated[live] = mat[live] * turn[:, None]
     return rotated
-
-
-def auxiliary_rotate(y, grid=None, strict=False):
-    """Rotate a signal so the argument of its DC coefficient sits on the grid.
-
-    The rotation is global, so |z(t)| = |y(t)| everywhere and the
-    square-law measurement is untouched. A zero DC coefficient leaves no
-    angle to align; the signal passes through unchanged unless
-    strict=True, in which case ZeroDC is raised.
-    """
-    if y.coeffs[y.m] == 0:
-        if strict:
-            raise ZeroDC("DC coefficient is zero, rotation undefined")
-        return y
-    if grid is None:
-        grid = PhaseGrid(y.m)
-    return TrigPoly(m=y.m, coeffs=_z_rows(y.coeffs[None, :], grid)[0], period=y.period)
 
 
 @dataclass(frozen=True, eq=False)
@@ -390,7 +319,7 @@ def gap_experiment(c):
     # measurement and rotated-signal bins; the first serve both I_xs and
     # the chain identity below
     s_ids, z_ids = (_groups(rows, _BIN_RADIUS * np.abs(rows).max(axis=1))
-                    for rows in (_half_lags(mat), _z_rows(mat, PhaseGrid(m))))
+                    for rows in (_half_lags(mat), _z_rows(mat, m)))
     i_xy = entropy_bits(c.probs)
     i_xs = _partition_entropy(s_ids, c.probs)
 

@@ -143,12 +143,13 @@ _CSV_CLASSES = 128  # representatives formatted per chunk
 def _class_csv(cs):
     """Class CSV text in chunks: 64 circle samples per representative.
 
-    Each representative's samples are the product sample_grid takes, one
-    phases @ row per class with the phase matrix built once: a product of
+    Representative b is sampled at t_j = j * T / 64 as
+    y(t_j) = sum_k b_k exp(2 pi i k t_j / T), k = -m..m: one phases @ row
+    per class, with the (64, 2m+1) phase matrix built once. A product of
     the whole block, or einsum, rounds 18% to 71% of the parts differently.
     The intensity is Python's abs(z) ** 2 of each sample, since numpy's
     abs of a complex array and its square round differently too. So every
-    cell matches sample_grid to the last digit.
+    cell is that per-row product to the last digit.
 
     A block is one list of cells, eight per row, filled slice by slice and
     joined once, so no Python code runs per row. The ",sample,t," leads and

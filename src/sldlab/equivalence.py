@@ -1,10 +1,10 @@
 """Equivalence predicates for signals and their lifts.
 
-Three relations, in increasing coarseness:
+Two relations, in increasing coarseness:
 
-  * almost-everywhere equality, which for finite Fourier sums is plain
+  * equality up to a global phase offset; at phase 0 this is
+    almost-everywhere equality, which for finite Fourier sums is
     coefficient equality;
-  * equality up to a global phase offset;
   * constant magnitude ratio on the unit circle, decided structurally
     from reflection orbits of the roots, with a root-free check on the
     autocorrelation lags as an independent cross-check.
@@ -17,7 +17,6 @@ import numpy as np
 from .blaschke import kappa_ratio
 from .errors import (
     ConditionViolated,
-    NotEquivalent,
     PeriodMismatch,
     ZeroPolynomial,
 )
@@ -60,20 +59,6 @@ def _common_order(p, q):
 def _wrap_angle(phi):
     phi = float(np.mod(phi + np.pi, 2 * np.pi) - np.pi)
     return -np.pi if phi == np.pi else phi
-
-
-def ae_equal(p, q):
-    """Almost-everywhere equality of two signals.
-
-    Trigonometric polynomials agree a.e. exactly when their coefficient
-    vectors agree, so this is a scale-aware coefficient comparison. The
-    shorter vector is zero-padded, the periods must match.
-    """
-    p, q = _common_order(p, q)
-    scale = np.sqrt(max(p.energy, q.energy))
-    if scale == 0:
-        return True
-    return bool(np.abs(p.coeffs - q.coeffs).max() <= 1e-12 * scale)
 
 
 def phase_equiv(p, q):
@@ -153,16 +138,3 @@ def numeric_magnitude_equiv(f, g, tol=1e-12):
             witness="lag residual %.3g of ||c_f|| at lambda %.6g" % (resid, lam * ratio**2),
         )
     return EquivalenceVerdict(related=True, kappa=float(np.sqrt(lam) * ratio))
-
-
-def degree_match(f, g, root_tol=1e-8, circle_band=1e-9):
-    """Whether two magnitude-equivalent polynomials have equal degree.
-
-    Raises NotEquivalent when the pair is not magnitude-equivalent in the
-    first place. For related pairs this is the same question as whether
-    their origin multiplicities agree, which the tests assert.
-    """
-    verdict = struct_magnitude_equiv(f, g, root_tol=root_tol, circle_band=circle_band)
-    if not verdict.related:
-        raise NotEquivalent(verdict.witness or "pair is not magnitude-equivalent")
-    return f.effective_degree() == g.effective_degree()

@@ -13,11 +13,7 @@ class DomainError(SldLabError, ValueError):
     """An argument is outside an operation's documented domain."""
 
 
-# signal / polynomial plumbing
-
-class DegreeTooLarge(DomainError):
-    """Polynomial degree exceeds the 2m bound of the requested harmonic order."""
-
+# signals and polynomials
 
 class ZeroInput(DomainError):
     """An all-zero sequence where a nonzero one is required."""
@@ -31,8 +27,8 @@ class ZeroPolynomial(DomainError):
     """The zero polynomial where a nonzero one is required."""
 
 
-class PeriodMismatch(DomainError):
-    """Two signals with different periods cannot be compared."""
+class DegenerateSampling(DomainError):
+    """Too few intensity samples to recover the measurement lags of an order."""
 
 
 # root finding
@@ -46,7 +42,7 @@ class NoConvergence(SldLabError):
 
 
 class ZeroArgument(DomainError):
-    """Zero passed where the reciprocal conjugate (or an argument angle) is needed."""
+    """Zero passed where the reciprocal conjugate is needed."""
 
 
 class AsymmetricSpectrum(DomainError):
@@ -65,18 +61,14 @@ class ConditionViolated(DomainError):
 
 # equivalence
 
-class NotEquivalent(DomainError):
-    """Operation requires a pair already verified magnitude-equivalent."""
+class PeriodMismatch(DomainError):
+    """Two signals with different periods cannot be compared."""
 
 
-class DegenerateSampling(DomainError):
-    """Too few intensity samples to recover the measurement lags of an order."""
+# ambiguity classes
 
-
-# ambiguity enumeration
-
-class InvalidSpec(DomainError):
-    """A flip specification does not match the polynomial's root structure."""
+class DegreeTooLarge(DomainError):
+    """Polynomial degree exceeds the 2m bound of the requested harmonic order."""
 
 
 class CombinatorialBlowup(SldLabError):
@@ -93,10 +85,6 @@ class NegativeIntensity(DomainError):
 
 # capacity experiments
 
-class OutOfRange(DomainError):
-    """Angle outside the quantizer's [-pi, pi) domain."""
-
-
 class DuplicateSignals(DomainError):
     """Constellation contains two signals that are equal almost everywhere."""
 
@@ -111,10 +99,6 @@ class UnsupportedOrder(DomainError):
 
 class NonInvertibleOnRange(DomainError):
     """Measurement map is not strictly monotone / invertible on the sample range."""
-
-
-class ZeroDC(DomainError):
-    """DC coefficient is zero, so the grid rotation angle is undefined."""
 
 
 # CLI / serialization

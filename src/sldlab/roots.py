@@ -402,20 +402,6 @@ def find_roots(
     return find_roots_batch((f,), tol, circle_band, cluster_radius, max_iter, seed)[0]
 
 
-def reconstruct(r):
-    """Multiply the factored form back out to ascending coefficients."""
-    from .signals import CoeffPoly
-
-    c = np.array([r.leading_coeff], dtype=complex)
-    for root in r.roots:
-        factor = np.array([-root.location, 1.0], dtype=complex)
-        for _ in range(root.multiplicity):
-            c = np.convolve(c, factor)
-    if r.origin_mult:
-        c = np.concatenate([np.zeros(r.origin_mult, dtype=complex), c])
-    return CoeffPoly(coeffs=c, n=r.degree)
-
-
 def conj_reciprocal(alpha):
     """Reflection of alpha across the unit circle, 1 / conj(alpha)."""
     alpha = complex(alpha)

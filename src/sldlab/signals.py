@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
-    DegreeTooLarge,
     DegenerateSampling,
     DomainError,
     NegativeIntensity,
@@ -121,15 +120,6 @@ class CoeffPoly:
         nz = np.nonzero(self.coeffs)[0]
         return int(nz[-1]) if len(nz) else -1
 
-    def effective_degree(self, rel=1e-12):
-        """Degree ignoring coefficients below rel * max|coeff| (numerical tail)."""
-        mags = np.abs(self.coeffs)
-        top = mags.max()
-        if top == 0:
-            return -1
-        nz = np.nonzero(mags > rel * top)[0]
-        return int(nz[-1]) if len(nz) else -1
-
     def is_zero(self):
         return bool(np.all(self.coeffs == 0))
 
@@ -205,34 +195,6 @@ class AutocorrSeq:
     __hash__ = None
 
 
-def eval_time(p, t):
-    """Evaluate the Fourier sum at time(s) t.
-
-    t may be a scalar or an array; it is reduced modulo the period by the
-    exponential itself, no explicit wrap needed.
-    """
-    t = np.asarray(t, dtype=float)
-    k = np.arange(-p.m, p.m + 1)
-    phases = np.exp(2j * np.pi * np.multiply.outer(t, k) / p.period)
-    vals = phases @ p.coeffs
-    return complex(vals) if vals.ndim == 0 else vals
-
-
-def eval_intensity(p, t):
-    """|y(t)|^2 at time(s) t."""
-    vals = eval_time(p, t)
-    out = np.abs(np.asarray(vals)) ** 2
-    return float(out) if out.ndim == 0 else out
-
-
-def sample_grid(p, N):
-    """Values of y on the uniform grid t_j = j * period / N, j = 0..N-1."""
-    N = int(N)
-    if N < 1:
-        raise DomainError("need at least one sample point")
-    return eval_time(p, np.arange(N) * (p.period / N))
-
-
 def autocorrelation(p):
     """Square-law measurement coefficients of a signal.
 
@@ -299,24 +261,6 @@ def _half_lags(b):
 def lift(p):
     """Polynomial with coefficient of z^{k+m} equal to b_k (degree bound 2m)."""
     return CoeffPoly(coeffs=p.coeffs, n=2 * p.m)
-
-
-def unlift(f, m):
-    """Inverse of lift: read coefficients of z^{k+m} back into b_k.
-
-    Requires the actual degree of f to be at most 2m.
-    """
-    m = int(m)
-    if m < 0:
-        raise DomainError("harmonic order must be >= 0")
-    if f.degree > 2 * m:
-        raise DegreeTooLarge(
-            "degree %d does not fit harmonic order m=%d" % (f.degree, m)
-        )
-    b = np.zeros(2 * m + 1, dtype=complex)
-    take = min(len(f.coeffs), 2 * m + 1)
-    b[:take] = f.coeffs[:take]
-    return TrigPoly(m=m, coeffs=b)
 
 
 def autocorr_lift(s):

@@ -1,4 +1,4 @@
-"""Phase quantizer, auxiliary rotation, and the mutual-information experiments."""
+"""The auxiliary DC rotation and the mutual-information experiments."""
 
 import numpy as np
 import pytest
@@ -8,10 +8,8 @@ from sldlab import capacity, roots
 from sldlab import (
     Constellation,
     DiscreteNoise,
-    PhaseGrid,
     TrigPoly,
     autocorrelation,
-    auxiliary_rotate,
     bundled_constellation,
     entropy_bits,
     enumerate_classes,
@@ -19,15 +17,14 @@ from sldlab import (
     gap_experiment,
     measurement_transform,
     mi_dmc,
-    quantize_phase,
     single_class_constellation,
-    theta_m,
 )
 from sldlab.capacity import (
     _deterministic_roots,
     _first_ids,
     _groups,
     _mi_from_joint,
+    _rotation_angles,
     _signal_from_roots,
     _uniform,
     _z_rows,
@@ -38,6 +35,7 @@ from oracles import (
     entropy_loop,
     first_duplicate_scan,
     first_ids_loop,
+    intensity_series,
     merge_columns_loop,
     pairwise_groups,
     round_keys_loop,
@@ -47,105 +45,63 @@ from oracles import (
 )
 
 
-def test_grid_levels():
-    g = PhaseGrid(4)
-    assert g.step == pytest.approx(np.pi / 2)
-    assert sorted(g.levels) == pytest.approx([-np.pi, -np.pi / 2, 0.0, np.pi / 2])
-    assert len(PhaseGrid(7).levels) == 7
-    assert all(-np.pi <= lv < np.pi for lv in PhaseGrid(7).levels)
-    with pytest.raises(errors.UnsupportedOrder):
-        PhaseGrid(0)
+def _landed(w, turn, m):
+    """Distance of the argument of w turned by turn from the nearest multiple of 2 pi/m."""
+    landed = np.angle(w * np.exp(1j * turn)) / (2 * np.pi / m)
+    return np.abs(landed - np.round(landed)) * (2 * np.pi / m)
 
 
-def test_quantize_examples():
-    g = PhaseGrid(4)
-    assert quantize_phase(g, 0.0) == 0.0
-    assert quantize_phase(g, 0.8) == pytest.approx(np.pi / 2)
-    # boundary ties rotate counterclockwise
-    assert quantize_phase(PhaseGrid(2), -np.pi / 2) == 0.0
-    with pytest.raises(errors.OutOfRange):
-        quantize_phase(g, np.pi)
-    with pytest.raises(errors.OutOfRange):
-        quantize_phase(g, -4.0)
+def test_rotation_angle_examples():
+    turn = _rotation_angles(np.array([1.0, np.exp(0.8j), 5j, -1j]), 4)
+    assert turn[0] == 0.0
+    assert turn[1] == pytest.approx(np.pi / 2 - 0.8)
+    assert turn[2] == pytest.approx(0.0, abs=1e-15)
+    # ties rotate counterclockwise: -pi/2 on the 2-point grid turns to 0
+    assert _rotation_angles(np.array([-1j]), 2)[0] == np.pi / 2
 
 
-def test_quantizer_battery():
-    # dense deterministic sweep over orders and angles
+def test_rotation_angle_battery():
+    # dense deterministic sweep over orders and angles, +pi among them
     rng = np.random.default_rng(7)
     for m in range(1, 65):
-        g = PhaseGrid(m)
         theta = rng.uniform(-np.pi, np.pi, 10_000)
-        theta[theta >= np.pi] = -np.pi
-        got = np.array([quantize_phase(g, t) for t in theta])
-        err = np.abs(got - theta)
-        err = np.minimum(err, 2 * np.pi - err)  # circular distance
-        assert err.max() <= np.pi / m + 1e-12
-        lv = np.array(sorted(g.levels))
-        assert np.abs(lv[np.searchsorted(lv, got).clip(0, m - 1)] - got).min() >= 0
-        for v in np.unique(got):
-            assert any(abs(v - l) < 1e-12 for l in g.levels)
+        theta[:2] = (np.pi, -np.pi)
+        w = np.exp(1j * theta)
+        turn = _rotation_angles(w, m)
+        assert np.all(-np.pi / m < turn) and np.all(turn <= np.pi / m + 1e-12)
+        assert _landed(w, turn, m).max() < 1e-12
 
 
-@given(st.integers(1, 64), st.floats(-np.pi, np.pi, exclude_max=True))
-def test_quantizer_property(m, theta):
-    g = PhaseGrid(m)
-    q = quantize_phase(g, theta)
-    err = abs(q - theta)
-    assert min(err, 2 * np.pi - err) <= np.pi / m + 1e-12
-    assert any(abs(q - l) < 1e-12 for l in g.levels)
-
-
-def test_theta_examples():
-    g = PhaseGrid(4)
-    assert theta_m(g, 1.0) == 0.0
-    assert theta_m(g, np.exp(0.8j)) == pytest.approx(np.pi / 2 - 0.8)
-    assert theta_m(g, 5j) == pytest.approx(0.0, abs=1e-15)
-    with pytest.raises(errors.ZeroArgument):
-        theta_m(g, 0.0)
-
-
-@given(st.integers(1, 32), st.floats(0.01, 5.0), st.floats(-np.pi, np.pi, exclude_max=True))
-def test_theta_property(m, r, a):
-    g = PhaseGrid(m)
-    w = r * np.exp(1j * a)
-    th = theta_m(g, w)
+@given(st.integers(1, 64), st.floats(0.01, 5.0), st.floats(-np.pi, np.pi))
+def test_rotation_angle_property(m, r, a):
+    w = np.array([r * np.exp(1j * a)])
+    turn = _rotation_angles(w, m)[0]
     # the rotation codomain the floor formula induces
-    assert -np.pi / m < th <= np.pi / m + 1e-12
-    landed = np.angle(w * np.exp(1j * th))
-    if landed >= np.pi - 1e-9:
-        landed -= 2 * np.pi
-    assert any(abs(landed - l) < 1e-9 for l in g.levels)
+    assert -np.pi / m < turn <= np.pi / m + 1e-12
+    assert _landed(w, turn, m)[0] < 1e-12
 
 
 def test_rotate_aligns_dc():
-    y = TrigPoly(m=1, coeffs=[0, np.exp(0.8j), 0])
-    z = auxiliary_rotate(y, grid=PhaseGrid(4))
-    assert z.coeffs[1] == pytest.approx(np.exp(1j * np.pi / 2), abs=1e-12)
+    y = np.array([[0, np.exp(0.8j), 0]])
+    z = _z_rows(y, 4)
+    assert z[0, 1] == pytest.approx(np.exp(1j * np.pi / 2), abs=1e-12)
     # the measurement is untouched, coefficient for coefficient
-    assert np.array_equal(autocorrelation(y).coeffs, autocorrelation(z).coeffs)
+    assert np.array_equal(autocorrelation(TrigPoly(m=1, coeffs=y[0])).coeffs,
+                          autocorrelation(TrigPoly(m=1, coeffs=z[0])).coeffs)
 
 
 def test_rotate_preserves_intensity_everywhere():
-    y = TrigPoly(m=2, coeffs=[0.2j, 1.0, np.exp(1.1j), -0.4, 0.9j])
-    z = auxiliary_rotate(y, grid=PhaseGrid(8))
-    t = np.arange(64) / 64
-    from sldlab import eval_intensity
-
-    sy = eval_intensity(y, t)
-    sz = eval_intensity(z, t)
+    y = np.array([0.2j, 1.0, np.exp(1.1j), -0.4, 0.9j])
+    z = _z_rows(y[None, :], 8)[0]
+    sy = np.array([intensity_series(y, 2, t) for t in np.arange(64) / 64])
+    sz = np.array([intensity_series(z, 2, t) for t in np.arange(64) / 64])
     assert np.abs(sy - sz).max() <= 1e-13 * (1 + sy.max())
 
 
 def test_rotate_zero_dc():
-    y = TrigPoly(m=1, coeffs=[1.0, 0, 0])
-    assert auxiliary_rotate(y) is y
-    with pytest.raises(errors.ZeroDC):
-        auxiliary_rotate(y, strict=True)
-    # m=0 has no default grid, so only a zero DC passes through
-    y = TrigPoly(m=0, coeffs=[0j])
-    assert auxiliary_rotate(y) is y
-    with pytest.raises(errors.UnsupportedOrder):
-        auxiliary_rotate(TrigPoly(m=0, coeffs=[1.0]))
+    rows = np.array([[1.0, 0, 0], [0, 0, 1j]])
+    assert _z_rows(rows, 4).tobytes() == rows.tobytes()
+    assert _z_rows(np.zeros((1, 1), dtype=complex), 1).tobytes() == bytes(16)
 
 
 def test_rotation_matches_per_signal_scalar_rotation_bitwise():
@@ -158,12 +114,8 @@ def test_rotation_matches_per_signal_scalar_rotation_bitwise():
         for scale in (1e-5, 1.0, 1e5):
             batch = rows * scale
             for grid_m in range(1, 9):
-                grid = PhaseGrid(grid_m)
                 want = np.stack([rotate_dc_loop(b, grid_m) for b in batch])
-                assert _z_rows(batch, grid).tobytes() == want.tobytes()
-                for b, w in zip(batch, want):
-                    got = auxiliary_rotate(TrigPoly(m=m, coeffs=b), grid=grid)
-                    assert got.coeffs.tobytes() == w.tobytes()
+                assert _z_rows(batch, grid_m).tobytes() == want.tobytes()
 
 
 def test_entropy_bits():

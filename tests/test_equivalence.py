@@ -9,8 +9,6 @@ from sldlab import (
     CoeffPoly,
     RootMultiset,
     TrigPoly,
-    ae_equal,
-    degree_match,
     errors,
     joint_orbits,
     kappa_ratio,
@@ -23,14 +21,14 @@ from conftest import complex_vectors, poly_from_roots, separated_roots, trig_pol
 from oracles import equiv_battery, find_roots_loop, kappa_grid, ratio_is_flat
 
 
-def test_ae_equal_basics():
+def test_phase_equiv_pads_and_checks_periods():
     p = TrigPoly(m=1, coeffs=[0, 1, 1])
-    assert ae_equal(p, TrigPoly(m=1, coeffs=[0, 1, 1]))
-    assert not ae_equal(p, TrigPoly(m=1, coeffs=[0, 1, 1.001]))
+    assert phase_equiv(p, TrigPoly(m=1, coeffs=[0, 1, 1])).phase == 0.0
+    assert not phase_equiv(p, TrigPoly(m=1, coeffs=[0, 1, 1.001])).related
     # zero-padded copies describe the same waveform
-    assert ae_equal(p, TrigPoly(m=2, coeffs=[0, 0, 1, 1, 0]))
+    assert phase_equiv(p, TrigPoly(m=2, coeffs=[0, 0, 1, 1, 0])).phase == 0.0
     with pytest.raises(errors.PeriodMismatch):
-        ae_equal(p, TrigPoly(m=1, coeffs=[0, 1, 1], period=2.0))
+        phase_equiv(p, TrigPoly(m=1, coeffs=[0, 1, 1], period=2.0))
 
 
 def test_phase_equiv_recovers_angle():
@@ -179,14 +177,6 @@ def test_origin_powers_match():
     g = as_poly([0, -1, 2])
     v = struct_magnitude_equiv(f, g)
     assert v.related and v.kappa == pytest.approx(1.0, abs=1e-9)
-
-
-def test_degree_match():
-    degree_match(as_poly([-2, 1]), as_poly([-1, 2]))
-    with pytest.raises(errors.NotEquivalent):
-        degree_match(as_poly([-2, 1]), as_poly(poly_from_roots([2.0, 3.0])))
-    # trailing numerical dust does not change the effective degree
-    degree_match(as_poly([-2, 1, 1e-15]), as_poly([-1, 2]))
 
 
 def test_numeric_rejects_zero_polynomial():
