@@ -122,10 +122,39 @@ def test_two_orbit_rows_in_spec_order():
     cs = enumerate_classes(p)
     want = [[6, -5, 1], [3, -7, 2], [2, -7, 3], [1, -5, 6]]
     assert np.allclose(cs.coeffs, want, atol=1e-8)
-    assert phase_match(cs.coeffs[3], np.conj(p.coeffs[::-1]))
+
+
+def test_flip_moves_one_orbit():
+    # rows 1 and 2 each reflect one root of the source and keep the other,
+    # and every row has the source's magnitude on the circle
+    p = TrigPoly(m=1, coeffs=[6, -5, 1])
+    cs = enumerate_classes(p)
+    for row, kept, moved in ((cs.coeffs[1], 3.0, 0.5), (cs.coeffs[2], 2.0, 1 / 3)):
+        found = sorted(abs(r.location) for r in find_roots(CoeffPoly(coeffs=row)).roots)
+        assert found == pytest.approx(sorted((kept, moved)), rel=1e-9)
     for row in cs.coeffs:
         ratio = numeric_magnitude_equiv(lift(p), CoeffPoly(coeffs=row))
-        assert ratio.kappa == pytest.approx(1.0, rel=1e-9)
+        assert ratio.related and ratio.kappa == pytest.approx(1.0, rel=1e-9)
+
+
+def test_flip_complement_conjugate_reflects():
+    # with every root outside, the first spec is the source and the last,
+    # which moves every orbit inside, is its conjugate reflection
+    for p in (_normalized([2.0, 3.0], 1), _normalized([2j, -1.5, 1.2 + 1.1j, -3 - 1j], 2)):
+        cs = enumerate_classes(p)
+        assert phase_match(cs.coeffs[0], p.coeffs, tol=1e-9)
+        assert phase_match(cs.coeffs[-1], np.conj(p.coeffs[::-1]), tol=1e-9)
+
+
+def test_flip_twice_returns():
+    # enumerating from any class of a measurement gives back the same class
+    # set, the source among it
+    p = TrigPoly(m=1, coeffs=[6, -5, 1])
+    cs = enumerate_classes(p)
+    for row in cs.coeffs:
+        again = enumerate_classes(TrigPoly(m=1, coeffs=row))
+        assert same_class_sets(canon_rows(again), canon_rows(cs), tol=1e-8)
+        assert any(phase_match(back, p.coeffs, tol=1e-8) for back in again.coeffs)
 
 
 def test_factor_tone_fixture_against_lattice():
@@ -152,6 +181,24 @@ def test_factor_rejects_indefinite_sequence(monkeypatch):
     monkeypatch.setattr(ambiguity, "screen_intensity", lambda s: None)
     with pytest.raises(errors.NotAnAutocorrelation):
         factor_sld(bad)
+
+
+def test_factor_screens_every_call_before_solving(monkeypatch):
+    # the intensity screen sees the measurement itself, once per call,
+    # before any root is solved for
+    s = autocorrelation(TrigPoly(m=1, coeffs=[6, -5, 1]))
+    seen = []
+    screen, solve = ambiguity.screen_intensity, ambiguity.find_roots
+    monkeypatch.setattr(ambiguity, "screen_intensity",
+                        lambda arg: seen.append(("screen", arg)) or screen(arg))
+    monkeypatch.setattr(ambiguity, "find_roots",
+                        lambda *a, **k: seen.append(("solve", None)) or solve(*a, **k))
+    for _ in range(2):
+        del seen[:]
+        assert factor_sld(s).exact_count == 4
+        assert seen[0] == ("screen", s)
+        assert [kind for kind, _ in seen].count("screen") == 1
+        assert "solve" in [kind for kind, _ in seen[1:]]
 
 
 def test_factor_quadruple_circle_root():

@@ -30,6 +30,7 @@ from sldlab.capacity import (
     _z_rows,
 )
 
+from conftest import trig_polys
 from oracles import (
     binary_entropy,
     entropy_loop,
@@ -51,7 +52,32 @@ def _landed(w, turn, m):
     return np.abs(landed - np.round(landed)) * (2 * np.pi / m)
 
 
-def test_rotation_angle_examples():
+def test_grid_levels():
+    # a dense sweep of DC arguments lands on exactly the m multiples of 2 pi/m
+    theta = np.linspace(-np.pi, np.pi, 4001)
+    w = np.exp(1j * theta)
+    for m in (1, 2, 4, 7):
+        landed = np.angle(w * np.exp(1j * _rotation_angles(w, m))) / (2 * np.pi / m)
+        levels = np.round(landed).astype(int) % m
+        assert sorted(set(levels.tolist())) == list(range(m))
+        assert np.abs(landed - np.round(landed)).max() < 1e-12
+
+
+def test_quantize_examples():
+    # where the DC argument lands on the grid
+    def landed(w, m):
+        return np.angle(w * np.exp(1j * _rotation_angles(np.array([w]), m)))[0]
+
+    assert landed(1.0, 4) == 0.0
+    assert landed(np.exp(0.8j), 4) == pytest.approx(np.pi / 2)
+    # ties rotate counterclockwise: -pi/2 on the 2-point grid lands on 0
+    assert landed(-1j, 2) == pytest.approx(0.0, abs=1e-15)
+    # +pi is folded to -pi first, so it stays on the pi level of a 4-point grid
+    assert abs(landed(-1.0, 4)) == np.pi
+
+
+def test_theta_examples():
+    # the turn itself, for DC coefficients of any modulus
     turn = _rotation_angles(np.array([1.0, np.exp(0.8j), 5j, -1j]), 4)
     assert turn[0] == 0.0
     assert turn[1] == pytest.approx(np.pi / 2 - 0.8)
@@ -60,7 +86,7 @@ def test_rotation_angle_examples():
     assert _rotation_angles(np.array([-1j]), 2)[0] == np.pi / 2
 
 
-def test_rotation_angle_battery():
+def test_quantizer_battery():
     # dense deterministic sweep over orders and angles, +pi among them
     rng = np.random.default_rng(7)
     for m in range(1, 65):
@@ -73,12 +99,31 @@ def test_rotation_angle_battery():
 
 
 @given(st.integers(1, 64), st.floats(0.01, 5.0), st.floats(-np.pi, np.pi))
-def test_rotation_angle_property(m, r, a):
+def test_theta_property(m, r, a):
     w = np.array([r * np.exp(1j * a)])
     turn = _rotation_angles(w, m)[0]
     # the rotation codomain the floor formula induces
     assert -np.pi / m < turn <= np.pi / m + 1e-12
     assert _landed(w, turn, m)[0] < 1e-12
+
+
+@given(trig_polys(), st.integers(1, 16))
+def test_quantizer_property(p, m):
+    """_z_rows turns a whole row by one unit phase: the DC argument lands on
+    the m-point grid, and the lags are those of the row before the turn."""
+    row = p.coeffs[None, :]
+    z = _z_rows(row, m)[0]
+    dc = p.coeffs[p.m]
+    if dc == 0:
+        assert z.tobytes() == p.coeffs.tobytes()
+        return
+    unit = z[p.m] / dc
+    assert abs(abs(unit) - 1) < 1e-12
+    assert np.abs(z - unit * p.coeffs).max() <= 1e-12 * np.abs(p.coeffs).max()
+    assert _landed(z[p.m], 0.0, m) < 1e-9
+    before = autocorrelation(p).coeffs
+    after = autocorrelation(TrigPoly(m=p.m, coeffs=z)).coeffs
+    assert np.abs(after - before).max() <= 1e-12 * (1 + np.abs(before).max())
 
 
 def test_rotate_aligns_dc():

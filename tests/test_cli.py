@@ -14,7 +14,7 @@ from sldlab.cli import _build_parser, main
 from sldlab.equivalence import EquivalenceVerdict
 from sldlab.serialize import autocorr_dict, load_json, parse_signal, signal_dict
 
-from oracles import class_csv_text, equiv_battery
+from oracles import class_csv_text, equiv_battery, eval_series
 
 
 def write_json(tmp_path, name, obj):
@@ -237,6 +237,27 @@ def test_enumerate_csv_samples(sig_shift, tmp_path, capsys):
     # two classes, 64 samples each
     assert len(lines) == 1 + 2 * 64
     capsys.readouterr()
+
+
+def test_enumerate_csv_samples_synthesize_each_class(tmp_path):
+    # every cell against term-by-term synthesis at t_j = j T / 64, and one
+    # intensity per sample across the classes, since they share a measurement
+    coeffs = [[0.3, 0.1], [1.0, 0.0], [-0.2, 0.7], [0.4, -0.5], [0.9, 0.2]]
+    sig = write_json(tmp_path, "sig.json", {"m": 2, "coeffs": coeffs, "period": 0.75})
+    out = tmp_path / "classes.csv"
+    assert main(["enumerate", sig, "--csv", str(out), "--json", os.devnull]) == 0
+    cs = enumerate_classes(parse_signal(load_json(sig)))
+    rows = [line.split(",") for line in out.read_text(encoding="utf-8").splitlines()[1:]]
+    assert len(rows) == 64 * cs.exact_count
+    intensity = np.zeros((cs.exact_count, 64))
+    for cls, j, t, re, im, level in rows:
+        cls, j = int(cls), int(j)
+        assert float(t) == pytest.approx(j * 0.75 / 64, rel=1e-15, abs=0)
+        want = eval_series(cs.coeffs[cls], 2, j * 0.75 / 64, 0.75)
+        assert abs(complex(float(re), float(im)) - want) <= 1e-12 * (1 + abs(want))
+        assert float(level) == pytest.approx(abs(want) ** 2, rel=1e-11, abs=1e-12)
+        intensity[cls, j] = float(level)
+    assert np.abs(intensity - intensity[0]).max() <= 1e-9 * intensity.max()
 
 
 def test_enumerate_csv_matches_row_by_row_writer(tmp_path):

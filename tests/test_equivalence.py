@@ -179,6 +179,25 @@ def test_origin_powers_match():
     assert v.related and v.kappa == pytest.approx(1.0, abs=1e-9)
 
 
+def test_degree_match():
+    # a flip pair of one degree is related; a degree-2 g against a degree-1
+    # f is not, and both checks name it; trailing numerical dust on top of
+    # a degree-1 f leaves it related to the flip
+    pairs = [
+        ([-2, 1], [-1, 2], True),
+        ([-2, 1], poly_from_roots([2.0, 3.0]), False),
+        ([-2, 1, 1e-15], [-1, 2], True),
+    ]
+    for f, g, related in pairs:
+        for check in (struct_magnitude_equiv, numeric_magnitude_equiv):
+            verdict = check(as_poly(f), as_poly(g))
+            assert verdict.related is related
+            if related:
+                assert verdict.kappa == pytest.approx(1.0, rel=1e-12)
+            else:
+                assert verdict.witness
+
+
 def test_numeric_rejects_zero_polynomial():
     f = as_poly([-2, 1])
     z = as_poly([0.0, 0.0])

@@ -167,6 +167,26 @@ def test_autocorr_lift_roots_pair_up(p):
         assert root.multiplicity % 2 == 0
 
 
+def test_sample_grid_matches_eval():
+    # sample j sits at t = j/N periods, whatever the period
+    p = TrigPoly(m=1, coeffs=[0.5, -1j, 2], period=2.5)
+    vals = intensity_samples(autocorrelation(p), 16)
+    assert vals.shape == (16,)
+    want = [intensity_series(p.coeffs, 1, j * p.period / 16, p.period) for j in range(16)]
+    assert np.allclose(vals, want, rtol=1e-12, atol=1e-12)
+    with pytest.raises(errors.DomainError):
+        intensity_samples(autocorrelation(p), 0)
+
+
+@given(trig_polys(), st.integers(1, 40))
+def test_eval_property(p, N):
+    """Each grid sample is |y|^2 synthesized term by term at its point."""
+    vals = intensity_samples(autocorrelation(p), N)
+    for j, got in enumerate(vals):
+        want = intensity_series(p.coeffs, p.m, j / N)
+        assert abs(got - want) <= 1e-9 * (1 + want)
+
+
 def test_intensity_samples_and_inversion():
     p = TrigPoly(m=2, coeffs=[0.3, 1j, 0.7, -0.2, 1])
     c = autocorrelation(p)

@@ -1,10 +1,12 @@
-"""Every public function and class has a caller outside the test suite."""
+"""The public surface: every name in it has a caller outside the test suite."""
 
 import ast
+import importlib.util
 import inspect
 import pathlib
 
 import sldlab
+from sldlab import errors
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -53,3 +55,74 @@ def _uncalled():
 
 def test_every_public_name_has_a_caller():
     assert _uncalled() == set(UNCALLED)
+
+
+def test_a_name_used_only_in_its_own_definition_is_uncalled(tmp_path):
+    # the definition's own lines do not count as a use, nor does defining
+    # a name; a use elsewhere, as a name, an attribute or an import, does
+    path = tmp_path / "module.py"
+    path.write_text("def lonely():\n"
+                    "    return lonely\n"
+                    "\n"
+                    "from pkg.mod import imported\n"
+                    "def user():\n"
+                    "    return helper(), pkg.attribute\n")
+    assert "lonely" in _named(path)
+    named = _named(path, skip=(1, 2))
+    assert "lonely" not in named
+    assert {"imported", "helper", "attribute"} <= named
+    assert "user" not in named
+
+
+# names deleted with the code only the tests called; none may come back
+# as a public name, alias or error class
+DELETED = (
+    "flip", "FlipSpec", "canonicalize", "quantize_phase", "theta_m", "auxiliary_rotate",
+    "PhaseGrid", "eval_time", "eval_intensity", "sample_grid", "unlift", "ae_equal",
+    "degree_match", "reconstruct",
+)
+DELETED_ERRORS = ("InvalidSpec", "NotEquivalent", "OutOfRange", "ZeroDC")
+
+
+def test_deleted_names_stay_out_of_the_surface():
+    for name in DELETED:
+        assert name not in sldlab.__all__ and not hasattr(sldlab, name), name
+    for name in DELETED_ERRORS:
+        assert not hasattr(errors, name) and not hasattr(sldlab, name), name
+    assert not hasattr(sldlab.CoeffPoly, "effective_degree")
+
+
+def test_every_error_class_has_a_user():
+    # each exception below the two bases is named in some module that raises
+    # or passes it on, so no error class outlives its last raiser
+    own = pathlib.Path(errors.__file__).resolve()
+    files = [path for path in (ROOT / "src" / "sldlab").glob("*.py") if path.resolve() != own]
+    used = set().union(*(_named(path) for path in files))
+    classes = [name for name, obj in vars(errors).items()
+               if inspect.isclass(obj) and issubclass(obj, errors.SldLabError)
+               and name not in ("SldLabError", "DomainError")]
+    assert len(classes) >= 10
+    assert sorted(set(classes) - used) == []
+
+
+# perfbench span targets that no longer exist, each with its reason; the
+# tracer records them as absent
+ABSENT_SPANS = {
+    "capacity.mi_noiseless": "deleted with the rounding dedupe when classes went to spec order",
+    "capacity.sld_keys": "deleted with the rounding dedupe when classes went to spec order",
+}
+
+
+def test_every_perfbench_span_resolves():
+    # perfbench wraps each span target by its dotted name under sldlab
+    spec = importlib.util.spec_from_file_location("perfbench_tracer",
+                                                  ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    absent = set()
+    for name in tracer.SPANS:
+        module_name, attr = name.rsplit(".", 1)
+        module = importlib.import_module("sldlab." + module_name)
+        if not callable(getattr(module, attr, None)):
+            absent.add(name)
+    assert absent == set(ABSENT_SPANS)
