@@ -95,34 +95,49 @@ class ClassSet:
         return tuple(TrigPoly(m=self.source_m, coeffs=row, period=period) for row in self.coeffs)
 
 
-def _gated(cs, gate, error, message):
-    """cs, unless a row's residual exceeds gate or is NaN: then error(message % its deviation)."""
-    miss = np.flatnonzero(~(cs.residuals <= gate))
+def _gate(residuals, c0, gate, error, message):
+    """Raise error(message % its deviation) for the first residual above gate or NaN."""
+    miss = np.flatnonzero(~(residuals <= gate))
     if len(miss):
-        raise error(message % (cs.residuals[miss[0]] * cs.autocorr.c0))
-    return cs
+        raise error(message % (residuals[miss[0]] * c0))
+
+
+def _source_gate(residuals, c0):
+    """The gate of a signal's own class rows: a row that misses the signal's
+    measurement by more than 1e-6 of c_0 raises DomainError.
+
+    That guards against construction bugs, whether the rows' table came
+    from a root solve (enumerate_classes) or from roots known by
+    construction (the gap constellations).
+    """
+    _gate(residuals, c0, 1e-6, DomainError, "representative misses the source measurement by %.3g")
 
 
 def _deviations(rows, target):
-    """max_k |autocorrelation(row)_k - target_k| for each row of a 2-D array.
+    """_lag_deviations of each row of a 2-D array, whose half lags are
+    taken _BLOCK_ROWS rows at a time."""
+    out = np.empty(len(rows))
+    for lo in range(0, len(rows), _BLOCK_ROWS):
+        block = rows[lo : lo + _BLOCK_ROWS]
+        out[lo : lo + len(block)] = _lag_deviations(_half_lags(block), target)
+    return out
+
+
+def _lag_deviations(lags, target):
+    """max_k |autocorrelation(row)_k - target_k| for each row of _half_lags.
 
     target is a Hermitian sequence ordered k = -2m..2m, and so is every
     row's, so only the lags k >= 0 are compared: |conj(a) - conj(b)| is
     |a - b| bit for bit. The full row's clean-up doubles each part, which
     overflows at 2^1023; a row with such a part deviates by inf, so every
-    gate refuses it. The half lags take _BLOCK_ROWS rows at a time.
+    gate refuses it. lags holds at least one row.
     """
-    half = target[len(target) // 2 :]
-    out = np.empty(len(rows))
-    for lo in range(0, len(rows), _BLOCK_ROWS):
-        lags = _half_lags(rows[lo : lo + _BLOCK_ROWS])
-        dev = np.abs(lags - half).max(axis=1)
-        # Cauchy-Schwarz keeps every |c_k| within rounding of c_0, so only a
-        # block whose c_0 reaches 2^1022 (or is NaN) can hold such a part
-        if not lags[:, 0].real.max() < 2.0**1022:
-            dev[np.abs(lags.view(float)).max(axis=1) >= 2.0**1023] = np.inf
-        out[lo : lo + len(dev)] = dev
-    return out
+    dev = np.abs(lags - target[len(target) // 2 :]).max(axis=1)
+    # Cauchy-Schwarz keeps every |c_k| within rounding of c_0, so only
+    # lags whose c_0 reaches 2^1022 (or is NaN) can hold such a part
+    if not lags[:, 0].real.max() < 2.0**1022:
+        dev[np.abs(lags.view(float)).max(axis=1) >= 2.0**1023] = np.inf
+    return dev
 
 
 def _canonical_rows(rows):
@@ -182,7 +197,12 @@ def _expand(rows, parts):
 
 
 def _classes(orbits, circle, shift_hi, autocorr, cap):
-    """The ClassSet of every flip spec, one row per spec, in spec order.
+    """The ClassSet of _class_rows, whose residuals are taken block by block."""
+    return ClassSet(coeffs=_class_rows(orbits, circle, shift_hi, autocorr, cap), autocorr=autocorr)
+
+
+def _class_rows(orbits, circle, shift_hi, autocorr, cap):
+    """The read-only rows of every flip spec, one row per spec, in spec order.
 
     orbits holds one (inner, outer, k) per reflection orbit: its split j
     puts j of the k roots at inner and the rest at outer, so its part is
@@ -243,7 +263,7 @@ def _classes(orbits, circle, shift_hi, autocorr, cap):
         canon *= np.sqrt(autocorr.c0 / np.sum(np.abs(canon) ** 2, axis=1))[:, None]
         rows[lo : lo + step] = canon
     rows.setflags(write=False)
-    return ClassSet(coeffs=rows, autocorr=autocorr)
+    return rows
 
 
 def enumerate_classes(
@@ -276,16 +296,17 @@ def enumerate_classes(
     )
 
 
-def _signal_classes(orbits, circle, shift_hi, autocorr, cap=2**20):
+def _signal_classes(orbits, circle, shift_hi, autocorr, cap):
     """_classes of a signal's table, whose orbits each hold all their k roots.
 
-    The rows come gated against autocorr, the signal's own measurement: a
-    row that misses it by more than 1e-6 of c_0 raises DomainError. That
-    guards against construction bugs, whether the table came from a root
-    solve (enumerate_classes) or from roots known by construction.
+    The rows come through _source_gate against autocorr, the signal's own
+    measurement, on the residuals the ClassSet takes block by block. The
+    gap constellations build their rows with _class_rows instead and gate
+    them on the lags their Constellation computes once for its bins.
     """
     cs = _classes(orbits, circle, shift_hi, autocorr, cap)
-    return _gated(cs, 1e-6, DomainError, "representative misses the source measurement by %.3g")
+    _source_gate(cs.residuals, autocorr.c0)
+    return cs
 
 
 def factor_sld(
@@ -362,8 +383,9 @@ def _factor_at(s, cap, root_tol, circle_band, cluster_radius, tol, seed):
     # observed cluster spread to reflect that conditioning
     rough = max((root.diameter for root in rq.roots), default=0.0)
     gate = max(tol, 1e-7, min(1e-3, 2.0 * rough))
-    return _gated(cs, gate, NotAnAutocorrelation,
-                  "candidate misses the sequence by %.3g, not a square-law measurement")
+    _gate(cs.residuals, s.c0, gate, NotAnAutocorrelation,
+          "candidate misses the sequence by %.3g, not a square-law measurement")
+    return cs
 
 
 @dataclass(frozen=True, eq=False)

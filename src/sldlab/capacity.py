@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .ambiguity import _signal_classes
+from .ambiguity import _class_rows, _lag_deviations, _source_gate
 from .errors import (
     DomainError,
     DuplicateSignals,
@@ -57,6 +57,8 @@ def _z_rows(mat, m):
     """
     dc = mat[:, mat.shape[1] // 2]
     live = dc != 0
+    if live.all():
+        return mat * np.exp(1j * _rotation_angles(dc, m))[:, None]
     turn = np.exp(1j * _rotation_angles(dc[live], m))
     rotated = mat.copy()
     rotated[live] = mat[live] * turn[:, None]
@@ -69,7 +71,10 @@ class Constellation:
 
     coeffs, the only stored form of the points, is a read-only (K, 2m+1)
     array with one point per row, all of one period. signals is the rows
-    as a tuple of TrigPoly, built on first access.
+    as a tuple of TrigPoly, and lags their measurements' lags k >= 0 as
+    one read-only _half_lags array, each built on first access: the gap
+    builders gate their class rows on lags, and gap_experiment and mi_dmc
+    bin the same array, so each row's lags are computed once.
     """
 
     coeffs: np.ndarray
@@ -103,6 +108,12 @@ class Constellation:
     @cached_property
     def signals(self):
         return tuple(TrigPoly(m=self.m, coeffs=row, period=self.period) for row in self.coeffs)
+
+    @cached_property
+    def lags(self):
+        lags = _half_lags(self.coeffs)
+        lags.setflags(write=False)
+        return lags
 
     @classmethod
     def uniform(cls, signals):
@@ -246,7 +257,7 @@ def mi_dmc(c, noise):
                 % (noise.matrix.shape, K)
             )
         joint = c.probs[:, None] * noise.matrix
-        out = mat
+        out, lags = mat, c.lags
     elif noise.kind == "additive":
         if noise.offsets.shape[1] != width:
             raise InvalidNoiseSpec(
@@ -260,12 +271,12 @@ def mi_dmc(c, noise):
         joint[np.repeat(np.arange(K), n_off), np.arange(K * n_off)] = (
             c.probs[:, None] * noise.offset_probs[None, :]
         ).ravel()
+        lags = _half_lags(out)
     else:
         raise InvalidNoiseSpec("unknown noise kind %r" % noise.kind)
 
     # coherent side: merge outputs that are the same waveform
     merged = _groups(out, _MERGE_RADIUS * np.abs(out).max())
-    lags = _half_lags(out)
     binned = _groups(lags, _BIN_RADIUS * np.abs(lags).max())
     return tuple(_mi_from_joint(_merge_columns(joint, ids)) for ids in (merged, binned))
 
@@ -308,8 +319,10 @@ def gap_experiment(c):
     1 + log2(m)/(2m+1) it must respect. Measurements, and signals rotated
     onto the phase grid, are binned by _groups with per-row radii, 1e-7 of
     each row's largest modulus, so one large point does not merge the
-    small ones. A measurement is binned by its lags k >= 0: the lags k < 0
-    are their conjugates, which change neither a modulus nor a distance.
+    small ones. A measurement is binned by its lags k >= 0, c.lags, which
+    the gap builders have already computed to gate their class rows: the
+    lags k < 0 are their conjugates, which change neither a modulus nor a
+    distance.
     """
     m = c.m
     if m < 1:
@@ -319,7 +332,7 @@ def gap_experiment(c):
     # measurement and rotated-signal bins; the first serve both I_xs and
     # the chain identity below
     s_ids, z_ids = (_groups(rows, _BIN_RADIUS * np.abs(rows).max(axis=1))
-                    for rows in (_half_lags(mat), _z_rows(mat, m)))
+                    for rows in (c.lags, _z_rows(mat, m)))
     i_xy = entropy_bits(c.probs)
     i_xs = _partition_entropy(s_ids, c.probs)
 
@@ -397,16 +410,18 @@ def _signal_from_roots(m, locs, period=1.0):
     return TrigPoly(m=m, coeffs=p.coeffs / np.sqrt(p.energy), period=period)
 
 
-def _source_classes(m, q, period):
-    """Class rows of the source with q off-circle roots, from its root table.
+def _source_constellation(m, q, period, tones):
+    """The uniform constellation of the class rows of the source with q
+    off-circle roots, built from its root table, then the rows of tones.
 
     The roots are known by construction, so no root is solved for: each
     inside point z gives the orbit (z, 1/conj(z), 1) and each unit location
     u the circle root (u, 1), sorted by location as pair_reciprocal and
     find_roots sort them, so row i is flip spec i as in enumerate_classes.
     The source has full degree and a nonzero lowest coefficient, so there
-    is no origin shift; the rows pass the residual gate of
-    enumerate_classes.
+    is no origin shift. The class rows pass enumerate_classes' gate,
+    _source_gate, on the constellation's own lags, which gap_experiment
+    then bins.
     """
     inside, circle = _deterministic_roots(m, q)
     outer = [conj_reciprocal(z) for z in inside]
@@ -418,7 +433,11 @@ def _source_classes(m, q, period):
 
     orbits = sorted(((z, w, 1) for z, w in zip(inside, outer)), key=by_location)
     circle = sorted(((u, 1) for u in circle), key=by_location)
-    return _signal_classes(orbits, circle, 0, autocorrelation(source)).coeffs
+    s = autocorrelation(source)
+    rows = _class_rows(orbits, circle, 0, s, 2**20)
+    c = _uniform(np.concatenate([rows, tones]), period)
+    _source_gate(_lag_deviations(c.lags[: len(rows)], s.coeffs) / s.c0, s.c0)
+    return c
 
 
 def single_class_constellation(m, q, period=1.0):
@@ -433,7 +452,7 @@ def single_class_constellation(m, q, period=1.0):
     """
     if not (1 <= q <= 2 * m):
         raise DomainError("need 1 <= q <= 2m")
-    return _uniform(_source_classes(m, q, period), period)
+    return _source_constellation(m, q, period, np.zeros((0, 2 * m + 1)))
 
 
 def bundled_constellation(m, period=1.0):
@@ -449,4 +468,4 @@ def bundled_constellation(m, period=1.0):
         raise UnsupportedOrder("bundled constellations start at m = 1")
     tones = np.zeros((2, 2 * m + 1), dtype=complex)
     tones[:, m] = (2.0, 3.0)
-    return _uniform(np.concatenate([_source_classes(m, 2 * m, period), tones]), period)
+    return _source_constellation(m, 2 * m, period, tones)

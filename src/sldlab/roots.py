@@ -101,7 +101,8 @@ def _sweep(rows, radius, link):
     consecutive rows in p order that are within reach (or whose p is NaN)
     are compared and, where they link, form chains, and then only pairs of
     different chains within reach are compared, so a bin of near-identical
-    rows costs one pass. A reach that is not finite compares every pair.
+    rows costs one pass, and rows that form one chain are one group with
+    nothing more to compare. A reach that is not finite compares every pair.
     """
     n, width = rows.shape
     parts = np.ascontiguousarray(rows).view(float)
@@ -117,6 +118,8 @@ def _sweep(rows, radius, link):
         return np.arange(n)  # no row is within reach of the next: nothing links
     linked = np.zeros(n - 1, dtype=bool)
     linked[near] = link(order[near + 1], order[near])
+    if linked.all():
+        return np.zeros(n, dtype=np.intp)  # one chain holds every row: one group
     chain = np.concatenate([[0], np.cumsum(~linked)])
     chain_end = np.append(np.flatnonzero(~linked) + 1, n)[chain]
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from sldlab import capacity, roots
+from sldlab import ambiguity, capacity, roots, signals
 from sldlab import (
     Constellation,
     DiscreteNoise,
@@ -673,3 +673,80 @@ def test_constellation_builders_solve_no_roots(monkeypatch):
         enumerate_classes(TrigPoly(m=1, coeffs=[6, -5, 1]))
     assert len(bundled_constellation(3).coeffs) == 4**3 + 2
     assert len(single_class_constellation(2, 3).coeffs) == 2**3
+
+
+def test_gap_sweep_takes_each_class_rows_lags_once(monkeypatch):
+    # the builders' gate and gap_experiment's bins read one lag array
+    seen = []
+    half_lags = signals._half_lags
+
+    def spy(b):
+        seen.extend(row.tobytes() for row in b)
+        return half_lags(b)
+
+    for module in (signals, ambiguity, capacity):
+        monkeypatch.setattr(module, "_half_lags", spy)
+    for m in range(1, 7):
+        del seen[:]
+        c = bundled_constellation(m)
+        gap_experiment(c)
+        for row in c.coeffs:
+            assert seen.count(row.tobytes()) == 1, m
+
+
+@pytest.mark.parametrize("victim", [0, -1])
+def test_builders_gate_their_class_rows(monkeypatch, victim):
+    class_rows = capacity._class_rows
+
+    def perturbed(*args):
+        rows = class_rows(*args).copy()
+        rows[victim] *= 1 + 1e-3
+        return rows
+
+    monkeypatch.setattr(capacity, "_class_rows", perturbed)
+    for build in (lambda: single_class_constellation(2, 3), lambda: bundled_constellation(2)):
+        with pytest.raises(errors.DomainError,
+                           match="representative misses the source measurement by"):
+            build()
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+def test_gap_report_from_the_builders_lags_matches_a_fresh_constellation(m):
+    c = bundled_constellation(m)
+    fresh = Constellation(coeffs=c.coeffs, probs=c.probs)
+    assert "lags" in vars(c) and "lags" not in vars(fresh)
+    got, want = gap_experiment(c), gap_experiment(fresh)
+    for name in got.__dataclass_fields__:
+        assert repr(getattr(got, name)) == repr(getattr(want, name)), name
+
+
+def test_constellation_lags_are_read_only_half_lags():
+    for c in (bundled_constellation(3), single_class_constellation(2, 3),
+              Constellation.uniform([TrigPoly(m=1, coeffs=[1, 2j, 0]),
+                                     TrigPoly(m=1, coeffs=[0, 0, 3])])):
+        lags = c.lags
+        assert c.lags is lags and not lags.flags.writeable
+        assert lags.tobytes() == capacity._half_lags(c.coeffs).tobytes()
+        with pytest.raises(ValueError):
+            lags[0, 0] = 1.0
+
+
+def test_rotation_of_rows_without_a_zero_dc_matches_the_masked_path_bitwise():
+    # with every DC nonzero, _z_rows turns the whole array; a zero-DC row
+    # appended sends the same rows through the masked path
+    rng = np.random.default_rng(2026)
+    for m in range(7):
+        rows = rng.standard_normal((24, 2 * m + 1)) + 1j * rng.standard_normal((24, 2 * m + 1))
+        rows[1::6, m] = -np.abs(rows[1::6, m])  # DC argument +pi folds to -pi
+        rows[2::6, m] = np.abs(rows[2::6, m])  # DC argument 0
+        zero = np.ones((1, 2 * m + 1), dtype=complex)
+        zero[0, m] = 0
+        for scale in (1e-5, 1.0, 1e5):
+            batch = rows * scale
+            for grid_m in range(1, 9):
+                whole = _z_rows(batch, grid_m)
+                masked = _z_rows(np.concatenate([batch, zero]), grid_m)
+                assert whole.tobytes() == masked[:-1].tobytes()
+                assert masked[-1].tobytes() == zero[0].tobytes()
+                want = np.stack([rotate_dc_loop(b, grid_m) for b in batch])
+                assert whole.tobytes() == want.tobytes()

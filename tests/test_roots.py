@@ -345,6 +345,43 @@ def test_groups_of_a_crowd_match_union_find(tol):
     assert len(pts) == 160 and max(map(len, got)) >= 12
 
 
+def _one_chain_sets(tol, rng):
+    """Pairs and 16-point chains whose consecutive points in the sweep's
+    order all link, each alone and with one far point that links nothing,
+    and chains that hold points with a NaN projection."""
+    for n in (2, 16):
+        for _ in range(3):
+            z = complex(*rng.normal(size=2))
+            # a step in the first quadrant keeps the chain in projection order
+            u = np.exp(0.5j * np.pi * (0.1 + 0.8 * rng.random()))
+            chain = [z]
+            for _ in range(n - 1):
+                chain.append(chain[-1] + 0.7 * tol * (1.0 + abs(chain[-1])) * u)
+            yield chain
+            yield chain + [z + 10.0]
+            yield [z - 10.0] + chain[::-1]
+    # an infinite point has a NaN projection and links with every finite one
+    inf = float("inf")
+    yield [0.5, 0.5 + 1e-9, complex(-inf, inf)]
+    yield [complex(inf, -inf), 2.0, complex(-inf, inf)]
+    yield [complex(-inf, inf), 1.0]
+
+
+@pytest.mark.parametrize("tol", [1e-6, 1e-4])
+def test_groups_of_one_chain_match_union_find(tol):
+    sizes = []
+    for pts in _one_chain_sets(tol, np.random.default_rng(2210)):
+        with np.errstate(invalid="ignore"):
+            got = [g.tolist() for g in _groups(pts, tol)]
+        assert got == union_find_groups(pts, tol), pts
+        sizes.append(len(got))
+    assert set(sizes) == {1, 2}
+    # rows with NaN projections that all link are one group
+    rows = np.array([[np.nan], [1.0], [complex(1.0, np.nan)], [2.0]], dtype=complex)
+    ids = _sweep(rows, 1.0, lambda i, j: np.ones(len(i), dtype=bool))
+    assert ids.dtype == np.intp and ids.tolist() == [0, 0, 0, 0]
+
+
 def test_groups_of_no_points():
     assert _groups([], 1e-6) == []
     assert _sweep(np.empty((0, 1), dtype=complex), 1.0, None).tolist() == []
