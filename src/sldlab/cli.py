@@ -39,6 +39,7 @@ from .errors import (
 )
 from .roots import find_roots, pair_reciprocal
 from .serialize import (
+    _float_texts,
     autocorr_dict,
     classset_dict,
     gap_dict,
@@ -153,10 +154,12 @@ def _class_csv(cs):
 
     A block is one list of cells, eight per row, filled slice by slice and
     joined once, so no Python code runs per row. The ",sample,t," leads and
-    the separators are made once per CSV. Every class has the same intensity
-    up to rounding (that is what makes the set one ambiguity class), so
-    the intensity column holds few distinct values, and each is formatted
-    once per CSV; re and im are formatted per cell.
+    the separators are made once per CSV. Each of the re and im columns of
+    a block is one call of serialize._float_texts, which gives repr's text:
+    it formats the values with numpy and hands the few it cannot certify
+    to repr itself. Every class has the same intensity up to rounding (that
+    is what makes the set one ambiguity class), so the intensity column
+    holds few distinct values, and each goes through repr once per CSV.
     """
     yield "class,sample,t,re,im,intensity\n"
     period = cs.autocorr.period
@@ -179,8 +182,8 @@ def _class_csv(cs):
         del cells[8 * len(values) :]
         cells[0::8] = chain.from_iterable(
             map(repeat, map(str, range(lo, lo + len(block))), repeat(_SAMPLES)))
-        cells[2::8] = map(repr, values.real.tolist())
-        cells[4::8] = map(repr, values.imag.tolist())
+        cells[2::8] = _float_texts(values.real)
+        cells[4::8] = _float_texts(values.imag)
         cells[6::8] = map(names.__getitem__, intensity)
         yield "".join(cells)
 

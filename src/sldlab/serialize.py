@@ -10,15 +10,18 @@ not finite as a float (NaN, Infinity, integers beyond the float range),
 which the schema lets through. Report rendering is deterministic: sorted
 keys, an indent of 2 and one trailing newline, except that each row of an
 array (a list or tuple inside a list, such as one class representative or
-one [re, im] lag) is written on one line by json's C encoder. One such
-encoder is built per report and reused for every row, instead of one
-per row.
+one [re, im] lag) is written on one line, as json's encoder writes it.
+The floats of such rows and of lists of floats are formatted together by
+_float_texts, a numpy formatter whose text is repr's, which is json's for
+a finite float; everything else goes through json.
 """
 
+import functools
 import json
 import math
 import numbers
 from dataclasses import asdict
+from itertools import chain
 
 import numpy as np
 
@@ -242,44 +245,280 @@ def gap_dict(report):
     return out
 
 
-def _encoder():
-    """A function giving the one-line JSON text that JSONEncoder(sort_keys=True).encode gives.
+# The float formatter: repr's text for a whole array of floats.
+_BLOCK = 2048  # values formatted per block; every temporary is per block
+_E_MIN, _E_MAX = -40, 40  # decimal exponents of the vectorized path
+_MARGIN = 1e-7  # least distance of a decision from its boundary, in last-digit units
+_WORDS = 4  # 64-bit words per value's text
+_CHARS = 24  # text bytes per value; the longest text, "-0.000" + 17 digits, has 23
 
-    That method builds a fresh C encoder on every call. This is the same C
-    encoder, built once with the arguments that method passes it, so the
-    bytes and the errors are the same. It gets a fresh circular-reference
-    dict, as each encode call does: the C encoder leaves entries in the
-    dict when it raises.
+
+@functools.cache
+def _digit_tables():
+    """10**(16 - E) for each E of the vectorized path, and the digits of 0..9999.
+
+    Column E - _E_MIN of the first holds (hi, Dekker's two halves of hi,
+    lo), hi + lo being that power to about 106 bits: hi is the power
+    rounded, lo the rest rounded, both from exact integer arithmetic.
+    The second holds the four ASCII digits of each n < 10**4, as the value
+    of a little-endian uint32, the third the count of n's trailing zeros (4
+    for 0).
     """
-    e = json.JSONEncoder(sort_keys=True)
-    encode = json.encoder.c_make_encoder(
-        {}, e.default, json.encoder.encode_basestring_ascii, e.indent,
-        e.key_separator, e.item_separator, e.sort_keys, e.skipkeys, e.allow_nan)
-    return lambda obj: "".join(encode(obj, 0))
+    pow10 = np.empty((4, _E_MAX - _E_MIN + 1))
+    for k, e in enumerate(range(_E_MIN, _E_MAX + 1)):
+        # 10**(16 - e) = num / den, and hi = hi_num / hi_den exactly
+        num, den = 10 ** max(16 - e, 0), 10 ** max(e - 16, 0)
+        hi = num / den
+        hi_num, hi_den = hi.as_integer_ratio()
+        big = hi * 134217729.0
+        big -= big - hi
+        lo = (num * hi_den - hi_num * den) / (den * hi_den)
+        pow10[:, k] = hi, big, hi - big, lo
+    n = np.arange(10000, dtype=np.int16)
+    quads = np.empty((10000, 4), np.uint8)
+    zeros = np.zeros(10000, np.int8)
+    for k, place in enumerate((1000, 100, 10, 1)):
+        quads[:, k] = n // place % 10 + 48
+        zeros += n % (10000 // place) == 0
+    return pow10, quads.view("<u4").ravel().astype(np.uint64), zeros
 
 
-def _render(obj, pad, encode):
-    """indent=2 layout, except that a list or tuple inside a list is one line."""
+@functools.cache
+def _layouts():
+    """The layout of repr's text for each (sign, decimal exponent E, digit count).
+
+    Row (neg * (_E_MAX - _E_MIN + 1) + E - _E_MIN) * 18 + nsig is for a
+    value whose shortest digits are d, nsig of them, padded with zeros to
+    17. Its text is the sign, then y[:q] + "." + y[q:keep] with
+    y = ("0000" + d)[s:], then an exponent such as "e-05" where repr uses
+    the exponent form (E < -4 or E >= 16). The row gives the byte masks of
+    the text taken from y and from y one byte further right, the constant
+    bytes (sign, point, exponent), each as _WORDS little-endian words, and
+    where y starts in a canvas row, with "0000" + d at bytes 11 to 31.
+    """
+    neg, e, nsig = (axis.ravel() for axis in np.meshgrid(
+        np.arange(2), np.arange(_E_MIN, _E_MAX + 1), np.arange(18), indexing="ij"))
+    expo = (e < -4) | (e >= 16)
+    whole = ~expo & (e >= 0)  # at least one digit before the point
+    s = np.where(expo | whole, 4, 4 + e)
+    q = np.where(whole, e + 1, 1)
+    keep = np.where(whole, np.maximum(nsig, e + 2), np.where(expo, nsig, nsig - e))
+    point = ~expo | (nsig > 1)
+    col = np.arange(8 * _WORDS)
+    left = (col >= neg[:, None]) & (col < (neg + q)[:, None])
+    right = point[:, None] & (col > (neg + q)[:, None]) & (col <= (neg + keep)[:, None])
+    const = np.zeros((len(e), 8 * _WORDS), np.uint8)
+    const[:, 0] = 45 * neg  # "-"
+    rows = np.arange(len(e))
+    const[rows[point], (neg + q)[point]] = 46  # "."
+    at = (neg + keep + point)[expo]
+    for k, text in enumerate((np.full(len(e), 101), np.where(e < 0, 45, 43),
+                              48 + abs(e) // 10, 48 + abs(e) % 10)):
+        const[rows[expo], at + k] = text[expo]  # "e", the sign, two digits
+    left, right = (mask * np.uint8(255) for mask in (left, right))
+    return tuple(b.view("<u8").T.astype(np.uint64, order="C") for b in (left, right, const)) + (
+        11 + s - neg,)
+
+
+def _float_texts(values):
+    """repr(float(v)) for each v of a float64 array, as a list of str."""
+    texts = []
+    for lo in range(0, len(values), _BLOCK):
+        texts += _block_texts(values[lo : lo + _BLOCK])
+    return texts
+
+
+def _block_texts(x):
+    """repr's text for one block of values.
+
+    _shortest gives each value's digits. The text is laid out through a
+    canvas of six 64-bit words per value, with "0000" and the 17 digits at
+    bytes 11 to 31. Its layout row (see _layouts) gives where y starts, at
+    byte 10 to 15; the text, at most 23 bytes from there, lies in words 1
+    to 5. The values _shortest could not certify go through repr() itself.
+    """
+    n = len(x)
+    digits, e, ok = _shortest(x)
+    _, quads, zeros = _digit_tables()
+    # the 17 digits, as the lead digit and four groups of four
+    lead, rest = np.divmod(digits, 10**16)
+    g1, g2 = np.divmod(rest // 10**8, 10**4)
+    g3, g4 = np.divmod(rest % 10**8, 10**4)
+    trailing = zeros[g4] + (g4 == 0) * (zeros[g3] + (g3 == 0) * (
+        zeros[g2] + (g2 == 0) * zeros[g1]))
+    words = np.zeros((6, n), np.uint64)  # one row per word
+    words[1] = quads[lead] << np.uint64(32) | np.uint64(0x30 << 24)
+    words[2] = quads[g1] | quads[g2] << np.uint64(32)
+    words[3] = quads[g3] | quads[g4] << np.uint64(32)
+    left, right, const, start = _layouts()
+    neg = (x.view(np.uint64) >> np.uint64(63)).astype(np.int64)
+    key = (neg * (_E_MAX - _E_MIN + 1) + e - _E_MIN) * 18 + 17 - trailing
+    # under the right mask the canvas from byte start - 1 = 8 + shift / 8,
+    # which is y one byte further right; under the left mask y itself
+    shift = (np.take(start, key) - 9).astype(np.uint64) * np.uint64(8)
+    out = np.take(right, key, axis=1)
+    out &= words[1:5] >> shift | words[2:6] << (np.uint64(64) - shift)
+    shift += np.uint64(8)
+    out |= np.take(left, key, axis=1) & (
+        words[1:5] >> shift | words[2:6] << (np.uint64(64) - shift))
+    out |= np.take(const, key, axis=1)
+    # one UCS4 code point per byte: numpy's str arrays give str objects
+    chars = out.T.astype("<u8", order="C").view(np.uint8)[:, :_CHARS].astype(np.uint32)
+    texts = chars.view("U%d" % _CHARS).ravel().tolist()
+    for i in np.flatnonzero(~ok).tolist():
+        texts[i] = repr(float(x[i]))
+    return texts
+
+
+def _shortest(x):
+    """(digits, E, ok): repr's digits of each |x| as a 17-digit integer, and its exponent.
+
+    For a = |x| with decimal exponent E, P = a * 10**(16 - E) lies in
+    [10**16, 10**17). It is formed once as p + err: p = a * hi rounded, err
+    the rest by Dekker's product plus a * lo, together within about 1e-14 of
+    a unit of P. p is an integer, as every double above 2**53 is. The
+    17-digit candidate is D17 = round(P), with remainder P - D17; the 16-
+    and 15-digit ones round P / 10 and P / 100, found from D17's last two
+    digits and that remainder. repr prints the fewest digits that read back
+    as x, the nearest of them where several do: at 15 digits or fewer at
+    most one decimal reads back, so the 15-digit candidate with its trailing
+    zeros dropped when it lies within half an ulp of x; else the rounded,
+    so nearest, 16-digit one when it does; else D17, which always does.
+
+    Every decision must clear _MARGIN of a last-digit unit: where P lies
+    against 10**16 and 10**17, the chosen candidate's rounding against a
+    tie, and each candidate's distance against half an ulp. ok is False for
+    a value that misses one, or that is subnormal, not finite, a power of
+    two (whose ulp below is half the one above) or outside the table; its
+    digits are those of 1. Zero has the digits of 0 and E = 0.
+    """
+    pow10 = _digit_tables()[0]
+    bits = x.view(np.uint64)
+    bexp = (bits >> np.uint64(52)).astype(np.int64) & 0x7FF
+    ok = (bexp > 0) & (bexp < 0x7FF) & (bits << np.uint64(12) != 0)
+    a = np.abs(x)
+    a[~ok] = 1.5
+    e = np.floor(np.log10(a)).astype(np.int64)
+    ok &= (e >= _E_MIN) & (e <= _E_MAX)
+    # the values left out are formatted as 1.5, whose exponents these are
+    a[~ok], e[~ok], bexp[~ok] = 1.5, 0, 1023
+    hi, big, small, lo = np.take(pow10, e - _E_MIN, axis=1)
+    p = a * hi
+    a_big = a * 134217729.0
+    a_big -= a_big - a
+    a_small = a - a_big
+    err = ((a_big * big - p) + a_big * small + a_small * big) + a_small * small + a * lo
+    r = np.rint(err)
+    r17 = err - r
+    d17 = p.astype(np.int64) + r.astype(np.int64)
+    ok &= ((d17 > 10**16) | ((d17 == 10**16) & (r17 > _MARGIN))) & (d17 < 10**17)
+    half = np.ldexp(hi, bexp - 1076)  # half an ulp of a, in units of P
+    d2 = d17 % 100
+    d1 = d2 % 10
+    t15 = (d2 + r17) * 0.01
+    t16 = (d1 + r17) * 0.1
+    up15 = t15 >= 0.5
+    up16 = t16 >= 0.5
+    r16 = np.abs(t16 - up16)
+    miss15 = np.abs(t15 - up15) * 100 - half  # below 0: reads back
+    miss16 = r16 * 10 - half
+    ok &= (np.abs(miss15) > 100 * _MARGIN) & (np.abs(miss16) > 10 * _MARGIN)
+    use15 = miss15 < 0
+    use16 = (miss16 < 0) & ~use15
+    digits = d17 - np.where(use15, d2 - 100 * up15, np.where(use16, d1 - 10 * up16, 0))
+    tie = np.where(use16, r16, np.abs(r17))
+    ok &= (np.abs(tie - 0.5) > _MARGIN) & (digits < 10**17)
+    digits[~ok] = 10**16
+    zero = bits << np.uint64(1) == 0
+    digits[zero] = 0
+    ok |= zero
+    return digits, e, ok
+
+
+_dumps = json.JSONEncoder(sort_keys=True).encode  # one value on one line
+_SLOT = "\0"  # a float's place in a report template; json writes NUL as \u0000
+
+
+def _floats(items):
+    """(one item's template, the float leaves in order) or None.
+
+    Not None when the items, lists or tuples, nest to one shape around
+    leaves that are all floats, or are all floats themselves. The template
+    is json's one-line text of an item with a _SLOT for each leaf. A
+    structure deeper than 32 levels, such as a list holding itself, gives
+    None.
+    """
+    level, shape = items, []
+    for _ in range(32):
+        kinds = set(map(type, level))
+        if kinds == {float}:
+            template = _SLOT
+            for size in reversed(shape):
+                template = "[" + ", ".join([template] * size) + "]"
+            return template, level
+        sizes = set(map(len, level)) if level and kinds <= {list, tuple} else ()
+        if len(sizes) != 1:
+            return None
+        shape.append(sizes.pop())
+        level = list(chain.from_iterable(level))
+    return None
+
+
+def _render(obj, pad, leaves):
+    """indent=2 layout, except that a list or tuple inside a list is one line.
+
+    The text is a template: each float leaf of a list or row is a _SLOT,
+    its value appended to leaves.
+    """
     inner = pad + "  "
     if not (isinstance(obj, (dict, list, tuple)) and obj):
-        return encode(obj)
+        return _dumps(obj)
     values = obj.values() if isinstance(obj, dict) else obj
-    if not any(isinstance(item, (dict, list, tuple)) for item in values):
+    uniform = None if isinstance(obj, dict) else _floats(obj)
+    if uniform:
+        template, floats = uniform
+        leaves += floats
+        body = (",\n" + inner).join([template] * len(obj))
+    elif not any(isinstance(item, (dict, list, tuple)) for item in values):
         # only scalars: one C-encoder call, its item separator breaks the lines
         body = json.dumps(obj, sort_keys=True, separators=(",\n" + inner, ": "))[1:-1]
     elif isinstance(obj, dict):
         body = (",\n" + inner).join(
-            encode(key) + ": " + _render(obj[key], inner, encode) for key in sorted(obj)
+            _dumps(key) + ": " + _render(obj[key], inner, leaves) for key in sorted(obj)
         )
     else:
         body = (",\n" + inner).join(
-            encode(item) if isinstance(item, (list, tuple)) else _render(item, inner, encode)
+            _row(item, leaves) if isinstance(item, (list, tuple)) else _render(item, inner, leaves)
             for item in obj
         )
     brackets = "{}" if isinstance(obj, dict) else "[]"
     return brackets[0] + "\n" + inner + body + "\n" + pad + brackets[1]
 
 
+def _row(row, leaves):
+    """The template of one row, as _render makes it."""
+    uniform = _floats([row])
+    if not uniform:
+        return _dumps(row)
+    leaves += uniform[1]
+    return uniform[0]
+
+
 def render_report(payload):
-    """Deterministic JSON text for a report object whose keys are strings."""
-    return _render(payload, "", _encoder()) + "\n"
+    """Deterministic JSON text for a report object whose keys are strings.
+
+    The template's float leaves are formatted in one _float_texts call; the
+    floats that are not finite keep json's NaN, Infinity and -Infinity.
+    """
+    leaves = []
+    parts = _render(payload, "", leaves).split(_SLOT)
+    values = np.array(leaves, dtype=np.float64)
+    texts = _float_texts(values)
+    for i in np.flatnonzero(~np.isfinite(values)).tolist():
+        texts[i] = _dumps(leaves[i])
+    # one join sizes the text once; growing it piece by piece (str %) leaves
+    # the heap fragmented and the process larger
+    pieces = [None] * (len(parts) + len(texts))
+    pieces[0::2] = parts
+    pieces[1::2] = texts
+    return "".join(pieces) + "\n"
