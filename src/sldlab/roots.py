@@ -27,6 +27,9 @@ from .errors import (
 
 # coefficients at or below this relative size count as structural zeros
 _ZERO_REL = 1e-13
+# a trimmed end must split off its own roots: the Newton-polygon size of
+# the largest root it drops stays this factor below the smallest it keeps
+_SPLIT = 1e-3
 _TINY = np.finfo(float).tiny
 # a root whose residual is below this multiple of its bound has settled
 _EPS_STOP = 8 * np.finfo(float).eps
@@ -78,6 +81,35 @@ def _modulus(z):
     # Python's abs of each entry; np.abs on a complex array can differ from
     # it in the last bit
     return np.hypot(z.real, z.imag)
+
+
+def _trimmed(mags, cut):
+    """How many leading coefficients of |a| (ascending) count as structural zeros.
+
+    At most cut of them, the leading run at or below _ZERO_REL of the
+    largest. A trim of k drops the k smallest roots, so it stands only
+    where those split off: every Newton-polygon root size (|a_j| /
+    |a_k|)^(1 / (k - j)), j < k, must stay _SPLIT below each
+    (|a_k| / |a_j|)^(1 / (j - k)), j > k; the trim shrinks until one
+    does, down to none. Otherwise a tiny end whose roots sit in a cluster
+    with kept ones, like the lags eps^2, 2 eps, 1 of a double root at
+    -eps, would put one root of the cluster at the origin and move the
+    rest.
+    """
+    if not cut:
+        return 0
+    with np.errstate(divide="ignore"):
+        logs = np.log(mags)
+    j = np.arange(len(mags))
+    for k in range(cut, 0, -1):
+        if mags[k] == 0:
+            continue
+        right = j[k + 1 :][mags[k + 1 :] > 0]
+        dropped = np.max((logs[:k] - logs[k]) / (k - j[:k]))
+        kept = np.min((logs[k] - logs[right]) / (right - k), initial=np.inf)
+        if dropped <= np.log(_SPLIT) + kept:
+            return k
+    return 0
 
 
 def _check_tol(tol):
@@ -345,7 +377,9 @@ def find_roots_batch(
     for c in coeffs:
         mags = np.abs(c)
         keep = np.flatnonzero(mags > _ZERO_REL * mags.max())
-        members.append((int(keep[0]), int(keep[-1]), c[keep[0] : keep[-1] + 1]))
+        first = _trimmed(mags, int(keep[0]))
+        last = len(c) - 1 - _trimmed(mags[::-1], len(c) - 1 - int(keep[-1]))
+        members.append((first, last, c[first : last + 1]))
 
     monics = [core / core[-1] for _, _, core in members if len(core) > 1]
     z, rel = _solve(monics, seed, max_iter) if monics else (None, None)

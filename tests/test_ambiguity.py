@@ -242,6 +242,17 @@ def test_duality_property(p):
     assert same_class_sets(canon_rows(cs), canon_rows(fs), tol=1e-5)
 
 
+@pytest.mark.parametrize("eps", [2.12235957e-10, 1e-7, 3e-7, 1e-9, 8e-14, 1e-13, 2e-13])
+def test_duality_where_the_signal_ends_are_kept_and_their_lags_are_tiny(eps):
+    # [eps, 1, eps] has roots -eps and -1/eps, one reflection orbit of two
+    # roots: 3 classes. Its lag ends eps^2 fall below the structural-zero
+    # cut, and trimming them used to make factor_sld find 4.
+    p = TrigPoly(m=1, coeffs=[eps, 1, eps])
+    cs, fs = enumerate_classes(p), factor_sld(autocorrelation(p))
+    assert cs.exact_count == fs.exact_count == 3
+    assert same_class_sets(canon_rows(cs), canon_rows(fs), tol=1e-5)
+
+
 def test_count_law_generic():
     # q well-separated orbits, full degree, nonzero ends: 2^q classes
     for roots in ([0.5], [0.5, 3.0], [0.4j, -2.0, 1.7]):

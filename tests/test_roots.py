@@ -57,6 +57,59 @@ def test_origin_roots_stripped_structurally():
     assert r.roots[0].location == pytest.approx(2.0)
 
 
+@pytest.mark.parametrize("eps", [2.12235957e-10, 1e-7, 3e-7, 8e-14, 2e-13])
+def test_tiny_ends_that_share_a_cluster_are_not_trimmed(eps):
+    # the lags of [eps, 1, eps] are eps^2, 2 eps, 1 + 2 eps^2, ...: their
+    # ends are below the structural-zero cut, but trimming one level would
+    # put one of the two roots at -eps on the origin and move the other
+    r = find_roots(autocorr_lift(autocorrelation(TrigPoly(m=1, coeffs=[eps, 1, eps]))))
+    assert (r.origin_mult, r.degree) == (0, 4)
+    assert sorted(root.multiplicity for root in r.roots) == [2, 2]
+    inner = min(r.roots, key=lambda root: abs(root.location))
+    assert abs(inner.location + eps) <= 1e-3 * eps
+
+
+def test_tiny_ends_that_split_off_are_trimmed():
+    # 1e-14 + z + z^2 / 2 has a root near -1e-14, far below the next at -2
+    r = find_roots(CoeffPoly(coeffs=[1e-14, 1, 0.5], n=2))
+    assert (r.origin_mult, r.degree) == (1, 2)
+    assert [root.location for root in r.roots] == [pytest.approx(-2.0)]
+    # the same at the top end, and exact zeros whatever their neighbours
+    r = find_roots(CoeffPoly(coeffs=[0.5, 1, 1e-14], n=2))
+    assert (r.origin_mult, r.degree) == (0, 1)
+    r = find_roots(CoeffPoly(coeffs=[0, 1e-9, 1, 0], n=3))
+    assert (r.origin_mult, r.degree) == (1, 2)
+
+
+def test_trimmed_ends_match_a_newton_polygon_loop(rng):
+    # magnitudes spread over 30 decades, a fifth of them exact zeros
+    outcomes = set()
+    for _ in range(400):
+        mags = 10.0 ** rng.uniform(-30, 0, size=int(rng.integers(3, 10)))
+        mags *= rng.random(len(mags)) > 0.2
+        if not mags.any():
+            continue
+        cut = np.flatnonzero(mags > roots_module._ZERO_REL * mags.max())
+        for a, k in ((mags, int(cut[0])), (mags[::-1], len(mags) - 1 - int(cut[-1]))):
+            got = roots_module._trimmed(a, k)
+            assert got == _trimmed_loop(list(a), k)
+            outcomes.add("none" if k == 0 else "all" if got == k else "fewer")
+    assert outcomes == {"none", "all", "fewer"}
+
+
+def _trimmed_loop(a, cut):
+    """The largest k <= cut whose dropped root sizes stay 1e-3 below the kept ones."""
+    for k in range(cut, 0, -1):
+        if a[k] == 0:
+            continue
+        dropped = max((a[j] / a[k]) ** (1 / (k - j)) for j in range(k))
+        kept = min(((a[k] / a[j]) ** (1 / (j - k)) for j in range(k + 1, len(a)) if a[j]),
+                   default=float("inf"))
+        if dropped <= 1e-3 * kept:
+            return k
+    return 0
+
+
 def test_double_root_clusters():
     f = CoeffPoly(coeffs=poly_from_roots([2.0, 2.0, -1.0]), n=3)
     r = find_roots(f)
