@@ -11,9 +11,9 @@ which the schema lets through. Report rendering is deterministic: sorted
 keys, an indent of 2 and one trailing newline, except that each row of an
 array (a list or tuple inside a list, such as one class representative or
 one [re, im] lag) is written on one line, as json's encoder writes it.
-The floats of such rows and of lists of floats are formatted together by
-_float_texts, a numpy formatter whose text is repr's, which is json's for
-a finite float; everything else goes through json.
+The floats of such rows and of lists of floats are formatted a block at a
+time by a numpy formatter whose text is repr's, which is json's for a
+finite float; everything else goes through one json C encoder per report.
 """
 
 import functools
@@ -249,7 +249,8 @@ def gap_dict(report):
 _BLOCK = 2048  # values formatted per block; every temporary is per block
 _E_MIN, _E_MAX = -40, 40  # decimal exponents of the vectorized path
 _MARGIN = 1e-7  # least distance of a decision from its boundary, in last-digit units
-_WORDS = 4  # 64-bit words per value's text
+# the constant bytes of repr's texts, at bytes 32 to 47 of each value's canvas
+_ALPHABET = b"-.e+0123456789\0\0"
 _CHARS = 24  # text bytes per value; the longest text, "-0.000" + 17 digits, has 23
 
 
@@ -274,50 +275,52 @@ def _digit_tables():
         big -= big - hi
         lo = (num * hi_den - hi_num * den) / (den * hi_den)
         pow10[:, k] = hi, big, hi - big, lo
-    n = np.arange(10000, dtype=np.int16)
-    quads = np.empty((10000, 4), np.uint8)
-    zeros = np.zeros(10000, np.int8)
+    n = np.arange(10000)
+    quads, zeros = np.zeros(10000, np.int64), np.zeros(10000, np.int64)
     for k, place in enumerate((1000, 100, 10, 1)):
-        quads[:, k] = n // place % 10 + 48
+        quads += (n // place % 10 + 48) << 8 * k
         zeros += n % (10000 // place) == 0
-    return pow10, quads.view("<u4").ravel().astype(np.uint64), zeros
+    return pow10, quads.astype(np.uint64), zeros
+
+
+def _at(char):
+    """Where a constant byte of repr's text lies in a value's canvas."""
+    return 32 + _ALPHABET.index(char)
 
 
 @functools.cache
 def _layouts():
-    """The layout of repr's text for each (sign, decimal exponent E, digit count).
+    """Where each byte of repr's text comes from, per (sign, decimal exponent E, digit count).
 
     Row (neg * (_E_MAX - _E_MIN + 1) + E - _E_MIN) * 18 + nsig is for a
     value whose shortest digits are d, nsig of them, padded with zeros to
     17. Its text is the sign, then y[:q] + "." + y[q:keep] with
     y = ("0000" + d)[s:], then an exponent such as "e-05" where repr uses
-    the exponent form (E < -4 or E >= 16). The row gives the byte masks of
-    the text taken from y and from y one byte further right, the constant
-    bytes (sign, point, exponent), each as _WORDS little-endian words, and
-    where y starts in a canvas row, with "0000" + d at bytes 11 to 31.
+    the exponent form (E < -4 or E >= 16). Entry k of the row is the byte
+    of the value's canvas (see _block_texts) that is byte k of the text,
+    0 (a NUL) past its end.
     """
-    neg, e, nsig = (axis.ravel() for axis in np.meshgrid(
-        np.arange(2), np.arange(_E_MIN, _E_MAX + 1), np.arange(18), indexing="ij"))
+    # int8 throughout: every entry is below 48, and the temporaries stay small
+    e, nsig = (axis.ravel() for axis in np.meshgrid(
+        np.arange(_E_MIN, _E_MAX + 1, dtype=np.int8), np.arange(18, dtype=np.int8),
+        indexing="ij"))
     expo = (e < -4) | (e >= 16)
     whole = ~expo & (e >= 0)  # at least one digit before the point
-    s = np.where(expo | whole, 4, 4 + e)
-    q = np.where(whole, e + 1, 1)
-    keep = np.where(whole, np.maximum(nsig, e + 2), np.where(expo, nsig, nsig - e))
-    point = ~expo | (nsig > 1)
-    col = np.arange(8 * _WORDS)
-    left = (col >= neg[:, None]) & (col < (neg + q)[:, None])
-    right = point[:, None] & (col > (neg + q)[:, None]) & (col <= (neg + keep)[:, None])
-    const = np.zeros((len(e), 8 * _WORDS), np.uint8)
-    const[:, 0] = 45 * neg  # "-"
-    rows = np.arange(len(e))
-    const[rows[point], (neg + q)[point]] = 46  # "."
-    at = (neg + keep + point)[expo]
-    for k, text in enumerate((np.full(len(e), 101), np.where(e < 0, 45, 43),
-                              48 + abs(e) // 10, 48 + abs(e) % 10)):
-        const[rows[expo], at + k] = text[expo]  # "e", the sign, two digits
-    left, right = (mask * np.uint8(255) for mask in (left, right))
-    return tuple(b.view("<u8").T.astype(np.uint64, order="C") for b in (left, right, const)) + (
-        11 + s - neg,)
+    s = np.where(expo | whole, 4, 4 + e)[:, None]
+    q = np.where(whole, e + 1, 1)[:, None]
+    keep = np.where(whole, np.maximum(nsig, e + 2), np.where(expo, nsig, nsig - e))[:, None]
+    point = (~expo | (nsig > 1))[:, None]
+    pos = np.arange(_CHARS, dtype=np.int8)
+    text = np.where(pos < keep + point, 11 + s + pos - (point & (pos > q)), 0).astype(np.uint8)
+    text[point & (pos == q)] = _at(b".")
+    # the exponent: "e", its sign and two digits, from byte keep + point on
+    after = pos - keep - point
+    rows, cols = np.nonzero(expo[:, None] & (after >= 0) & (after < 4))
+    suffix = np.stack([np.full(len(e), _at(b"e")), np.where(e < 0, _at(b"-"), _at(b"+")),
+                       _at(b"0") + abs(e) // 10, _at(b"0") + abs(e) % 10], axis=1)
+    text[rows, cols] = suffix[rows, after[rows, cols]]
+    signed = np.concatenate([np.full((len(e), 1), _at(b"-"), np.uint8), text[:, :-1]], axis=1)
+    return np.concatenate([text, signed])
 
 
 def _float_texts(values):
@@ -331,11 +334,11 @@ def _float_texts(values):
 def _block_texts(x):
     """repr's text for one block of values.
 
-    _shortest gives each value's digits. The text is laid out through a
-    canvas of six 64-bit words per value, with "0000" and the 17 digits at
-    bytes 11 to 31. Its layout row (see _layouts) gives where y starts, at
-    byte 10 to 15; the text, at most 23 bytes from there, lies in words 1
-    to 5. The values _shortest could not certify go through repr() itself.
+    _shortest gives each value's digits. Each value gets a canvas of six
+    64-bit words: "0000" and the 17 digits at bytes 11 to 31, _ALPHABET
+    from byte 32 and NULs elsewhere; its _layouts row picks the text's
+    bytes out of it in one gather. The values _shortest could not certify
+    go through repr() itself.
     """
     n = len(x)
     digits, e, ok = _shortest(x)
@@ -346,24 +349,16 @@ def _block_texts(x):
     g3, g4 = np.divmod(rest % 10**8, 10**4)
     trailing = zeros[g4] + (g4 == 0) * (zeros[g3] + (g3 == 0) * (
         zeros[g2] + (g2 == 0) * zeros[g1]))
-    words = np.zeros((6, n), np.uint64)  # one row per word
-    words[1] = quads[lead] << np.uint64(32) | np.uint64(0x30 << 24)
-    words[2] = quads[g1] | quads[g2] << np.uint64(32)
-    words[3] = quads[g3] | quads[g4] << np.uint64(32)
-    left, right, const, start = _layouts()
+    words = np.zeros((n, 6), np.uint64)
+    words[:, 1] = quads[lead] << np.uint64(32) | np.uint64(0x30 << 24)
+    words[:, 2] = quads[g1] | quads[g2] << np.uint64(32)
+    words[:, 3] = quads[g3] | quads[g4] << np.uint64(32)
+    words[:, 4:] = np.frombuffer(_ALPHABET, "<u8")
     neg = (x.view(np.uint64) >> np.uint64(63)).astype(np.int64)
     key = (neg * (_E_MAX - _E_MIN + 1) + e - _E_MIN) * 18 + 17 - trailing
-    # under the right mask the canvas from byte start - 1 = 8 + shift / 8,
-    # which is y one byte further right; under the left mask y itself
-    shift = (np.take(start, key) - 9).astype(np.uint64) * np.uint64(8)
-    out = np.take(right, key, axis=1)
-    out &= words[1:5] >> shift | words[2:6] << (np.uint64(64) - shift)
-    shift += np.uint64(8)
-    out |= np.take(left, key, axis=1) & (
-        words[1:5] >> shift | words[2:6] << (np.uint64(64) - shift))
-    out |= np.take(const, key, axis=1)
+    take = np.add(_layouts().take(key, axis=0), np.arange(0, 48 * n, 48)[:, None])
     # one UCS4 code point per byte: numpy's str arrays give str objects
-    chars = out.T.astype("<u8", order="C").view(np.uint8)[:, :_CHARS].astype(np.uint32)
+    chars = words.view(np.uint8).ravel().take(take).astype(np.uint32)
     texts = chars.view("U%d" % _CHARS).ravel().tolist()
     for i in np.flatnonzero(~ok).tolist():
         texts[i] = repr(float(x[i]))
@@ -435,18 +430,32 @@ def _shortest(x):
     return digits, e, ok
 
 
-_dumps = json.JSONEncoder(sort_keys=True).encode  # one value on one line
-_SLOT = "\0"  # a float's place in a report template; json writes NUL as \u0000
+def _encoder():
+    """A function giving the one-line JSON text that JSONEncoder(sort_keys=True).encode gives.
+
+    That method builds a fresh C encoder on every call. This is the same C
+    encoder, built once with the arguments that method passes it, so the
+    bytes and the errors are the same. It gets a fresh circular-reference
+    dict, as each encode call does: the C encoder leaves entries in the
+    dict when it raises.
+    """
+    e = json.JSONEncoder(sort_keys=True)
+    encode = json.encoder.c_make_encoder(
+        {}, e.default, json.encoder.encode_basestring_ascii, e.indent,
+        e.key_separator, e.item_separator, e.sort_keys, e.skipkeys, e.allow_nan)
+    return lambda obj: "".join(encode(obj, 0))
+
+
+_SLOT = "\0"  # a float's place in a row's template, where the template splits
 
 
 def _floats(items):
-    """(one item's template, the float leaves in order) or None.
+    """(one item's pieces, the float leaves in order) or None.
 
     Not None when the items, lists or tuples, nest to one shape around
-    leaves that are all floats, or are all floats themselves. The template
-    is json's one-line text of an item with a _SLOT for each leaf. A
-    structure deeper than 32 levels, such as a list holding itself, gives
-    None.
+    leaves that are all floats, or are all floats themselves. The pieces
+    are json's one-line text of an item, split at each leaf. A structure
+    deeper than 32 levels, such as a list holding itself, gives None.
     """
     level, shape = items, []
     for _ in range(32):
@@ -455,7 +464,7 @@ def _floats(items):
             template = _SLOT
             for size in reversed(shape):
                 template = "[" + ", ".join([template] * size) + "]"
-            return template, level
+            return template.split(_SLOT), level
         sizes = set(map(len, level)) if level and kinds <= {list, tuple} else ()
         if len(sizes) != 1:
             return None
@@ -464,42 +473,62 @@ def _floats(items):
     return None
 
 
-def _render(obj, pad, leaves):
+def _joined(texts, sep):
+    """sep.join of texts, each given as its pieces, as pieces.
+
+    The pieces of one item may be the list of another: they are read, not
+    changed, so rows of one shape share their piece objects.
+    """
+    out = list(texts[0])
+    for pieces in texts[1:]:
+        out[-1] += sep + pieces[0]
+        out += pieces[1:]
+    return out
+
+
+def _render(obj, pad, leaves, encode):
     """indent=2 layout, except that a list or tuple inside a list is one line.
 
-    The text is a template: each float leaf of a list or row is a _SLOT,
-    its value appended to leaves.
+    The text comes as its pieces: each float leaf of a list or row lies
+    between two of them, its value appended to leaves. Every other value
+    is encode's text.
     """
     inner = pad + "  "
     if not (isinstance(obj, (dict, list, tuple)) and obj):
-        return _dumps(obj)
+        return [encode(obj)]
     values = obj.values() if isinstance(obj, dict) else obj
     uniform = None if isinstance(obj, dict) else _floats(obj)
     if uniform:
-        template, floats = uniform
+        pieces, floats = uniform
         leaves += floats
-        body = (",\n" + inner).join([template] * len(obj))
+        body = _joined([pieces] * len(obj), ",\n" + inner)
     elif not any(isinstance(item, (dict, list, tuple)) for item in values):
         # only scalars: one C-encoder call, its item separator breaks the lines
-        body = json.dumps(obj, sort_keys=True, separators=(",\n" + inner, ": "))[1:-1]
+        body = [json.dumps(obj, sort_keys=True, separators=(",\n" + inner, ": "))[1:-1]]
     elif isinstance(obj, dict):
-        body = (",\n" + inner).join(
-            _dumps(key) + ": " + _render(obj[key], inner, leaves) for key in sorted(obj)
-        )
+        entries = []
+        for key in sorted(obj):
+            entry = _render(obj[key], inner, leaves, encode)
+            entry[0] = encode(key) + ": " + entry[0]
+            entries.append(entry)
+        body = _joined(entries, ",\n" + inner)
     else:
-        body = (",\n" + inner).join(
-            _row(item, leaves) if isinstance(item, (list, tuple)) else _render(item, inner, leaves)
+        body = _joined([
+            _row(item, leaves, encode) if isinstance(item, (list, tuple))
+            else _render(item, inner, leaves, encode)
             for item in obj
-        )
+        ], ",\n" + inner)
     brackets = "{}" if isinstance(obj, dict) else "[]"
-    return brackets[0] + "\n" + inner + body + "\n" + pad + brackets[1]
+    body[0] = brackets[0] + "\n" + inner + body[0]
+    body[-1] += "\n" + pad + brackets[1]
+    return body
 
 
-def _row(row, leaves):
-    """The template of one row, as _render makes it."""
+def _row(row, leaves, encode):
+    """The pieces of one row, as _render makes them."""
     uniform = _floats([row])
     if not uniform:
-        return _dumps(row)
+        return [encode(row)]
     leaves += uniform[1]
     return uniform[0]
 
@@ -507,18 +536,22 @@ def _row(row, leaves):
 def render_report(payload):
     """Deterministic JSON text for a report object whose keys are strings.
 
-    The template's float leaves are formatted in one _float_texts call; the
-    floats that are not finite keep json's NaN, Infinity and -Infinity.
+    The float leaves are formatted _BLOCK at a time, and each block's texts
+    are joined with the pieces between them, so only one block's texts
+    exist at once; the floats that are not finite keep json's NaN,
+    Infinity and -Infinity.
     """
-    leaves = []
-    parts = _render(payload, "", leaves).split(_SLOT)
+    leaves, encode = [], _encoder()
+    pieces = _render(payload, "", leaves, encode)
     values = np.array(leaves, dtype=np.float64)
-    texts = _float_texts(values)
-    for i in np.flatnonzero(~np.isfinite(values)).tolist():
-        texts[i] = _dumps(leaves[i])
-    # one join sizes the text once; growing it piece by piece (str %) leaves
-    # the heap fragmented and the process larger
-    pieces = [None] * (len(parts) + len(texts))
-    pieces[0::2] = parts
-    pieces[1::2] = texts
-    return "".join(pieces) + "\n"
+    chunks = [pieces[0]]
+    for lo in range(0, len(values), _BLOCK):
+        block = values[lo : lo + _BLOCK]
+        texts = _block_texts(block)
+        for i in np.flatnonzero(~np.isfinite(block)).tolist():
+            texts[i] = encode(leaves[lo + i])
+        mixed = [None] * (2 * len(texts))
+        mixed[0::2] = texts
+        mixed[1::2] = pieces[lo + 1 : lo + 1 + len(texts)]
+        chunks.append("".join(mixed))
+    return "".join(chunks) + "\n"

@@ -123,6 +123,23 @@ def test_class_csv_memory_stays_per_block():
     finally:
         tracemalloc.stop()
     assert rows == 1 + blocks * cells // 8
-    # about 62 bytes a cell; keeping each block's re texts makes it about
+    # about 67 bytes a cell; keeping each block's re texts makes it about
     # 129, and sampling every class before the first block about 590
     assert peak < 100 * cells, peak / cells
+
+
+def test_report_memory_holds_one_block_of_texts():
+    # 108,000 floats in 6,000 rows of one shape: 53 blocks
+    rows = np.random.default_rng(5).normal(size=(6000, 18)).tolist()
+    payload = {"classes": {"count": 6000, "rows": rows}, "version": "0"}
+    render_report({"a": [[0.1]]})  # the formatter's tables live for the process
+    tracemalloc.start()
+    try:
+        text = render_report(payload)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert text == render_report_loop(payload)
+    # about 4.4 bytes per byte of text; holding every float's text and a
+    # piece of template for each until one join makes it about 10
+    assert peak < 6 * len(text), peak / len(text)
