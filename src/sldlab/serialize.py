@@ -245,7 +245,9 @@ def gap_dict(report):
     return out
 
 
-# The float formatter: repr's text for a whole array of floats.
+# The float formatter: repr's text for a whole array of floats. Its integer
+# arrays are int64, as elsewhere in the program: int8 or uint64 arithmetic
+# pages in numpy loops that nothing else runs, about 0.3 MB more resident.
 _BLOCK = 2048  # values formatted per block; every temporary is per block
 _E_MIN, _E_MAX = -40, 40  # decimal exponents of the vectorized path
 _MARGIN = 1e-7  # least distance of a decision from its boundary, in last-digit units
@@ -280,7 +282,7 @@ def _digit_tables():
     for k, place in enumerate((1000, 100, 10, 1)):
         quads += (n // place % 10 + 48) << 8 * k
         zeros += n % (10000 // place) == 0
-    return pow10, quads.astype(np.uint64), zeros
+    return pow10, quads, zeros
 
 
 def _at(char):
@@ -298,19 +300,26 @@ def _layouts():
     y = ("0000" + d)[s:], then an exponent such as "e-05" where repr uses
     the exponent form (E < -4 or E >= 16). Entry k of the row is the byte
     of the value's canvas (see _block_texts) that is byte k of the text,
-    0 (a NUL) past its end.
+    0 (a NUL) past its end. The rows are built nine exponents at a time,
+    so every temporary stays a few kilobytes.
     """
-    # int8 throughout: every entry is below 48, and the temporaries stay small
-    e, nsig = (axis.ravel() for axis in np.meshgrid(
-        np.arange(_E_MIN, _E_MAX + 1, dtype=np.int8), np.arange(18, dtype=np.int8),
-        indexing="ij"))
+    text = np.concatenate([_unsigned_layouts(np.arange(lo, min(lo + 9, _E_MAX + 1)))
+                           for lo in range(_E_MIN, _E_MAX + 1, 9)])
+    signed = np.concatenate([np.full((len(text), 1), _at(b"-"), np.uint8), text[:, :-1]], axis=1)
+    return np.concatenate([text, signed])
+
+
+def _unsigned_layouts(exponents):
+    """The _layouts rows of the positive values with these exponents."""
+    e, nsig = (axis.ravel() for axis in np.meshgrid(exponents, np.arange(18),
+                                                    indexing="ij"))
     expo = (e < -4) | (e >= 16)
     whole = ~expo & (e >= 0)  # at least one digit before the point
     s = np.where(expo | whole, 4, 4 + e)[:, None]
     q = np.where(whole, e + 1, 1)[:, None]
     keep = np.where(whole, np.maximum(nsig, e + 2), np.where(expo, nsig, nsig - e))[:, None]
     point = (~expo | (nsig > 1))[:, None]
-    pos = np.arange(_CHARS, dtype=np.int8)
+    pos = np.arange(_CHARS)
     text = np.where(pos < keep + point, 11 + s + pos - (point & (pos > q)), 0).astype(np.uint8)
     text[point & (pos == q)] = _at(b".")
     # the exponent: "e", its sign and two digits, from byte keep + point on
@@ -319,8 +328,7 @@ def _layouts():
     suffix = np.stack([np.full(len(e), _at(b"e")), np.where(e < 0, _at(b"-"), _at(b"+")),
                        _at(b"0") + abs(e) // 10, _at(b"0") + abs(e) % 10], axis=1)
     text[rows, cols] = suffix[rows, after[rows, cols]]
-    signed = np.concatenate([np.full((len(e), 1), _at(b"-"), np.uint8), text[:, :-1]], axis=1)
-    return np.concatenate([text, signed])
+    return text
 
 
 def _float_texts(values):
@@ -349,12 +357,12 @@ def _block_texts(x):
     g3, g4 = np.divmod(rest % 10**8, 10**4)
     trailing = zeros[g4] + (g4 == 0) * (zeros[g3] + (g3 == 0) * (
         zeros[g2] + (g2 == 0) * zeros[g1]))
-    words = np.zeros((n, 6), np.uint64)
-    words[:, 1] = quads[lead] << np.uint64(32) | np.uint64(0x30 << 24)
-    words[:, 2] = quads[g1] | quads[g2] << np.uint64(32)
-    words[:, 3] = quads[g3] | quads[g4] << np.uint64(32)
-    words[:, 4:] = np.frombuffer(_ALPHABET, "<u8")
-    neg = (x.view(np.uint64) >> np.uint64(63)).astype(np.int64)
+    words = np.zeros((n, 6), np.int64)
+    words[:, 1] = quads[lead] << 32 | 0x30 << 24
+    words[:, 2] = quads[g1] | quads[g2] << 32
+    words[:, 3] = quads[g3] | quads[g4] << 32
+    words[:, 4:] = np.frombuffer(_ALPHABET, "<i8")
+    neg = x.view(np.int64) < 0
     key = (neg * (_E_MAX - _E_MIN + 1) + e - _E_MIN) * 18 + 17 - trailing
     take = np.add(_layouts().take(key, axis=0), np.arange(0, 48 * n, 48)[:, None])
     # one UCS4 code point per byte: numpy's str arrays give str objects
@@ -388,9 +396,9 @@ def _shortest(x):
     digits are those of 1. Zero has the digits of 0 and E = 0.
     """
     pow10 = _digit_tables()[0]
-    bits = x.view(np.uint64)
-    bexp = (bits >> np.uint64(52)).astype(np.int64) & 0x7FF
-    ok = (bexp > 0) & (bexp < 0x7FF) & (bits << np.uint64(12) != 0)
+    bits = x.view(np.int64)
+    bexp = bits >> 52 & 0x7FF
+    ok = (bexp > 0) & (bexp < 0x7FF) & (bits << 12 != 0)
     a = np.abs(x)
     a[~ok] = 1.5
     e = np.floor(np.log10(a)).astype(np.int64)
@@ -424,7 +432,7 @@ def _shortest(x):
     tie = np.where(use16, r16, np.abs(r17))
     ok &= (np.abs(tie - 0.5) > _MARGIN) & (digits < 10**17)
     digits[~ok] = 10**16
-    zero = bits << np.uint64(1) == 0
+    zero = bits << 1 == 0
     digits[zero] = 0
     ok |= zero
     return digits, e, ok
