@@ -40,13 +40,11 @@ from .ambiguity import (
 )
 from .capacity import (
     Constellation,
-    DiscreteNoise,
     GapReport,
     bundled_constellation,
     entropy_bits,
     gap_experiment,
     measurement_transform,
-    mi_dmc,
     single_class_constellation,
 )
 from . import errors

@@ -17,7 +17,6 @@ of one measurement share.
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -33,7 +32,6 @@ from .roots import _modulus, find_roots, pair_reciprocal
 from .signals import (
     _half_lags,
     AutocorrSeq,
-    TrigPoly,
     autocorr_lift,
     autocorrelation,
     lift,
@@ -57,8 +55,7 @@ class ClassSet:
     the one table both build from. residuals holds each row's largest
     autocorrelation deviation from autocorr over c_0 (0.0 when c_0 is 0)
     in a read-only array, computed on construction from the lags k >= 0
-    alone (the lags k < 0 are their conjugates); representatives is
-    the rows as a tuple of TrigPoly, built on first access.
+    alone (the lags k < 0 are their conjugates).
     """
 
     coeffs: np.ndarray
@@ -88,11 +85,6 @@ class ClassSet:
     @property
     def exact_count(self):
         return len(self.coeffs)
-
-    @cached_property
-    def representatives(self):
-        period = self.autocorr.period
-        return tuple(TrigPoly(m=self.source_m, coeffs=row, period=period) for row in self.coeffs)
 
 
 def _gate(residuals, c0, gate, error, message):

@@ -5,10 +5,9 @@ receiver lose by seeing only |y(t)|^2 instead of y(t)? Ambiguity classes
 are finite (at most 2^(2m+1) members), so conditioning on the measurement
 leaves at most 2m+1 + log2(m) bits of residual uncertainty, i.e. a loss of
 at most 1 + log2(m)/(2m+1) bits per dimension. The experiments here make
-that concrete on finite constellations: exact entropies, each signal
+that concrete on finite constellations: exact entropies, and each signal
 turned so its DC argument sits on the m-point grid (the auxiliary
-observable z of gap_experiment's chain identity), and a discrete noise
-surrogate for the channel (mi_dmc).
+observable z of gap_experiment's chain identity).
 """
 
 from dataclasses import dataclass
@@ -20,7 +19,6 @@ from .ambiguity import _class_rows, _lag_deviations, _source_gate
 from .errors import (
     DomainError,
     DuplicateSignals,
-    InvalidNoiseSpec,
     NonInvertibleOnRange,
     UnsupportedOrder,
 )
@@ -28,11 +26,8 @@ from .roots import _sweep, conj_reciprocal
 from .signals import TrigPoly, _half_lags, autocorrelation
 
 # radius of the measurement and rotated-signal bins, per unit of each row's
-# largest modulus in gap_experiment and of the batch's in mi_dmc
-_BIN_RADIUS = 1e-7
-# radius of mi_dmc's coherent merge of outputs, per unit of the batch's
 # largest modulus
-_MERGE_RADIUS = 1e-9
+_BIN_RADIUS = 1e-7
 
 
 def _rotation_angles(w, m):
@@ -73,8 +68,8 @@ class Constellation:
     array with one point per row, all of one period. signals is the rows
     as a tuple of TrigPoly, and lags their measurements' lags k >= 0 as
     one read-only _half_lags array, each built on first access: the gap
-    builders gate their class rows on lags, and gap_experiment and mi_dmc
-    bin the same array, so each row's lags are computed once.
+    builders gate their class rows on lags, and gap_experiment bins the
+    same array, so each row's lags are computed once.
     """
 
     coeffs: np.ndarray
@@ -180,111 +175,6 @@ def _check_distinct(mat):
         near = np.abs(mat - mat[i]).max(axis=1) <= np.maximum(radii, radii[i])
         j = np.flatnonzero(near[i + 1 :])[0] + i + 1
         raise DuplicateSignals("constellation points %d and %d coincide" % (i, j))
-
-
-@dataclass(frozen=True, eq=False)
-class DiscreteNoise:
-    """Finite noise model for the surrogate channel.
-
-    kind "additive": offsets is a (K, 2m+1) complex array of coefficient
-    perturbations with probability vector offset_probs; the channel emits
-    y + eta. kind "transition": matrix[i, j] is the probability that input
-    i is received as constellation point j.
-    """
-
-    kind: str
-    offsets: np.ndarray = None
-    offset_probs: np.ndarray = None
-    matrix: np.ndarray = None
-
-    @classmethod
-    def zero(cls, m):
-        return cls.additive(np.zeros((1, 2 * m + 1), dtype=complex), [1.0])
-
-    @classmethod
-    def additive(cls, offsets, probs):
-        offsets = np.atleast_2d(np.asarray(offsets, dtype=complex))
-        probs = np.asarray(probs, dtype=float)
-        if len(probs) != len(offsets):
-            raise InvalidNoiseSpec("need one probability per offset")
-        if np.any(probs < 0) or abs(probs.sum() - 1.0) > 1e-9:
-            raise InvalidNoiseSpec("offset probabilities must sum to one")
-        return cls(kind="additive", offsets=offsets, offset_probs=probs)
-
-    @classmethod
-    def transition(cls, matrix):
-        matrix = np.asarray(matrix, dtype=float)
-        if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-            raise InvalidNoiseSpec("transition matrix must be square")
-        if np.any(matrix < 0) or np.abs(matrix.sum(axis=1) - 1.0).max() > 1e-9:
-            raise InvalidNoiseSpec("transition rows must sum to one")
-        return cls(kind="transition", matrix=matrix)
-
-    @classmethod
-    def flip(cls, eps):
-        eps = float(eps)
-        if not (0 <= eps <= 1):
-            raise InvalidNoiseSpec("flip probability must lie in [0, 1]")
-        return cls.transition([[1 - eps, eps], [eps, 1 - eps]])
-
-
-def _mi_from_joint(joint):
-    joint = np.asarray(joint, dtype=float)
-    px = joint.sum(axis=1)
-    py = joint.sum(axis=0)
-    mask = joint > 0
-    outer = np.outer(px, py)
-    return float((joint[mask] * np.log2(joint[mask] / outer[mask])).sum())
-
-
-def mi_dmc(c, noise):
-    """(I_xy, I_xs) over a discrete memoryless surrogate channel.
-
-    Builds the exact joint distribution of input and coherent output,
-    merging outputs that _groups links at 1e-9 of their largest modulus,
-    then coarsens the output alphabet by measurement bin, at 1e-7 of the
-    largest lag modulus, for the square-law side. Binning is deterministic
-    post-processing, so I_xs <= I_xy holds by construction.
-    """
-    mat = c.coeffs
-    _check_distinct(mat)
-    K, width = mat.shape
-
-    if noise.kind == "transition":
-        if noise.matrix.shape != (K, K):
-            raise InvalidNoiseSpec(
-                "transition matrix is %s but the constellation has %d points"
-                % (noise.matrix.shape, K)
-            )
-        joint = c.probs[:, None] * noise.matrix
-        out, lags = mat, c.lags
-    elif noise.kind == "additive":
-        if noise.offsets.shape[1] != width:
-            raise InvalidNoiseSpec(
-                "offsets have %d coefficients, signals have %d"
-                % (noise.offsets.shape[1], width)
-            )
-        # output column i * n_off + k is input i plus offset k
-        n_off = len(noise.offsets)
-        out = (mat[:, None, :] + noise.offsets[None, :, :]).reshape(K * n_off, width)
-        joint = np.zeros((K, K * n_off))
-        joint[np.repeat(np.arange(K), n_off), np.arange(K * n_off)] = (
-            c.probs[:, None] * noise.offset_probs[None, :]
-        ).ravel()
-        lags = _half_lags(out)
-    else:
-        raise InvalidNoiseSpec("unknown noise kind %r" % noise.kind)
-
-    # coherent side: merge outputs that are the same waveform
-    merged = _groups(out, _MERGE_RADIUS * np.abs(out).max())
-    binned = _groups(lags, _BIN_RADIUS * np.abs(lags).max())
-    return tuple(_mi_from_joint(_merge_columns(joint, ids)) for ids in (merged, binned))
-
-
-def _merge_columns(joint, ids):
-    merged = np.zeros((joint.shape[0], ids.max() + 1))
-    np.add.at(merged, (slice(None), ids), joint)
-    return merged
 
 
 @dataclass(frozen=True)

@@ -89,10 +89,6 @@ class DuplicateSignals(DomainError):
     """Constellation contains two signals that are equal almost everywhere."""
 
 
-class InvalidNoiseSpec(DomainError):
-    """Discrete noise description is inconsistent (rows must sum to one, etc.)."""
-
-
 class UnsupportedOrder(DomainError):
     """Harmonic order outside the experiment's supported range (m >= 1)."""
 

@@ -114,21 +114,8 @@ class CoeffPoly:
         object.__setattr__(self, "coeffs", coeffs)
         object.__setattr__(self, "n", n)
 
-    @property
-    def degree(self):
-        """Index of the highest exactly-nonzero coefficient (-1 for the zero poly)."""
-        nz = np.nonzero(self.coeffs)[0]
-        return int(nz[-1]) if len(nz) else -1
-
     def is_zero(self):
         return bool(np.all(self.coeffs == 0))
-
-    def __call__(self, z):
-        z = np.asarray(z, dtype=complex)
-        out = np.zeros_like(z)
-        for c in self.coeffs[::-1]:
-            out = out * z + c
-        return complex(out) if out.ndim == 0 else out
 
     def __eq__(self, other):
         if not isinstance(other, CoeffPoly):

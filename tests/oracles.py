@@ -216,10 +216,6 @@ def same_class_sets(reps_a, reps_b, tol=1e-6):
     return True
 
 
-def binary_entropy(eps):
-    return entropy_loop([eps, 1.0 - eps])
-
-
 def first_duplicate_scan(rows):
     """First pair (i, j), i < j in row-major order, of coinciding rows, or None.
 

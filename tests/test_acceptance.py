@@ -158,8 +158,8 @@ def test_criterion_3_factorization_inverts_enumeration():
         recovered = factor_sld(autocorrelation(p))
         assert recovered.exact_count == forward.exact_count
         assert same_class_sets(
-            [rep.coeffs for rep in forward.representatives],
-            [rep.coeffs for rep in recovered.representatives],
+            forward.coeffs,
+            recovered.coeffs,
             tol=1e-5,
         )
         report = certify_bound(recovered)
@@ -173,7 +173,7 @@ def test_criterion_4_fixtures_match_brute_force():
     assert cs.exact_count == 2
     hits = lattice_ambiguity(autocorrelation(shift).coeffs, INT_LATTICE, 3)
     assert len(hits) == 2
-    assert same_class_sets(hits, [rep.coeffs for rep in cs.representatives])
+    assert same_class_sets(hits, cs.coeffs)
 
     tone = TrigPoly(m=1, coeffs=[0, 2, 0])  # flat intensity, only the
     flat = autocorrelation(tone)            # center lag survives
@@ -181,7 +181,7 @@ def test_criterion_4_fixtures_match_brute_force():
     assert cs.exact_count == 3
     hits = lattice_ambiguity(flat.coeffs, INT_LATTICE, 3)
     assert len(hits) == 3
-    assert same_class_sets(hits, [rep.coeffs for rep in cs.representatives])
+    assert same_class_sets(hits, cs.coeffs)
 
 
 def test_criterion_5_bundled_gap_stays_under_bound():

@@ -584,27 +584,30 @@ def _ensembles():
     p = next(s for s in _assembly_signals() if s.m == 4)
     p = TrigPoly(m=p.m, coeffs=p.coeffs, period=0.75)
     cs = enumerate_classes(p)
-    yield "enumerate", cs, "representatives", 0.75
-    yield "factor", factor_sld(cs.autocorr), "representatives", 0.75
+    yield "enumerate", cs, cs.autocorr, 0.75
+    yield "factor", factor_sld(cs.autocorr), cs.autocorr, 0.75
     for m in range(1, 5):
-        yield "bundled m=%d" % m, bundled_constellation(m, period=2.5), "signals", 2.5
+        c = bundled_constellation(m, period=2.5)
+        yield "bundled m=%d" % m, c, c, 2.5
 
 
 def test_ensemble_views_are_the_array_rows():
-    for name, ensemble, attr, period in _ensembles():
+    for name, ensemble, owner, period in _ensembles():
         rows = ensemble.coeffs
         assert rows.ndim == 2 and rows.shape[1] % 2 == 1, name
         assert not rows.flags.writeable, name
         with pytest.raises(ValueError):
             rows[0, 0] = 1.0
-        views = getattr(ensemble, attr)
-        assert getattr(ensemble, attr) is views, name
+        assert owner.period == period, name
+        if owner is not ensemble:
+            continue
+        # a constellation's signals are TrigPoly views of its rows
+        views = ensemble.signals
+        assert ensemble.signals is views, name
         assert isinstance(views, tuple) and len(views) == len(rows), name
         for row, view in zip(rows, views):
             assert view.coeffs.tobytes() == row.tobytes(), name
             assert view.m == rows.shape[1] // 2 and view.period == period, name
-        owner = ensemble if attr == "signals" else ensemble.autocorr
-        assert owner.period == period, name
 
 
 def test_class_set_rejects_rows_of_another_shape():

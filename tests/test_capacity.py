@@ -7,7 +7,6 @@ from hypothesis import given, strategies as st
 from sldlab import ambiguity, capacity, roots, signals
 from sldlab import (
     Constellation,
-    DiscreteNoise,
     TrigPoly,
     autocorrelation,
     bundled_constellation,
@@ -16,14 +15,12 @@ from sldlab import (
     errors,
     gap_experiment,
     measurement_transform,
-    mi_dmc,
     single_class_constellation,
 )
 from sldlab.capacity import (
     _deterministic_roots,
     _first_ids,
     _groups,
-    _mi_from_joint,
     _rotation_angles,
     _signal_from_roots,
     _uniform,
@@ -32,14 +29,12 @@ from sldlab.capacity import (
 
 from conftest import trig_polys
 from oracles import (
-    binary_entropy,
     entropy_loop,
     first_duplicate_scan,
     first_ids_loop,
     intensity_series,
     merge_columns_loop,
     pairwise_groups,
-    round_keys_loop,
     rotate_dc_loop,
     sld_keys_loop,
     z_keys_loop,
@@ -187,17 +182,6 @@ def test_constellation_validation():
 
 
 def test_noiseless_mi_examples():
-    # m = 0 has no gap bound, so the identity channel goes through mi_dmc
-    plus_minus = Constellation.uniform(
-        [TrigPoly(m=0, coeffs=[1.0]), TrigPoly(m=0, coeffs=[-1.0])]
-    )
-    assert mi_dmc(plus_minus, DiscreteNoise.zero(0)) == (1.0, 0.0)
-
-    distinct = Constellation.uniform(
-        [TrigPoly(m=0, coeffs=[1.0]), TrigPoly(m=0, coeffs=[2.0])]
-    )
-    assert mi_dmc(distinct, DiscreteNoise.zero(0)) == (1.0, 1.0)
-
     three = Constellation.uniform(
         [
             TrigPoly(m=1, coeffs=[0, 1, 1]),
@@ -215,12 +199,10 @@ def test_noiseless_mi_rejects_duplicates():
     twice = Constellation.uniform([sig, TrigPoly(m=1, coeffs=[0, 1, 1])])
     with pytest.raises(errors.DuplicateSignals):
         gap_experiment(twice)
-    with pytest.raises(errors.DuplicateSignals):
-        mi_dmc(twice, DiscreteNoise.zero(1))
 
 
 def _duplicate_battery(rng):
-    """Constellations with near-copies at 0.5x to 2x the coincidence band.
+    """Row arrays with near-copies at 0.5x to 2x the coincidence band.
 
     The copy moves one real or imaginary part, or every coefficient along
     1 + i, which moves sum(Re + Im) the most a coinciding pair can. The
@@ -262,10 +244,9 @@ def test_duplicate_check_matches_pairwise_scan():
     for m, rows in _duplicate_battery(np.random.default_rng(2718)):
         with np.errstate(over="ignore", invalid="ignore"):
             wild = np.flatnonzero(~np.isfinite(np.sum(np.abs(rows) ** 2, axis=1)))
-        c = Constellation.uniform([TrigPoly(m=m, coeffs=r) for r in rows])
         if len(wild):
             with pytest.raises(errors.DomainError) as info, np.errstate(over="ignore"):
-                mi_dmc(c, DiscreteNoise.zero(m))
+                capacity._check_distinct(rows)
             assert not isinstance(info.value, errors.DuplicateSignals)
             assert str(info.value) == (
                 "constellation point %d has non-finite energy" % wild[0]
@@ -275,7 +256,7 @@ def test_duplicate_check_matches_pairwise_scan():
         pair = first_duplicate_scan(rows)
         want = pair and "constellation points %d and %d coincide" % pair
         try:
-            mi_dmc(c, DiscreteNoise.zero(m))
+            capacity._check_distinct(rows)
             got = None
         except errors.DuplicateSignals as exc:
             got = str(exc)
@@ -426,29 +407,6 @@ def test_gap_bins_match_bytes_key_grouping_bitwise():
         assert repr((r.i_xs, r.i_xz, r.h_z_given_s, r.chain_residual)) == repr(want), c.m
 
 
-def test_mi_dmc_bins_match_bytes_key_grouping_bitwise():
-    # m = 6 is left out: its dense joint alone would take 400 MB
-    rng = np.random.default_rng(5)
-    for c in _key_cases(range(1, 6)):
-        K, width = c.coeffs.shape
-        offsets = np.zeros((3, width), dtype=complex)
-        offsets[1, c.m] = 1e-3
-        additive = DiscreteNoise.additive(offsets, [0.5, 0.3, 0.2])
-        matrix = rng.random((K, K))
-        transition = DiscreteNoise.transition(matrix / matrix.sum(axis=1, keepdims=True))
-        for noise in (additive, transition):
-            if noise.kind == "transition":
-                joint, out = c.probs[:, None] * noise.matrix, c.coeffs
-            else:
-                out = np.array([row + off for row in c.coeffs for off in offsets])
-                joint = np.zeros((K, 3 * K))
-                for i in range(K):
-                    joint[i, 3 * i : 3 * i + 3] = c.probs[i] * noise.offset_probs
-            want = tuple(_mi_from_joint(merge_columns_loop(joint, keys))
-                         for keys in (round_keys_loop(out, 9), sld_keys_loop(out)))
-            assert repr(mi_dmc(c, noise)) == repr(want), (c.m, noise.kind)
-
-
 def test_mi_distinguishes_intensity_scales():
     # tones of different power are different measurements even though
     # both are "flat"; binning must not normalize them into collision
@@ -465,7 +423,6 @@ def test_tones_whose_energy_reaches_2_to_1023_keep_their_own_bins():
     tones = Constellation.uniform([TrigPoly(m=1, coeffs=[0, dc, 0]) for dc in (1e154, 0.5e154)])
     r = gap_experiment(tones)
     assert (r.i_xy, r.i_xs) == (1.0, 1.0)
-    assert mi_dmc(tones, DiscreteNoise.zero(1)) == (1.0, 1.0)
 
 
 @pytest.mark.parametrize("x", [0.50000001, 0.50000005])
@@ -486,63 +443,6 @@ def test_gap_bins_take_each_rows_own_radius():
     r = gap_experiment(c)
     assert r.i_xz == np.log2(3)
     assert r.chain_residual == 0.0
-
-
-def test_mi_dmc_zero_noise_matches_gap_experiment():
-    three = Constellation.uniform(
-        [
-            TrigPoly(m=1, coeffs=[0, 1, 1]),
-            TrigPoly(m=1, coeffs=[1, 1, 0]),
-            TrigPoly(m=1, coeffs=[0, 2, 0]),
-        ]
-    )
-    a = mi_dmc(three, DiscreteNoise.zero(1))
-    b = gap_experiment(three)
-    assert a[0] == pytest.approx(b.i_xy, abs=1e-9)
-    assert a[1] == pytest.approx(b.i_xs, abs=1e-9)
-
-
-def test_mi_dmc_binary_symmetric():
-    two = Constellation.uniform(
-        [TrigPoly(m=0, coeffs=[1.0]), TrigPoly(m=0, coeffs=[2.0])]
-    )
-    i_xy, i_xs = mi_dmc(two, DiscreteNoise.flip(0.11))
-    assert i_xy == pytest.approx(1.0 - binary_entropy(0.11), abs=1e-12)
-    assert i_xs <= i_xy + 1e-12
-    useless, _ = mi_dmc(two, DiscreteNoise.flip(0.5))
-    assert useless == pytest.approx(0.0, abs=1e-12)
-
-
-def test_mi_dmc_additive_and_dpi():
-    three = Constellation.uniform(
-        [
-            TrigPoly(m=1, coeffs=[0, 1, 1]),
-            TrigPoly(m=1, coeffs=[1, 1, 0]),
-            TrigPoly(m=1, coeffs=[0, 2, 0]),
-        ]
-    )
-    noise = DiscreteNoise.additive(
-        offsets=[[0, 0, 0], [0.05j, 0, 0], [0, -0.05, 0]],
-        probs=[0.8, 0.1, 0.1],
-    )
-    i_xy, i_xs = mi_dmc(three, noise)
-    assert 0.0 <= i_xs <= i_xy + 1e-12
-
-
-def test_mi_dmc_transition_shape_guard():
-    three = Constellation.uniform(
-        [
-            TrigPoly(m=1, coeffs=[0, 1, 1]),
-            TrigPoly(m=1, coeffs=[1, 1, 0]),
-            TrigPoly(m=1, coeffs=[0, 2, 0]),
-        ]
-    )
-    with pytest.raises(errors.InvalidNoiseSpec):
-        mi_dmc(three, DiscreteNoise.transition(np.array([[0.9, 0.1], [0.1, 0.9]])))
-    with pytest.raises(errors.InvalidNoiseSpec):
-        DiscreteNoise.transition(np.array([[0.9, 0.2], [0.1, 0.9]]))
-    with pytest.raises(errors.InvalidNoiseSpec):
-        DiscreteNoise.flip(1.5)
 
 
 def test_gap_single_class_example():
