@@ -194,6 +194,26 @@ def test_noiseless_mi_examples():
     assert r.i_xs == pytest.approx(entropy_loop([2 / 3, 1 / 3]), abs=1e-12)
 
 
+def test_noiseless_mi_weights_bins_by_their_probabilities():
+    # a reflected pair shares its measurement, two tones do not; on a
+    # skewed prior each gives the binary entropy where the uniform one gives 1
+    h = entropy_loop([0.11, 0.89])
+    pair = Constellation(coeffs=[[0, 1, 1], [1, 1, 0]], probs=[0.11, 0.89])
+    r = gap_experiment(pair)
+    assert r.i_xy == pytest.approx(h, abs=1e-12)
+    assert r.i_xs == 0.0
+    assert r.h_z_given_s == pytest.approx(h, abs=1e-12)
+    assert r.chain_residual <= 1e-12
+    assert r.per_dim_gap == pytest.approx(h / 3, abs=1e-12)
+    tones = Constellation(coeffs=[[0, 2, 0], [0, 3, 0]], probs=[0.11, 0.89])
+    r = gap_experiment(tones)
+    assert (r.i_xy, r.i_xs) == (pytest.approx(h, abs=1e-12),) * 2
+    three = Constellation(coeffs=[[0, 1, 1], [1, 1, 0], [0, 2, 0]], probs=[0.2, 0.3, 0.5])
+    r = gap_experiment(three)
+    assert r.i_xy == pytest.approx(entropy_loop([0.2, 0.3, 0.5]), abs=1e-12)
+    assert r.i_xs == pytest.approx(1.0, abs=1e-12)
+
+
 def test_noiseless_mi_rejects_duplicates():
     sig = TrigPoly(m=1, coeffs=[0, 1, 1])
     twice = Constellation.uniform([sig, TrigPoly(m=1, coeffs=[0, 1, 1])])
@@ -498,12 +518,34 @@ def test_gap_bundled_order_seven():
     assert r.passed
 
 
+def test_gap_report_does_not_depend_on_the_order_of_the_points():
+    rng = np.random.default_rng(31)
+    for m in range(1, 5):
+        c = bundled_constellation(m)
+        want = gap_experiment(c)
+        got = gap_experiment(_uniform(c.coeffs[rng.permutation(len(c.coeffs))], c.period))
+        for name in ("i_xy", "i_xs", "i_xz", "h_z_given_s", "chain_residual", "per_dim_gap"):
+            assert getattr(got, name) == pytest.approx(getattr(want, name), abs=1e-12), (m, name)
+        assert (got.bound, got.passed, got.zero_dc) == (want.bound, want.passed, want.zero_dc), m
+
+
 def test_gap_rejects_m_zero():
     c = Constellation.uniform(
         [TrigPoly(m=0, coeffs=[1.0]), TrigPoly(m=0, coeffs=[2.0])]
     )
     with pytest.raises(errors.UnsupportedOrder):
         gap_experiment(c)
+
+
+def test_duplicate_check_at_order_zero():
+    # the m = 0 points are scalars: a sign is no duplicate, an equal value is
+    capacity._check_distinct(np.array([[1.0], [-1.0]], dtype=complex))
+    with pytest.raises(errors.DuplicateSignals, match="^constellation points 0 and 2 coincide$"):
+        capacity._check_distinct(np.array([[1.0], [2.0], [1.0]], dtype=complex))
+    # gap_experiment refuses the order before it compares any points
+    twice = _uniform(np.array([[1.0], [1.0]], dtype=complex), 1.0)
+    with pytest.raises(errors.UnsupportedOrder):
+        gap_experiment(twice)
 
 
 def test_transform_roundtrip_and_guard():

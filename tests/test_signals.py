@@ -27,6 +27,7 @@ from oracles import (
     autocorr_loops,
     eval_series,
     intensity_series,
+    poly_powersum,
 )
 
 
@@ -154,6 +155,24 @@ def test_autocorr_lift_is_product_with_reflection():
     assert np.abs(Q.coeffs - want).max() <= 1e-10 * np.abs(want).max()
     with pytest.raises(errors.ZeroInput):
         autocorr_lift(AutocorrSeq(m=0, coeffs=[0.0]))
+
+
+@given(trig_polys(), st.floats(0.0, 1.0))
+def test_lift_on_the_circle_is_the_signal_times_z_to_the_m(p, t):
+    """P(z) = sum_k b_k z^(k+m) is z^m y(t) at z = exp(2 pi i t)."""
+    z = complex(np.cos(2 * np.pi * t), np.sin(2 * np.pi * t))
+    got = poly_powersum(lift(p).coeffs, z)
+    want = z**p.m * eval_series(p.coeffs, p.m, t)
+    assert abs(got - want) <= 1e-9 * (1 + np.abs(p.coeffs).sum())
+
+
+@given(trig_polys(), st.floats(0.0, 1.0))
+def test_autocorr_lift_on_the_circle_is_the_intensity_times_z_to_the_2m(p, t):
+    """Q(z) = sum_k c_k z^(k+2m) is z^(2m) |y(t)|^2 at z = exp(2 pi i t)."""
+    z = complex(np.cos(2 * np.pi * t), np.sin(2 * np.pi * t))
+    got = poly_powersum(autocorr_lift(autocorrelation(p)).coeffs, z)
+    want = z ** (2 * p.m) * intensity_series(p.coeffs, p.m, t)
+    assert abs(got - want) <= 1e-9 * (1 + np.abs(p.coeffs).sum()) ** 2
 
 
 @given(trig_polys(max_m=2))
