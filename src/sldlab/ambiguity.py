@@ -28,7 +28,7 @@ from .errors import (
     NotAnAutocorrelation,
     ZeroSignal,
 )
-from .roots import _modulus, find_roots, pair_reciprocal
+from .roots import _CIRCLE_BAND, _ROOT_TOL, _SEED, _modulus, find_roots, pair_reciprocal
 from .signals import (
     _half_lags,
     AutocorrSeq,
@@ -40,6 +40,8 @@ from .signals import (
 
 # candidate rows assembled and canonicalized at a time
 _BLOCK_ROWS = 8192
+# flip specs one class set may hold before CombinatorialBlowup
+_CAP = 2**20
 
 
 @dataclass(frozen=True, eq=False)
@@ -188,12 +190,12 @@ def _expand(rows, parts):
     return out.reshape(K * n, -1)
 
 
-def _classes(orbits, circle, shift_hi, autocorr, cap):
+def _classes(orbits, circle, shift_hi, autocorr):
     """The ClassSet of _class_rows, whose residuals are taken block by block."""
-    return ClassSet(coeffs=_class_rows(orbits, circle, shift_hi, autocorr, cap), autocorr=autocorr)
+    return ClassSet(coeffs=_class_rows(orbits, circle, shift_hi, autocorr), autocorr=autocorr)
 
 
-def _class_rows(orbits, circle, shift_hi, autocorr, cap):
+def _class_rows(orbits, circle, shift_hi, autocorr):
     """The read-only rows of every flip spec, one row per spec, in spec order.
 
     orbits holds one (inner, outer, k) per reflection orbit: its split j
@@ -205,9 +207,10 @@ def _class_rows(orbits, circle, shift_hi, autocorr, cap):
     polynomial times the picked parts, placed at the shift, canonicalized
     and scaled to the energy c_0 of autocorr, which every class of one
     measurement shares. The row count is the closed-form count
-    (shift_hi + 1) * prod(k_i + 1). Candidates are built _BLOCK_ROWS at a
-    time, one block per choice of the leading orbits, straight into the
-    one result array.
+    (shift_hi + 1) * prod(k_i + 1); a count above _CAP raises
+    CombinatorialBlowup before any row is built. Candidates are built
+    _BLOCK_ROWS at a time, one block per choice of the leading orbits,
+    straight into the one result array.
     """
     table = [
         np.stack([_monic(((inner, j), (outer, k - j))) for j in range(k + 1)])
@@ -215,9 +218,9 @@ def _class_rows(orbits, circle, shift_hi, autocorr, cap):
     ]
     counts = [len(parts) for parts in table]
     total_specs = (shift_hi + 1) * math.prod(counts)
-    if total_specs > cap:
+    if total_specs > _CAP:
         raise CombinatorialBlowup(
-            "%d candidate specs exceed the cap of %d" % (total_specs, cap)
+            "%d candidate specs exceed the cap of %d" % (total_specs, _CAP)
         )
     m = autocorr.m
     width = 2 * m + 1
@@ -258,13 +261,7 @@ def _class_rows(orbits, circle, shift_hi, autocorr, cap):
     return rows
 
 
-def enumerate_classes(
-    p,
-    cap=2**20,
-    root_tol=1e-8,
-    circle_band=1e-9,
-    seed=12345,
-):
+def enumerate_classes(p, root_tol=_ROOT_TOL, circle_band=_CIRCLE_BAND, seed=_SEED):
     """All ambiguity classes of a signal under square-law detection.
 
     One phase-normalized row of energy c_0 per flip spec, in spec order:
@@ -273,42 +270,27 @@ def enumerate_classes(
     (shift_hi + 1) * prod(total_i + 1) over the reflection orbits, which
     never exceeds 2^(2m+1); for a generic signal (simple off-circle orbits,
     full degree, nonzero lowest coefficient) it equals 2^q with q the
-    number of orbits.
+    number of orbits. More than 2^20 classes raise CombinatorialBlowup.
     """
     if np.all(p.coeffs == 0):
         raise ZeroSignal("the zero signal has no ambiguity classes")
     r = find_roots(lift(p), tol=root_tol, circle_band=circle_band, seed=seed)
     orbits, on_circle, origin = pair_reciprocal(r)
-    return _signal_classes(
+    # a signal's orbits each hold all their roots; the rows come through
+    # _source_gate against the signal's own measurement (the gap
+    # constellations gate theirs on the lags their Constellation keeps)
+    s = autocorrelation(p)
+    cs = _classes(
         [(orbit.inner, orbit.outer, orbit.total) for orbit in orbits],
         [(root.location / abs(root.location), root.multiplicity) for root in on_circle],
         2 * p.m - r.degree + origin,
-        autocorrelation(p),
-        cap,
+        s,
     )
-
-
-def _signal_classes(orbits, circle, shift_hi, autocorr, cap):
-    """_classes of a signal's table, whose orbits each hold all their k roots.
-
-    The rows come through _source_gate against autocorr, the signal's own
-    measurement, on the residuals the ClassSet takes block by block. The
-    gap constellations build their rows with _class_rows instead and gate
-    them on the lags their Constellation computes once for its bins.
-    """
-    cs = _classes(orbits, circle, shift_hi, autocorr, cap)
-    _source_gate(cs.residuals, autocorr.c0)
+    _source_gate(cs.residuals, s.c0)
     return cs
 
 
-def factor_sld(
-    s,
-    cap=2**20,
-    root_tol=1e-8,
-    circle_band=1e-9,
-    tol=1e-8,
-    seed=12345,
-):
+def factor_sld(s, root_tol=_ROOT_TOL, circle_band=_CIRCLE_BAND, seed=_SEED):
     """Recover every signal class consistent with a square-law measurement.
 
     Factors the lift of s, pairs its roots into reflection orbits (they
@@ -320,7 +302,9 @@ def factor_sld(
 
     The sampled intensity screen runs first: a sequence whose synthesized
     intensity dips negative raises NegativeIntensity before any root is
-    solved for.
+    solved for. A row that misses s by more than max(1e-7, min(1e-3,
+    twice the widest root cluster)) of c_0 raises NotAnAutocorrelation,
+    and more than 2^20 classes raise CombinatorialBlowup.
     """
     screen_intensity(s)
     # a circle root of the signal appears in the lift with multiplicity
@@ -330,14 +314,14 @@ def factor_sld(
     first_err = None
     for radius in (1e-6, 1e-4, 8e-4, 5e-3):
         try:
-            return _factor_at(s, cap, root_tol, circle_band, radius, tol, seed)
+            return _factor_at(s, root_tol, circle_band, radius, seed)
         except NotAnAutocorrelation as err:
             if first_err is None:
                 first_err = err
     raise first_err
 
 
-def _factor_at(s, cap, root_tol, circle_band, cluster_radius, tol, seed):
+def _factor_at(s, root_tol, circle_band, cluster_radius, seed):
     q = autocorr_lift(s)
     rq = find_roots(
         q, tol=root_tol, circle_band=circle_band, cluster_radius=cluster_radius, seed=seed
@@ -367,14 +351,13 @@ def _factor_at(s, cap, root_tol, circle_band, cluster_radius, tol, seed):
         halved,
         shift_hi,
         s,
-        cap,
     )
     # once the orbits balance and circle multiplicities are even, the
     # sequence provably factors; a residual beyond the gate can only mean
     # the roots were located too coarsely, and the gate widens with the
     # observed cluster spread to reflect that conditioning
     rough = max((root.diameter for root in rq.roots), default=0.0)
-    gate = max(tol, 1e-7, min(1e-3, 2.0 * rough))
+    gate = max(1e-7, min(1e-3, 2.0 * rough))
     _gate(cs.residuals, s.c0, gate, NotAnAutocorrelation,
           "candidate misses the sequence by %.3g, not a square-law measurement")
     return cs

@@ -28,6 +28,8 @@ from .signals import TrigPoly, _half_lags, autocorrelation
 # radius of the measurement and rotated-signal bins, per unit of each row's
 # largest modulus
 _BIN_RADIUS = 1e-7
+# angle by which the gap builders turn their inside roots off the grid
+_SPREAD = 0.37
 
 
 def _rotation_angles(w, m):
@@ -276,7 +278,7 @@ def measurement_transform(samples, phi, inverse):
     return out
 
 
-def _deterministic_roots(m, q, spread=0.37):
+def _deterministic_roots(m, q):
     """q well-separated inside points and 2m - q unit locations.
 
     The source signal's off-circle roots are the inside points, the
@@ -286,21 +288,21 @@ def _deterministic_roots(m, q, spread=0.37):
     inside = []
     for j in range(q):
         radius = 0.35 + 0.3 * (j / max(q - 1, 1))
-        angle = 2 * np.pi * j / max(q, 1) + spread
+        angle = 2 * np.pi * j / max(q, 1) + _SPREAD
         inside.append(radius * np.exp(1j * angle))
     circle = [np.exp(1j * (0.81 + 2 * np.pi * j / max(2 * m - q, 1))) for j in range(2 * m - q)]
     return inside, circle
 
 
-def _signal_from_roots(m, locs, period=1.0):
+def _signal_from_roots(m, locs):
     coeffs = np.array([1.0 + 0.0j])
     for loc in locs:
         coeffs = np.convolve(coeffs, np.array([-loc, 1.0 + 0.0j]))
-    p = TrigPoly(m=m, coeffs=coeffs, period=period)
-    return TrigPoly(m=m, coeffs=p.coeffs / np.sqrt(p.energy), period=period)
+    p = TrigPoly(m=m, coeffs=coeffs)
+    return TrigPoly(m=m, coeffs=p.coeffs / np.sqrt(p.energy))
 
 
-def _source_constellation(m, q, period, tones):
+def _source_constellation(m, q, tones):
     """The uniform constellation of the class rows of the source with q
     off-circle roots, built from its root table, then the rows of tones.
 
@@ -316,7 +318,7 @@ def _source_constellation(m, q, period, tones):
     inside, circle = _deterministic_roots(m, q)
     outer = [conj_reciprocal(z) for z in inside]
     source = _signal_from_roots(
-        m, [w if j % 2 else z for j, (z, w) in enumerate(zip(inside, outer))] + circle, period)
+        m, [w if j % 2 else z for j, (z, w) in enumerate(zip(inside, outer))] + circle)
 
     def by_location(item):
         return item[0].real, item[0].imag
@@ -324,14 +326,14 @@ def _source_constellation(m, q, period, tones):
     orbits = sorted(((z, w, 1) for z, w in zip(inside, outer)), key=by_location)
     circle = sorted(((u, 1) for u in circle), key=by_location)
     s = autocorrelation(source)
-    rows = _class_rows(orbits, circle, 0, s, 2**20)
-    c = _uniform(np.concatenate([rows, tones]), period)
+    rows = _class_rows(orbits, circle, 0, s)
+    c = _uniform(np.concatenate([rows, tones]), 1.0)
     _source_gate(_lag_deviations(c.lags[: len(rows)], s.coeffs) / s.c0, s.c0)
     return c
 
 
-def single_class_constellation(m, q, period=1.0):
-    """One whole ambiguity class as a uniform constellation.
+def single_class_constellation(m, q):
+    """One whole ambiguity class as a uniform constellation of period 1.
 
     The source signal has q simple off-circle orbits and full degree, so
     the class holds exactly 2^q members sharing one measurement. Coherent
@@ -342,11 +344,11 @@ def single_class_constellation(m, q, period=1.0):
     """
     if not (1 <= q <= 2 * m):
         raise DomainError("need 1 <= q <= 2m")
-    return _source_constellation(m, q, period, np.zeros((0, 2 * m + 1)))
+    return _source_constellation(m, q, np.zeros((0, 2 * m + 1)))
 
 
-def bundled_constellation(m, period=1.0):
-    """The stock m-th constellation used by the sweep and the test suite.
+def bundled_constellation(m):
+    """The stock m-th constellation, of period 1, used by the sweep and the tests.
 
     A full ambiguity class of a generic signal (2m off-circle orbits, so
     2^(2m) members) plus two constant-envelope tones at distinct power
@@ -358,4 +360,4 @@ def bundled_constellation(m, period=1.0):
         raise UnsupportedOrder("bundled constellations start at m = 1")
     tones = np.zeros((2, 2 * m + 1), dtype=complex)
     tones[:, m] = (2.0, 3.0)
-    return _source_constellation(m, 2 * m, period, tones)
+    return _source_constellation(m, 2 * m, tones)

@@ -37,7 +37,7 @@ from .errors import (
     NotAnAutocorrelation,
     SldLabError,
 )
-from .roots import find_roots, pair_reciprocal
+from .roots import _CIRCLE_BAND, _ROOT_TOL, _SEED, find_roots, pair_reciprocal
 from .serialize import (
     _float_texts,
     autocorr_dict,
@@ -60,7 +60,7 @@ _MAPS = {
 }
 
 # the root-finding settings every report records, gap included
-_DEFAULTS = {"tol_circle": 1e-9, "tol_root": 1e-8, "seed": 12345}
+_DEFAULTS = {"tol_circle": _CIRCLE_BAND, "tol_root": _ROOT_TOL, "seed": _SEED}
 
 
 def _fingerprint(args):

@@ -20,8 +20,11 @@ from .errors import (
     PeriodMismatch,
     ZeroPolynomial,
 )
-from .roots import find_roots_batch, joint_orbits
-from .signals import TrigPoly, autocorrelation_rows
+from .roots import _CIRCLE_BAND, _ROOT_TOL, _SEED, find_roots_batch, joint_orbits
+from .signals import TrigPoly, _half_lags
+
+# relative lag residual under which numeric_magnitude_equiv accepts
+_LAG_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -91,19 +94,21 @@ def phase_equiv(p, q):
 
 
 def struct_magnitude_equiv(
-    f, g, root_tol=1e-8, circle_band=1e-9, match_tol=1e-6, seed=12345
+    f, g, root_tol=_ROOT_TOL, circle_band=_CIRCLE_BAND, seed=_SEED
 ):
     """Decide |f| = kappa |g| on the unit circle from root structure.
 
     The relation holds exactly when every reflection orbit carries the
     same total multiplicity for both polynomials and the on-circle zeros
     match with identical multiplicities; kappa then comes out of the
-    leading coefficients and the inside representatives.
+    leading coefficients and the inside representatives. The roots of f
+    and g are solved in one find_roots_batch call with root_tol,
+    circle_band and seed, and matched by joint_orbits.
     """
     if f.is_zero() or g.is_zero():
         raise ZeroPolynomial("magnitude equivalence needs nonzero polynomials")
     rf, rg = find_roots_batch((f, g), tol=root_tol, circle_band=circle_band, seed=seed)
-    orbits, circle_pairs = joint_orbits(rf, rg, match_tol=match_tol)
+    orbits, circle_pairs = joint_orbits(rf, rg)
     try:
         kappa = kappa_ratio(rf, rg, orbits, circle_pairs)
     except ConditionViolated as exc:
@@ -111,13 +116,13 @@ def struct_magnitude_equiv(
     return EquivalenceVerdict(related=True, kappa=kappa)
 
 
-def numeric_magnitude_equiv(f, g, tol=1e-12):
+def numeric_magnitude_equiv(f, g):
     """Root-free lag oracle for the constant magnitude ratio.
 
     On the unit circle |f|^2 is the Fourier sum of the autocorrelation lags
     c_f of f's coefficients, so |f| = kappa |g| exactly when c_f =
     kappa^2 c_g. Fits lambda = Re<c_g, c_f> / ||c_g||^2 and accepts when
-    lambda > 0 and ||c_f - lambda c_g|| <= tol ||c_f||, with kappa =
+    lambda > 0 and ||c_f - lambda c_g|| <= 1e-12 ||c_f||, with kappa =
     sqrt(lambda). The witness of a rejection gives that relative residual
     and lambda. Origin factors z^k leave the lags alone; each row is scaled
     by a power of two first, so any coefficient scale is exact.
@@ -128,11 +133,12 @@ def numeric_magnitude_equiv(f, g, tol=1e-12):
     rows[0, : len(f.coeffs)] = f.coeffs
     rows[1, : len(g.coeffs)] = g.coeffs
     scale = np.exp2(-np.frexp(np.abs(rows).max(axis=1))[1])
-    c_f, c_g = autocorrelation_rows(rows * scale[:, None])
+    half = _half_lags(rows * scale[:, None])
+    c_f, c_g = np.concatenate([np.conj(half[:, :0:-1]), half], axis=1)
     lam = np.vdot(c_g, c_f).real / np.vdot(c_g, c_g).real
     resid = np.linalg.norm(c_f - lam * c_g) / np.linalg.norm(c_f)
     ratio = scale[1] / scale[0]
-    if not (lam > 0 and resid <= tol):
+    if not (lam > 0 and resid <= _LAG_TOL):
         return EquivalenceVerdict(
             related=False,
             witness="lag residual %.3g of ||c_f|| at lambda %.6g" % (resid, lam * ratio**2),

@@ -33,6 +33,15 @@ _SPLIT = 1e-3
 _TINY = np.finfo(float).tiny
 # a root whose residual is below this multiple of its bound has settled
 _EPS_STOP = 8 * np.finfo(float).eps
+# the root-finding defaults: acceptance tolerance, on-circle band and seed;
+# the CLI's flags default to them too
+_ROOT_TOL = 1e-8
+_CIRCLE_BAND = 1e-9
+_SEED = 12345
+# simultaneous-iteration steps before NoConvergence
+_MAX_ITER = 200
+# orbit keys and circle roots within this cluster rule are one location
+_MATCH_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -257,7 +266,7 @@ def _aberth_sums(z, rows):
     return inv.sum(axis=1)
 
 
-def _solve(monics, seed, max_iter):
+def _solve(monics, seed):
     """Aberth-Ehrlich iteration over a batch of monic polynomials.
 
     Each polynomial starts from its own seeded perturbed circle and its
@@ -289,7 +298,7 @@ def _solve(monics, seed, max_iter):
     ev = live = np.arange(starts[-1])
     sub = coef
     blocks = [(lo, hi, lo, hi) for lo, hi in zip(starts, starts[1:])]
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         pz, bound, dpz = _horner(sub, z[ev])
         # a frozen root that is still evaluated settles again, its z unchanged
         moving = ~(np.abs(pz) <= _EPS_STOP * bound)
@@ -347,11 +356,10 @@ def _cluster(z, cluster_radius, circle_band):
 
 def find_roots_batch(
     polys,
-    tol=1e-8,
-    circle_band=1e-9,
+    tol=_ROOT_TOL,
+    circle_band=_CIRCLE_BAND,
     cluster_radius=1e-6,
-    max_iter=200,
-    seed=12345,
+    seed=_SEED,
 ):
     """find_roots for every polynomial of a sequence, in one iteration.
 
@@ -361,7 +369,8 @@ def find_roots_batch(
     find_roots raises them: DomainError for tol, seed or cluster_radius,
     then ZeroPolynomial for the first zero member, then DomainError for
     the first member with a NaN or infinite coefficient, then
-    NoConvergence for the first member whose roots did not settle.
+    NoConvergence for the first member whose roots did not settle within
+    the one budget of 200 steps.
     """
     if not (0 < tol <= 1e-4):
         raise DomainError("tol must lie in (0, 1e-4]")
@@ -382,7 +391,7 @@ def find_roots_batch(
         members.append((first, last, c[first : last + 1]))
 
     monics = [core / core[-1] for _, _, core in members if len(core) > 1]
-    z, rel = _solve(monics, seed, max_iter) if monics else (None, None)
+    z, rel = _solve(monics, seed) if monics else (None, None)
     out = []
     lo = 0
     for origin, deg, core in members:
@@ -390,7 +399,7 @@ def find_roots_batch(
         # a NaN residual (an iterate that overflowed) fails the test too
         if hi > lo and not (rel[lo:hi].max() <= tol):
             raise NoConvergence(
-                "simultaneous iteration did not settle within %d steps" % max_iter,
+                "simultaneous iteration did not settle within %d steps" % _MAX_ITER,
                 residual=float(rel[lo:hi].max()),
             )
         out.append(
@@ -408,11 +417,10 @@ def find_roots_batch(
 
 def find_roots(
     f,
-    tol=1e-8,
-    circle_band=1e-9,
+    tol=_ROOT_TOL,
+    circle_band=_CIRCLE_BAND,
     cluster_radius=1e-6,
-    max_iter=200,
-    seed=12345,
+    seed=_SEED,
 ):
     """All roots of f with multiplicities, classified against the unit circle.
 
@@ -430,13 +438,14 @@ def find_roots(
         and chains of them, merge into one root of higher multiplicity.
         Widen it when hunting multiplicities of three or more; the default
         suits exact doubles. NaN, infinite or negative raises DomainError.
-    max_iter : int
-        Simultaneous-iteration budget before giving up.
     seed : int
         Seed for the perturbed-circle initial guesses, >= 0. Fixed by
         default so runs are reproducible; a negative seed raises DomainError.
+
+    Roots that do not meet tol within 200 simultaneous-iteration steps
+    raise NoConvergence.
     """
-    return find_roots_batch((f,), tol, circle_band, cluster_radius, max_iter, seed)[0]
+    return find_roots_batch((f,), tol, circle_band, cluster_radius, seed)[0]
 
 
 def conj_reciprocal(alpha):
@@ -471,17 +480,17 @@ def _orbit_key(location):
     return location if abs(location) < 1.0 else conj_reciprocal(location)
 
 
-def _orbit_groups(multisets, match_tol):
+def _orbit_groups(multisets):
     """Reflection orbits of the off-circle roots of one or more multisets.
 
-    Roots whose orbit keys group under match_tol form one orbit. Returns a
+    Roots whose orbit keys group under _MATCH_TOL form one orbit. Returns a
     list of (inner, outer, counts) sorted by inner, where counts holds one
     [inner multiplicity, outer multiplicity] pair per multiset.
     """
     off = [(k, root) for k, r in enumerate(multisets)
            for root in r.roots if root.label != "on_circle"]
     orbits = []
-    for idx in _groups([_orbit_key(root.location) for _, root in off], match_tol):
+    for idx in _groups([_orbit_key(root.location) for _, root in off], _MATCH_TOL):
         counts = [[0, 0] for _ in multisets]
         locs = ([], [])
         for i in idx:
@@ -496,13 +505,14 @@ def _orbit_groups(multisets, match_tol):
     return orbits
 
 
-def pair_reciprocal(r, assert_symmetric=False, match_tol=1e-6):
+def pair_reciprocal(r, assert_symmetric=False):
     """Group the off-circle roots of one multiset into reflection orbits.
 
     Returns (orbits, on_circle, origin_mult) where orbits is a tuple of
     ReciprocalOrbit sorted by representative and on_circle is the tuple of
     on-circle ClassifiedRoots. Roots join one orbit when their inside-disk
-    representatives group under match_tol by the cluster rule of find_roots.
+    representatives group by the cluster rule of find_roots at a fixed
+    radius of 1e-6.
 
     With assert_symmetric=True the caller states that r came from a valid
     measurement lift, which forces equal multiplicities on both sides of
@@ -511,7 +521,7 @@ def pair_reciprocal(r, assert_symmetric=False, match_tol=1e-6):
     """
     orbits = [
         ReciprocalOrbit(inner=inner, outer=outer, mult_inner=f[0], mult_outer=f[1])
-        for inner, outer, (f,) in _orbit_groups((r,), match_tol)
+        for inner, outer, (f,) in _orbit_groups((r,))
     ]
 
     on_circle = r.by_label("on_circle")
@@ -551,25 +561,25 @@ class JointOrbit:
         return self.g_inner + self.g_outer
 
 
-def joint_orbits(rf, rg, match_tol=1e-6):
+def joint_orbits(rf, rg):
     """Reflection orbits over the union of two root multisets.
 
     Returns (orbits, circle_pairs) where circle_pairs is a tuple of
     (location, f_mult, g_mult) for matched on-circle roots. Roots of the
     two polynomials are matched as in pair_reciprocal, on-circle roots by
-    their locations, under match_tol; the polynomials themselves are never
-    compared coefficient-wise here.
+    their locations under the same rule; the polynomials themselves are
+    never compared coefficient-wise here.
     """
     orbits = [
         JointOrbit(inner=inner, outer=outer,
                    f_inner=f[0], f_outer=f[1], g_inner=g[0], g_outer=g[1])
-        for inner, outer, (f, g) in _orbit_groups((rf, rg), match_tol)
+        for inner, outer, (f, g) in _orbit_groups((rf, rg))
     ]
 
     circle = [(k, root) for k, r in enumerate((rf, rg)) for root in r.by_label("on_circle")]
     locs = [root.location for _, root in circle]
     circle_pairs = []
-    for idx in _groups(locs, match_tol):
+    for idx in _groups(locs, _MATCH_TOL):
         mults = [0, 0]
         for i in idx:
             mults[circle[i][0]] += circle[i][1].multiplicity

@@ -189,47 +189,27 @@ def autocorrelation(p):
 
         c_k = sum_l b_l * conj(b_{l-k}),
 
-    the sum running over the overlap of the two index windows. Negative
-    indices are filled by mirroring conj(c_k), which keeps the Hermitian
-    symmetry exact rather than merely within rounding.
+    the sum running over the overlap of the two index windows. The lags
+    k >= 0 are _half_lags of the signal, the negative ones their
+    conjugates, which keeps the Hermitian symmetry exact rather than
+    merely within rounding; AutocorrSeq then applies its clean-up.
     """
-    c = autocorrelation_rows(p.coeffs[None, :])[0]
-    return AutocorrSeq(m=p.m, coeffs=c, period=p.period)
-
-
-def autocorrelation_rows(b):
-    """Square-law measurement coefficients of a batch of signals.
-
-    b is a (K, 2m+1) array of coefficient rows; row i of the (K, 4m+1)
-    result is the sequence autocorrelation() gives for row i, ordered
-    k = -2m..2m, bit for bit. The lags k >= 0 are _half_lags(b); the
-    negative ones are their conjugates, and the whole row then gets the
-    Hermitian clean-up AutocorrSeq applies on construction, which also
-    fixes the signs of zero parts.
-    """
-    half = _half_lags(b)
-    top = half.shape[1] - 1
-    c = np.empty((len(half), 2 * top + 1), dtype=complex)
-    c[:, top:] = half
-    c[:, :top] = np.conj(half[:, :0:-1])
-    c += np.conj(c[:, ::-1])
-    c *= 0.5
-    c[:, top] = np.maximum(c[:, top].real, 0.0)
-    return c
+    half = _half_lags(p.coeffs[None, :])[0]
+    return AutocorrSeq(m=p.m, coeffs=np.concatenate([np.conj(half[:0:-1]), half]),
+                       period=p.period)
 
 
 def _half_lags(b):
-    """The lags k = 0..2m of a batch of signals: the non-negative half of
-    each Hermitian row of autocorrelation_rows.
+    """The lags k = 0..2m of a batch of signals, the one batched lag kernel.
 
     b is a (K, 2m+1) array of coefficient rows; column k of the (K, 2m+1)
     result is c_k = sum_l b_l conj(b_{l-k}), one stacked dot product over
-    all rows per lag, and c_0 is max(Re c_0, 0). Where rows are only
-    compared, this half carries all of the measurement, since
-    |conj(a) - conj(b)| == |a - b| bit for bit. It equals the half of the
-    full row up to the signs of zero parts, except that a part of 2^1023
-    or more in magnitude stays finite here, where the clean-up's doubling
-    there makes it inf.
+    all rows per lag, and c_0 is max(Re c_0, 0). Row i is bit for bit the
+    lags k >= 0 autocorrelation() gives for row i, up to the signs of zero
+    parts, except that a part of 2^1023 or more in magnitude stays finite
+    here, where AutocorrSeq's clean-up doubles it to inf. Where rows are
+    only compared, this half carries all of the measurement, since
+    |conj(a) - conj(b)| == |a - b| bit for bit.
     """
     b = np.asarray(b, dtype=complex)
     if b.ndim != 2 or b.shape[1] % 2 == 0:

@@ -15,6 +15,7 @@ from sldlab import (
     AutocorrSeq,
     ClassSet,
     CoeffPoly,
+    Constellation,
     TrigPoly,
     autocorrelation,
     bundled_constellation,
@@ -110,8 +111,13 @@ def test_enumerate_rejects_zero():
 
 
 def test_enumerate_cap():
+    # a generic m=11 signal has 4^11 flip specs, over the cap of 2^20
+    rng = np.random.default_rng(11)
+    angles = 2 * np.pi * (np.arange(22) + rng.uniform(0.2, 0.8, 22)) / 22
+    p = _normalized(rng.uniform(0.4, 0.8, 22) * np.exp(1j * angles), 11)
+    assert 4**11 > ambiguity._CAP
     with pytest.raises(errors.CombinatorialBlowup):
-        enumerate_classes(TrigPoly(m=1, coeffs=[6, -5, 1]), cap=2)
+        enumerate_classes(p)
 
 
 def test_two_orbit_rows_in_spec_order():
@@ -319,14 +325,14 @@ def _loop_args(args):
     The loop gets unit scales, a leading 1.0 and parts multiplied out
     root by root.
     """
-    orbits, circle, shift_hi, autocorr, cap = args
+    orbits, circle, shift_hi, autocorr = args
     table = [
         (np.array([poly_from_roots([inner] * j + [outer] * (k - j)) for j in range(k + 1)]),
          np.ones(k + 1))
         for inner, outer, k in orbits
     ]
     circle_coeffs = poly_from_roots([loc for loc, mult in circle for _ in range(mult)])
-    return 1.0, table, circle_coeffs, shift_hi, autocorr.m, cap
+    return 1.0, table, circle_coeffs, shift_hi, autocorr.m, ambiguity._CAP
 
 
 def _check_against_loop(args, got):
@@ -376,16 +382,18 @@ def _unit_energy(m):
     return autocorrelation(TrigPoly(m=m, coeffs=np.eye(2 * m + 1)[0]))
 
 
-def test_batched_assembly_cap_and_degree_paths():
+def test_batched_assembly_cap_and_degree_paths(monkeypatch):
     orbits = [(0.5, 2.0, 1)]
-    ok = (orbits, (), 1, _unit_energy(1), 2**20)
+    ok = (orbits, (), 1, _unit_energy(1))
     _check_against_loop(ok, ambiguity._classes(*ok))
-    too_many = (orbits, (), 1, _unit_energy(1), 3)
-    with pytest.raises(errors.CombinatorialBlowup):
-        ambiguity._classes(*too_many)
-    with pytest.raises(ValueError, match="cap"):
-        assemble_classes_loop(*_loop_args(too_many))
-    too_long = (orbits, (), 2, _unit_energy(1), 2**20)
+    with monkeypatch.context() as mp:
+        mp.setattr(ambiguity, "_CAP", 3)
+        too_many = (orbits, (), 1, _unit_energy(1))
+        with pytest.raises(errors.CombinatorialBlowup):
+            ambiguity._classes(*too_many)
+        with pytest.raises(ValueError, match="cap"):
+            assemble_classes_loop(*_loop_args(too_many))
+    too_long = (orbits, (), 2, _unit_energy(1))
     with pytest.raises(errors.DegreeTooLarge):
         ambiguity._classes(*too_long)
     with pytest.raises(ValueError, match="degree"):
@@ -397,7 +405,7 @@ def test_batched_assembly_keeps_both_near_copies_in_spec_order(monkeypatch):
     # built twice, in blocks that share no candidate; both copies stay
     monkeypatch.setattr(ambiguity, "_BLOCK_ROWS", 2)
     orbits = [(0.5 + 1e-10, 0.5, 1), (-0.5j, 2j, 1), (-4 + 4j, -0.25 - 0.25j, 1)]
-    args = (orbits, (), 0, _unit_energy(2), 2**20)
+    args = (orbits, (), 0, _unit_energy(2))
     cs = ambiguity._classes(*args)
     got = cs.coeffs
     assert len(got) == 8
@@ -587,7 +595,8 @@ def _ensembles():
     yield "enumerate", cs, cs.autocorr, 0.75
     yield "factor", factor_sld(cs.autocorr), cs.autocorr, 0.75
     for m in range(1, 5):
-        c = bundled_constellation(m, period=2.5)
+        bundled = bundled_constellation(m)
+        c = Constellation(coeffs=bundled.coeffs, probs=bundled.probs, period=2.5)
         yield "bundled m=%d" % m, c, c, 2.5
 
 

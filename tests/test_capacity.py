@@ -465,6 +465,18 @@ def test_gap_bins_take_each_rows_own_radius():
     assert r.chain_residual == 0.0
 
 
+@pytest.mark.xfail(strict=True, reason=(
+    "binning artefact: the 1e-7 measurement bins chain distinct measurements "
+    "2e-9 apart into one bin, so gap reports per_dim_gap 2.0 against a bound of 1.0"))
+def test_distinct_measurements_closer_than_a_bin_keep_their_own_bins():
+    # 64 tones whose DC coefficients are 1e-9 apart pass the 1e-12
+    # distinctness check, and every measurement is its own
+    tones = Constellation.uniform([TrigPoly(m=1, coeffs=[0, 1 + k * 1e-9, 0]) for k in range(64)])
+    r = gap_experiment(tones)
+    assert r.i_xs == 6.0
+    assert r.passed
+
+
 def test_gap_single_class_example():
     c = single_class_constellation(1, 1)
     r = gap_experiment(c)
@@ -579,11 +591,11 @@ def test_single_class_bounds_q():
         single_class_constellation(1, 0)
 
 
-def _source(m, q, period):
+def _source(m, q):
     """The signal the builders' classes belong to: odd-numbered roots reflected."""
     inside, circle = _deterministic_roots(m, q)
     locs = [1 / np.conj(z) if j % 2 else z for j, z in enumerate(inside)]
-    return _signal_from_roots(m, locs + circle, period)
+    return _signal_from_roots(m, locs + circle)
 
 
 def _assert_rows_match(got, want):
@@ -592,18 +604,17 @@ def _assert_rows_match(got, want):
     assert np.all(np.abs(got - want).max(axis=1) <= 1e-12 * scale)
 
 
-@pytest.mark.parametrize("period", [1.0, 2.5])
 @pytest.mark.parametrize("m", range(1, 8))
-def test_bundled_constellation_matches_enumerate_classes(m, period):
-    c = bundled_constellation(m, period)
-    assert c.period == period
-    _assert_rows_match(c.coeffs[:-2], enumerate_classes(_source(m, 2 * m, period)).coeffs)
+def test_bundled_constellation_matches_enumerate_classes(m):
+    c = bundled_constellation(m)
+    assert c.period == 1.0
+    _assert_rows_match(c.coeffs[:-2], enumerate_classes(_source(m, 2 * m)).coeffs)
 
 
 @pytest.mark.parametrize("m,q", [(m, q) for m in (1, 2, 3) for q in range(1, 2 * m + 1)])
 def test_single_class_constellation_matches_enumerate_classes(m, q):
     c = single_class_constellation(m, q)
-    _assert_rows_match(c.coeffs, enumerate_classes(_source(m, q, 1.0)).coeffs)
+    _assert_rows_match(c.coeffs, enumerate_classes(_source(m, q)).coeffs)
 
 
 def test_constellation_builders_solve_no_roots(monkeypatch):

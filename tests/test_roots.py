@@ -170,10 +170,11 @@ def test_reconstruct_property(roots):
     assert np.abs(back - f.coeffs).max() <= 1e-7 * np.abs(f.coeffs).max()
 
 
-def test_no_convergence_is_reported():
+def test_no_convergence_is_reported(monkeypatch):
+    monkeypatch.setattr(roots_module, "_MAX_ITER", 1)
     f = CoeffPoly(coeffs=poly_from_roots([0.5, 2.0, 0.3j, -1.8]), n=4)
     with pytest.raises(errors.NoConvergence) as info:
-        find_roots(f, max_iter=1)
+        find_roots(f)
     assert info.value.residual is not None
 
 
@@ -253,23 +254,6 @@ def test_find_roots_rejects_bad_cluster_radius(bad):
     ):
         with pytest.raises(errors.DomainError, match="tolerance"):
             find_roots(f, cluster_radius=bad)
-
-
-def _balanced_pair_roots():
-    return find_roots(autocorr_lift(autocorrelation(TrigPoly(m=1, coeffs=[6, -5, 1]))))
-
-
-@pytest.mark.parametrize("bad", BAD_TOLERANCES)
-def test_pair_reciprocal_rejects_bad_match_tol(bad):
-    with pytest.raises(errors.DomainError, match="tolerance"):
-        pair_reciprocal(_balanced_pair_roots(), match_tol=bad)
-
-
-@pytest.mark.parametrize("bad", BAD_TOLERANCES)
-def test_joint_orbits_rejects_bad_match_tol(bad):
-    r = _balanced_pair_roots()
-    with pytest.raises(errors.DomainError, match="tolerance"):
-        joint_orbits(r, r, match_tol=bad)
 
 
 def _chained(a, b, tol):
@@ -624,14 +608,15 @@ def test_centroid_is_numpy_mean_bitwise():
             assert _bits(_centroid(np.array(pts))) == want
 
 
-def test_batch_raises_the_first_unsettled_members_error():
+def test_batch_raises_the_first_unsettled_members_error(monkeypatch):
+    monkeypatch.setattr(roots_module, "_MAX_ITER", 1)
     quartic = CoeffPoly(coeffs=poly_from_roots([0.5, 2.0, 0.3j, -1.8]), n=4)
     cubic = CoeffPoly(coeffs=poly_from_roots([1.5j, -0.4, 3.0]), n=3)
     linear = CoeffPoly(coeffs=poly_from_roots([0.7 - 0.2j]), n=1)
 
     def error(polys):
         with pytest.raises(errors.NoConvergence) as info:
-            find_roots_batch(polys, max_iter=1)
+            find_roots_batch(polys)
         return str(info.value), info.value.residual
 
     for bad in (quartic, cubic):
@@ -646,7 +631,7 @@ def test_batch_raises_the_first_unsettled_members_error():
         # a member that settles does not hide the one after it
         assert error([linear, bad]) == alone
     assert error([quartic]) != error([cubic])
-    (r,) = find_roots_batch([linear], max_iter=1)
+    (r,) = find_roots_batch([linear])
     assert _multiset_bits(r) == _root_bits(*find_roots_loop(linear.coeffs, max_iter=1))
 
 
@@ -655,6 +640,7 @@ def test_batch_checks_arguments_before_iterating(monkeypatch):
         raise AssertionError("the iteration ran")
 
     monkeypatch.setattr(roots_module, "_solve", no_iteration)
+    monkeypatch.setattr(roots_module, "_MAX_ITER", 1)
     good = CoeffPoly(coeffs=poly_from_roots([0.5, 2.0]), n=2)
     zero = CoeffPoly(coeffs=[0, 0, 0], n=2)
     for kw, message in (({"tol": 0.5}, "tol must"), ({"tol": 0.0}, "tol must"),
@@ -665,7 +651,7 @@ def test_batch_checks_arguments_before_iterating(monkeypatch):
     nan = CoeffPoly(coeffs=[1.0, float("nan"), 1.0], n=2)
     for polys in ([zero], [good, zero], [zero, good], [nan, zero], [zero, nan]):
         with pytest.raises(errors.ZeroPolynomial):
-            find_roots_batch(polys, max_iter=1)
+            find_roots_batch(polys)
     for polys in ([nan], [good, nan], [nan, good]):
         with pytest.raises(errors.DomainError, match="finite"):
             find_roots_batch(polys)

@@ -19,7 +19,8 @@ from sldlab import (
     find_roots,
 )
 
-from sldlab.signals import autocorrelation_rows, screen_intensity
+from sldlab import roots
+from sldlab.signals import _half_lags, screen_intensity
 
 from conftest import trig_polys
 from oracles import (
@@ -78,7 +79,7 @@ def test_autocorr_matches_loop_oracle(p):
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_autocorrelation_rows_match_per_signal_bitwise():
+def test_half_lags_match_per_signal_bitwise():
     rng = np.random.default_rng(4242)
     batches = []
     for m in range(9):
@@ -91,10 +92,11 @@ def test_autocorrelation_rows_match_per_signal_bitwise():
         rows = rng.standard_normal((20, 2 * m + 1)) + 1j * rng.standard_normal((20, 2 * m + 1))
         batches.append(rows * np.sqrt(2.0**1023 / np.sum(np.abs(rows) ** 2, axis=1))[:, None]
                        * rng.uniform(0.99, 1.01, (20, 1)))
+    # each batch row, mirrored into its measurement, is the single signal's
     for rows in batches:
-        got = autocorrelation_rows(rows)
         m = (rows.shape[1] - 1) // 2
-        for row, c in zip(rows, got):
+        for row, half in zip(rows, _half_lags(rows)):
+            c = AutocorrSeq(m=m, coeffs=np.concatenate([np.conj(half[:0:-1]), half])).coeffs
             assert c.tobytes() == autocorrelation(TrigPoly(m=m, coeffs=row)).coeffs.tobytes()
             assert c.tobytes() == autocorr_dot(row).tobytes()
 
@@ -179,7 +181,10 @@ def test_autocorr_lift_on_the_circle_is_the_intensity_times_z_to_the_2m(p, t):
 def test_autocorr_lift_roots_pair_up(p):
     Q = autocorr_lift(autocorrelation(p))
     r = find_roots(Q, cluster_radius=1e-4)
-    orbits, on_circle, origin = pair_reciprocal(r, match_tol=1e-3)
+    # a per-example context, since hypothesis reruns the body
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(roots, "_MATCH_TOL", 1e-3)
+        orbits, on_circle, origin = pair_reciprocal(r)
     for orb in orbits:
         assert orb.mult_inner == orb.mult_outer
     for root in on_circle:

@@ -1,4 +1,5 @@
-"""The public surface: every name in it has a caller outside the test suite."""
+"""The public surface: every name in it has a caller outside the test suite,
+and every parameter with a default has a caller that sets it."""
 
 import ast
 import functools
@@ -19,6 +20,10 @@ UNCALLED = {
 
 # public members of public classes with no caller yet, each with its reason
 UNCALLED_MEMBERS = {}
+
+# "name.parameter" of public parameters with a default that no caller sets,
+# each with its reason
+UNSET_PARAMETERS = {}
 
 
 @functools.lru_cache(maxsize=None)
@@ -48,13 +53,17 @@ def _files():
     return files + sorted((ROOT / "scripts").glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
 
 
+def _own_lines(source, path):
+    """The (first, last) lines that define source, where path is its file."""
+    if path.resolve() != pathlib.Path(inspect.getsourcefile(source)).resolve():
+        return None
+    lines, first = inspect.getsourcelines(source)
+    return first, first + len(lines) - 1
+
+
 def _has_caller(name, source):
     """Whether some file names name outside the lines that define source."""
-    home = pathlib.Path(inspect.getsourcefile(source)).resolve()
-    lines, first = inspect.getsourcelines(source)
-    own = (first, first + len(lines) - 1)
-    return any(name in _named(path, own if path.resolve() == home else None)
-               for path in _files())
+    return any(name in _named(path, _own_lines(source, path)) for path in _files())
 
 
 def _uncalled():
@@ -63,6 +72,52 @@ def _uncalled():
         obj = getattr(sldlab, name)
         if (inspect.isfunction(obj) or inspect.isclass(obj)) and not _has_caller(name, obj):
             out.add(name)
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def _calls(path):
+    """(callee name, line, positional count, keyword names) of every call
+    in a file's code, by the name or attribute called. A * or ** expansion
+    may set any parameter, so its call has None for both."""
+    out = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        if any(isinstance(arg, ast.Starred) for arg in node.args) or any(
+                keyword.arg is None for keyword in node.keywords):
+            out.append((name, node.lineno, None, None))
+        else:
+            out.append((name, node.lineno, len(node.args),
+                        frozenset(keyword.arg for keyword in node.keywords)))
+    return tuple(out)
+
+
+def _set_by_calls(name, params, path, skip=None):
+    """The names among params (in signature order) that some call to name
+    in a file sets, by position or keyword, leaving out the lines of skip."""
+    out = set()
+    for callee, line, count, keywords in _calls(path):
+        if callee == name and not (skip and skip[0] <= line <= skip[1]):
+            out.update(params if count is None else params[:count] + list(keywords))
+    return out & set(params)
+
+
+def _unset_parameters():
+    out = set()
+    for name in sldlab.__all__:
+        obj = getattr(sldlab, name)
+        if not (inspect.isfunction(obj) or inspect.isclass(obj)):
+            continue
+        # a class's parameters are those of its __init__, less self
+        params = inspect.signature(obj).parameters.values()
+        defaults = {p.name for p in params if p.default is not inspect.Parameter.empty}
+        names = [p.name for p in params]
+        for path in _files():
+            defaults -= _set_by_calls(name, names, path, _own_lines(obj, path))
+        out.update("%s.%s" % (name, param) for param in defaults)
     return out
 
 
@@ -98,6 +153,28 @@ def test_every_public_name_has_a_caller():
 def test_every_public_member_has_a_caller():
     # by name alone: a member counts as called when any file uses its name
     assert _uncalled_members() == set(UNCALLED_MEMBERS)
+
+
+def test_every_public_parameter_has_a_setter():
+    # each default of a public function or class is a setting some caller
+    # in src, scripts or perfbench varies; one that none sets is a constant
+    assert _unset_parameters() == set(UNSET_PARAMETERS)
+
+
+def test_positions_keywords_and_expansions_set_parameters(tmp_path):
+    path = tmp_path / "module.py"
+    path.write_text("solve(1, 2)\n"
+                    "pkg.solve(x, tol=3)\n"
+                    "other(1, 2, 3, seed=4)\n"
+                    "expand(*args)\n"
+                    "expand_kw(1, **kw)\n"
+                    "solve(1, 2, 3, 4)\n")
+    params = ["f", "tol", "band", "seed"]
+    assert _set_by_calls("solve", params, path, skip=(6, 6)) == {"f", "tol"}
+    assert _set_by_calls("solve", params, path) == set(params)
+    assert _set_by_calls("other", params, path, skip=(3, 3)) == set()
+    assert _set_by_calls("expand", params, path) == set(params)
+    assert _set_by_calls("expand_kw", params, path) == set(params)
 
 
 def test_a_name_used_only_in_its_own_definition_is_uncalled(tmp_path):
