@@ -179,6 +179,18 @@ def test_factor_shift_fixture():
     )
 
 
+@pytest.mark.parametrize("bad", (float("nan"), float("inf"), -1e-6))
+def test_enumerate_rejects_bad_root_tol(bad):
+    with pytest.raises(errors.DomainError, match="tol must"):
+        enumerate_classes(TrigPoly(m=1, coeffs=[6, -5, 1]), root_tol=bad)
+
+
+@pytest.mark.parametrize("bad", (float("nan"), float("inf"), -1e-6))
+def test_factor_rejects_bad_root_tol(bad):
+    with pytest.raises(errors.DomainError, match="tol must"):
+        factor_sld(autocorrelation(TrigPoly(m=1, coeffs=[6, -5, 1])), root_tol=bad)
+
+
 def test_factor_rejects_indefinite_sequence(monkeypatch):
     bad = AutocorrSeq(m=1, coeffs=[0, 1, 1, 1, 0])
     with pytest.raises(errors.NegativeIntensity):

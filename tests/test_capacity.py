@@ -591,11 +591,11 @@ def test_single_class_bounds_q():
         single_class_constellation(1, 0)
 
 
-def _source(m, q):
+def _source(m, q, period=1.0):
     """The signal the builders' classes belong to: odd-numbered roots reflected."""
     inside, circle = _deterministic_roots(m, q)
     locs = [1 / np.conj(z) if j % 2 else z for j, z in enumerate(inside)]
-    return _signal_from_roots(m, locs + circle)
+    return TrigPoly(m=m, coeffs=_signal_from_roots(m, locs + circle).coeffs, period=period)
 
 
 def _assert_rows_match(got, want):
@@ -604,11 +604,16 @@ def _assert_rows_match(got, want):
     assert np.all(np.abs(got - want).max(axis=1) <= 1e-12 * scale)
 
 
+@pytest.mark.parametrize("period", [1.0, 2.5])
 @pytest.mark.parametrize("m", range(1, 8))
-def test_bundled_constellation_matches_enumerate_classes(m):
+def test_bundled_constellation_matches_enumerate_classes(m, period):
+    # the class rows do not depend on the period: the period-1 builder's
+    # rows are the classes of its source at any period
     c = bundled_constellation(m)
     assert c.period == 1.0
-    _assert_rows_match(c.coeffs[:-2], enumerate_classes(_source(m, 2 * m)).coeffs)
+    cs = enumerate_classes(_source(m, 2 * m, period))
+    assert cs.autocorr.period == period
+    _assert_rows_match(c.coeffs[:-2], cs.coeffs)
 
 
 @pytest.mark.parametrize("m,q", [(m, q) for m in (1, 2, 3) for q in range(1, 2 * m + 1)])

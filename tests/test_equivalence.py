@@ -205,6 +205,13 @@ def test_numeric_rejects_zero_polynomial():
         numeric_magnitude_equiv(f, z)
 
 
+@pytest.mark.parametrize("bad", (float("nan"), float("inf"), -1e-6))
+def test_struct_rejects_bad_root_tol(bad):
+    f = CoeffPoly(coeffs=poly_from_roots([2.0, 0.4j, -0.5]), n=3)
+    with pytest.raises(errors.DomainError, match="tol must"):
+        struct_magnitude_equiv(f, f, root_tol=bad)
+
+
 @given(complex_vectors(3))
 def test_self_equivalence(coeffs):
     f = as_poly(coeffs)

@@ -1,5 +1,6 @@
 """Simultaneous root finding, clustering, and reciprocal pairing."""
 
+import inspect
 import struct
 
 import numpy as np
@@ -19,6 +20,8 @@ from sldlab import (
     lift,
     pair_reciprocal,
 )
+import sldlab
+from sldlab import cli
 from sldlab import roots as roots_module
 from sldlab.roots import RootMultiset, _centroid, _groups, _orbit_key, _sweep
 
@@ -193,6 +196,18 @@ def test_find_roots_rejects_negative_seed():
         with pytest.raises(errors.DomainError, match="seed must be >= 0"):
             find_roots(f, seed=-1)
     assert find_roots(quadratic, seed=0).degree == 2
+
+
+@pytest.mark.parametrize("name", ["find_roots", "find_roots_batch", "enumerate_classes",
+                                  "factor_sld", "struct_magnitude_equiv"])
+def test_root_finding_defaults_have_one_home(name):
+    params = inspect.signature(getattr(sldlab, name)).parameters
+    tol = params["tol" if "tol" in params else "root_tol"]
+    defaults = (tol.default, params["circle_band"].default, params["seed"].default)
+    assert defaults == (roots_module._ROOT_TOL, roots_module._CIRCLE_BAND, roots_module._SEED)
+    # every report records the CLI's settings, so these values are pinned
+    assert defaults == (1e-8, 1e-9, 12345)
+    assert cli._DEFAULTS == {"tol_root": 1e-8, "tol_circle": 1e-9, "seed": 12345}
 
 
 def test_conj_reciprocal():

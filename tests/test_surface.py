@@ -236,6 +236,16 @@ DELETED_MEMBERS = (
     ("ClassSet", "representatives"),
 )
 
+# parameters that became private module constants; none may come back
+# as a parameter of its function
+DELETED_PARAMETERS = (
+    ("find_roots", "max_iter"), ("find_roots_batch", "max_iter"),
+    ("pair_reciprocal", "match_tol"), ("joint_orbits", "match_tol"),
+    ("struct_magnitude_equiv", "match_tol"), ("numeric_magnitude_equiv", "tol"),
+    ("enumerate_classes", "cap"), ("factor_sld", "cap"), ("factor_sld", "tol"),
+    ("bundled_constellation", "period"), ("single_class_constellation", "period"),
+)
+
 
 def test_deleted_names_stay_out_of_the_surface():
     for name in DELETED:
@@ -245,6 +255,10 @@ def test_deleted_names_stay_out_of_the_surface():
     for cls, name in DELETED_MEMBERS:
         assert name not in vars(getattr(sldlab, cls)), (cls, name)
 
+
+def test_deleted_parameters_stay_out_of_the_signatures():
+    for name, parameter in DELETED_PARAMETERS:
+        assert parameter not in inspect.signature(getattr(sldlab, name)).parameters, (name, parameter)
 
 def test_every_error_class_has_a_user():
     # each exception below the two bases is named in some module that raises
