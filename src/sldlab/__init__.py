@@ -15,8 +15,7 @@ from .signals import (
 )
 from .roots import (
     ClassifiedRoot,
-    JointOrbit,
-    ReciprocalOrbit,
+    OrbitTable,
     RootMultiset,
     conj_reciprocal,
     find_roots,

@@ -7,12 +7,14 @@ produces the identical measurement. This module enumerates that whole
 family from a signal, recovers it from a measured sequence, and certifies
 the counting bound 2^(2m+1).
 
-Both directions build their classes through one table: an (inner, outer,
-k) triple per reflection orbit and the (unit location, multiplicity) of
-each circle root. A signal's orbit splits all of its roots; an orbit of a
-measured sequence holds each root of the signal twice, so a signal splits
-mult_inner of them. Every row is scaled to energy c_0, which all classes
-of one measurement share.
+Both directions build their classes from one roots.OrbitTable: the
+(inner, outer, k_inner, k_outer) of each reflection orbit, the (location,
+k) of each circle root, and the origin multiplicity and degree that fix
+the origin shifts. A signal's table is that of its lift, whose orbits
+split all their roots. A measured sequence's is its lift's table halved:
+the lift holds each root of the signal twice, so a signal splits k_inner
+of them. Every row is scaled to energy c_0, which all classes of one
+measurement share.
 """
 
 import math
@@ -54,7 +56,7 @@ class ClassSet:
     factor_sld, row i is flip spec i (orbit splits in itertools.product
     order, then origin shift), scaled to energy c_0, so K is the
     closed-form count (shift_hi + 1) * prod(k_i + 1) over the orbits of
-    the one table both build from. residuals holds each row's largest
+    the OrbitTable both build from. residuals holds each row's largest
     autocorrelation deviation from autocorr over c_0 (0.0 when c_0 is 0)
     in a read-only array, computed on construction from the lags k >= 0
     alone (the lags k < 0 are their conjugates).
@@ -190,42 +192,45 @@ def _expand(rows, parts):
     return out.reshape(K * n, -1)
 
 
-def _classes(orbits, circle, shift_hi, autocorr):
+def _classes(table, autocorr):
     """The ClassSet of _class_rows, whose residuals are taken block by block."""
-    return ClassSet(coeffs=_class_rows(orbits, circle, shift_hi, autocorr), autocorr=autocorr)
+    return ClassSet(coeffs=_class_rows(table, autocorr), autocorr=autocorr)
 
 
-def _class_rows(orbits, circle, shift_hi, autocorr):
-    """The read-only rows of every flip spec, one row per spec, in spec order.
+def _class_rows(table, autocorr):
+    """The read-only rows of every flip spec of an OrbitTable, one row per
+    spec, in spec order.
 
-    orbits holds one (inner, outer, k) per reflection orbit: its split j
-    puts j of the k roots at inner and the rest at outer, so its part is
-    (z - inner)^j (z - outer)^(k - j), j = 0..k. circle holds the
-    (unit location, multiplicity) of the circle roots, which no spec
-    moves. A spec picks one split per orbit, in itertools.product order,
-    and then an origin shift 0..shift_hi. Its row is the circle roots'
-    polynomial times the picked parts, placed at the shift, canonicalized
-    and scaled to the energy c_0 of autocorr, which every class of one
-    measurement shares. The row count is the closed-form count
-    (shift_hi + 1) * prod(k_i + 1); a count above _CAP raises
-    CombinatorialBlowup before any row is built. Candidates are built
-    _BLOCK_ROWS at a time, one block per choice of the leading orbits,
-    straight into the one result array.
+    An orbit (inner, outer, k_inner, k_outer) splits its k = k_inner +
+    k_outer roots: its split j puts j of them at inner and the rest at
+    outer, so its part is (z - inner)^j (z - outer)^(k - j), j = 0..k.
+    The circle roots, at their unit locations loc / |loc|, are moved by
+    no spec. A spec picks one split per orbit, in itertools.product order,
+    and then an origin shift 0..shift_hi, shift_hi = 2m - (degree -
+    origin). Its row is the circle roots' polynomial times the picked
+    parts, placed at the shift, canonicalized and scaled to the energy c_0
+    of autocorr, which every class of one measurement shares. The row
+    count is the closed-form count (shift_hi + 1) * prod(k_i + 1); a count
+    above _CAP raises CombinatorialBlowup before any row is built, and
+    rows that do not fit order m raise DegreeTooLarge. Candidates are
+    built _BLOCK_ROWS at a time, one block per choice of the leading
+    orbits, straight into the one result array.
     """
-    table = [
-        np.stack([_monic(((inner, j), (outer, k - j))) for j in range(k + 1)])
-        for inner, outer, k in orbits
-    ]
-    counts = [len(parts) for parts in table]
+    m = autocorr.m
+    shift_hi = 2 * m - (table.degree - table.origin)
+    splits = []
+    for inner, outer, k_inner, k_outer in table.orbits:
+        k = k_inner + k_outer
+        splits.append(np.stack([_monic(((inner, j), (outer, k - j))) for j in range(k + 1)]))
+    counts = [len(parts) for parts in splits]
     total_specs = (shift_hi + 1) * math.prod(counts)
     if total_specs > _CAP:
         raise CombinatorialBlowup(
             "%d candidate specs exceed the cap of %d" % (total_specs, _CAP)
         )
-    m = autocorr.m
     width = 2 * m + 1
-    circle_coeffs = _monic(circle)
-    degree = len(circle_coeffs) - 1 + sum(parts.shape[1] - 1 for parts in table)
+    circle_coeffs = _monic((loc / abs(loc), k) for loc, k in table.circle)
+    degree = len(circle_coeffs) - 1 + sum(parts.shape[1] - 1 for parts in splits)
     if degree + shift_hi > 2 * m:
         raise DegreeTooLarge(
             "degree %d does not fit harmonic order m=%d" % (degree + shift_hi, m)
@@ -233,16 +238,16 @@ def _class_rows(orbits, circle, shift_hi, autocorr):
 
     # the trailing orbits whose splits fit in one block form the block;
     # the leading ones are expanded once and walked choice by choice
-    split, size = len(table), 1
+    split, size = len(splits), 1
     per_block = max(1, _BLOCK_ROWS // (shift_hi + 1))
     while split and size * counts[split - 1] <= per_block:
         split -= 1
         size *= counts[split]
     head = circle_coeffs[None, :]
-    for parts in table[:split]:
+    for parts in splits[:split]:
         head = _expand(head, parts)
     tail = np.ones((1, 1), dtype=complex)
-    for parts in table[split:]:
+    for parts in splits[split:]:
         tail = _expand(tail, parts)
 
     # row lo + i * (shift_hi + 1) + shift is candidate i of the block at that shift
@@ -267,7 +272,7 @@ def enumerate_classes(p, root_tol=_ROOT_TOL, circle_band=_CIRCLE_BAND, seed=_SEE
     One phase-normalized row of energy c_0 per flip spec, in spec order:
     every orbit split of the lift in itertools.product order, then every
     admissible origin shift. The class count is the closed-form
-    (shift_hi + 1) * prod(total_i + 1) over the reflection orbits, which
+    (shift_hi + 1) * prod(k_i + 1) over the reflection orbits, which
     never exceeds 2^(2m+1); for a generic signal (simple off-circle orbits,
     full degree, nonzero lowest coefficient) it equals 2^q with q the
     number of orbits. More than 2^20 classes raise CombinatorialBlowup.
@@ -275,17 +280,11 @@ def enumerate_classes(p, root_tol=_ROOT_TOL, circle_band=_CIRCLE_BAND, seed=_SEE
     if np.all(p.coeffs == 0):
         raise ZeroSignal("the zero signal has no ambiguity classes")
     r = find_roots(lift(p), tol=root_tol, circle_band=circle_band, seed=seed)
-    orbits, on_circle, origin = pair_reciprocal(r)
     # a signal's orbits each hold all their roots; the rows come through
     # _source_gate against the signal's own measurement (the gap
     # constellations gate theirs on the lags their Constellation keeps)
     s = autocorrelation(p)
-    cs = _classes(
-        [(orbit.inner, orbit.outer, orbit.total) for orbit in orbits],
-        [(root.location / abs(root.location), root.multiplicity) for root in on_circle],
-        2 * p.m - r.degree + origin,
-        s,
-    )
+    cs = _classes(pair_reciprocal(r), s)
     _source_gate(cs.residuals, s.c0)
     return cs
 
@@ -298,7 +297,7 @@ def factor_sld(s, root_tol=_ROOT_TOL, circle_band=_CIRCLE_BAND, seed=_SEED):
     actual measurement), halves the on-circle multiplicities, and rebuilds
     one candidate per orbit split and origin shift, scaled to match c_0.
     The rows come in spec order, as in enumerate_classes, so the count is
-    (shift_hi + 1) * prod(mult_inner_i + 1) over the lift's orbits.
+    (shift_hi + 1) * prod(k_inner_i + 1) over the lift's orbits.
 
     The sampled intensity screen runs first: a sequence whose synthesized
     intensity dips negative raises NegativeIntensity before any root is
@@ -326,32 +325,21 @@ def _factor_at(s, root_tol, circle_band, cluster_radius, seed):
     rq = find_roots(
         q, tol=root_tol, circle_band=circle_band, cluster_radius=cluster_radius, seed=seed
     )
+    # an orbit of the lift holds each root of the signal twice, so a
+    # signal splits k_inner of them; structure fixes the radius of an
+    # on-circle root at exactly one, so only the angle of the cluster
+    # mean carries information, which _class_rows keeps
     try:
-        orbits, on_circle, origin = pair_reciprocal(rq, assert_symmetric=True)
+        table = pair_reciprocal(rq).halved()
     except AsymmetricSpectrum as exc:
         raise NotAnAutocorrelation(str(exc)) from exc
-
-    # an orbit of the lift holds each root of the signal twice, so a
-    # signal splits mult_inner of them; structure fixes the radius of an
-    # on-circle root at exactly one, so only the angle of the cluster
-    # mean carries information
-    halved = [
-        (root.location / abs(root.location), root.multiplicity // 2)
-        for root in on_circle
-    ]
-    budget = sum(o.mult_inner for o in orbits) + sum(v for _, v in halved)
-    shift_hi = 2 * s.m - budget
-    if shift_hi != origin:
+    budget = table.degree - table.origin
+    if 2 * s.m - budget != table.origin:
         raise NotAnAutocorrelation(
-            "origin multiplicity %d inconsistent with root budget %d" % (origin, budget)
+            "origin multiplicity %d inconsistent with root budget %d" % (table.origin, budget)
         )
 
-    cs = _classes(
-        [(orbit.inner, orbit.outer, orbit.mult_inner) for orbit in orbits],
-        halved,
-        shift_hi,
-        s,
-    )
+    cs = _classes(table, s)
     # once the orbits balance and circle multiplicities are even, the
     # sequence provably factors; a residual beyond the gate can only mean
     # the roots were located too coarsely, and the gate widens with the

@@ -108,31 +108,29 @@ def from_inside_zeros(r):
     return BlaschkeProduct(tau=1.0, n0=r.origin_mult, factors=factors)
 
 
-def kappa_ratio(rf, rg, orbits, circle_pairs=()):
+def kappa_ratio(tf, tg):
     """The constant kappa with |f| = kappa * |g| on the unit circle.
 
-    Takes the two root multisets (for their leading coefficients) and the
-    joint reflection orbits. Each orbit must carry the same total
-    multiplicity for f and g, and matched on-circle multiplicities must
-    agree exactly; otherwise no constant ratio exists and
-    ConditionViolated is raised.
+    Takes the aligned OrbitTables of f and g from joint_orbits. Each orbit
+    must carry the same total multiplicity k_inner + k_outer for f and g,
+    and matched on-circle multiplicities must agree exactly; otherwise no
+    constant ratio exists and ConditionViolated is raised.
 
-    kappa multiplies |a_f / a_g| by |inner|^(d_f(inner) - d_g(inner)) over
+    kappa multiplies |a_f / a_g| by |inner|^(k_inner(f) - k_inner(g)) over
     the inside representatives of the orbits. Origin zeros contribute
     nothing: |z| = 1 on the circle.
     """
-    for orbit in orbits:
-        if orbit.f_total != orbit.g_total:
+    for (inner, _, fi, fo), (_, _, gi, go) in zip(tf.orbits, tg.orbits):
+        if fi + fo != gi + go:
             raise ConditionViolated(
-                "orbit at %s sums %d for f but %d for g"
-                % (orbit.inner, orbit.f_total, orbit.g_total)
+                "orbit at %s sums %d for f but %d for g" % (inner, fi + fo, gi + go)
             )
-    for loc, fm, gm in circle_pairs:
+    for (loc, fm), (_, gm) in zip(tf.circle, tg.circle):
         if fm != gm:
             raise ConditionViolated(
                 "on-circle zero at %s has multiplicity %d vs %d" % (loc, fm, gm)
             )
-    kappa = abs(rf.leading_coeff) / abs(rg.leading_coeff)
-    for orbit in orbits:
-        kappa *= abs(orbit.inner) ** (orbit.f_inner - orbit.g_inner)
+    kappa = abs(tf.leading) / abs(tg.leading)
+    for (inner, _, fi, _), (_, _, gi, _) in zip(tf.orbits, tg.orbits):
+        kappa *= abs(inner) ** (fi - gi)
     return float(kappa)

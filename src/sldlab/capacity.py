@@ -22,7 +22,7 @@ from .errors import (
     NonInvertibleOnRange,
     UnsupportedOrder,
 )
-from .roots import _sweep, conj_reciprocal
+from .roots import OrbitTable, _sweep, conj_reciprocal
 from .signals import TrigPoly, _half_lags, autocorrelation
 
 # radius of the measurement and rotated-signal bins, per unit of each row's
@@ -304,29 +304,34 @@ def _signal_from_roots(m, locs):
 
 def _source_constellation(m, q, tones):
     """The uniform constellation of the class rows of the source with q
-    off-circle roots, built from its root table, then the rows of tones.
+    off-circle roots, built from its OrbitTable, then the rows of tones.
 
-    The roots are known by construction, so no root is solved for: each
-    inside point z gives the orbit (z, 1/conj(z), 1) and each unit location
-    u the circle root (u, 1), sorted by location as pair_reciprocal and
-    find_roots sort them, so row i is flip spec i as in enumerate_classes.
-    The source has full degree and a nonzero lowest coefficient, so there
-    is no origin shift. The class rows pass enumerate_classes' gate,
-    _source_gate, on the constellation's own lags, which gap_experiment
-    then bins.
+    The roots are known by construction, so no root is solved for: the
+    source takes z or its reflection w = 1/conj(z), alternately, from each
+    inside point, which gives the orbit (z, w, 1, 0) or (z, w, 0, 1), and
+    each unit location u gives the circle root (u, 1). The entries are
+    sorted by location as pair_reciprocal sorts them, so row i is flip
+    spec i as in enumerate_classes. The source has full degree 2m and a
+    nonzero lowest coefficient, so there is no origin shift. The class
+    rows pass enumerate_classes' gate, _source_gate, on the
+    constellation's own lags, which gap_experiment then bins.
     """
     inside, circle = _deterministic_roots(m, q)
-    outer = [conj_reciprocal(z) for z in inside]
-    source = _signal_from_roots(
-        m, [w if j % 2 else z for j, (z, w) in enumerate(zip(inside, outer))] + circle)
+    orbits = [(z, conj_reciprocal(z), 1 - j % 2, j % 2) for j, z in enumerate(inside)]
+    source = _signal_from_roots(m, [w if k_outer else z for z, w, _, k_outer in orbits] + circle)
 
     def by_location(item):
         return item[0].real, item[0].imag
 
-    orbits = sorted(((z, w, 1) for z, w in zip(inside, outer)), key=by_location)
-    circle = sorted(((u, 1) for u in circle), key=by_location)
+    table = OrbitTable(
+        orbits=tuple(sorted(orbits, key=by_location)),
+        circle=tuple(sorted(((u, 1) for u in circle), key=by_location)),
+        origin=0,
+        degree=2 * m,
+        leading=complex(source.coeffs[-1]),
+    )
     s = autocorrelation(source)
-    rows = _class_rows(orbits, circle, 0, s)
+    rows = _class_rows(table, s)
     c = _uniform(np.concatenate([rows, tones]), 1.0)
     _source_gate(_lag_deviations(c.lags[: len(rows)], s.coeffs) / s.c0, s.c0)
     return c

@@ -196,21 +196,21 @@ def _cmd_analyze(args):
     p = parse_signal(load_json(args.inputs[0]))
     f = lift(p)
     r = find_roots(f, tol=args.tol_root, circle_band=args.tol_circle, seed=args.seed)
-    orbits, on_circle, origin = pair_reciprocal(r)
+    table = pair_reciprocal(r)
     _emit(args, {
         "signal": signal_dict(p),
         "autocorrelation": autocorr_dict(autocorrelation(p)),
         "roots": rootset_dict(r),
         "orbits": [
             {
-                "inner": [orbit.inner.real, orbit.inner.imag],
-                "outer": [orbit.outer.real, orbit.outer.imag],
-                "mult_inner": orbit.mult_inner,
-                "mult_outer": orbit.mult_outer,
+                "inner": [inner.real, inner.imag],
+                "outer": [outer.real, outer.imag],
+                "mult_inner": k_inner,
+                "mult_outer": k_outer,
             }
-            for orbit in orbits
+            for inner, outer, k_inner, k_outer in table.orbits
         ],
-        "origin_mult": origin,
+        "origin_mult": table.origin,
     })
     return 0
 

@@ -108,9 +108,8 @@ def struct_magnitude_equiv(
     if f.is_zero() or g.is_zero():
         raise ZeroPolynomial("magnitude equivalence needs nonzero polynomials")
     rf, rg = find_roots_batch((f, g), tol=root_tol, circle_band=circle_band, seed=seed)
-    orbits, circle_pairs = joint_orbits(rf, rg)
     try:
-        kappa = kappa_ratio(rf, rg, orbits, circle_pairs)
+        kappa = kappa_ratio(*joint_orbits(rf, rg))
     except ConditionViolated as exc:
         return EquivalenceVerdict(related=False, witness=str(exc))
     return EquivalenceVerdict(related=True, kappa=kappa)

@@ -457,22 +457,49 @@ def conj_reciprocal(alpha):
 
 
 @dataclass(frozen=True)
-class ReciprocalOrbit:
-    """A pair of root locations exchanged by circle reflection.
+class OrbitTable:
+    """The reflection-orbit table of a polynomial's roots.
 
-    inner always lies strictly inside the disk and is the canonical
-    representative; outer is its reflection. Either multiplicity may be
-    zero when only one side is actually a root.
+    orbits holds (inner, outer, k_inner, k_outer) per reflection orbit,
+    sorted by inner: inner lies strictly inside the disk, outer is its
+    reflection, and either multiplicity may be zero when only one side is
+    a root. circle holds (location, k) per circle root, sorted by
+    location. origin is the origin multiplicity, degree the polynomial's
+    degree and leading its leading coefficient.
     """
 
-    inner: complex
-    outer: complex
-    mult_inner: int
-    mult_outer: int
+    orbits: tuple
+    circle: tuple
+    origin: int
+    degree: int
+    leading: complex
 
-    @property
-    def total(self):
-        return self.mult_inner + self.mult_outer
+    def halved(self):
+        """The table of the monic all-inside member x of a lift q.
+
+        An orbit of q holds each root of x twice and a circle root of x
+        doubles its multiplicity, so orbit (inner, outer, k, k) becomes
+        (inner, outer, k, 0) and circle root (location, 2k) becomes
+        (location, k). x keeps q's origin multiplicity, and its leading
+        coefficient is 1: every class row is scaled to the measurement's
+        energy anyway. An orbit with unequal sides, and then a circle root
+        of odd multiplicity, raises AsymmetricSpectrum: q is not a lift.
+        """
+        for inner, _, k_inner, k_outer in self.orbits:
+            if k_inner != k_outer:
+                raise AsymmetricSpectrum(
+                    "orbit at %s has multiplicities %d inside vs %d outside"
+                    % (inner, k_inner, k_outer)
+                )
+        for location, k in self.circle:
+            if k % 2:
+                raise AsymmetricSpectrum(
+                    "on-circle root at %s has odd multiplicity %d" % (location, k)
+                )
+        orbits = tuple((inner, outer, k, 0) for inner, outer, k, _ in self.orbits)
+        circle = tuple((location, k // 2) for location, k in self.circle)
+        budget = sum(k for _, _, k, _ in orbits) + sum(k for _, k in circle)
+        return OrbitTable(orbits, circle, self.origin, self.origin + budget, 1.0)
 
 
 def _orbit_key(location):
@@ -480,12 +507,12 @@ def _orbit_key(location):
     return location if abs(location) < 1.0 else conj_reciprocal(location)
 
 
-def _orbit_groups(multisets):
-    """Reflection orbits of the off-circle roots of one or more multisets.
+def _orbit_tables(multisets, circle):
+    """One OrbitTable per multiset, aligned entry for entry.
 
-    Roots whose orbit keys group under _MATCH_TOL form one orbit. Returns a
-    list of (inner, outer, counts) sorted by inner, where counts holds one
-    [inner multiplicity, outer multiplicity] pair per multiset.
+    Off-circle roots, of any of the multisets, whose orbit keys group
+    under _MATCH_TOL form one orbit; orbits are sorted by inner. circle
+    holds (location, one multiplicity per multiset) per circle entry.
     """
     off = [(k, root) for k, r in enumerate(multisets)
            for root in r.roots if root.label != "on_circle"]
@@ -502,88 +529,44 @@ def _orbit_groups(multisets):
         outer = _centroid(locs[1]) if locs[1] else conj_reciprocal(inner)
         orbits.append((inner, outer, counts))
     orbits.sort(key=lambda o: (o[0].real, o[0].imag))
-    return orbits
+    return tuple(
+        OrbitTable(
+            orbits=tuple((inner, outer, *counts[k]) for inner, outer, counts in orbits),
+            circle=tuple((location, mults[k]) for location, *mults in circle),
+            origin=r.origin_mult,
+            degree=r.degree,
+            leading=r.leading_coeff,
+        )
+        for k, r in enumerate(multisets)
+    )
 
 
-def pair_reciprocal(r, assert_symmetric=False):
-    """Group the off-circle roots of one multiset into reflection orbits.
+def pair_reciprocal(r):
+    """The OrbitTable of one root multiset.
 
-    Returns (orbits, on_circle, origin_mult) where orbits is a tuple of
-    ReciprocalOrbit sorted by representative and on_circle is the tuple of
-    on-circle ClassifiedRoots. Roots join one orbit when their inside-disk
-    representatives group by the cluster rule of find_roots at a fixed
-    radius of 1e-6.
-
-    With assert_symmetric=True the caller states that r came from a valid
-    measurement lift, which forces equal multiplicities on both sides of
-    every orbit and even multiplicities on the circle; violations raise
-    AsymmetricSpectrum.
+    Roots join one orbit when their inside-disk representatives group by
+    the cluster rule of find_roots at a fixed radius of 1e-6; each
+    on-circle root is one circle entry.
     """
-    orbits = [
-        ReciprocalOrbit(inner=inner, outer=outer, mult_inner=f[0], mult_outer=f[1])
-        for inner, outer, (f,) in _orbit_groups((r,))
-    ]
-
-    on_circle = r.by_label("on_circle")
-    if assert_symmetric:
-        for orbit in orbits:
-            if orbit.mult_inner != orbit.mult_outer:
-                raise AsymmetricSpectrum(
-                    "orbit at %s has multiplicities %d inside vs %d outside"
-                    % (orbit.inner, orbit.mult_inner, orbit.mult_outer)
-                )
-        for root in on_circle:
-            if root.multiplicity % 2:
-                raise AsymmetricSpectrum(
-                    "on-circle root at %s has odd multiplicity %d"
-                    % (root.location, root.multiplicity)
-                )
-    return tuple(orbits), on_circle, r.origin_mult
-
-
-@dataclass(frozen=True)
-class JointOrbit:
-    """Reflection orbit with per-polynomial multiplicities for a pair (f, g)."""
-
-    inner: complex
-    outer: complex
-    f_inner: int
-    f_outer: int
-    g_inner: int
-    g_outer: int
-
-    @property
-    def f_total(self):
-        return self.f_inner + self.f_outer
-
-    @property
-    def g_total(self):
-        return self.g_inner + self.g_outer
+    circle = [(root.location, root.multiplicity) for root in r.by_label("on_circle")]
+    return _orbit_tables((r,), circle)[0]
 
 
 def joint_orbits(rf, rg):
-    """Reflection orbits over the union of two root multisets.
+    """The OrbitTables of two root multisets, aligned entry for entry.
 
-    Returns (orbits, circle_pairs) where circle_pairs is a tuple of
-    (location, f_mult, g_mult) for matched on-circle roots. Roots of the
-    two polynomials are matched as in pair_reciprocal, on-circle roots by
-    their locations under the same rule; the polynomials themselves are
-    never compared coefficient-wise here.
+    Orbits are matched as in pair_reciprocal over the union of the roots,
+    and on-circle roots by their locations under the same rule, so an
+    entry's multiplicity is 0 in the table of a polynomial that lacks it.
+    The polynomials themselves are never compared coefficient-wise here.
     """
-    orbits = [
-        JointOrbit(inner=inner, outer=outer,
-                   f_inner=f[0], f_outer=f[1], g_inner=g[0], g_outer=g[1])
-        for inner, outer, (f, g) in _orbit_groups((rf, rg))
-    ]
-
     circle = [(k, root) for k, r in enumerate((rf, rg)) for root in r.by_label("on_circle")]
     locs = [root.location for _, root in circle]
-    circle_pairs = []
+    pairs = []
     for idx in _groups(locs, _MATCH_TOL):
         mults = [0, 0]
         for i in idx:
             mults[circle[i][0]] += circle[i][1].multiplicity
-        circle_pairs.append((_centroid([locs[i] for i in idx]), *mults))
-    circle_pairs.sort(key=lambda item: (item[0].real, item[0].imag))
-
-    return tuple(orbits), tuple(circle_pairs)
+        pairs.append((_centroid([locs[i] for i in idx]), *mults))
+    pairs.sort(key=lambda item: (item[0].real, item[0].imag))
+    return _orbit_tables((rf, rg), pairs)

@@ -11,7 +11,7 @@ index range onto ascending powers of z turns either sequence into an
 ordinary polynomial; all root-based analysis happens on that lift.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

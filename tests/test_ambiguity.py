@@ -17,6 +17,7 @@ from sldlab import (
     CoeffPoly,
     Constellation,
     TrigPoly,
+    OrbitTable,
     autocorrelation,
     bundled_constellation,
     certify_bound,
@@ -331,25 +332,38 @@ def _assembly_signals():
             yield _normalized(radii * np.exp(1j * angles), 4)
 
 
+def _shift_hi(table, autocorr):
+    """The largest origin shift of the classes of an OrbitTable."""
+    return 2 * autocorr.m - (table.degree - table.origin)
+
+
+def _table(orbits, shift_hi, m):
+    """An OrbitTable of orbits (inner, outer, k) held all inside, no circle
+    root, and origin shifts 0..shift_hi at order m."""
+    return OrbitTable(tuple((inner, outer, k, 0) for inner, outer, k in orbits), (),
+                      0, 2 * m - shift_hi, 1.0)
+
+
 def _loop_args(args):
     """The per-candidate loop's arguments for _classes(*args).
 
-    The loop gets unit scales, a leading 1.0 and parts multiplied out
-    root by root.
+    The loop gets unit scales, a leading 1.0, parts multiplied out root by
+    root and the circle roots at their unit locations.
     """
-    orbits, circle, shift_hi, autocorr = args
-    table = [
-        (np.array([poly_from_roots([inner] * j + [outer] * (k - j)) for j in range(k + 1)]),
-         np.ones(k + 1))
-        for inner, outer, k in orbits
-    ]
-    circle_coeffs = poly_from_roots([loc for loc, mult in circle for _ in range(mult)])
-    return 1.0, table, circle_coeffs, shift_hi, autocorr.m, ambiguity._CAP
+    table, autocorr = args
+    parts = []
+    for inner, outer, k_inner, k_outer in table.orbits:
+        k = k_inner + k_outer
+        parts.append((np.array([poly_from_roots([inner] * j + [outer] * (k - j))
+                                for j in range(k + 1)]), np.ones(k + 1)))
+    circle_coeffs = poly_from_roots([loc / abs(loc) for loc, mult in table.circle
+                                     for _ in range(mult)])
+    return 1.0, parts, circle_coeffs, _shift_hi(*args), autocorr.m, ambiguity._CAP
 
 
 def _check_against_loop(args, got):
     """got, the ClassSet of _classes(*args), against the loop's rows scaled to c_0."""
-    c0 = args[3].c0
+    c0 = args[1].c0
     want = assemble_classes_loop(*_loop_args(args))
     assert len(got.coeffs) == len(want)
     for row, ref in zip(got.coeffs, want):
@@ -385,7 +399,7 @@ def test_batched_assembly_matches_per_candidate_loop(monkeypatch, block_rows):
             assert np.abs(energy - cs.autocorr.c0).max() <= ulps
         assert len(calls) >= 2
         for args, got in calls:
-            shifted += args[2] > 0
+            shifted += _shift_hi(*args) > 0
             _check_against_loop(args, got)
     assert shifted >= 6
 
@@ -396,16 +410,16 @@ def _unit_energy(m):
 
 def test_batched_assembly_cap_and_degree_paths(monkeypatch):
     orbits = [(0.5, 2.0, 1)]
-    ok = (orbits, (), 1, _unit_energy(1))
+    ok = (_table(orbits, 1, 1), _unit_energy(1))
     _check_against_loop(ok, ambiguity._classes(*ok))
     with monkeypatch.context() as mp:
         mp.setattr(ambiguity, "_CAP", 3)
-        too_many = (orbits, (), 1, _unit_energy(1))
+        too_many = (_table(orbits, 1, 1), _unit_energy(1))
         with pytest.raises(errors.CombinatorialBlowup):
             ambiguity._classes(*too_many)
         with pytest.raises(ValueError, match="cap"):
             assemble_classes_loop(*_loop_args(too_many))
-    too_long = (orbits, (), 2, _unit_energy(1))
+    too_long = (_table(orbits, 2, 1), _unit_energy(1))
     with pytest.raises(errors.DegreeTooLarge):
         ambiguity._classes(*too_long)
     with pytest.raises(ValueError, match="degree"):
@@ -417,7 +431,7 @@ def test_batched_assembly_keeps_both_near_copies_in_spec_order(monkeypatch):
     # built twice, in blocks that share no candidate; both copies stay
     monkeypatch.setattr(ambiguity, "_BLOCK_ROWS", 2)
     orbits = [(0.5 + 1e-10, 0.5, 1), (-0.5j, 2j, 1), (-4 + 4j, -0.25 - 0.25j, 1)]
-    args = (orbits, (), 0, _unit_energy(2))
+    args = (_table(orbits, 0, 2), _unit_energy(2))
     cs = ambiguity._classes(*args)
     got = cs.coeffs
     assert len(got) == 8
@@ -433,22 +447,21 @@ def test_flip_of_each_spec_is_its_enumerated_row():
     signals.append(_normalized([0.0, 0.5j, 1.7, -0.4 + 0.2j], 2))  # an origin root
     shifted = 0
     for p in signals:
-        r = find_roots(lift(p))
-        orbits, on_circle, origin = pair_reciprocal(r)
-        shift_hi = 2 * p.m - r.degree + origin
+        table = pair_reciprocal(find_roots(lift(p)))
+        shift_hi = 2 * p.m - table.degree + table.origin
         shifted += shift_hi > 0
-        circle = poly_from_roots([root.location / abs(root.location)
-                                  for root in on_circle for _ in range(root.multiplicity)])
+        circle = poly_from_roots([loc / abs(loc) for loc, k in table.circle for _ in range(k)])
+        totals = [k_inner + k_outer for _, _, k_inner, k_outer in table.orbits]
         specs = [(split, shift)
-                 for split in itertools.product(*[range(o.total + 1) for o in orbits])
+                 for split in itertools.product(*[range(k + 1) for k in totals])
                  for shift in range(shift_hi + 1)]
         cs = enumerate_classes(p)
         assert len(specs) == cs.exact_count
         for (split, shift), row in zip(specs, cs.coeffs):
             # the spec's one candidate: split j puts j of an orbit's roots inside
-            table = [(poly_from_roots([o.inner] * j + [o.outer] * (o.total - j))[None, :],
-                      np.ones(1)) for o, j in zip(orbits, split)]
-            g = assemble_classes_loop(1.0, table, circle, shift_hi, p.m, 2**20)[shift]
+            parts = [(poly_from_roots([inner] * j + [outer] * (k - j))[None, :], np.ones(1))
+                     for (inner, outer, _, _), k, j in zip(table.orbits, totals, split)]
+            g = assemble_classes_loop(1.0, parts, circle, shift_hi, p.m, 2**20)[shift]
             g = g * np.sqrt(cs.autocorr.c0 / np.sum(np.abs(g) ** 2))
             assert np.abs(g - row).max() <= 1e-13 * np.abs(row).max()
     assert shifted == 1
@@ -483,10 +496,10 @@ def test_enumerate_keeps_a_root_just_off_the_circle():
 
 def test_class_count_is_the_closed_form_count():
     for p in _assembly_signals():
-        r = find_roots(lift(p))
-        orbits, _, origin = pair_reciprocal(r)
-        shift_hi = 2 * p.m - r.degree + origin
-        want = (shift_hi + 1) * math.prod(o.total + 1 for o in orbits)
+        table = pair_reciprocal(find_roots(lift(p)))
+        shift_hi = 2 * p.m - table.degree + table.origin
+        want = (shift_hi + 1) * math.prod(k_inner + k_outer + 1
+                                          for _, _, k_inner, k_outer in table.orbits)
         assert enumerate_classes(p).exact_count == want
 
 

@@ -97,8 +97,7 @@ def test_from_inside_zeros():
 def kappa_of(f_coeffs, g_coeffs):
     rf = find_roots(CoeffPoly(coeffs=f_coeffs, n=len(f_coeffs) - 1))
     rg = find_roots(CoeffPoly(coeffs=g_coeffs, n=len(g_coeffs) - 1))
-    orbits, circle_pairs = joint_orbits(rf, rg)
-    return kappa_ratio(rf, rg, orbits, circle_pairs)
+    return kappa_ratio(*joint_orbits(rf, rg))
 
 
 def test_kappa_flip_pair_is_one():
@@ -134,17 +133,15 @@ def test_kappa_matches_grid_oracle(f, g):
 def test_kappa_rejects_mismatched_orbits():
     rf = find_roots(CoeffPoly(coeffs=poly_from_roots([0.5, 0.5]), n=2))
     rg = find_roots(CoeffPoly(coeffs=poly_from_roots([0.5]), n=1))
-    orbits, circle_pairs = joint_orbits(rf, rg)
     with pytest.raises(errors.ConditionViolated):
-        kappa_ratio(rf, rg, orbits, circle_pairs)
+        kappa_ratio(*joint_orbits(rf, rg))
 
 
 def test_kappa_rejects_mismatched_circle_roots():
     rf = find_roots(CoeffPoly(coeffs=poly_from_roots([1.0, 1.0]), n=2))
     rg = find_roots(CoeffPoly(coeffs=poly_from_roots([1.0]), n=1))
-    orbits, circle_pairs = joint_orbits(rf, rg)
     with pytest.raises(errors.ConditionViolated):
-        kappa_ratio(rf, rg, orbits, circle_pairs)
+        kappa_ratio(*joint_orbits(rf, rg))
 
 
 def test_many_random_products_unimodular(rng):

@@ -229,7 +229,7 @@ def _verdict_from_loops(f, g):
             origin_mult=origin, degree=degree, leading_coeff=leading, circle_band=1e-9,
         ))
     try:
-        kappa = kappa_ratio(*multisets, *joint_orbits(*multisets))
+        kappa = kappa_ratio(*joint_orbits(*multisets))
     except errors.ConditionViolated as exc:
         return False, None, str(exc)
     return True, np.float64(kappa).tobytes(), None

@@ -17,7 +17,6 @@ from sldlab import (
     find_roots,
     find_roots_batch,
     joint_orbits,
-    lift,
     pair_reciprocal,
 )
 import sldlab
@@ -222,43 +221,73 @@ def test_conj_reciprocal():
 def test_pair_reciprocal_balanced():
     p = TrigPoly(m=1, coeffs=[6, -5, 1])
     Q = autocorr_lift(autocorrelation(p))
-    orbits, on_circle, origin = pair_reciprocal(find_roots(Q))
-    assert origin == 0  # full-support signal, no vanishing end lags
-    assert not on_circle
-    assert len(orbits) == 2
-    for orb in orbits:
-        assert orb.mult_inner == orb.mult_outer == 1
-        assert orb.inner * np.conj(orb.outer) == pytest.approx(1.0, abs=1e-7)
-        assert abs(orb.inner) < 1.0 < abs(orb.outer)
+    table = pair_reciprocal(find_roots(Q))
+    assert table.origin == 0  # full-support signal, no vanishing end lags
+    assert not table.circle
+    assert len(table.orbits) == 2
+    for inner, outer, k_inner, k_outer in table.orbits:
+        assert k_inner == k_outer == 1
+        assert inner * np.conj(outer) == pytest.approx(1.0, abs=1e-7)
+        assert abs(inner) < 1.0 < abs(outer)
+
+
+def test_halved_is_the_monic_all_inside_member():
+    # the lift of 6 - 5z + z^2 (roots 2 and 3) halves to the table of
+    # (z - 1/2)(z - 1/3): each orbit keeps one root inside, none outside
+    p = TrigPoly(m=1, coeffs=[6, -5, 1])
+    table = pair_reciprocal(find_roots(autocorr_lift(autocorrelation(p))))
+    half = table.halved()
+    assert half.orbits == tuple((inner, outer, 1, 0) for inner, outer, _, _ in table.orbits)
+    assert [inner for inner, _, _, _ in half.orbits] == pytest.approx([1 / 3, 1 / 2], abs=1e-9)
+    assert (half.circle, half.origin, half.degree, half.leading) == ((), 0, 2, 1.0)
+    # a double circle root of the lift is a simple one of the member, and
+    # origin roots stay: 2m - (degree - origin) is the top origin shift
+    q = CoeffPoly(coeffs=poly_from_roots([0.0, 1j, 1j, 0.5, 2.0]), n=5)
+    half = pair_reciprocal(find_roots(q)).halved()
+    assert [k for _, k in half.circle] == [1]
+    assert (half.origin, half.degree) == (1, 3)
 
 
 def test_pair_reciprocal_rejects_unbalanced():
     f = CoeffPoly(coeffs=poly_from_roots([2.0]), n=1)
-    with pytest.raises(errors.AsymmetricSpectrum):
-        pair_reciprocal(find_roots(f), assert_symmetric=True)
+    table = pair_reciprocal(find_roots(f))
+    with pytest.raises(errors.AsymmetricSpectrum) as caught:
+        table.halved()
+    inner = table.orbits[0][0]
+    assert str(caught.value) == "orbit at %s has multiplicities 0 inside vs 1 outside" % (inner,)
+    assert str(caught.value) == "orbit at (0.5+0j) has multiplicities 0 inside vs 1 outside"
     g = CoeffPoly(coeffs=poly_from_roots([1.0]), n=1)  # circle root, odd mult
-    with pytest.raises(errors.AsymmetricSpectrum):
-        pair_reciprocal(find_roots(g), assert_symmetric=True)
+    table = pair_reciprocal(find_roots(g))
+    with pytest.raises(errors.AsymmetricSpectrum) as caught:
+        table.halved()
+    location = table.circle[0][0]
+    assert str(caught.value) == "on-circle root at %s has odd multiplicity 1" % (location,)
+    # orbits are checked before circle roots
+    both = CoeffPoly(coeffs=poly_from_roots([1.0, 2.0]), n=2)
+    with pytest.raises(errors.AsymmetricSpectrum, match="^orbit at "):
+        pair_reciprocal(find_roots(both)).halved()
 
 
 def test_single_sided_orbits_allowed_when_lax():
     f = CoeffPoly(coeffs=poly_from_roots([2.0, 0.25]), n=2)
-    orbits, on_circle, origin = pair_reciprocal(find_roots(f))
-    assert len(orbits) == 2
-    assert {(o.mult_inner, o.mult_outer) for o in orbits} == {(0, 1), (1, 0)}
+    table = pair_reciprocal(find_roots(f))
+    assert len(table.orbits) == 2
+    assert {(k_inner, k_outer) for _, _, k_inner, k_outer in table.orbits} == {(0, 1), (1, 0)}
 
 
 def test_joint_orbits_alignment():
     f = CoeffPoly(coeffs=poly_from_roots([2.0, 0.4j]), n=2)
     g = CoeffPoly(coeffs=poly_from_roots([0.5, 0.4j]), n=2)
-    orbits, circle_pairs = joint_orbits(find_roots(f), find_roots(g))
-    assert not circle_pairs
-    assert len(orbits) == 2
-    by_inner = {round(abs(o.inner), 6): o for o in orbits}
-    flip_orbit = by_inner[0.5]
-    assert (flip_orbit.f_inner, flip_orbit.f_outer) == (0, 1)
-    assert (flip_orbit.g_inner, flip_orbit.g_outer) == (1, 0)
-    assert flip_orbit.f_total == flip_orbit.g_total == 1
+    tf, tg = joint_orbits(find_roots(f), find_roots(g))
+    assert not tf.circle and not tg.circle
+    assert len(tf.orbits) == len(tg.orbits) == 2
+    # entry i of both tables is one orbit
+    assert [o[:2] for o in tf.orbits] == [o[:2] for o in tg.orbits]
+    by_inner = {round(abs(fo[0]), 6): (fo[2:], go[2:]) for fo, go in zip(tf.orbits, tg.orbits)}
+    f_split, g_split = by_inner[0.5]
+    assert f_split == (0, 1)
+    assert g_split == (1, 0)
+    assert sum(f_split) == sum(g_split) == 1
 
 
 @pytest.mark.parametrize("bad", BAD_TOLERANCES)
@@ -439,8 +468,8 @@ def test_groups_of_no_points():
     assert _sweep(np.empty((0, 1), dtype=complex), 1.0, None).tolist() == []
     # every root on the circle leaves no orbit key to group
     r = find_roots(CoeffPoly(coeffs=poly_from_roots([1j, -1j, -1.0]), n=3))
-    assert pair_reciprocal(r)[0] == ()
-    assert joint_orbits(r, r)[0] == ()
+    assert pair_reciprocal(r).orbits == ()
+    assert [t.orbits for t in joint_orbits(r, r)] == [(), ()]
 
 
 def test_groups_with_points_that_are_not_finite():
@@ -472,16 +501,18 @@ def test_pair_reciprocal_is_joint_orbits_against_nothing(seed):
     empty = RootMultiset(
         roots=(), origin_mult=0, degree=0, leading_coeff=1.0, circle_band=r.circle_band
     )
-    orbits, on_circle, origin = pair_reciprocal(r)
-    joint, circle_pairs = joint_orbits(r, empty)
-    assert [(o.inner, o.outer, o.mult_inner, o.mult_outer) for o in orbits] == [
-        (j.inner, j.outer, j.f_inner, j.f_outer) for j in joint
+    table = pair_reciprocal(r)
+    tf, tg = joint_orbits(r, empty)
+    assert table == tf
+    assert [o[:2] for o in tg.orbits] == [o[:2] for o in tf.orbits]
+    assert all(k_inner == k_outer == 0 for _, _, k_inner, k_outer in tg.orbits)
+    assert [(loc, k, 0) for loc, k in table.circle] == [
+        (loc, k, gk) for (loc, k), (_, gk) in zip(tf.circle, tg.circle)
     ]
-    assert all(j.g_inner == j.g_outer == 0 for j in joint)
-    assert [(c.location, c.multiplicity, 0) for c in on_circle] == list(circle_pairs)
-    assert origin == r.origin_mult
-    assert {(o.mult_inner, o.mult_outer) for o in orbits} == {(1, 1), (1, 0), (0, 2)}
-    assert len(on_circle) == 1
+    assert table.origin == r.origin_mult
+    assert {(k_inner, k_outer) for _, _, k_inner, k_outer in table.orbits} == {
+        (1, 1), (1, 0), (0, 2)}
+    assert len(table.circle) == 1
 
 
 def _bits(z):
@@ -594,17 +625,20 @@ def test_orbits_match_loop_bitwise(seed):
     rf, rg = find_roots_batch((CoeffPoly(coeffs=f), CoeffPoly(coeffs=g)))
     rm = _multiset(rng)
     for pair in ((rf, rg), (rm, rf), (rm, rm)):
-        joint, circle_pairs = joint_orbits(*pair)
+        tf, tg = joint_orbits(*pair)
         assert _orbit_bits(
-            (o.inner, o.outer, [[o.f_inner, o.f_outer], [o.g_inner, o.g_outer]]) for o in joint
+            (inner, outer, [[fi, fo], [gi, go]])
+            for (inner, outer, fi, fo), (_, _, gi, go) in zip(tf.orbits, tg.orbits)
         ) == _orbit_bits(orbit_groups_loop(pair, 1e-6))
+        assert [o[:2] for o in tg.orbits] == [o[:2] for o in tf.orbits]
         for r in pair:
-            orbits, _, _ = pair_reciprocal(r)
             assert _orbit_bits(
-                (o.inner, o.outer, [[o.mult_inner, o.mult_outer]]) for o in orbits
+                (inner, outer, [[k_inner, k_outer]])
+                for inner, outer, k_inner, k_outer in pair_reciprocal(r).orbits
             ) == _orbit_bits(orbit_groups_loop((r,), 1e-6))
     # the circle roots of rm, matched against themselves
-    assert [(_bits(loc), a, b) for loc, a, b in joint_orbits(rm, rm)[1]] == [
+    tf, tg = joint_orbits(rm, rm)
+    assert [(_bits(loc), a, b) for (loc, a), (_, b) in zip(tf.circle, tg.circle)] == [
         (_bits(np.mean([c.location] * 2)), c.multiplicity, c.multiplicity)
         for c in rm.by_label("on_circle")
     ]

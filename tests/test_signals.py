@@ -184,11 +184,11 @@ def test_autocorr_lift_roots_pair_up(p):
     # a per-example context, since hypothesis reruns the body
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(roots, "_MATCH_TOL", 1e-3)
-        orbits, on_circle, origin = pair_reciprocal(r)
-    for orb in orbits:
-        assert orb.mult_inner == orb.mult_outer
-    for root in on_circle:
-        assert root.multiplicity % 2 == 0
+        table = pair_reciprocal(r)
+    for _, _, k_inner, k_outer in table.orbits:
+        assert k_inner == k_outer
+    for _, k in table.circle:
+        assert k % 2 == 0
 
 
 def test_sample_grid_matches_eval():

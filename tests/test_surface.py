@@ -223,12 +223,13 @@ def test_members_are_methods_properties_and_classmethods():
     assert _member_function(vars(Sample)["cached"]) is Sample.cached.func
 
 
-# names deleted with the code only the tests called; none may come back
-# as a public name, alias or error class
+# names deleted with the code only the tests called, or replaced (the
+# orbit types by OrbitTable); none may come back as a public name, alias
+# or error class
 DELETED = (
     "flip", "FlipSpec", "canonicalize", "quantize_phase", "theta_m", "auxiliary_rotate",
     "PhaseGrid", "eval_time", "eval_intensity", "sample_grid", "unlift", "ae_equal",
-    "degree_match", "reconstruct", "mi_dmc", "DiscreteNoise",
+    "degree_match", "reconstruct", "mi_dmc", "DiscreteNoise", "ReciprocalOrbit", "JointOrbit",
 )
 DELETED_ERRORS = ("InvalidSpec", "NotEquivalent", "OutOfRange", "ZeroDC", "InvalidNoiseSpec")
 DELETED_MEMBERS = (
@@ -236,14 +237,17 @@ DELETED_MEMBERS = (
     ("ClassSet", "representatives"),
 )
 
-# parameters that became private module constants; none may come back
-# as a parameter of its function
+# parameters that became private module constants, or that went when
+# their function came to build or read an OrbitTable (assert_symmetric is
+# now OrbitTable.halved, circle_pairs the tables' circle field); none may
+# come back as a parameter of its function
 DELETED_PARAMETERS = (
     ("find_roots", "max_iter"), ("find_roots_batch", "max_iter"),
     ("pair_reciprocal", "match_tol"), ("joint_orbits", "match_tol"),
     ("struct_magnitude_equiv", "match_tol"), ("numeric_magnitude_equiv", "tol"),
     ("enumerate_classes", "cap"), ("factor_sld", "cap"), ("factor_sld", "tol"),
     ("bundled_constellation", "period"), ("single_class_constellation", "period"),
+    ("pair_reciprocal", "assert_symmetric"), ("kappa_ratio", "circle_pairs"),
 )
 
 
