@@ -23,7 +23,6 @@ import functools
 import os
 import stat
 import sys
-from itertools import chain, repeat
 
 import numpy as np
 
@@ -39,7 +38,8 @@ from .errors import (
 )
 from .roots import _CIRCLE_BAND, _ROOT_TOL, _SEED, find_roots, pair_reciprocal
 from .serialize import (
-    _float_texts,
+    _float_bytes,
+    _text_rows,
     autocorr_dict,
     classset_dict,
     gap_dict,
@@ -148,44 +148,34 @@ def _class_csv(cs):
     y(t_j) = sum_k b_k exp(2 pi i k t_j / T), k = -m..m: one phases @ row
     per class, with the (64, 2m+1) phase matrix built once. A product of
     the whole block, or einsum, rounds 18% to 71% of the parts differently.
-    The intensity is Python's abs(z) ** 2 of each sample, since numpy's
-    abs of a complex array and its square round differently too. So every
-    cell is that per-row product to the last digit.
-
-    A block is one list of cells, eight per row, filled slice by slice and
-    joined once, so no Python code runs per row. The ",sample,t," leads and
-    the separators are made once per CSV. Each of the re and im columns of
-    a block is one call of serialize._float_texts, which gives repr's text:
-    it formats the values with numpy and hands the few it cannot certify
-    to repr itself. Every class has the same intensity up to rounding (that
-    is what makes the set one ambiguity class), so the intensity column
-    holds few distinct values, and each goes through repr once per CSV.
+    The intensity is Python's abs(z) ** 2: numpy's hypot squared by libm's
+    pow (x * x differs in the last bit on about 1 sample in 400), once per
+    distinct modulus of a block, which are few, as the classes share one
+    intensity up to rounding. A block of _CSV_CLASSES classes is one uint8
+    canvas, a row per sample and a NUL-padded column per field: class id,
+    ",sample,t," lead, _float_bytes' repr texts of re, im and intensity,
+    and separators. Its text is the canvas without its NULs, decoded once.
     """
     yield "class,sample,t,re,im,intensity\n"
     period = cs.autocorr.period
     t = np.arange(_SAMPLES) * (period / _SAMPLES)
     k = np.arange(-cs.source_m, cs.source_m + 1)
     phases = np.exp(2j * np.pi * np.multiply.outer(t, k) / period)
-    # the cells of one block, refilled per block and cut short for the last:
-    # class, lead, re, ",", im, ",", intensity, "\n"
-    cells = [None, None, None, ",", None, ",", None, "\n"] * (_SAMPLES * _CSV_CLASSES)
-    cells[1::8] = [",%d,%r," % (j, tj) for j, tj in enumerate(t.tolist())] * _CSV_CLASSES
-    # intensities are >= +0.0, so no -0.0 key meets a 0.0 one; a NaN is
-    # its own key, found by identity, and keeps its own text
-    names = {}
+    leads = _text_rows(",%d,%r," % (j, tj) for j, tj in enumerate(t.tolist()))
     for lo in range(0, cs.exact_count, _CSV_CLASSES):
         block = cs.coeffs[lo : lo + _CSV_CLASSES]
         values = np.stack([phases @ row for row in block]).ravel()
-        intensity = list(map(pow, map(abs, values.tolist()), repeat(2)))
-        new = set(intensity).difference(names)
-        names.update(zip(new, map(repr, new)))
-        del cells[8 * len(values) :]
-        cells[0::8] = chain.from_iterable(
-            map(repeat, map(str, range(lo, lo + len(block))), repeat(_SAMPLES)))
-        cells[2::8] = _float_texts(values.real)
-        cells[4::8] = _float_texts(values.imag)
-        cells[6::8] = map(names.__getitem__, intensity)
-        yield "".join(cells)
+        with np.errstate(over="ignore"):  # a modulus or its square past the float range is inf
+            moduli, cell = np.unique(np.hypot(values.real, values.imag), return_inverse=True)
+            squares = _float_bytes(np.array([h ** 2 for h in moduli]))
+        comma = np.full((len(values), 1), ord(","), np.uint8)
+        canvas = np.concatenate([
+            np.repeat(_text_rows(map(str, range(lo, lo + len(block)))), _SAMPLES, axis=0),
+            np.tile(leads, (len(block), 1)),
+            _float_bytes(values.real), comma, _float_bytes(values.imag), comma,
+            squares[cell], np.full_like(comma, ord("\n")),
+        ], axis=1).ravel()
+        yield canvas[canvas != 0].tobytes().decode("ascii")
 
 
 def _solver_kw(args):

@@ -10,10 +10,11 @@ not finite as a float (NaN, Infinity, integers beyond the float range),
 which the schema lets through. Report rendering is deterministic: sorted
 keys, an indent of 2 and one trailing newline, except that each row of an
 array (a list or tuple inside a list, such as one class representative or
-one [re, im] lag) is written on one line, as json's encoder writes it.
-The floats of such rows and of lists of floats are formatted a block at a
-time by a numpy formatter whose text is repr's, which is json's for a
-finite float; everything else goes through one json C encoder per report.
+one [re, im] lag) is written on one line, as json's encoder writes it,
+and a numpy array as the nested list it holds. The floats of such rows,
+lists and arrays are formatted a block at a time by a numpy formatter
+whose text is repr's, which is json's for a finite float; everything else
+goes through one json C encoder per report.
 """
 
 import functools
@@ -192,10 +193,15 @@ def complex_pair(z):
     return [float(z.real), float(z.imag)]
 
 
+def _pair_array(arr):
+    """A float array of the [re, im] pairs of a complex array, nested as the array is."""
+    arr = np.ascontiguousarray(arr, dtype=complex)
+    return arr.view(np.float64).reshape(arr.shape + (2,))
+
+
 def complex_pairs(arr):
     """[re, im] float pairs of a complex array, nested as the array is."""
-    arr = np.ascontiguousarray(arr, dtype=complex)
-    return arr.view(np.float64).reshape(arr.shape + (2,)).tolist()
+    return _pair_array(arr).tolist()
 
 
 def signal_dict(p):
@@ -231,11 +237,11 @@ def classset_dict(cs, report):
         "period": cs.autocorr.period,
         "bound": cs.bound,
         "exact_count": cs.exact_count,
-        "autocorrelation": complex_pairs(cs.autocorr.coeffs),
-        "representatives": complex_pairs(cs.coeffs),
+        "autocorrelation": _pair_array(cs.autocorr.coeffs),
+        "representatives": _pair_array(cs.coeffs),
         "within_bound": report.passed,
         "max_residual": report.max_residual,
-        "residuals": report.residuals.tolist(),
+        "residuals": report.residuals,
     }
 
 
@@ -299,7 +305,7 @@ def _layouts():
     17. Its text is the sign, then y[:q] + "." + y[q:keep] with
     y = ("0000" + d)[s:], then an exponent such as "e-05" where repr uses
     the exponent form (E < -4 or E >= 16). Entry k of the row is the byte
-    of the value's canvas (see _block_texts) that is byte k of the text,
+    of the value's canvas (see _float_bytes) that is byte k of the text,
     0 (a NUL) past its end. The rows are built nine exponents at a time,
     so every temporary stays a few kilobytes.
     """
@@ -331,46 +337,44 @@ def _unsigned_layouts(exponents):
     return text
 
 
-def _float_texts(values):
-    """repr(float(v)) for each v of a float64 array, as a list of str."""
-    texts = []
-    for lo in range(0, len(values), _BLOCK):
-        texts += _block_texts(values[lo : lo + _BLOCK])
-    return texts
+def _float_bytes(values):
+    """repr(float(v)) for each v of a float64 array, as the NUL-padded rows of a uint8 array.
 
-
-def _block_texts(x):
-    """repr's text for one block of values.
-
-    _shortest gives each value's digits. Each value gets a canvas of six
-    64-bit words: "0000" and the 17 digits at bytes 11 to 31, _ALPHABET
-    from byte 32 and NULs elsewhere; its _layouts row picks the text's
-    bytes out of it in one gather. The values _shortest could not certify
-    go through repr() itself.
+    The rows are filled _BLOCK values at a time. _shortest gives each
+    value's digits. Each value gets a canvas of six 64-bit words: "0000"
+    and the 17 digits at bytes 11 to 31, _ALPHABET from byte 32 and NULs
+    elsewhere; its _layouts row picks the text's bytes out of it in one
+    gather. The values _shortest could not certify go through repr().
     """
-    n = len(x)
-    digits, e, ok = _shortest(x)
     _, quads, zeros = _digit_tables()
-    # the 17 digits, as the lead digit and four groups of four
-    lead, rest = np.divmod(digits, 10**16)
-    g1, g2 = np.divmod(rest // 10**8, 10**4)
-    g3, g4 = np.divmod(rest % 10**8, 10**4)
-    trailing = zeros[g4] + (g4 == 0) * (zeros[g3] + (g3 == 0) * (
-        zeros[g2] + (g2 == 0) * zeros[g1]))
-    words = np.zeros((n, 6), np.int64)
-    words[:, 1] = quads[lead] << 32 | 0x30 << 24
-    words[:, 2] = quads[g1] | quads[g2] << 32
-    words[:, 3] = quads[g3] | quads[g4] << 32
-    words[:, 4:] = np.frombuffer(_ALPHABET, "<i8")
-    neg = x.view(np.int64) < 0
-    key = (neg * (_E_MAX - _E_MIN + 1) + e - _E_MIN) * 18 + 17 - trailing
-    take = np.add(_layouts().take(key, axis=0), np.arange(0, 48 * n, 48)[:, None])
-    # one UCS4 code point per byte: numpy's str arrays give str objects
-    chars = words.view(np.uint8).ravel().take(take).astype(np.uint32)
-    texts = chars.view("U%d" % _CHARS).ravel().tolist()
-    for i in np.flatnonzero(~ok).tolist():
-        texts[i] = repr(float(x[i]))
-    return texts
+    out = np.empty((len(values), _CHARS), np.uint8)
+    for lo in range(0, len(values), _BLOCK):
+        x = values[lo : lo + _BLOCK]
+        digits, e, ok = _shortest(x)
+        # the 17 digits, as the lead digit and four groups of four
+        lead, rest = np.divmod(digits, 10**16)
+        g1, g2 = np.divmod(rest // 10**8, 10**4)
+        g3, g4 = np.divmod(rest % 10**8, 10**4)
+        trailing = zeros[g4] + (g4 == 0) * (zeros[g3] + (g3 == 0) * (
+            zeros[g2] + (g2 == 0) * zeros[g1]))
+        words = np.zeros((len(x), 6), np.int64)
+        words[:, 1] = quads[lead] << 32 | 0x30 << 24
+        words[:, 2] = quads[g1] | quads[g2] << 32
+        words[:, 3] = quads[g3] | quads[g4] << 32
+        words[:, 4:] = np.frombuffer(_ALPHABET, "<i8")
+        neg = x.view(np.int64) < 0
+        key = (neg * (_E_MAX - _E_MIN + 1) + e - _E_MIN) * 18 + 17 - trailing
+        take = np.add(_layouts().take(key, axis=0), np.arange(0, 48 * len(x), 48)[:, None])
+        words.view(np.uint8).ravel().take(take, out=out[lo : lo + len(x)])
+        missed = np.flatnonzero(~ok)
+        out[lo + missed] = _text_rows(map(repr, x[missed].tolist()), "S%d" % _CHARS)
+    return out
+
+
+def _text_rows(texts, dtype=np.bytes_):
+    """ASCII texts as the NUL-padded rows of a uint8 array, as wide as dtype."""
+    texts = np.array(list(texts), dtype)
+    return texts.view(np.uint8).reshape(-1, texts.itemsize)
 
 
 def _shortest(x):
@@ -460,14 +464,15 @@ _SLOT = "\0"  # a float's place in a row's template, where the template splits
 def _floats(items):
     """(one item's pieces, the float leaves in order) or None.
 
-    Not None when the items, lists or tuples, nest to one shape around
-    leaves that are all floats, or are all floats themselves. The pieces
-    are json's one-line text of an item, split at each leaf. A structure
-    deeper than 32 levels, such as a list holding itself, gives None.
+    Not None for a float64 array, or when the items, lists or tuples, nest to
+    one shape around leaves that are all floats, or are floats themselves.
+    The pieces are json's one-line text of an item, split at each leaf. A
+    structure deeper than 32 levels, such as a list holding itself, gives None.
     """
-    level, shape = items, []
+    array = isinstance(items, np.ndarray)
+    level, shape = (items.ravel(), list(items.shape[1:])) if array else (items, [])
     for _ in range(32):
-        kinds = set(map(type, level))
+        kinds = {float} if array else set(map(type, level))
         if kinds == {float}:
             template = _SLOT
             for size in reversed(shape):
@@ -497,20 +502,22 @@ def _joined(texts, sep):
 def _render(obj, pad, leaves, encode):
     """indent=2 layout, except that a list or tuple inside a list is one line.
 
-    The text comes as its pieces: each float leaf of a list or row lies
-    between two of them, its value appended to leaves. Every other value
-    is encode's text.
+    The text comes as its pieces: each float leaf of a list, row or float
+    array lies between two of them, and the leaves of each such node are
+    appended to leaves as one sequence. Every other value is encode's text.
     """
     inner = pad + "  "
-    if not (isinstance(obj, (dict, list, tuple)) and obj):
+    if isinstance(obj, np.ndarray) and not (obj.dtype == np.float64 and obj.ndim and obj.size):
+        obj = obj.tolist()  # only a float64 array with leaves is a node of floats
+    if not (isinstance(obj, (dict, list, tuple, np.ndarray)) and len(obj)):
         return [encode(obj)]
     values = obj.values() if isinstance(obj, dict) else obj
     uniform = None if isinstance(obj, dict) else _floats(obj)
     if uniform:
         pieces, floats = uniform
-        leaves += floats
+        leaves.append(floats)
         body = _joined([pieces] * len(obj), ",\n" + inner)
-    elif not any(isinstance(item, (dict, list, tuple)) for item in values):
+    elif not any(isinstance(item, (dict, list, tuple, np.ndarray)) for item in values):
         # only scalars: one C-encoder call, its item separator breaks the lines
         body = [json.dumps(obj, sort_keys=True, separators=(",\n" + inner, ": "))[1:-1]]
     elif isinstance(obj, dict):
@@ -537,7 +544,7 @@ def _row(row, leaves, encode):
     uniform = _floats([row])
     if not uniform:
         return [encode(row)]
-    leaves += uniform[1]
+    leaves.append(uniform[1])
     return uniform[0]
 
 
@@ -551,15 +558,16 @@ def render_report(payload):
     """
     leaves, encode = [], _encoder()
     pieces = _render(payload, "", leaves, encode)
-    values = np.array(leaves, dtype=np.float64)
+    values = np.concatenate([[], *leaves])
     chunks = [pieces[0]]
     for lo in range(0, len(values), _BLOCK):
         block = values[lo : lo + _BLOCK]
-        texts = _block_texts(block)
+        # one UCS4 code point per byte: numpy's str arrays give str objects
+        texts = _float_bytes(block).astype(np.uint32).view("U%d" % _CHARS).ravel().tolist()
         for i in np.flatnonzero(~np.isfinite(block)).tolist():
-            texts[i] = encode(leaves[lo + i])
+            texts[i] = encode(float(block[i]))
         mixed = [None] * (2 * len(texts))
         mixed[0::2] = texts
         mixed[1::2] = pieces[lo + 1 : lo + 1 + len(texts)]
         chunks.append("".join(mixed))
-    return "".join(chunks) + "\n"
+    return "".join([*chunks, "\n"])

@@ -595,6 +595,8 @@ _encode_one = json.JSONEncoder(sort_keys=True).encode
 
 def _render_rows(obj, pad):
     inner = pad + "  "
+    if isinstance(obj, np.ndarray):  # an array is the nested list it holds
+        obj = obj.tolist()
     if isinstance(obj, dict) and obj:
         items = (_encode_one(key) + ": " + _render_rows(obj[key], inner) for key in sorted(obj))
     elif isinstance(obj, (list, tuple)) and obj:
@@ -610,6 +612,7 @@ def render_report_loop(payload):
     """Report text with one C-encoder call per scalar and per row.
 
     Sorted keys and an indent of 2, except that a list or tuple inside a
-    list is written on one line; one trailing newline.
+    list is written on one line; one trailing newline. A numpy array is
+    written as its tolist().
     """
     return _render_rows(payload, "") + "\n"

@@ -3,6 +3,7 @@
 import itertools
 import json
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,9 +11,14 @@ from hypothesis import given, strategies as st
 
 from sldlab import TrigPoly, certify_bound, cli, enumerate_classes, serialize
 from sldlab.cli import main
-from sldlab.serialize import _float_texts, classset_dict, render_report, signal_dict
+from sldlab.serialize import _float_bytes, classset_dict, render_report, signal_dict
 
 from oracles import class_csv_text, render_report_loop
+
+
+def _float_texts(values):
+    """The formatter's text of each value, read off its NUL-padded row."""
+    return [row.tobytes().rstrip(b"\0").decode("ascii") for row in _float_bytes(values)]
 
 
 def _neighbours(points, steps=8):
@@ -103,6 +109,25 @@ def test_writers_reach_the_repr_fallback_and_keep_its_bytes(m, tmp_path, monkeyp
     from_csv = len(handed)
     render_report({"classes": classset_dict(cs, certify_bound(cs))})
     assert from_csv and len(handed) > from_csv
+
+
+def test_class_csv_keeps_the_bytes_of_the_values_repr_writes():
+    # cells that are zeros, subnormals or beyond the formatter's exponents of
+    # 1e-40..1e40 (those two go to repr), and intensities past the float
+    # range, a square or a modulus: inf, where Python's abs or pow would raise
+    rows = np.array([[0, 0, 0], [0, complex(-0.0, -0.0), 0], [0, 5e-324 + 2e-310j, 0],
+                     [0, -3e-45 + 7e50j, 0], [1e-41, 2e-41j, 3e-41], [0, 1e200, 0],
+                     [0, 1.3e308 + 1.3e308j, 0]])
+    cs = SimpleNamespace(autocorr=SimpleNamespace(period=1.0), source_m=1,
+                         exact_count=len(rows), coeffs=rows)
+    with np.errstate(over="ignore"):
+        want = class_csv_text(rows, 1, 1.0)
+    assert "".join(cli._class_csv(cs)) == want
+    for cell in (",0.0,0.0,0.0\n", ",5e-324,2e-310,0.0\n", ",-3e-45,7e+50,", "e-81\n", ",inf\n"):
+        assert cell in want
+    # no sample above is -0.0; the formatter writes it, and the rest, as repr does
+    special = np.array([-0.0, 0.0, -5e-324, 1e-45, -7e50, np.inf, -np.inf, np.nan])
+    assert _float_texts(special) == list(map(repr, special.tolist()))
 
 
 def test_class_csv_memory_stays_per_block():

@@ -247,6 +247,23 @@ def test_representatives_with_non_finite_and_signed_zero_entries_match_the_oracl
         assert word in text
 
 
+@pytest.mark.parametrize("array", [
+    np.array([[0.5, -0.0], [np.nan, -np.inf]]), np.arange(6).reshape(3, 2),
+    np.array([True, False]), np.array([0.5, 2.0], dtype=np.float32), np.zeros((2, 0)),
+    np.zeros(0), np.array(1.5),
+], ids=["float64", "int", "bool", "float32", "no-leaves", "empty", "0-d"])
+def test_an_array_renders_as_the_nested_list_it_holds(array):
+    # inside a list, an array is a node of its own, not a row on one line
+    payload = {"a": array, "b": [array, [1.0]], "c": {"d": array}}
+    assert render_report(payload) == render_report_loop(payload)
+    assert render_report({"a": array}) == render_report({"a": array.tolist()})
+
+
+def test_a_complex_array_raises_as_its_nested_list():
+    payload = {"a": np.array([1 + 2j])}
+    assert _raised(render_report, payload) == _raised(render_report, {"a": [1 + 2j]})
+
+
 def test_enumerate_report_has_one_line_per_representative(tmp_path):
     m = 3
     coeffs = np.random.default_rng(5).standard_normal((2 * m + 1, 2)).tolist()
