@@ -38,6 +38,7 @@ from .errors import (
 )
 from .roots import _CIRCLE_BAND, _ROOT_TOL, _SEED, find_roots, pair_reciprocal
 from .serialize import (
+    _CHARS,
     _float_bytes,
     _text_rows,
     autocorr_dict,
@@ -149,12 +150,15 @@ def _class_csv(cs):
     per class, with the (64, 2m+1) phase matrix built once. A product of
     the whole block, or einsum, rounds 18% to 71% of the parts differently.
     The intensity is Python's abs(z) ** 2: numpy's hypot squared by libm's
-    pow (x * x differs in the last bit on about 1 sample in 400), once per
-    distinct modulus of a block, which are few, as the classes share one
-    intensity up to rounding. A block of _CSV_CLASSES classes is one uint8
+    pow, once per distinct modulus of a block. On perfbench's seed-1
+    classes-m5 draw, x * x differs from pow in the last bit on 157 of the
+    65,536 samples, and a block's 8,192 samples have 930 to 1,295 distinct
+    moduli (1,054 on average); np.unique and the pow loop take about 5 ms
+    of an op there. A block of _CSV_CLASSES classes is one uint8
     canvas, a row per sample and a NUL-padded column per field: class id,
-    ",sample,t," lead, _float_bytes' repr texts of re, im and intensity,
-    and separators. Its text is the canvas without its NULs, decoded once.
+    ",sample,t," lead, separators, and the repr texts of re, im and
+    intensity, which _float_bytes writes into their columns in place. Its
+    text is the canvas without its NULs, decoded once.
     """
     yield "class,sample,t,re,im,intensity\n"
     period = cs.autocorr.period
@@ -168,13 +172,17 @@ def _class_csv(cs):
         with np.errstate(over="ignore"):  # a modulus or its square past the float range is inf
             moduli, cell = np.unique(np.hypot(values.real, values.imag), return_inverse=True)
             squares = _float_bytes(np.array([h ** 2 for h in moduli]))
-        comma = np.full((len(values), 1), ord(","), np.uint8)
-        canvas = np.concatenate([
-            np.repeat(_text_rows(map(str, range(lo, lo + len(block)))), _SAMPLES, axis=0),
-            np.tile(leads, (len(block), 1)),
-            _float_bytes(values.real), comma, _float_bytes(values.imag), comma,
-            squares[cell], np.full_like(comma, ord("\n")),
-        ], axis=1).ravel()
+        ids = _text_rows(map(str, range(lo, lo + len(block))))
+        at = np.cumsum([0, ids.shape[1], leads.shape[1], _CHARS, 1, _CHARS, 1, _CHARS, 1])
+        canvas = np.empty((len(block), _SAMPLES, at[-1]), np.uint8)
+        canvas[:, :, : at[1]] = ids[:, None]
+        canvas[:, :, at[1] : at[2]] = leads
+        canvas[:, :, at[3]] = canvas[:, :, at[5]] = ord(",")
+        canvas[:, :, at[7]] = ord("\n")
+        rows = canvas.reshape(len(values), -1)
+        _float_bytes(values.real, out=rows[:, at[2] : at[3]])
+        _float_bytes(values.imag, out=rows[:, at[4] : at[5]])
+        rows[:, at[6] : at[7]] = squares[cell]
         yield canvas[canvas != 0].tobytes().decode("ascii")
 
 

@@ -12,9 +12,9 @@ keys, an indent of 2 and one trailing newline, except that each row of an
 array (a list or tuple inside a list, such as one class representative or
 one [re, im] lag) is written on one line, as json's encoder writes it,
 and a numpy array as the nested list it holds. The floats of such rows,
-lists and arrays are formatted a block at a time by a numpy formatter
-whose text is repr's, which is json's for a finite float; everything else
-goes through one json C encoder per report.
+lists and arrays are written a block at a time onto a byte canvas by a
+numpy formatter whose text is repr's, which is json's for a finite float;
+everything else goes through one json C encoder per report.
 """
 
 import functools
@@ -254,26 +254,30 @@ def gap_dict(report):
 # The float formatter: repr's text for a whole array of floats. Its integer
 # arrays are int64, as elsewhere in the program: int8 or uint64 arithmetic
 # pages in numpy loops that nothing else runs, about 0.3 MB more resident.
-_BLOCK = 2048  # values formatted per block; every temporary is per block
+# Its shifts rely on numpy's rule that a count outside 0..63 shifts a
+# nonnegative int64 to 0. Its remainders are n - n // d * d: numpy divides
+# by a constant with a multiplication, at about the cost of an add, and its
+# % and divmod cost about four times more.
+_BLOCK = 4096  # values formatted per block; every temporary is per block
+_SHORT = 200  # fewer values go through repr(), below the kernel's fixed cost
 _E_MIN, _E_MAX = -40, 40  # decimal exponents of the vectorized path
 _MARGIN = 1e-7  # least distance of a decision from its boundary, in last-digit units
-# the constant bytes of repr's texts, at bytes 32 to 47 of each value's canvas
-_ALPHABET = b"-.e+0123456789\0\0"
-_CHARS = 24  # text bytes per value; the longest text, "-0.000" + 17 digits, has 23
+_CHARS = 32  # bytes per value: four words, see _float_bytes
+_ZEROS = 0x3030303030303030  # "0" in each byte of a word
 
 
 @functools.cache
 def _digit_tables():
-    """10**(16 - E) for each E of the vectorized path, and the digits of 0..9999.
+    """_shortest's tables, built from exact integer arithmetic.
 
-    Column E - _E_MIN of the first holds (hi, Dekker's two halves of hi,
-    lo), hi + lo being that power to about 106 bits: hi is the power
-    rounded, lo the rest rounded, both from exact integer arithmetic.
-    The second holds the four ASCII digits of each n < 10**4, as the value
-    of a little-endian uint32, the third the count of n's trailing zeros (4
-    for 0).
+    pow10: row E - _E_MIN holds (hi, Dekker's two halves of hi, lo), hi + lo
+    being 10**(16 - E) to about 106 bits: hi is the power rounded, lo the
+    rest rounded. exponent, above: by biased binary exponent b, E - _E_MIN
+    for the decimal exponent E of 2**(b - 1023), and the least double at or
+    above 10**(E + 1). A value whose b lies outside the range returned
+    with them, where E may leave the path, is replaced by 1.5 first.
     """
-    pow10 = np.empty((4, _E_MAX - _E_MIN + 1))
+    pow10 = np.empty((_E_MAX - _E_MIN + 1, 4))
     for k, e in enumerate(range(_E_MIN, _E_MAX + 1)):
         # 10**(16 - e) = num / den, and hi = hi_num / hi_den exactly
         num, den = 10 ** max(16 - e, 0), 10 ** max(e - 16, 0)
@@ -282,92 +286,116 @@ def _digit_tables():
         big = hi * 134217729.0
         big -= big - hi
         lo = (num * hi_den - hi_num * den) / (den * hi_den)
-        pow10[:, k] = hi, big, hi - big, lo
-    n = np.arange(10000)
-    quads, zeros = np.zeros(10000, np.int64), np.zeros(10000, np.int64)
-    for k, place in enumerate((1000, 100, 10, 1)):
-        quads += (n // place % 10 + 48) << 8 * k
-        zeros += n % (10000 // place) == 0
-    return pow10, quads, zeros
-
-
-def _at(char):
-    """Where a constant byte of repr's text lies in a value's canvas."""
-    return 32 + _ALPHABET.index(char)
+        pow10[k] = hi, big, hi - big, lo
+    exponent, above = np.full(2048, -_E_MIN), np.full(2048, np.inf)
+    for b in range(1, 2047):
+        k = b - 1023
+        e = len(str(2**k)) - 1 if k >= 0 else -len(str(2**-k))
+        if _E_MIN <= e < _E_MAX:
+            exponent[b] = e - _E_MIN
+            # 10**(e + 1) = num / den, and bound = bound_num / bound_den exactly
+            num, den = 10 ** max(e + 1, 0), 10 ** max(-e - 1, 0)
+            bound = num / den
+            bound_num, bound_den = bound.as_integer_ratio()
+            above[b] = bound if bound_num * den >= num * bound_den else np.nextafter(bound, np.inf)
+    inside = np.flatnonzero(exponent != -_E_MIN)
+    return pow10, exponent, above, (inside[0], inside[-1])
 
 
 @functools.cache
-def _layouts():
-    """Where each byte of repr's text comes from, per (sign, decimal exponent E, digit count).
+def _text_tables():
+    """_float_bytes' tables.
 
-    Row (neg * (_E_MAX - _E_MIN + 1) + E - _E_MIN) * 18 + nsig is for a
-    value whose shortest digits are d, nsig of them, padded with zeros to
-    17. Its text is the sign, then y[:q] + "." + y[q:keep] with
-    y = ("0000" + d)[s:], then an exponent such as "e-05" where repr uses
-    the exponent form (E < -4 or E >= 16). Entry k of the row is the byte
-    of the value's canvas (see _float_bytes) that is byte k of the text,
-    0 (a NUL) past its end. The rows are built nine exponents at a time,
-    so every temporary stays a few kilobytes.
+    quads: the four ASCII digits of each n < 10**4 as a little-endian word
+    (a carry to 10**17 reads entry 10**4: such a value goes to repr). masks:
+    row j, column k, word j of the mask of a text's first k bytes. layout:
+    by E - _E_MIN, rows split (the digits before the point: all of a whole
+    part, the first in the exponent form, none after "0."), least (the
+    digits a whole part keeps, E + 2), lead (the "0." and zeros of 0.0001
+    to 0.9 at bytes 1 to 5 of word 0), suffix (the exponent form's "e-05"
+    or "e+16" at bytes 2 to 5 of word 3) and dot (the point, none after a
+    "0." lead).
     """
-    text = np.concatenate([_unsigned_layouts(np.arange(lo, min(lo + 9, _E_MAX + 1)))
-                           for lo in range(_E_MIN, _E_MAX + 1, 9)])
-    signed = np.concatenate([np.full((len(text), 1), _at(b"-"), np.uint8), text[:, :-1]], axis=1)
-    return np.concatenate([text, signed])
-
-
-def _unsigned_layouts(exponents):
-    """The _layouts rows of the positive values with these exponents."""
-    e, nsig = (axis.ravel() for axis in np.meshgrid(exponents, np.arange(18),
-                                                    indexing="ij"))
+    n = np.arange(10**4 + 1)
+    quads = np.zeros(len(n), np.int64)
+    for k, place in enumerate((1000, 100, 10, 1)):
+        quads += (n // place % 10 + 48) << 8 * k
+    masks = np.zeros((3, 25), np.int64)
+    for k in range(25):
+        full, part = divmod(k, 8)
+        masks[:full, k] = -1
+        masks[full:full + 1, k] = (1 << 8 * part) - 1
+    e = np.arange(_E_MIN, _E_MAX + 1)
     expo = (e < -4) | (e >= 16)
-    whole = ~expo & (e >= 0)  # at least one digit before the point
-    s = np.where(expo | whole, 4, 4 + e)[:, None]
-    q = np.where(whole, e + 1, 1)[:, None]
-    keep = np.where(whole, np.maximum(nsig, e + 2), np.where(expo, nsig, nsig - e))[:, None]
-    point = (~expo | (nsig > 1))[:, None]
-    pos = np.arange(_CHARS)
-    text = np.where(pos < keep + point, 11 + s + pos - (point & (pos > q)), 0).astype(np.uint8)
-    text[point & (pos == q)] = _at(b".")
-    # the exponent: "e", its sign and two digits, from byte keep + point on
-    after = pos - keep - point
-    rows, cols = np.nonzero(expo[:, None] & (after >= 0) & (after < 4))
-    suffix = np.stack([np.full(len(e), _at(b"e")), np.where(e < 0, _at(b"-"), _at(b"+")),
-                       _at(b"0") + abs(e) // 10, _at(b"0") + abs(e) % 10], axis=1)
-    text[rows, cols] = suffix[rows, after[rows, cols]]
-    return text
+    frac = ~expo & (e < 0)
+    lead = [int.from_bytes(b"\0" + b"0." + b"0" * (-k - 1), "little") if f else 0
+            for k, f in zip(e.tolist(), frac)]
+    suffix = np.where(expo, (ord("e") | np.where(e < 0, ord("-"), ord("+")) << 8
+                             | (48 + abs(e) // 10) << 16 | (48 + abs(e) % 10) << 24) << 16, 0)
+    layout = np.stack([np.where(expo, 1, np.where(frac, 0, e + 1)), np.where(expo | frac, 0, e + 2),
+                       lead, suffix, np.where(frac, 0, ord("."))])
+    return quads, masks, layout
 
 
-def _float_bytes(values):
-    """repr(float(v)) for each v of a float64 array, as the NUL-padded rows of a uint8 array.
+def _float_bytes(values, out=None):
+    """repr(float(v)) for each v of a float64 array, as the rows of a uint8 array.
 
-    The rows are filled _BLOCK values at a time. _shortest gives each
-    value's digits. Each value gets a canvas of six 64-bit words: "0000"
-    and the 17 digits at bytes 11 to 31, _ALPHABET from byte 32 and NULs
-    elsewhere; its _layouts row picks the text's bytes out of it in one
-    gather. The values _shortest could not certify go through repr().
+    A row's bytes other than NUL are the text; the writers squeeze the NULs
+    out. out, if given, is the (len(values), _CHARS) array to fill, such as
+    a column of a writer's canvas. Fewer than _SHORT values go through
+    repr(); more are formatted _BLOCK at a time. _shortest gives each
+    value's 17 digits, padded with zeros, and its exponent E, and a row is
+    four 64-bit words: the sign and any "0." lead; then the digits up to the
+    last one kept, those from the point on moved up a byte past the point
+    (three words); and the exponent form's suffix in the spare bytes of the
+    last word. Every placement is a mask or a shift of words, per value.
+    The values _shortest could not certify go through repr().
     """
-    _, quads, zeros = _digit_tables()
-    out = np.empty((len(values), _CHARS), np.uint8)
+    if out is None:
+        out = np.empty((len(values), _CHARS), np.uint8)
+    if len(values) < _SHORT:
+        out[...] = _text_rows(map(repr, values.tolist()), "S%d" % _CHARS)
+        return out
+    quads, masks, layout = _text_tables()
     for lo in range(0, len(values), _BLOCK):
         x = values[lo : lo + _BLOCK]
         digits, e, ok = _shortest(x)
-        # the 17 digits, as the lead digit and four groups of four
-        lead, rest = np.divmod(digits, 10**16)
-        g1, g2 = np.divmod(rest // 10**8, 10**4)
-        g3, g4 = np.divmod(rest % 10**8, 10**4)
-        trailing = zeros[g4] + (g4 == 0) * (zeros[g3] + (g3 == 0) * (
-            zeros[g2] + (g2 == 0) * zeros[g1]))
-        words = np.zeros((len(x), 6), np.int64)
-        words[:, 1] = quads[lead] << 32 | 0x30 << 24
-        words[:, 2] = quads[g1] | quads[g2] << 32
-        words[:, 3] = quads[g3] | quads[g4] << 32
-        words[:, 4:] = np.frombuffer(_ALPHABET, "<i8")
-        neg = x.view(np.int64) < 0
-        key = (neg * (_E_MAX - _E_MIN + 1) + e - _E_MIN) * 18 + 17 - trailing
-        take = np.add(_layouts().take(key, axis=0), np.arange(0, 48 * len(x), 48)[:, None])
-        words.view(np.uint8).ravel().take(take, out=out[lo : lo + len(x)])
+        # the 17 digits in ASCII: eight, eight and one
+        top = digits // 10**9
+        low = digits - top * 10**9
+        mid = low // 10
+        s2 = low - mid * 10
+        g = top // 10**4
+        s0 = quads.take(g) | quads.take(top - g * 10**4) << 32
+        g = mid // 10**4
+        s1 = quads.take(g) | quads.take(mid - g * 10**4) << 32
+        # the digits up to the last that is not 0: each word's highest byte
+        # that is not 0 is its highest bit, the binary exponent of the word's
+        # digit values as a float, over 8
+        f0 = (s0 ^ _ZEROS).astype(np.float64).view(np.int64)
+        f1 = (s1 ^ _ZEROS).astype(np.float64).view(np.int64) + (64 << 52)
+        f2 = s2.astype(np.float64).view(np.int64) + (128 << 52)
+        nsig = np.maximum(np.maximum(f0, f1), f2) - (1015 << 52) >> 55
+        s2 += 48
+        split, least, lead, suffix, dot = np.take(layout, e, axis=1)
+        keep = np.maximum(nsig, least)
+        dot *= keep > split
+        # the digits kept, and those from the point on, to move up a byte
+        k0, k1, k2 = (s & m.take(keep) for s, m in zip((s0, s1, s2), masks))
+        l0, l1, l2 = (k & m.take(split) for k, m in zip((k0, k1, k2), masks))
+        k0 ^= l0
+        k1 ^= l1
+        k2 ^= l2
+        at = split << 3
+        words = np.empty((len(x), 4), np.int64)
+        words[:, 0] = lead | x.view(np.int64) >> 63 & ord("-")
+        words[:, 1] = l0 | k0 << 8 | dot << at
+        words[:, 2] = l1 | k1 << 8 | k0 >> 56 | dot << at - 64
+        words[:, 3] = l2 | k2 << 8 | k1 >> 56 | dot << at - 128 | suffix
+        rows = out[lo : lo + len(x)]
+        rows[...] = words.view(np.uint8)
         missed = np.flatnonzero(~ok)
-        out[lo + missed] = _text_rows(map(repr, x[missed].tolist()), "S%d" % _CHARS)
+        rows[missed] = _text_rows(map(repr, x[missed].tolist()), "S%d" % _CHARS)
     return out
 
 
@@ -378,66 +406,78 @@ def _text_rows(texts, dtype=np.bytes_):
 
 
 def _shortest(x):
-    """(digits, E, ok): repr's digits of each |x| as a 17-digit integer, and its exponent.
+    """(digits, E, ok): repr's digits of each |x| as a 17-digit integer, and E - _E_MIN.
 
     For a = |x| with decimal exponent E, P = a * 10**(16 - E) lies in
-    [10**16, 10**17). It is formed once as p + err: p = a * hi rounded, err
-    the rest by Dekker's product plus a * lo, together within about 1e-14 of
-    a unit of P. p is an integer, as every double above 2**53 is. The
-    17-digit candidate is D17 = round(P), with remainder P - D17; the 16-
-    and 15-digit ones round P / 10 and P / 100, found from D17's last two
+    [10**16, 10**17). E comes exactly from tables by a's binary exponent:
+    that of its power of two, or one more at or above the next power of
+    ten. P is formed once as p + err: p = a * hi rounded, err the rest by
+    Dekker's product plus a * lo, together within about 1e-14 of a unit of
+    P. p is an integer, as every double above 2**53 is. The 17-digit
+    candidate is D17 = round(P), with remainder P - D17; the 16- and
+    15-digit ones round P / 10 and P / 100, found from D17's last two
     digits and that remainder. repr prints the fewest digits that read back
     as x, the nearest of them where several do: at 15 digits or fewer at
     most one decimal reads back, so the 15-digit candidate with its trailing
     zeros dropped when it lies within half an ulp of x; else the rounded,
     so nearest, 16-digit one when it does; else D17, which always does.
 
-    Every decision must clear _MARGIN of a last-digit unit: where P lies
-    against 10**16 and 10**17, the chosen candidate's rounding against a
-    tie, and each candidate's distance against half an ulp. ok is False for
-    a value that misses one, or that is subnormal, not finite, a power of
-    two (whose ulp below is half the one above) or outside the table; its
-    digits are those of 1. Zero has the digits of 0 and E = 0.
+    Every decision must clear _MARGIN of a last-digit unit, in one mask:
+    each candidate's distance against half an ulp, and the chosen
+    candidate's rounding against a tie. ok is False for a value that misses
+    one, that carries to 10**17, or that is subnormal, not finite, a power
+    of two (whose ulp below is half the one above) or outside the tables;
+    its digits are those of 1.5. Zero has the digits of 0 and E = 0.
     """
-    pow10 = _digit_tables()[0]
+    pow10, exponent, above, (b_lo, b_hi) = _digit_tables()
     bits = x.view(np.int64)
     bexp = bits >> 52 & 0x7FF
-    ok = (bexp > 0) & (bexp < 0x7FF) & (bits << 12 != 0)
+    ok = (bexp >= b_lo) & (bexp <= b_hi) & (bits << 12 != 0)
+    zero = bits << 1 == 0
     a = np.abs(x)
-    a[~ok] = 1.5
-    e = np.floor(np.log10(a)).astype(np.int64)
-    ok &= (e >= _E_MIN) & (e <= _E_MAX)
-    # the values left out are formatted as 1.5, whose exponents these are
-    a[~ok], e[~ok], bexp[~ok] = 1.5, 0, 1023
-    hi, big, small, lo = np.take(pow10, e - _E_MIN, axis=1)
+    np.copyto(a, 1.5, where=~ok)
+    bexp = a.view(np.int64) >> 52
+    e = exponent.take(bexp)
+    e += a >= above.take(bexp)
+    hi, big, small, lo = pow10.take(e, axis=0).T
     p = a * hi
     a_big = a * 134217729.0
     a_big -= a_big - a
     a_small = a - a_big
-    err = ((a_big * big - p) + a_big * small + a_small * big) + a_small * small + a * lo
+    err = a_big * big
+    err -= p
+    err += a_big * small
+    err += a_small * big
+    err += a_small * small
+    err += a * lo
     r = np.rint(err)
-    r17 = err - r
-    d17 = p.astype(np.int64) + r.astype(np.int64)
-    ok &= ((d17 > 10**16) | ((d17 == 10**16) & (r17 > _MARGIN))) & (d17 < 10**17)
-    half = np.ldexp(hi, bexp - 1076)  # half an ulp of a, in units of P
-    d2 = d17 % 100
-    d1 = d2 % 10
-    t15 = (d2 + r17) * 0.01
-    t16 = (d1 + r17) * 0.1
-    up15 = t15 >= 0.5
-    up16 = t16 >= 0.5
-    r16 = np.abs(t16 - up16)
-    miss15 = np.abs(t15 - up15) * 100 - half  # below 0: reads back
-    miss16 = r16 * 10 - half
-    ok &= (np.abs(miss15) > 100 * _MARGIN) & (np.abs(miss16) > 10 * _MARGIN)
-    use15 = miss15 < 0
-    use16 = (miss16 < 0) & ~use15
-    digits = d17 - np.where(use15, d2 - 100 * up15, np.where(use16, d1 - 10 * up16, 0))
-    tie = np.where(use16, r16, np.abs(r17))
-    ok &= (np.abs(tie - 0.5) > _MARGIN) & (digits < 10**17)
-    digits[~ok] = 10**16
-    zero = bits << 1 == 0
-    digits[zero] = 0
+    err -= r  # now P - D17
+    d17 = p.astype(np.int64)
+    d17 += r.astype(np.int64)
+    half = hi * ((bexp - 53) << 52).view(np.float64)  # half an ulp of a, in units of P
+    # distances from the rounding ties of P / 10 and P / 100 (in units of P,
+    # 5 and 50 at best), and of the 16- and 15-digit candidates from the tie
+    # where they would stop reading back as x
+    q10 = d17 // 10
+    q100 = q10 // 10
+    tie16 = (d17 - q10 * 10) + err
+    tie15 = (d17 - q100 * 100) + err
+    q10 += tie16 >= 5
+    q100 += tie15 >= 50
+    tie16 = np.abs(tie16 - 5, out=tie16)
+    tie15 = np.abs(tie15 - 50, out=tie15)
+    back16 = 5 - half
+    back15 = back16 + 45
+    use16 = tie16 > back16
+    use15 = tie15 > back15
+    use16 ^= use15  # now apart, so each row of digits changes at most once
+    digits = d17
+    digits -= use16 * (d17 - q10 * 10)
+    digits -= use15 * (d17 - q100 * 100)
+    tie = np.where(use16, tie16 * 0.1, np.abs(np.abs(err) - 0.5))
+    ok &= ((np.abs(tie15 - back15) > 100 * _MARGIN) & (np.abs(tie16 - back16) > 10 * _MARGIN)
+           & (tie > _MARGIN) & (digits < 10**17))
+    digits *= ~zero
     ok |= zero
     return digits, e, ok
 
@@ -462,7 +502,7 @@ _SLOT = "\0"  # a float's place in a row's template, where the template splits
 
 
 def _floats(items):
-    """(one item's pieces, the float leaves in order) or None.
+    """(the float leaves in order, one item's pieces) or None.
 
     Not None for a float64 array, or when the items, lists or tuples, nest to
     one shape around leaves that are all floats, or are floats themselves.
@@ -477,7 +517,7 @@ def _floats(items):
             template = _SLOT
             for size in reversed(shape):
                 template = "[" + ", ".join([template] * size) + "]"
-            return template.split(_SLOT), level
+            return level, template.split(_SLOT)
         sizes = set(map(len, level)) if level and kinds <= {list, tuple} else ()
         if len(sizes) != 1:
             return None
@@ -487,24 +527,20 @@ def _floats(items):
 
 
 def _joined(texts, sep):
-    """sep.join of texts, each given as its pieces, as pieces.
-
-    The pieces of one item may be the list of another: they are read, not
-    changed, so rows of one shape share their piece objects.
-    """
+    """sep.join of texts, each given as its parts, as parts."""
     out = list(texts[0])
-    for pieces in texts[1:]:
-        out[-1] += sep + pieces[0]
-        out += pieces[1:]
+    for parts in texts[1:]:
+        out.append(sep)
+        out += parts
     return out
 
 
-def _render(obj, pad, leaves, encode):
+def _render(obj, pad, encode):
     """indent=2 layout, except that a list or tuple inside a list is one line.
 
-    The text comes as its pieces: each float leaf of a list, row or float
-    array lies between two of them, and the leaves of each such node are
-    appended to leaves as one sequence. Every other value is encode's text.
+    The text comes as its parts: strings, and a (floats, pieces, sep) node
+    for each list, row or array of floats, whose text _node_text writes.
+    Every other value is encode's text.
     """
     inner = pad + "  "
     if isinstance(obj, np.ndarray) and not (obj.dtype == np.float64 and obj.ndim and obj.size):
@@ -514,60 +550,71 @@ def _render(obj, pad, leaves, encode):
     values = obj.values() if isinstance(obj, dict) else obj
     uniform = None if isinstance(obj, dict) else _floats(obj)
     if uniform:
-        pieces, floats = uniform
-        leaves.append(floats)
-        body = _joined([pieces] * len(obj), ",\n" + inner)
+        body = [(*uniform, ",\n" + inner)]
     elif not any(isinstance(item, (dict, list, tuple, np.ndarray)) for item in values):
         # only scalars: one C-encoder call, its item separator breaks the lines
         body = [json.dumps(obj, sort_keys=True, separators=(",\n" + inner, ": "))[1:-1]]
     elif isinstance(obj, dict):
-        entries = []
-        for key in sorted(obj):
-            entry = _render(obj[key], inner, leaves, encode)
-            entry[0] = encode(key) + ": " + entry[0]
-            entries.append(entry)
-        body = _joined(entries, ",\n" + inner)
+        body = _joined([[encode(key) + ": ", *_render(obj[key], inner, encode)]
+                        for key in sorted(obj)], ",\n" + inner)
     else:
         body = _joined([
-            _row(item, leaves, encode) if isinstance(item, (list, tuple))
-            else _render(item, inner, leaves, encode)
+            _row(item, encode) if isinstance(item, (list, tuple))
+            else _render(item, inner, encode)
             for item in obj
         ], ",\n" + inner)
     brackets = "{}" if isinstance(obj, dict) else "[]"
-    body[0] = brackets[0] + "\n" + inner + body[0]
-    body[-1] += "\n" + pad + brackets[1]
-    return body
+    return [brackets[0] + "\n" + inner, *body, "\n" + pad + brackets[1]]
 
 
-def _row(row, leaves, encode):
-    """The pieces of one row, as _render makes them."""
+def _row(row, encode):
+    """The parts of one row, as _render makes them."""
     uniform = _floats([row])
-    if not uniform:
-        return [encode(row)]
-    leaves.append(uniform[1])
-    return uniform[0]
+    return [(*uniform, "")] if uniform else [encode(row)]
+
+
+def _node_text(floats, pieces, sep, encode):
+    """The text of a node's items, joined by sep, as a chunk per block of items.
+
+    Each item is pieces[0], a float, pieces[1], ..., a float, pieces[-1].
+    A block of about _BLOCK floats is one uint8 canvas with a row per
+    float: _float_bytes fills its first _CHARS columns in place, and
+    constant columns hold the text up to the next float, which after an
+    item's last float is the item's end, sep and the next item's start.
+    NaN and the infinities get json's spellings. A chunk is the canvas
+    without its NULs, decoded once; the last item's sep and start are cut.
+    """
+    values = np.asarray(floats, dtype=np.float64).ravel()
+    k = len(pieces) - 1  # floats per item
+    after = [*pieces[1:-1], pieces[-1] + sep + pieces[0]]
+    after = _text_rows(after, "S%d" % max(map(len, after)))
+    per = max(1, _BLOCK // k)  # items per block
+    yield pieces[0]
+    for lo in range(0, len(values), per * k):
+        block = values[lo : lo + per * k]
+        canvas = np.empty((len(block) // k, k, _CHARS + after.shape[1]), np.uint8)
+        canvas[:, :, _CHARS:] = after
+        rows = canvas.reshape(len(block), -1)
+        _float_bytes(block, out=rows[:, :_CHARS])
+        odd = np.flatnonzero(~np.isfinite(block))
+        rows[odd, :_CHARS] = _text_rows(map(encode, block[odd].tolist()), "S%d" % _CHARS)
+        text = canvas[canvas != 0].tobytes().decode("ascii")
+        yield text if lo + len(block) < len(values) else text[: len(text) - len(sep + pieces[0])]
 
 
 def render_report(payload):
     """Deterministic JSON text for a report object whose keys are strings.
 
-    The float leaves are formatted _BLOCK at a time, and each block's texts
-    are joined with the pieces between them, so only one block's texts
-    exist at once; the floats that are not finite keep json's NaN,
-    Infinity and -Infinity.
+    The floats of each list, row or float array are written by _node_text,
+    a block at a time, so only one block's canvas exists at once; the
+    floats that are not finite keep json's NaN, Infinity and -Infinity.
     """
-    leaves, encode = [], _encoder()
-    pieces = _render(payload, "", leaves, encode)
-    values = np.concatenate([[], *leaves])
-    chunks = [pieces[0]]
-    for lo in range(0, len(values), _BLOCK):
-        block = values[lo : lo + _BLOCK]
-        # one UCS4 code point per byte: numpy's str arrays give str objects
-        texts = _float_bytes(block).astype(np.uint32).view("U%d" % _CHARS).ravel().tolist()
-        for i in np.flatnonzero(~np.isfinite(block)).tolist():
-            texts[i] = encode(float(block[i]))
-        mixed = [None] * (2 * len(texts))
-        mixed[0::2] = texts
-        mixed[1::2] = pieces[lo + 1 : lo + 1 + len(texts)]
-        chunks.append("".join(mixed))
-    return "".join([*chunks, "\n"])
+    encode = _encoder()
+    chunks = []
+    for part in _render(payload, "", encode):
+        if isinstance(part, str):
+            chunks.append(part)
+        else:
+            chunks += _node_text(*part, encode)
+    chunks.append("\n")
+    return "".join(chunks)

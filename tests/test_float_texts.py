@@ -17,8 +17,8 @@ from oracles import class_csv_text, render_report_loop
 
 
 def _float_texts(values):
-    """The formatter's text of each value, read off its NUL-padded row."""
-    return [row.tobytes().rstrip(b"\0").decode("ascii") for row in _float_bytes(values)]
+    """The formatter's text of each value: its row without the NULs."""
+    return [row.tobytes().replace(b"\0", b"").decode("ascii") for row in _float_bytes(values)]
 
 
 def _neighbours(points, steps=8):
@@ -72,6 +72,47 @@ def test_float_texts_match_repr_on_a_battery():
 @given(st.lists(st.floats(), max_size=64))
 def test_float_texts_match_repr(values):
     assert _float_texts(np.array(values, dtype=np.float64)) == list(map(repr, values))
+    # at most 64 values go through repr(); repeated past the crossover, through the kernel
+    many = np.tile(np.array(values, dtype=np.float64), -(-serialize._SHORT // max(len(values), 1)))
+    assert _float_texts(many) == list(map(repr, many.tolist()))
+
+
+@pytest.mark.parametrize("length", [
+    serialize._BLOCK - 1, serialize._BLOCK, serialize._BLOCK + 1, 3 * serialize._BLOCK + 7])
+def test_float_texts_do_not_depend_on_the_blocks(length):
+    # slices of the battery that end just short of, at and past a block
+    values = _battery(np.random.default_rng(20261019))
+    for start in (0, 1000, len(values) - length):
+        part = values[start : start + length]
+        assert _float_texts(part) == list(map(repr, part.tolist()))
+
+
+@pytest.mark.parametrize("length", [serialize._SHORT - 1, serialize._SHORT])
+def test_float_texts_match_repr_on_both_sides_of_the_crossover(length, monkeypatch):
+    rng = np.random.default_rng(length)
+    values = rng.standard_normal(length) * 10.0 ** rng.integers(-12, 12, length)
+    handed = []
+    monkeypatch.setattr(serialize, "repr", lambda x: handed.append(x) or repr(x), raising=False)
+    assert _float_texts(values) == list(map(repr, values.tolist()))
+    # below the crossover every value goes through repr(), from it on none of these
+    assert len(handed) == (length if length < serialize._SHORT else 0)
+
+
+def test_report_floats_do_not_depend_on_the_blocks():
+    # NaN and the infinities on both sides of a block's end, in a list of
+    # floats, in an array of pairs and in rows of three, whose blocks end
+    # elsewhere
+    block = serialize._BLOCK
+    values = np.random.default_rng(7).standard_normal(6 * (block // 3 + 1))
+    for at in (block - 2, 2 * block - 2):
+        values[at : at + 4] = [np.nan, np.inf, -np.inf, np.nan]
+    payload = {"column": values.tolist(), "pairs": values.reshape(-1, 2),
+               "rows": values.reshape(-1, 3).tolist()}
+    text = render_report(payload)
+    assert text == render_report_loop(payload)
+    for word in ("NaN", "Infinity", "-Infinity"):
+        assert text.count(word) >= 6
+    assert "nan" not in text and "inf" not in text
 
 
 def _poly(roots):
