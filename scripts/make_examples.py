@@ -12,7 +12,7 @@ import sys
 import numpy as np
 
 from sldlab import TrigPoly, autocorrelation
-from sldlab.serialize import autocorr_dict, render_report, signal_dict
+from sldlab.serialize import render_report, signal_dict
 
 
 def pair(z):
@@ -34,7 +34,7 @@ def main(argv=None):
         "two_orbit.json": signal_dict(two_orbit),
         "shifted_pair.json": signal_dict(shifted),
         "flipped_partner.json": signal_dict(flipped),
-        "measured.json": autocorr_dict(autocorrelation(two_orbit)),
+        "measured.json": signal_dict(autocorrelation(two_orbit)),
         "tone_constellation.json": {
             "m": 1,
             "points": [

@@ -13,6 +13,9 @@ nothing there; its verdict is in the report). Every output path is opened
 before anything is written, so an unwritable one leaves no other output,
 and neither do two outputs naming one file.
 
+The reports and CSVs are written by sldlab.serialize; this module parses
+the arguments, runs the command and writes its outputs to their files.
+
 Reports embed the tolerance configuration and the library version but no
 file paths, so identical inputs and flags give identical bytes wherever
 the files live.
@@ -23,6 +26,7 @@ import functools
 import os
 import stat
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -38,11 +42,9 @@ from .errors import (
 )
 from .roots import _CIRCLE_BAND, _ROOT_TOL, _SEED, find_roots, pair_reciprocal
 from .serialize import (
-    _CHARS,
-    _float_bytes,
-    _text_rows,
-    autocorr_dict,
+    class_csv,
     classset_dict,
+    gap_csv,
     gap_dict,
     load_json,
     parse_autocorr,
@@ -51,7 +53,6 @@ from .serialize import (
     render_report,
     rootset_dict,
     signal_dict,
-    verdict_dict,
 )
 from .signals import autocorr_from_samples, autocorrelation, lift, screen_intensity
 
@@ -138,54 +139,6 @@ def _emit(args, payload):
     _write((args.output, _report(args, payload)))
 
 
-_SAMPLES = 64  # circle samples per representative in the class CSV
-_CSV_CLASSES = 128  # representatives formatted per chunk
-
-
-def _class_csv(cs):
-    """Class CSV text in chunks: 64 circle samples per representative.
-
-    Representative b is sampled at t_j = j * T / 64 as
-    y(t_j) = sum_k b_k exp(2 pi i k t_j / T), k = -m..m: one phases @ row
-    per class, with the (64, 2m+1) phase matrix built once. A product of
-    the whole block, or einsum, rounds 18% to 71% of the parts differently.
-    The intensity is Python's abs(z) ** 2: numpy's hypot squared by libm's
-    pow, once per distinct modulus of a block. On perfbench's seed-1
-    classes-m5 draw, x * x differs from pow in the last bit on 157 of the
-    65,536 samples, and a block's 8,192 samples have 930 to 1,295 distinct
-    moduli (1,054 on average); np.unique and the pow loop take about 5 ms
-    of an op there. A block of _CSV_CLASSES classes is one uint8
-    canvas, a row per sample and a NUL-padded column per field: class id,
-    ",sample,t," lead, separators, and the repr texts of re, im and
-    intensity, which _float_bytes writes into their columns in place. Its
-    text is the canvas without its NULs, decoded once.
-    """
-    yield "class,sample,t,re,im,intensity\n"
-    period = cs.autocorr.period
-    t = np.arange(_SAMPLES) * (period / _SAMPLES)
-    k = np.arange(-cs.source_m, cs.source_m + 1)
-    phases = np.exp(2j * np.pi * np.multiply.outer(t, k) / period)
-    leads = _text_rows(",%d,%r," % (j, tj) for j, tj in enumerate(t.tolist()))
-    for lo in range(0, cs.exact_count, _CSV_CLASSES):
-        block = cs.coeffs[lo : lo + _CSV_CLASSES]
-        values = np.stack([phases @ row for row in block]).ravel()
-        with np.errstate(over="ignore"):  # a modulus or its square past the float range is inf
-            moduli, cell = np.unique(np.hypot(values.real, values.imag), return_inverse=True)
-            squares = _float_bytes(np.array([h ** 2 for h in moduli]))
-        ids = _text_rows(map(str, range(lo, lo + len(block))))
-        at = np.cumsum([0, ids.shape[1], leads.shape[1], _CHARS, 1, _CHARS, 1, _CHARS, 1])
-        canvas = np.empty((len(block), _SAMPLES, at[-1]), np.uint8)
-        canvas[:, :, : at[1]] = ids[:, None]
-        canvas[:, :, at[1] : at[2]] = leads
-        canvas[:, :, at[3]] = canvas[:, :, at[5]] = ord(",")
-        canvas[:, :, at[7]] = ord("\n")
-        rows = canvas.reshape(len(values), -1)
-        _float_bytes(values.real, out=rows[:, at[2] : at[3]])
-        _float_bytes(values.imag, out=rows[:, at[4] : at[5]])
-        rows[:, at[6] : at[7]] = squares[cell]
-        yield canvas[canvas != 0].tobytes().decode("ascii")
-
-
 def _solver_kw(args):
     return dict(root_tol=args.tol_root, circle_band=args.tol_circle, seed=args.seed)
 
@@ -197,7 +150,7 @@ def _cmd_analyze(args):
     table = pair_reciprocal(r)
     _emit(args, {
         "signal": signal_dict(p),
-        "autocorrelation": autocorr_dict(autocorrelation(p)),
+        "autocorrelation": signal_dict(autocorrelation(p)),
         "roots": rootset_dict(r),
         "orbits": [
             {
@@ -225,12 +178,12 @@ def _cmd_equiv(args):
     agree = structural.related == oracle.related
     if agree and structural.related:
         agree = abs(structural.kappa - oracle.kappa) <= 1e-6 * max(oracle.kappa, 1e-300)
-    verdict = verdict_dict(structural)
+    verdict = asdict(structural)
     if phase.related:
         verdict["phase"] = phase.phase
     _emit(args, {
         "verdict": verdict,
-        "oracle": verdict_dict(oracle),
+        "oracle": asdict(oracle),
         "agree": bool(agree),
     })
     if not agree:
@@ -250,15 +203,9 @@ def _cmd_classes(args):
     report = certify_bound(cs)
     outputs = [(args.output, _report(args, {"classes": classset_dict(cs, report)}))]
     if args.csv:
-        outputs.append((args.csv, _class_csv(cs)))
+        outputs.append((args.csv, class_csv(cs)))
     _write(*outputs)
     return 0 if report.passed else 2
-
-
-def _gap_csv(reports):
-    yield "m,i_xy,i_xs,per_dim_gap,bound\n"
-    for r in reports:
-        yield ",".join(map(repr, (r.m, r.i_xy, r.i_xs, r.per_dim_gap, r.bound))) + "\n"
 
 
 def _parse_sweep(text):
@@ -276,7 +223,7 @@ def _cmd_gap(args):
     if args.sweep:
         lo, hi = _parse_sweep(args.sweep)
         reports = [gap_experiment(bundled_constellation(m)) for m in range(lo, hi + 1)]
-        outputs = [(args.csv, _gap_csv(reports))]
+        outputs = [(args.csv, gap_csv(reports))]
         if args.output:
             payload = {"reports": [gap_dict(r) for r in reports]}
             outputs.append((args.output, _report(args, payload)))

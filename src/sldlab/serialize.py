@@ -1,4 +1,4 @@
-"""JSON input parsing, validation, and report rendering.
+"""JSON input parsing, validation, and the writers of every report and CSV.
 
 Complex numbers travel as [re, im] pairs. Inputs are checked before any
 numerics run, so malformed files fail with a field path instead of a stack
@@ -9,12 +9,13 @@ that jsonschema's best_match names. It also rejects every number that is
 not finite as a float (NaN, Infinity, integers beyond the float range),
 which the schema lets through. Report rendering is deterministic: sorted
 keys, an indent of 2 and one trailing newline, except that each row of an
-array (a list or tuple inside a list, such as one class representative or
-one [re, im] lag) is written on one line, as json's encoder writes it,
-and a numpy array as the nested list it holds. The floats of such rows,
-lists and arrays are written a block at a time onto a byte canvas by a
-numpy formatter whose text is repr's, which is json's for a finite float;
-everything else goes through one json C encoder per report.
+array (a list or tuple inside a list, such as one [re, im] root location)
+is written on one line, as json's encoder writes it, and a numpy array as
+the nested list it holds. The floats of a float64 array are written a
+block at a time by a numpy formatter whose text is repr's, which is json's
+for a finite float; everything else goes through one json C encoder per
+report. The class CSV and the report arrays are laid out by one routine,
+_canvas_text, on a NUL-padded byte canvas per block.
 """
 
 import functools
@@ -22,7 +23,6 @@ import json
 import math
 import numbers
 from dataclasses import asdict
-from itertools import chain
 
 import numpy as np
 
@@ -207,10 +207,6 @@ def complex_pairs(arr):
 def signal_dict(p):
     """The JSON document of a TrigPoly or an AutocorrSeq."""
     return {"m": p.m, "period": p.period, "coeffs": complex_pairs(p.coeffs)}
-
-
-autocorr_dict = signal_dict
-verdict_dict = asdict
 
 
 def rootset_dict(r):
@@ -405,6 +401,27 @@ def _text_rows(texts, dtype=np.bytes_):
     return texts.view(np.uint8).reshape(-1, texts.itemsize)
 
 
+def _canvas_text(shape, fields):
+    """The text of a block of cells laid out on one NUL-padded uint8 canvas.
+
+    The canvas is shape + (width,): a row per cell, holding the fields side
+    by side. A field is either uint8 rows of NUL-padded text, broadcast into
+    its columns, or a float64 array of the cells' values in order, whose
+    repr texts _float_bytes writes into _CHARS columns in place. The text is
+    the canvas without its NULs, decoded once.
+    """
+    widths = [_CHARS if field.dtype == np.float64 else field.shape[-1] for field in fields]
+    at = np.cumsum([0, *widths])
+    canvas = np.empty(shape + (at[-1],), np.uint8)
+    rows = canvas.reshape(-1, at[-1])
+    for field, lo, hi in zip(fields, at, at[1:]):
+        if field.dtype == np.float64:
+            _float_bytes(field.reshape(-1), out=rows[:, lo:hi])
+        else:
+            canvas[..., lo:hi] = field
+    return canvas[canvas != 0].tobytes().decode("ascii")
+
+
 def _shortest(x):
     """(digits, E, ok): repr's digits of each |x| as a 17-digit integer, and E - _E_MIN.
 
@@ -498,32 +515,15 @@ def _encoder():
     return lambda obj: "".join(encode(obj, 0))
 
 
-_SLOT = "\0"  # a float's place in a row's template, where the template splits
+_SLOT = "\0"  # a float's place in an item's template, where the template splits
 
 
-def _floats(items):
-    """(the float leaves in order, one item's pieces) or None.
-
-    Not None for a float64 array, or when the items, lists or tuples, nest to
-    one shape around leaves that are all floats, or are floats themselves.
-    The pieces are json's one-line text of an item, split at each leaf. A
-    structure deeper than 32 levels, such as a list holding itself, gives None.
-    """
-    array = isinstance(items, np.ndarray)
-    level, shape = (items.ravel(), list(items.shape[1:])) if array else (items, [])
-    for _ in range(32):
-        kinds = {float} if array else set(map(type, level))
-        if kinds == {float}:
-            template = _SLOT
-            for size in reversed(shape):
-                template = "[" + ", ".join([template] * size) + "]"
-            return level, template.split(_SLOT)
-        sizes = set(map(len, level)) if level and kinds <= {list, tuple} else ()
-        if len(sizes) != 1:
-            return None
-        shape.append(sizes.pop())
-        level = list(chain.from_iterable(level))
-    return None
+def _template(shape):
+    """json's one-line text of an array item of this shape, split at each float."""
+    template = _SLOT
+    for size in reversed(shape):
+        template = "[" + ", ".join([template] * size) + "]"
+    return template.split(_SLOT)
 
 
 def _joined(texts, sep):
@@ -539,8 +539,8 @@ def _render(obj, pad, encode):
     """indent=2 layout, except that a list or tuple inside a list is one line.
 
     The text comes as its parts: strings, and a (floats, pieces, sep) node
-    for each list, row or array of floats, whose text _node_text writes.
-    Every other value is encode's text.
+    for each float64 array, whose text _node_text writes. Every other value
+    is encode's text.
     """
     inner = pad + "  "
     if isinstance(obj, np.ndarray) and not (obj.dtype == np.float64 and obj.ndim and obj.size):
@@ -548,9 +548,8 @@ def _render(obj, pad, encode):
     if not (isinstance(obj, (dict, list, tuple, np.ndarray)) and len(obj)):
         return [encode(obj)]
     values = obj.values() if isinstance(obj, dict) else obj
-    uniform = None if isinstance(obj, dict) else _floats(obj)
-    if uniform:
-        body = [(*uniform, ",\n" + inner)]
+    if isinstance(obj, np.ndarray):
+        body = [(obj.ravel(), _template(obj.shape[1:]), ",\n" + inner)]
     elif not any(isinstance(item, (dict, list, tuple, np.ndarray)) for item in values):
         # only scalars: one C-encoder call, its item separator breaks the lines
         body = [json.dumps(obj, sort_keys=True, separators=(",\n" + inner, ": "))[1:-1]]
@@ -559,32 +558,24 @@ def _render(obj, pad, encode):
                         for key in sorted(obj)], ",\n" + inner)
     else:
         body = _joined([
-            _row(item, encode) if isinstance(item, (list, tuple))
-            else _render(item, inner, encode)
+            [encode(item)] if isinstance(item, (list, tuple)) else _render(item, inner, encode)
             for item in obj
         ], ",\n" + inner)
     brackets = "{}" if isinstance(obj, dict) else "[]"
     return [brackets[0] + "\n" + inner, *body, "\n" + pad + brackets[1]]
 
 
-def _row(row, encode):
-    """The parts of one row, as _render makes them."""
-    uniform = _floats([row])
-    return [(*uniform, "")] if uniform else [encode(row)]
-
-
-def _node_text(floats, pieces, sep, encode):
+def _node_text(values, pieces, sep, encode):
     """The text of a node's items, joined by sep, as a chunk per block of items.
 
     Each item is pieces[0], a float, pieces[1], ..., a float, pieces[-1].
-    A block of about _BLOCK floats is one uint8 canvas with a row per
-    float: _float_bytes fills its first _CHARS columns in place, and
-    constant columns hold the text up to the next float, which after an
-    item's last float is the item's end, sep and the next item's start.
-    NaN and the infinities get json's spellings. A chunk is the canvas
-    without its NULs, decoded once; the last item's sep and start are cut.
+    A block of about _BLOCK floats is one _canvas_text with a cell per
+    float: the float's text, then the text up to the next float, which
+    after an item's last float is the item's end, sep and the next item's
+    start. On a block that holds NaN or an infinity, the floats are
+    formatted first and those texts patched to json's spellings. The last
+    item's sep and start are cut.
     """
-    values = np.asarray(floats, dtype=np.float64).ravel()
     k = len(pieces) - 1  # floats per item
     after = [*pieces[1:-1], pieces[-1] + sep + pieces[0]]
     after = _text_rows(after, "S%d" % max(map(len, after)))
@@ -592,22 +583,22 @@ def _node_text(floats, pieces, sep, encode):
     yield pieces[0]
     for lo in range(0, len(values), per * k):
         block = values[lo : lo + per * k]
-        canvas = np.empty((len(block) // k, k, _CHARS + after.shape[1]), np.uint8)
-        canvas[:, :, _CHARS:] = after
-        rows = canvas.reshape(len(block), -1)
-        _float_bytes(block, out=rows[:, :_CHARS])
+        shape = (len(block) // k, k)
         odd = np.flatnonzero(~np.isfinite(block))
-        rows[odd, :_CHARS] = _text_rows(map(encode, block[odd].tolist()), "S%d" % _CHARS)
-        text = canvas[canvas != 0].tobytes().decode("ascii")
-        yield text if lo + len(block) < len(values) else text[: len(text) - len(sep + pieces[0])]
+        if len(odd):
+            texts = _float_bytes(block)
+            texts[odd] = _text_rows(map(encode, block[odd].tolist()), "S%d" % _CHARS)
+            block = texts.reshape(shape + (_CHARS,))
+        text = _canvas_text(shape, [block, after])
+        yield text if lo + per * k < len(values) else text[: len(text) - len(sep + pieces[0])]
 
 
 def render_report(payload):
     """Deterministic JSON text for a report object whose keys are strings.
 
-    The floats of each list, row or float array are written by _node_text,
-    a block at a time, so only one block's canvas exists at once; the
-    floats that are not finite keep json's NaN, Infinity and -Infinity.
+    The floats of each float64 array are written by _node_text, a block at
+    a time, so only one block's canvas exists at once; the floats that are
+    not finite keep json's NaN, Infinity and -Infinity.
     """
     encode = _encoder()
     chunks = []
@@ -618,3 +609,49 @@ def render_report(payload):
             chunks += _node_text(*part, encode)
     chunks.append("\n")
     return "".join(chunks)
+
+
+_SAMPLES = 64  # circle samples per representative in the class CSV
+_CSV_CLASSES = 128  # representatives formatted per chunk
+
+
+def class_csv(cs):
+    """Class CSV text in chunks: 64 circle samples per representative.
+
+    Representative b is sampled at t_j = j * T / 64 as
+    y(t_j) = sum_k b_k exp(2 pi i k t_j / T), k = -m..m: one phases @ row
+    per class, with the (64, 2m+1) phase matrix built once. A product of
+    the whole block, or einsum, rounds 18% to 71% of the parts differently.
+    The intensity is Python's abs(z) ** 2: numpy's hypot squared by libm's
+    pow, once per distinct modulus of a block. On perfbench's seed-1
+    classes-m5 draw, x * x differs from pow in the last bit on 157 of the
+    65,536 samples, and a block's 8,192 samples have 930 to 1,295 distinct
+    moduli (1,054 on average); np.unique and the pow loop take about 5 ms
+    of an op there. A block of _CSV_CLASSES classes is one _canvas_text, a
+    cell per sample: class id, ",sample,t," lead, separators, and the repr
+    texts of re, im and intensity.
+    """
+    yield "class,sample,t,re,im,intensity\n"
+    period = cs.autocorr.period
+    t = np.arange(_SAMPLES) * (period / _SAMPLES)
+    k = np.arange(-cs.source_m, cs.source_m + 1)
+    phases = np.exp(2j * np.pi * np.multiply.outer(t, k) / period)
+    leads = _text_rows(",%d,%r," % (j, tj) for j, tj in enumerate(t.tolist()))
+    comma, newline = _text_rows(",\n")
+    for lo in range(0, cs.exact_count, _CSV_CLASSES):
+        block = cs.coeffs[lo : lo + _CSV_CLASSES]
+        values = np.stack([phases @ row for row in block]).ravel()
+        with np.errstate(over="ignore"):  # a modulus or its square past the float range is inf
+            moduli, cell = np.unique(np.hypot(values.real, values.imag), return_inverse=True)
+            squares = _float_bytes(np.array([h ** 2 for h in moduli]))
+        shape = (len(block), _SAMPLES)
+        ids = _text_rows(map(str, range(lo, lo + len(block))))
+        yield _canvas_text(shape, [ids[:, None], leads, values.real, comma, values.imag, comma,
+                                   squares[cell.reshape(shape)], newline])
+
+
+def gap_csv(reports):
+    """The gap sweep's CSV text: a row per order m."""
+    yield "m,i_xy,i_xs,per_dim_gap,bound\n"
+    for r in reports:
+        yield ",".join(map(repr, (r.m, r.i_xy, r.i_xs, r.per_dim_gap, r.bound))) + "\n"

@@ -137,6 +137,66 @@ def equiv_battery(seed=1, count=16):
     ]
 
 
+# the dyadic root pool of the repeated-root battery, as (4 * root, orbit):
+# an off-circle root and its reflection 1 / conj(root) share an orbit name,
+# "origin" is the root 0 and None a root on the unit circle
+DYADIC_POOL = [
+    ((0, 0), "origin"),
+    ((2, 0), "1/2"), ((8, 0), "1/2"), ((-2, 0), "-1/2"), ((-8, 0), "-1/2"),
+    ((0, 2), "i/2"), ((0, 8), "i/2"), ((0, -2), "-i/2"), ((0, -8), "-i/2"),
+    ((1, 0), "1/4"), ((16, 0), "1/4"), ((2, 2), "(1+i)/2"), ((4, 4), "(1+i)/2"),
+    ((4, 0), None), ((-4, 0), None), ((0, 4), None), ((0, -4), None),
+]
+
+# the ROADMAP's examples, as pool indices: roots -1/2 x3, -i (truth 4);
+# -1, -1, 0, 0, 0, i, i, i (truth 4); 2i, 2i, 1/2, 1/4 x3, 1, 1 (truth 24)
+DYADIC_EXAMPLES = [[3, 3, 3, 16], [14, 14, 0, 0, 0, 15, 15, 15], [6, 6, 1, 9, 9, 9, 13, 13]]
+
+
+def dyadic_class_count(picks):
+    """The closed form (s + 1) * prod(k_i + 1) of pool roots picks.
+
+    s counts the roots at 0, k_i the roots in off-circle orbit i; circle
+    roots count for nothing.
+    """
+    orbits = {}
+    for i in picks:
+        name = DYADIC_POOL[i][1]
+        if name:
+            orbits[name] = orbits.get(name, 0) + 1
+    return math.prod(k + 1 for k in orbits.values())
+
+
+def dyadic_signal(picks):
+    """Lowest-first coefficients of prod (4z - 4r) over the picked roots.
+
+    The product of the Gaussian-integer factors is exact in Python integers,
+    and each coefficient, under 2^53 in modulus for up to eight roots, is a
+    float exactly.
+    """
+    roots = [DYADIC_POOL[i][0] for i in picks]
+    coeffs = _gauss_product([((4, 0), (-p, -q)) for p, q in roots])
+    return np.array([complex(a, b) for a, b in coeffs])
+
+
+def dyadic_draws(seed, count):
+    """count pool-index lists of 2m roots, m = 1..4, then DYADIC_EXAMPLES.
+
+    In 70% of the draws one root is repeated 2 to 4 times (at most 2m) and
+    the rest are drawn freely; the other draws are 2m free picks.
+    """
+    rng = np.random.default_rng(seed)
+    draws = []
+    for _ in range(count):
+        n = 2 * int(rng.integers(1, 5))
+        picks = []
+        if rng.random() < 0.7:
+            picks = [int(rng.integers(len(DYADIC_POOL)))] * min(int(rng.integers(2, 5)), n)
+        picks += rng.integers(len(DYADIC_POOL), size=n - len(picks)).tolist()
+        draws.append(picks)
+    return draws + DYADIC_EXAMPLES
+
+
 def entropy_loop(probs):
     acc = 0.0
     for p in probs:

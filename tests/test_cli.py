@@ -10,10 +10,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sldlab import TrigPoly, autocorrelation, cli, enumerate_classes
+from sldlab import TrigPoly, autocorrelation, cli, enumerate_classes, serialize
 from sldlab.cli import _build_parser, main
 from sldlab.equivalence import EquivalenceVerdict
-from sldlab.serialize import autocorr_dict, load_json, parse_signal, signal_dict
+from sldlab.serialize import load_json, parse_signal, signal_dict
 
 from oracles import class_csv_text, equiv_battery, eval_series
 
@@ -314,7 +314,7 @@ def test_class_csv_matches_row_by_row_writer_edge_cases(signal, tmp_path):
     assert out.read_bytes() == want.encode("utf-8")
     if signal is _partial_block_signal:
         assert cs.exact_count == 192
-        assert cs.exact_count % cli._CSV_CLASSES
+        assert cs.exact_count % serialize._CSV_CLASSES
     else:
         rows = [line.split(",") for line in want.splitlines()[1:]]
         assert cs.exact_count == 4
@@ -335,7 +335,7 @@ def test_class_and_gap_commands_build_no_object_per_class(tmp_path, monkeypatch,
     for m in range(1, 5):
         p = TrigPoly(m=m, coeffs=rng.standard_normal(2 * m + 1) + 1j * rng.standard_normal(2 * m + 1))
         sig = write_json(tmp_path, "sig%d.json" % m, signal_dict(p))
-        meas = write_json(tmp_path, "meas%d.json" % m, autocorr_dict(autocorrelation(p)))
+        meas = write_json(tmp_path, "meas%d.json" % m, signal_dict(autocorrelation(p)))
         for name, argv in (
             ("enumerate", ["enumerate", sig, "--csv", str(tmp_path / "c.csv")]),
             ("factor", ["factor", meas]),

@@ -115,6 +115,34 @@ def test_report_floats_do_not_depend_on_the_blocks():
     assert "nan" not in text and "inf" not in text
 
 
+def test_report_rows_of_a_list_past_the_crossover_keep_their_bytes():
+    # 2,100 Python [re, im] rows: 4,200 floats, past the formatter's _SHORT
+    # and a _BLOCK, with NaN, both infinities and -0.0 in the rows around
+    # float 4,096
+    rows = np.random.default_rng(11).standard_normal((2100, 2)).tolist()
+    rows[2047:2050] = [[np.nan, np.inf], [-np.inf, -0.0], [-0.0, np.nan]]
+    payload = {"rows": rows, "count": len(rows)}
+    text = render_report(payload)
+    assert text == render_report_loop(payload)
+    assert "    [NaN, Infinity],\n    [-Infinity, -0.0],\n    [-0.0, NaN],\n" in text
+
+
+def test_analyze_report_of_a_long_signal_keeps_its_bytes(tmp_path, monkeypatch):
+    # a generic m = 50 signal: 101 coefficient pairs, 201 lag pairs and 100
+    # root locations, each list well past the formatter's _SHORT floats
+    angles = np.linspace(0.0, 2 * np.pi, 100, endpoint=False) + 0.1
+    roots = np.where(np.arange(100) % 2, 0.5, 1.8) * np.exp(1j * angles)
+    sig = tmp_path / "m50.json"
+    sig.write_text(json.dumps(signal_dict(TrigPoly(m=50, coeffs=_poly(roots)))), encoding="utf-8")
+    payloads = []
+    monkeypatch.setattr(cli, "_emit", lambda args, payload: payloads.append(payload))
+    assert main(["analyze", str(sig)]) == 0
+    payload = payloads[0]
+    assert len(payload["signal"]["coeffs"]) == 101
+    assert len(payload["autocorrelation"]["coeffs"]) == 201
+    assert render_report(payload) == render_report_loop(payload)
+
+
 def _poly(roots):
     """Coefficients of prod (z - r), exact for the small dyadic roots below."""
     coeffs = np.array([1.0 + 0j])
@@ -146,7 +174,7 @@ def test_writers_reach_the_repr_fallback_and_keep_its_bytes(m, tmp_path, monkeyp
 
     handed = []
     monkeypatch.setattr(serialize, "repr", lambda x: handed.append(x) or repr(x), raising=False)
-    "".join(cli._class_csv(cs))
+    "".join(serialize.class_csv(cs))
     from_csv = len(handed)
     render_report({"classes": classset_dict(cs, certify_bound(cs))})
     assert from_csv and len(handed) > from_csv
@@ -163,7 +191,7 @@ def test_class_csv_keeps_the_bytes_of_the_values_repr_writes():
                          exact_count=len(rows), coeffs=rows)
     with np.errstate(over="ignore"):
         want = class_csv_text(rows, 1, 1.0)
-    assert "".join(cli._class_csv(cs)) == want
+    assert "".join(serialize.class_csv(cs)) == want
     for cell in (",0.0,0.0,0.0\n", ",5e-324,2e-310,0.0\n", ",-3e-45,7e+50,", "e-81\n", ",inf\n"):
         assert cell in want
     # no sample above is -0.0; the formatter writes it, and the rest, as repr does
@@ -178,12 +206,12 @@ def test_class_csv_memory_stays_per_block():
     cs = enumerate_classes(TrigPoly(m=7, coeffs=_poly(roots)))
     assert cs.exact_count == 4**7
     _float_texts(np.array([0.1]))  # the formatter's tables live for the process
-    cells = 8 * cli._SAMPLES * cli._CSV_CLASSES  # one block's cells
+    cells = 8 * serialize._SAMPLES * serialize._CSV_CLASSES  # one block's cells
     blocks = 8  # a 16th of the CSV: tracing every allocation is slow
     rows = 0
     tracemalloc.start()
     try:
-        for chunk in itertools.islice(cli._class_csv(cs), 1 + blocks):
+        for chunk in itertools.islice(serialize.class_csv(cs), 1 + blocks):
             rows += chunk.count("\n")
         peak = tracemalloc.get_traced_memory()[1]
     finally:

@@ -18,7 +18,6 @@ from sldlab import TrigPoly, autocorrelation, errors, serialize
 from sldlab.cli import main
 from sldlab.serialize import (
     _complex_vector,
-    autocorr_dict,
     complex_pair,
     complex_pairs,
     load_json,
@@ -84,7 +83,7 @@ def test_parse_signal_rejects_bare_floats():
 
 def test_parse_autocorr_roundtrip(tmp_path):
     s = autocorrelation(TrigPoly(m=1, coeffs=[0, 1, 1]))
-    path = _write(tmp_path, "ac.json", autocorr_dict(s))
+    path = _write(tmp_path, "ac.json", signal_dict(s))
     t = parse_autocorr(load_json(path))
     assert t.m == 1
     assert np.array_equal(t.coeffs, s.coeffs)
