@@ -7,7 +7,6 @@ from .signals import (
     AutocorrSeq,
     CoeffPoly,
     TrigPoly,
-    autocorr_from_samples,
     autocorr_lift,
     autocorrelation,
     intensity_samples,
@@ -23,7 +22,7 @@ from .roots import (
     joint_orbits,
     pair_reciprocal,
 )
-from .blaschke import BlaschkeProduct, factor_eval, from_inside_zeros, kappa_ratio, product_eval
+from .blaschke import kappa_ratio
 from .equivalence import (
     EquivalenceVerdict,
     numeric_magnitude_equiv,
@@ -43,7 +42,6 @@ from .capacity import (
     bundled_constellation,
     entropy_bits,
     gap_experiment,
-    measurement_transform,
     single_class_constellation,
 )
 from . import errors

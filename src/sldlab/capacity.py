@@ -19,7 +19,6 @@ from .ambiguity import _class_rows, _lag_deviations, _source_gate
 from .errors import (
     DomainError,
     DuplicateSignals,
-    NonInvertibleOnRange,
     UnsupportedOrder,
 )
 from .roots import OrbitTable, _sweep, conj_reciprocal
@@ -249,33 +248,6 @@ def gap_experiment(c):
         passed=bool(per_dim_gap <= bound + 1e-9),
         zero_dc=zero_dc,
     )
-
-
-def measurement_transform(samples, phi, inverse):
-    """Push intensity samples through an invertible readout map.
-
-    phi must be strictly monotone on the observed sample range and
-    inverse must undo it there to 1e-10; anything downstream (recovering
-    the sequence, factoring it) is unaffected because the original
-    samples are recoverable exactly.
-    """
-    samples = np.asarray(samples, dtype=float)
-    out = np.asarray(phi(samples), dtype=float)
-    back = np.asarray(inverse(out), dtype=float)
-    span = 1.0 + np.abs(samples).max()
-    # written as not <= so a NaN inverse fails too
-    if not (np.abs(back - samples).max() <= 1e-10 * span):
-        raise NonInvertibleOnRange("inverse does not undo the map on these samples")
-    order = np.argsort(samples)
-    s_sorted = samples[order]
-    o_sorted = out[order]
-    # ulp-level ties (symmetric sample grids produce them) are not evidence
-    # about monotonicity either way
-    distinct = np.diff(s_sorted) > 1e-12 * span
-    steps = np.diff(o_sorted)[distinct]
-    if len(steps) and not (np.all(steps > 0) or np.all(steps < 0)):
-        raise NonInvertibleOnRange("map is not strictly monotone on the sample range")
-    return out
 
 
 def _deterministic_roots(m, q):

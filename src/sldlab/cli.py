@@ -3,15 +3,15 @@
 Subcommands map one-to-one onto library entry points: analyze (roots and
 measurement of a signal), equiv (magnitude equivalence of two signals),
 enumerate (ambiguity classes of a signal), factor (classes from a
-measured sequence), gap (information-loss experiment), transform
-(invertible readout map round-trip). Exit status 0 means every check
-passed, 2 means a theory bound or input-validation check failed, 1 means
-an operational error such as unreadable input or an unwritable output.
-Each error prints exactly one line on stderr: "error: ..." with exit 1,
-"validation failure: ..." with exit 2 (a failed bound check prints
-nothing there; its verdict is in the report). Every output path is opened
-before anything is written, so an unwritable one leaves no other output,
-and neither do two outputs naming one file.
+measured sequence) and gap (information-loss experiment). Exit status 0
+means every check passed, 2 means a theory bound or input-validation
+check failed, 1 means an operational error such as unreadable input, an
+unwritable output or an empty output path. Each error prints exactly one
+line on stderr: "error: ..." with exit 1, "validation failure: ..." with
+exit 2 (a failed bound check prints nothing there; its verdict is in the
+report). Every output path is opened before anything is written, so an
+unwritable one leaves no other output, and neither do two outputs naming
+one file.
 
 The reports and CSVs are written by sldlab.serialize; this module parses
 the arguments, runs the command and writes its outputs to their files.
@@ -28,11 +28,9 @@ import stat
 import sys
 from dataclasses import asdict
 
-import numpy as np
-
 from . import __version__
 from .ambiguity import certify_bound, enumerate_classes, factor_sld
-from .capacity import bundled_constellation, gap_experiment, measurement_transform
+from .capacity import bundled_constellation, gap_experiment
 from .equivalence import numeric_magnitude_equiv, phase_equiv, struct_magnitude_equiv
 from .errors import (
     DomainError,
@@ -54,12 +52,7 @@ from .serialize import (
     rootset_dict,
     signal_dict,
 )
-from .signals import autocorr_from_samples, autocorrelation, lift, screen_intensity
-
-_MAPS = {
-    "identity": (lambda x: x, lambda x: x),
-    "sqrt": (np.sqrt, np.square),
-}
+from .signals import autocorrelation, lift
 
 # the root-finding settings every report records, gap included
 _DEFAULTS = {"tol_circle": _CIRCLE_BAND, "tol_root": _ROOT_TOL, "seed": _SEED}
@@ -74,11 +67,6 @@ def _fingerprint(args):
     }
     if args.command == "gap" and args.sweep:
         out["sweep"] = args.sweep
-    if args.command == "transform":
-        out["map"] = args.map_name
-        if args.map_name == "affine":
-            out["scale"] = args.scale
-            out["offset"] = args.offset
     return out
 
 
@@ -235,49 +223,12 @@ def _cmd_gap(args):
     return 0 if report.passed else 2
 
 
-def _cmd_transform(args):
-    s = parse_autocorr(load_json(args.inputs[0]))
-    if args.map_name == "affine":
-        if args.scale == 0:
-            raise DomainError("affine map needs a nonzero --scale")
-        phi = lambda x: args.scale * x + args.offset  # noqa: E731
-        inv = lambda y: (y - args.offset) / args.scale  # noqa: E731
-    else:
-        phi, inv = _MAPS[args.map_name]
-    samples = np.maximum(screen_intensity(s), 0.0)
-
-    transformed = measurement_transform(samples, phi, inv)
-    recovered = autocorr_from_samples(np.asarray(inv(transformed), dtype=float), s.m,
-                                      period=s.period)
-    roundtrip = float(np.abs(recovered.coeffs - s.coeffs).max())
-
-    original = factor_sld(s, **_solver_kw(args))
-    rebuilt = factor_sld(recovered, **_solver_kw(args))
-    match = original.exact_count == rebuilt.exact_count
-    if match:
-        # both sets are canonical rows in spec order
-        ca, cb = original.coeffs, rebuilt.coeffs
-        energy = np.sum(np.abs(ca) ** 2, axis=1)
-        match = not np.any(
-            np.abs(ca - cb).max(axis=1) > 1e-6 * np.sqrt(np.maximum(energy, 1e-300))
-        )
-    _emit(args, {
-        "map": args.map_name,
-        "roundtrip_residual": roundtrip,
-        "classes_original": original.exact_count,
-        "classes_recovered": rebuilt.exact_count,
-        "classes_match": bool(match),
-    })
-    return 0 if match else 2
-
-
 _COMMANDS = {
     "analyze": _cmd_analyze,
     "equiv": _cmd_equiv,
     "enumerate": _cmd_classes,
     "factor": _cmd_classes,
     "gap": _cmd_gap,
-    "transform": _cmd_transform,
 }
 
 
@@ -287,6 +238,10 @@ def _check(args):
         raise DomainError("--tol-root must lie in (0, 1e-4]")
     if not (0 < args.tol_circle <= 1e-3):
         raise DomainError("--tol-circle must lie in (0, 1e-3]")
+    # an empty path names no file, and the commands would read it as no flag
+    for flag, path in (("--json", args.output), ("--csv", getattr(args, "csv", None))):
+        if path == "":
+            raise DomainError("%s needs a file path, not an empty string" % flag)
     if args.command == "gap":
         if args.sweep and args.inputs:
             raise DomainError("gap takes a constellation file or --sweep, not both")
@@ -327,16 +282,10 @@ def _build_parser():
         ("equiv", 2, [out, roots], "magnitude equivalence of two signals"),
         ("enumerate", 1, [out, csv, roots], "ambiguity classes of a signal"),
         ("factor", 1, [out, csv, roots], "signal classes of a measured sequence"),
-        ("transform", 1, [out, roots], "invertible readout-map round trip"),
         ("gap", "*", [out, csv], "information-loss report for a constellation"),
     ):
         p = sub.add_parser(name, parents=parents, help=desc)
         p.add_argument("inputs", nargs=nargs, metavar="FILE")
-        if name == "transform":
-            p.add_argument("--map", dest="map_name", default="identity",
-                           choices=("identity", "sqrt", "affine"))
-            p.add_argument("--scale", type=float, default=1.0)
-            p.add_argument("--offset", type=float, default=0.0)
         if name == "gap":
             p.add_argument("--sweep", metavar="m=LO..HI",
                            help="run the bundled constellations instead of a file")

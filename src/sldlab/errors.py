@@ -27,10 +27,6 @@ class ZeroPolynomial(DomainError):
     """The zero polynomial where a nonzero one is required."""
 
 
-class DegenerateSampling(DomainError):
-    """Too few intensity samples to recover the measurement lags of an order."""
-
-
 # root finding
 
 class NoConvergence(SldLabError):
@@ -49,11 +45,7 @@ class AsymmetricSpectrum(DomainError):
     """Root multiset is not closed under reflection across the unit circle."""
 
 
-# Blaschke products
-
-class PoleEvaluation(DomainError):
-    """Evaluation point coincides with a Blaschke factor's pole."""
-
+# magnitude ratios
 
 class ConditionViolated(DomainError):
     """The per-orbit multiplicity condition for a constant magnitude ratio fails."""
@@ -91,10 +83,6 @@ class DuplicateSignals(DomainError):
 
 class UnsupportedOrder(DomainError):
     """Harmonic order outside the experiment's supported range (m >= 1)."""
-
-
-class NonInvertibleOnRange(DomainError):
-    """Measurement map is not strictly monotone / invertible on the sample range."""
 
 
 # CLI / serialization

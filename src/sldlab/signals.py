@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    DegenerateSampling,
     DomainError,
     NegativeIntensity,
     NotAnAutocorrelation,
@@ -268,22 +267,3 @@ def screen_intensity(s):
     if samples.min() < -1e-9 * (1.0 + s.c0):
         raise NegativeIntensity("synthesized intensity reaches %.6g" % samples.min())
     return samples
-
-
-def autocorr_from_samples(samples, m, period=1.0):
-    """Recover the measurement coefficients from uniform intensity samples.
-
-    Needs at least 4m+1 samples per period; below that the harmonics alias
-    and the sequence is not identifiable.
-    """
-    samples = np.asarray(samples, dtype=float)
-    N = len(samples)
-    if N < 4 * m + 1:
-        raise DegenerateSampling(
-            "need at least %d samples for order %d, got %d" % (4 * m + 1, m, N)
-        )
-    j = np.arange(N)
-    k = np.arange(-2 * m, 2 * m + 1)
-    kernel = np.exp(-2j * np.pi * np.outer(k, j) / N)
-    c = kernel @ samples / N
-    return AutocorrSeq(m=m, coeffs=c, period=period)

@@ -197,6 +197,26 @@ def dyadic_draws(seed, count):
     return draws + DYADIC_EXAMPLES
 
 
+def dyadic_flip(picks):
+    """(flipped picks, kappa): picks with one root reflected, or None.
+
+    The root is the most repeated pool entry of the draw's most repeated
+    off-circle orbit, and every copy of it becomes the orbit's other
+    entry, 1 / conj(root). The two draws are magnitude-equivalent: each
+    copy scales |f| / |g| on the circle by |root|, so kappa = |root|^copies.
+    None when the draw has no off-circle root.
+    """
+    orbits = [DYADIC_POOL[i][1] for i in picks if DYADIC_POOL[i][1] not in (None, "origin")]
+    if not orbits:
+        return None
+    orbit = max(orbits, key=orbits.count)
+    members = [i for i in picks if DYADIC_POOL[i][1] == orbit]
+    root = max(members, key=members.count)
+    partner = next(j for j, (_, name) in enumerate(DYADIC_POOL) if name == orbit and j != root)
+    kappa = (abs(complex(*DYADIC_POOL[root][0])) / 4) ** picks.count(root)
+    return [partner if i == root else i for i in picks], kappa
+
+
 def entropy_loop(probs):
     acc = 0.0
     for p in probs:

@@ -21,20 +21,17 @@ import pytest
 
 import sldlab
 from sldlab import (
-    BlaschkeProduct,
     CoeffPoly,
     TrigPoly,
     autocorrelation,
     bundled_constellation,
     certify_bound,
     enumerate_classes,
-    factor_eval,
     factor_sld,
     find_roots,
     gap_experiment,
     lift,
     numeric_magnitude_equiv,
-    product_eval,
     single_class_constellation,
     struct_magnitude_equiv,
 )
@@ -206,26 +203,30 @@ def test_criterion_6_single_class_family_approaches_one_bit():
     assert 1.0 - gaps[-1] < 0.12
 
 
-def test_criterion_7_blaschke_products_are_unimodular():
+def test_criterion_7_reflected_roots_give_a_unimodular_ratio():
+    # f / (kappa g) is unimodular on the circle when g reflects some roots
+    # of f to 1/conj(a): each reflection scales |g| by 1/|a| there, so
+    # kappa = prod |a| / |scale|, and both deciders must return it
     z = np.exp(2j * np.pi * np.arange(256) / 256)
     rng = np.random.default_rng(7007)
-    worst = 0.0
+    worst = {"flat": 0.0, "struct": 0.0, "oracle": 0.0}
     for trial in range(100):
-        factors = []
-        for _ in range(int(rng.integers(1, 5))):
-            gamma = rng.uniform(0.05, 0.9) * np.exp(2j * np.pi * rng.random())
-            factors.append((gamma, int(rng.integers(1, 3))))
-        B = BlaschkeProduct(
-            tau=np.exp(2j * np.pi * rng.random()),
-            n0=int(rng.integers(0, 3)),
-            factors=tuple(factors),
-        )
-        worst = max(worst, np.abs(np.abs(product_eval(B, z)) - 1.0).max())
-    assert worst <= 1e-12
-
-    alpha = 0.37 + 0.2j
-    assert factor_eval(alpha, 0.0) == alpha
-    assert np.array_equal(factor_eval(0.0, z), -z)
+        k = int(rng.integers(1, 9))
+        inside = rng.uniform(0.05, 0.9, k) * np.exp(2j * np.pi * rng.random(k))
+        flips = rng.random(k) < 0.5
+        scale = complex(rng.standard_normal(), rng.standard_normal())
+        shift = [0.0] * int(rng.integers(0, 3))
+        f = np.poly(list(inside) + shift)
+        g = scale * np.poly(list(np.where(flips, 1 / np.conj(inside), inside)) + shift)
+        kappa = np.prod(np.abs(inside[flips])) / abs(scale)
+        ratio = np.abs(np.polyval(f, z) / np.polyval(g, z))
+        worst["flat"] = max(worst["flat"], np.abs(ratio / kappa - 1.0).max())
+        for name, decide in (("struct", struct_magnitude_equiv),
+                             ("oracle", numeric_magnitude_equiv)):
+            verdict = decide(_poly(f[::-1]), _poly(g[::-1]))
+            assert verdict.related, (trial, name, verdict.witness)
+            worst[name] = max(worst[name], abs(verdict.kappa / kappa - 1.0))
+    assert max(worst.values()) <= 1e-12, worst
 
 
 def _launchers():

@@ -14,7 +14,6 @@ from sldlab import (
     enumerate_classes,
     errors,
     gap_experiment,
-    measurement_transform,
     single_class_constellation,
 )
 from sldlab.capacity import (
@@ -558,22 +557,6 @@ def test_duplicate_check_at_order_zero():
     twice = _uniform(np.array([[1.0], [1.0]], dtype=complex), 1.0)
     with pytest.raises(errors.UnsupportedOrder):
         gap_experiment(twice)
-
-
-def test_transform_roundtrip_and_guard():
-    samples = np.linspace(0.0, 4.0, 33)
-    out = measurement_transform(samples, np.sqrt, lambda y: y * y)
-    assert np.abs(out - np.sqrt(samples)).max() == 0.0
-    affine = measurement_transform(samples, lambda x: -2 * x + 7, lambda y: (7 - y) / 2)
-    assert np.allclose(affine, -2 * samples + 7)
-    with pytest.raises(errors.NonInvertibleOnRange):
-        measurement_transform(
-            np.linspace(-1, 1, 11), lambda x: x * x, lambda y: np.sqrt(np.abs(y))
-        )
-    with pytest.raises(errors.NonInvertibleOnRange):
-        measurement_transform(samples, np.sqrt, lambda y: y)  # wrong inverse
-    with pytest.raises(errors.NonInvertibleOnRange):
-        measurement_transform(samples, np.sqrt, lambda y: np.full_like(y, np.nan))
 
 
 def test_single_class_members_share_measurement():

@@ -191,25 +191,14 @@ def test_gap_needs_input(capsys):
     assert "constellation file or --sweep" in capsys.readouterr().err
 
 
-def test_transform_sqrt(ac_shift, capsys):
-    assert main(["transform", ac_shift, "--map", "sqrt"]) == 0
-    out = read_json(capsys)
-    assert out["classes_match"] is True
-    assert out["classes_original"] == out["classes_recovered"] == 2
-    assert out["roundtrip_residual"] <= 1e-9
-    assert out["config"]["map"] == "sqrt"
-
-
-def test_transform_affine_negative_scale(ac_shift, capsys):
-    assert main(["transform", ac_shift, "--map", "affine",
-                 "--scale", "-3.0", "--offset", "2.5"]) == 0
-    out = read_json(capsys)
-    assert out["classes_match"] is True
-
-
-def test_transform_zero_scale(ac_shift, capsys):
-    assert main(["transform", ac_shift, "--map", "affine", "--scale", "0"]) == 1
-    assert "nonzero" in capsys.readouterr().err
+def test_transform_is_not_a_command(ac_shift, capsys):
+    # the readout-map round trip is retired: argparse refuses the name
+    with pytest.raises(SystemExit) as exc:
+        main(["transform", ac_shift, "--map", "sqrt"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "invalid choice: 'transform'" in captured.err
 
 
 def test_json_output_deterministic(sig_shift, tmp_path):
@@ -340,15 +329,13 @@ def test_class_and_gap_commands_build_no_object_per_class(tmp_path, monkeypatch,
             ("enumerate", ["enumerate", sig, "--csv", str(tmp_path / "c.csv")]),
             ("factor", ["factor", meas]),
             ("gap", ["gap", "--sweep", "m=%d..%d" % (m, m)]),
-            ("transform", ["transform", meas]),
         ):
             built.clear()
             assert main(argv) == 0
             counts.setdefault(name, []).append(len(built))
     capsys.readouterr()
     # classes per order: 4, 16, 64, 256 (gap: two more points each)
-    assert counts == {"enumerate": [1] * 4, "factor": [0] * 4, "gap": [2] * 4,
-                      "transform": [0] * 4}
+    assert counts == {"enumerate": [1] * 4, "factor": [0] * 4, "gap": [2] * 4}
     built.clear()
     assert main(["gap", "--sweep", "m=1..4"]) == 0
     assert len(built) == 8
@@ -362,17 +349,17 @@ def test_class_and_gap_commands_build_no_object_per_class(tmp_path, monkeypatch,
         (["equiv", "{sig}", "{sig}", "--round", "3"], "--round"),
         (["enumerate", "{sig}", "--round", "3"], "--round"),
         (["factor", "{ac}", "--round", "3"], "--round"),
-        (["transform", "{ac}", "--round", "3"], "--round"),
         (["gap", "--sweep", "m=1..1", "--round", "3"], "--round"),
         (["equiv", "{sig}", "{sig}", "--csv", "{tmp}/a.csv"], "--csv"),
-        (["transform", "{ac}", "--csv", "{tmp}/a.csv"], "--csv"),
         (["gap", "--sweep", "m=1..1", "--seed", "7"], "--seed"),
         (["gap", "--sweep", "m=1..1", "--tol-root", "1e-9"], "--tol-root"),
         (["gap", "--sweep", "m=1..1", "--tol-circle", "1e-9"], "--tol-circle"),
+        (["analyze", "{sig}", "--sweep", "m=1..1"], "--sweep"),
+        (["factor", "{ac}", "--sweep", "m=1..1"], "--sweep"),
     ),
     ids=("analyze-csv", "analyze-round", "equiv-round", "enumerate-round", "factor-round",
-         "transform-round", "gap-round", "equiv-csv", "transform-csv",
-         "gap-seed", "gap-tol-root", "gap-tol-circle"),
+         "gap-round", "equiv-csv", "gap-seed", "gap-tol-root", "gap-tol-circle",
+         "analyze-sweep", "factor-sweep"),
 )
 def test_subcommand_rejects_flags_it_does_not_read(argv, flag, sig_shift, ac_shift,
                                                    tmp_path, capsys):
@@ -406,6 +393,33 @@ def test_gap_rejects_csv_without_sweep(tmp_path, capsys):
     assert not (tmp_path / "g.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    (
+        (["analyze", "{sig}", "--json", ""], "--json"),
+        (["equiv", "{sig}", "{sig}", "--json", ""], "--json"),
+        (["enumerate", "{sig}", "--json", ""], "--json"),
+        (["enumerate", "{sig}", "--json", "{tmp}/r.json", "--csv", ""], "--csv"),
+        (["enumerate", "{sig}", "--csv", "{tmp}/c.csv", "--json", ""], "--json"),
+        (["factor", "{ac}", "--json", ""], "--json"),
+        (["factor", "{ac}", "--json", "{tmp}/r.json", "--csv", ""], "--csv"),
+        (["gap", "{sig}", "--json", ""], "--json"),
+        (["gap", "--sweep", "m=1..1", "--json", ""], "--json"),
+        (["gap", "--sweep", "m=1..1", "--json", "{tmp}/r.json", "--csv", ""], "--csv"),
+    ),
+    ids=("analyze-json", "equiv-json", "enumerate-json", "enumerate-csv",
+         "enumerate-json-beside-csv", "factor-json", "factor-csv", "gap-json",
+         "gap-sweep-json", "gap-sweep-csv"),
+)
+def test_an_empty_output_path_is_refused(argv, flag, sig_shift, ac_shift, tmp_path, capsys):
+    # an empty path names no file: it neither means stdout nor skips the output
+    argv = [a.format(sig=sig_shift, ac=ac_shift, tmp=tmp_path) for a in argv]
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", "error: %s needs a file path, not an empty string\n"
+                                   % flag)
+    assert not (tmp_path / "r.json").exists() and not (tmp_path / "c.csv").exists()
+
+
 def test_wrong_arity(sig_shift, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["equiv", sig_shift])
@@ -430,18 +444,17 @@ _CONFIG = {"seed": 12345, "tol_circle": 1e-9, "tol_root": 1e-8}
         (["analyze", "{sig}", "--seed", "3", "--tol-root", "1e-6", "--tol-circle", "1e-7"],
          {"seed": 3, "tol_root": 1e-6, "tol_circle": 1e-7}),
         (["equiv", "{sig}", "{sig}"], {}),
+        (["equiv", "{sig}", "{sig}", "--seed", "5", "--tol-root", "1e-7", "--tol-circle",
+          "1e-8"], {"seed": 5, "tol_root": 1e-7, "tol_circle": 1e-8}),
         (["enumerate", "{sig}", "--tol-circle", "1e-8"], {"tol_circle": 1e-8}),
         (["factor", "{ac}", "--seed", "0"], {"seed": 0}),
-        (["transform", "{ac}"], {"map": "identity"}),
-        (["transform", "{ac}", "--map", "affine", "--scale", "-3", "--offset", "2.5"],
-         {"map": "affine", "scale": -3.0, "offset": 2.5}),
-        (["transform", "{ac}", "--map", "affine"],
-         {"map": "affine", "scale": 1.0, "offset": 0.0}),
+        (["factor", "{ac}", "--tol-root", "1e-7", "--tol-circle", "1e-8"],
+         {"tol_root": 1e-7, "tol_circle": 1e-8}),
         (["gap", "{cons}"], {}),
         (["gap", "--sweep", "m=1..2"], {"sweep": "m=1..2"}),
     ),
-    ids=("analyze", "analyze-flags", "equiv", "enumerate", "factor", "transform",
-         "transform-affine", "transform-affine-defaults", "gap-file", "gap-sweep"),
+    ids=("analyze", "analyze-flags", "equiv", "equiv-flags", "enumerate", "factor",
+         "factor-tols", "gap-file", "gap-sweep"),
 )
 def test_report_config_block(argv, extra, sig_shift, ac_shift, tmp_path):
     cons = write_json(tmp_path, "cons.json", {
@@ -624,7 +637,7 @@ def test_write_to_a_device_a_pipe_and_stdout(tmp_path, capsys):
     assert capsys.readouterr() == ("shown\n", "")
 
 
-@pytest.mark.parametrize("command", ("factor", "transform"))
+@pytest.mark.parametrize("command", ("factor",))
 @pytest.mark.parametrize(
     "coeffs, message",
     (

@@ -99,15 +99,16 @@ def test_float_texts_match_repr_on_both_sides_of_the_crossover(length, monkeypat
 
 
 def test_report_floats_do_not_depend_on_the_blocks():
-    # NaN and the infinities on both sides of a block's end, in a list of
-    # floats, in an array of pairs and in rows of three, whose blocks end
-    # elsewhere
+    # NaN and the infinities on both sides of a block's end, in a column of
+    # floats, in pairs and in rows of three, whose blocks end elsewhere;
+    # each as a float64 array, laid out a block at a time, and as a list
     block = serialize._BLOCK
     values = np.random.default_rng(7).standard_normal(6 * (block // 3 + 1))
     for at in (block - 2, 2 * block - 2):
         values[at : at + 4] = [np.nan, np.inf, -np.inf, np.nan]
-    payload = {"column": values.tolist(), "pairs": values.reshape(-1, 2),
-               "rows": values.reshape(-1, 3).tolist()}
+    payload = {"column": values, "pairs": values.reshape(-1, 2), "rows": values.reshape(-1, 3),
+               "column_list": values.tolist(), "pairs_list": values.reshape(-1, 2).tolist(),
+               "rows_list": values.reshape(-1, 3).tolist()}
     text = render_report(payload)
     assert text == render_report_loop(payload)
     for word in ("NaN", "Infinity", "-Infinity"):
@@ -223,8 +224,8 @@ def test_class_csv_memory_stays_per_block():
 
 
 def test_report_memory_holds_one_block_of_texts():
-    # 108,000 floats in 6,000 rows of one shape: 53 blocks
-    rows = np.random.default_rng(5).normal(size=(6000, 18)).tolist()
+    # 108,000 floats in a float64 array of 6,000 rows: 53 blocks
+    rows = np.random.default_rng(5).normal(size=(6000, 18))
     payload = {"classes": {"count": 6000, "rows": rows}, "version": "0"}
     render_report({"a": [[0.1]]})  # the formatter's tables live for the process
     tracemalloc.start()
@@ -234,6 +235,7 @@ def test_report_memory_holds_one_block_of_texts():
     finally:
         tracemalloc.stop()
     assert text == render_report_loop(payload)
-    # about 4.4 bytes per byte of text; holding every float's text and a
-    # piece of template for each until one join makes it about 10
+    # about 2.1 bytes per byte of text, nearly all of it the chunks and
+    # their join; holding every float's text and a piece of template for
+    # each until one join makes it about 10
     assert peak < 6 * len(text), peak / len(text)

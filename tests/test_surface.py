@@ -13,10 +13,7 @@ from sldlab import errors
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 # public names with no caller yet, each with its reason
-UNCALLED = {
-    "from_inside_zeros": "acceptance criterion 7 pins the Blaschke product helpers",
-    "product_eval": "acceptance criterion 7 pins the Blaschke product helpers",
-}
+UNCALLED = {}
 
 # public members of public classes with no caller yet, each with its reason
 UNCALLED_MEMBERS = {}
@@ -224,14 +221,18 @@ def test_members_are_methods_properties_and_classmethods():
 
 
 # names deleted with the code only the tests called, or replaced (the
-# orbit types by OrbitTable); none may come back as a public name, alias
-# or error class
+# orbit types by OrbitTable), or retired with the transform command and
+# the Blaschke product helpers, which served none of the paper's claims;
+# none may come back as a public name, alias or error class
 DELETED = (
     "flip", "FlipSpec", "canonicalize", "quantize_phase", "theta_m", "auxiliary_rotate",
     "PhaseGrid", "eval_time", "eval_intensity", "sample_grid", "unlift", "ae_equal",
     "degree_match", "reconstruct", "mi_dmc", "DiscreteNoise", "ReciprocalOrbit", "JointOrbit",
+    "measurement_transform", "autocorr_from_samples", "BlaschkeProduct", "factor_eval",
+    "product_eval", "from_inside_zeros",
 )
-DELETED_ERRORS = ("InvalidSpec", "NotEquivalent", "OutOfRange", "ZeroDC", "InvalidNoiseSpec")
+DELETED_ERRORS = ("InvalidSpec", "NotEquivalent", "OutOfRange", "ZeroDC", "InvalidNoiseSpec",
+                  "NonInvertibleOnRange", "DegenerateSampling", "PoleEvaluation")
 DELETED_MEMBERS = (
     ("CoeffPoly", "effective_degree"), ("CoeffPoly", "degree"), ("CoeffPoly", "__call__"),
     ("ClassSet", "representatives"),
