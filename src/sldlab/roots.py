@@ -3,14 +3,17 @@
 The solver is the Aberth-Ehrlich simultaneous iteration from a randomly
 perturbed unit-circle start. It solves a batch of polynomials at once
 (find_roots is the batch of one), sharing each numpy call of the Horner
-passes while every polynomial's roots step only against each other, so
+passes, and of the Aberth sums among polynomials of one degree, while
+every polynomial's roots step only against each other, so
 each result is bit for bit the one found alone. A root whose residual
 reaches rounding level is frozen and drops out of the passes. Each root is
 then polished with one Newton step, and nearby approximations are
 clustered into multiple roots. Every root is tagged by its
 position relative to the unit circle, since the whole downstream theory
 (magnitude equivalence, zero flipping, spectral factorization) branches on
-inside / on-circle / outside.
+inside / on-circle / outside. Clustering and orbit matching work on whole
+arrays of roots: only a merged cluster, or an orbit side that holds two or
+more roots, takes a centroid of its own.
 """
 
 from dataclasses import dataclass
@@ -42,6 +45,7 @@ _SEED = 12345
 _MAX_ITER = 200
 # orbit keys and circle roots within this cluster rule are one location
 _MATCH_TOL = 1e-6
+_NO_RECIPROCAL = "the origin has no reciprocal conjugate"
 
 
 @dataclass(frozen=True)
@@ -78,12 +82,8 @@ class RootMultiset:
         return tuple(r for r in self.roots if r.label == label)
 
 
-def _classify(radius, band):
-    if radius < 1.0 - band:
-        return "inside"
-    if radius > 1.0 + band:
-        return "outside"
-    return "on_circle"
+# a root's label by whether |z| < 1 - band, neither, or |z| > 1 + band
+_LABELS = ("inside", "on_circle", "outside")
 
 
 def _modulus(z):
@@ -199,6 +199,14 @@ def _sweep(rows, radius, link):
     return (np.cumsum(label == np.arange(n)) - 1)[label]
 
 
+def _link_ids(z, tol):
+    """Group id per point of a complex array under the rule of _groups."""
+    _check_tol(tol)
+    mag = _modulus(z)
+    return _sweep(z[:, None], tol * (1.0 + mag.max(initial=0.0)),
+                  lambda i, j: _modulus(z[i] - z[j]) <= tol * (1.0 + 0.5 * (mag[i] + mag[j])))
+
+
 def _groups(points, tol):
     """Index groups of the points chained by |a - b| <= tol * (1 + (|a| + |b|) / 2).
 
@@ -207,14 +215,15 @@ def _groups(points, tol):
     their smallest member, members in index order. A NaN, infinite or
     negative tol raises DomainError.
     """
-    _check_tol(tol)
-    z = np.asarray(points, dtype=complex)
-    mag = _modulus(z)
-    ids = _sweep(z[:, None], tol * (1.0 + mag.max(initial=0.0)),
-                 lambda i, j: _modulus(z[i] - z[j]) <= tol * (1.0 + 0.5 * (mag[i] + mag[j])))
-    order = np.argsort(ids, kind="stable")
-    ends = np.cumsum(np.bincount(ids)).tolist()
-    return [order[i:j] for i, j in zip([0] + ends, ends)]
+    order, start, size = _members(_link_ids(np.asarray(points, dtype=complex), tol))
+    return [order[i : i + k] for i, k in zip(start.tolist(), size.tolist())]
+
+
+def _members(ids, count=0):
+    """(order, start, size): order[start[i] : start[i] + size[i]] are the
+    indices that hold id i, in index order, for each of at least count ids."""
+    size = np.bincount(ids, minlength=count)
+    return np.argsort(ids, kind="stable"), np.cumsum(size) - size, size
 
 
 def _centroid(points):
@@ -252,52 +261,88 @@ def _horner(coef, z):
     return pz, bound + _TINY, dpz
 
 
-def _aberth_sums(z, rows):
-    """The sum over j != i of 1 / (z_i - z_j) for each i in rows.
+def _aberth_plan(live, deg, rank, col, blocks):
+    """The stacked Aberth passes over the roots in live, one per degree.
 
-    Each row is summed over the whole of z on its own, so its bits do not
-    depend on which other rows are asked for.
+    blocks maps each degree to the indices of its polynomials' roots, one
+    row per polynomial; rank is each root's row there and col its column.
+    A pass is (where, rows, block, rank of rows, (i, col of row i)): where
+    picks its rows out of live, None when one degree holds them all.
     """
-    diff = z[rows, None] - z[None, :]
-    diag = (np.arange(len(rows)), rows)
-    diff[diag] = 1.0
-    inv = 1.0 / diff
-    inv[diag] = 0.0
-    return inv.sum(axis=1)
+    plan = []
+    for d, block in blocks.items():
+        where = None if len(blocks) == 1 else deg[live] == d
+        rows = live if where is None else live[where]
+        if rows.size:
+            plan.append((where, rows, block, rank[rows], (np.arange(rows.size), col[rows])))
+    return plan
+
+
+def _aberth_sums(z, plan):
+    """The sum over j != i of 1 / (z_i - z_j), j over the roots of i's own
+    polynomial, for each root i of the plan's passes, in live order.
+
+    The polynomials of one degree share one pass, and each row is summed
+    over its own polynomial's roots alone, so its bits do not depend on
+    which other rows are asked for.
+    """
+    out = []
+    for where, rows, block, blk, diag in plan:
+        diff = z[block][blk]
+        np.subtract(z[rows, None], diff, out=diff)
+        diff[diag] = 1.0
+        np.divide(1.0, diff, out=diff)
+        diff[diag] = 0.0
+        out.append(diff.sum(axis=1))
+    if len(out) == 1:
+        return out[0]
+    s = np.empty(sum(map(len, out)), dtype=complex)
+    for (where, *_), part in zip(plan, out):
+        s[where] = part
+    return s
 
 
 def _solve(monics, seed):
     """Aberth-Ehrlich iteration over a batch of monic polynomials.
 
-    Each polynomial starts from its own seeded perturbed circle and its
-    roots step only against each other, so they come out bit for bit as
-    if it were solved alone: the batch shares the numpy calls of each
-    Horner pass and nothing else. A root whose residual reaches rounding
-    level is frozen, since its step would be exactly zero from then on,
-    and a polynomial stops when all its roots are frozen. Returns every
-    root after one polishing Newton pass, in batch order, and the relative
-    residual of each.
+    Each polynomial starts from the seeded perturbed circle of its degree
+    and its roots step only against each other, so they come out bit for
+    bit as if it were solved alone: the batch shares the numpy calls of
+    each Horner pass, and polynomials of one degree share those of the
+    Aberth sums. A root whose residual reaches rounding level is frozen,
+    since its step would be exactly zero from then on, and a polynomial
+    stops when all its roots are frozen. Returns every root after one
+    polishing Newton pass, in batch order, and the relative residual of
+    each.
     """
     degs = [len(a) - 1 for a in monics]
     starts = np.cumsum([0] + degs).tolist()
     top = max(degs)
     coef = np.zeros((top + 1, 3, starts[-1]), dtype=complex)
     z = np.empty(starts[-1], dtype=complex)
+    circles, blocks, rank = {}, {}, []
     for a, lo, d in zip(monics, starts, degs):
         cols = slice(lo, lo + d)
         coef[top - d :, 0, cols] = a[::-1, None]
         coef[top - d :, 1, cols] = np.abs(a)[::-1, None]
         coef[top - d + 1 :, 2, cols] = (a[1:] * np.arange(1, d + 1))[::-1, None]
-        rng = np.random.default_rng(seed)
-        angles = 2 * np.pi * (np.arange(d) + 0.25 * rng.random(d)) / d
-        radii = 1.0 + 0.2 * (rng.random(d) - 0.5)
-        z[cols] = radii * np.exp(1j * angles)
+        if d not in circles:
+            rng = np.random.default_rng(seed)
+            angles = 2 * np.pi * (np.arange(d) + 0.25 * rng.random(d)) / d
+            radii = 1.0 + 0.2 * (rng.random(d) - 0.5)
+            circles[d] = radii * np.exp(1j * angles)
+        z[cols] = circles[d]
+        rank.append(len(blocks.setdefault(d, [])))
+        blocks[d].append(lo)
+    blocks = {d: np.array(los)[:, None] + np.arange(d) for d, los in blocks.items()}
+    # each root's degree, row in the block of its degree and column there
+    deg, rank = np.repeat(degs, degs), np.repeat(rank, degs)
+    col = np.arange(starts[-1]) - np.repeat(starts[:-1], degs)
 
-    # ev: the roots each Horner pass evaluates; live: the roots still moving;
-    # blocks: (a polynomial's roots, its entries in live), per moving polynomial
+    # ev: the roots each Horner pass evaluates; live: the roots still moving
     ev = live = np.arange(starts[-1])
     sub = coef
-    blocks = [(lo, hi, lo, hi) for lo, hi in zip(starts, starts[1:])]
+    plan = _aberth_plan(live, deg, rank, col, blocks)
     for _ in range(_MAX_ITER):
         pz, bound, dpz = _horner(sub, z[ev])
         # a frozen root that is still evaluated settles again, its z unchanged
@@ -306,20 +351,19 @@ def _solve(monics, seed):
             live, pz, dpz = ev[moving], pz[moving], dpz[moving]
             if not live.size:
                 break
-            cuts = np.searchsorted(live, starts).tolist()
-            blocks = [(lo, hi, i, j) for lo, hi, i, j
-                      in zip(starts, starts[1:], cuts, cuts[1:]) if i < j]
+            plan = _aberth_plan(live, deg, rank, col, blocks)
             # a gather of the columns costs about one pass, so it waits
             # until half the evaluated roots are frozen
             if 2 * live.size <= ev.size:
                 ev = live
-                sub = coef[top - max(hi - lo for lo, hi, _, _ in blocks) :, :, ev]
-        s = np.concatenate([_aberth_sums(z[lo:hi], live[i:j] - lo) for lo, hi, i, j in blocks])
-        dpz = np.where(dpz == 0, _TINY, dpz)
-        w = pz / dpz
-        denom = 1.0 - w * s
-        denom = np.where(denom == 0, _TINY, denom)
-        z[live] -= w / denom
+                sub = coef[top - int(deg[live].max()) :, :, ev]
+        # the step w / (1 - w s), w = p / p', in place on the pass's arrays
+        s = _aberth_sums(z, plan)
+        dpz[dpz == 0] = _TINY
+        w = np.divide(pz, dpz, out=pz)
+        denom = np.subtract(1.0, np.multiply(w, s, out=s), out=s)
+        denom[denom == 0] = _TINY
+        z[live] -= np.divide(w, denom, out=w)
 
     # one polishing Newton pass per root
     pz, _, dpz = _horner(coef, z)
@@ -329,29 +373,46 @@ def _solve(monics, seed):
     return z, np.abs(pz) / bound
 
 
+def _by_location(loc):
+    """Indices that sort complex locations by (real, imag), as a stable key sort does.
+
+    A NaN compares false both ways, so with one among them only a key sort
+    of the same values puts the rest where list.sort puts them.
+    """
+    if np.isnan(loc).any():
+        keys = list(zip(loc.real.tolist(), loc.imag.tolist()))
+        return np.array(sorted(range(len(keys)), key=keys.__getitem__), dtype=np.intp)
+    return np.lexsort((loc.imag, loc.real))
+
+
 def _cluster(z, cluster_radius, circle_band):
-    """Merged, classified roots of one polynomial, sorted by location."""
-    roots = []
-    for idx in _groups(z, cluster_radius):
-        pts = z[idx]
-        loc = _centroid(pts)
-        radius = abs(loc)
-        if len(idx) == 1 and radius < np.inf:
-            diam = 0.0  # the spread of one finite point
-        else:
-            diam = float(_modulus(pts[:, None] - pts[None, :]).max())
+    """Merged, classified roots of one polynomial, sorted by location.
+
+    Whole arrays locate, measure and label the clusters: a one-point
+    cluster lies where the reduction of _centroid puts its point, with a
+    diameter of 0 while finite. Only a merged or non-finite cluster takes
+    a centroid and a diameter of its own.
+    """
+    order, start, size = _members(_link_ids(z, cluster_radius))
+    loc = np.add.reduce(z[order[start], None], axis=1) / 1
+    radius = _modulus(loc)
+    diam = np.zeros(size.size)
+    band = np.full(size.size, max(circle_band, 0.0))  # widened by a spread of 0
+    for g in np.flatnonzero((size > 1) | ~(radius < np.inf)).tolist():
+        pts = z[order[start[g] : start[g] + size[g]]]
+        loc[g] = _centroid(pts)
+        radius[g] = abs(loc[g])
+        diam[g] = _modulus(pts[:, None] - pts[None, :]).max()
         # a merged cluster locates its root only to about half its own
         # spread, so the circle test must not be sharper than that
-        roots.append(
-            ClassifiedRoot(
-                location=loc,
-                multiplicity=len(idx),
-                label=_classify(radius, max(circle_band, 0.5 * diam)),
-                diameter=diam,
-            )
-        )
-    roots.sort(key=lambda r: (r.location.real, r.location.imag))
-    return tuple(roots)
+        band[g] = max(circle_band, 0.5 * diam[g])
+    label = np.where(radius < 1.0 - band, 0, np.where(radius > 1.0 + band, 2, 1))
+    rank = _by_location(loc)
+    return tuple(
+        ClassifiedRoot(location=x, multiplicity=k, label=_LABELS[i], diameter=d)
+        for x, k, i, d in zip(loc[rank].tolist(), size[rank].tolist(),
+                              label[rank].tolist(), diam[rank].tolist())
+    )
 
 
 def find_roots_batch(
@@ -452,7 +513,7 @@ def conj_reciprocal(alpha):
     """Reflection of alpha across the unit circle, 1 / conj(alpha)."""
     alpha = complex(alpha)
     if alpha == 0:
-        raise ZeroArgument("the origin has no reciprocal conjugate")
+        raise ZeroArgument(_NO_RECIPROCAL)
     return 1.0 / np.conj(alpha)
 
 
@@ -502,9 +563,19 @@ class OrbitTable:
         return OrbitTable(orbits, circle, self.origin, self.origin + budget, 1.0)
 
 
-def _orbit_key(location):
-    # canonical inside-disk representative of the reflection orbit
-    return location if abs(location) < 1.0 else conj_reciprocal(location)
+def _reflect(points):
+    """conj_reciprocal of each entry of a complex array."""
+    if (points == 0).any():
+        raise ZeroArgument(_NO_RECIPROCAL)
+    return 1.0 / np.conj(points)
+
+
+def _orbit_key(locations):
+    """The canonical inside-disk representative of each location's reflection orbit."""
+    key = np.array(locations, dtype=complex)
+    far = ~(_modulus(key) < 1.0)
+    key[far] = _reflect(key[far])
+    return key
 
 
 def _orbit_tables(multisets, circle):
@@ -513,25 +584,44 @@ def _orbit_tables(multisets, circle):
     Off-circle roots, of any of the multisets, whose orbit keys group
     under _MATCH_TOL form one orbit; orbits are sorted by inner. circle
     holds (location, one multiplicity per multiset) per circle entry.
+    Keys, sides, owners and multiplicities are whole arrays: one bincount
+    counts each (orbit, multiset, side), and only a side that holds two
+    or more roots takes a centroid of its own. A side with no root is the
+    reflection of the other, a numpy scalar as conj_reciprocal gives it.
     """
     off = [(k, root) for k, r in enumerate(multisets)
            for root in r.roots if root.label != "on_circle"]
-    orbits = []
-    for idx in _groups([_orbit_key(root.location) for _, root in off], _MATCH_TOL):
-        counts = [[0, 0] for _ in multisets]
-        locs = ([], [])
-        for i in idx:
-            k, root = off[i]
-            side = 0 if root.label == "inside" else 1
-            counts[k][side] += root.multiplicity
-            locs[side].append(root.location)
-        inner = _centroid(locs[0]) if locs[0] else conj_reciprocal(_centroid(locs[1]))
-        outer = _centroid(locs[1]) if locs[1] else conj_reciprocal(inner)
-        orbits.append((inner, outer, counts))
-    orbits.sort(key=lambda o: (o[0].real, o[0].imag))
+    loc = np.array([root.location for _, root in off], dtype=complex)
+    owner = np.array([k for k, _ in off], dtype=np.intp)
+    side = np.array([root.label != "inside" for _, root in off], dtype=np.intp)
+    ids = _link_ids(_orbit_key(loc), _MATCH_TOL)
+    count = int(ids.max(initial=-1)) + 1
+    counts = np.bincount((ids * len(multisets) + owner) * 2 + side,
+                         weights=[root.multiplicity for _, root in off],
+                         minlength=count * len(multisets) * 2)
+    counts = counts.astype(np.intp).reshape(count, len(multisets), 2)
+
+    order, start, size = _members(ids * 2 + side, 2 * count)
+    centroid = np.zeros(2 * count, dtype=complex)
+    one = np.flatnonzero(size == 1)
+    centroid[one] = np.add.reduce(loc[order[start[one]], None], axis=1) / 1
+    for c in np.flatnonzero(size > 1).tolist():
+        centroid[c] = _centroid(loc[order[start[c] : start[c] + size[c]]])
+    inner, outer = centroid.reshape(count, 2).T
+    has_inner, has_outer = size.reshape(count, 2).T > 0
+    inner[~has_inner] = _reflect(outer[~has_inner])
+    outer[~has_outer] = _reflect(inner[~has_outer])
+    rank = _by_location(inner)
+    # a reflected side stays the numpy scalar that conj_reciprocal gives
+    inners, outers = inner.tolist(), outer.tolist()
+    for g in np.flatnonzero(~has_inner).tolist():
+        inners[g] = inner[g]
+    for g in np.flatnonzero(~has_outer).tolist():
+        outers[g] = outer[g]
+    orbits = [(inners[g], outers[g], c) for g, c in zip(rank.tolist(), counts[rank].tolist())]
     return tuple(
         OrbitTable(
-            orbits=tuple((inner, outer, *counts[k]) for inner, outer, counts in orbits),
+            orbits=tuple((inner, outer, *c[k]) for inner, outer, c in orbits),
             circle=tuple((location, mults[k]) for location, *mults in circle),
             origin=r.origin_mult,
             degree=r.degree,

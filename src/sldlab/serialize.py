@@ -87,8 +87,28 @@ def _list(items, path, errors):
     return items
 
 
+def _finite_pairs(items):
+    """Whether items is a non-empty list of [re, im] lists of finite
+    numbers that are not bools: what _pairs accepts, in one pass."""
+    try:
+        return type(items) is list and bool(items) and all(
+            type(pair) is list and len(pair) == 2
+            and type(pair[0]) in (int, float) and type(pair[1]) in (int, float)
+            and math.isfinite(pair[0]) and math.isfinite(pair[1])
+            for pair in items
+        )
+    except OverflowError:  # an integer beyond the float range
+        return False
+
+
 def _pairs(items, path, errors):
-    """A non-empty JSON array of [re, im] number pairs."""
+    """A non-empty JSON array of [re, im] number pairs.
+
+    Input that passes _finite_pairs has nothing to record; any other takes
+    the walk that names each field at fault.
+    """
+    if _finite_pairs(items):
+        return
     for i, pair in enumerate(_list(items, path, errors)):
         if not isinstance(pair, list):
             errors.append((path + (i,), "%r is not of type 'array'" % (pair,)))

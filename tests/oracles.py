@@ -623,6 +623,16 @@ def find_roots_loop(coeffs, tol=1e-8, circle_band=1e-9, cluster_radius=1e-6,
         raise Unsettled("simultaneous iteration did not settle within %d steps" % max_iter,
                         float(rel.max()))
 
+    return cluster_loop(z, cluster_radius, circle_band), origin, deg, leading
+
+
+def cluster_loop(z, cluster_radius, circle_band):
+    """Root approximations merged by union_find_groups, one cluster at a time.
+
+    A sorted list of (location, multiplicity, label, diameter): numpy's
+    mean of each cluster, its largest pairwise gap, and its circle label
+    in a band widened to half that gap.
+    """
     roots = []
     for idx in union_find_groups([complex(x) for x in z], cluster_radius):
         pts = z[idx]
@@ -634,7 +644,7 @@ def find_roots_loop(coeffs, tol=1e-8, circle_band=1e-9, cluster_radius=1e-6,
                  else "outside" if abs(loc) > 1.0 + band else "on_circle")
         roots.append((loc, len(idx), label, diam))
     roots.sort(key=lambda r: (r[0].real, r[0].imag))
-    return roots, origin, deg, leading
+    return roots
 
 
 def _reflect(alpha):

@@ -22,11 +22,12 @@ from sldlab import (
 import sldlab
 from sldlab import cli
 from sldlab import roots as roots_module
-from sldlab.roots import RootMultiset, _centroid, _groups, _orbit_key, _sweep
+from sldlab.roots import ClassifiedRoot, RootMultiset, _centroid, _groups, _orbit_key, _sweep
 
 from conftest import poly_from_roots, separated_roots
 from oracles import (
     Unsettled,
+    cluster_loop,
     equiv_battery,
     find_roots_loop,
     orbit_groups_loop,
@@ -571,6 +572,10 @@ def _batch_cases():
         parts = draw.normal(size=(2, 41))
         wide.append((parts[0] + 1j * parts[1]) * 10.0 ** draw.uniform(-12, 0, size=41))
     yield wide, 1e-6
+    # one polynomial with a double root, a triple root and simple roots
+    mixed = poly_from_roots([2.0, 2.0, -1.0, 0.3j, 0.3j, 0.3j, 0.5 - 0.5j, -1.5j], lead=1.5)
+    for radius in (1e-4, 1e-3):
+        yield [mixed], radius
 
 
 BATCH_CASES = list(_batch_cases())
@@ -655,6 +660,148 @@ def test_centroid_is_numpy_mean_bitwise():
             want = _bits(np.mean(pts))
             assert _bits(_centroid(pts)) == want
             assert _bits(_centroid(np.array(pts))) == want
+
+
+def _typed_root_bits(roots):
+    return [(_bits(loc), type(loc), mult, label, struct.pack("<d", diam), type(diam))
+            for loc, mult, label, diam in roots]
+
+
+def _cluster_cases():
+    """(root approximations, cluster_radius, circle_band) in the shapes the
+    array clustering branches on."""
+    inf, nan = float("inf"), float("nan")
+    rng = np.random.default_rng(2031)
+    # one polynomial's worth of points: simple roots, a pair and a triple
+    base = rng.normal(size=6) + 1j * rng.normal(size=6)
+    jitter = 1e-7 * np.exp(2j * np.pi * rng.random(3))
+    mixed = np.concatenate([base, base[1:2] + jitter[:1], base[4:5] + jitter[1:]])
+    yield mixed[rng.permutation(len(mixed))], 1e-6, 1e-9
+    # signed zeros, alone and merged with their unsigned twins
+    yield np.array([complex(-0.0, 0.5), complex(0.5, -0.0), complex(-0.0, -0.0),
+                    complex(-2.0, -0.0), complex(-2.0, 0.0), complex(-0.0, -3.0)]), 1e-6, 1e-9
+    # equal real parts, for the sort, with an exact duplicate
+    yield np.array([0.5 + 0.3j, 0.5 - 0.3j, -0.5 + 0.1j, 0.5 - 0.3j, complex(0.5, 0.0),
+                    -0.5 - 0.1j, 0.5 + 2.0j]), 1e-6, 1e-9
+    # non-finite one-point clusters: a NaN links with nothing, and an
+    # infinity alone has no finite point to link with
+    yield np.array([complex(nan, 1.0), 0.3 + 0.2j, complex(1.0, nan), 2.0, 0.3 + 0.2j]), 1e-6, 1e-9
+    yield np.array([complex(inf, 0.0)]), 1e-6, 1e-9
+    yield np.array([complex(0.0, -inf)]), 1e-6, 0.0
+    # points on and around the circle, in a band of 0, of 1e-9 and of
+    # -1e-3, which a one-point cluster's spread of 0 widens to 0
+    ring = np.array([1.0, 1.0 + 1e-9, 1.0 - 2e-9, -1j, complex(0.6, 0.8), 1.0 + 5e-7])
+    for band in (0.0, 1e-9, -1e-3):
+        yield ring, 1e-6, band
+
+
+CLUSTER_CASES = list(_cluster_cases())
+
+
+@pytest.mark.parametrize("case", range(len(CLUSTER_CASES)))
+def test_cluster_matches_loop_bitwise(case):
+    z, radius, band = CLUSTER_CASES[case]
+    with np.errstate(invalid="ignore", over="ignore"):
+        got = [(x.location, x.multiplicity, x.label, x.diameter)
+               for x in roots_module._cluster(z, radius, band)]
+        want = cluster_loop(z, radius, band)
+    assert _typed_root_bits(got) == _typed_root_bits(want)
+
+
+def test_cluster_cases_cover_the_edge_shapes():
+    with np.errstate(invalid="ignore", over="ignore"):
+        found = [roots_module._cluster(*case) for case in CLUSTER_CASES]
+    mults = [{root.multiplicity for root in rs} for rs in found]
+    assert any({1, 2, 3} <= m for m in mults)
+    # the reduction of a centroid turns a signed zero into +0
+    points = np.concatenate([z for z, _, _ in CLUSTER_CASES])
+    assert (np.signbit(points.real) & (points.real == 0)).any()
+    assert (np.signbit(points.imag) & (points.imag == 0)).any()
+    assert any(np.isnan(root.location.real) and root.multiplicity == 1
+               and root.diameter != 0 for rs in found for root in rs)
+    assert any(len({root.location.real for root in rs}) < len(rs) for rs in found)
+    assert {"inside", "on_circle", "outside"} <= {root.label for rs in found for root in rs}
+
+
+def _typed_orbit_bits(orbits):
+    return [(_bits(inner), type(inner), _bits(outer), type(outer), counts)
+            for inner, outer, counts in orbits]
+
+
+def _hand_multiset(roots, origin=0):
+    """A RootMultiset of (location, multiplicity, label) triples."""
+    roots = tuple(ClassifiedRoot(location=complex(x), multiplicity=k, label=label)
+                  for x, k, label in roots)
+    return RootMultiset(roots=roots, origin_mult=origin,
+                        degree=origin + sum(root.multiplicity for root in roots),
+                        leading_coeff=1.0, circle_band=1e-9)
+
+
+def _orbit_cases():
+    """Root multisets, alone and in pairs, in the shapes the array orbit
+    matching branches on."""
+    nan = float("nan")
+    # double roots inside and outside: merged at a cluster radius of 1e-4,
+    # and left as two roots of one side at a radius of 0
+    q = poly_from_roots([0.4 + 0.2j, 0.4 + 0.2j, conj_reciprocal(0.4 + 0.2j),
+                         conj_reciprocal(0.4 + 0.2j), -0.3j, 1.7, 0.6 - 0.1j])
+    merged, split = (find_roots(CoeffPoly(coeffs=q), cluster_radius=radius)
+                     for radius in (1e-4, 0.0))
+    assert any(root.multiplicity == 2 for root in merged.roots)
+    assert len(split.roots) == len(merged.roots) + 2
+    yield (merged,)
+    yield (split,)
+    yield merged, split
+    yield split, merged
+    # one-sided orbits, keys on the circle itself, signed zeros and equal
+    # real parts; an outside root at a NaN location is an orbit of its own
+    hand = _hand_multiset([
+        (1.0, 1, "inside"), (-1j, 2, "outside"), (complex(0.6, 0.8), 1, "outside"),
+        (complex(-0.0, 0.5), 1, "inside"), (complex(-0.0, 2.0), 1, "outside"),
+        (complex(0.5, -0.0), 1, "inside"), (complex(-2.0, -0.0), 1, "outside"),
+        (0.5 + 0.1j, 1, "inside"), (0.5 - 0.1j, 3, "inside"), (2.0 + 1.0j, 1, "outside"),
+        (2.0 - 1.0j, 1, "outside"), (complex(nan, 2.0), 1, "outside"),
+    ], origin=2)
+    yield (hand,)
+    yield hand, merged
+    yield merged, hand
+    yield hand, hand
+
+
+ORBIT_CASES = list(_orbit_cases())
+
+
+@pytest.mark.parametrize("case", range(len(ORBIT_CASES)))
+def test_orbit_edge_shapes_match_loop_bitwise(case):
+    multisets = ORBIT_CASES[case]
+    with np.errstate(invalid="ignore"):
+        tables = (pair_reciprocal(*multisets),) if len(multisets) == 1 else joint_orbits(*multisets)
+        want = orbit_groups_loop(multisets, 1e-6)
+    got = [(inner, outer, [list(t.orbits[i][2:]) for t in tables])
+           for i, (inner, outer, _, _) in enumerate(tables[0].orbits)]
+    assert _typed_orbit_bits(got) == _typed_orbit_bits(want)
+    assert all([o[:2] for o in t.orbits] == [o[:2] for o in tables[0].orbits] for t in tables)
+
+
+def test_orbit_cases_cover_the_edge_shapes():
+    with np.errstate(invalid="ignore"):
+        loops = [orbit_groups_loop(multisets, 1e-6) for multisets in ORBIT_CASES]
+    # two roots of one multiset on one side of an orbit: the split doubles
+    (split,) = ORBIT_CASES[1]
+    for label in ("inside", "outside"):
+        keys = _orbit_key([root.location for root in split.roots if root.label == label])
+        assert max(map(len, _groups(keys, 1e-6))) == 2
+    counts = [counts for orbits in loops for _, _, counts in orbits]
+    assert any(0 in side for c in counts for side in c if sum(side))
+    inners = [inner for orbits in loops for inner, _, _ in orbits]
+    assert any(type(inner) is not complex for inner in inners)
+    assert any(np.isnan(inner.real) for inner in inners)
+    reals = [inner.real for inner in inners if not np.isnan(inner.real)]
+    assert len(set(reals)) < len(reals)
+    off = [root for multisets in ORBIT_CASES for r in multisets for root in r.roots
+           if root.label != "on_circle"]
+    assert {root.label for root in off if abs(root.location) == 1.0} == {"inside", "outside"}
+    assert any(np.signbit(root.location.real) and root.location.real == 0 for root in off)
 
 
 def test_batch_raises_the_first_unsettled_members_error(monkeypatch):
