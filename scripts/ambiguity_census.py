@@ -26,10 +26,10 @@ def draw_signal(rng, m, squeeze):
     out = np.array([complex(r.leading_coeff)])
     for _ in range(r.origin_mult):
         out = np.convolve(out, np.array([0.0j, 1.0 + 0j]))
-    for root in r.roots:
-        radius = abs(root.location) ** (1.0 - squeeze)
-        z = radius * root.location / abs(root.location)
-        for _ in range(root.multiplicity):
+    for location, k in zip(r.locations.tolist(), r.multiplicities.tolist()):
+        radius = abs(location) ** (1.0 - squeeze)
+        z = radius * location / abs(location)
+        for _ in range(k):
             out = np.convolve(out, np.array([-z, 1.0 + 0j]))
     out = np.pad(out, (0, 2 * m + 1 - len(out)))
     return TrigPoly(m=m, coeffs=out)

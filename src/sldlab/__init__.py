@@ -13,7 +13,6 @@ from .signals import (
     lift,
 )
 from .roots import (
-    ClassifiedRoot,
     OrbitTable,
     RootMultiset,
     conj_reciprocal,

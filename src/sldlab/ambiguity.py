@@ -344,7 +344,7 @@ def _factor_at(s, root_tol, circle_band, cluster_radius, seed):
     # sequence provably factors; a residual beyond the gate can only mean
     # the roots were located too coarsely, and the gate widens with the
     # observed cluster spread to reflect that conditioning
-    rough = max((root.diameter for root in rq.roots), default=0.0)
+    rough = rq.diameters.max(initial=0.0)
     gate = max(1e-7, min(1e-3, 2.0 * rough))
     _gate(cs.residuals, s.c0, gate, NotAnAutocorrelation,
           "candidate misses the sequence by %.3g, not a square-law measurement")

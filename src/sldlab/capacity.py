@@ -111,14 +111,6 @@ class Constellation:
         lags.setflags(write=False)
         return lags
 
-    @classmethod
-    def uniform(cls, signals):
-        """Equally likely signals, which must share m and period."""
-        signals = tuple(signals)
-        if len({(s.m, s.period) for s in signals}) != 1:
-            raise DomainError("constellation needs points, all of one m and period")
-        return _uniform(np.stack([s.coeffs for s in signals]), signals[0].period)
-
 
 def _uniform(coeffs, period):
     return Constellation(coeffs=coeffs, probs=np.full(len(coeffs), 1.0 / len(coeffs)),

@@ -11,9 +11,10 @@ then polished with one Newton step, and nearby approximations are
 clustered into multiple roots. Every root is tagged by its
 position relative to the unit circle, since the whole downstream theory
 (magnitude equivalence, zero flipping, spectral factorization) branches on
-inside / on-circle / outside. Clustering and orbit matching work on whole
-arrays of roots: only a merged cluster, or an orbit side that holds two or
-more roots, takes a centroid of its own.
+inside / on-circle / outside. A polynomial's roots stay arrays from the
+solver to its orbit table: clustering, orbit matching and circle matching
+work on whole arrays of roots, and only a group of two or more roots takes
+a centroid of its own.
 """
 
 from dataclasses import dataclass
@@ -48,42 +49,38 @@ _MATCH_TOL = 1e-6
 _NO_RECIPROCAL = "the origin has no reciprocal conjugate"
 
 
-@dataclass(frozen=True)
-class ClassifiedRoot:
-    """One distinct root location with its multiplicity and circle class.
-
-    diameter records the spread of the numerical cluster that was merged
-    into this root; it stays 0 for simple well-separated roots and gives
-    the caller an honest view of how blurred a multiple root was.
-    """
-
-    location: complex
-    multiplicity: int
-    label: str  # "inside", "on_circle" or "outside"
-    diameter: float = 0.0
-
-
 @dataclass(frozen=True, eq=False)
 class RootMultiset:
-    roots: tuple
+    """The distinct roots of a polynomial off the origin, sorted by location.
+
+    Read-only arrays with one entry per distinct root: locations
+    (complex), multiplicities (int), labels ("inside", "on_circle" or
+    "outside") and diameters, the spread of the numerical cluster merged
+    into each root. A diameter stays 0 for a simple well-separated root
+    and gives the caller an honest view of how blurred a multiple root was.
+    """
+
+    locations: np.ndarray
+    multiplicities: np.ndarray
+    labels: np.ndarray
+    diameters: np.ndarray
     origin_mult: int
     degree: int
     leading_coeff: complex
     circle_band: float
 
     def __post_init__(self):
-        total = self.origin_mult + sum(r.multiplicity for r in self.roots)
+        for array in (self.locations, self.multiplicities, self.labels, self.diameters):
+            array.flags.writeable = False
+        total = self.origin_mult + int(self.multiplicities.sum())
         if total != self.degree:
             raise DomainError(
                 "multiplicities sum to %d but degree is %d" % (total, self.degree)
             )
 
-    def by_label(self, label):
-        return tuple(r for r in self.roots if r.label == label)
-
 
 # a root's label by whether |z| < 1 - band, neither, or |z| > 1 + band
-_LABELS = ("inside", "on_circle", "outside")
+_LABELS = np.array(("inside", "on_circle", "outside"))
 
 
 def _modulus(z):
@@ -200,23 +197,16 @@ def _sweep(rows, radius, link):
 
 
 def _link_ids(z, tol):
-    """Group id per point of a complex array under the rule of _groups."""
+    """Group id per point of a complex array, numbered by first appearance.
+
+    The connected components of the points chained by |a - b| <= tol * (1
+    + (|a| + |b|) / 2), found by _sweep: a linked gap is at most tol * (1
+    + max |z|). A NaN, infinite or negative tol raises DomainError.
+    """
     _check_tol(tol)
     mag = _modulus(z)
     return _sweep(z[:, None], tol * (1.0 + mag.max(initial=0.0)),
                   lambda i, j: _modulus(z[i] - z[j]) <= tol * (1.0 + 0.5 * (mag[i] + mag[j])))
-
-
-def _groups(points, tol):
-    """Index groups of the points chained by |a - b| <= tol * (1 + (|a| + |b|) / 2).
-
-    The connected components of that pairwise rule, found by _sweep: a
-    linked gap is at most tol * (1 + max |z|). Groups come ordered by
-    their smallest member, members in index order. A NaN, infinite or
-    negative tol raises DomainError.
-    """
-    order, start, size = _members(_link_ids(np.asarray(points, dtype=complex), tol))
-    return [order[i : i + k] for i, k in zip(start.tolist(), size.tolist())]
 
 
 def _members(ids, count=0):
@@ -229,6 +219,20 @@ def _members(ids, count=0):
 def _centroid(points):
     """complex(np.mean(points)) by the same reduction, without np.mean's overhead."""
     return complex(np.add.reduce(points) / len(points))
+
+
+def _centroids(z, order, start, size):
+    """The _centroid of each group order[start[i] : start[i] + size[i]] of z, 0 for an empty one.
+
+    Groups of one point take the same reduction all at once, so a signed
+    zero still turns to +0; only a larger group takes a centroid of its own.
+    """
+    out = np.zeros(size.size, dtype=complex)
+    one = np.flatnonzero(size == 1)
+    out[one] = np.add.reduce(z[order[start[one]], None], axis=1) / 1
+    for g in np.flatnonzero(size > 1).tolist():
+        out[g] = _centroid(z[order[start[g] : start[g] + size[g]]])
+    return out
 
 
 def _horner(coef, z):
@@ -386,33 +390,27 @@ def _by_location(loc):
 
 
 def _cluster(z, cluster_radius, circle_band):
-    """Merged, classified roots of one polynomial, sorted by location.
+    """Merged, classified roots of one polynomial: the locations,
+    multiplicities, labels and diameters of a RootMultiset, sorted by location.
 
     Whole arrays locate, measure and label the clusters: a one-point
-    cluster lies where the reduction of _centroid puts its point, with a
-    diameter of 0 while finite. Only a merged or non-finite cluster takes
-    a centroid and a diameter of its own.
+    cluster has a diameter of 0 while finite. Only a merged or non-finite
+    cluster takes a diameter of its own.
     """
     order, start, size = _members(_link_ids(z, cluster_radius))
-    loc = np.add.reduce(z[order[start], None], axis=1) / 1
+    loc = _centroids(z, order, start, size)
     radius = _modulus(loc)
     diam = np.zeros(size.size)
     band = np.full(size.size, max(circle_band, 0.0))  # widened by a spread of 0
     for g in np.flatnonzero((size > 1) | ~(radius < np.inf)).tolist():
         pts = z[order[start[g] : start[g] + size[g]]]
-        loc[g] = _centroid(pts)
-        radius[g] = abs(loc[g])
         diam[g] = _modulus(pts[:, None] - pts[None, :]).max()
         # a merged cluster locates its root only to about half its own
         # spread, so the circle test must not be sharper than that
         band[g] = max(circle_band, 0.5 * diam[g])
     label = np.where(radius < 1.0 - band, 0, np.where(radius > 1.0 + band, 2, 1))
     rank = _by_location(loc)
-    return tuple(
-        ClassifiedRoot(location=x, multiplicity=k, label=_LABELS[i], diameter=d)
-        for x, k, i, d in zip(loc[rank].tolist(), size[rank].tolist(),
-                              label[rank].tolist(), diam[rank].tolist())
-    )
+    return loc[rank], size[rank], _LABELS[label[rank]], diam[rank]
 
 
 def find_roots_batch(
@@ -452,7 +450,7 @@ def find_roots_batch(
         members.append((first, last, c[first : last + 1]))
 
     monics = [core / core[-1] for _, _, core in members if len(core) > 1]
-    z, rel = _solve(monics, seed) if monics else (None, None)
+    z, rel = _solve(monics, seed) if monics else (np.empty(0, dtype=complex), None)
     out = []
     lo = 0
     for origin, deg, core in members:
@@ -465,7 +463,7 @@ def find_roots_batch(
             )
         out.append(
             RootMultiset(
-                roots=_cluster(z[lo:hi], cluster_radius, circle_band) if hi > lo else (),
+                *_cluster(z[lo:hi], cluster_radius, circle_band),
                 origin_mult=origin,
                 degree=deg,
                 leading_coeff=complex(core[-1]),
@@ -578,47 +576,38 @@ def _orbit_key(locations):
     return key
 
 
-def _orbit_tables(multisets, circle):
+def _orbit_tables(multisets, circle_entries):
     """One OrbitTable per multiset, aligned entry for entry.
 
     Off-circle roots, of any of the multisets, whose orbit keys group
-    under _MATCH_TOL form one orbit; orbits are sorted by inner. circle
-    holds (location, one multiplicity per multiset) per circle entry.
-    Keys, sides, owners and multiplicities are whole arrays: one bincount
-    counts each (orbit, multiset, side), and only a side that holds two
-    or more roots takes a centroid of its own. A side with no root is the
-    reflection of the other, a numpy scalar as conj_reciprocal gives it.
+    under _MATCH_TOL form one orbit; orbits are sorted by inner. The roots
+    of every multiset are stacked into one set of arrays, with the index
+    of each root's multiset as its owner: one bincount counts each (orbit,
+    multiset, side), and a side is the centroid of its roots. A side with
+    no root is the reflection of the other. circle_entries(loc, mult,
+    owner) of the circle roots gives (location, one multiplicity per
+    multiset) per circle entry.
     """
-    off = [(k, root) for k, r in enumerate(multisets)
-           for root in r.roots if root.label != "on_circle"]
-    loc = np.array([root.location for _, root in off], dtype=complex)
-    owner = np.array([k for k, _ in off], dtype=np.intp)
-    side = np.array([root.label != "inside" for _, root in off], dtype=np.intp)
+    loc, mult, label = (np.concatenate([getattr(r, name) for r in multisets])
+                        for name in ("locations", "multiplicities", "labels"))
+    owner = np.repeat(np.arange(len(multisets)), [r.locations.size for r in multisets])
+    on = label == "on_circle"
+    circle = circle_entries(loc[on], mult[on], owner[on])
+    off = ~on
+    loc, mult, owner, side = loc[off], mult[off], owner[off], label[off] != "inside"
     ids = _link_ids(_orbit_key(loc), _MATCH_TOL)
     count = int(ids.max(initial=-1)) + 1
-    counts = np.bincount((ids * len(multisets) + owner) * 2 + side,
-                         weights=[root.multiplicity for _, root in off],
+    counts = np.bincount((ids * len(multisets) + owner) * 2 + side, weights=mult,
                          minlength=count * len(multisets) * 2)
     counts = counts.astype(np.intp).reshape(count, len(multisets), 2)
 
     order, start, size = _members(ids * 2 + side, 2 * count)
-    centroid = np.zeros(2 * count, dtype=complex)
-    one = np.flatnonzero(size == 1)
-    centroid[one] = np.add.reduce(loc[order[start[one]], None], axis=1) / 1
-    for c in np.flatnonzero(size > 1).tolist():
-        centroid[c] = _centroid(loc[order[start[c] : start[c] + size[c]]])
-    inner, outer = centroid.reshape(count, 2).T
+    inner, outer = _centroids(loc, order, start, size).reshape(count, 2).T
     has_inner, has_outer = size.reshape(count, 2).T > 0
     inner[~has_inner] = _reflect(outer[~has_inner])
     outer[~has_outer] = _reflect(inner[~has_outer])
     rank = _by_location(inner)
-    # a reflected side stays the numpy scalar that conj_reciprocal gives
-    inners, outers = inner.tolist(), outer.tolist()
-    for g in np.flatnonzero(~has_inner).tolist():
-        inners[g] = inner[g]
-    for g in np.flatnonzero(~has_outer).tolist():
-        outers[g] = outer[g]
-    orbits = [(inners[g], outers[g], c) for g, c in zip(rank.tolist(), counts[rank].tolist())]
+    orbits = list(zip(inner[rank].tolist(), outer[rank].tolist(), counts[rank].tolist()))
     return tuple(
         OrbitTable(
             orbits=tuple((inner, outer, *c[k]) for inner, outer, c in orbits),
@@ -638,8 +627,25 @@ def pair_reciprocal(r):
     the cluster rule of find_roots at a fixed radius of 1e-6; each
     on-circle root is one circle entry.
     """
-    circle = [(root.location, root.multiplicity) for root in r.by_label("on_circle")]
-    return _orbit_tables((r,), circle)[0]
+    return _orbit_tables((r,), lambda loc, mult, _: list(zip(loc.tolist(), mult.tolist())))[0]
+
+
+def _matched_circle(loc, mult, owner):
+    """(location, k_f, k_g) per group of the circle roots of two polynomials.
+
+    The roots group under _MATCH_TOL, each entry at the centroid of its
+    group and sorted by location; one bincount sums each (group, owner)
+    multiplicity.
+    """
+    if not loc.size:  # most pairs have no circle root; the sweep would cost ~20 numpy calls
+        return []
+    ids = _link_ids(loc, _MATCH_TOL)
+    count = int(ids.max()) + 1
+    mults = np.bincount(ids * 2 + owner, weights=mult, minlength=2 * count)
+    mults = mults.astype(np.intp).reshape(count, 2)
+    location = _centroids(loc, *_members(ids, count))
+    rank = _by_location(location)
+    return list(zip(location[rank].tolist(), *mults[rank].T.tolist()))
 
 
 def joint_orbits(rf, rg):
@@ -650,13 +656,4 @@ def joint_orbits(rf, rg):
     entry's multiplicity is 0 in the table of a polynomial that lacks it.
     The polynomials themselves are never compared coefficient-wise here.
     """
-    circle = [(k, root) for k, r in enumerate((rf, rg)) for root in r.by_label("on_circle")]
-    locs = [root.location for _, root in circle]
-    pairs = []
-    for idx in _groups(locs, _MATCH_TOL):
-        mults = [0, 0]
-        for i in idx:
-            mults[circle[i][0]] += circle[i][1].multiplicity
-        pairs.append((_centroid([locs[i] for i in idx]), *mults))
-    pairs.sort(key=lambda item: (item[0].real, item[0].imag))
-    return _orbit_tables((rf, rg), pairs)
+    return _orbit_tables((rf, rg), _matched_circle)

@@ -237,12 +237,14 @@ def rootset_dict(r):
         "circle_band": r.circle_band,
         "roots": [
             {
-                "location": complex_pair(root.location),
-                "multiplicity": root.multiplicity,
-                "label": root.label,
-                "cluster_diameter": root.diameter,
+                "location": location,
+                "multiplicity": k,
+                "label": label,
+                "cluster_diameter": diameter,
             }
-            for root in r.roots
+            for location, k, label, diameter in zip(
+                complex_pairs(r.locations), r.multiplicities.tolist(),
+                r.labels.tolist(), r.diameters.tolist())
         ],
     }
 

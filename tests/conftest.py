@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, settings, strategies as st
 
-from sldlab import TrigPoly
+from sldlab import RootMultiset, TrigPoly
 
 settings.register_profile(
     "suite",
@@ -64,3 +64,17 @@ def poly_from_roots(roots, lead=1.0):
     for r in roots:
         coeffs = np.convolve(coeffs, np.array([-complex(r), 1.0 + 0j]))
     return coeffs
+
+
+def root_multiset(rows, origin=0, degree=None, leading=1.0, circle_band=1e-9):
+    """A RootMultiset of (location, multiplicity, label) or (location,
+    multiplicity, label, diameter) rows, in the order given; the degree
+    defaults to origin plus the multiplicities."""
+    rows = [tuple(row) + (0.0,) * (4 - len(row)) for row in rows]
+    loc, mult, label, diam = zip(*rows) if rows else ((),) * 4
+    return RootMultiset(
+        np.array(loc, dtype=complex), np.array(mult, dtype=np.intp),
+        np.array(label, dtype=str), np.array(diam, dtype=float),
+        origin_mult=origin, degree=origin + sum(mult) if degree is None else degree,
+        leading_coeff=leading, circle_band=circle_band,
+    )

@@ -648,36 +648,60 @@ def cluster_loop(z, cluster_radius, circle_band):
 
 
 def _reflect(alpha):
-    return 1.0 / np.conj(complex(alpha))
+    return complex(1.0 / np.conj(complex(alpha)))
+
+
+def root_rows(r):
+    """(location, multiplicity, label, diameter) of each distinct root of a multiset."""
+    return list(zip(r.locations.tolist(), r.multiplicities.tolist(), r.labels.tolist(),
+                    r.diameters.tolist()))
 
 
 def orbit_groups_loop(multisets, match_tol):
     """Reflection orbits of the off-circle roots of root multisets.
 
-    Each multiset needs .roots of items with .location, .multiplicity and
-    .label. Orbit keys (the inside-disk point of each reflection pair) are
+    Orbit keys (the inside-disk point of each reflection pair) are
     grouped by union_find_groups and averaged with numpy's mean. Returns
     (inner, outer, counts) sorted by inner, counts holding one [inside,
     outside] multiplicity pair per multiset.
     """
-    off = [(k, root) for k, r in enumerate(multisets)
-           for root in r.roots if root.label != "on_circle"]
-    keys = [complex(root.location if abs(root.location) < 1.0 else _reflect(root.location))
-            for _, root in off]
+    off = [(k, row) for k, r in enumerate(multisets)
+           for row in root_rows(r) if row[2] != "on_circle"]
+    keys = [complex(loc if abs(loc) < 1.0 else _reflect(loc)) for _, (loc, *_) in off]
     orbits = []
     for idx in union_find_groups(keys, match_tol):
         counts = [[0, 0] for _ in multisets]
         locs = ([], [])
         for i in idx:
-            k, root = off[i]
-            side = 0 if root.label == "inside" else 1
-            counts[k][side] += root.multiplicity
-            locs[side].append(root.location)
+            k, (loc, mult, label, _) = off[i]
+            side = 0 if label == "inside" else 1
+            counts[k][side] += mult
+            locs[side].append(loc)
         inner = complex(np.mean(locs[0])) if locs[0] else _reflect(complex(np.mean(locs[1])))
         outer = complex(np.mean(locs[1])) if locs[1] else _reflect(inner)
         orbits.append((inner, outer, counts))
     orbits.sort(key=lambda o: (o[0].real, o[0].imag))
     return orbits
+
+
+def circle_entries_loop(multisets, match_tol):
+    """The circle roots of root multisets matched by location.
+
+    The circle roots of every multiset are grouped by union_find_groups,
+    one group per entry at numpy's mean of its locations. Returns
+    (location, counts) sorted by location, counts holding the summed
+    multiplicity of each multiset's roots in the group.
+    """
+    circle = [(k, loc, mult) for k, r in enumerate(multisets)
+              for loc, mult, label, _ in root_rows(r) if label == "on_circle"]
+    entries = []
+    for idx in union_find_groups([loc for _, loc, _ in circle], match_tol):
+        counts = [0] * len(multisets)
+        for i in idx:
+            counts[circle[i][0]] += circle[i][2]
+        entries.append((complex(np.mean([circle[i][1] for i in idx])), counts))
+    entries.sort(key=lambda e: (e[0].real, e[0].imag))
+    return entries
 
 
 _encode_one = json.JSONEncoder(sort_keys=True).encode

@@ -121,13 +121,13 @@ def test_criterion_2_class_count_never_beats_the_bound():
         assert cs.exact_count <= cs.bound
 
         r = find_roots(lift(p))
-        locs = [root.location for root in r.roots]
+        locs = r.locations.tolist()
         generic = (
             r.origin_mult == 0
             and r.degree == 2 * m
             and len(locs) == 2 * m
-            and all(root.multiplicity == 1 for root in r.roots)
-            and all(root.label != "on_circle" for root in r.roots)
+            and all(k == 1 for k in r.multiplicities.tolist())
+            and all(label != "on_circle" for label in r.labels.tolist())
             and all(
                 abs(a - 1 / np.conj(b)) > 1e-3
                 for a in locs

@@ -137,7 +137,7 @@ def test_flip_moves_one_orbit():
     p = TrigPoly(m=1, coeffs=[6, -5, 1])
     cs = enumerate_classes(p)
     for row, kept, moved in ((cs.coeffs[1], 3.0, 0.5), (cs.coeffs[2], 2.0, 1 / 3)):
-        found = sorted(abs(r.location) for r in find_roots(CoeffPoly(coeffs=row)).roots)
+        found = sorted(map(abs, find_roots(CoeffPoly(coeffs=row)).locations.tolist()))
         assert found == pytest.approx(sorted((kept, moved)), rel=1e-9)
     for row in cs.coeffs:
         ratio = numeric_magnitude_equiv(lift(p), CoeffPoly(coeffs=row))
@@ -283,7 +283,7 @@ def test_count_law_generic():
         p = TrigPoly(m=m, coeffs=padded)
         cs = enumerate_classes(p)
         r = find_roots(lift(p))
-        q = len(r.roots)
+        q = len(r.locations)
         if r.origin_mult == 0 and r.degree == 2 * m:
             assert cs.exact_count == 2**q
 

@@ -171,23 +171,15 @@ def test_constellation_validation():
         Constellation(coeffs=np.zeros((0, 3)), probs=np.array([]))
     with pytest.raises(errors.DomainError):
         Constellation(coeffs=sig.coeffs[None, :], probs=np.array([0.5]))
-    with pytest.raises(errors.DomainError):
-        Constellation.uniform((sig, TrigPoly(m=2, coeffs=[0, 0, 1, 1, 0])))
     for rows in (sig.coeffs, np.zeros((2, 2)), np.zeros((1, 1, 3))):
         with pytest.raises(errors.DomainError, match="2m\\+1"):
             Constellation(coeffs=rows, probs=np.full(len(rows), 1.0 / len(rows)))
-    c = Constellation.uniform([sig, TrigPoly(m=1, coeffs=[1, 1, 0])])
+    c = _uniform([sig.coeffs, [1, 1, 0]], sig.period)
     assert c.probs.sum() == pytest.approx(1.0)
 
 
 def test_noiseless_mi_examples():
-    three = Constellation.uniform(
-        [
-            TrigPoly(m=1, coeffs=[0, 1, 1]),
-            TrigPoly(m=1, coeffs=[1, 1, 0]),
-            TrigPoly(m=1, coeffs=[0, 2, 0]),
-        ]
-    )
+    three = _uniform([[0, 1, 1], [1, 1, 0], [0, 2, 0]], 1.0)
     r = gap_experiment(three)
     assert r.i_xy == pytest.approx(np.log2(3), abs=1e-12)
     assert r.i_xs == pytest.approx(entropy_loop([2 / 3, 1 / 3]), abs=1e-12)
@@ -215,7 +207,7 @@ def test_noiseless_mi_weights_bins_by_their_probabilities():
 
 def test_noiseless_mi_rejects_duplicates():
     sig = TrigPoly(m=1, coeffs=[0, 1, 1])
-    twice = Constellation.uniform([sig, TrigPoly(m=1, coeffs=[0, 1, 1])])
+    twice = _uniform([sig.coeffs, [0, 1, 1]], sig.period)
     with pytest.raises(errors.DuplicateSignals):
         gap_experiment(twice)
 
@@ -429,9 +421,7 @@ def test_gap_bins_match_bytes_key_grouping_bitwise():
 def test_mi_distinguishes_intensity_scales():
     # tones of different power are different measurements even though
     # both are "flat"; binning must not normalize them into collision
-    tones = Constellation.uniform(
-        [TrigPoly(m=1, coeffs=[0, 2, 0]), TrigPoly(m=1, coeffs=[0, 3, 0])]
-    )
+    tones = _uniform([[0, 2, 0], [0, 3, 0]], 1.0)
     r = gap_experiment(tones)
     assert (r.i_xy, r.i_xs) == (1.0, 1.0)
 
@@ -439,7 +429,7 @@ def test_mi_distinguishes_intensity_scales():
 def test_tones_whose_energy_reaches_2_to_1023_keep_their_own_bins():
     # a tone of power 1e308 has a finite c_0; doubled to inf, it would make
     # the bin radius inf and merge every measurement into one bin
-    tones = Constellation.uniform([TrigPoly(m=1, coeffs=[0, dc, 0]) for dc in (1e154, 0.5e154)])
+    tones = _uniform([[0, dc, 0] for dc in (1e154, 0.5e154)], 1.0)
     r = gap_experiment(tones)
     assert (r.i_xy, r.i_xs) == (1.0, 1.0)
 
@@ -448,9 +438,7 @@ def test_tones_whose_energy_reaches_2_to_1023_keep_their_own_bins():
 def test_tones_straddling_a_rounding_boundary_share_a_bin(x):
     # the last two tones' lags differ by 2e-11 in both cases; at 0.50000005
     # they lie either side of a 7-decimal rounding boundary
-    tones = Constellation.uniform(
-        [TrigPoly(m=1, coeffs=[0, dc, 0]) for dc in (1.0, np.sqrt(x - 1e-11), np.sqrt(x + 1e-11))]
-    )
+    tones = _uniform([[0, dc, 0] for dc in (1.0, np.sqrt(x - 1e-11), np.sqrt(x + 1e-11))], 1.0)
     r = gap_experiment(tones)
     assert r.i_xy == pytest.approx(np.log2(3), abs=1e-12)
     assert r.i_xs == pytest.approx(entropy_loop([1 / 3, 2 / 3]), abs=1e-12)
@@ -470,7 +458,7 @@ def test_gap_bins_take_each_rows_own_radius():
 def test_distinct_measurements_closer_than_a_bin_keep_their_own_bins():
     # 64 tones whose DC coefficients are 1e-9 apart pass the 1e-12
     # distinctness check, and every measurement is its own
-    tones = Constellation.uniform([TrigPoly(m=1, coeffs=[0, 1 + k * 1e-9, 0]) for k in range(64)])
+    tones = _uniform([[0, 1 + k * 1e-9, 0] for k in range(64)], 1.0)
     r = gap_experiment(tones)
     assert r.i_xs == 6.0
     assert r.passed
@@ -541,9 +529,7 @@ def test_gap_report_does_not_depend_on_the_order_of_the_points():
 
 
 def test_gap_rejects_m_zero():
-    c = Constellation.uniform(
-        [TrigPoly(m=0, coeffs=[1.0]), TrigPoly(m=0, coeffs=[2.0])]
-    )
+    c = _uniform([[1.0], [2.0]], 1.0)
     with pytest.raises(errors.UnsupportedOrder):
         gap_experiment(c)
 
@@ -663,8 +649,7 @@ def test_gap_report_from_the_builders_lags_matches_a_fresh_constellation(m):
 
 def test_constellation_lags_are_read_only_half_lags():
     for c in (bundled_constellation(3), single_class_constellation(2, 3),
-              Constellation.uniform([TrigPoly(m=1, coeffs=[1, 2j, 0]),
-                                     TrigPoly(m=1, coeffs=[0, 0, 3])])):
+              _uniform([[1, 2j, 0], [0, 0, 3]], 1.0)):
         lags = c.lags
         assert c.lags is lags and not lags.flags.writeable
         assert lags.tobytes() == capacity._half_lags(c.coeffs).tobytes()

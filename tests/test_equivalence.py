@@ -5,9 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from sldlab import (
-    ClassifiedRoot,
     CoeffPoly,
-    RootMultiset,
     TrigPoly,
     errors,
     joint_orbits,
@@ -17,7 +15,7 @@ from sldlab import (
     struct_magnitude_equiv,
 )
 
-from conftest import complex_vectors, poly_from_roots, separated_roots, trig_polys
+from conftest import complex_vectors, poly_from_roots, root_multiset, separated_roots, trig_polys
 from oracles import equiv_battery, find_roots_loop, kappa_grid, ratio_is_flat
 
 
@@ -224,10 +222,7 @@ def _verdict_from_loops(f, g):
     multisets = []
     for coeffs in (f, g):
         roots, origin, degree, leading = find_roots_loop(coeffs)
-        multisets.append(RootMultiset(
-            roots=tuple(ClassifiedRoot(*root) for root in roots),
-            origin_mult=origin, degree=degree, leading_coeff=leading, circle_band=1e-9,
-        ))
+        multisets.append(root_multiset(roots, origin, degree, leading))
     try:
         kappa = kappa_ratio(*joint_orbits(*multisets))
     except errors.ConditionViolated as exc:

@@ -22,15 +22,17 @@ from sldlab import (
 import sldlab
 from sldlab import cli
 from sldlab import roots as roots_module
-from sldlab.roots import ClassifiedRoot, RootMultiset, _centroid, _groups, _orbit_key, _sweep
+from sldlab.roots import _centroid, _link_ids, _orbit_key, _sweep
 
-from conftest import poly_from_roots, separated_roots
+from conftest import poly_from_roots, root_multiset, separated_roots
 from oracles import (
     Unsettled,
+    circle_entries_loop,
     cluster_loop,
     equiv_battery,
     find_roots_loop,
     orbit_groups_loop,
+    root_rows,
     union_find_groups,
 )
 
@@ -38,7 +40,7 @@ BAD_TOLERANCES = (float("nan"), float("inf"), -1e-6)
 
 
 def sorted_locs(r):
-    return sorted((root.location for root in r.roots), key=lambda z: (z.real, z.imag))
+    return sorted(r.locations.tolist(), key=lambda z: (z.real, z.imag))
 
 
 def test_known_cubic():
@@ -48,7 +50,7 @@ def test_known_cubic():
     assert np.allclose(locs, [0.5, 2.0, 3.0], atol=1e-10)
     assert r.leading_coeff == pytest.approx(4.0)
     assert r.origin_mult == 0
-    labels = sorted(root.label for root in r.roots)
+    labels = sorted(r.labels.tolist())
     assert labels == ["inside", "outside", "outside"]
 
 
@@ -56,8 +58,7 @@ def test_origin_roots_stripped_structurally():
     f = CoeffPoly(coeffs=[0, 0, -2, 1], n=3)  # z^2 (z - 2)
     r = find_roots(f)
     assert r.origin_mult == 2
-    assert len(r.roots) == 1
-    assert r.roots[0].location == pytest.approx(2.0)
+    assert r.locations.tolist() == [pytest.approx(2.0)]
 
 
 @pytest.mark.parametrize("eps", [2.12235957e-10, 1e-7, 3e-7, 8e-14, 2e-13])
@@ -67,16 +68,16 @@ def test_tiny_ends_that_share_a_cluster_are_not_trimmed(eps):
     # put one of the two roots at -eps on the origin and move the other
     r = find_roots(autocorr_lift(autocorrelation(TrigPoly(m=1, coeffs=[eps, 1, eps]))))
     assert (r.origin_mult, r.degree) == (0, 4)
-    assert sorted(root.multiplicity for root in r.roots) == [2, 2]
-    inner = min(r.roots, key=lambda root: abs(root.location))
-    assert abs(inner.location + eps) <= 1e-3 * eps
+    assert sorted(r.multiplicities.tolist()) == [2, 2]
+    inner = min(r.locations.tolist(), key=abs)
+    assert abs(inner + eps) <= 1e-3 * eps
 
 
 def test_tiny_ends_that_split_off_are_trimmed():
     # 1e-14 + z + z^2 / 2 has a root near -1e-14, far below the next at -2
     r = find_roots(CoeffPoly(coeffs=[1e-14, 1, 0.5], n=2))
     assert (r.origin_mult, r.degree) == (1, 2)
-    assert [root.location for root in r.roots] == [pytest.approx(-2.0)]
+    assert r.locations.tolist() == [pytest.approx(-2.0)]
     # the same at the top end, and exact zeros whatever their neighbours
     r = find_roots(CoeffPoly(coeffs=[0.5, 1, 1e-14], n=2))
     assert (r.origin_mult, r.degree) == (0, 1)
@@ -116,10 +117,10 @@ def _trimmed_loop(a, cut):
 def test_double_root_clusters():
     f = CoeffPoly(coeffs=poly_from_roots([2.0, 2.0, -1.0]), n=3)
     r = find_roots(f)
-    mults = sorted(root.multiplicity for root in r.roots)
+    mults = sorted(r.multiplicities.tolist())
     assert mults == [1, 2]
-    double = max(r.roots, key=lambda root: root.multiplicity)
-    assert abs(double.location - 2.0) < 1e-6
+    double = r.locations[r.multiplicities.argmax()]
+    assert abs(double - 2.0) < 1e-6
 
 
 def test_circle_quadruple_in_lag_lift():
@@ -129,24 +130,23 @@ def test_circle_quadruple_in_lag_lift():
     p = TrigPoly(m=1, coeffs=np.convolve([-1, 1], [-1, 1]))
     Q = autocorr_lift(autocorrelation(p))
     r = find_roots(Q, cluster_radius=1e-3)
-    assert len(r.roots) == 1
-    assert r.roots[0].multiplicity == 4
-    assert r.roots[0].label == "on_circle"
-    assert abs(r.roots[0].location - 1.0) < 1e-6
-    assert r.roots[0].diameter > 0
+    ((location, k, label, diameter),) = root_rows(r)
+    assert k == 4
+    assert label == "on_circle"
+    assert abs(location - 1.0) < 1e-6
+    assert diameter > 0
 
 
 def test_circle_label_band():
     f = CoeffPoly(coeffs=poly_from_roots([1.0 + 5e-10]), n=1)
-    assert find_roots(f).roots[0].label == "on_circle"
+    assert find_roots(f).labels.tolist() == ["on_circle"]
     g = CoeffPoly(coeffs=poly_from_roots([1.0 + 1e-6]), n=1)
-    assert find_roots(g).roots[0].label == "outside"
+    assert find_roots(g).labels.tolist() == ["outside"]
 
 
 def multiplied_out(r):
     """The found roots, with their multiplicities and origin roots, times leading_coeff."""
-    locs = [0.0] * r.origin_mult + [root.location for root in r.roots
-                                    for _ in range(root.multiplicity)]
+    locs = [0.0] * r.origin_mult + np.repeat(r.locations, r.multiplicities).tolist()
     return poly_from_roots(locs, lead=r.leading_coeff)
 
 
@@ -160,7 +160,7 @@ def test_reconstruct_roundtrip():
 def test_random_factored_polys(roots):
     f = CoeffPoly(coeffs=poly_from_roots(roots), n=len(roots))
     r = find_roots(f)
-    assert len(r.roots) == len(roots)
+    assert len(r.locations) == len(roots)
     got = sorted_locs(r)
     want = sorted(roots, key=lambda z: (z.real, z.imag))
     assert np.abs(np.array(got) - np.array(want)).max() <= 1e-7
@@ -187,7 +187,24 @@ def test_degenerate_inputs():
     with pytest.raises(errors.DomainError):
         find_roots(CoeffPoly(coeffs=[1, 1], n=1), tol=0.5)
     r = find_roots(CoeffPoly(coeffs=[3.0], n=0))
-    assert r.degree == 0 and not r.roots and r.leading_coeff == 3.0
+    assert r.degree == 0 and not root_rows(r) and r.leading_coeff == 3.0
+
+
+def test_root_multiset_is_read_only_arrays():
+    r = find_roots(CoeffPoly(coeffs=poly_from_roots([2.0, 2.0, 0.5j, 1.0, 0.0]), n=5),
+                   cluster_radius=1e-4)
+    assert (r.origin_mult, r.degree) == (1, 5)
+    arrays = (r.locations, r.multiplicities, r.labels, r.diameters)
+    assert [a.dtype.kind for a in arrays] == ["c", "i", "U", "f"]
+    assert {len(a) for a in arrays} == {3}
+    # sorted by location: 0.5j, 1, then the double root at 2
+    assert r.labels.tolist() == ["inside", "on_circle", "outside"]
+    assert r.multiplicities.tolist() == [1, 1, 2]
+    for a in arrays:
+        with pytest.raises(ValueError):
+            a[0] = a[1]
+    with pytest.raises(errors.DomainError, match="multiplicities sum to 4 but degree is 5"):
+        root_multiset([(0.5, 1, "inside"), (2.0, 3, "outside")], degree=5)
 
 
 def test_find_roots_rejects_negative_seed():
@@ -383,10 +400,22 @@ def _point_sets(tol, rng):
         zs = 0.999 * np.exp(1j * angles)
         p = TrigPoly(m=2, coeffs=poly_from_roots(zs))
         r = find_roots(autocorr_lift(autocorrelation(p)))
-        keys = [_orbit_key(root.location) for root in r.roots
-                if root.label != "on_circle"]
+        keys = _orbit_key(r.locations[r.labels != "on_circle"]).tolist()
         assert len(keys) == 8
         yield keys
+
+
+def _link_ids_of(points, tol):
+    return _link_ids(np.array(points, dtype=complex), tol).tolist()
+
+
+def _union_find_ids(points, tol):
+    """The group id of each point under union_find_groups, numbered by first appearance."""
+    ids = [0] * len(points)
+    for g, idx in enumerate(union_find_groups(points, tol)):
+        for i in idx:
+            ids[i] = g
+    return ids
 
 
 @pytest.mark.parametrize("tol", [1e-6, 1e-4, 5e-3])
@@ -394,10 +423,8 @@ def test_groups_match_union_find(tol):
     rng = np.random.default_rng(20261018)
     sizes = set()
     for pts in _point_sets(tol, rng):
-        got = [g.tolist() for g in _groups(pts, tol)]
-        want = union_find_groups(pts, tol)
-        assert got == want, pts
-        sizes.update(len(g) for g in want)
+        assert _link_ids_of(pts, tol) == _union_find_ids(pts, tol), pts
+        sizes.update(len(g) for g in union_find_groups(pts, tol))
     assert {1, 2} <= sizes and max(sizes) >= 7
 
 
@@ -422,9 +449,8 @@ def _crowd(tol, rng):
 @pytest.mark.parametrize("tol", [1e-4, 5e-4])
 def test_groups_of_a_crowd_match_union_find(tol):
     pts = _crowd(tol, np.random.default_rng(1016))
-    got = [g.tolist() for g in _groups(pts, tol)]
-    assert got == union_find_groups(pts, tol)
-    assert len(pts) == 160 and max(map(len, got)) >= 12
+    assert _link_ids_of(pts, tol) == _union_find_ids(pts, tol)
+    assert len(pts) == 160 and max(map(len, union_find_groups(pts, tol))) >= 12
 
 
 def _one_chain_sets(tol, rng):
@@ -454,9 +480,9 @@ def test_groups_of_one_chain_match_union_find(tol):
     sizes = []
     for pts in _one_chain_sets(tol, np.random.default_rng(2210)):
         with np.errstate(invalid="ignore"):
-            got = [g.tolist() for g in _groups(pts, tol)]
-        assert got == union_find_groups(pts, tol), pts
-        sizes.append(len(got))
+            got = _link_ids_of(pts, tol)
+        assert got == _union_find_ids(pts, tol), pts
+        sizes.append(max(got) + 1)
     assert set(sizes) == {1, 2}
     # rows with NaN projections that all link are one group
     rows = np.array([[np.nan], [1.0], [complex(1.0, np.nan)], [2.0]], dtype=complex)
@@ -465,7 +491,7 @@ def test_groups_of_one_chain_match_union_find(tol):
 
 
 def test_groups_of_no_points():
-    assert _groups([], 1e-6) == []
+    assert _link_ids_of([], 1e-6) == []
     assert _sweep(np.empty((0, 1), dtype=complex), 1.0, None).tolist() == []
     # every root on the circle leaves no orbit key to group
     r = find_roots(CoeffPoly(coeffs=poly_from_roots([1j, -1j, -1.0]), n=3))
@@ -481,8 +507,8 @@ def test_groups_with_points_that_are_not_finite():
                 [0.5j, inf, 3.0, complex(-inf, inf), complex(inf, nan), nan, 3.0]):
         for tol in (0.0, 1e-6):
             with np.errstate(invalid="ignore"):
-                got = [g.tolist() for g in _groups(pts, tol)]
-            assert got == union_find_groups(pts, tol)
+                got = _link_ids_of(pts, tol)
+            assert got == _union_find_ids(pts, tol)
 
 
 def _multiset(rng):
@@ -499,9 +525,7 @@ def _multiset(rng):
 @pytest.mark.parametrize("seed", range(8))
 def test_pair_reciprocal_is_joint_orbits_against_nothing(seed):
     r = _multiset(np.random.default_rng(seed))
-    empty = RootMultiset(
-        roots=(), origin_mult=0, degree=0, leading_coeff=1.0, circle_band=r.circle_band
-    )
+    empty = root_multiset([], circle_band=r.circle_band)
     table = pair_reciprocal(r)
     tf, tg = joint_orbits(r, empty)
     assert table == tf
@@ -527,8 +551,7 @@ def _root_bits(roots, origin, degree, leading):
 
 
 def _multiset_bits(r):
-    return _root_bits([(x.location, x.multiplicity, x.label, x.diameter) for x in r.roots],
-                      r.origin_mult, r.degree, r.leading_coeff)
+    return _root_bits(root_rows(r), r.origin_mult, r.degree, r.leading_coeff)
 
 
 def _orbit_bits(orbits):
@@ -616,11 +639,10 @@ def test_batch_cases_cover_the_edge_shapes():
             nan_residuals += np.isnan(exc.residual)
     assert nan_residuals == 1
     rs = [r for batch in found for r in batch]
-    assert any(r.origin_mult for r in rs) and any(not r.roots for r in rs)
-    assert {2, 4} <= {root.multiplicity for r in rs for root in r.roots}
+    assert any(r.origin_mult for r in rs) and any(not root_rows(r) for r in rs)
+    assert {2, 4} <= {k for r in rs for k in r.multiplicities.tolist()}
     assert any(len({r.degree for r in batch}) > 1 for batch in found)
-    assert any(root.location.real == 0 or root.location.imag == 0
-               for r in rs for root in r.roots)
+    assert any(z.real == 0 or z.imag == 0 for r in rs for z in r.locations.tolist())
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -644,8 +666,8 @@ def test_orbits_match_loop_bitwise(seed):
     # the circle roots of rm, matched against themselves
     tf, tg = joint_orbits(rm, rm)
     assert [(_bits(loc), a, b) for (loc, a), (_, b) in zip(tf.circle, tg.circle)] == [
-        (_bits(np.mean([c.location] * 2)), c.multiplicity, c.multiplicity)
-        for c in rm.by_label("on_circle")
+        (_bits(np.mean([loc] * 2)), k, k)
+        for loc, k, label, _ in root_rows(rm) if label == "on_circle"
     ]
 
 
@@ -702,39 +724,30 @@ CLUSTER_CASES = list(_cluster_cases())
 def test_cluster_matches_loop_bitwise(case):
     z, radius, band = CLUSTER_CASES[case]
     with np.errstate(invalid="ignore", over="ignore"):
-        got = [(x.location, x.multiplicity, x.label, x.diameter)
-               for x in roots_module._cluster(z, radius, band)]
+        got = list(zip(*(column.tolist() for column in roots_module._cluster(z, radius, band))))
         want = cluster_loop(z, radius, band)
     assert _typed_root_bits(got) == _typed_root_bits(want)
 
 
 def test_cluster_cases_cover_the_edge_shapes():
     with np.errstate(invalid="ignore", over="ignore"):
-        found = [roots_module._cluster(*case) for case in CLUSTER_CASES]
-    mults = [{root.multiplicity for root in rs} for rs in found]
+        found = [list(zip(*(column.tolist() for column in roots_module._cluster(*case))))
+                 for case in CLUSTER_CASES]
+    mults = [{k for _, k, _, _ in rs} for rs in found]
     assert any({1, 2, 3} <= m for m in mults)
     # the reduction of a centroid turns a signed zero into +0
     points = np.concatenate([z for z, _, _ in CLUSTER_CASES])
     assert (np.signbit(points.real) & (points.real == 0)).any()
     assert (np.signbit(points.imag) & (points.imag == 0)).any()
-    assert any(np.isnan(root.location.real) and root.multiplicity == 1
-               and root.diameter != 0 for rs in found for root in rs)
-    assert any(len({root.location.real for root in rs}) < len(rs) for rs in found)
-    assert {"inside", "on_circle", "outside"} <= {root.label for rs in found for root in rs}
+    assert any(np.isnan(loc.real) and k == 1 and diameter != 0
+               for rs in found for loc, k, _, diameter in rs)
+    assert any(len({loc.real for loc, _, _, _ in rs}) < len(rs) for rs in found)
+    assert {"inside", "on_circle", "outside"} <= {label for rs in found for _, _, label, _ in rs}
 
 
 def _typed_orbit_bits(orbits):
     return [(_bits(inner), type(inner), _bits(outer), type(outer), counts)
             for inner, outer, counts in orbits]
-
-
-def _hand_multiset(roots, origin=0):
-    """A RootMultiset of (location, multiplicity, label) triples."""
-    roots = tuple(ClassifiedRoot(location=complex(x), multiplicity=k, label=label)
-                  for x, k, label in roots)
-    return RootMultiset(roots=roots, origin_mult=origin,
-                        degree=origin + sum(root.multiplicity for root in roots),
-                        leading_coeff=1.0, circle_band=1e-9)
 
 
 def _orbit_cases():
@@ -747,15 +760,15 @@ def _orbit_cases():
                          conj_reciprocal(0.4 + 0.2j), -0.3j, 1.7, 0.6 - 0.1j])
     merged, split = (find_roots(CoeffPoly(coeffs=q), cluster_radius=radius)
                      for radius in (1e-4, 0.0))
-    assert any(root.multiplicity == 2 for root in merged.roots)
-    assert len(split.roots) == len(merged.roots) + 2
+    assert 2 in merged.multiplicities
+    assert len(split.locations) == len(merged.locations) + 2
     yield (merged,)
     yield (split,)
     yield merged, split
     yield split, merged
     # one-sided orbits, keys on the circle itself, signed zeros and equal
     # real parts; an outside root at a NaN location is an orbit of its own
-    hand = _hand_multiset([
+    hand = root_multiset([
         (1.0, 1, "inside"), (-1j, 2, "outside"), (complex(0.6, 0.8), 1, "outside"),
         (complex(-0.0, 0.5), 1, "inside"), (complex(-0.0, 2.0), 1, "outside"),
         (complex(0.5, -0.0), 1, "inside"), (complex(-2.0, -0.0), 1, "outside"),
@@ -789,19 +802,85 @@ def test_orbit_cases_cover_the_edge_shapes():
     # two roots of one multiset on one side of an orbit: the split doubles
     (split,) = ORBIT_CASES[1]
     for label in ("inside", "outside"):
-        keys = _orbit_key([root.location for root in split.roots if root.label == label])
-        assert max(map(len, _groups(keys, 1e-6))) == 2
+        keys = _orbit_key(split.locations[split.labels == label])
+        assert np.bincount(_link_ids(keys, 1e-6)).max() == 2
     counts = [counts for orbits in loops for _, _, counts in orbits]
     assert any(0 in side for c in counts for side in c if sum(side))
+    # orbits whose inner side no multiset holds, so it is a reflection
+    assert any(not any(inside for inside, _ in c) for c in counts)
     inners = [inner for orbits in loops for inner, _, _ in orbits]
-    assert any(type(inner) is not complex for inner in inners)
     assert any(np.isnan(inner.real) for inner in inners)
     reals = [inner.real for inner in inners if not np.isnan(inner.real)]
     assert len(set(reals)) < len(reals)
-    off = [root for multisets in ORBIT_CASES for r in multisets for root in r.roots
-           if root.label != "on_circle"]
-    assert {root.label for root in off if abs(root.location) == 1.0} == {"inside", "outside"}
-    assert any(np.signbit(root.location.real) and root.location.real == 0 for root in off)
+    off = [(loc, label) for multisets in ORBIT_CASES for r in multisets
+           for loc, _, label, _ in root_rows(r) if label != "on_circle"]
+    assert {label for loc, label in off if abs(loc) == 1.0} == {"inside", "outside"}
+    assert any(np.signbit(loc.real) and loc.real == 0 for loc, _ in off)
+
+
+# a three-point chain along the circle: neighbours 1.5e-6 apart link under
+# the rule's 2e-6 at unit modulus, its ends 3e-6 apart do not
+_CHAIN = [np.exp(0.7j) * (1.0 + 1.5e-6j * step) for step in range(3)]
+
+
+def _circle_cases():
+    """Pairs of root multisets in the shapes the joint circle matching
+    branches on."""
+    nan = float("nan")
+    chain = _CHAIN
+    f = root_multiset([
+        (0.5, 1, "inside"), (1j, 2, "on_circle"), (-1.0, 1, "on_circle"),
+        (chain[0], 1, "on_circle"), (chain[2], 1, "on_circle"),
+        (complex(1.0, -0.0), 1, "on_circle"), (complex(nan, 1.0), 1, "on_circle"),
+    ], origin=1)
+    # 5e-7 from f's 1j links; 3e-6 from f's -1 does not
+    g = root_multiset([
+        (complex(5e-7, 1.0), 1, "on_circle"), (complex(-1.0, 3e-6), 2, "on_circle"),
+        (chain[1], 1, "on_circle"), (complex(-0.0, -1.0), 1, "on_circle"),
+        (complex(1.0, 0.0), 3, "on_circle"), (2.0, 1, "outside"),
+    ])
+    # no circle root at all
+    h = root_multiset([(0.5, 1, "inside"), (2.0, 1, "outside")])
+    for pair in ((f, g), (g, f), (f, f), (f, h), (h, g), (h, h)):
+        yield pair
+
+
+CIRCLE_CASES = list(_circle_cases())
+
+
+def _typed_circle_bits(entries):
+    return [(_bits(loc), type(loc), counts) for loc, counts in entries]
+
+
+@pytest.mark.parametrize("case", range(len(CIRCLE_CASES)))
+def test_joint_circle_entries_match_loop_bitwise(case):
+    pair = CIRCLE_CASES[case]
+    with np.errstate(invalid="ignore"):
+        tf, tg = joint_orbits(*pair)
+        want = circle_entries_loop(pair, 1e-6)
+    got = [(loc, [k, gk]) for (loc, k), (_, gk) in zip(tf.circle, tg.circle)]
+    assert _typed_circle_bits(got) == _typed_circle_bits(want)
+    assert [_bits(loc) for loc, _ in tg.circle] == [_bits(loc) for loc, _ in tf.circle]
+
+
+def test_circle_cases_cover_the_edge_shapes():
+    with np.errstate(invalid="ignore"):
+        loops = [circle_entries_loop(pair, 1e-6) for pair in CIRCLE_CASES]
+    counts = [counts for entries in loops for _, counts in entries]
+    # entries both multisets share, and entries one of them lacks
+    assert any(all(counts) for counts in counts)
+    assert any(0 in counts and any(counts) for counts in counts)
+    assert any(not entries for entries in loops)
+    locations = [loc for entries in loops for loc, _ in entries]
+    assert any(np.isnan(loc.real) for loc in locations)
+    # the chain is one entry, though its ends lie beyond the rule
+    assert union_find_groups(_CHAIN, 1e-6) == [[0, 1, 2]]
+    assert union_find_groups(_CHAIN[::2], 1e-6) == [[0], [1]]
+    # the locations of the circle roots carry signed zeros
+    inputs = [loc for f, g in CIRCLE_CASES for r in (f, g) for loc, _, label, _ in root_rows(r)
+              if label == "on_circle"]
+    assert any(np.signbit(loc.real) and loc.real == 0 for loc in inputs)
+    assert any(np.signbit(loc.imag) and loc.imag == 0 for loc in inputs)
 
 
 def test_batch_raises_the_first_unsettled_members_error(monkeypatch):

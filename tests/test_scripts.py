@@ -19,9 +19,12 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
     (
         ("make_examples.py", ["--out-dir", "{tmp}"], "wrote {tmp}/two_orbit.json"),
         ("ambiguity_census.py", ["--m", "2", "--trials", "5"], "draws over the ceiling: 0"),
+        # roots squeezed toward the circle: the script reads a root multiset
+        ("ambiguity_census.py", ["--m", "2", "--trials", "5", "--near-circle", "0.5"],
+         "draws over the ceiling: 0"),
         ("gap_sweep.py", ["--max-m", "2"], "worst chain residual"),
     ),
-    ids=("make_examples", "ambiguity_census", "gap_sweep"),
+    ids=("make_examples", "ambiguity_census", "ambiguity_census_near_circle", "gap_sweep"),
 )
 def test_script_runs(script, args, line, tmp_path):
     env = dict(os.environ)
