@@ -30,7 +30,8 @@ from .errors import (
     NotAnAutocorrelation,
     ZeroSignal,
 )
-from .roots import _CIRCLE_BAND, _ROOT_TOL, _SEED, _modulus, find_roots, pair_reciprocal
+from .roots import _CIRCLE_BAND, _CLUSTER_RADIUS, _ROOT_TOL, _SEED, _modulus, _row_max
+from .roots import _rungs, find_roots, pair_reciprocal
 from .signals import (
     _half_lags,
     AutocorrSeq,
@@ -40,8 +41,10 @@ from .signals import (
     screen_intensity,
 )
 
-# candidate rows assembled and canonicalized at a time
-_BLOCK_ROWS = 8192
+# candidate rows built per block: of 512 to 8,192, 1,024 faults least in gap --sweep
+_BLOCK_ROWS = 1024
+_FOLD_ROWS = 8192  # rows the trailing orbits fill, which fixes each class row's rounding
+_RUNGS = (_CLUSTER_RADIUS, 1e-4, 8e-4, 5e-3)  # factor_sld's cluster radii, in turn
 # flip specs one class set may hold before CombinatorialBlowup
 _CAP = 2**20
 
@@ -128,11 +131,11 @@ def _lag_deviations(lags, target):
     overflows at 2^1023; a row with such a part deviates by inf, so every
     gate refuses it. lags holds at least one row.
     """
-    dev = np.abs(lags - target[len(target) // 2 :]).max(axis=1)
+    dev = _row_max(np.abs(lags - target[len(target) // 2 :]))
     # Cauchy-Schwarz keeps every |c_k| within rounding of c_0, so only
     # lags whose c_0 reaches 2^1022 (or is NaN) can hold such a part
     if not lags[:, 0].real.max() < 2.0**1022:
-        dev[np.abs(lags.view(float)).max(axis=1) >= 2.0**1023] = np.inf
+        dev[_row_max(np.abs(lags.view(float))) >= 2.0**1023] = np.inf
     return dev
 
 
@@ -147,11 +150,11 @@ def _canonical_rows(rows):
     comes back unchanged, bit for bit. A zero row raises ZeroSignal.
     """
     mags = np.abs(rows)
-    top = mags.max(axis=1)
+    top = _row_max(mags)
     if not np.all(top > 0):
         raise ZeroSignal("cannot canonicalize the zero signal")
     idx = np.arange(len(rows))
-    j = np.argmax(mags > 1e-12 * top[:, None], axis=1)
+    j = _row_max(mags > 1e-12 * top[:, None])
     pivot = rows[idx, j]
     phi = np.angle(pivot)
     turn = np.abs(phi) > 1e-12
@@ -212,9 +215,12 @@ def _class_rows(table, autocorr):
     of autocorr, which every class of one measurement shares. The row
     count is the closed-form count (shift_hi + 1) * prod(k_i + 1); a count
     above _CAP raises CombinatorialBlowup before any row is built, and
-    rows that do not fit order m raise DegreeTooLarge. Candidates are
-    built _BLOCK_ROWS at a time, one block per choice of the leading
-    orbits, straight into the one result array.
+    rows that do not fit order m raise DegreeTooLarge. The trailing
+    orbits whose splits fill at most _FOLD_ROWS rows fold from 1, the
+    leading ones from the circle roots' polynomial, and a row is the one
+    product times the other, which fixes its rounding. Candidates are
+    built _BLOCK_ROWS at a time within that fold, straight into the one
+    result array.
     """
     m = autocorr.m
     shift_hi = 2 * m - (table.degree - table.origin)
@@ -236,32 +242,36 @@ def _class_rows(table, autocorr):
             "degree %d does not fit harmonic order m=%d" % (degree + shift_hi, m)
         )
 
-    # the trailing orbits whose splits fit in one block form the block;
-    # the leading ones are expanded once and walked choice by choice
-    split, size = len(splits), 1
-    per_block = max(1, _BLOCK_ROWS // (shift_hi + 1))
-    while split and size * counts[split - 1] <= per_block:
-        split -= 1
-        size *= counts[split]
+    # the first fold orbits build head, the next ones to inner the starts,
+    # and the rest each start's tail: a block is a head row times one tail
+    trail = np.cumprod(counts[::-1])  # the rows of the last 1, 2, ... orbits' splits
+    fold = len(counts) - np.count_nonzero(trail <= max(1, _FOLD_ROWS // (shift_hi + 1)))
+    inner = len(counts) - np.count_nonzero(trail <= max(1, _BLOCK_ROWS // (shift_hi + 1)))
+    inner = max(fold, inner)
     head = circle_coeffs[None, :]
-    for parts in splits[:split]:
+    for parts in splits[:fold]:
         head = _expand(head, parts)
-    tail = np.ones((1, 1), dtype=complex)
-    for parts in splits[split:]:
-        tail = _expand(tail, parts)
+    starts = np.ones((1, 1), dtype=complex)
+    for parts in splits[fold:inner]:
+        starts = _expand(starts, parts)
 
     # row lo + i * (shift_hi + 1) + shift is candidate i of the block at that shift
     rows = np.zeros((total_specs, width), dtype=complex)
+    size = math.prod(counts[inner:])
     step = size * (shift_hi + 1)
-    for lo, row in zip(range(0, total_specs, step), head):
-        polys = _expand(tail, row[None, :])
-        block = rows[lo : lo + step].reshape(size, shift_hi + 1, width)
-        for shift in range(shift_hi + 1):
-            block[:, shift, shift : shift + polys.shape[1]] = polys
-        # scaled block by block, so no temporary spans all the rows
-        canon = _canonical_rows(rows[lo : lo + step])
-        canon *= np.sqrt(autocorr.c0 / np.sum(np.abs(canon) ** 2, axis=1))[:, None]
-        rows[lo : lo + step] = canon
+    for k, start in enumerate(starts):
+        tail = start[None, :]
+        for parts in splits[inner:]:
+            tail = _expand(tail, parts)
+        for h, row in enumerate(head):
+            lo = (h * len(starts) + k) * step
+            polys = _expand(tail, row[None, :])
+            block = rows[lo : lo + step].reshape(size, shift_hi + 1, width)
+            for shift in range(shift_hi + 1):
+                block[:, shift, shift : shift + polys.shape[1]] = polys
+            canon = _canonical_rows(rows[lo : lo + step])
+            canon *= np.sqrt(autocorr.c0 / np.sum(np.abs(canon) ** 2, axis=1))[:, None]
+            rows[lo : lo + step] = canon
     rows.setflags(write=False)
     return rows
 
@@ -309,22 +319,19 @@ def factor_sld(s, root_tol=_ROOT_TOL, circle_band=_CIRCLE_BAND, seed=_SEED):
     # a circle root of the signal appears in the lift with multiplicity
     # 2k and splits numerically on a ring of width eps^(1/2k); when a
     # radius under-clusters, verification below rejects a valid
-    # sequence, so widen and retry before believing the rejection
+    # sequence, so widen and retry before believing the rejection. The
+    # solve does not depend on the radius: one solve serves every rung
     first_err = None
-    for radius in (1e-6, 1e-4, 8e-4, 5e-3):
+    for (rq,) in _rungs((autocorr_lift(s),), root_tol, circle_band, _RUNGS, seed):
         try:
-            return _factor_at(s, root_tol, circle_band, radius, seed)
+            return _factor_at(s, rq)
         except NotAnAutocorrelation as err:
             if first_err is None:
                 first_err = err
     raise first_err
 
 
-def _factor_at(s, root_tol, circle_band, cluster_radius, seed):
-    q = autocorr_lift(s)
-    rq = find_roots(
-        q, tol=root_tol, circle_band=circle_band, cluster_radius=cluster_radius, seed=seed
-    )
+def _factor_at(s, rq):
     # an orbit of the lift holds each root of the signal twice, so a
     # signal splits k_inner of them; structure fixes the radius of an
     # on-circle root at exactly one, so only the angle of the cluster

@@ -21,7 +21,7 @@ from .errors import (
     DuplicateSignals,
     UnsupportedOrder,
 )
-from .roots import OrbitTable, _sweep, conj_reciprocal
+from .roots import OrbitTable, _row_max, _sweep, conj_reciprocal
 from .signals import TrigPoly, _half_lags, autocorrelation
 
 # radius of the measurement and rotated-signal bins, per unit of each row's
@@ -66,11 +66,12 @@ class Constellation:
     """A finite input ensemble: coefficient rows with probabilities.
 
     coeffs, the only stored form of the points, is a read-only (K, 2m+1)
-    array with one point per row, all of one period. signals is the rows
-    as a tuple of TrigPoly, and lags their measurements' lags k >= 0 as
-    one read-only _half_lags array, each built on first access: the gap
-    builders gate their class rows on lags, and gap_experiment bins the
-    same array, so each row's lags are computed once.
+    array with one point per row, all of one period (a read-only complex
+    input is kept, any other copied). signals is the rows as a tuple of
+    TrigPoly, and lags their measurements' lags k >= 0 as one read-only
+    _half_lags array, each built on first access: the gap builders gate
+    their class rows on lags, and gap_experiment bins the same array, so
+    each row's lags are computed once.
     """
 
     coeffs: np.ndarray
@@ -78,7 +79,8 @@ class Constellation:
     period: float = 1.0
 
     def __post_init__(self):
-        coeffs = np.array(self.coeffs, dtype=complex)
+        coeffs = np.asarray(self.coeffs, dtype=complex)
+        coeffs = coeffs.copy() if coeffs.flags.writeable else coeffs
         if coeffs.ndim != 2 or not len(coeffs) or coeffs.shape[1] % 2 == 0:
             raise DomainError("constellation needs a (K, 2m+1) array of rows, K >= 1")
         period = float(self.period)
@@ -137,7 +139,7 @@ def _groups(rows, radii):
     link when max_k |a_ik - a_jk| <= max(r_i, r_j) (radii: one per row, or one)."""
     radii = np.broadcast_to(radii, (len(rows),))
     return _sweep(rows, radii.max(), lambda i, j:
-                  np.abs(rows[i] - rows[j]).max(axis=1) <= np.maximum(radii[i], radii[j]))
+                  _row_max(np.abs(rows[i] - rows[j])) <= np.maximum(radii[i], radii[j]))
 
 
 def _partition_entropy(ids, probs):
@@ -165,7 +167,7 @@ def _check_distinct(mat):
     shared = np.flatnonzero(np.bincount(ids)[ids] > 1)
     if len(shared):
         i = shared[0]
-        near = np.abs(mat - mat[i]).max(axis=1) <= np.maximum(radii, radii[i])
+        near = _row_max(np.abs(mat - mat[i])) <= np.maximum(radii, radii[i])
         j = np.flatnonzero(near[i + 1 :])[0] + i + 1
         raise DuplicateSignals("constellation points %d and %d coincide" % (i, j))
 
@@ -214,7 +216,7 @@ def gap_experiment(c):
     _check_distinct(mat)
     # measurement and rotated-signal bins; the first serve both I_xs and
     # the chain identity below
-    s_ids, z_ids = (_groups(rows, _BIN_RADIUS * np.abs(rows).max(axis=1))
+    s_ids, z_ids = (_groups(rows, _BIN_RADIUS * _row_max(np.abs(rows)))
                     for rows in (c.lags, _z_rows(mat, m)))
     i_xy = entropy_bits(c.probs)
     i_xs = _partition_entropy(s_ids, c.probs)
@@ -295,9 +297,10 @@ def _source_constellation(m, q, tones):
         leading=complex(source.coeffs[-1]),
     )
     s = autocorrelation(source)
-    rows = _class_rows(table, s)
-    c = _uniform(np.concatenate([rows, tones]), 1.0)
-    _source_gate(_lag_deviations(c.lags[: len(rows)], s.coeffs) / s.c0, s.c0)
+    points = np.concatenate([_class_rows(table, s), tones])
+    points.setflags(write=False)
+    c = _uniform(points, 1.0)
+    _source_gate(_lag_deviations(c.lags[: len(points) - len(tones)], s.coeffs) / s.c0, s.c0)
     return c
 
 

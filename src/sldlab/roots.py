@@ -46,6 +46,10 @@ _SEED = 12345
 _MAX_ITER = 200
 # orbit keys and circle roots within this cluster rule are one location
 _MATCH_TOL = 1e-6
+# find_roots merges root approximations within this cluster rule
+_CLUSTER_RADIUS = 1e-6
+# rows _row_max walks a column of at a time: 8,192 rows of 17 floats fit a 2 MB L2
+_WALK_ROWS = 8192
 _NO_RECIPROCAL = "the origin has no reciprocal conjugate"
 
 
@@ -194,6 +198,31 @@ def _sweep(rows, radius, link):
     label = np.empty(n, dtype=np.intp)
     label[order] = first[chain]
     return (np.cumsum(label == np.arange(n)) - 1)[label]
+
+
+def _row_max(x):
+    """x.max(axis=1) of a 2-D array bit for bit (but for the sign of a zero), or
+    for a bool x the first-true index np.argmax(x, axis=1) gives.
+
+    numpy reduces a row at a time, some 60 ns a row up to about 80 columns,
+    while a walk down the columns costs 0.6 us a column and 0.7 ns an entry:
+    so from w * w rows of w columns on, the columns are walked, _WALK_ROWS
+    rows at a time so that each walk reads from cache.
+    """
+    n, w = x.shape
+    if n < w * w:
+        return np.argmax(x, axis=1) if x.dtype == bool else x.max(axis=1)
+    out = np.zeros(n, dtype=np.intp) if x.dtype == bool else np.empty(n, dtype=x.dtype)
+    for lo in range(0, n, _WALK_ROWS):
+        rows, part = x[lo : lo + _WALK_ROWS], out[lo : lo + _WALK_ROWS]
+        if x.dtype == bool:
+            for k in range(w - 1, -1, -1):
+                np.copyto(part, k, where=rows[:, k])
+        else:
+            part[...] = rows[:, 0]
+            for k in range(1, w):
+                np.maximum(part, rows[:, k], out=part)
+    return out
 
 
 def _link_ids(z, tol):
@@ -413,29 +442,28 @@ def _cluster(z, cluster_radius, circle_band):
     return loc[rank], size[rank], _LABELS[label[rank]], diam[rank]
 
 
-def find_roots_batch(
-    polys,
-    tol=_ROOT_TOL,
-    circle_band=_CIRCLE_BAND,
-    cluster_radius=1e-6,
-    seed=_SEED,
-):
+def find_roots_batch(polys, tol=_ROOT_TOL, circle_band=_CIRCLE_BAND, seed=_SEED):
     """find_roots for every polynomial of a sequence, in one iteration.
 
     Returns a tuple with one RootMultiset per polynomial, each the one
     find_roots gives for that polynomial alone; the parameters are
     find_roots's and apply to every member. Errors come in the order
-    find_roots raises them: DomainError for tol, seed or cluster_radius,
-    then ZeroPolynomial for the first zero member, then DomainError for
-    the first member with a NaN or infinite coefficient, then
-    NoConvergence for the first member whose roots did not settle within
-    the one budget of 200 steps.
+    find_roots raises them: DomainError for tol or seed, then
+    ZeroPolynomial for the first zero member, then DomainError for the
+    first member with a NaN or infinite coefficient, then NoConvergence
+    for the first member whose roots did not settle within the one budget
+    of 200 steps.
     """
+    return next(_rungs(polys, tol, circle_band, (_CLUSTER_RADIUS,), seed))
+
+
+def _rungs(polys, tol, circle_band, radii, seed):
+    """find_roots_batch clustered at each radius of radii in turn, from one
+    solve: yields a tuple of RootMultiset per radius, raising its errors first."""
     if not (0 < tol <= 1e-4):
         raise DomainError("tol must lie in (0, 1e-4]")
     if seed < 0:
         raise DomainError("seed must be >= 0, got %d" % seed)
-    _check_tol(cluster_radius)
     coeffs = [np.array(f.coeffs, dtype=complex) for f in polys]
     if any(np.all(c == 0) for c in coeffs):
         raise ZeroPolynomial("cannot factor the zero polynomial")
@@ -451,36 +479,28 @@ def find_roots_batch(
 
     monics = [core / core[-1] for _, _, core in members if len(core) > 1]
     z, rel = _solve(monics, seed) if monics else (np.empty(0, dtype=complex), None)
-    out = []
-    lo = 0
-    for origin, deg, core in members:
-        hi = lo + len(core) - 1
+    ends = np.cumsum([0] + [len(core) - 1 for _, _, core in members]).tolist()
+    for lo, hi in zip(ends, ends[1:]):
         # a NaN residual (an iterate that overflowed) fails the test too
         if hi > lo and not (rel[lo:hi].max() <= tol):
             raise NoConvergence(
                 "simultaneous iteration did not settle within %d steps" % _MAX_ITER,
                 residual=float(rel[lo:hi].max()),
             )
-        out.append(
+    for radius in radii:
+        yield tuple(
             RootMultiset(
-                *_cluster(z[lo:hi], cluster_radius, circle_band),
+                *_cluster(z[lo:hi], radius, circle_band),
                 origin_mult=origin,
                 degree=deg,
                 leading_coeff=complex(core[-1]),
                 circle_band=circle_band,
             )
+            for (origin, deg, core), lo, hi in zip(members, ends, ends[1:])
         )
-        lo = hi
-    return tuple(out)
 
 
-def find_roots(
-    f,
-    tol=_ROOT_TOL,
-    circle_band=_CIRCLE_BAND,
-    cluster_radius=1e-6,
-    seed=_SEED,
-):
+def find_roots(f, tol=_ROOT_TOL, circle_band=_CIRCLE_BAND, seed=_SEED):
     """All roots of f with multiplicities, classified against the unit circle.
 
     Parameters
@@ -492,19 +512,16 @@ def find_roots(
         coefficients to tol * max|coeff| when multiplied back out.
     circle_band : float
         Half-width of the on-circle classification band.
-    cluster_radius : float
-        Approximations a, b with |a - b| <= cluster_radius * (1 + (|a| + |b|) / 2),
-        and chains of them, merge into one root of higher multiplicity.
-        Widen it when hunting multiplicities of three or more; the default
-        suits exact doubles. NaN, infinite or negative raises DomainError.
     seed : int
         Seed for the perturbed-circle initial guesses, >= 0. Fixed by
         default so runs are reproducible; a negative seed raises DomainError.
 
-    Roots that do not meet tol within 200 simultaneous-iteration steps
-    raise NoConvergence.
+    Approximations a, b with |a - b| <= _CLUSTER_RADIUS * (1 + (|a| +
+    |b|) / 2), and chains of them, merge into one root of higher
+    multiplicity. Roots that do not meet tol within 200
+    simultaneous-iteration steps raise NoConvergence.
     """
-    return find_roots_batch((f,), tol, circle_band, cluster_radius, seed)[0]
+    return find_roots_batch((f,), tol, circle_band, seed)[0]
 
 
 def conj_reciprocal(alpha):

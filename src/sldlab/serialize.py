@@ -427,17 +427,24 @@ def _canvas_text(shape, fields):
     """The text of a block of cells laid out on one NUL-padded uint8 canvas.
 
     The canvas is shape + (width,): a row per cell, holding the fields side
-    by side. A field is either uint8 rows of NUL-padded text, broadcast into
-    its columns, or a float64 array of the cells' values in order, whose
-    repr texts _float_bytes writes into _CHARS columns in place. The text is
-    the canvas without its NULs, decoded once.
+    by side. A field is uint8 rows of NUL-padded text, broadcast into its
+    columns; a float64 array of the cells' values in order, whose repr
+    texts _float_bytes writes into _CHARS columns in place; or a pair
+    (texts, index) of such text rows and each cell's row of them, in order,
+    gathered into the columns _BLOCK cells at a time. The text is the
+    canvas without its NULs, decoded once.
     """
-    widths = [_CHARS if field.dtype == np.float64 else field.shape[-1] for field in fields]
+    widths = [field[0].shape[-1] if isinstance(field, tuple) else
+              _CHARS if field.dtype == np.float64 else field.shape[-1] for field in fields]
     at = np.cumsum([0, *widths])
     canvas = np.empty(shape + (at[-1],), np.uint8)
     rows = canvas.reshape(-1, at[-1])
     for field, lo, hi in zip(fields, at, at[1:]):
-        if field.dtype == np.float64:
+        if isinstance(field, tuple):
+            table, index = field
+            for i in range(0, len(rows), _BLOCK):
+                rows[i : i + _BLOCK, lo:hi] = table[index[i : i + _BLOCK]]
+        elif field.dtype == np.float64:
             _float_bytes(field.reshape(-1), out=rows[:, lo:hi])
         else:
             canvas[..., lo:hi] = field
@@ -669,7 +676,7 @@ def class_csv(cs):
         shape = (len(block), _SAMPLES)
         ids = _text_rows(map(str, range(lo, lo + len(block))))
         yield _canvas_text(shape, [ids[:, None], leads, values.real, comma, values.imag, comma,
-                                   squares[cell.reshape(shape)], newline])
+                                   (squares, cell.reshape(-1)), newline])
 
 
 def gap_csv(reports):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, settings, strategies as st
 
-from sldlab import RootMultiset, TrigPoly
+from sldlab import RootMultiset, TrigPoly, roots
 
 settings.register_profile(
     "suite",
@@ -78,3 +78,10 @@ def root_multiset(rows, origin=0, degree=None, leading=1.0, circle_band=1e-9):
         origin_mult=origin, degree=origin + sum(mult) if degree is None else degree,
         leading_coeff=leading, circle_band=circle_band,
     )
+
+
+def roots_at(polys, cluster_radius):
+    """find_roots_batch of polys with the approximations clustered at
+    cluster_radius, the radius factor_sld widens on a retry."""
+    return next(roots._rungs(polys, roots._ROOT_TOL, roots._CIRCLE_BAND, (cluster_radius,),
+                             roots._SEED))

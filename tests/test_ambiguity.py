@@ -11,6 +11,7 @@ from hypothesis import given, settings
 
 import sldlab
 from sldlab import ambiguity
+from sldlab import roots as root_finder
 from sldlab import (
     AutocorrSeq,
     ClassSet,
@@ -207,10 +208,10 @@ def test_factor_screens_every_call_before_solving(monkeypatch):
     # before any root is solved for
     s = autocorrelation(TrigPoly(m=1, coeffs=[6, -5, 1]))
     seen = []
-    screen, solve = ambiguity.screen_intensity, ambiguity.find_roots
+    screen, solve = ambiguity.screen_intensity, ambiguity._rungs
     monkeypatch.setattr(ambiguity, "screen_intensity",
                         lambda arg: seen.append(("screen", arg)) or screen(arg))
-    monkeypatch.setattr(ambiguity, "find_roots",
+    monkeypatch.setattr(ambiguity, "_rungs",
                         lambda *a, **k: seen.append(("solve", None)) or solve(*a, **k))
     for _ in range(2):
         del seen[:]
@@ -220,11 +221,19 @@ def test_factor_screens_every_call_before_solving(monkeypatch):
         assert "solve" in [kind for kind, _ in seen[1:]]
 
 
-def test_factor_quadruple_circle_root():
+def test_factor_quadruple_circle_root(monkeypatch):
     # |(z-1)^2|^2 has a single ambiguity class; the fourth-order circle
-    # zero of the lift is the hardest clustering case the builder retries
+    # zero of the lift is the hardest clustering case the builder retries,
+    # each rung re-clustering the roots of one solve
     p = TrigPoly(m=1, coeffs=np.convolve([-1, 1], [-1, 1]))
+    solves, rungs = [], []
+    solve, cluster = root_finder._solve, root_finder._cluster
+    monkeypatch.setattr(root_finder, "_solve", lambda *a: solves.append(a) or solve(*a))
+    monkeypatch.setattr(root_finder, "_cluster", lambda z, radius, band: rungs.append(radius)
+                        or cluster(z, radius, band))
     cs = factor_sld(autocorrelation(p))
+    assert len(solves) == 1 and len(rungs) > 1
+    assert rungs == list(ambiguity._RUNGS[: len(rungs)])
     assert cs.exact_count == 1
     assert phase_match(canon_rows(cs)[0], p.coeffs, tol=1e-4)
     assert certify_bound(cs).max_residual <= 1e-5
@@ -406,6 +415,20 @@ def test_batched_assembly_matches_per_candidate_loop(monkeypatch, block_rows):
 
 def _unit_energy(m):
     return autocorrelation(TrigPoly(m=m, coeffs=np.eye(2 * m + 1)[0]))
+
+
+def test_class_rows_keep_their_bits_at_any_block_size(monkeypatch):
+    # the order the orbit parts multiply in fixes each row's rounding; the
+    # block size only bounds the temporaries. bundled_constellation(7) has
+    # 16,384 class rows, past _FOLD_ROWS, so its leading orbits fold apart
+    tables = [(pair_reciprocal(find_roots(lift(p))), autocorrelation(p))
+              for p in _assembly_signals()]
+    want = [ambiguity._class_rows(*args).tobytes() for args in tables]
+    bundled = bundled_constellation(7).coeffs.tobytes()
+    for block_rows in (2, 100, 4096, 2**20):
+        monkeypatch.setattr(ambiguity, "_BLOCK_ROWS", block_rows)
+        assert [ambiguity._class_rows(*args).tobytes() for args in tables] == want
+        assert bundled_constellation(7).coeffs.tobytes() == bundled
 
 
 def test_batched_assembly_cap_and_degree_paths(monkeypatch):

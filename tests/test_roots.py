@@ -22,9 +22,9 @@ from sldlab import (
 import sldlab
 from sldlab import cli
 from sldlab import roots as roots_module
-from sldlab.roots import _centroid, _link_ids, _orbit_key, _sweep
+from sldlab.roots import _centroid, _link_ids, _orbit_key, _row_max, _sweep
 
-from conftest import poly_from_roots, root_multiset, separated_roots
+from conftest import poly_from_roots, root_multiset, roots_at, separated_roots
 from oracles import (
     Unsettled,
     circle_entries_loop,
@@ -129,7 +129,7 @@ def test_circle_quadruple_in_lag_lift():
     # splitting ring
     p = TrigPoly(m=1, coeffs=np.convolve([-1, 1], [-1, 1]))
     Q = autocorr_lift(autocorrelation(p))
-    r = find_roots(Q, cluster_radius=1e-3)
+    (r,) = roots_at([Q], 1e-3)
     ((location, k, label, diameter),) = root_rows(r)
     assert k == 4
     assert label == "on_circle"
@@ -191,8 +191,7 @@ def test_degenerate_inputs():
 
 
 def test_root_multiset_is_read_only_arrays():
-    r = find_roots(CoeffPoly(coeffs=poly_from_roots([2.0, 2.0, 0.5j, 1.0, 0.0]), n=5),
-                   cluster_radius=1e-4)
+    (r,) = roots_at([CoeffPoly(coeffs=poly_from_roots([2.0, 2.0, 0.5j, 1.0, 0.0]), n=5)], 1e-4)
     assert (r.origin_mult, r.degree) == (1, 5)
     arrays = (r.locations, r.multiplicities, r.labels, r.diameters)
     assert [a.dtype.kind for a in arrays] == ["c", "i", "U", "f"]
@@ -309,13 +308,13 @@ def test_joint_orbits_alignment():
 
 
 @pytest.mark.parametrize("bad", BAD_TOLERANCES)
-def test_find_roots_rejects_bad_cluster_radius(bad):
+def test_root_clustering_rejects_bad_radius(bad):
     for f in (
         CoeffPoly(coeffs=poly_from_roots([2.0, 2.0, -1.0]), n=3),
         CoeffPoly(coeffs=[0, 3.0], n=1),  # no root off the origin: nothing to cluster
     ):
         with pytest.raises(errors.DomainError, match="tolerance"):
-            find_roots(f, cluster_radius=bad)
+            roots_at([f], bad)
 
 
 def _chained(a, b, tol):
@@ -511,6 +510,59 @@ def test_groups_with_points_that_are_not_finite():
             assert got == _union_find_ids(pts, tol)
 
 
+def _row_max_cases():
+    """(name, array) of moduli and masks on both sides of _row_max's shape
+    rule (a walk from w * w rows on), with NaN, +-inf, all-False rows, one
+    column, strided views and walks over several blocks of rows."""
+    rng = np.random.default_rng(20261020)
+    specials = np.array([np.nan, np.inf, -np.inf, 0.0])
+    for n, w in ((2, 81), (3, 2), (4, 2), (168, 13), (169, 13), (4098, 13), (0, 4), (1, 1), (9, 1),
+                 (3 * roots_module._WALK_ROWS + 5, 7)):
+        x = np.abs(rng.normal(size=(n, w)))
+        flat = x.reshape(-1)
+        picked = rng.choice(flat.size, size=flat.size // 6, replace=False)
+        flat[picked] = specials[rng.integers(0, len(specials), size=len(picked))]
+        yield "%dx%d" % (n, w), x
+        yield "%dx%d mask" % (n, w), rng.random((n, w)) < 0.1
+    wide = np.abs(rng.normal(size=(600, 26)))
+    wide[::7, 3] = np.nan
+    wide[5::11] = -np.inf
+    yield "every other row and column", wide[::2, ::2]
+    yield "transposed", wide.T
+    yield "one column of many", wide[:, 5:6]
+    yield "strided mask", (wide > 1.0)[1::2, ::3]
+    yield "no true anywhere", np.zeros((300, 5), dtype=bool)
+
+
+ROW_MAX_CASES = dict(_row_max_cases())
+
+
+@pytest.mark.parametrize("name", list(ROW_MAX_CASES))
+def test_row_max_matches_numpy_bitwise(name):
+    x = ROW_MAX_CASES[name]
+    want = np.argmax(x, axis=1) if x.dtype == bool else x.max(axis=1)
+    got = _row_max(x)
+    assert (got.dtype, got.shape) == (want.dtype, want.shape)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_row_max_cases_cover_both_paths():
+    walked = [x for x in ROW_MAX_CASES.values() if len(x) >= x.shape[1] ** 2]
+    kept = [x for x in ROW_MAX_CASES.values() if len(x) < x.shape[1] ** 2]
+    for side in (walked, kept):
+        assert {x.dtype.kind for x in side} == {"b", "f"}
+    floats = [x for x in walked if x.dtype != bool]
+    masks = [x for x in walked if x.dtype == bool]
+    assert any(np.isnan(x).any() for x in floats)
+    assert any(np.isposinf(x).any() for x in floats)
+    assert any(np.isneginf(x).all(axis=1).any() for x in floats)
+    assert any((~x.any(axis=1)).any() for x in masks) and any(x.any() for x in masks)
+    assert {1} < {x.shape[1] for x in floats} and any(x.shape[1] == 1 for x in masks)
+    assert any(not x.flags.c_contiguous for x in floats)
+    assert any(not x.flags.c_contiguous for x in masks)
+    assert all(any(len(x) > 2 * roots_module._WALK_ROWS for x in side) for side in (floats, masks))
+
+
 def _multiset(rng):
     inner = [(0.2 + 0.6 * rng.random()) * np.exp(2j * np.pi * rng.random()) for _ in range(3)]
     zs = [inner[0], conj_reciprocal(inner[0])]  # balanced orbit
@@ -621,11 +673,13 @@ def test_batch_matches_one_polynomial_loop_bitwise(case):
     want = [_outcome(lambda c=c: _root_bits(*find_roots_loop(c, cluster_radius=radius)))
             for c in batch]
     failed = [w for w in want if isinstance(w[0], str)]
-    got = _outcome(lambda: [_multiset_bits(r)
-                            for r in find_roots_batch(polys, cluster_radius=radius)])
+    got = _outcome(lambda: [_multiset_bits(r) for r in roots_at(polys, radius)])
     assert got == (failed[0] if failed else want)
-    assert [_outcome(lambda f=f: _multiset_bits(find_roots(f, cluster_radius=radius)))
+    assert [_outcome(lambda f=f: _multiset_bits(roots_at([f], radius)[0]))
             for f in polys] == want
+    if radius == roots_module._CLUSTER_RADIUS:
+        assert _outcome(lambda: [_multiset_bits(r) for r in find_roots_batch(polys)]) == got
+        assert [_outcome(lambda f=f: _multiset_bits(find_roots(f))) for f in polys] == want
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -633,8 +687,7 @@ def test_batch_cases_cover_the_edge_shapes():
     found, nan_residuals = [], 0
     for batch, radius in BATCH_CASES:
         try:
-            found.append(find_roots_batch([CoeffPoly(coeffs=c) for c in batch],
-                                          cluster_radius=radius))
+            found.append(roots_at([CoeffPoly(coeffs=c) for c in batch], radius))
         except errors.NoConvergence as exc:
             nan_residuals += np.isnan(exc.residual)
     assert nan_residuals == 1
@@ -758,8 +811,7 @@ def _orbit_cases():
     # and left as two roots of one side at a radius of 0
     q = poly_from_roots([0.4 + 0.2j, 0.4 + 0.2j, conj_reciprocal(0.4 + 0.2j),
                          conj_reciprocal(0.4 + 0.2j), -0.3j, 1.7, 0.6 - 0.1j])
-    merged, split = (find_roots(CoeffPoly(coeffs=q), cluster_radius=radius)
-                     for radius in (1e-4, 0.0))
+    merged, split = (roots_at([CoeffPoly(coeffs=q)], radius)[0] for radius in (1e-4, 0.0))
     assert 2 in merged.multiplicities
     assert len(split.locations) == len(merged.locations) + 2
     yield (merged,)
@@ -919,7 +971,7 @@ def test_batch_checks_arguments_before_iterating(monkeypatch):
     good = CoeffPoly(coeffs=poly_from_roots([0.5, 2.0]), n=2)
     zero = CoeffPoly(coeffs=[0, 0, 0], n=2)
     for kw, message in (({"tol": 0.5}, "tol must"), ({"tol": 0.0}, "tol must"),
-                        ({"seed": -1}, "seed must"), ({"cluster_radius": float("nan")}, "tolerance")):
+                        ({"seed": -1}, "seed must")):
         for polys in ([good], [good, zero], [zero, good]):
             with pytest.raises(errors.DomainError, match=message):
                 find_roots_batch(polys, **kw)

@@ -15,13 +15,12 @@ from sldlab import (
     intensity_samples,
     lift,
     pair_reciprocal,
-    find_roots,
 )
 
 from sldlab import roots
 from sldlab.signals import _half_lags, screen_intensity
 
-from conftest import trig_polys
+from conftest import roots_at, trig_polys
 from oracles import (
     autocorr_dot,
     autocorr_loops,
@@ -179,7 +178,7 @@ def test_autocorr_lift_on_the_circle_is_the_intensity_times_z_to_the_2m(p, t):
 @given(trig_polys(max_m=2))
 def test_autocorr_lift_roots_pair_up(p):
     Q = autocorr_lift(autocorrelation(p))
-    r = find_roots(Q, cluster_radius=1e-4)
+    (r,) = roots_at([Q], 1e-4)
     # a per-example context, since hypothesis reruns the body
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(roots, "_MATCH_TOL", 1e-3)
