@@ -30,8 +30,7 @@ from .errors import (
     NotAnAutocorrelation,
     ZeroSignal,
 )
-from .roots import _CIRCLE_BAND, _CLUSTER_RADIUS, _ROOT_TOL, _SEED, _modulus, _row_max
-from .roots import _rungs, find_roots, pair_reciprocal
+from .roots import _CLUSTER_RADIUS, _modulus, _row_max, _rungs, find_roots, pair_reciprocal
 from .signals import (
     _half_lags,
     AutocorrSeq,
@@ -276,7 +275,7 @@ def _class_rows(table, autocorr):
     return rows
 
 
-def enumerate_classes(p, root_tol=_ROOT_TOL, circle_band=_CIRCLE_BAND, seed=_SEED):
+def enumerate_classes(p):
     """All ambiguity classes of a signal under square-law detection.
 
     One phase-normalized row of energy c_0 per flip spec, in spec order:
@@ -289,7 +288,7 @@ def enumerate_classes(p, root_tol=_ROOT_TOL, circle_band=_CIRCLE_BAND, seed=_SEE
     """
     if np.all(p.coeffs == 0):
         raise ZeroSignal("the zero signal has no ambiguity classes")
-    r = find_roots(lift(p), tol=root_tol, circle_band=circle_band, seed=seed)
+    r = find_roots(lift(p))
     # a signal's orbits each hold all their roots; the rows come through
     # _source_gate against the signal's own measurement (the gap
     # constellations gate theirs on the lags their Constellation keeps)
@@ -299,7 +298,7 @@ def enumerate_classes(p, root_tol=_ROOT_TOL, circle_band=_CIRCLE_BAND, seed=_SEE
     return cs
 
 
-def factor_sld(s, root_tol=_ROOT_TOL, circle_band=_CIRCLE_BAND, seed=_SEED):
+def factor_sld(s):
     """Recover every signal class consistent with a square-law measurement.
 
     Factors the lift of s, pairs its roots into reflection orbits (they
@@ -322,7 +321,7 @@ def factor_sld(s, root_tol=_ROOT_TOL, circle_band=_CIRCLE_BAND, seed=_SEED):
     # sequence, so widen and retry before believing the rejection. The
     # solve does not depend on the radius: one solve serves every rung
     first_err = None
-    for (rq,) in _rungs((autocorr_lift(s),), root_tol, circle_band, _RUNGS, seed):
+    for (rq,) in _rungs((autocorr_lift(s),), _RUNGS):
         try:
             return _factor_at(s, rq)
         except NotAnAutocorrelation as err:

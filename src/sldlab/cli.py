@@ -16,9 +16,10 @@ one file.
 The reports and CSVs are written by sldlab.serialize; this module parses
 the arguments, runs the command and writes its outputs to their files.
 
-Reports embed the tolerance configuration and the library version but no
-file paths, so identical inputs and flags give identical bytes wherever
-the files live.
+Root finding runs with one fixed configuration (roots._SEED, _ROOT_TOL
+and _CIRCLE_BAND), which no flag changes. Reports embed it and the
+library version but no file paths, so identical inputs and flags give
+identical bytes wherever the files live.
 """
 
 import argparse
@@ -54,17 +55,12 @@ from .serialize import (
 )
 from .signals import autocorrelation, lift
 
-# the root-finding settings every report records, gap included
-_DEFAULTS = {"tol_circle": _CIRCLE_BAND, "tol_root": _ROOT_TOL, "seed": _SEED}
+# the fixed root-finding settings every report records, gap included
+_SETTINGS = {"seed": _SEED, "tol_circle": _CIRCLE_BAND, "tol_root": _ROOT_TOL}
 
 
 def _fingerprint(args):
-    out = {
-        "command": args.command,
-        "seed": args.seed,
-        "tol_circle": args.tol_circle,
-        "tol_root": args.tol_root,
-    }
+    out = {"command": args.command, **_SETTINGS}
     if args.command == "gap" and args.sweep:
         out["sweep"] = args.sweep
     return out
@@ -127,14 +123,10 @@ def _emit(args, payload):
     _write((args.output, _report(args, payload)))
 
 
-def _solver_kw(args):
-    return dict(root_tol=args.tol_root, circle_band=args.tol_circle, seed=args.seed)
-
-
 def _cmd_analyze(args):
     p = parse_signal(load_json(args.inputs[0]))
     f = lift(p)
-    r = find_roots(f, tol=args.tol_root, circle_band=args.tol_circle, seed=args.seed)
+    r = find_roots(f)
     table = pair_reciprocal(r)
     _emit(args, {
         "signal": signal_dict(p),
@@ -158,9 +150,7 @@ def _cmd_equiv(args):
     p = parse_signal(load_json(args.inputs[0]))
     q = parse_signal(load_json(args.inputs[1]))
     f, g = lift(p), lift(q)
-    structural = struct_magnitude_equiv(
-        f, g, root_tol=args.tol_root, circle_band=args.tol_circle, seed=args.seed
-    )
+    structural = struct_magnitude_equiv(f, g)
     oracle = numeric_magnitude_equiv(f, g)
     phase = phase_equiv(p, q)
     agree = structural.related == oracle.related
@@ -185,9 +175,9 @@ def _cmd_classes(args):
     """enumerate (classes of a signal) and factor (classes of measured lags)."""
     doc = load_json(args.inputs[0])
     if args.command == "enumerate":
-        cs = enumerate_classes(parse_signal(doc), **_solver_kw(args))
+        cs = enumerate_classes(parse_signal(doc))
     else:
-        cs = factor_sld(parse_autocorr(doc), **_solver_kw(args))
+        cs = factor_sld(parse_autocorr(doc))
     report = certify_bound(cs)
     outputs = [(args.output, _report(args, {"classes": classset_dict(cs, report)}))]
     if args.csv:
@@ -234,10 +224,6 @@ _COMMANDS = {
 
 def _check(args):
     """Reject flag values and flag combinations argparse cannot."""
-    if not (0 < args.tol_root <= 1e-4):
-        raise DomainError("--tol-root must lie in (0, 1e-4]")
-    if not (0 < args.tol_circle <= 1e-3):
-        raise DomainError("--tol-circle must lie in (0, 1e-3]")
     # an empty path names no file, and the commands would read it as no flag
     for flag, path in (("--json", args.output), ("--csv", getattr(args, "csv", None))):
         if path == "":
@@ -259,8 +245,6 @@ def _build_parser():
         "information-loss experiments for square-law detection.",
     )
     parser.add_argument("--version", action="version", version=__version__)
-    # commands without a flag below still record its default in the report
-    parser.set_defaults(**_DEFAULTS)
     # flag groups: each subcommand takes only the flags it reads
     out = argparse.ArgumentParser(add_help=False)
     out.add_argument("--json", dest="output", metavar="PATH",
@@ -268,20 +252,13 @@ def _build_parser():
     csv = argparse.ArgumentParser(add_help=False)
     csv.add_argument("--csv", metavar="PATH",
                      help="write CSV artifacts here (sweep table or class samples)")
-    roots = argparse.ArgumentParser(add_help=False)
-    roots.add_argument("--tol-circle", type=float, default=_DEFAULTS["tol_circle"],
-                       help="on-circle classification band (default %(default)s)")
-    roots.add_argument("--tol-root", type=float, default=_DEFAULTS["tol_root"],
-                       help="root reconstruction tolerance (default %(default)s)")
-    roots.add_argument("--seed", type=int, default=_DEFAULTS["seed"],
-                       help="seed for the root-finder start points (default %(default)s)")
 
     sub = parser.add_subparsers(dest="command", required=True)
     for name, nargs, parents, desc in (
-        ("analyze", 1, [out, roots], "roots, orbits and measurement of a signal"),
-        ("equiv", 2, [out, roots], "magnitude equivalence of two signals"),
-        ("enumerate", 1, [out, csv, roots], "ambiguity classes of a signal"),
-        ("factor", 1, [out, csv, roots], "signal classes of a measured sequence"),
+        ("analyze", 1, [out], "roots, orbits and measurement of a signal"),
+        ("equiv", 2, [out], "magnitude equivalence of two signals"),
+        ("enumerate", 1, [out, csv], "ambiguity classes of a signal"),
+        ("factor", 1, [out, csv], "signal classes of a measured sequence"),
         ("gap", "*", [out, csv], "information-loss report for a constellation"),
     ):
         p = sub.add_parser(name, parents=parents, help=desc)

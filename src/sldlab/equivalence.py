@@ -20,7 +20,7 @@ from .errors import (
     PeriodMismatch,
     ZeroPolynomial,
 )
-from .roots import _CIRCLE_BAND, _ROOT_TOL, _SEED, find_roots_batch, joint_orbits
+from .roots import find_roots_batch, joint_orbits
 from .signals import TrigPoly, _half_lags
 
 # relative lag residual under which numeric_magnitude_equiv accepts
@@ -93,21 +93,19 @@ def phase_equiv(p, q):
     return EquivalenceVerdict(related=True, phase=_wrap_angle(phi))
 
 
-def struct_magnitude_equiv(
-    f, g, root_tol=_ROOT_TOL, circle_band=_CIRCLE_BAND, seed=_SEED
-):
+def struct_magnitude_equiv(f, g):
     """Decide |f| = kappa |g| on the unit circle from root structure.
 
     The relation holds exactly when every reflection orbit carries the
     same total multiplicity for both polynomials and the on-circle zeros
     match with identical multiplicities; kappa then comes out of the
     leading coefficients and the inside representatives. The roots of f
-    and g are solved in one find_roots_batch call with root_tol,
-    circle_band and seed, and matched by joint_orbits.
+    and g are solved in one find_roots_batch call and matched by
+    joint_orbits.
     """
     if f.is_zero() or g.is_zero():
         raise ZeroPolynomial("magnitude equivalence needs nonzero polynomials")
-    rf, rg = find_roots_batch((f, g), tol=root_tol, circle_band=circle_band, seed=seed)
+    rf, rg = find_roots_batch((f, g))
     try:
         kappa = kappa_ratio(*joint_orbits(rf, rg))
     except ConditionViolated as exc:

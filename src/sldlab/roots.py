@@ -5,11 +5,13 @@ perturbed unit-circle start. It solves a batch of polynomials at once
 (find_roots is the batch of one), sharing each numpy call of the Horner
 passes, and of the Aberth sums among polynomials of one degree, while
 every polynomial's roots step only against each other, so
-each result is bit for bit the one found alone. A root whose residual
-reaches rounding level is frozen and drops out of the passes. Each root is
-then polished with one Newton step, and nearby approximations are
-clustered into multiple roots. Every root is tagged by its
-position relative to the unit circle, since the whole downstream theory
+each result is bit for bit the one found alone. Its settings are fixed
+module constants that no caller changes: the start seed _SEED, the
+residual tolerance _ROOT_TOL and the on-circle band _CIRCLE_BAND. A root
+whose residual reaches rounding level is frozen and drops out of the
+passes. Each root is then polished with one Newton step, and nearby
+approximations are clustered into multiple roots. Every root is tagged
+by its position relative to the unit circle, since the whole downstream theory
 (magnitude equivalence, zero flipping, spectral factorization) branches on
 inside / on-circle / outside. A polynomial's roots stay arrays from the
 solver to its orbit table: clustering, orbit matching and circle matching
@@ -37,8 +39,8 @@ _SPLIT = 1e-3
 _TINY = np.finfo(float).tiny
 # a root whose residual is below this multiple of its bound has settled
 _EPS_STOP = 8 * np.finfo(float).eps
-# the root-finding defaults: acceptance tolerance, on-circle band and seed;
-# the CLI's flags default to them too
+# the fixed root-finding settings, which every CLI report records:
+# acceptance tolerance, on-circle band and start seed
 _ROOT_TOL = 1e-8
 _CIRCLE_BAND = 1e-9
 _SEED = 12345
@@ -71,7 +73,6 @@ class RootMultiset:
     origin_mult: int
     degree: int
     leading_coeff: complex
-    circle_band: float
 
     def __post_init__(self):
         for array in (self.locations, self.multiplicities, self.labels, self.diameters):
@@ -120,11 +121,6 @@ def _trimmed(mags, cut):
         if dropped <= np.log(_SPLIT) + kept:
             return k
     return 0
-
-
-def _check_tol(tol):
-    if not 0.0 <= tol < np.inf:
-        raise DomainError("clustering tolerance must be finite and nonnegative, got %r" % tol)
 
 
 def _sweep(rows, radius, link):
@@ -230,9 +226,8 @@ def _link_ids(z, tol):
 
     The connected components of the points chained by |a - b| <= tol * (1
     + (|a| + |b|) / 2), found by _sweep: a linked gap is at most tol * (1
-    + max |z|). A NaN, infinite or negative tol raises DomainError.
+    + max |z|).
     """
-    _check_tol(tol)
     mag = _modulus(z)
     return _sweep(z[:, None], tol * (1.0 + mag.max(initial=0.0)),
                   lambda i, j: _modulus(z[i] - z[j]) <= tol * (1.0 + 0.5 * (mag[i] + mag[j])))
@@ -335,10 +330,10 @@ def _aberth_sums(z, plan):
     return s
 
 
-def _solve(monics, seed):
+def _solve(monics):
     """Aberth-Ehrlich iteration over a batch of monic polynomials.
 
-    Each polynomial starts from the seeded perturbed circle of its degree
+    Each polynomial starts from the _SEED-perturbed circle of its degree
     and its roots step only against each other, so they come out bit for
     bit as if it were solved alone: the batch shares the numpy calls of
     each Horner pass, and polynomials of one degree share those of the
@@ -360,7 +355,7 @@ def _solve(monics, seed):
         coef[top - d :, 1, cols] = np.abs(a)[::-1, None]
         coef[top - d + 1 :, 2, cols] = (a[1:] * np.arange(1, d + 1))[::-1, None]
         if d not in circles:
-            rng = np.random.default_rng(seed)
+            rng = np.random.default_rng(_SEED)
             angles = 2 * np.pi * (np.arange(d) + 0.25 * rng.random(d)) / d
             radii = 1.0 + 0.2 * (rng.random(d) - 0.5)
             circles[d] = radii * np.exp(1j * angles)
@@ -418,7 +413,7 @@ def _by_location(loc):
     return np.lexsort((loc.imag, loc.real))
 
 
-def _cluster(z, cluster_radius, circle_band):
+def _cluster(z, cluster_radius):
     """Merged, classified roots of one polynomial: the locations,
     multiplicities, labels and diameters of a RootMultiset, sorted by location.
 
@@ -430,40 +425,34 @@ def _cluster(z, cluster_radius, circle_band):
     loc = _centroids(z, order, start, size)
     radius = _modulus(loc)
     diam = np.zeros(size.size)
-    band = np.full(size.size, max(circle_band, 0.0))  # widened by a spread of 0
+    band = np.full(size.size, _CIRCLE_BAND)
     for g in np.flatnonzero((size > 1) | ~(radius < np.inf)).tolist():
         pts = z[order[start[g] : start[g] + size[g]]]
         diam[g] = _modulus(pts[:, None] - pts[None, :]).max()
         # a merged cluster locates its root only to about half its own
         # spread, so the circle test must not be sharper than that
-        band[g] = max(circle_band, 0.5 * diam[g])
+        band[g] = max(_CIRCLE_BAND, 0.5 * diam[g])
     label = np.where(radius < 1.0 - band, 0, np.where(radius > 1.0 + band, 2, 1))
     rank = _by_location(loc)
     return loc[rank], size[rank], _LABELS[label[rank]], diam[rank]
 
 
-def find_roots_batch(polys, tol=_ROOT_TOL, circle_band=_CIRCLE_BAND, seed=_SEED):
+def find_roots_batch(polys):
     """find_roots for every polynomial of a sequence, in one iteration.
 
     Returns a tuple with one RootMultiset per polynomial, each the one
-    find_roots gives for that polynomial alone; the parameters are
-    find_roots's and apply to every member. Errors come in the order
-    find_roots raises them: DomainError for tol or seed, then
-    ZeroPolynomial for the first zero member, then DomainError for the
-    first member with a NaN or infinite coefficient, then NoConvergence
-    for the first member whose roots did not settle within the one budget
-    of 200 steps.
+    find_roots gives for that polynomial alone. Errors come in the order
+    find_roots raises them: ZeroPolynomial for the first zero member, then
+    DomainError for the first member with a NaN or infinite coefficient,
+    then NoConvergence for the first member whose roots did not settle
+    within the one budget of 200 steps.
     """
-    return next(_rungs(polys, tol, circle_band, (_CLUSTER_RADIUS,), seed))
+    return next(_rungs(polys, (_CLUSTER_RADIUS,)))
 
 
-def _rungs(polys, tol, circle_band, radii, seed):
+def _rungs(polys, radii):
     """find_roots_batch clustered at each radius of radii in turn, from one
     solve: yields a tuple of RootMultiset per radius, raising its errors first."""
-    if not (0 < tol <= 1e-4):
-        raise DomainError("tol must lie in (0, 1e-4]")
-    if seed < 0:
-        raise DomainError("seed must be >= 0, got %d" % seed)
     coeffs = [np.array(f.coeffs, dtype=complex) for f in polys]
     if any(np.all(c == 0) for c in coeffs):
         raise ZeroPolynomial("cannot factor the zero polynomial")
@@ -478,11 +467,11 @@ def _rungs(polys, tol, circle_band, radii, seed):
         members.append((first, last, c[first : last + 1]))
 
     monics = [core / core[-1] for _, _, core in members if len(core) > 1]
-    z, rel = _solve(monics, seed) if monics else (np.empty(0, dtype=complex), None)
+    z, rel = _solve(monics) if monics else (np.empty(0, dtype=complex), None)
     ends = np.cumsum([0] + [len(core) - 1 for _, _, core in members]).tolist()
     for lo, hi in zip(ends, ends[1:]):
         # a NaN residual (an iterate that overflowed) fails the test too
-        if hi > lo and not (rel[lo:hi].max() <= tol):
+        if hi > lo and not (rel[lo:hi].max() <= _ROOT_TOL):
             raise NoConvergence(
                 "simultaneous iteration did not settle within %d steps" % _MAX_ITER,
                 residual=float(rel[lo:hi].max()),
@@ -490,38 +479,28 @@ def _rungs(polys, tol, circle_band, radii, seed):
     for radius in radii:
         yield tuple(
             RootMultiset(
-                *_cluster(z[lo:hi], radius, circle_band),
+                *_cluster(z[lo:hi], radius),
                 origin_mult=origin,
                 degree=deg,
                 leading_coeff=complex(core[-1]),
-                circle_band=circle_band,
             )
             for (origin, deg, core), lo, hi in zip(members, ends, ends[1:])
         )
 
 
-def find_roots(f, tol=_ROOT_TOL, circle_band=_CIRCLE_BAND, seed=_SEED):
-    """All roots of f with multiplicities, classified against the unit circle.
+def find_roots(f):
+    """All roots of the nonzero CoeffPoly f with multiplicities, classified
+    against the unit circle.
 
-    Parameters
-    ----------
-    f : CoeffPoly
-        Nonzero polynomial.
-    tol : float
-        Acceptance threshold, in (0, 1e-4]: the roots must reproduce the
-        coefficients to tol * max|coeff| when multiplied back out.
-    circle_band : float
-        Half-width of the on-circle classification band.
-    seed : int
-        Seed for the perturbed-circle initial guesses, >= 0. Fixed by
-        default so runs are reproducible; a negative seed raises DomainError.
-
-    Approximations a, b with |a - b| <= _CLUSTER_RADIUS * (1 + (|a| +
-    |b|) / 2), and chains of them, merge into one root of higher
-    multiplicity. Roots that do not meet tol within 200
-    simultaneous-iteration steps raise NoConvergence.
+    The settings are fixed: the iteration starts from the perturbed circle
+    seeded by _SEED (12345), a root is labelled on_circle within _CIRCLE_BAND
+    (1e-9) of the circle, and each root must reach a relative residual of
+    _ROOT_TOL (1e-8) within 200 simultaneous-iteration steps, or
+    NoConvergence is raised. Approximations a, b with |a - b| <=
+    _CLUSTER_RADIUS * (1 + (|a| + |b|) / 2), and chains of them, merge into
+    one root of higher multiplicity.
     """
-    return find_roots_batch((f,), tol, circle_band, seed)[0]
+    return find_roots_batch((f,))[0]
 
 
 def conj_reciprocal(alpha):

@@ -27,6 +27,7 @@ from dataclasses import asdict
 import numpy as np
 
 from .errors import ParseError, SchemaMismatch
+from .roots import _CIRCLE_BAND
 from .signals import AutocorrSeq, TrigPoly
 from .capacity import Constellation
 
@@ -234,7 +235,7 @@ def rootset_dict(r):
         "degree": r.degree,
         "origin_mult": r.origin_mult,
         "leading_coeff": complex_pair(r.leading_coeff),
-        "circle_band": r.circle_band,
+        "circle_band": _CIRCLE_BAND,
         "roots": [
             {
                 "location": location,

@@ -257,13 +257,12 @@ def intensity_samples(s, N):
 
 
 def screen_intensity(s):
-    """Intensity samples of a measurement, rejected when they dip negative.
+    """Reject a measurement whose synthesized intensity dips negative.
 
     Synthesizes s(t) on max(64, 16(2m+1)) points and raises
     NegativeIntensity when a sample falls below -1e-9 (1 + c_0), which no
-    square-law measurement reaches beyond rounding. Returns the samples.
+    square-law measurement reaches beyond rounding.
     """
-    samples = intensity_samples(s, max(64, 16 * (2 * s.m + 1)))
-    if samples.min() < -1e-9 * (1.0 + s.c0):
-        raise NegativeIntensity("synthesized intensity reaches %.6g" % samples.min())
-    return samples
+    low = intensity_samples(s, max(64, 16 * (2 * s.m + 1))).min()
+    if low < -1e-9 * (1.0 + s.c0):
+        raise NegativeIntensity("synthesized intensity reaches %.6g" % low)

@@ -66,7 +66,7 @@ def poly_from_roots(roots, lead=1.0):
     return coeffs
 
 
-def root_multiset(rows, origin=0, degree=None, leading=1.0, circle_band=1e-9):
+def root_multiset(rows, origin=0, degree=None, leading=1.0):
     """A RootMultiset of (location, multiplicity, label) or (location,
     multiplicity, label, diameter) rows, in the order given; the degree
     defaults to origin plus the multiplicities."""
@@ -76,12 +76,11 @@ def root_multiset(rows, origin=0, degree=None, leading=1.0, circle_band=1e-9):
         np.array(loc, dtype=complex), np.array(mult, dtype=np.intp),
         np.array(label, dtype=str), np.array(diam, dtype=float),
         origin_mult=origin, degree=origin + sum(mult) if degree is None else degree,
-        leading_coeff=leading, circle_band=circle_band,
+        leading_coeff=leading,
     )
 
 
 def roots_at(polys, cluster_radius):
     """find_roots_batch of polys with the approximations clustered at
     cluster_radius, the radius factor_sld widens on a retry."""
-    return next(roots._rungs(polys, roots._ROOT_TOL, roots._CIRCLE_BAND, (cluster_radius,),
-                             roots._SEED))
+    return next(roots._rungs(polys, (cluster_radius,)))

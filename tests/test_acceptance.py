@@ -249,8 +249,8 @@ def test_criterion_8_cli_runs_are_byte_identical(tmp_path):
         '{"m": 1, "coeffs": [[6, 0], [-5, 0], [1, 0]]}', encoding="utf-8"
     )
     batteries = (
-        ["enumerate", str(sig), "--seed", "31415"],
-        ["analyze", str(sig), "--seed", "31415"],
+        ["enumerate", str(sig)],
+        ["analyze", str(sig)],
         ["gap", "--sweep", "m=1..3"],
     )
     launchers = _launchers()

@@ -181,18 +181,6 @@ def test_factor_shift_fixture():
     )
 
 
-@pytest.mark.parametrize("bad", (float("nan"), float("inf"), -1e-6))
-def test_enumerate_rejects_bad_root_tol(bad):
-    with pytest.raises(errors.DomainError, match="tol must"):
-        enumerate_classes(TrigPoly(m=1, coeffs=[6, -5, 1]), root_tol=bad)
-
-
-@pytest.mark.parametrize("bad", (float("nan"), float("inf"), -1e-6))
-def test_factor_rejects_bad_root_tol(bad):
-    with pytest.raises(errors.DomainError, match="tol must"):
-        factor_sld(autocorrelation(TrigPoly(m=1, coeffs=[6, -5, 1])), root_tol=bad)
-
-
 def test_factor_rejects_indefinite_sequence(monkeypatch):
     bad = AutocorrSeq(m=1, coeffs=[0, 1, 1, 1, 0])
     with pytest.raises(errors.NegativeIntensity):
@@ -229,8 +217,8 @@ def test_factor_quadruple_circle_root(monkeypatch):
     solves, rungs = [], []
     solve, cluster = root_finder._solve, root_finder._cluster
     monkeypatch.setattr(root_finder, "_solve", lambda *a: solves.append(a) or solve(*a))
-    monkeypatch.setattr(root_finder, "_cluster", lambda z, radius, band: rungs.append(radius)
-                        or cluster(z, radius, band))
+    monkeypatch.setattr(root_finder, "_cluster", lambda z, radius: rungs.append(radius)
+                        or cluster(z, radius))
     cs = factor_sld(autocorrelation(p))
     assert len(solves) == 1 and len(rungs) > 1
     assert rungs == list(ambiguity._RUNGS[: len(rungs)])
