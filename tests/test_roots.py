@@ -37,7 +37,6 @@ from oracles import (
 )
 
 
-
 def sorted_locs(r):
     return sorted(r.locations.tolist(), key=lambda z: (z.real, z.imag))
 
@@ -141,6 +140,27 @@ def test_circle_label_band():
     assert find_roots(f).labels.tolist() == ["on_circle"]
     g = CoeffPoly(coeffs=poly_from_roots([1.0 + 1e-6]), n=1)
     assert find_roots(g).labels.tolist() == ["outside"]
+
+
+@pytest.mark.parametrize(
+    "root, label",
+    (
+        (1.0 + 5e-10, "on_circle"),
+        (1.0 - 5e-10, "on_circle"),
+        (1.0 + 2e-9, "outside"),
+        (1.0 - 2e-9, "inside"),
+        (np.exp(0.7j) * (1.0 + 5e-10), "on_circle"),
+        (-1j * (1.0 - 2e-9), "inside"),
+        (complex(0.6, 0.8), "on_circle"),
+    ),
+    ids=("out-in-band", "in-in-band", "out-past-band", "in-past-band", "rotated-in-band",
+         "rotated-past-band", "on-circle"),
+)
+def test_circle_band_edges(root, label):
+    # a simple root among others is labelled by the fixed 1e-9 band alone
+    f = CoeffPoly(coeffs=poly_from_roots([0.3, root, 3.0 - 1j]), n=3)
+    r = find_roots(f)
+    assert r.labels[np.abs(r.locations - root).argmin()] == label
 
 
 def multiplied_out(r):
@@ -745,7 +765,14 @@ def _cluster_cases():
     yield np.array([complex(inf, 0.0)]), 1e-6
     yield np.array([complex(0.0, -inf)]), 1e-6
     # points on, inside and outside the edges of the 1e-9 circle band
-    yield np.array([1.0, 1.0 + 1e-9, 1.0 - 2e-9, -1j, complex(0.6, 0.8), 1.0 + 5e-7]), 1e-6
+    ring = np.array([1.0, 1.0 + 1e-9, 1.0 - 2e-9, -1j, complex(0.6, 0.8), 1.0 + 5e-7])
+    yield ring, 1e-6
+    # the same points at a radius too small to merge any of them
+    yield ring, 1e-12
+    # merged clusters whose half-spread widens the band: one straddling the
+    # circle, and one 3e-9 out that a lone point there would leave outside
+    yield np.array([1.0 + 4e-7, 1.0 - 4e-7, complex(1.0, 4e-7), complex(2e-8, 1.0 + 3e-9),
+                    complex(-2e-8, 1.0 + 3e-9), -1.0 - 3e-9]), 1e-6
 
 
 CLUSTER_CASES = list(_cluster_cases())
