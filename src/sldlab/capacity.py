@@ -21,7 +21,7 @@ from .errors import (
     DuplicateSignals,
     UnsupportedOrder,
 )
-from .roots import OrbitTable, _row_max, _sweep, conj_reciprocal
+from .roots import _SWEEP_ROWS, OrbitTable, _row_max, _sweep, conj_reciprocal
 from .signals import TrigPoly, _half_lags, autocorrelation
 
 # radius of the measurement and rotated-signal bins, per unit of each row's
@@ -138,8 +138,16 @@ def _groups(rows, radii):
     """_sweep's group ids of the rows of a 2-D complex array, where rows i and j
     link when max_k |a_ik - a_jk| <= max(r_i, r_j) (radii: one per row, or one)."""
     radii = np.broadcast_to(radii, (len(rows),))
-    return _sweep(rows, radii.max(), lambda i, j:
-                  _row_max(np.abs(rows[i] - rows[j])) <= np.maximum(radii[i], radii[j]))
+
+    def link(i, j):  # _SWEEP_ROWS pairs at a time, so no temporary is full size
+        hit = np.empty(len(i), dtype=bool)
+        for lo in range(0, len(i), _SWEEP_ROWS):
+            block = slice(lo, lo + _SWEEP_ROWS)
+            a, b = i[block], j[block]
+            hit[block] = _row_max(np.abs(rows[a] - rows[b])) <= np.maximum(radii[a], radii[b])
+        return hit
+
+    return _sweep(rows, radii.max(), link)
 
 
 def _partition_entropy(ids, probs):

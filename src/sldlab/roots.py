@@ -52,6 +52,8 @@ _MATCH_TOL = 1e-6
 _CLUSTER_RADIUS = 1e-6
 # rows _row_max walks a column of at a time: 8,192 rows of 17 floats fit a 2 MB L2
 _WALK_ROWS = 8192
+# rows, or row pairs, the grouper takes at a time, so no temporary is full size
+_SWEEP_ROWS = 1024
 _NO_RECIPROCAL = "the origin has no reciprocal conjugate"
 
 
@@ -130,25 +132,32 @@ def _sweep(rows, radius, link):
     linked rows chain into one group. Rows that link must differ by at
     most radius in every coefficient, so over w coefficients the projection
     p = sum_k (Re a_k + Im a_k) moves by at most sqrt(2) * w * radius,
-    so the reach in p is 2w * radius. p is one sum over the 2w real parts
-    of a row, in whatever order numpy adds them, so it is off by at most
-    (2w - 1) * eps/2 times the row's l1 norm; the rounding of two rows' p
-    together stays under 2w * eps times the largest l1 norm, which the
-    reach's slack of 8w * eps times that norm, and the slack up from
-    sqrt(2), absorb. So link only ever sees pairs within reach in p:
+    so the reach in p is 2w * radius. p is one matvec over the 2w real
+    parts of a row, summed in whatever order BLAS adds them, so it is off
+    by at most (2w - 1) * eps/2 times the row's l1 norm; the rounding of
+    two rows' p together stays under 2w * eps times the largest l1 norm,
+    which the reach's slack of 8w * eps times that norm, and the slack up
+    from sqrt(2), absorb. So link only ever sees pairs within reach in p:
     consecutive rows in p order that are within reach (or whose p is NaN)
     are compared and, where they link, form chains, and then only pairs of
     different chains within reach are compared, so a bin of near-identical
     rows costs one pass, and rows that form one chain are one group with
-    nothing more to compare. A reach that is not finite compares every pair.
+    nothing more to compare. The sort need not be stable: whatever the
+    order of tied rows, every pair within reach is in one chain or
+    compared, so the ids, the components of the links numbered by smallest
+    row, are the same. Only positions whose next chain starts within reach
+    search for the end of it. A reach that is not finite compares every pair.
     """
     n, width = rows.shape
     parts = np.ascontiguousarray(rows).view(float)
-    proj = parts.sum(axis=1)
-    l1 = np.abs(parts).sum(axis=1)
-    reach = 2 * width * radius + 8 * width * np.finfo(float).eps * l1.max(initial=0.0)
+    ones = np.ones(2 * width)
+    proj = parts @ ones
+    l1 = 0.0  # the largest l1 norm, _SWEEP_ROWS rows at a time
+    for lo in range(0, n, _SWEEP_ROWS):
+        l1 = np.maximum(l1, (np.abs(parts[lo : lo + _SWEEP_ROWS]) @ ones).max())
+    reach = 2 * width * radius + 8 * width * np.finfo(float).eps * l1
 
-    order = np.argsort(proj, kind="stable")
+    order = np.argsort(proj)
     swept = proj[order]
     # written as not > so a NaN projection is still compared
     near = np.flatnonzero(~(np.diff(swept) > reach))
@@ -163,15 +172,18 @@ def _sweep(rows, radius, link):
 
     # sorted position s is compared with [chain_end_s, end of its reach),
     # 1M coefficient pairs per block so the comparison arrays stay near 4M
-    stop = np.searchsorted(swept, swept + reach, side="right") if np.isfinite(reach) else n
-    count = np.maximum(stop - chain_end, 0)
+    lim = swept + reach
+    ahead = np.flatnonzero(~(swept.take(chain_end, mode="clip") > lim))
+    stop = np.searchsorted(swept, lim[ahead], side="right") if np.isfinite(reach) else n
+    count = np.maximum(stop - chain_end[ahead], 0)
     end = np.cumsum(count)
     links = [np.empty((2, 0), dtype=np.intp)]
     step = max(1, 1_000_000 // width)
-    for t0 in range(0, int(end[-1]), step):
+    for t0 in range(0, int(count.sum()), step):
         t = np.arange(t0, min(int(end[-1]), t0 + step))
-        s = np.searchsorted(end, t, side="right")
-        u = chain_end[s] + t - (end[s] - count[s])
+        k = np.searchsorted(end, t, side="right")
+        s = ahead[k]
+        u = chain_end[s] + t - (end[k] - count[k])
         hit = link(order[s], order[u])
         links.append(chain[np.stack([s[hit], u[hit]])])
 

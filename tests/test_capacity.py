@@ -322,6 +322,11 @@ def _integer_rows(rng, n, width):
     return rows
 
 
+def _tie_order(n):
+    """The order _grouping_cases gives the rows of its cases whose projections tie."""
+    return np.random.default_rng(405).permutation(n)
+
+
 def _grouping_cases():
     rng = np.random.default_rng(404)
     # 4,096 rows within 1e-12 of one row, plus eight far rows among them
@@ -351,11 +356,13 @@ def _grouping_cases():
 
     # exact copies merge even at radius 0
     copies = rng.standard_normal((7, 3)) + 1j * rng.standard_normal((7, 3))
-    yield "duplicates", copies[rng.integers(0, 7, 50)], 0.0, 7
+    copies = copies[rng.integers(0, 7, 50)]
+    yield "duplicates", copies, 0.0, 7
 
     # 1,500 rows of one projection: 1.1M candidate pairs, more than three
     # blocks of 1M // 3 pairs, with repeats spread across the blocks
-    yield "blocks", _integer_rows(rng, 1500, 3), 0.5, None
+    blocks = _integer_rows(rng, 1500, 3)
+    yield "blocks", blocks, 0.5, None
 
     # nothing links: rows far apart in the projection, and distinct rows of
     # one projection, each within reach of every other
@@ -367,6 +374,12 @@ def _grouping_cases():
     # each other but do not link
     one_chain = rng.permutation(np.arange(40)[:, None] * 0.6e-3 * direction)
     yield "one-chain", one_chain, 1e-3, 1
+
+    # the cases whose projections tie, rows permuted: the sort may order
+    # tied rows any way, and the partition must not depend on it
+    tied = [("equal-projection", flat, 0.5), ("duplicates", copies, 0.0), ("blocks", blocks, 0.5)]
+    for name, rows, radius in tied:
+        yield name + "-permuted", rows[_tie_order(len(rows))], radius, None
 
 
 @pytest.mark.parametrize("name,rows,radii,count",
@@ -384,6 +397,18 @@ def test_groups_match_pairwise_union_find(name, rows, radii, count):
     if name == "blocks":
         assert len(rows) * (len(rows) - 1) // 2 > 3 * (1_000_000 // 3)
         assert 0 < len(rows) - (got.max() + 1)
+
+
+@pytest.mark.parametrize("name", ["equal-projection", "duplicates", "blocks"])
+def test_groups_of_permuted_ties_are_the_permuted_partition(name):
+    cases = {case[0]: case[1:3] for case in _grouping_cases()}
+    rows, radius = cases[name]
+    moved, _ = cases[name + "-permuted"]
+    perm = _tie_order(len(rows))
+    assert np.array_equal(moved, rows[perm])
+    assert len(np.unique((rows.real + rows.imag).sum(axis=1))) < len(rows) // 6
+    want = first_ids_loop(_groups(rows, radius)[perm].tolist())[0]
+    assert _groups(moved, radius).tolist() == want == pairwise_groups(moved, radius)
 
 
 @pytest.mark.parametrize("name,rows,radii", [
@@ -642,7 +667,9 @@ def test_gap_builders_hold_few_copies_of_their_points_at_peak():
     # Its class rows are built 1,024 at a time, and its gate compares the
     # lags with the rows given over to the points, so it peaks at 3.5
     # times the points (4.5 when the whole rows outlived the copy);
-    # gap_experiment's bins then peak at 5.3 times
+    # gap_experiment's bins, whose link rule compares 1,024 row pairs at a
+    # time, then peak at 3.6 times (5.3 with whole-size pair temporaries),
+    # and the bound leaves 8% over that
     gap_experiment(bundled_constellation(1))
     tracemalloc.start()
     try:
@@ -654,7 +681,7 @@ def test_gap_builders_hold_few_copies_of_their_points_at_peak():
         tracemalloc.stop()
     assert len(c.coeffs) == 4**7 + 2 and report.passed
     assert built < 4 * c.coeffs.nbytes, built / c.coeffs.nbytes
-    assert peak < 6 * c.coeffs.nbytes, peak / c.coeffs.nbytes
+    assert peak < 3.9 * c.coeffs.nbytes, peak / c.coeffs.nbytes
 
 
 @pytest.mark.parametrize("victim", [0, -1])

@@ -31,6 +31,7 @@ from oracles import (
     cluster_loop,
     equiv_battery,
     find_roots_loop,
+    first_ids_loop,
     orbit_groups_loop,
     root_rows,
     union_find_groups,
@@ -451,6 +452,18 @@ def test_groups_of_a_crowd_match_union_find(tol):
     pts = _crowd(tol, np.random.default_rng(1016))
     assert _link_ids_of(pts, tol) == _union_find_ids(pts, tol)
     assert len(pts) == 160 and max(map(len, union_find_groups(pts, tol))) >= 12
+
+
+@pytest.mark.parametrize("tol", [1e-4, 5e-4])
+def test_groups_of_a_permuted_crowd_are_the_permuted_partition(tol):
+    # the crowd's exact copies tie in the sweep's projection, so another
+    # order of the points sorts them another way round
+    pts = _crowd(tol, np.random.default_rng(1016))
+    perm = np.random.default_rng(1017).permutation(len(pts))
+    moved = [pts[i] for i in perm]
+    ids = _link_ids_of(pts, tol)
+    want = first_ids_loop([ids[i] for i in perm])[0]
+    assert _link_ids_of(moved, tol) == want == _union_find_ids(moved, tol)
 
 
 def _one_chain_sets(tol, rng):
