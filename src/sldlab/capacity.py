@@ -19,6 +19,7 @@ from .ambiguity import _class_rows, _lag_deviations, _source_gate
 from .errors import (
     DomainError,
     DuplicateSignals,
+    OutsideGapPremise,
     UnsupportedOrder,
 )
 from .roots import _SWEEP_ROWS, OrbitTable, _row_max, _sweep, conj_reciprocal
@@ -27,6 +28,7 @@ from .signals import TrigPoly, _half_lags, autocorrelation
 # radius of the measurement and rotated-signal bins, per unit of each row's
 # largest modulus
 _BIN_RADIUS = 1e-7
+_CHAIN_TOL = 1e-9  # largest chain_residual, in bits, under which gap judges its bound
 # angle by which the gap builders turn their inside roots off the grid
 _SPREAD = 0.37
 
@@ -215,7 +217,7 @@ def gap_experiment(c):
     small ones. A measurement is binned by its lags k >= 0, c.lags, which
     the gap builders have already computed to gate their class rows: the
     lags k < 0 are their conjugates, which change neither a modulus nor a
-    distance.
+    distance. passed judges the bound only within require_premise's premise.
     """
     m = c.m
     if m < 1:
@@ -247,9 +249,18 @@ def gap_experiment(c):
         chain_residual=chain_residual,
         per_dim_gap=per_dim_gap,
         bound=float(bound),
-        passed=bool(per_dim_gap <= bound + 1e-9),
+        passed=bool(chain_residual <= _CHAIN_TOL and per_dim_gap <= bound + 1e-9),
         zero_dc=zero_dc,
     )
+
+
+def require_premise(report):
+    """report, if the chain identity i_xy - i_xs = H(Z|S) the bound rests on holds."""
+    if not report.chain_residual <= _CHAIN_TOL:
+        raise OutsideGapPremise("gap: chain_residual %r exceeds %r; the bound assumes that the "
+                                "grid-normalized phase and the measurement determine the signal"
+                                % (report.chain_residual, _CHAIN_TOL))
+    return report
 
 
 def _deterministic_roots(m, q):

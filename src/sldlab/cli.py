@@ -9,7 +9,8 @@ check failed, 1 means an operational error such as unreadable input, an
 unwritable output or an empty output path. Each error prints exactly one
 line on stderr: "error: ..." with exit 1, "validation failure: ..." with
 exit 2 (a failed bound check prints nothing there; its verdict is in the
-report). Every output path is opened before anything is written, so an
+report; a gap constellation outside the bound's premise is a validation
+failure). Every output path is opened before anything is written, so an
 unwritable one leaves no other output, and neither do two outputs naming
 one file.
 
@@ -31,12 +32,13 @@ from dataclasses import asdict
 
 from . import __version__
 from .ambiguity import certify_bound, enumerate_classes, factor_sld
-from .capacity import bundled_constellation, gap_experiment
+from .capacity import bundled_constellation, gap_experiment, require_premise
 from .equivalence import numeric_magnitude_equiv, phase_equiv, struct_magnitude_equiv
 from .errors import (
     DomainError,
     NegativeIntensity,
     NotAnAutocorrelation,
+    OutsideGapPremise,
     SldLabError,
 )
 from .roots import _CIRCLE_BAND, _ROOT_TOL, _SEED, find_roots, pair_reciprocal
@@ -200,7 +202,8 @@ def _parse_sweep(text):
 def _cmd_gap(args):
     if args.sweep:
         lo, hi = _parse_sweep(args.sweep)
-        reports = [gap_experiment(bundled_constellation(m)) for m in range(lo, hi + 1)]
+        reports = [require_premise(gap_experiment(bundled_constellation(m)))
+                   for m in range(lo, hi + 1)]
         outputs = [(args.csv, gap_csv(reports))]
         if args.output:
             payload = {"reports": [gap_dict(r) for r in reports]}
@@ -208,7 +211,7 @@ def _cmd_gap(args):
         _write(*outputs)
         return 0 if all(r.passed for r in reports) else 2
     c = parse_constellation(load_json(args.inputs[0]))
-    report = gap_experiment(c)
+    report = require_premise(gap_experiment(c))
     _emit(args, {"gap": gap_dict(report)})
     return 0 if report.passed else 2
 
@@ -275,7 +278,7 @@ def main(argv=None):
     try:
         _check(args)
         return _COMMANDS[args.command](args)
-    except (NotAnAutocorrelation, NegativeIntensity) as exc:
+    except (NotAnAutocorrelation, NegativeIntensity, OutsideGapPremise) as exc:
         print("validation failure: %s" % exc, file=sys.stderr)
         return 2
     except SldLabError as exc:

@@ -85,6 +85,10 @@ class UnsupportedOrder(DomainError):
     """Harmonic order outside the experiment's supported range (m >= 1)."""
 
 
+class OutsideGapPremise(DomainError):
+    """Constellation breaks the chain identity the gap bound rests on."""
+
+
 # CLI / serialization
 
 class ParseError(SldLabError):

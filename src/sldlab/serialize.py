@@ -433,7 +433,7 @@ def _canvas_text(shape, fields):
     texts _float_bytes writes into _CHARS columns in place; or a pair
     (texts, index) of such text rows and each cell's row of them, in order,
     gathered into the columns _BLOCK cells at a time. The text is the
-    canvas without its NULs, decoded once.
+    canvas's bytes with the NULs deleted by bytes.translate, decoded once.
     """
     widths = [field[0].shape[-1] if isinstance(field, tuple) else
               _CHARS if field.dtype == np.float64 else field.shape[-1] for field in fields]
@@ -444,12 +444,12 @@ def _canvas_text(shape, fields):
         if isinstance(field, tuple):
             table, index = field
             for i in range(0, len(rows), _BLOCK):
-                rows[i : i + _BLOCK, lo:hi] = table[index[i : i + _BLOCK]]
+                rows[i : i + _BLOCK, lo:hi] = table.take(index[i : i + _BLOCK], axis=0)
         elif field.dtype == np.float64:
             _float_bytes(field.reshape(-1), out=rows[:, lo:hi])
         else:
             canvas[..., lo:hi] = field
-    return canvas[canvas != 0].tobytes().decode("ascii")
+    return canvas.tobytes().translate(None, b"\0").decode("ascii")
 
 
 def _shortest(x):
@@ -643,23 +643,26 @@ def render_report(payload):
 
 _SAMPLES = 64  # circle samples per representative in the class CSV
 _CSV_CLASSES = 128  # representatives formatted per chunk
+_SQUARES = _SAMPLES * _CSV_CLASSES  # most intensity texts a class CSV keeps: a block's cells
 
 
 def class_csv(cs):
     """Class CSV text in chunks: 64 circle samples per representative.
 
     Representative b is sampled at t_j = j * T / 64 as
-    y(t_j) = sum_k b_k exp(2 pi i k t_j / T), k = -m..m: one phases @ row
-    per class, with the (64, 2m+1) phase matrix built once. A product of
-    the whole block, or einsum, rounds 18% to 71% of the parts differently.
-    The intensity is Python's abs(z) ** 2: numpy's hypot squared by libm's
-    pow, once per distinct modulus of a block. On perfbench's seed-1
-    classes-m5 draw, x * x differs from pow in the last bit on 157 of the
-    65,536 samples, and a block's 8,192 samples have 930 to 1,295 distinct
-    moduli (1,054 on average); np.unique and the pow loop take about 5 ms
-    of an op there. A block of _CSV_CLASSES classes is one _canvas_text, a
-    cell per sample: class id, ",sample,t," lead, separators, and the repr
-    texts of re, im and intensity.
+    y(t_j) = sum_k b_k exp(2 pi i k t_j / T), k = -m..m, with the (64, 2m+1)
+    phase matrix built once: np.matmul(phases, block[:, :, None]) makes
+    phases @ row's gemv call per class. A product of the whole block, or
+    einsum, rounds 18% to 71% of the parts differently. The intensity is
+    Python's abs(z) ** 2: numpy's hypot squared by libm's pow (x * x
+    differs in the last bit on 157 of the 65,536 samples of perfbench's
+    seed-1 classes-m5 draw), once per distinct modulus of the CSV: 1,604 to
+    2,338 on seeds 1-3, against 8,435 to 11,639 once per block. A block's
+    moduli come from np.unique and are looked up by their float64 bits (so
+    inf and NaN are exact keys) in a table of the squares' texts that starts
+    over from the current block past _SQUARES entries. A block of
+    _CSV_CLASSES classes is one _canvas_text, a cell per sample: class id,
+    ",sample,t," lead, separators, and the repr texts of re, im and intensity.
     """
     yield "class,sample,t,re,im,intensity\n"
     period = cs.autocorr.period
@@ -668,16 +671,25 @@ def class_csv(cs):
     phases = np.exp(2j * np.pi * np.multiply.outer(t, k) / period)
     leads = _text_rows(",%d,%r," % (j, tj) for j, tj in enumerate(t.tolist()))
     comma, newline = _text_rows(",\n")
+    keys = np.empty(0, np.uint64)  # the bits of the moduli seen, ascending
+    squares = np.empty((0, _CHARS), np.uint8)  # the texts of their squares, in key order
     for lo in range(0, cs.exact_count, _CSV_CLASSES):
         block = cs.coeffs[lo : lo + _CSV_CLASSES]
-        values = np.stack([phases @ row for row in block]).ravel()
+        values = np.matmul(phases, block[:, :, None]).ravel()
         with np.errstate(over="ignore"):  # a modulus or its square past the float range is inf
             moduli, cell = np.unique(np.hypot(values.real, values.imag), return_inverse=True)
-            squares = _float_bytes(np.array([h ** 2 for h in moduli]))
+            bits = moduli.view(np.uint64)  # ascending too: no modulus is below 0, one NaN is last
+            at = np.searchsorted(keys, bits)
+            new = np.flatnonzero(keys.take(at, mode="clip") != bits if len(keys) else bits == bits)
+            if len(keys) + len(new) > _SQUARES:  # start over from this block
+                keys, squares, at, new = keys[:0], squares[:0], 0 * at, np.arange(len(bits))
+            texts = _float_bytes(np.array([h ** 2 for h in moduli[new]]))
+        squares = np.insert(squares, at[new], texts, axis=0)
+        keys = np.insert(keys, at[new], bits[new])
         shape = (len(block), _SAMPLES)
         ids = _text_rows(map(str, range(lo, lo + len(block))))
         yield _canvas_text(shape, [ids[:, None], leads, values.real, comma, values.imag, comma,
-                                   (squares, cell.reshape(-1)), newline])
+                                   (squares, np.searchsorted(keys, bits)[cell]), newline])
 
 
 def gap_csv(reports):

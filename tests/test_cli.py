@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sldlab import TrigPoly, autocorrelation, cli, enumerate_classes, serialize
+from sldlab import TrigPoly, autocorrelation, cli, enumerate_classes, errors, serialize
 from sldlab.cli import _build_parser, main
 from sldlab.equivalence import EquivalenceVerdict
 from sldlab.serialize import load_json, parse_signal, signal_dict
@@ -155,6 +155,42 @@ def test_gap_from_file(tmp_path, capsys):
     out = read_json(capsys)
     assert out["gap"]["per_dim_gap"] == pytest.approx(0.0, abs=1e-12)
     assert out["gap"]["pass"] is True
+
+
+def _rotations(b, count):
+    """The constellation of the `count` global rotations e^{2 pi i k / count} of b."""
+    turns = np.exp(2j * np.pi * np.arange(count) / count)
+    return {"m": (len(b) - 1) // 2, "points": [
+        {"coeffs": [[z.real, z.imag] for z in (turn * np.asarray(b)).tolist()], "probability": 1}
+        for turn in turns]}
+
+
+def test_gap_refuses_a_constellation_outside_the_bounds_premise(tmp_path, monkeypatch, capsys):
+    # 64 off-grid rotations of one generic m = 1 signal share a measurement
+    # and a grid-turned signal, so (Z, S) does not determine X: the chain
+    # identity misses by 6 bits, and the bound is not judged
+    rotations = _rotations([0.3 + 0.1j, 1.0 - 0.2j, 0.5 + 0.7j], 64)
+    cfile = write_json(tmp_path, "rotations.json", rotations)
+    report = cli.gap_experiment(serialize.parse_constellation(rotations))
+    assert (report.chain_residual, report.passed) == (6.0, False)
+    with pytest.raises(errors.OutsideGapPremise, match="chain_residual 6.0 exceeds"):
+        cli.require_premise(report)
+    # at m = 2 the same rotations meet the bound's number, 1.2, but not its premise
+    m2 = _rotations([0.3 + 0.1j, 1.0 - 0.2j, 0.5 + 0.7j, -0.4 + 0.2j, 0.6 - 0.3j], 64)
+    report = cli.gap_experiment(serialize.parse_constellation(m2))
+    assert report.per_dim_gap <= report.bound + 1e-9
+    assert (report.chain_residual, report.passed) == (5.0, False)
+    out, table = tmp_path / "gap.json", tmp_path / "gap.csv"
+    monkeypatch.setattr(cli, "bundled_constellation",
+                        lambda m: serialize.parse_constellation(rotations))
+    for argv in (["gap", cfile, "--json", str(out)],
+                 ["gap", "--sweep", "m=1..2", "--json", str(out), "--csv", str(table)]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("validation failure: gap: chain_residual 6.0 exceeds 1e-09")
+        assert "grid-normalized phase" in captured.err and captured.err.count("\n") == 1
+        assert not out.exists() and not table.exists()
 
 
 def test_gap_sweep_csv(tmp_path):

@@ -200,15 +200,49 @@ def test_class_csv_keeps_the_bytes_of_the_values_repr_writes():
     assert _float_texts(special) == list(map(repr, special.tolist()))
 
 
-def test_class_csv_memory_stays_per_block():
-    # 14 roots at distinct angles and radii: 4**7 = 16,384 classes, 128 blocks
-    angles = np.linspace(0.0, 2 * np.pi, 14, endpoint=False) + 0.1
-    roots = np.where(np.arange(14) % 2, 0.5, 1.8) * np.exp(1j * angles)
-    cs = enumerate_classes(TrigPoly(m=7, coeffs=_poly(roots)))
-    assert cs.exact_count == 4**7
+def test_class_csv_over_blocks_keeps_the_oracles_bytes(monkeypatch):
+    # four blocks of m = 1 classes, the last partial. Block 1 repeats block
+    # 0's moduli, each row negated; block 2's new rows take the intensity
+    # table past its cap, so it starts over; block 3 repeats block 2's
+    # moduli and alone has a square past the float range. Zero and
+    # subnormal samples recur in every block
+    rng = np.random.default_rng(8)
+    special = np.array([[0, 0, 0], [0, 5e-324 + 2e-310j, 0]])
+    first = np.concatenate([special, rng.normal(size=(126, 3)) + 1j * rng.normal(size=(126, 3))])
+    third = np.concatenate([special, rng.normal(size=(126, 3)) + 1j * rng.normal(size=(126, 3))])
+    rows = np.concatenate([first, -first, third, -third[:40], [[0, 1.5e154, 0]]])
+    cs = SimpleNamespace(autocorr=SimpleNamespace(period=1.0), source_m=1,
+                         exact_count=len(rows), coeffs=rows)
+    formatted = []  # the intensities each block squares and formats
+    real = serialize._float_bytes
+
+    def spy(values, out=None):
+        if out is None:
+            formatted.append(len(values))
+        return real(values, out)
+
+    monkeypatch.setattr(serialize, "_float_bytes", spy)
+    chunks = list(serialize.class_csv(cs))
+    with np.errstate(over="ignore"):
+        want = class_csv_text(rows, 1, 1.0)
+    assert "".join(chunks) == want
+    assert len(chunks) == 1 + 4 and chunks[-1].count("\n") == 41 * serialize._SAMPLES
+    # each random row's samples have moduli of their own, zero and the
+    # subnormal sample the other two; block 2 formats those two again only
+    # because the table started over
+    whole = 2 + 126 * serialize._SAMPLES
+    assert 2 * whole > serialize._SQUARES
+    assert formatted == [whole, 0, whole, 1]
+    assert [",inf\n" in chunk for chunk in chunks] == [False] * 4 + [True]
+    subnormal = ",5e-324,2e-310,0.0\n", ",-5e-324,-2e-310,0.0\n"  # odd blocks are negated
+    for k, chunk in enumerate(chunks[1:]):
+        assert ",0.0,0.0,0.0\n" in chunk and subnormal[k % 2] in chunk
+
+
+def _class_csv_peak(cs, blocks):
+    """tracemalloc's peak over the first `blocks` blocks of cs's class CSV, per cell."""
     _float_texts(np.array([0.1]))  # the formatter's tables live for the process
     cells = 8 * serialize._SAMPLES * serialize._CSV_CLASSES  # one block's cells
-    blocks = 8  # a 16th of the CSV: tracing every allocation is slow
     rows = 0
     tracemalloc.start()
     try:
@@ -218,9 +252,34 @@ def test_class_csv_memory_stays_per_block():
     finally:
         tracemalloc.stop()
     assert rows == 1 + blocks * cells // 8
-    # about 67 bytes a cell; keeping each block's re texts makes it about
-    # 129, and sampling every class before the first block about 590
-    assert peak < 100 * cells, peak / cells
+    return peak / cells
+
+
+def test_class_csv_memory_stays_per_block():
+    # 14 roots at distinct angles and radii: 4**7 = 16,384 classes, 128 blocks
+    angles = np.linspace(0.0, 2 * np.pi, 14, endpoint=False) + 0.1
+    roots = np.where(np.arange(14) % 2, 0.5, 1.8) * np.exp(1j * angles)
+    cs = enumerate_classes(TrigPoly(m=7, coeffs=_poly(roots)))
+    assert cs.exact_count == 4**7
+    blocks = 8  # a 16th of the CSV: tracing every allocation is slow
+    # about 60 bytes a cell (68 with the intensity table at its cap below);
+    # keeping each block's re texts made it about 129, and sampling every
+    # class before the first block about 590
+    per_cell = _class_csv_peak(cs, blocks)
+    assert per_cell < 100, per_cell
+    # random classes, each sample its own modulus: the intensity table is
+    # at its cap of one block's texts from the first block on, and starts
+    # over at every later one
+    rows = np.random.default_rng(4).normal(size=(blocks * serialize._CSV_CLASSES, 15, 2))
+    rows = rows.view(complex)[..., 0]
+    cs = SimpleNamespace(autocorr=SimpleNamespace(period=1.0), source_m=7,
+                         exact_count=len(rows), coeffs=rows)
+    t = np.arange(serialize._SAMPLES) / serialize._SAMPLES
+    phases = np.exp(2j * np.pi * np.multiply.outer(np.arange(-7, 8), t))
+    samples = rows[: 2 * serialize._CSV_CLASSES] @ phases
+    assert len(np.unique(np.abs(samples))) > serialize._SQUARES
+    per_cell = _class_csv_peak(cs, blocks)
+    assert per_cell < 100, per_cell
 
 
 def test_report_memory_holds_one_block_of_texts():
