@@ -14,7 +14,7 @@ import sys
 
 import numpy as np
 
-from sldlab import TrigPoly, certify_bound, enumerate_classes, find_roots, lift
+from sldlab import TrigPoly, certify_bound, enumerate_classes, find_roots
 
 
 def draw_signal(rng, m, squeeze):
@@ -22,7 +22,7 @@ def draw_signal(rng, m, squeeze):
     if squeeze <= 0:
         return TrigPoly(m=m, coeffs=coeffs)
     # pull every root radially toward the circle by the squeeze factor
-    r = find_roots(lift(TrigPoly(m=m, coeffs=coeffs)))
+    r = find_roots(coeffs)
     out = np.array([complex(r.leading_coeff)])
     for _ in range(r.origin_mult):
         out = np.convolve(out, np.array([0.0j, 1.0 + 0j]))

@@ -3,15 +3,7 @@ and finite-order information-loss experiments for time-limited signals."""
 
 __version__ = "0.1.0"
 
-from .signals import (
-    AutocorrSeq,
-    CoeffPoly,
-    TrigPoly,
-    autocorr_lift,
-    autocorrelation,
-    intensity_samples,
-    lift,
-)
+from .signals import AutocorrSeq, TrigPoly, autocorrelation
 from .roots import (
     OrbitTable,
     RootMultiset,

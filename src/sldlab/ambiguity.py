@@ -28,17 +28,11 @@ from .errors import (
     DegreeTooLarge,
     DomainError,
     NotAnAutocorrelation,
+    ZeroInput,
     ZeroSignal,
 )
 from .roots import _CLUSTER_RADIUS, _modulus, _row_max, _rungs, find_roots, pair_reciprocal
-from .signals import (
-    _half_lags,
-    AutocorrSeq,
-    autocorr_lift,
-    autocorrelation,
-    lift,
-    screen_intensity,
-)
+from .signals import _half_lags, AutocorrSeq, autocorrelation, screen_intensity
 
 # candidate rows built per block: of 512 to 8,192, 1,024 faults least in gap --sweep
 _BLOCK_ROWS = 1024
@@ -288,7 +282,7 @@ def enumerate_classes(p):
     """
     if np.all(p.coeffs == 0):
         raise ZeroSignal("the zero signal has no ambiguity classes")
-    r = find_roots(lift(p))
+    r = find_roots(p.coeffs)
     # a signal's orbits each hold all their roots; the rows come through
     # _source_gate against the signal's own measurement (the gap
     # constellations gate theirs on the lags their Constellation keeps)
@@ -309,19 +303,21 @@ def factor_sld(s):
     (shift_hi + 1) * prod(k_inner_i + 1) over the lift's orbits.
 
     The sampled intensity screen runs first: a sequence whose synthesized
-    intensity dips negative raises NegativeIntensity before any root is
-    solved for. A row that misses s by more than max(1e-7, min(1e-3,
+    intensity dips negative raises NegativeIntensity, and then the zero
+    sequence ZeroInput, before any root is solved for. A row that misses s by more than max(1e-7, min(1e-3,
     twice the widest root cluster)) of c_0 raises NotAnAutocorrelation,
     and more than 2^20 classes raise CombinatorialBlowup.
     """
     screen_intensity(s)
+    if not np.any(s.coeffs):
+        raise ZeroInput("zero measurement has no lift worth factoring")
     # a circle root of the signal appears in the lift with multiplicity
     # 2k and splits numerically on a ring of width eps^(1/2k); when a
     # radius under-clusters, verification below rejects a valid
     # sequence, so widen and retry before believing the rejection. The
     # solve does not depend on the radius: one solve serves every rung
     first_err = None
-    for (rq,) in _rungs((autocorr_lift(s),), _RUNGS):
+    for (rq,) in _rungs((s.coeffs,), _RUNGS):
         try:
             return _factor_at(s, rq)
         except NotAnAutocorrelation as err:

@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .ambiguity import _class_rows, _lag_deviations, _source_gate
+from .ambiguity import _class_rows, _lag_deviations, _monic, _source_gate
 from .errors import (
     DomainError,
     DuplicateSignals,
@@ -280,10 +280,7 @@ def _deterministic_roots(m, q):
 
 
 def _signal_from_roots(m, locs):
-    coeffs = np.array([1.0 + 0.0j])
-    for loc in locs:
-        coeffs = np.convolve(coeffs, np.array([-loc, 1.0 + 0.0j]))
-    p = TrigPoly(m=m, coeffs=coeffs)
+    p = TrigPoly(m=m, coeffs=_monic((loc, 1) for loc in locs))
     return TrigPoly(m=m, coeffs=p.coeffs / np.sqrt(p.energy))
 
 

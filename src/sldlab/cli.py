@@ -55,7 +55,7 @@ from .serialize import (
     rootset_dict,
     signal_dict,
 )
-from .signals import autocorrelation, lift
+from .signals import autocorrelation
 
 # the fixed root-finding settings every report records, gap included
 _SETTINGS = {"seed": _SEED, "tol_circle": _CIRCLE_BAND, "tol_root": _ROOT_TOL}
@@ -127,8 +127,7 @@ def _emit(args, payload):
 
 def _cmd_analyze(args):
     p = parse_signal(load_json(args.inputs[0]))
-    f = lift(p)
-    r = find_roots(f)
+    r = find_roots(p.coeffs)
     table = pair_reciprocal(r)
     _emit(args, {
         "signal": signal_dict(p),
@@ -151,9 +150,8 @@ def _cmd_analyze(args):
 def _cmd_equiv(args):
     p = parse_signal(load_json(args.inputs[0]))
     q = parse_signal(load_json(args.inputs[1]))
-    f, g = lift(p), lift(q)
-    structural = struct_magnitude_equiv(f, g)
-    oracle = numeric_magnitude_equiv(f, g)
+    structural = struct_magnitude_equiv(p.coeffs, q.coeffs)
+    oracle = numeric_magnitude_equiv(p.coeffs, q.coeffs)
     phase = phase_equiv(p, q)
     agree = structural.related == oracle.related
     if agree and structural.related:

@@ -20,7 +20,7 @@ from .errors import (
     PeriodMismatch,
     ZeroPolynomial,
 )
-from .roots import find_roots_batch, joint_orbits
+from .roots import _coeff_vector, find_roots_batch, joint_orbits
 from .signals import TrigPoly, _half_lags
 
 # relative lag residual under which numeric_magnitude_equiv accepts
@@ -68,13 +68,20 @@ def phase_equiv(p, q):
     """Equality up to a global phase offset, q = exp(i phi) p.
 
     The candidate phi is read off the largest-magnitude coefficient pair
-    and then verified across the whole vector.
+    and then verified across the whole vector. Two zero signals are
+    related at phase 0; a zero and a nonzero one are not.
     """
     p, q = _common_order(p, q)
     scale = np.sqrt(max(p.energy, q.energy))
     if scale == 0:
         return EquivalenceVerdict(related=True, phase=0.0)
     j = int(np.argmax(np.abs(p.coeffs)))
+    if p.coeffs[j] == 0:
+        k = int(np.argmax(np.abs(q.coeffs)))
+        return EquivalenceVerdict(
+            related=False,
+            witness="coefficient %d is %s in q but p is zero" % (k - q.m, q.coeffs[k]),
+        )
     if abs(q.coeffs[j]) <= 1e-12 * scale:
         return EquivalenceVerdict(
             related=False,
@@ -96,14 +103,16 @@ def phase_equiv(p, q):
 def struct_magnitude_equiv(f, g):
     """Decide |f| = kappa |g| on the unit circle from root structure.
 
-    The relation holds exactly when every reflection orbit carries the
-    same total multiplicity for both polynomials and the on-circle zeros
-    match with identical multiplicities; kappa then comes out of the
-    leading coefficients and the inside representatives. The roots of f
-    and g are solved in one find_roots_batch call and matched by
-    joint_orbits.
+    f and g are ascending coefficient arrays, such as the lifts
+    TrigPoly.coeffs of two signals. The relation holds exactly when every
+    reflection orbit carries the same total multiplicity for both
+    polynomials and the on-circle zeros match with identical
+    multiplicities; kappa then comes out of the leading coefficients and
+    the inside representatives. The roots of f and g are solved in one
+    find_roots_batch call and matched by joint_orbits.
     """
-    if f.is_zero() or g.is_zero():
+    f, g = _coeff_vector(f), _coeff_vector(g)
+    if not (np.any(f) and np.any(g)):
         raise ZeroPolynomial("magnitude equivalence needs nonzero polynomials")
     rf, rg = find_roots_batch((f, g))
     try:
@@ -116,19 +125,22 @@ def struct_magnitude_equiv(f, g):
 def numeric_magnitude_equiv(f, g):
     """Root-free lag oracle for the constant magnitude ratio.
 
-    On the unit circle |f|^2 is the Fourier sum of the autocorrelation lags
-    c_f of f's coefficients, so |f| = kappa |g| exactly when c_f =
-    kappa^2 c_g. Fits lambda = Re<c_g, c_f> / ||c_g||^2 and accepts when
-    lambda > 0 and ||c_f - lambda c_g|| <= 1e-12 ||c_f||, with kappa =
-    sqrt(lambda). The witness of a rejection gives that relative residual
-    and lambda. Origin factors z^k leave the lags alone; each row is scaled
-    by a power of two first, so any coefficient scale is exact.
+    f and g are ascending coefficient arrays, as struct_magnitude_equiv
+    takes. On the unit circle |f|^2 is the Fourier sum of the
+    autocorrelation lags c_f of f's coefficients, so |f| = kappa |g|
+    exactly when c_f = kappa^2 c_g. Fits lambda = Re<c_g, c_f> /
+    ||c_g||^2 and accepts when lambda > 0 and ||c_f - lambda c_g|| <=
+    1e-12 ||c_f||, with kappa = sqrt(lambda). The witness of a rejection
+    gives that relative residual and lambda. Origin factors z^k leave the
+    lags alone; each row is scaled by a power of two first, so any
+    coefficient scale is exact.
     """
-    if f.is_zero() or g.is_zero():
+    f, g = _coeff_vector(f), _coeff_vector(g)
+    if not (np.any(f) and np.any(g)):
         raise ZeroPolynomial("magnitude equivalence needs nonzero polynomials")
-    rows = np.zeros((2, max(len(f.coeffs), len(g.coeffs)) | 1), dtype=complex)
-    rows[0, : len(f.coeffs)] = f.coeffs
-    rows[1, : len(g.coeffs)] = g.coeffs
+    rows = np.zeros((2, max(len(f), len(g)) | 1), dtype=complex)
+    rows[0, : len(f)] = f
+    rows[1, : len(g)] = g
     scale = np.exp2(-np.frexp(np.abs(rows).max(axis=1))[1])
     half = _half_lags(rows * scale[:, None])
     c_f, c_g = np.concatenate([np.conj(half[:, :0:-1]), half], axis=1)

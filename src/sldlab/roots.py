@@ -449,12 +449,22 @@ def _cluster(z, cluster_radius):
     return loc[rank], size[rank], _LABELS[label[rank]], diam[rank]
 
 
+def _coeff_vector(f):
+    """The ascending coefficient array f as a complex copy: 1-d and nonempty."""
+    c = np.array(f, dtype=complex)
+    if c.ndim != 1 or not c.size:
+        raise DomainError("a polynomial is a nonempty 1-d coefficient array")
+    return c
+
+
 def find_roots_batch(polys):
     """find_roots for every polynomial of a sequence, in one iteration.
 
+    Each member is an ascending coefficient array, as find_roots takes.
     Returns a tuple with one RootMultiset per polynomial, each the one
     find_roots gives for that polynomial alone. Errors come in the order
-    find_roots raises them: ZeroPolynomial for the first zero member, then
+    find_roots raises them: DomainError for the first member that is not a
+    nonempty 1-d array, then ZeroPolynomial for the first zero member, then
     DomainError for the first member with a NaN or infinite coefficient,
     then NoConvergence for the first member whose roots did not settle
     within the one budget of 200 steps.
@@ -465,7 +475,7 @@ def find_roots_batch(polys):
 def _rungs(polys, radii):
     """find_roots_batch clustered at each radius of radii in turn, from one
     solve: yields a tuple of RootMultiset per radius, raising its errors first."""
-    coeffs = [np.array(f.coeffs, dtype=complex) for f in polys]
+    coeffs = [_coeff_vector(f) for f in polys]
     if any(np.all(c == 0) for c in coeffs):
         raise ZeroPolynomial("cannot factor the zero polynomial")
     if not all(np.all(np.isfinite(c)) for c in coeffs):
@@ -501,8 +511,10 @@ def _rungs(polys, radii):
 
 
 def find_roots(f):
-    """All roots of the nonzero CoeffPoly f with multiplicities, classified
-    against the unit circle.
+    """All roots with multiplicities of the nonzero polynomial whose ascending
+    coefficient array (any 1-d array-like) is f, classified against the
+    unit circle. A signal's lift is its TrigPoly.coeffs, a measurement's
+    its AutocorrSeq.coeffs.
 
     The settings are fixed: the iteration starts from the perturbed circle
     seeded by _SEED (12345), a root is labelled on_circle within _CIRCLE_BAND

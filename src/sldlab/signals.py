@@ -8,19 +8,17 @@ held as the coefficient vector b in symmetric index order. Square-law
 detection discards the phase and keeps s(t) = |y(t)|^2, whose Fourier
 coefficients are the (Hermitian) autocorrelation of b. Shifting the
 index range onto ascending powers of z turns either sequence into an
-ordinary polynomial; all root-based analysis happens on that lift.
+ordinary polynomial, its lift, whose ascending coefficients are b_{-m..m}
+(degree 2m) or c_{-2m..2m} (degree 4m). All root-based analysis happens
+on the lift, and root finding and the magnitude deciders take it as that
+ascending coefficient array: TrigPoly.coeffs or AutocorrSeq.coeffs as is.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DomainError,
-    NegativeIntensity,
-    NotAnAutocorrelation,
-    ZeroInput,
-)
+from .errors import DomainError, NegativeIntensity, NotAnAutocorrelation
 
 
 def _as_complex_vector(values, name):
@@ -80,46 +78,6 @@ class TrigPoly:
             and self.period == other.period
             and np.array_equal(self.coeffs, other.coeffs)
         )
-
-    __hash__ = None
-
-
-@dataclass(frozen=True, eq=False)
-class CoeffPoly:
-    """A complex polynomial in ascending-power coefficient form.
-
-    coeffs[j] multiplies z^j. The array always has length n+1 where n is
-    the degree bound; entries above the actual degree are zero. The zero
-    polynomial is representable, individual operations reject it where
-    they need a nonzero input.
-    """
-
-    coeffs: np.ndarray
-    n: int = None
-
-    def __post_init__(self):
-        coeffs = _as_complex_vector(self.coeffs, "coeffs")
-        n = len(coeffs) - 1 if self.n is None else int(self.n)
-        if n < 0:
-            raise DomainError("degree bound must be >= 0")
-        if len(coeffs) > n + 1:
-            tail = coeffs[n + 1 :]
-            if np.any(tail != 0):
-                raise DomainError("coefficients exceed the degree bound n=%d" % n)
-            coeffs = coeffs[: n + 1]
-        elif len(coeffs) < n + 1:
-            coeffs = np.concatenate([coeffs, np.zeros(n + 1 - len(coeffs), dtype=complex)])
-        coeffs.setflags(write=False)
-        object.__setattr__(self, "coeffs", coeffs)
-        object.__setattr__(self, "n", n)
-
-    def is_zero(self):
-        return bool(np.all(self.coeffs == 0))
-
-    def __eq__(self, other):
-        if not isinstance(other, CoeffPoly):
-            return NotImplemented
-        return self.n == other.n and np.array_equal(self.coeffs, other.coeffs)
 
     __hash__ = None
 
@@ -224,45 +182,17 @@ def _half_lags(b):
     return c
 
 
-def lift(p):
-    """Polynomial with coefficient of z^{k+m} equal to b_k (degree bound 2m)."""
-    return CoeffPoly(coeffs=p.coeffs, n=2 * p.m)
-
-
-def autocorr_lift(s):
-    """Lift of the measurement sequence to a degree-4m polynomial.
-
-    The result Q(z) = sum_k c_k z^{k+2m} inherits the Hermitian symmetry of
-    c as a conjugate-reciprocal symmetry: its root multiset is invariant
-    under reflection across the unit circle.
-    """
-    if np.all(s.coeffs == 0):
-        raise ZeroInput("zero measurement has no lift worth factoring")
-    return CoeffPoly(coeffs=s.coeffs, n=4 * s.m)
-
-
-def intensity_samples(s, N):
-    """Synthesize s(t) on the uniform N-point grid from its coefficients.
-
-    The imaginary residue of the Fourier sum is discarded; it is at
-    rounding level because the sequence is Hermitian by construction.
-    """
-    N = int(N)
-    if N < 1:
-        raise DomainError("need at least one sample point")
-    k = np.arange(-2 * s.m, 2 * s.m + 1)
-    t = np.arange(N) / N
-    vals = np.exp(2j * np.pi * np.outer(t, k)) @ s.coeffs
-    return vals.real.copy()
-
-
 def screen_intensity(s):
     """Reject a measurement whose synthesized intensity dips negative.
 
-    Synthesizes s(t) on max(64, 16(2m+1)) points and raises
-    NegativeIntensity when a sample falls below -1e-9 (1 + c_0), which no
-    square-law measurement reaches beyond rounding.
+    Synthesizes s(t) at t = jT/N, j < N = max(64, 16(2m+1)), keeping the
+    real part of each Fourier sum, and raises NegativeIntensity when a
+    sample falls below -1e-9 (1 + c_0), which no square-law measurement
+    reaches beyond rounding.
     """
-    low = intensity_samples(s, max(64, 16 * (2 * s.m + 1))).min()
+    N = max(64, 16 * (2 * s.m + 1))
+    k = np.arange(-2 * s.m, 2 * s.m + 1)
+    t = np.arange(N) / N
+    low = (np.exp(2j * np.pi * np.outer(t, k)) @ s.coeffs).real.min()
     if low < -1e-9 * (1.0 + s.c0):
         raise NegativeIntensity("synthesized intensity reaches %.6g" % low)

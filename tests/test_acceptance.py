@@ -21,7 +21,6 @@ import pytest
 
 import sldlab
 from sldlab import (
-    CoeffPoly,
     TrigPoly,
     autocorrelation,
     bundled_constellation,
@@ -30,7 +29,6 @@ from sldlab import (
     factor_sld,
     find_roots,
     gap_experiment,
-    lift,
     numeric_magnitude_equiv,
     single_class_constellation,
     struct_magnitude_equiv,
@@ -39,11 +37,6 @@ from sldlab import (
 from oracles import lattice_ambiguity, same_class_sets
 
 INT_LATTICE = [complex(a, b) for a in range(-2, 3) for b in (-1, 0, 1)]
-
-
-def _poly(coeffs):
-    coeffs = np.asarray(coeffs, dtype=complex)
-    return CoeffPoly(coeffs=coeffs, n=len(coeffs) - 1)
 
 
 def _draw_roots(rng, count):
@@ -73,7 +66,7 @@ def test_criterion_1_structural_matches_sampled_oracle():
         count = int(rng.integers(1, 11))
         roots = _draw_roots(rng, count)
         lead = rng.uniform(0.5, 2.0) * np.exp(2j * np.pi * rng.random())
-        f = _poly(_coeffs_from_roots(roots, lead))
+        f = _coeffs_from_roots(roots, lead)
 
         # a related partner: reflect a random subset of roots across the
         # circle, absorb each |r| into the lead, then rescale by c
@@ -86,7 +79,7 @@ def test_criterion_1_structural_matches_sampled_oracle():
             else:
                 flipped.append(r)
         c = rng.uniform(0.5, 2.0)
-        g = _poly(_coeffs_from_roots(flipped, scale * c * np.exp(2j * np.pi * rng.random())))
+        g = _coeffs_from_roots(flipped, scale * c * np.exp(2j * np.pi * rng.random()))
 
         sv = struct_magnitude_equiv(f, g)
         nv = numeric_magnitude_equiv(f, g)
@@ -95,11 +88,9 @@ def test_criterion_1_structural_matches_sampled_oracle():
         assert abs(sv.kappa - 1 / c) <= 1e-6 / c
 
         # an unrelated partner: an independent draw
-        other = _poly(
-            _coeffs_from_roots(
-                _draw_roots(rng, int(rng.integers(1, 11))),
-                rng.uniform(0.5, 2.0) * np.exp(2j * np.pi * rng.random()),
-            )
+        other = _coeffs_from_roots(
+            _draw_roots(rng, int(rng.integers(1, 11))),
+            rng.uniform(0.5, 2.0) * np.exp(2j * np.pi * rng.random()),
         )
         sv = struct_magnitude_equiv(f, other)
         nv = numeric_magnitude_equiv(f, other)
@@ -120,7 +111,7 @@ def test_criterion_2_class_count_never_beats_the_bound():
         assert cs.bound == 2 ** (2 * m + 1)
         assert cs.exact_count <= cs.bound
 
-        r = find_roots(lift(p))
+        r = find_roots(p.coeffs)
         locs = r.locations.tolist()
         generic = (
             r.origin_mult == 0
@@ -223,7 +214,7 @@ def test_criterion_7_reflected_roots_give_a_unimodular_ratio():
         worst["flat"] = max(worst["flat"], np.abs(ratio / kappa - 1.0).max())
         for name, decide in (("struct", struct_magnitude_equiv),
                              ("oracle", numeric_magnitude_equiv)):
-            verdict = decide(_poly(f[::-1]), _poly(g[::-1]))
+            verdict = decide(f[::-1], g[::-1])
             assert verdict.related, (trial, name, verdict.witness)
             worst[name] = max(worst[name], abs(verdict.kappa / kappa - 1.0))
     assert max(worst.values()) <= 1e-12, worst

@@ -15,7 +15,6 @@ from sldlab import roots as root_finder
 from sldlab import (
     AutocorrSeq,
     ClassSet,
-    CoeffPoly,
     Constellation,
     TrigPoly,
     OrbitTable,
@@ -26,7 +25,6 @@ from sldlab import (
     errors,
     factor_sld,
     find_roots,
-    lift,
     numeric_magnitude_equiv,
     pair_reciprocal,
     phase_equiv,
@@ -138,10 +136,10 @@ def test_flip_moves_one_orbit():
     p = TrigPoly(m=1, coeffs=[6, -5, 1])
     cs = enumerate_classes(p)
     for row, kept, moved in ((cs.coeffs[1], 3.0, 0.5), (cs.coeffs[2], 2.0, 1 / 3)):
-        found = sorted(map(abs, find_roots(CoeffPoly(coeffs=row)).locations.tolist()))
+        found = sorted(map(abs, find_roots(row).locations.tolist()))
         assert found == pytest.approx(sorted((kept, moved)), rel=1e-9)
     for row in cs.coeffs:
-        ratio = numeric_magnitude_equiv(lift(p), CoeffPoly(coeffs=row))
+        ratio = numeric_magnitude_equiv(p.coeffs, row)
         assert ratio.related and ratio.kappa == pytest.approx(1.0, rel=1e-9)
 
 
@@ -279,7 +277,7 @@ def test_count_law_generic():
             raise AssertionError("fixture arithmetic is off")
         p = TrigPoly(m=m, coeffs=padded)
         cs = enumerate_classes(p)
-        r = find_roots(lift(p))
+        r = find_roots(p.coeffs)
         q = len(r.locations)
         if r.origin_mult == 0 and r.degree == 2 * m:
             assert cs.exact_count == 2**q
@@ -409,7 +407,7 @@ def test_class_rows_keep_their_bits_at_any_block_size(monkeypatch):
     # the order the orbit parts multiply in fixes each row's rounding; the
     # block size only bounds the temporaries. bundled_constellation(7) has
     # 16,384 class rows, past _FOLD_ROWS, so its leading orbits fold apart
-    tables = [(pair_reciprocal(find_roots(lift(p))), autocorrelation(p))
+    tables = [(pair_reciprocal(find_roots(p.coeffs)), autocorrelation(p))
               for p in _assembly_signals()]
     want = [ambiguity._class_rows(*args).tobytes() for args in tables]
     bundled = bundled_constellation(7).coeffs.tobytes()
@@ -458,7 +456,7 @@ def test_flip_of_each_spec_is_its_enumerated_row():
     signals.append(_normalized([0.0, 0.5j, 1.7, -0.4 + 0.2j], 2))  # an origin root
     shifted = 0
     for p in signals:
-        table = pair_reciprocal(find_roots(lift(p)))
+        table = pair_reciprocal(find_roots(p.coeffs))
         shift_hi = 2 * p.m - table.degree + table.origin
         shifted += shift_hi > 0
         circle = poly_from_roots([loc / abs(loc) for loc, k in table.circle for _ in range(k)])
@@ -479,7 +477,7 @@ def test_flip_of_each_spec_is_its_enumerated_row():
 
 
 @pytest.mark.parametrize("solve", [
-    lambda: find_roots(CoeffPoly(coeffs=[1, np.inf, 1])),
+    lambda: find_roots([1, np.inf, 1]),
     lambda: enumerate_classes(TrigPoly(m=1, coeffs=[1, np.nan, 1])),
     lambda: factor_sld(AutocorrSeq(m=1, coeffs=[0, np.nan, 2, np.nan, 0])),
 ], ids=["find_roots", "enumerate_classes", "factor_sld"])
@@ -507,7 +505,7 @@ def test_enumerate_keeps_a_root_just_off_the_circle():
 
 def test_class_count_is_the_closed_form_count():
     for p in _assembly_signals():
-        table = pair_reciprocal(find_roots(lift(p)))
+        table = pair_reciprocal(find_roots(p.coeffs))
         shift_hi = 2 * p.m - table.degree + table.origin
         want = (shift_hi + 1) * math.prod(k_inner + k_outer + 1
                                           for _, _, k_inner, k_outer in table.orbits)

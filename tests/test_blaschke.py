@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from sldlab import (
-    CoeffPoly,
     errors,
     find_roots,
     joint_orbits,
@@ -17,8 +16,8 @@ from oracles import kappa_grid
 
 
 def kappa_of(f_coeffs, g_coeffs):
-    rf = find_roots(CoeffPoly(coeffs=f_coeffs, n=len(f_coeffs) - 1))
-    rg = find_roots(CoeffPoly(coeffs=g_coeffs, n=len(g_coeffs) - 1))
+    rf = find_roots(f_coeffs)
+    rg = find_roots(g_coeffs)
     return kappa_ratio(*joint_orbits(rf, rg))
 
 
@@ -76,14 +75,14 @@ def test_kappa_ignores_roots_at_the_origin():
 
 
 def test_kappa_rejects_mismatched_orbits():
-    rf = find_roots(CoeffPoly(coeffs=poly_from_roots([0.5, 0.5]), n=2))
-    rg = find_roots(CoeffPoly(coeffs=poly_from_roots([0.5]), n=1))
+    rf = find_roots(poly_from_roots([0.5, 0.5]))
+    rg = find_roots(poly_from_roots([0.5]))
     with pytest.raises(errors.ConditionViolated):
         kappa_ratio(*joint_orbits(rf, rg))
 
 
 def test_kappa_rejects_mismatched_circle_roots():
-    rf = find_roots(CoeffPoly(coeffs=poly_from_roots([1.0, 1.0]), n=2))
-    rg = find_roots(CoeffPoly(coeffs=poly_from_roots([1.0]), n=1))
+    rf = find_roots(poly_from_roots([1.0, 1.0]))
+    rg = find_roots(poly_from_roots([1.0]))
     with pytest.raises(errors.ConditionViolated):
         kappa_ratio(*joint_orbits(rf, rg))

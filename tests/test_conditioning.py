@@ -7,7 +7,6 @@ from sldlab import (
     autocorrelation,
     enumerate_classes,
     factor_sld,
-    lift,
     numeric_magnitude_equiv,
     struct_magnitude_equiv,
 )
@@ -80,7 +79,7 @@ def _equiv_outcomes(decide):
             continue
         flipped, kappa = flip
         try:
-            verdict = decide(lift(_signal(picks)), lift(_signal(flipped)))
+            verdict = decide(_signal(picks).coeffs, _signal(flipped).coeffs)
         except SldLabError:
             refused += 1
             continue

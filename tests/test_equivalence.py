@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from sldlab import (
-    CoeffPoly,
+    EquivalenceVerdict,
     TrigPoly,
     errors,
     joint_orbits,
@@ -48,17 +48,24 @@ def test_phase_equiv_wraps_into_principal_range():
     assert v.phase == pytest.approx(5.0 - 2 * np.pi, abs=1e-12)
 
 
+def test_phase_equiv_of_a_zero_and_a_nonzero_signal():
+    # no rotation takes the zero signal to a nonzero one, whichever side it
+    # is on; the witness names the nonzero signal's largest coefficient
+    zero, q = TrigPoly(m=1, coeffs=[0, 0, 0]), TrigPoly(m=1, coeffs=[1, 2, 3])
+    assert phase_equiv(zero, q) == EquivalenceVerdict(
+        related=False, witness="coefficient 1 is (3+0j) in q but p is zero")
+    assert phase_equiv(q, zero) == EquivalenceVerdict(
+        related=False, witness="coefficient 1 is (3+0j) in p but ~0 in q")
+    assert phase_equiv(zero, TrigPoly(m=2, coeffs=[0] * 5)) == EquivalenceVerdict(
+        related=True, phase=0.0)
+
+
 @given(trig_polys(), st.floats(-np.pi, np.pi, exclude_max=True))
 def test_phase_equiv_property(p, phi):
     q = TrigPoly(m=p.m, coeffs=np.exp(1j * phi) * p.coeffs, period=p.period)
     v = phase_equiv(p, q)
     assert v.related
     assert abs(v.phase - phi) <= 1e-9 or abs(abs(v.phase - phi) - 2 * np.pi) <= 1e-9
-
-
-def as_poly(coeffs):
-    coeffs = np.asarray(coeffs, dtype=complex)
-    return CoeffPoly(coeffs=coeffs, n=len(coeffs) - 1)
 
 
 def flipped_with_scale(roots, subset, lead=1.0):
@@ -75,8 +82,8 @@ def flipped_with_scale(roots, subset, lead=1.0):
 
 
 def test_struct_flip_pair():
-    f = as_poly([-2, 1])
-    g = as_poly([-1, 2])
+    f = [-2, 1]
+    g = [-1, 2]
     v = struct_magnitude_equiv(f, g)
     assert v.related and v.kappa == pytest.approx(1.0, abs=1e-9)
     w = numeric_magnitude_equiv(f, g)
@@ -84,36 +91,36 @@ def test_struct_flip_pair():
 
 
 def test_struct_scale_only():
-    f = as_poly(poly_from_roots([1j, 1j]))
-    g = as_poly(5 * np.asarray(poly_from_roots([1j, 1j])))
+    f = poly_from_roots([1j, 1j])
+    g = 5 * np.asarray(poly_from_roots([1j, 1j]))
     v = struct_magnitude_equiv(f, g)
     assert v.related
     assert v.kappa == pytest.approx(0.2, abs=1e-12)
     assert numeric_magnitude_equiv(f, g).kappa == pytest.approx(0.2, abs=1e-9)
-    assert kappa_grid(f.coeffs, g.coeffs) == pytest.approx(0.2, abs=1e-9)
+    assert kappa_grid(f, g) == pytest.approx(0.2, abs=1e-9)
 
 
 def test_struct_unrelated():
-    v = struct_magnitude_equiv(as_poly([-2, 1]), as_poly([-3, 1]))
+    v = struct_magnitude_equiv([-2, 1], [-3, 1])
     assert not v.related and v.kappa is None
-    assert not numeric_magnitude_equiv(as_poly([-2, 1]), as_poly([-3, 1])).related
+    assert not numeric_magnitude_equiv([-2, 1], [-3, 1]).related
 
 
 def test_unrelated_verdict_names_witness():
-    v = numeric_magnitude_equiv(as_poly([-2, 1]), as_poly([-3, 1]))
+    v = numeric_magnitude_equiv([-2, 1], [-3, 1])
     assert "lag residual" in v.witness and "lambda" in v.witness
 
 
 def test_circle_zeros_shared():
     base = poly_from_roots([1.0, 0.5])
     other = flipped_with_scale([1.0, 0.5], {1})
-    v = struct_magnitude_equiv(as_poly(base), as_poly(other))
+    v = struct_magnitude_equiv(base, other)
     assert v.related and v.kappa == pytest.approx(1.0, abs=1e-9)
 
 
 def test_circle_zeros_mismatched():
-    f = as_poly(poly_from_roots([1.0, 0.5]))
-    g = as_poly(poly_from_roots([-1.0, 0.5]))
+    f = poly_from_roots([1.0, 0.5])
+    g = poly_from_roots([-1.0, 0.5])
     assert not struct_magnitude_equiv(f, g).related
     assert not numeric_magnitude_equiv(f, g).related
 
@@ -124,19 +131,19 @@ def test_flip_agreement_property(roots, data):
         j for j in range(len(roots)) if data.draw(st.booleans(), label="flip %d" % j)
     }
     c = data.draw(st.floats(0.25, 4.0), label="scale")
-    f = as_poly(poly_from_roots(roots))
-    g = as_poly(c * np.asarray(flipped_with_scale(roots, subset)))
+    f = poly_from_roots(roots)
+    g = c * np.asarray(flipped_with_scale(roots, subset))
     sv = struct_magnitude_equiv(f, g)
     nv = numeric_magnitude_equiv(f, g)
     assert sv.related and nv.related
     assert sv.kappa == pytest.approx(1.0 / c, rel=1e-9)
     assert nv.kappa == pytest.approx(1.0 / c, rel=1e-9)
-    assert nv.kappa == pytest.approx(kappa_grid(f.coeffs, g.coeffs), rel=1e-9)
-    assert ratio_is_flat(f.coeffs, g.coeffs)
+    assert nv.kappa == pytest.approx(kappa_grid(f, g), rel=1e-9)
+    assert ratio_is_flat(f, g)
     # turning one root off its reflection orbit breaks the relation
-    h = as_poly(poly_from_roots([roots[0] * np.exp(0.5j)] + list(roots[1:])))
+    h = poly_from_roots([roots[0] * np.exp(0.5j)] + list(roots[1:]))
     assert not numeric_magnitude_equiv(f, h).related
-    assert not ratio_is_flat(f.coeffs, h.coeffs)
+    assert not ratio_is_flat(f, h)
 
 
 def test_lag_oracle_on_high_degree_battery():
@@ -144,7 +151,7 @@ def test_lag_oracle_on_high_degree_battery():
     # one that a sampled |f|/|g| check at 1e-8 rejects, as g nearly
     # vanishes on the circle
     for f, g, kappa in equiv_battery():
-        v = numeric_magnitude_equiv(as_poly(f), as_poly(g))
+        v = numeric_magnitude_equiv(f, g)
         assert v.related == (kappa is not None)
         if kappa is not None:
             assert v.kappa == pytest.approx(kappa, rel=1e-9)
@@ -154,25 +161,25 @@ def test_lag_oracle_on_high_degree_battery():
     "sf, sg", ((1e-160, 1e-160), (1e150, 1e150), (1e-100, 1e100), (1e-300, 1.0))
 )
 def test_lag_oracle_is_scale_free(sf, sg):
-    v = numeric_magnitude_equiv(as_poly([-2 * sf, sf]), as_poly([-sg, 2 * sg]))
+    v = numeric_magnitude_equiv([-2 * sf, sf], [-sg, 2 * sg])
     assert v.related and v.kappa == pytest.approx(sf / sg, rel=1e-12)
-    assert not numeric_magnitude_equiv(as_poly([-2 * sf, sf]), as_poly([-3 * sg, sg])).related
+    assert not numeric_magnitude_equiv([-2 * sf, sf], [-3 * sg, sg]).related
 
 
 def test_origin_powers_are_invisible_on_the_circle():
     # |z^k| = 1 there, so extra origin factors change nothing
-    f = as_poly([0, 0, -2, 1])  # z^2 (z - 2)
-    g = as_poly([0, -2, 1])  # z (z - 2)
+    f = [0, 0, -2, 1]  # z^2 (z - 2)
+    g = [0, -2, 1]  # z (z - 2)
     sv = struct_magnitude_equiv(f, g)
     nv = numeric_magnitude_equiv(f, g)
     assert sv.related and sv.kappa == pytest.approx(1.0, abs=1e-9)
     assert nv.related and nv.kappa == pytest.approx(1.0, abs=1e-9)
-    assert ratio_is_flat(f.coeffs, g.coeffs)
+    assert ratio_is_flat(f, g)
 
 
 def test_origin_powers_match():
-    f = as_poly([0, -2, 1])
-    g = as_poly([0, -1, 2])
+    f = [0, -2, 1]
+    g = [0, -1, 2]
     v = struct_magnitude_equiv(f, g)
     assert v.related and v.kappa == pytest.approx(1.0, abs=1e-9)
 
@@ -188,7 +195,7 @@ def test_degree_match():
     ]
     for f, g, related in pairs:
         for check in (struct_magnitude_equiv, numeric_magnitude_equiv):
-            verdict = check(as_poly(f), as_poly(g))
+            verdict = check(f, g)
             assert verdict.related is related
             if related:
                 assert verdict.kappa == pytest.approx(1.0, rel=1e-12)
@@ -197,16 +204,13 @@ def test_degree_match():
 
 
 def test_numeric_rejects_zero_polynomial():
-    f = as_poly([-2, 1])
-    z = as_poly([0.0, 0.0])
     with pytest.raises(errors.ZeroPolynomial):
-        numeric_magnitude_equiv(f, z)
+        numeric_magnitude_equiv([-2, 1], [0.0, 0.0])
 
 
 @given(complex_vectors(3))
 def test_self_equivalence(coeffs):
-    f = as_poly(coeffs)
-    v = struct_magnitude_equiv(f, f)
+    v = struct_magnitude_equiv(coeffs, coeffs)
     assert v.related and v.kappa == pytest.approx(1.0, rel=1e-9)
 
 
@@ -232,7 +236,7 @@ def test_struct_verdicts_match_one_polynomial_loops():
         pairs.append((f, f[: m + 1]))  # unequal degree
     verdicts = []
     for f, g in pairs:
-        v = struct_magnitude_equiv(as_poly(f), as_poly(g))
+        v = struct_magnitude_equiv(f, g)
         got = (v.related, None if v.kappa is None else np.float64(v.kappa).tobytes(), v.witness)
         assert got == _verdict_from_loops(f, g)
         verdicts.append(v.related)

@@ -8,16 +8,16 @@ import pytest
 from hypothesis import given
 
 from sldlab import (
-    CoeffPoly,
     TrigPoly,
-    autocorr_lift,
     autocorrelation,
     conj_reciprocal,
     errors,
     find_roots,
     find_roots_batch,
     joint_orbits,
+    numeric_magnitude_equiv,
     pair_reciprocal,
+    struct_magnitude_equiv,
 )
 import sldlab
 from sldlab import cli
@@ -43,7 +43,7 @@ def sorted_locs(r):
 
 
 def test_known_cubic():
-    f = CoeffPoly(coeffs=poly_from_roots([2.0, 3.0, 0.5], lead=4.0), n=3)
+    f = poly_from_roots([2.0, 3.0, 0.5], lead=4.0)
     r = find_roots(f)
     locs = sorted_locs(r)
     assert np.allclose(locs, [0.5, 2.0, 3.0], atol=1e-10)
@@ -54,7 +54,7 @@ def test_known_cubic():
 
 
 def test_origin_roots_stripped_structurally():
-    f = CoeffPoly(coeffs=[0, 0, -2, 1], n=3)  # z^2 (z - 2)
+    f = [0, 0, -2, 1]  # z^2 (z - 2)
     r = find_roots(f)
     assert r.origin_mult == 2
     assert r.locations.tolist() == [pytest.approx(2.0)]
@@ -65,7 +65,7 @@ def test_tiny_ends_that_share_a_cluster_are_not_trimmed(eps):
     # the lags of [eps, 1, eps] are eps^2, 2 eps, 1 + 2 eps^2, ...: their
     # ends are below the structural-zero cut, but trimming one level would
     # put one of the two roots at -eps on the origin and move the other
-    r = find_roots(autocorr_lift(autocorrelation(TrigPoly(m=1, coeffs=[eps, 1, eps]))))
+    r = find_roots(autocorrelation(TrigPoly(m=1, coeffs=[eps, 1, eps])).coeffs)
     assert (r.origin_mult, r.degree) == (0, 4)
     assert sorted(r.multiplicities.tolist()) == [2, 2]
     inner = min(r.locations.tolist(), key=abs)
@@ -74,13 +74,13 @@ def test_tiny_ends_that_share_a_cluster_are_not_trimmed(eps):
 
 def test_tiny_ends_that_split_off_are_trimmed():
     # 1e-14 + z + z^2 / 2 has a root near -1e-14, far below the next at -2
-    r = find_roots(CoeffPoly(coeffs=[1e-14, 1, 0.5], n=2))
+    r = find_roots([1e-14, 1, 0.5])
     assert (r.origin_mult, r.degree) == (1, 2)
     assert r.locations.tolist() == [pytest.approx(-2.0)]
     # the same at the top end, and exact zeros whatever their neighbours
-    r = find_roots(CoeffPoly(coeffs=[0.5, 1, 1e-14], n=2))
+    r = find_roots([0.5, 1, 1e-14])
     assert (r.origin_mult, r.degree) == (0, 1)
-    r = find_roots(CoeffPoly(coeffs=[0, 1e-9, 1, 0], n=3))
+    r = find_roots([0, 1e-9, 1, 0])
     assert (r.origin_mult, r.degree) == (1, 2)
 
 
@@ -114,7 +114,7 @@ def _trimmed_loop(a, cut):
 
 
 def test_double_root_clusters():
-    f = CoeffPoly(coeffs=poly_from_roots([2.0, 2.0, -1.0]), n=3)
+    f = poly_from_roots([2.0, 2.0, -1.0])
     r = find_roots(f)
     mults = sorted(r.multiplicities.tolist())
     assert mults == [1, 2]
@@ -127,7 +127,7 @@ def test_circle_quadruple_in_lag_lift():
     # zero of the lag lift; the cluster radius has to cover the eps^(1/4)
     # splitting ring
     p = TrigPoly(m=1, coeffs=np.convolve([-1, 1], [-1, 1]))
-    Q = autocorr_lift(autocorrelation(p))
+    Q = autocorrelation(p).coeffs
     (r,) = roots_at([Q], 1e-3)
     ((location, k, label, diameter),) = root_rows(r)
     assert k == 4
@@ -137,9 +137,9 @@ def test_circle_quadruple_in_lag_lift():
 
 
 def test_circle_label_band():
-    f = CoeffPoly(coeffs=poly_from_roots([1.0 + 5e-10]), n=1)
+    f = poly_from_roots([1.0 + 5e-10])
     assert find_roots(f).labels.tolist() == ["on_circle"]
-    g = CoeffPoly(coeffs=poly_from_roots([1.0 + 1e-6]), n=1)
+    g = poly_from_roots([1.0 + 1e-6])
     assert find_roots(g).labels.tolist() == ["outside"]
 
 
@@ -159,7 +159,7 @@ def test_circle_label_band():
 )
 def test_circle_band_edges(root, label):
     # a simple root among others is labelled by the fixed 1e-9 band alone
-    f = CoeffPoly(coeffs=poly_from_roots([0.3, root, 3.0 - 1j]), n=3)
+    f = poly_from_roots([0.3, root, 3.0 - 1j])
     r = find_roots(f)
     assert r.labels[np.abs(r.locations - root).argmin()] == label
 
@@ -171,14 +171,14 @@ def multiplied_out(r):
 
 
 def test_reconstruct_roundtrip():
-    f = CoeffPoly(coeffs=poly_from_roots([0.4j, -2.0, 1.5 + 1.5j], lead=2.0), n=3)
+    f = poly_from_roots([0.4j, -2.0, 1.5 + 1.5j], lead=2.0)
     back = multiplied_out(find_roots(f))
-    assert np.abs(back - f.coeffs).max() <= 1e-8 * np.abs(f.coeffs).max()
+    assert np.abs(back - f).max() <= 1e-8 * np.abs(f).max()
 
 
 @given(separated_roots(min_count=1, max_count=5))
 def test_random_factored_polys(roots):
-    f = CoeffPoly(coeffs=poly_from_roots(roots), n=len(roots))
+    f = poly_from_roots(roots)
     r = find_roots(f)
     assert len(r.locations) == len(roots)
     got = sorted_locs(r)
@@ -188,14 +188,14 @@ def test_random_factored_polys(roots):
 
 @given(separated_roots(min_count=1, max_count=4))
 def test_reconstruct_property(roots):
-    f = CoeffPoly(coeffs=poly_from_roots(roots, lead=1.7), n=len(roots))
+    f = poly_from_roots(roots, lead=1.7)
     back = multiplied_out(find_roots(f))
-    assert np.abs(back - f.coeffs).max() <= 1e-7 * np.abs(f.coeffs).max()
+    assert np.abs(back - f).max() <= 1e-7 * np.abs(f).max()
 
 
 def test_no_convergence_is_reported(monkeypatch):
     monkeypatch.setattr(roots_module, "_MAX_ITER", 1)
-    f = CoeffPoly(coeffs=poly_from_roots([0.5, 2.0, 0.3j, -1.8]), n=4)
+    f = poly_from_roots([0.5, 2.0, 0.3j, -1.8])
     with pytest.raises(errors.NoConvergence) as info:
         find_roots(f)
     assert info.value.residual is not None
@@ -203,15 +203,60 @@ def test_no_convergence_is_reported(monkeypatch):
 
 def test_degenerate_inputs():
     with pytest.raises(errors.ZeroPolynomial):
-        find_roots(CoeffPoly(coeffs=[0, 0, 0], n=2))
+        find_roots([0, 0, 0])
     with pytest.raises(errors.DomainError, match="finite"):
-        find_roots(CoeffPoly(coeffs=[1, float("nan")], n=1))
-    r = find_roots(CoeffPoly(coeffs=[3.0], n=0))
+        find_roots([1, float("nan")])
+    r = find_roots([3.0])
     assert r.degree == 0 and not root_rows(r) and r.leading_coeff == 3.0
 
 
+# the four entry points that take a lift, each called with f as its last
+# polynomial next to a good one; a RootMultiset becomes its bits
+_GOOD = poly_from_roots([0.5, 2.0 + 1j], lead=2.0)
+ENTRY_POINTS = {
+    "find_roots": lambda f: _multiset_bits(find_roots(f)),
+    "find_roots_batch": lambda f: [_multiset_bits(r) for r in find_roots_batch((_GOOD, f))],
+    "struct_magnitude_equiv": lambda f: struct_magnitude_equiv(_GOOD, f),
+    "numeric_magnitude_equiv": lambda f: numeric_magnitude_equiv(_GOOD, f),
+}
+
+
+@pytest.mark.parametrize("name", ENTRY_POINTS)
+def test_entry_points_take_a_list_a_tuple_or_a_read_only_array(name):
+    coeffs = poly_from_roots([0.5, 2.0 + 1j], lead=-3.0)
+    frozen = np.array(coeffs)
+    frozen.setflags(write=False)
+    outcomes = [ENTRY_POINTS[name](f) for f in (coeffs.tolist(), tuple(coeffs.tolist()), frozen)]
+    assert outcomes[0] == outcomes[1] == outcomes[2]
+    if name.endswith("equiv"):
+        assert outcomes[0].related and outcomes[0].kappa == pytest.approx(2.0 / 3.0)
+
+
+# each refused lift with the exception class each entry point raises; a
+# NaN gives the root-free lag oracle a NaN residual, an unrelated verdict
+REFUSED = [
+    ("2-D", [[1, 2], [3, 4]], (errors.DomainError,) * 4),
+    ("empty", [], (errors.DomainError,) * 4),
+    ("NaN", [1, float("nan"), 1], (errors.DomainError,) * 3 + (None,)),
+    ("zeros", [0, 0, 0], (errors.ZeroPolynomial,) * 4),
+]
+
+
+@pytest.mark.parametrize("f, raised", [(f, raised) for _, f, raised in REFUSED],
+                         ids=[case for case, _, _ in REFUSED])
+def test_entry_points_refuse_what_is_not_a_nonzero_finite_vector(f, raised):
+    for (name, call), error in zip(ENTRY_POINTS.items(), raised):
+        if error is None:
+            verdict = call(f)
+            assert not verdict.related and verdict.witness.startswith("lag residual nan"), name
+            continue
+        with pytest.raises(errors.DomainError) as info:
+            call(f)
+        assert type(info.value) is error, name
+
+
 def test_root_multiset_is_read_only_arrays():
-    (r,) = roots_at([CoeffPoly(coeffs=poly_from_roots([2.0, 2.0, 0.5j, 1.0, 0.0]), n=5)], 1e-4)
+    (r,) = roots_at([poly_from_roots([2.0, 2.0, 0.5j, 1.0, 0.0])], 1e-4)
     assert (r.origin_mult, r.degree) == (1, 5)
     arrays = (r.locations, r.multiplicities, r.labels, r.diameters)
     assert [a.dtype.kind for a in arrays] == ["c", "i", "U", "f"]
@@ -249,7 +294,7 @@ def test_conj_reciprocal():
 
 def test_pair_reciprocal_balanced():
     p = TrigPoly(m=1, coeffs=[6, -5, 1])
-    Q = autocorr_lift(autocorrelation(p))
+    Q = autocorrelation(p).coeffs
     table = pair_reciprocal(find_roots(Q))
     assert table.origin == 0  # full-support signal, no vanishing end lags
     assert not table.circle
@@ -264,49 +309,49 @@ def test_halved_is_the_monic_all_inside_member():
     # the lift of 6 - 5z + z^2 (roots 2 and 3) halves to the table of
     # (z - 1/2)(z - 1/3): each orbit keeps one root inside, none outside
     p = TrigPoly(m=1, coeffs=[6, -5, 1])
-    table = pair_reciprocal(find_roots(autocorr_lift(autocorrelation(p))))
+    table = pair_reciprocal(find_roots(autocorrelation(p).coeffs))
     half = table.halved()
     assert half.orbits == tuple((inner, outer, 1, 0) for inner, outer, _, _ in table.orbits)
     assert [inner for inner, _, _, _ in half.orbits] == pytest.approx([1 / 3, 1 / 2], abs=1e-9)
     assert (half.circle, half.origin, half.degree, half.leading) == ((), 0, 2, 1.0)
     # a double circle root of the lift is a simple one of the member, and
     # origin roots stay: 2m - (degree - origin) is the top origin shift
-    q = CoeffPoly(coeffs=poly_from_roots([0.0, 1j, 1j, 0.5, 2.0]), n=5)
+    q = poly_from_roots([0.0, 1j, 1j, 0.5, 2.0])
     half = pair_reciprocal(find_roots(q)).halved()
     assert [k for _, k in half.circle] == [1]
     assert (half.origin, half.degree) == (1, 3)
 
 
 def test_pair_reciprocal_rejects_unbalanced():
-    f = CoeffPoly(coeffs=poly_from_roots([2.0]), n=1)
+    f = poly_from_roots([2.0])
     table = pair_reciprocal(find_roots(f))
     with pytest.raises(errors.AsymmetricSpectrum) as caught:
         table.halved()
     inner = table.orbits[0][0]
     assert str(caught.value) == "orbit at %s has multiplicities 0 inside vs 1 outside" % (inner,)
     assert str(caught.value) == "orbit at (0.5+0j) has multiplicities 0 inside vs 1 outside"
-    g = CoeffPoly(coeffs=poly_from_roots([1.0]), n=1)  # circle root, odd mult
+    g = poly_from_roots([1.0])  # circle root, odd mult
     table = pair_reciprocal(find_roots(g))
     with pytest.raises(errors.AsymmetricSpectrum) as caught:
         table.halved()
     location = table.circle[0][0]
     assert str(caught.value) == "on-circle root at %s has odd multiplicity 1" % (location,)
     # orbits are checked before circle roots
-    both = CoeffPoly(coeffs=poly_from_roots([1.0, 2.0]), n=2)
+    both = poly_from_roots([1.0, 2.0])
     with pytest.raises(errors.AsymmetricSpectrum, match="^orbit at "):
         pair_reciprocal(find_roots(both)).halved()
 
 
 def test_single_sided_orbits_allowed_when_lax():
-    f = CoeffPoly(coeffs=poly_from_roots([2.0, 0.25]), n=2)
+    f = poly_from_roots([2.0, 0.25])
     table = pair_reciprocal(find_roots(f))
     assert len(table.orbits) == 2
     assert {(k_inner, k_outer) for _, _, k_inner, k_outer in table.orbits} == {(0, 1), (1, 0)}
 
 
 def test_joint_orbits_alignment():
-    f = CoeffPoly(coeffs=poly_from_roots([2.0, 0.4j]), n=2)
-    g = CoeffPoly(coeffs=poly_from_roots([0.5, 0.4j]), n=2)
+    f = poly_from_roots([2.0, 0.4j])
+    g = poly_from_roots([0.5, 0.4j])
     tf, tg = joint_orbits(find_roots(f), find_roots(g))
     assert not tf.circle and not tg.circle
     assert len(tf.orbits) == len(tg.orbits) == 2
@@ -400,7 +445,7 @@ def _point_sets(tol, rng):
         angles = np.sort(2 * np.pi * rng.random(4))
         zs = 0.999 * np.exp(1j * angles)
         p = TrigPoly(m=2, coeffs=poly_from_roots(zs))
-        r = find_roots(autocorr_lift(autocorrelation(p)))
+        r = find_roots(autocorrelation(p).coeffs)
         keys = _orbit_key(r.locations[r.labels != "on_circle"]).tolist()
         assert len(keys) == 8
         yield keys
@@ -507,7 +552,7 @@ def test_groups_of_no_points():
     assert _link_ids_of([], 1e-6) == []
     assert _sweep(np.empty((0, 1), dtype=complex), 1.0, None).tolist() == []
     # every root on the circle leaves no orbit key to group
-    r = find_roots(CoeffPoly(coeffs=poly_from_roots([1j, -1j, -1.0]), n=3))
+    r = find_roots(poly_from_roots([1j, -1j, -1.0]))
     assert pair_reciprocal(r).orbits == ()
     assert [t.orbits for t in joint_orbits(r, r)] == [(), ()]
 
@@ -585,7 +630,7 @@ def _multiset(rng):
     zs += [np.exp(2j * np.pi * rng.random())] * int(rng.integers(1, 3))  # circle root
     zs += [0.0] * int(rng.integers(0, 2))
     rng.shuffle(zs)
-    return find_roots(CoeffPoly(coeffs=poly_from_roots(zs, lead=1.5), n=len(zs)))
+    return find_roots(poly_from_roots(zs, lead=1.5))
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -683,7 +728,7 @@ def _outcome(solve):
 @pytest.mark.parametrize("case", range(len(BATCH_CASES)))
 def test_batch_matches_one_polynomial_loop_bitwise(case):
     batch, radius = BATCH_CASES[case]
-    polys = [CoeffPoly(coeffs=c) for c in batch]
+    polys = list(batch)
     want = [_outcome(lambda c=c: _root_bits(*find_roots_loop(c, cluster_radius=radius)))
             for c in batch]
     failed = [w for w in want if isinstance(w[0], str)]
@@ -701,7 +746,7 @@ def test_batch_cases_cover_the_edge_shapes():
     found, nan_residuals = [], 0
     for batch, radius in BATCH_CASES:
         try:
-            found.append(roots_at([CoeffPoly(coeffs=c) for c in batch], radius))
+            found.append(roots_at(list(batch), radius))
         except errors.NoConvergence as exc:
             nan_residuals += np.isnan(exc.residual)
     assert nan_residuals == 1
@@ -716,7 +761,7 @@ def test_batch_cases_cover_the_edge_shapes():
 def test_orbits_match_loop_bitwise(seed):
     rng = np.random.default_rng(seed)
     f, g, _ = equiv_battery(seed=seed + 11, count=1)[0]
-    rf, rg = find_roots_batch((CoeffPoly(coeffs=f), CoeffPoly(coeffs=g)))
+    rf, rg = find_roots_batch((f, g))
     rm = _multiset(rng)
     for pair in ((rf, rg), (rm, rf), (rm, rm)):
         tf, tg = joint_orbits(*pair)
@@ -829,7 +874,7 @@ def _orbit_cases():
     # and left as two roots of one side at a radius of 0
     q = poly_from_roots([0.4 + 0.2j, 0.4 + 0.2j, conj_reciprocal(0.4 + 0.2j),
                          conj_reciprocal(0.4 + 0.2j), -0.3j, 1.7, 0.6 - 0.1j])
-    merged, split = (roots_at([CoeffPoly(coeffs=q)], radius)[0] for radius in (1e-4, 0.0))
+    merged, split = (roots_at([q], radius)[0] for radius in (1e-4, 0.0))
     assert 2 in merged.multiplicities
     assert len(split.locations) == len(merged.locations) + 2
     yield (merged,)
@@ -955,9 +1000,9 @@ def test_circle_cases_cover_the_edge_shapes():
 
 def test_batch_raises_the_first_unsettled_members_error(monkeypatch):
     monkeypatch.setattr(roots_module, "_MAX_ITER", 1)
-    quartic = CoeffPoly(coeffs=poly_from_roots([0.5, 2.0, 0.3j, -1.8]), n=4)
-    cubic = CoeffPoly(coeffs=poly_from_roots([1.5j, -0.4, 3.0]), n=3)
-    linear = CoeffPoly(coeffs=poly_from_roots([0.7 - 0.2j]), n=1)
+    quartic = poly_from_roots([0.5, 2.0, 0.3j, -1.8])
+    cubic = poly_from_roots([1.5j, -0.4, 3.0])
+    linear = poly_from_roots([0.7 - 0.2j])
 
     def error(polys):
         with pytest.raises(errors.NoConvergence) as info:
@@ -967,7 +1012,7 @@ def test_batch_raises_the_first_unsettled_members_error(monkeypatch):
     for bad in (quartic, cubic):
         alone = error([bad])
         with pytest.raises(Unsettled) as info:
-            find_roots_loop(bad.coeffs, max_iter=1)
+            find_roots_loop(bad, max_iter=1)
         assert alone == (str(info.value), info.value.residual)
         assert alone[1] > 1e-8
         # the first member that fails decides, whatever comes after it
@@ -977,7 +1022,7 @@ def test_batch_raises_the_first_unsettled_members_error(monkeypatch):
         assert error([linear, bad]) == alone
     assert error([quartic]) != error([cubic])
     (r,) = find_roots_batch([linear])
-    assert _multiset_bits(r) == _root_bits(*find_roots_loop(linear.coeffs, max_iter=1))
+    assert _multiset_bits(r) == _root_bits(*find_roots_loop(linear, max_iter=1))
 
 
 def test_batch_checks_arguments_before_iterating(monkeypatch):
@@ -986,9 +1031,9 @@ def test_batch_checks_arguments_before_iterating(monkeypatch):
 
     monkeypatch.setattr(roots_module, "_solve", no_iteration)
     monkeypatch.setattr(roots_module, "_MAX_ITER", 1)
-    good = CoeffPoly(coeffs=poly_from_roots([0.5, 2.0]), n=2)
-    zero = CoeffPoly(coeffs=[0, 0, 0], n=2)
-    nan = CoeffPoly(coeffs=[1.0, float("nan"), 1.0], n=2)
+    good = poly_from_roots([0.5, 2.0])
+    zero = [0, 0, 0]
+    nan = [1.0, float("nan"), 1.0]
     for polys in ([zero], [good, zero], [zero, good], [nan, zero], [zero, nan]):
         with pytest.raises(errors.ZeroPolynomial):
             find_roots_batch(polys)

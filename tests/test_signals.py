@@ -1,4 +1,4 @@
-"""Trig polynomials, autocorrelation, and the polynomial lifts."""
+"""Trig polynomials, autocorrelation, the polynomial lifts and the intensity screen."""
 
 import numpy as np
 import pytest
@@ -6,14 +6,11 @@ from hypothesis import given, strategies as st
 
 from sldlab import (
     AutocorrSeq,
-    CoeffPoly,
     TrigPoly,
-    autocorr_lift,
     autocorrelation,
     bundled_constellation,
     errors,
-    intensity_samples,
-    lift,
+    factor_sld,
     pair_reciprocal,
 )
 
@@ -45,17 +42,6 @@ def test_trigpoly_coeffs_are_frozen():
     p = TrigPoly(m=1, coeffs=[0, 1, 1])
     with pytest.raises(ValueError):
         p.coeffs[0] = 5.0
-
-
-def test_intensity_is_squared_magnitude():
-    # 2 + 2 cos(2 pi 0.3), worked by hand and by the series oracle, read at
-    # t = 3/10 off the lags of the measurement
-    p = TrigPoly(m=1, coeffs=[0, 1, 1])
-    got = intensity_samples(autocorrelation(p), 10)[3]
-    assert got == pytest.approx(1.381966011250105, abs=1e-12)
-    assert got == pytest.approx(intensity_series([0, 1, 1], 1, 0.3))
-    q = TrigPoly(m=1, coeffs=[1, 2j, -1])
-    assert intensity_samples(autocorrelation(q), 8)[1] == pytest.approx(0.34314575050762, abs=1e-11)
 
 
 def test_autocorr_fixture_values():
@@ -136,32 +122,25 @@ def test_autocorrseq_symmetrizes_exactly():
     assert c.coeffs[2].imag == 0.0
 
 
-def test_lift_roundtrip():
-    p = TrigPoly(m=2, coeffs=[1, 2, 3, 4, 5])
-    f = lift(p)
-    assert isinstance(f, CoeffPoly)
-    assert f.n == 4
-    assert np.array_equal(f.coeffs, p.coeffs)
-    assert TrigPoly(m=2, coeffs=f.coeffs) == p
-
-
 def test_autocorr_lift_is_product_with_reflection():
     """The lag lift factors as P(z) times its conjugate reflection."""
     p = TrigPoly(m=1, coeffs=[1, 2j, -1])
-    P = lift(p).coeffs
+    P = p.coeffs
     Pstar = np.conj(P[::-1])
     want = np.convolve(P, Pstar)
-    Q = autocorr_lift(autocorrelation(p))
-    assert np.abs(Q.coeffs - want).max() <= 1e-10 * np.abs(want).max()
-    with pytest.raises(errors.ZeroInput):
-        autocorr_lift(AutocorrSeq(m=0, coeffs=[0.0]))
+    Q = autocorrelation(p).coeffs
+    assert np.abs(Q - want).max() <= 1e-10 * np.abs(want).max()
+    # the zero measurement passes the screen, but its lift has nothing to factor
+    for m in (0, 1):
+        with pytest.raises(errors.ZeroInput, match="^zero measurement has no lift worth factoring$"):
+            factor_sld(AutocorrSeq(m=m, coeffs=np.zeros(4 * m + 1)))
 
 
 @given(trig_polys(), st.floats(0.0, 1.0))
 def test_lift_on_the_circle_is_the_signal_times_z_to_the_m(p, t):
     """P(z) = sum_k b_k z^(k+m) is z^m y(t) at z = exp(2 pi i t)."""
     z = complex(np.cos(2 * np.pi * t), np.sin(2 * np.pi * t))
-    got = poly_powersum(lift(p).coeffs, z)
+    got = poly_powersum(p.coeffs, z)
     want = z**p.m * eval_series(p.coeffs, p.m, t)
     assert abs(got - want) <= 1e-9 * (1 + np.abs(p.coeffs).sum())
 
@@ -170,15 +149,14 @@ def test_lift_on_the_circle_is_the_signal_times_z_to_the_m(p, t):
 def test_autocorr_lift_on_the_circle_is_the_intensity_times_z_to_the_2m(p, t):
     """Q(z) = sum_k c_k z^(k+2m) is z^(2m) |y(t)|^2 at z = exp(2 pi i t)."""
     z = complex(np.cos(2 * np.pi * t), np.sin(2 * np.pi * t))
-    got = poly_powersum(autocorr_lift(autocorrelation(p)).coeffs, z)
+    got = poly_powersum(autocorrelation(p).coeffs, z)
     want = z ** (2 * p.m) * intensity_series(p.coeffs, p.m, t)
     assert abs(got - want) <= 1e-9 * (1 + np.abs(p.coeffs).sum()) ** 2
 
 
 @given(trig_polys(max_m=2))
 def test_autocorr_lift_roots_pair_up(p):
-    Q = autocorr_lift(autocorrelation(p))
-    (r,) = roots_at([Q], 1e-4)
+    (r,) = roots_at([autocorrelation(p).coeffs], 1e-4)
     # a per-example context, since hypothesis reruns the body
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(roots, "_MATCH_TOL", 1e-3)
@@ -189,39 +167,53 @@ def test_autocorr_lift_roots_pair_up(p):
         assert k % 2 == 0
 
 
-def test_sample_grid_matches_eval():
-    # sample j sits at t = j/N periods, whatever the period
-    p = TrigPoly(m=1, coeffs=[0.5, -1j, 2], period=2.5)
-    vals = intensity_samples(autocorrelation(p), 16)
-    assert vals.shape == (16,)
-    want = [intensity_series(p.coeffs, 1, j * p.period / 16, p.period) for j in range(16)]
-    assert np.allclose(vals, want, rtol=1e-12, atol=1e-12)
-    with pytest.raises(errors.DomainError):
-        intensity_samples(autocorrelation(p), 0)
+def _lowered(p, drop):
+    """The measurement of p with c_0 lowered by drop: its intensity minus drop."""
+    c = autocorrelation(p).coeffs.copy()
+    c[2 * p.m] -= drop
+    return AutocorrSeq(m=p.m, coeffs=c)
 
 
-@given(trig_polys(), st.integers(1, 40))
-def test_eval_property(p, N):
-    """Each grid sample is |y|^2 synthesized term by term at its point."""
-    vals = intensity_samples(autocorrelation(p), N)
-    for j, got in enumerate(vals):
-        want = intensity_series(p.coeffs, p.m, j / N)
-        assert abs(got - want) <= 1e-9 * (1 + want)
+def _grid_min(p):
+    """min |y|^2 over the screen's grid t = jT/N, N = max(64, 16(2m+1)),
+    synthesized term by term."""
+    N = max(64, 16 * (2 * p.m + 1))
+    return min(intensity_series(p.coeffs, p.m, j * p.period / N, p.period) for j in range(N))
 
 
-def _dft_lags(samples, m):
-    """Lags -2m..2m of N uniform intensity samples, by numpy's FFT."""
-    return np.fft.fft(samples)[np.arange(-2 * m, 2 * m + 1)] / len(samples)
+def _reported(s):
+    with pytest.raises(errors.NegativeIntensity, match="^synthesized intensity reaches ") as info:
+        screen_intensity(s)
+    return float(str(info.value).rsplit(" ", 1)[1])
 
 
-def test_intensity_samples_and_inversion():
-    p = TrigPoly(m=2, coeffs=[0.3, 1j, 0.7, -0.2, 1])
-    c = autocorrelation(p)
-    s = intensity_samples(c, 32)
-    assert s.dtype == np.float64
-    assert np.abs(_dft_lags(s, 2) - c.coeffs).max() <= 1e-10 * c.c0
-    # 8 < 4m + 1 samples alias lag 4 onto lag -4
-    assert np.abs(_dft_lags(s[::4], 2) - c.coeffs).max() > 0.1
+# m = 1 samples 64 points and m = 3 112; on 48, 63 or 65 points, or on 64,
+# 111 or 113, the minima below differ from these in their fourth digit
+@pytest.mark.parametrize("coeffs", [[1, 0.4j, -0.7 + 0.5j],
+                                    [0.5, -1j, 2, 0.3, 1j, -0.7, 0.2 + 0.4j]])
+def test_sample_grid_matches_eval(coeffs):
+    # a sequence whose intensity dips below -1e-9 (1 + c_0) at a grid point
+    # is refused, with that grid minimum in the message; sample j sits at
+    # t = j/N periods, whatever the period
+    p = TrigPoly(m=(len(coeffs) - 1) // 2, coeffs=coeffs, period=2.5)
+    low = _grid_min(p)
+    for drop in (p.energy, (p.energy + low) / 2):
+        assert _reported(_lowered(p, drop)) == pytest.approx(low - drop, rel=5e-6)
+    # a dip 1% inside the tolerance passes, one 1% beyond it does not
+    tol = 1e-9 * (1 + p.energy - low)
+    assert screen_intensity(_lowered(p, low + 0.99 * tol)) is None
+    assert _reported(_lowered(p, low + 1.01 * tol)) == pytest.approx(-1.01 * tol, rel=1e-4)
+
+
+@given(trig_polys())
+def test_eval_property(p):
+    """The screen's minimum is that of |y|^2 synthesized term by term."""
+    s = _lowered(p, p.energy)
+    want = _grid_min(p) - p.energy
+    if want < -2e-9:
+        assert abs(_reported(s) - want) <= 1e-5 * abs(want) + 1e-9 * (1 + p.energy)
+    elif want > -0.5e-9:
+        assert screen_intensity(s) is None
 
 
 def test_screen_intensity():
@@ -234,22 +226,3 @@ def test_screen_intensity():
     with pytest.raises(errors.NegativeIntensity, match="reaches -1"):
         screen_intensity(AutocorrSeq(m=1, coeffs=[0, 1, 1, 1, 0]))
 
-
-@given(trig_polys(max_m=2), st.integers(0, 40))
-def test_sampling_theorem_boundary(p, extra):
-    """Any grid of at least 4m+1 points recovers the lag sequence."""
-    c = autocorrelation(p)
-    N = 4 * p.m + 1 + extra
-    back = _dft_lags(intensity_samples(c, N), p.m)
-    assert np.abs(back - c.coeffs).max() <= 1e-9 * (1 + c.c0)
-
-
-def test_coeffpoly_degrees():
-    # the array holds n + 1 coefficients: a zero tail is trimmed, a short one padded
-    assert CoeffPoly(coeffs=[1, 2, 0, 0], n=2).coeffs.tolist() == [1, 2, 0]
-    assert CoeffPoly(coeffs=[1], n=2).coeffs.tolist() == [1, 0, 0]
-    g = CoeffPoly(coeffs=[1, 2, 1e-15], n=2)
-    assert not g.is_zero()
-    assert CoeffPoly(coeffs=[0, 0], n=1).is_zero()
-    with pytest.raises(errors.DomainError):
-        CoeffPoly(coeffs=[1, 2, 3], n=1)

@@ -222,21 +222,22 @@ def test_members_are_methods_properties_and_classmethods():
 
 # names deleted with the code only the tests called, or replaced (the
 # orbit types by OrbitTable), or retired with the transform command and
-# the Blaschke product helpers, which served none of the paper's claims;
-# none may come back as a public name, alias or error class
+# the Blaschke product helpers, which served none of the paper's claims,
+# or retired when root finding and the magnitude deciders came to take the
+# lift as a coefficient array (CoeffPoly, lift, autocorr_lift) and the
+# intensity sampler folded into screen_intensity; none may come back as a
+# public name, alias or error class
 DELETED = (
     "flip", "FlipSpec", "canonicalize", "quantize_phase", "theta_m", "auxiliary_rotate",
     "PhaseGrid", "eval_time", "eval_intensity", "sample_grid", "unlift", "ae_equal",
     "degree_match", "reconstruct", "mi_dmc", "DiscreteNoise", "ReciprocalOrbit", "JointOrbit",
     "measurement_transform", "autocorr_from_samples", "BlaschkeProduct", "factor_eval",
-    "product_eval", "from_inside_zeros",
+    "product_eval", "from_inside_zeros", "CoeffPoly", "lift", "autocorr_lift",
+    "intensity_samples",
 )
 DELETED_ERRORS = ("InvalidSpec", "NotEquivalent", "OutOfRange", "ZeroDC", "InvalidNoiseSpec",
                   "NonInvertibleOnRange", "DegenerateSampling", "PoleEvaluation")
-DELETED_MEMBERS = (
-    ("CoeffPoly", "effective_degree"), ("CoeffPoly", "degree"), ("CoeffPoly", "__call__"),
-    ("ClassSet", "representatives"),
-)
+DELETED_MEMBERS = (("ClassSet", "representatives"),)
 
 # parameters that became private module constants, or that went when
 # their function came to build or read an OrbitTable (assert_symmetric is
